@@ -41,7 +41,7 @@ import numpy as np
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
                      OrderTooLow, PremiseViolated, SingularAtZero,
                      WindowOutOfRange)
-from .kernels import Kernels, phi_alpha_l1, phi_alpha_l2sq
+from .kernels import Kernels, phi_alpha_l1, phi_alpha_l2sq, spectral_norms
 from .mlf import DEFAULT_CONFIG, MlEvalConfig
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm)
@@ -65,68 +65,6 @@ def _gain_bounds(prob: ValidatedProblem, feedback: ControlInput | None):
     return list(ctl.gain_bounds), ctl
 
 
-def _sum_phi_norm(prob: ValidatedProblem, delta: float,
-                  cfg: MlEvalConfig) -> float:
-    sys = prob.system
-    ker = Kernels(sys.alpha, sys.A[0], cfg)
-    total = sum(ker.phi_j(j, np.array([delta]))[0] for j in range(sys.k))
-    return float(np.linalg.norm(total, 2))
-
-
-def _phi_norms(prob: ValidatedProblem, delta: float,
-               cfg: MlEvalConfig) -> list:
-    sys = prob.system
-    ker = Kernels(sys.alpha, sys.A[0], cfg)
-    return [float(np.linalg.norm(ker.phi_j(j, np.array([delta]))[0], 2))
-            for j in range(sys.k)]
-
-
-# ---------------------------------------------------------------------------
-# uniform-bound family
-# ---------------------------------------------------------------------------
-
-def cert_g_h(prob: ValidatedProblem, delta: float,
-             cfg: MlEvalConfig = DEFAULT_CONFIG,
-             tol: float = _QUAD_TOL):
-    """Window-contraction certificate of the uncontrolled system.
-
-    Returns (value, feasible); infeasible means the inverse factor's
-    denominator was not positive, reported rather than raised.
-    """
-    sys = prob.system
-    l1 = phi_alpha_l1((sys.alpha, sys.A[0]), delta, cfg, tol)
-    a0 = atilde_sup_norm(prob, 0)
-    numer = (_sum_phi_norm(prob, delta, cfg)
-             + l1 * sum(ahat_sup_norm(prob, i)
-                        for i in range(1, len(sys.delays))))
-    D = l1 * a0
-    if D >= 1.0:
-        return math.inf, False
-    return numer / (1.0 - D), True
-
-
-def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
-             delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
-             tol: float = _QUAD_TOL):
-    """Controlled variant: gains enter through their declared bounds."""
-    sys = prob.system
-    bounds, _ = _gain_bounds(prob, feedback)
-    bn = b_sup_norm(prob)
-    l1 = phi_alpha_l1((sys.alpha, sys.A[0]), delta, cfg, tol)
-    a0 = atilde_sup_norm(prob, 0) + bn * bounds[0]
-    numer = (_sum_phi_norm(prob, delta, cfg)
-             + l1 * sum(ahat_sup_norm(prob, i) + bn * bounds[i]
-                        for i in range(1, len(sys.delays))))
-    D = l1 * a0
-    if D >= 1.0:
-        return math.inf, False
-    return numer / (1.0 - D), True
-
-
-# ---------------------------------------------------------------------------
-# windowed-L2 family
-# ---------------------------------------------------------------------------
-
 def _ahat_table(prob: ValidatedProblem, i: int) -> TimeFunctionTable:
     return table_linear_combination(prob.system.A[i], prob.system.A_tilde[i])
 
@@ -136,6 +74,74 @@ def _bk_table(prob: ValidatedProblem, K: np.ndarray) -> TimeFunctionTable:
     vals = np.einsum("qik,kj->qij", B.values, K)
     return TimeFunctionTable(B.sample_times.copy(), vals, B.interpolation)
 
+
+class _CertInputs:
+    """The delta-independent inputs of both certificate families.
+
+    Feedback enters here only: through the declared gain bounds in the
+    uniform family and the B K_i tables in the windowed-L2 family.  Without
+    feedback both reduce to the uncontrolled certificates.
+    """
+
+    def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
+                 cfg: MlEvalConfig):
+        sys = prob.system
+        bounds, ctl = _gain_bounds(prob, feedback)
+        bn = b_sup_norm(prob)
+        lags = range(1, len(sys.delays))
+        self.prob = prob
+        self.ker = Kernels(sys.alpha, sys.A[0], cfg)
+        self.a0 = atilde_sup_norm(prob, 0) + bn * bounds[0]
+        self.a_delayed = sum(ahat_sup_norm(prob, i) + bn * bounds[i]
+                             for i in lags)
+        self.ahat = [(sys.delays[i], _ahat_table(prob, i)) for i in lags]
+        self.bk = (None if ctl is None
+                   else [_bk_table(prob, K) for K in ctl.gains])
+
+    def phi_at(self, delta: float) -> list:
+        """phi_j(delta) for j = 0..k-1."""
+        return [self.ker.phi_j(j, np.array([delta]))[0]
+                for j in range(self.prob.system.k)]
+
+
+def _contraction(numer: float, D: float):
+    if D >= 1.0:
+        return math.inf, False
+    return numer / (1.0 - D), True
+
+
+# ---------------------------------------------------------------------------
+# uniform-bound family
+# ---------------------------------------------------------------------------
+
+def _g(inputs: _CertInputs, delta: float, tol: float):
+    l1 = phi_alpha_l1(inputs.ker, delta, tol=tol)
+    numer = (float(np.linalg.norm(sum(inputs.phi_at(delta)), 2))
+             + l1 * inputs.a_delayed)
+    return _contraction(numer, l1 * inputs.a0)
+
+
+def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
+             delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
+             tol: float = _QUAD_TOL):
+    """Window-contraction certificate; gains enter through their declared bounds.
+
+    Returns (value, feasible); infeasible means the inverse factor's
+    denominator was not positive, reported rather than raised.
+    """
+    return _g(_CertInputs(prob, feedback, cfg), delta, tol)
+
+
+def cert_g_h(prob: ValidatedProblem, delta: float,
+             cfg: MlEvalConfig = DEFAULT_CONFIG,
+             tol: float = _QUAD_TOL):
+    """Uncontrolled certificate: the controlled one with zero gain bounds."""
+    return cert_g_f(prob, ControlInput.none(), delta, cfg, tol)
+
+
+# ---------------------------------------------------------------------------
+# windowed-L2 family
+# ---------------------------------------------------------------------------
 
 def _window_l2(tbl: TimeFunctionTable, start: float, delta: float) -> float:
     """Windowed L2 norm with the matrix function extended by zero to t < 0.
@@ -151,45 +157,35 @@ def _window_l2(tbl: TimeFunctionTable, start: float, delta: float) -> float:
     return l2_window_norm(tbl, lo, hi - lo)
 
 
-def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float,
-                 cfg: MlEvalConfig = DEFAULT_CONFIG,
-                 tol: float = _QUAD_TOL):
-    """Windowed-L2 certificate at window start t; requires alpha > 1/2."""
-    sys = prob.system
-    l2k = math.sqrt(phi_alpha_l2sq((sys.alpha, sys.A[0]), delta, cfg, tol))
-    d_factor = l2_window_norm(sys.A_tilde[0], t, delta)
-    numer = sum(_phi_norms(prob, delta, cfg))
-    for i in range(1, len(sys.delays)):
-        numer += l2k * _window_l2(_ahat_table(prob, i),
-                                  t - sys.delays[i], delta)
-    D = l2k * d_factor
-    if D >= 1.0:
-        return math.inf, False
-    return numer / (1.0 - D), True
+def _g_hat(inputs: _CertInputs, t: float, delta: float, tol: float):
+    l2k = math.sqrt(phi_alpha_l2sq(inputs.ker, delta, tol=tol))
+    d_factor = l2_window_norm(inputs.prob.system.A_tilde[0], t, delta)
+    if inputs.bk is not None:
+        d_factor += l2_window_norm(inputs.bk[0], t, delta)
+    numer = sum(float(np.linalg.norm(m, 2)) for m in inputs.phi_at(delta))
+    for i, (r_i, ahat) in enumerate(inputs.ahat, start=1):
+        numer += l2k * _window_l2(ahat, t - r_i, delta)
+        if inputs.bk is not None:
+            numer += l2k * _window_l2(inputs.bk[i], t, delta)
+    return _contraction(numer, l2k * d_factor)
 
 
 def cert_g_hat_f(prob: ValidatedProblem, feedback: ControlInput | None,
                  t: float, delta: float,
                  cfg: MlEvalConfig = DEFAULT_CONFIG,
                  tol: float = _QUAD_TOL):
-    """Controlled windowed-L2 certificate; gain terms enter as L2 windows."""
-    sys = prob.system
-    bounds, ctl = _gain_bounds(prob, feedback)
-    l2k = math.sqrt(phi_alpha_l2sq((sys.alpha, sys.A[0]), delta, cfg, tol))
-    d_factor = l2_window_norm(sys.A_tilde[0], t, delta)
-    if ctl is not None:
-        d_factor += l2_window_norm(_bk_table(prob, ctl.gains[0]), t, delta)
-    numer = sum(_phi_norms(prob, delta, cfg))
-    for i in range(1, len(sys.delays)):
-        numer += l2k * _window_l2(_ahat_table(prob, i),
-                                  t - sys.delays[i], delta)
-        if ctl is not None:
-            numer += l2k * _window_l2(_bk_table(prob, ctl.gains[i]),
-                                      t, delta)
-    D = l2k * d_factor
-    if D >= 1.0:
-        return math.inf, False
-    return numer / (1.0 - D), True
+    """Windowed-L2 certificate at window start t; requires alpha > 1/2.
+
+    Gain terms enter as L2 windows of B K_i.
+    """
+    return _g_hat(_CertInputs(prob, feedback, cfg), t, delta, tol)
+
+
+def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float,
+                 cfg: MlEvalConfig = DEFAULT_CONFIG,
+                 tol: float = _QUAD_TOL):
+    """Uncontrolled windowed-L2 certificate: no B K_i windows."""
+    return cert_g_hat_f(prob, ControlInput.none(), t, delta, cfg, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +209,8 @@ def gain_bound_uniform(prob: ValidatedProblem, delta: float, epsilon: float,
     bn = b_sup_norm(prob)
     if bn == 0.0:
         return math.inf
-    sys = prob.system
-    l1 = phi_alpha_l1((sys.alpha, sys.A[0]), delta, cfg)
-    return epsilon / (len(sys.delays) * l1 * bn)
+    l1 = phi_alpha_l1(prob.system, delta, cfg)
+    return epsilon / (len(prob.system.delays) * l1 * bn)
 
 
 def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
@@ -233,8 +228,7 @@ def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
     bn = b_sup_norm(prob)
     if bn == 0.0:
         return math.inf
-    sys = prob.system
-    l2k = math.sqrt(phi_alpha_l2sq((sys.alpha, sys.A[0]), delta, cfg))
+    l2k = math.sqrt(phi_alpha_l2sq(prob.system, delta, cfg))
     return epsilon / (l2k * bn)
 
 
@@ -292,23 +286,16 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
         raise EmptyGrid("certify needs at least one delta")
     if t_grid is None:
         t_grid = [prob.system.h]
-    has_feedback = ((feedback if feedback is not None else prob.control)
-                    .kind == "feedback")
+    inputs = _CertInputs(prob, feedback, cfg)
 
     entries = []
     for delta in delta_grid:
-        if has_feedback:
-            value, feasible = cert_g_f(prob, feedback, delta, cfg, tol)
-        else:
-            value, feasible = cert_g_h(prob, delta, cfg, tol)
+        value, feasible = _g(inputs, delta, tol)
         hat_vals = []
         hat_ok = True
         for t in t_grid:
             try:
-                if has_feedback:
-                    v, f = cert_g_hat_f(prob, feedback, t, delta, cfg, tol)
-                else:
-                    v, f = cert_g_hat_h(prob, t, delta, cfg, tol)
+                v, f = _g_hat(inputs, t, delta, tol)
             except (WindowOutOfRange, SingularAtZero):
                 hat_ok = False
                 break
@@ -366,10 +353,10 @@ class DelayFreeBounds:
                 "verdict": self.verdict}
 
 
-def _l1_to_infinity(alpha: float, A_bar: np.ndarray,
-                    cfg: MlEvalConfig) -> float:
+def _l1_to_infinity(ker: Kernels) -> float:
     """Truncated L1 norm of the forcing kernel with a decay-fit tail estimate."""
-    lam = np.linalg.eigvals(A_bar)
+    alpha = ker.alpha
+    lam = np.linalg.eigvals(ker.A0)
     if np.any(lam.real >= 0):
         raise KernelNotIntegrable(
             "effective matrix is not a stability matrix")
@@ -383,11 +370,11 @@ def _l1_to_infinity(alpha: float, A_bar: np.ndarray,
                 "eigenvalue arguments inside the non-decaying sector")
     rho = float(np.min(np.abs(lam.real)))
     T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
-    prev = phi_alpha_l1((alpha, A_bar), T, cfg, tol=1e-8)
+    prev = phi_alpha_l1(ker, T, tol=1e-8)
     inc_prev = None
     for _ in range(10):
         T *= 2.0
-        cur = phi_alpha_l1((alpha, A_bar), T, cfg, tol=1e-8)
+        cur = phi_alpha_l1(ker, T, tol=1e-8)
         inc = cur - prev
         if inc <= 1e-9 * max(1.0, cur):
             return cur
@@ -425,7 +412,7 @@ def delay_free_certify(prob: ValidatedProblem,
         load_terms[0] = atilde_sup_norm(prob, 0)
 
     ker = Kernels(sys.alpha, A_bar, cfg)
-    lam = np.linalg.eigvals(np.atleast_2d(A_bar))
+    lam = np.linalg.eigvals(ker.A0)
     rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
     T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(sys.alpha, 1.0)))
     grid = np.concatenate(([0.0], np.geomspace(T0 * 1e-5, T0, 2000)))
@@ -433,15 +420,13 @@ def delay_free_certify(prob: ValidatedProblem,
     tail_by_j = []
     tail_mask = grid >= 0.8 * T0
     for j in range(sys.k):
-        mats = ker.phi_j(j, grid, 1e-8, allow_mp=False)
-        norms = (np.abs(mats[:, 0, 0]) if sys.n == 1
-                 else np.linalg.svd(mats, compute_uv=False)[:, 0])
+        norms = spectral_norms(ker.phi_j(j, grid, 1e-8, allow_mp=False))
         sup_by_j.append(float(np.max(norms)))
         tail_by_j.append(float(np.max(norms[tail_mask])))
     K0 = max(sup_by_j)
     decay = max(tail_by_j) <= 1e-3 * max(K0, 1e-300)
 
-    K1 = _l1_to_infinity(sys.alpha, np.atleast_2d(A_bar), cfg)
+    K1 = _l1_to_infinity(ker)
     load = K1 * sum(load_terms)
     condition = load < 1.0
     K2 = None

@@ -35,14 +35,12 @@ from .mlf import (DEFAULT_CONFIG, MlEvalConfig, _ml_matrix_series, eig_factors,
                   ml_scalar_array)
 from .system import FractionalDelaySystem
 
-_EPS = 2.2204460492503131e-16
 
-
-def _unpack(sys_or_pair):
-    if isinstance(sys_or_pair, FractionalDelaySystem):
-        return sys_or_pair.alpha, sys_or_pair.A[0]
-    alpha, A0 = sys_or_pair
-    return float(alpha), np.atleast_2d(np.asarray(A0, dtype=float))
+def spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Spectral norm of every matrix in a stack of shape (N, n, n)."""
+    if mats.shape[1] == 1:
+        return np.abs(mats[:, 0, 0])
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
 
 class Kernels:
@@ -127,27 +125,33 @@ class Kernels:
 
     def _e_norms(self, beta: float, s: np.ndarray, rel_tol: float,
                  allow_mp: bool = True) -> np.ndarray:
-        mats = self.e_ml(beta, s, rel_tol, allow_mp=allow_mp)
-        if self.n == 1:
-            return np.abs(mats[:, 0, 0])
-        return np.linalg.svd(mats, compute_uv=False)[:, 0]
-
+        return spectral_norms(self.e_ml(beta, s, rel_tol, allow_mp=allow_mp))
 
 
 # ---------------------------------------------------------------------------
 # spec-level operations
 # ---------------------------------------------------------------------------
+#
+# ``sys`` is a Kernels (used as is, ``cfg`` ignored), a FractionalDelaySystem
+# (its alpha and A[0]) or an (alpha, A0) pair.
+
+def _kernels(sys, cfg: MlEvalConfig) -> Kernels:
+    if isinstance(sys, Kernels):
+        return sys
+    if isinstance(sys, FractionalDelaySystem):
+        return Kernels(sys.alpha, sys.A[0], cfg)
+    alpha, A0 = sys
+    return Kernels(alpha, A0, cfg)
+
 
 def phi_alpha_j(sys, j: int, t: float, cfg: MlEvalConfig = DEFAULT_CONFIG):
     """t^j E_{a,j+1}(A0 t^a); the zero matrix for t < 0."""
-    alpha, A0 = _unpack(sys)
-    return Kernels(alpha, A0, cfg).phi_j(j, np.array([t]))[0]
+    return _kernels(sys, cfg).phi_j(j, np.array([t]))[0]
 
 
 def phi_alpha(sys, t: float, cfg: MlEvalConfig = DEFAULT_CONFIG):
     """t^(a-1) E_{a,a}(A0 t^a); zero for t < 0, singular at 0 when a < 1."""
-    alpha, A0 = _unpack(sys)
-    return Kernels(alpha, A0, cfg).phi(np.array([t]))[0]
+    return _kernels(sys, cfg).phi(np.array([t]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +239,10 @@ def phi_alpha_l1(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
     primitive |delta^a E_{a,a+1}(A0 delta^a)|; otherwise graded-mesh product
     integration of s^(a-1) ||E_{a,a}(A0 s^a)||.
     """
-    alpha, A0 = _unpack(sys)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    ker = Kernels(alpha, A0, cfg)
+    ker = _kernels(sys, cfg)
+    alpha = ker.alpha
 
     if ker.n == 1:
         probe = _graded_mesh(delta, 2048, max(1.0, 1.0 / alpha))[1:]
@@ -262,11 +266,11 @@ def phi_alpha_l1(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
 def phi_alpha_l2sq(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
                    tol: float = 1e-10) -> float:
     """integral_0^delta ||phi(s)||_2^2 ds; requires alpha > 1/2."""
-    alpha, A0 = _unpack(sys)
+    ker = _kernels(sys, cfg)
+    alpha = ker.alpha
     if alpha <= 0.5:
         raise SingularAtZero(
             f"||phi||^2 ~ s^({2 * alpha - 2}) is not integrable for alpha <= 1/2")
-    ker = Kernels(alpha, A0, cfg)
 
     def w(s):
         out = np.empty(s.shape)
@@ -476,50 +480,38 @@ def verify_lemma22(sys, t_grid, cfg: MlEvalConfig = DEFAULT_CONFIG,
     relations between phi_(k-1), phi, and phi_(k-2) are checked with the
     provable Gamma-ratio constants.
     """
-    alpha, A0 = _unpack(sys)
+    ker = _kernels(sys, cfg)
+    alpha, A0 = ker.alpha, ker.A0
     k = int(math.ceil(alpha - 1e-12))
-    ker = Kernels(alpha, A0, cfg)
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if np.any(t_grid <= 0):
         raise ValueError("t_grid must be strictly positive")
     report = BoundReport(alpha=alpha)
 
-    def norms(mats):
-        if mats.shape[1] == 1:
-            return np.abs(mats[:, 0, 0])
-        return np.linalg.svd(mats, compute_uv=False)[:, 0]
-
-    e_norm = {j: norms(ker.e_ml(j + 1, t_grid)) for j in range(k)}
-    phi_j_norm = {j: norms(ker.phi_j(j, t_grid)) for j in range(k)}
-    phi_norm = norms(ker.phi(t_grid))
+    e_norm = {j: spectral_norms(ker.e_ml(j + 1, t_grid)) for j in range(k)}
+    phi_j_norm = {j: spectral_norms(ker.phi_j(j, t_grid)) for j in range(k)}
+    phi_norm = spectral_norms(ker.phi(t_grid))
 
     if alpha < 1:
         big = t_grid >= 1.0
         if np.any(big):
             tb = t_grid[big]
             exp_n = _expm_norms(A0, tb)
+
+            def fitted(name, norm, power):
+                # ||.|| <= C t^power ||e^{A0 t}|| on t >= 1, C fitted
+                fit = float(np.max(norm[big] / (tb ** power * exp_n)))
+                const = max(fit, 1.0)
+                report.checks.append(BoundCheck(
+                    name=name, passed=math.isfinite(fit),
+                    worst_margin=float(np.min(const * tb ** power * exp_n
+                                              - norm[big])),
+                    worst_ratio=fit / const, fitted_constant=const))
+
             for j in range(k):
-                ratio = e_norm[j][big] / exp_n
-                fit = float(np.max(ratio))
-                report.checks.append(BoundCheck(
-                    name=f"sub_unit_order_E_beta{j + 1}", passed=math.isfinite(fit),
-                    worst_margin=float(np.min(max(fit, 1.0) * exp_n
-                                              - e_norm[j][big])),
-                    worst_ratio=fit / max(fit, 1.0), fitted_constant=max(fit, 1.0)))
-                ratio = phi_j_norm[j][big] / (tb ** j * exp_n)
-                fit = float(np.max(ratio))
-                report.checks.append(BoundCheck(
-                    name=f"sub_unit_order_phi_{j}", passed=math.isfinite(fit),
-                    worst_margin=float(np.min(max(fit, 1.0) * tb ** j * exp_n
-                                              - phi_j_norm[j][big])),
-                    worst_ratio=fit / max(fit, 1.0), fitted_constant=max(fit, 1.0)))
-            ratio = phi_norm[big] / (tb ** (alpha - 1.0) * exp_n)
-            fit = float(np.max(ratio))
-            report.checks.append(BoundCheck(
-                name="sub_unit_order_phi", passed=math.isfinite(fit),
-                worst_margin=float(np.min(max(fit, 1.0) * tb ** (alpha - 1.0)
-                                          * exp_n - phi_norm[big])),
-                worst_ratio=fit / max(fit, 1.0), fitted_constant=max(fit, 1.0)))
+                fitted(f"sub_unit_order_E_beta{j + 1}", e_norm[j], 0)
+                fitted(f"sub_unit_order_phi_{j}", phi_j_norm[j], j)
+            fitted("sub_unit_order_phi", phi_norm, alpha - 1.0)
     else:
         majorant = np.array([norm_series_exp(A0, t ** alpha) for t in t_grid])
         for j in range(k):

@@ -24,7 +24,9 @@ A0 -> sum_i A_i automatically.
 cross-validation: a fractional Adams predictor-corrector applied to the state
 equation directly (power kernel (t-tau)^(a-1)/Gamma(a) against the full right
 side, including the A0 term, with rectangle predictor and trapezoid
-corrector).  It shares no kernel machinery with the marching scheme.
+corrector).  It shares with the marching scheme only the sampling of the
+problem data at the nodes (``_Sampling``: aligned lags, coefficient samples,
+input and prehistory); its kernel, weights and corrector are its own.
 """
 
 from __future__ import annotations
@@ -105,14 +107,15 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# shared discretization data
+# problem sampling shared by the march and the oracle
 # ---------------------------------------------------------------------------
 
-class _Discretization:
-    def __init__(self, prob: ValidatedProblem, grid: SimulationGrid,
-                 cfg: MlEvalConfig):
+class _Sampling:
+    """The problem's data at the grid nodes; delays must land on nodes."""
+
+    def __init__(self, prob: ValidatedProblem, grid: SimulationGrid):
         sys = prob.system
-        self.prob, self.grid, self.cfg = prob, grid, cfg
+        self.prob = prob
         self.n = sys.n
         self.dt = grid.step
         self.L = grid.node_count - 1
@@ -124,16 +127,37 @@ class _Discretization:
                 raise DimensionMismatch(
                     f"delay {d} is not aligned with step {self.dt}")
 
-        # node samples of the time-varying data
         self.A_tilde_s = [tbl(self.times) for tbl in sys.A_tilde]
         self.B_s = sys.B(self.times) if sys.B is not None else None
         ctl = prob.control
-        self.u_s = None
-        self.gains = None
-        if ctl.kind == "open_loop":
-            self.u_s = ctl.u(self.times)
-        elif ctl.kind == "feedback":
-            self.gains = ctl.gains
+        self.u_s = ctl.u(self.times) if ctl.kind == "open_loop" else None
+        self.gains = ctl.gains if ctl.kind == "feedback" else None
+
+        # prehistory samples at negative grid times, sum over the k functions
+        max_lag = max(self.lags) if self.lags else 0
+        self.pre = np.zeros((max_lag + 1, self.n))
+        for q in range(1, max_lag + 1):
+            self.pre[q] = prob.ics.history(-q * self.dt)
+
+    def coefficient(self, i: int) -> np.ndarray:
+        """Samples of A_i + Atilde_i(t), plus B(t) K_i under feedback."""
+        coeff = self.prob.system.A[i] + self.A_tilde_s[i]
+        if self.gains is not None:
+            coeff = coeff + np.einsum("qik,kj->qij", self.B_s, self.gains[i])
+        return coeff
+
+    def delayed_state(self, states: np.ndarray, q: int, lag: int) -> np.ndarray:
+        idx = q - lag
+        if idx >= 0:
+            return states[idx]
+        return self.pre[-idx]
+
+
+class _Discretization(_Sampling):
+    def __init__(self, prob: ValidatedProblem, grid: SimulationGrid,
+                 cfg: MlEvalConfig):
+        super().__init__(prob, grid)
+        sys = prob.system
 
         # kernel matrix: constants at lag zero fold into A0
         self.A0_eff = sum(sys.A[i] for i, lag in enumerate(self.lags)
@@ -146,24 +170,11 @@ class _Discretization:
                 if self.gains is not None:
                     self.C += np.einsum("qik,kj->qij", self.B_s, self.gains[i])
         # delayed coefficients (lag > 0)
-        self.delayed = []
-        for i, lag in enumerate(self.lags):
-            if lag > 0:
-                coeff = sys.A[i] + self.A_tilde_s[i]
-                if self.gains is not None:
-                    coeff = coeff + np.einsum("qik,kj->qij", self.B_s,
-                                              self.gains[i])
-                self.delayed.append((lag, coeff))
-
-        # prehistory samples at negative grid times, sum over the k functions
-        max_lag = max(self.lags) if self.lags else 0
-        self.pre = np.zeros((max_lag + 1, self.n))
-        for q in range(1, max_lag + 1):
-            self.pre[q] = prob.ics.history(-q * self.dt)
+        self.delayed = [(lag, self.coefficient(i))
+                        for i, lag in enumerate(self.lags) if lag > 0]
 
         # initial-data term f_m = sum_j phi_j(t_m) x_j0
         ker = Kernels(sys.alpha, self.A0_eff, cfg)
-        self.kernels = ker
         x0 = prob.ics.x0
         self.f = np.zeros((self.L + 1, self.n))
         for j in range(sys.k):
@@ -179,12 +190,6 @@ class _Discretization:
         self.Wl = np.concatenate([np.zeros((1, self.n, self.n)), mu1 / self.dt])
         self.Wr = np.concatenate([np.zeros((1, self.n, self.n)),
                                   m0 - mu1 / self.dt])
-
-    def delayed_state(self, states: np.ndarray, q: int, lag: int) -> np.ndarray:
-        idx = q - lag
-        if idx >= 0:
-            return states[idx]
-        return self.pre[-idx]
 
     def g_known(self, states: np.ndarray, q: int) -> np.ndarray:
         """The part of G(t_q) not depending on x(t_q)."""
@@ -289,32 +294,10 @@ def solve_oracle(prob: ValidatedProblem, grid: SimulationGrid,
     """
     sys = prob.system
     alpha = sys.alpha
-    dt = grid.step
-    L = grid.node_count - 1
-    n = sys.n
-    times = grid.times
-
-    lags = [int(round(d / dt)) if d > 0 else 0 for d in sys.delays]
-    A_tilde_s = [tbl(times) for tbl in sys.A_tilde]
-    B_s = sys.B(times) if sys.B is not None else None
-    u_s = prob.control.u(times) if prob.control.kind == "open_loop" else None
-    gains = prob.control.gains if prob.control.kind == "feedback" else None
-
-    coeffs = []
-    for i, lag in enumerate(lags):
-        coeff = sys.A[i] + A_tilde_s[i]
-        if gains is not None:
-            coeff = coeff + np.einsum("qik,kj->qij", B_s, gains[i])
-        coeffs.append((lag, coeff))
-
-    max_lag = max(lags) if lags else 0
-    pre = np.zeros((max_lag + 1, n))
-    for q in range(1, max_lag + 1):
-        pre[q] = prob.ics.history(-q * dt)
-
-    def read(states, q, lag):
-        idx = q - lag
-        return states[idx] if idx >= 0 else pre[-idx]
+    smp = _Sampling(prob, grid)
+    dt, L, n, times = smp.dt, smp.L, smp.n, smp.times
+    coeffs = [(lag, smp.coefficient(i)) for i, lag in enumerate(smp.lags)]
+    B_s, u_s, read = smp.B_s, smp.u_s, smp.delayed_state
 
     def rhs(states, q, xq):
         out = np.zeros(n)

@@ -263,7 +263,7 @@ def b_sup_norm(prob: ValidatedProblem) -> float:
 # JSON problem files
 # ---------------------------------------------------------------------------
 
-def _table_from_json(obj, expect_vector=False) -> TimeFunctionTable:
+def _table_from_json(obj) -> TimeFunctionTable:
     if isinstance(obj, dict):
         interp = {"linear": "linear", "const": "const"}[obj.get("interp", "linear")]
         vals = np.asarray(obj["values"], dtype=float)
@@ -281,7 +281,7 @@ def problem_from_dict(doc: dict) -> ValidatedProblem:
     if doc.get("A_tilde") is not None:
         A_tilde = [None if T is None else _table_from_json(T) for T in doc["A_tilde"]]
     B = _table_from_json(doc["B"]) if doc.get("B") is not None else None
-    phi = [_table_from_json(p, expect_vector=True) for p in doc.get("phi", [])]
+    phi = [_table_from_json(p) for p in doc.get("phi", [])]
     x0 = doc.get("x0")
     if x0 is not None:
         x0 = [np.asarray(v, dtype=float) for v in x0]

@@ -20,17 +20,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyTable, WindowOutOfRange
 
-_NORM_ORDERS = {1: 1, 2: 2, "inf": np.inf}
-
 
 def induced_norm(M: np.ndarray, p=2) -> float:
-    """Induced matrix norm (or vector norm) for p in {1, 2, inf}."""
-    M = np.asarray(M, dtype=float)
-    if p == "inf":
+    """Induced matrix norm (vector norm for 1-D input) for p in {1, 2, inf}.
+
+    p = 2 is the largest singular value; "inf" is accepted for np.inf.
+    """
+    if p in ("inf", np.inf):
         p = np.inf
-    if M.ndim == 1:
-        return float(np.linalg.norm(M, p))
-    return float(np.linalg.norm(M, p))
+    if p not in (1, 2, np.inf):
+        raise ValueError(f"unsupported norm order {p!r}")
+    return float(np.linalg.norm(np.asarray(M), p))
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,10 @@ def l2_window_norm(tbl: TimeFunctionTable, t: float, delta: float) -> float:
     return float(np.sqrt(total))
 
 
-def table_linear_combination(base: np.ndarray | None, tbl: TimeFunctionTable,
-                             scale: float = 1.0) -> TimeFunctionTable:
-    """Table for ``base + scale * tbl(t)`` with the same sampling."""
-    vals = scale * tbl.values
+def table_linear_combination(base: np.ndarray | None,
+                             tbl: TimeFunctionTable) -> TimeFunctionTable:
+    """Table for ``base + tbl(t)`` with the same sampling."""
+    vals = tbl.values
     if base is not None:
         vals = vals + np.asarray(base, dtype=float)
     return TimeFunctionTable(tbl.sample_times.copy(), vals, tbl.interpolation, None)

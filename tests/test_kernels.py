@@ -49,6 +49,8 @@ class TestIntegrals:
         for delta in (0.5, 1.0, 10.0):
             assert phi_alpha_l1((1.0, A1), delta) == pytest.approx(
                 1.0 - math.exp(-delta), rel=1e-12)
+            assert (phi_alpha_l1(Kernels(1.0, A1), delta)
+                    == phi_alpha_l1((1.0, A1), delta))
 
     def test_l1_pure_power(self):
         assert phi_alpha_l1((0.5, np.array([[0.0]])), 1.0) == pytest.approx(
@@ -70,6 +72,7 @@ class TestIntegrals:
         alpha = 0.7
         got = phi_alpha_l1((alpha, M), 3.0, tol=1e-9)
         ker = Kernels(alpha, M)
+        assert phi_alpha_l1(ker, 3.0, tol=1e-9) == got
 
         def f(s):
             return float(np.linalg.norm(ker.e_ml(alpha, np.array([s]))[0], 2))
@@ -83,6 +86,7 @@ class TestIntegrals:
         alpha = 0.8
         got = phi_alpha_l2sq((alpha, M), 2.0, tol=1e-9)
         ker = Kernels(alpha, M)
+        assert phi_alpha_l2sq(ker, 2.0, tol=1e-9) == got
 
         def f(s):
             return float(np.linalg.norm(ker.e_ml(alpha, np.array([s]))[0],

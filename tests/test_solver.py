@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import const_phi, scalar_problem
-from fracdelay import (ControlInput, Trajectory, align_grid, ml_scalar,
-                       picard_map, solve_delay_free, solve_oracle,
+from fracdelay import (ControlInput, SimulationGrid, Trajectory, align_grid,
+                       ml_scalar, picard_map, solve_delay_free, solve_oracle,
                        solve_trajectory, validate_system)
-from fracdelay.errors import DelaysNotZero
+from fracdelay.errors import DelaysNotZero, DimensionMismatch
 
 
 class TestGrid:
@@ -24,6 +24,17 @@ class TestGrid:
     def test_node_count(self):
         grid = align_grid(0.1, 1.0, [0.0])
         assert grid.node_count == 11
+
+    def test_unaligned_delay_rejected_by_every_solver(self):
+        # step 0.03 would round the delay 1.0 to 33 steps = 0.99
+        prob = scalar_problem(1.0, -1.0, 0.5, r1=1.0)
+        grid = SimulationGrid(step=0.03, horizon=3.0)
+        start = Trajectory(grid=grid, states=np.zeros((grid.node_count, 1)),
+                           prehistory=prob.ics)
+        for solve in (solve_trajectory, solve_oracle,
+                      lambda p, g: picard_map(p, start, g)):
+            with pytest.raises(DimensionMismatch):
+                solve(prob, grid)
 
 
 class TestAnalyticCases:

@@ -13,6 +13,7 @@ from fracdelay import (BetaWeights, composite_block_norm, condition_number,
                        validate_system)
 from fracdelay.errors import (AllBlocksZero, DefectiveMatrixNoTransform,
                               EigenvalueAtOrigin, SingularMatrix)
+from fracdelay.tables import induced_norm
 
 square = arrays(np.float64, (3, 3), elements=st.floats(-5, 5))
 
@@ -27,6 +28,9 @@ class TestNorms:
 
     def test_nilpotent_spectral(self):
         assert matrix_norm([[0, 1], [0, 0]], 2) == 1.0
+
+    def test_alias_of_tables_induced_norm(self):
+        assert matrix_norm is induced_norm
 
 
 class TestMeasure:
