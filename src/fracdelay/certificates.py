@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
-                     OrderTooLow, PremiseViolated, SingularAtZero,
-                     WindowOutOfRange)
+                     OrderTooLow, PremiseViolated, WindowOutOfRange)
 from .kernels import Kernels, phi_alpha_l1, phi_alpha_l2sq, spectral_norms
 from .mlf import DEFAULT_CONFIG, MlEvalConfig
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
@@ -76,15 +75,18 @@ def _bk_table(prob: ValidatedProblem, K: np.ndarray) -> TimeFunctionTable:
 
 
 class _CertInputs:
-    """The delta-independent inputs of both certificate families.
+    """The inputs of both certificate families over one delta grid.
 
     Feedback enters here only: through the declared gain bounds in the
     uniform family and the B K_i tables in the windowed-L2 family.  Without
-    feedback both reduce to the uncontrolled certificates.
+    feedback both reduce to the uncontrolled certificates.  The kernel
+    integrals ``||phi||^p`` for ``p in powers`` (1 for the uniform family, 2
+    for the windowed-L2 one) and the phi_j come from one cumulative
+    integration over the sorted grid and are looked up per delta.
     """
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
-                 cfg: MlEvalConfig):
+                 cfg: MlEvalConfig, deltas, powers, tol: float):
         sys = prob.system
         bounds, ctl = _gain_bounds(prob, feedback)
         bn = b_sup_norm(prob)
@@ -97,11 +99,16 @@ class _CertInputs:
         self.ahat = [(sys.delays[i], _ahat_table(prob, i)) for i in lags]
         self.bk = (None if ctl is None
                    else [_bk_table(prob, K) for K in ctl.gains])
-
-    def phi_at(self, delta: float) -> list:
-        """phi_j(delta) for j = 0..k-1."""
-        return [self.ker.phi_j(j, np.array([delta]))[0]
-                for j in range(self.prob.system.k)]
+        grid = np.unique(np.asarray(deltas, dtype=float))
+        if not grid[0] > 0:
+            raise ValueError("delta must be positive")
+        table = self.ker.norm_integrals(np.concatenate(([0.0], grid)),
+                                        powers, tol)
+        keys = grid.tolist()
+        self.integrals = {p: dict(zip(keys, row))
+                          for p, row in zip(powers, table)}
+        self.phi = {d: [self.ker.phi_j(j, np.array([d]))[0]
+                        for j in range(sys.k)] for d in keys}
 
 
 def _contraction(numer: float, D: float):
@@ -114,9 +121,9 @@ def _contraction(numer: float, D: float):
 # uniform-bound family
 # ---------------------------------------------------------------------------
 
-def _g(inputs: _CertInputs, delta: float, tol: float):
-    l1 = phi_alpha_l1(inputs.ker, delta, tol=tol)
-    numer = (float(np.linalg.norm(sum(inputs.phi_at(delta)), 2))
+def _g(inputs: _CertInputs, delta: float):
+    l1 = inputs.integrals[1][delta]
+    numer = (float(np.linalg.norm(sum(inputs.phi[delta]), 2))
              + l1 * inputs.a_delayed)
     return _contraction(numer, l1 * inputs.a0)
 
@@ -129,7 +136,7 @@ def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
     Returns (value, feasible); infeasible means the inverse factor's
     denominator was not positive, reported rather than raised.
     """
-    return _g(_CertInputs(prob, feedback, cfg), delta, tol)
+    return _g(_CertInputs(prob, feedback, cfg, [delta], (1,), tol), delta)
 
 
 def cert_g_h(prob: ValidatedProblem, delta: float,
@@ -157,12 +164,12 @@ def _window_l2(tbl: TimeFunctionTable, start: float, delta: float) -> float:
     return l2_window_norm(tbl, lo, hi - lo)
 
 
-def _g_hat(inputs: _CertInputs, t: float, delta: float, tol: float):
-    l2k = math.sqrt(phi_alpha_l2sq(inputs.ker, delta, tol=tol))
+def _g_hat(inputs: _CertInputs, t: float, delta: float):
+    l2k = math.sqrt(inputs.integrals[2][delta])
     d_factor = l2_window_norm(inputs.prob.system.A_tilde[0], t, delta)
     if inputs.bk is not None:
         d_factor += l2_window_norm(inputs.bk[0], t, delta)
-    numer = sum(float(np.linalg.norm(m, 2)) for m in inputs.phi_at(delta))
+    numer = sum(float(np.linalg.norm(m, 2)) for m in inputs.phi[delta])
     for i, (r_i, ahat) in enumerate(inputs.ahat, start=1):
         numer += l2k * _window_l2(ahat, t - r_i, delta)
         if inputs.bk is not None:
@@ -178,7 +185,8 @@ def cert_g_hat_f(prob: ValidatedProblem, feedback: ControlInput | None,
 
     Gain terms enter as L2 windows of B K_i.
     """
-    return _g_hat(_CertInputs(prob, feedback, cfg), t, delta, tol)
+    return _g_hat(_CertInputs(prob, feedback, cfg, [delta], (2,), tol), t,
+                  delta)
 
 
 def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float,
@@ -286,21 +294,19 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
         raise EmptyGrid("certify needs at least one delta")
     if t_grid is None:
         t_grid = [prob.system.h]
-    inputs = _CertInputs(prob, feedback, cfg)
+    with_hat = prob.system.alpha > 0.5
+    inputs = _CertInputs(prob, feedback, cfg, delta_grid,
+                         (1, 2) if with_hat else (1,), tol)
 
     entries = []
     for delta in delta_grid:
-        value, feasible = _g(inputs, delta, tol)
-        hat_vals = []
-        hat_ok = True
-        for t in t_grid:
-            try:
-                v, f = _g_hat(inputs, t, delta, tol)
-            except (WindowOutOfRange, SingularAtZero):
-                hat_ok = False
-                break
-            hat_vals.append((v, f))
-        if hat_ok and hat_vals:
+        value, feasible = _g(inputs, delta)
+        try:
+            hat_vals = ([_g_hat(inputs, t, delta) for t in t_grid]
+                        if with_hat else [])
+        except WindowOutOfRange:
+            hat_vals = []
+        if hat_vals:
             hat_value = max(v for v, _ in hat_vals)
             hat_feasible = all(f for _, f in hat_vals)
             if hat_feasible and (not feasible or hat_value < value):
@@ -373,9 +379,10 @@ def _l1_to_infinity(ker: Kernels) -> float:
     prev = phi_alpha_l1(ker, T, tol=1e-8)
     inc_prev = None
     for _ in range(10):
+        # only the new segment [T, 2T] is integrated
+        inc = float(ker.norm_integrals([T, 2.0 * T], (1,), 1e-8)[0, 0])
         T *= 2.0
-        cur = phi_alpha_l1(ker, T, tol=1e-8)
-        inc = cur - prev
+        cur = prev + inc
         if inc <= 1e-9 * max(1.0, cur):
             return cur
         if inc_prev is not None:

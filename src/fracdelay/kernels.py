@@ -8,9 +8,13 @@ forcing kernels are
 
 with phi_j = phi = 0 for t < 0.  The forcing kernel is weakly singular at
 t = 0 for a < 1; its L1 and squared-L2 integrals are computed by product
-integration on a graded mesh (the singular power factor integrated exactly
-against a piecewise-linear interpolant of the smooth matrix-norm factor),
-refined by mesh doubling with Richardson extrapolation.
+integration (the singular power factor integrated exactly against a
+piecewise-linear interpolant of the smooth matrix-norm factor), refined by
+mesh doubling with Richardson extrapolation.  One cumulative integration per
+kernel serves a whole grid of upper limits 0 < d_1 < ... < d_K: a graded
+mesh on [0, d_1], a uniform one on every later [d_(k-1), d_k], all segments
+refined level by level together, and both integrals read off the same
+samples of ||E_{a,a}(A0 s^a)||.
 
 The bound verifier checks the norm inequalities relating these kernels to
 exponential majorants.  The right-hand sides use the series-of-norms
@@ -127,6 +131,67 @@ class Kernels:
                  allow_mp: bool = True) -> np.ndarray:
         return spectral_norms(self.e_ml(beta, s, rel_tol, allow_mp=allow_mp))
 
+    def norm_integrals(self, edges, powers, tol: float) -> np.ndarray:
+        """integral_(e_0)^(e_k) ||phi(s)||_2^p ds for each p in ``powers``.
+
+        ``edges`` is one upper limit delta (edges 0, delta) or a sequence
+        increasing from e_0 >= 0; the result has shape (len(powers), K),
+        one column per edge e_1..e_K, and p is 1 or 2.  One segmented
+        cumulative product integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p
+        serves every edge and every power from the same norm samples, on a
+        first segment graded for the most singular power.  For a scalar
+        system, one sign probe over [e_0, e_K], the edges among its points,
+        finds the edges up to which the smooth factor keeps one sign; there
+        L1 is the exact primitive s^a E_{a,a+1}(A0 s^a) instead.
+        """
+        alpha = self.alpha
+        powers = list(powers)
+        if 2 in powers and alpha <= 0.5:
+            raise SingularAtZero(
+                f"||phi||^2 ~ s^({2 * alpha - 2}) is not integrable for "
+                f"alpha <= 1/2")
+        edges = _edges(edges)
+        out = np.empty((len(powers), edges.size - 1))
+        exact = np.zeros(edges.size - 1, dtype=bool)
+        if self.n == 1 and 1 in powers:
+            # the edges are probe points too, so an edge past a sign change
+            # is never read off the primitive
+            probe = np.union1d(_segment_mesh(edges[0], edges[-1], 2048,
+                                             max(1.0, 1.0 / alpha))[1:],
+                               edges[1:])
+            vals = np.real(self.e_ml(alpha, probe, 1e-6,
+                                     allow_mp=False)[:, 0, 0])
+            # the primitive serves the edges before the first probe point
+            # where the smooth factor is no longer clearly of its first sign
+            bad = np.flatnonzero(vals * np.sign(vals[0]) <= 1e-7)
+            exact = edges[1:] < (probe[bad[0]] if bad.size else math.inf)
+        quad = [i for i, p in enumerate(powers) if p != 1 or not exact.all()]
+        if quad:
+            quad_powers = [powers[i] for i in quad]
+            gradings = {1: max(1.0, 1.0 / alpha),
+                        2: min(max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0)),
+                               40.0)}
+
+            def w(s):
+                norms = np.empty(s.shape)
+                pos = s > 0
+                norms[pos] = self._e_norms(alpha, s[pos], 1e-11,
+                                           allow_mp=False)
+                # limit of ||E_{a,a}(A0 s^a)|| at 0+
+                norms[~pos] = rgamma(alpha)
+                return np.array([norms ** p for p in quad_powers])
+
+            out[quad] = weighted_singular_integral(
+                [p * (alpha - 1.0) for p in quad_powers], w, edges, tol,
+                grading=max(gradings[p] for p in quad_powers),
+                noise_floor=3e-8)
+        if exact.any():
+            prim = self.int_phi(edges[1:][exact], 1e-13)[:, 0, 0]
+            if edges[0] > 0:
+                prim = prim - self.int_phi(edges[:1], 1e-13)[0, 0, 0]
+            out[powers.index(1), exact] = np.abs(prim)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # spec-level operations
@@ -155,135 +220,151 @@ def phi_alpha(sys, t: float, cfg: MlEvalConfig = DEFAULT_CONFIG):
 
 
 # ---------------------------------------------------------------------------
-# graded-mesh product integration of s^gamma * w(s)
+# segmented product integration of s^gamma * w(s)
 # ---------------------------------------------------------------------------
 
-def _graded_mesh(delta: float, n_cells: int, grading: float) -> np.ndarray:
+def _segment_mesh(lo: float, hi: float, n_cells: int,
+                  grading: float) -> np.ndarray:
+    """Nodes of [lo, hi]: graded toward the singular point when lo = 0."""
     i = np.arange(n_cells + 1, dtype=float)
-    return delta * (i / n_cells) ** grading
+    if lo == 0:
+        return hi * (i / n_cells) ** grading
+    return lo + (hi - lo) * (i / n_cells)
 
 
-def _product_integrate(gamma_exp: float, w: np.ndarray, mesh: np.ndarray) -> float:
-    """integral s^gamma w(s) ds with w piecewise linear on the mesh.
+def _edges(delta) -> np.ndarray:
+    """[0, delta] for one upper limit, else validated increasing edges."""
+    if np.ndim(delta) == 0:
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        return np.array([0.0, float(delta)])
+    edges = np.asarray(delta, dtype=float)
+    if edges.size < 2 or edges[0] < 0 or not np.all(np.diff(edges) > 0):
+        raise ValueError("integration edges must increase from a "
+                         "nonnegative start")
+    return edges
 
-    The moments of the power weight are integrated exactly per cell, so the
-    integrable singularity at s = 0 (gamma > -1) costs no accuracy.
+
+def _product_integrate(gamma_exp: np.ndarray, w: np.ndarray,
+                       mesh: np.ndarray) -> np.ndarray:
+    """integral s^gamma w(s) ds per row, w piecewise linear on the mesh.
+
+    ``gamma_exp`` has shape (m, 1) and ``w`` shape (m, nodes).  The moments
+    of the power weight are integrated exactly per cell, so the integrable
+    singularity at s = 0 (gamma > -1) costs no accuracy.
     """
     a, b = mesh[:-1], mesh[1:]
     g1, g2 = gamma_exp + 1.0, gamma_exp + 2.0
     m0 = (b ** g1 - a ** g1) / g1
     m1 = (b ** g2 - a ** g2) / g2
-    wa, wb = w[:-1], w[1:]
+    wa, wb = w[:, :-1], w[:, 1:]
     width = b - a
     slope = np.where(width > 0, (wb - wa) / np.where(width > 0, width, 1.0), 0.0)
-    return float(np.sum(wa * m0 + slope * (m1 - a * m0)))
+    return np.sum(wa * m0 + slope * (m1 - a * m0), axis=1)
 
 
-def weighted_singular_integral(gamma_exp: float, w_func, delta: float,
+def weighted_singular_integral(gamma_exp, w_func, delta,
                                tol: float = 1e-10, n0: int = 32,
                                max_doublings: int = 11,
                                grading: float = 1.0,
-                               noise_floor: float = 0.0) -> float:
-    """Adaptive integral_0^delta s^gamma w(s) ds for a smooth vectorized w.
+                               noise_floor: float = 0.0):
+    """Adaptive integral of s^gamma w(s) ds for a smooth vectorized w.
 
-    Doubles the graded mesh (nested, so only odd nodes are evaluated per
-    level) and accelerates the raw product-integration sequence with a
-    Richardson tableau in powers of h^2.  Converged when the tableau change
-    drops below ``tol`` (mixed absolute/relative); a stagnating sequence
-    whose changes are already at the evaluation ``noise_floor`` is accepted
-    at that floor rather than refined forever.
+    ``delta`` is the upper limit of an integral from 0, or an increasing
+    sequence of edges e_0 < e_1 < ... < e_K (e_0 >= 0); then the cumulative
+    integrals from e_0 to every e_k are returned.  ``gamma_exp`` is one
+    exponent, or a sequence of m exponents with ``w_func`` returning one row
+    of weights per exponent (shape (m, N)), all integrated from the same
+    samples.  The result is a float for a scalar ``gamma_exp`` and
+    ``delta``, else an array of shape (m, K) without the scalar axes.
+
+    Each segment [e_(k-1), e_k] doubles its own nested mesh (graded toward
+    s = 0 in the segment that starts there, uniform otherwise), so only odd
+    nodes are evaluated per level, and accelerates its raw product-
+    integration sequence with a Richardson tableau in powers of h^2.  All
+    unconverged segments refine together, one ``w_func`` call per level.  A
+    segment has converged when its tableau change drops below its share
+    ``tol / K`` of the mixed absolute/relative scale of the cumulative value
+    at its right edge, so for a nonnegative integrand the summed change at
+    every edge stays within ``tol * max(1, |value|)``.  A stagnating segment
+    whose changes are already at its share of the evaluation
+    ``noise_floor`` is accepted at that floor rather than refined forever.
     """
-    if gamma_exp <= -1.0:
+    gammas = np.atleast_1d(np.asarray(gamma_exp, dtype=float))[:, None]
+    if np.any(gammas <= -1.0):
         raise ValueError("weight exponent must exceed -1 for integrability")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    n_cells = n0
-    mesh = _graded_mesh(delta, n_cells, grading)
-    vals = w_func(mesh)
-    rows = [[_product_integrate(gamma_exp, vals, mesh)]]
-    raw_prev = rows[0][0]
-    best_change = math.inf
-    for level in range(1, max_doublings + 1):
-        n_cells *= 2
-        mesh = _graded_mesh(delta, n_cells, grading)
-        new_vals = np.empty(n_cells + 1)
-        new_vals[::2] = vals
-        new_vals[1::2] = w_func(mesh[1::2])
-        vals = new_vals
-        row = [_product_integrate(gamma_exp, vals, mesh)]
-        for j in range(1, min(len(rows[-1]) + 1, 5)):
-            fac = 4.0 ** j
-            row.append(row[j - 1] + (row[j - 1] - rows[-1][j - 1]) / (fac - 1.0))
-        scale = max(1.0, abs(row[-1]))
-        change = abs(row[-1] - rows[-1][-1])
-        raw_change = abs(row[0] - raw_prev)
-        if change <= tol * scale:
-            return row[-1]
-        # stagnation at the weight-evaluation noise floor
-        if (noise_floor > 0 and change >= 0.25 * best_change
-                and change <= 50.0 * noise_floor * scale):
-            return row[-1]
-        best_change = min(best_change, change)
-        raw_prev = row[0]
-        rows.append(row)
-    raise QuadratureNotConverged(
-        f"power-weight quadrature stalled at {n_cells} cells "
-        f"(last tableau change {change:.3e}, raw change {raw_change:.3e})")
+    edges = _edges(delta)
+    K = edges.size - 1
+    n_cells = [n0] * K
+    meshes = [_segment_mesh(lo, hi, n0, grading)
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    # adjacent segments share their common edge: evaluate it once
+    first = np.atleast_2d(w_func(np.concatenate(
+        [meshes[0]] + [mesh[1:] for mesh in meshes[1:]])))
+    vals = [first[:, k * n0:(k + 1) * n0 + 1] for k in range(K)]
+    rows = [[_product_integrate(gammas, v, mesh)]
+            for v, mesh in zip(vals, meshes)]
+    est = np.array([row[0] for row in rows])          # (K, m)
+    done = np.zeros(est.shape, dtype=bool)
+    best_change = np.full(est.shape, math.inf)
+    change = np.zeros(est.shape)
+    for _ in range(max_doublings):
+        active = [k for k in range(K) if not done[k].all()]
+        if not active:
+            break
+        for k in active:
+            n_cells[k] *= 2
+            meshes[k] = _segment_mesh(edges[k], edges[k + 1], n_cells[k],
+                                      grading)
+        new = np.atleast_2d(w_func(np.concatenate(
+            [meshes[k][1::2] for k in active])))
+        splits = np.cumsum([n_cells[k] // 2 for k in active])[:-1]
+        for k, odd in zip(active, np.split(new, splits, axis=1)):
+            v = np.empty((gammas.shape[0], n_cells[k] + 1))
+            v[:, ::2] = vals[k]
+            v[:, 1::2] = odd
+            vals[k] = v
+            prev = rows[k]
+            row = [_product_integrate(gammas, v, meshes[k])]
+            for j in range(1, min(len(prev) + 1, 5)):
+                fac = 4.0 ** j
+                row.append(row[j - 1] + (row[j - 1] - prev[j - 1]) / (fac - 1.0))
+            rows[k] = row
+            change[k] = np.abs(row[-1] - prev[-1])
+            est[k] = np.where(done[k], est[k], row[-1])
+        scale = np.maximum(1.0, np.abs(np.cumsum(est, axis=0))) / K
+        for k in active:
+            ok = change[k] <= tol * scale[k]
+            # stagnation at the weight-evaluation noise floor
+            if noise_floor > 0:
+                ok |= ((change[k] >= 0.25 * best_change[k])
+                       & (change[k] <= 50.0 * noise_floor * scale[k]))
+            done[k] |= ok
+            best_change[k] = np.minimum(best_change[k], change[k])
+    if not done.all():
+        k = int(np.argmin(done.all(axis=1)))
+        raise QuadratureNotConverged(
+            f"power-weight quadrature stalled at {n_cells[k]} cells on "
+            f"[{edges[k]:.6g}, {edges[k + 1]:.6g}] (last tableau change "
+            f"{float(np.max(change[k])):.3e})")
+    out = np.cumsum(est, axis=0).T
+    if np.ndim(delta) == 0:
+        out = out[:, -1]
+    if np.ndim(gamma_exp) == 0:
+        out = out[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_alpha_l1(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
                  tol: float = 1e-10) -> float:
-    """integral_0^delta ||phi(s)||_2 ds.
-
-    Scalar systems whose smooth factor keeps one sign admit the exact
-    primitive |delta^a E_{a,a+1}(A0 delta^a)|; otherwise graded-mesh product
-    integration of s^(a-1) ||E_{a,a}(A0 s^a)||.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    ker = _kernels(sys, cfg)
-    alpha = ker.alpha
-
-    if ker.n == 1:
-        probe = _graded_mesh(delta, 2048, max(1.0, 1.0 / alpha))[1:]
-        signs = np.real(ker.e_ml(alpha, probe, 1e-6, allow_mp=False)[:, 0, 0])
-        if np.all(signs > 1e-7) or np.all(signs < -1e-7):
-            return abs(float(ker.int_phi(np.array([delta]), 1e-13)[0, 0, 0]))
-
-    def w(s):
-        out = np.empty(s.shape)
-        pos = s > 0
-        out[pos] = ker._e_norms(alpha, s[pos], 1e-11, allow_mp=False)
-        if np.any(~pos):
-            out[~pos] = rgamma(alpha)   # limit of ||E_{a,a}(A0 s^a)|| at 0+
-        return out
-
-    return weighted_singular_integral(alpha - 1.0, w, delta, tol,
-                                      grading=max(1.0, 1.0 / alpha),
-                                      noise_floor=3e-8)
+    """integral_0^delta ||phi(s)||_2 ds (see ``Kernels.norm_integrals``)."""
+    return float(_kernels(sys, cfg).norm_integrals(delta, (1,), tol)[0, 0])
 
 
 def phi_alpha_l2sq(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
                    tol: float = 1e-10) -> float:
     """integral_0^delta ||phi(s)||_2^2 ds; requires alpha > 1/2."""
-    ker = _kernels(sys, cfg)
-    alpha = ker.alpha
-    if alpha <= 0.5:
-        raise SingularAtZero(
-            f"||phi||^2 ~ s^({2 * alpha - 2}) is not integrable for alpha <= 1/2")
-
-    def w(s):
-        out = np.empty(s.shape)
-        pos = s > 0
-        out[pos] = ker._e_norms(alpha, s[pos], 1e-11, allow_mp=False) ** 2
-        if np.any(~pos):
-            out[~pos] = rgamma(alpha) ** 2
-        return out
-
-    grading = max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0))
-    return weighted_singular_integral(2.0 * alpha - 2.0, w, delta, tol,
-                                      grading=min(grading, 40.0),
-                                      noise_floor=3e-8)
+    return float(_kernels(sys, cfg).norm_integrals(delta, (2,), tol)[0, 0])
 
 
 # ---------------------------------------------------------------------------

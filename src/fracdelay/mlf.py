@@ -25,6 +25,7 @@ with a norm-based tail bound.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -204,12 +205,18 @@ def _asymptotic(alpha: float, beta: float, z: np.ndarray):
 # extended-precision rescue
 # ---------------------------------------------------------------------------
 
-_MP_LADDERS: dict = {}
+# least recently used (alpha, beta, dps) ladders; a fixed number is kept,
+# since working precisions vary per point and a ladder can hold 200k terms
+_MP_LADDER_SLOTS = 32
+_MP_LADDERS: OrderedDict = OrderedDict()
 
 
 def _mp_ladder(alpha: float, beta: float, dps: int, count: int):
     key = (alpha, beta, dps)
     lst = _MP_LADDERS.setdefault(key, [])
+    _MP_LADDERS.move_to_end(key)
+    if len(_MP_LADDERS) > _MP_LADDER_SLOTS:
+        _MP_LADDERS.popitem(last=False)
     if len(lst) < count:
         with mp.workdps(dps):
             a, b = mp.mpf(alpha), mp.mpf(beta)
@@ -279,33 +286,44 @@ def _sinhc(w: np.ndarray) -> np.ndarray:
 
 
 def _identity_path(alpha: float, beta: float, z: np.ndarray):
-    """Closed forms for integer (alpha, beta); None when not applicable."""
+    """Closed forms for integer (alpha, beta) as (values, mask of the points
+    where they apply); None when no closed form exists for (alpha, beta).
+
+    The mask is chosen per point, so a value never depends on the other
+    points of the same call.
+    """
     z = np.asarray(z, dtype=complex)
+    everywhere = np.ones(z.shape, dtype=bool)
     if alpha == 1.0:
         if beta == 1.0:
-            return np.exp(z)
+            return np.exp(z), everywhere
         if float(beta).is_integer() and beta >= 2:
             m = int(beta)
             # (e^z - partial sum)/z^{m-1}, safe once |z| dominates the partial sum
-            if np.all(np.abs(z) >= m + 2):
-                part = np.zeros_like(z)
-                zp = np.ones_like(z)
-                fact = 1.0
-                for i in range(m - 1):
-                    part = part + zp / fact
-                    zp = zp * z
-                    fact *= (i + 1)
-                return (np.exp(z) - part) / z ** (m - 1)
+            ok = np.abs(z) >= m + 2
+            zo = z[ok]
+            part = np.zeros_like(zo)
+            zp = np.ones_like(zo)
+            fact = 1.0
+            for i in range(m - 1):
+                part = part + zp / fact
+                zp = zp * zo
+                fact *= (i + 1)
+            vals = np.zeros_like(z)
+            vals[ok] = (np.exp(zo) - part) / zo ** (m - 1)
+            return vals, ok
     if alpha == 2.0:
         w = np.sqrt(z)
         if beta == 1.0:
-            return np.cosh(w)
+            return np.cosh(w), everywhere
         if beta == 2.0:
-            return _sinhc(w)
-        if beta == 3.0 and np.all(np.abs(z) >= 4):
-            return (np.cosh(w) - 1.0) / z
-        if beta == 4.0 and np.all(np.abs(z) >= 4):
-            return (_sinhc(w) - 1.0) / z
+            return _sinhc(w), everywhere
+        if beta in (3.0, 4.0):
+            ok = np.abs(z) >= 4
+            wo, zo = w[ok], z[ok]
+            vals = np.zeros_like(z)
+            vals[ok] = ((np.cosh(wo) if beta == 3.0 else _sinhc(wo)) - 1.0) / zo
+            return vals, ok
     return None
 
 
@@ -336,8 +354,8 @@ def ml_scalar_array(alpha: float, beta: float, z, rel_tol: float = 1e-12,
     out = np.empty(z.shape, dtype=complex)
 
     ident = _identity_path(alpha, beta, z)
-    if ident is not None:
-        return ident
+    if ident is not None and ident[1].all():
+        return ident[0]
 
     flat = z.ravel()
     vals = np.full(flat.shape, np.nan, dtype=complex)
@@ -346,10 +364,16 @@ def ml_scalar_array(alpha: float, beta: float, z, rel_tol: float = 1e-12,
     zero = flat == 0
     vals[zero] = complex(rgamma(beta))
     err[zero] = 0.0
+    settled = zero.copy()
+    if ident is not None:
+        closed = ident[1].ravel()
+        vals[closed] = ident[0].ravel()[closed]
+        err[closed] = 0.0
+        settled |= closed
 
     # expansion first for clearly large arguments, series for the rest,
     # each route scored by its own error estimate
-    big = ~zero & (np.abs(flat) >= 4.0)
+    big = ~settled & (np.abs(flat) >= 4.0)
     if np.any(big):
         va, ea = _asymptotic(alpha, beta, flat[big])
         _update_best(vals, err, big, va, ea)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import const_phi, scalar_problem
 from fracdelay import (ControlInput, cert_g_f, cert_g_h, cert_g_hat_f,
                        cert_g_hat_h, certify, delay_free_certify,
                        gain_bound_l2, gain_bound_uniform, high_order_check,
                        validate_system)
+from fracdelay import kernels
+from fracdelay.certificates import DEFAULT_DELTA_GRID
 from fracdelay.errors import (DelaysNotZero, EmptyGrid, OrderTooLow,
                               PremiseViolated)
 
@@ -168,6 +171,75 @@ class TestCertify:
         assert set(doc) == {"verdict", "contraction_constant",
                             "witness_delta", "grid", "sup_bound"}
         assert len(doc["grid"]) == 2
+
+    def test_unsorted_grid_with_duplicates_keeps_order(self):
+        prob = scalar_problem(1.0, -1.0, 0.5, r1=1.0)
+        grid = [2.0, 0.5, 2.0, 1.0]
+        rep = certify(prob, delta_grid=grid)
+        assert [e.delta for e in rep.grid] == grid
+        for e in rep.grid:
+            assert e.value == certify(prob, delta_grid=[e.delta]).grid[0].value
+
+    def test_window_starts_share_one_quadrature(self, monkeypatch):
+        # the kernel integrals depend on delta only, not on the window start
+        calls = []
+        quad = kernels.weighted_singular_integral
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "weighted_singular_integral", counted)
+        prob = scalar_problem(0.8, -1.0, 0.5, r1=1.0)
+        certify(prob, delta_grid=[1.0], t_grid=[1.0])
+        one_start = len(calls)
+        calls.clear()
+        certify(prob, delta_grid=[1.0], t_grid=[1.0, 2.0, 3.0])
+        assert 0 < len(calls) <= one_start
+
+    @pytest.mark.parametrize("alpha, A0", [
+        (1.2, np.array([[-2.0]])),
+        (0.8, np.diag([-1.0, -2.0, -4.0])),
+    ])
+    def test_default_grid_quadrature_converges(self, alpha, A0):
+        n = A0.shape[0]
+        phis = [const_phi(np.ones(n), 1.0)] * math.ceil(alpha)
+        prob = validate_system(alpha, [0.0, 1.0], [A0, 0.1 * np.eye(n)],
+                               phi=phis)
+        rep = certify(prob)
+        assert len(rep.grid) == len(DEFAULT_DELTA_GRID)
+
+    @staticmethod
+    def _exact_l1(ker, delta):
+        # integral_0^delta |phi| is the sum of |P(z_(i+1)) - P(z_i)| between
+        # the zeros z_i of E_{a,a}(A0 s^a), P(T) = int_0^T phi
+        s = np.linspace(1e-3, delta, 2001)
+        sign = np.sign(ker.e_ml(ker.alpha, s, 1e-12, allow_mp=False)[:, 0, 0])
+        cross = np.nonzero(sign[:-1] != sign[1:])[0]
+        assert cross.size > 0
+
+        def e_aa(x):
+            return float(ker.e_ml(ker.alpha, np.array([x]), 1e-14)[0, 0, 0])
+
+        zeros = [brentq(e_aa, s[i], s[i + 1], xtol=1e-14) for i in cross]
+        ends = np.array(zeros + [delta])
+        prim = np.concatenate(([0.0], ker.int_phi(ends, 1e-14)[:, 0, 0]))
+        return float(np.sum(np.abs(np.diff(prim))))
+
+    def test_oscillating_kernel_l1_against_exact_primitive(self):
+        # E_{1.2,1.2}(-2 s^1.2) changes sign
+        ker = kernels.Kernels(1.2, np.array([[-2.0]]))
+        table = ker.norm_integrals(np.concatenate(([0.0], DEFAULT_DELTA_GRID)),
+                                   (1, 2), 1e-9)
+        assert table[0, -1] == pytest.approx(self._exact_l1(ker, 100.0),
+                                             rel=1e-6)
+
+    def test_edge_just_past_a_sign_change_is_integrated(self):
+        # the first zero is near 1.99; with a far last edge the sign probe
+        # is coarse there, and delta = 2.3 lies before its next point
+        ker = kernels.Kernels(1.2, np.array([[-2.0]]))
+        table = ker.norm_integrals([0.0, 2.3, 1000.0], (1,), 1e-9)
+        assert table[0, 0] == pytest.approx(self._exact_l1(ker, 2.3), rel=1e-6)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.05, 0.6), st.floats(0.05, 0.6))

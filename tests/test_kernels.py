@@ -96,6 +96,28 @@ class TestIntegrals:
                       limit=200, epsabs=1e-11, epsrel=1e-11)
         assert got == pytest.approx(ref, rel=1e-7)
 
+    @pytest.mark.parametrize("alpha", [0.7, 0.8])
+    def test_cumulative_table_against_quadpack(self, alpha):
+        # L1 and L2sq at several deltas, all read from one integration
+        M = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        ker = Kernels(alpha, M)
+        deltas = [0.05, 0.4, 1.0, 2.0, 3.0]
+        table = ker.norm_integrals([0.0] + deltas, (1, 2), 1e-9)
+
+        def f(s, p):
+            return float(np.linalg.norm(ker.e_ml(alpha, np.array([s]))[0],
+                                        2)) ** p
+
+        for i, p in enumerate((1, 2)):
+            gamma = p * (alpha - 1.0)
+            ref, _ = quad(f, 0, deltas[0], args=(p,), weight="alg",
+                          wvar=(gamma, 0), epsabs=1e-11, epsrel=1e-11)
+            for j, delta in enumerate(deltas):
+                if j > 0:
+                    ref += quad(lambda s: s ** gamma * f(s, p), deltas[j - 1],
+                                delta, epsabs=1e-12, epsrel=1e-12)[0]
+                assert table[i, j] == pytest.approx(ref, rel=1e-7), (p, delta)
+
     def test_refinement_convergence(self):
         # halving the mesh changes the raw rule by less than the tolerance
         ker = Kernels(0.7, np.array([[-1.0, 0.3], [0.1, -1.5]]))

@@ -113,6 +113,33 @@ class TestMlScalar:
         with pytest.raises(SeriesNotConverged):
             _ml_matrix_series(0.5, 1.0, np.array([[-30.0]]), 1e-14, 8)
 
+    def test_mp_ladder_cache_is_bounded(self):
+        from fracdelay import mlf
+        first = mlf._series_mp(0.7, 0.7, -12.0, 1e-14, 10000, 20)
+        assert (0.7, 0.7, 45) in mlf._MP_LADDERS
+        for i in range(3 * mlf._MP_LADDER_SLOTS):
+            beta = 1.0 + i / 64
+            ladder = mlf._mp_ladder(0.6, beta, 30, 8)
+            assert len(mlf._MP_LADDERS) <= mlf._MP_LADDER_SLOTS
+            with mp.workdps(30):
+                ref = [mp.rgamma(mp.mpf(0.6) * ell + mp.mpf(beta))
+                       for ell in range(8)]
+            assert ladder == ref
+        assert (0.7, 0.7, 45) not in mlf._MP_LADDERS
+        assert mlf._series_mp(0.7, 0.7, -12.0, 1e-14, 10000, 20) == first
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 2.0), (1.0, 3.0),
+                                             (2.0, 3.0), (2.0, 4.0)])
+    def test_closed_forms_do_not_depend_on_the_batch(self, alpha, beta):
+        # small and large arguments in one call: each point gets the value
+        # of its own one-point call
+        zs = np.array([-0.5, -3.0, -6.0, -14.68, -40.0, 2.5 - 7.0j],
+                      dtype=complex)
+        arr = ml_scalar_array(alpha, beta, zs)
+        one = [ml_scalar_array(alpha, beta, zs[i:i + 1])[0]
+               for i in range(zs.size)]
+        assert arr.tolist() == one
+
     def test_array_matches_scalar(self):
         zs = np.array([-0.5, -5.0, 2.0, -15.0], dtype=complex)
         arr = ml_scalar_array(0.8, 1.3, zs)
