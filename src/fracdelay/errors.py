@@ -64,7 +64,12 @@ class NotAStabilityMatrix(FracDelayError):
 # ---- solver ----
 
 class NodeCorrectionDiverged(FracDelayError):
-    """Per-node fixed-point correction failed to settle within the sweep cap."""
+    """A node's implicit equation (I - K(0) C(t)) x = rhs is singular, or its
+    solution is not finite."""
+
+
+class GridTooLarge(FracDelayError):
+    """The delay-aligned grid needs more nodes than the solvers' budget."""
 
 
 class DelaysNotZero(FracDelayError):

@@ -355,16 +355,31 @@ def weighted_singular_integral(gamma_exp, w_func, delta,
     return float(out) if out.ndim == 0 else out
 
 
+# a one-delta integral runs over the edges delta 2^-k, k = _HALVINGS..0: the
+# graded first segment stays short and every later one is smooth, where one
+# graded mesh over [0, delta] can stall on a far kink of ||phi||
+_HALVINGS = 10
+
+
+def _halving_edges(delta: float) -> np.ndarray:
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return np.concatenate(([0.0],
+                           delta * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)))
+
+
 def phi_alpha_l1(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
                  tol: float = 1e-10) -> float:
     """integral_0^delta ||phi(s)||_2 ds (see ``Kernels.norm_integrals``)."""
-    return float(_kernels(sys, cfg).norm_integrals(delta, (1,), tol)[0, 0])
+    return float(_kernels(sys, cfg).norm_integrals(
+        _halving_edges(delta), (1,), tol)[0, -1])
 
 
 def phi_alpha_l2sq(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
                    tol: float = 1e-10) -> float:
     """integral_0^delta ||phi(s)||_2^2 ds; requires alpha > 1/2."""
-    return float(_kernels(sys, cfg).norm_integrals(delta, (2,), tol)[0, 0])
+    return float(_kernels(sys, cfg).norm_integrals(
+        _halving_edges(delta), (2,), tol)[0, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,22 @@ phi(s) = s^(a-1) E_{a,a}(A0 s^a) is integrated exactly against it per cell,
 using the primitives  integral phi = T^a E_{a,a+1}(A0 T^a)  and
 integral s phi = T^(a+1)[E_{a,a+1} - E_{a,a+2}](A0 T^a).  On a uniform grid
 the resulting matrix weights depend only on the node distance, so they are
-precomputed once.  The instantaneous coupling through the time-varying part
-C(t) (and the lag-0 feedback gain) is resolved by fixed-point sweeps at each
-node.
+precomputed once, as the left weight Wl of the oldest node and one combined
+kernel K(h) for every later node:
+
+    x_m = f_m + Wl(m) G_0 + sum_{q=1}^{m} K(m - q) G_q.
+
+The instantaneous coupling through the time-varying part C(t) (and the lag-0
+feedback gain) is resolved by one direct solve of (I - K(0) C(t_m)) x_m = rhs
+per node.
+
+The history sums are convolutions, evaluated blockwise (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985): nodes are solved one by
+one in leaves of ``_LEAF`` nodes, and every finished block adds its share of
+the history to the equally long block after it with one FFT convolution, so
+a march costs O(L log^2 L n^2) instead of O(L^2 n^2).  The delayed and input
+terms of a leaf are evaluated for the whole leaf at once when every delayed
+node precedes it (the method of steps), node by node otherwise.
 
 Matrices tied to lag 0 are folded into the kernel matrix A0; for the all-lags-
 zero encoding this reproduces the delay-free representation with
@@ -24,9 +37,10 @@ A0 -> sum_i A_i automatically.
 cross-validation: a fractional Adams predictor-corrector applied to the state
 equation directly (power kernel (t-tau)^(a-1)/Gamma(a) against the full right
 side, including the A0 term, with rectangle predictor and trapezoid
-corrector).  It shares with the marching scheme only the sampling of the
-problem data at the nodes (``_Sampling``: aligned lags, coefficient samples,
-input and prehistory); its kernel, weights and corrector are its own.
+corrector).  It shares with the marching scheme the sampling of the problem
+data at the nodes (``_Sampling``: aligned lags, coefficient samples, input
+and prehistory) and the blocked convolution driver (``_leaves``); its
+kernel, weights and corrector are its own.
 """
 
 from __future__ import annotations
@@ -37,12 +51,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rgamma
 
-from .errors import DelaysNotZero, DimensionMismatch, NodeCorrectionDiverged
+from .errors import (DelaysNotZero, DimensionMismatch, GridTooLarge,
+                     NodeCorrectionDiverged)
 from .kernels import Kernels
 from .mlf import DEFAULT_CONFIG, MlEvalConfig
 from .system import ValidatedProblem
 
 _SOLVER_EVAL_TOL = 1e-11
+# nodes solved one by one between two FFT far-history updates
+_LEAF = 64
+# largest grid accepted: the solvers hold (nodes, n, n) weight and
+# coefficient tables in memory
+_MAX_NODES = 1_000_000
 
 
 def _float_gcd(a: float, b: float, tol: float = 1e-9) -> float:
@@ -69,7 +89,11 @@ class SimulationGrid:
 
 
 def align_grid(step: float, horizon: float, delays) -> SimulationGrid:
-    """Largest step <= requested with all delays at integer multiples."""
+    """Largest step <= requested with all delays at integer multiples.
+
+    Raises ``GridTooLarge`` when the aligned grid needs more than
+    ``_MAX_NODES`` nodes (nearly incommensurate delays force a tiny step).
+    """
     if step <= 0 or horizon <= 0:
         raise ValueError("step and horizon must be positive")
     positive = [d for d in delays if d > 0]
@@ -80,6 +104,11 @@ def align_grid(step: float, horizon: float, delays) -> SimulationGrid:
         m = max(1, int(math.ceil(g / step - 1e-9)))
         step = g / m
     nodes = int(math.ceil(horizon / step - 1e-9))
+    if nodes + 1 > _MAX_NODES:
+        raise GridTooLarge(
+            f"delays {[float(d) for d in delays]} align to step {step:.3g}: "
+            f"{nodes + 1} nodes over horizon {horizon:g}, more than the "
+            f"budget of {_MAX_NODES}")
     return SimulationGrid(step=step, horizon=nodes * step)
 
 
@@ -111,7 +140,13 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 class _Sampling:
-    """The problem's data at the grid nodes; delays must land on nodes."""
+    """The problem's data at the grid nodes; delays must land on nodes.
+
+    Lag 0 gives the constant kernel matrix ``A0_eff`` and the time-varying
+    coupling ``C(t)`` (with the lag-0 feedback gain); every positive lag
+    its coefficient A_i + Atilde_i(t) + B(t) K_i in ``delayed``; ``Bu`` is
+    the input term B(t) u(t).
+    """
 
     def __init__(self, prob: ValidatedProblem, grid: SimulationGrid):
         sys = prob.system
@@ -127,51 +162,112 @@ class _Sampling:
                 raise DimensionMismatch(
                     f"delay {d} is not aligned with step {self.dt}")
 
-        self.A_tilde_s = [tbl(self.times) for tbl in sys.A_tilde]
-        self.B_s = sys.B(self.times) if sys.B is not None else None
+        B_s = sys.B(self.times) if sys.B is not None else None
         ctl = prob.control
-        self.u_s = ctl.u(self.times) if ctl.kind == "open_loop" else None
-        self.gains = ctl.gains if ctl.kind == "feedback" else None
+        self.A0_eff = sum(sys.A[i] for i, lag in enumerate(self.lags)
+                          if lag == 0)
+        self.C = np.zeros((self.L + 1, self.n, self.n))
+        self.delayed = []
+        for i, lag in enumerate(self.lags):
+            A_tilde = sys.A_tilde[i](self.times)
+            BK = (np.einsum("qik,kj->qij", B_s, ctl.gains[i])
+                  if ctl.kind == "feedback" else None)
+            if lag == 0:
+                self.C += A_tilde
+                if BK is not None:
+                    self.C += BK
+            else:
+                coeff = sys.A[i] + A_tilde
+                if BK is not None:
+                    coeff += BK
+                self.delayed.append((lag, coeff))
+        self.Bu = (np.einsum("qij,qj->qi", B_s, ctl.u(self.times))
+                   if ctl.kind == "open_loop"
+                   else np.zeros((self.L + 1, self.n)))
+        self.offset = max(self.lags)
 
-        # prehistory samples at negative grid times, sum over the k functions
-        max_lag = max(self.lags) if self.lags else 0
-        self.pre = np.zeros((max_lag + 1, self.n))
-        for q in range(1, max_lag + 1):
-            self.pre[q] = prob.ics.history(-q * self.dt)
+    def state_buffer(self) -> tuple[np.ndarray, np.ndarray]:
+        """Prehistory samples at -offset*dt .. -dt, then zeros for the nodes
+        0..L; returns the buffer and its view on the nodes."""
+        buf = np.zeros((self.offset + self.L + 1, self.n))
+        if self.offset:
+            buf[:self.offset] = self.prob.ics.history(
+                -self.dt * np.arange(self.offset, 0, -1))
+        return buf, buf[self.offset:]
 
-    def coefficient(self, i: int) -> np.ndarray:
-        """Samples of A_i + Atilde_i(t), plus B(t) K_i under feedback."""
-        coeff = self.prob.system.A[i] + self.A_tilde_s[i]
-        if self.gains is not None:
-            coeff = coeff + np.einsum("qik,kj->qij", self.B_s, self.gains[i])
-        return coeff
+    def forcing(self, buf: np.ndarray, lo: int, hi: int, known: int):
+        """Input and delayed-state terms at the nodes lo..hi-1.
 
-    def delayed_state(self, states: np.ndarray, q: int, lag: int) -> np.ndarray:
-        idx = q - lag
-        if idx >= 0:
-            return states[idx]
-        return self.pre[-idx]
+        The lags whose delayed nodes all lie below node ``known`` (where
+        ``buf`` is final) are summed for the whole block at once; the nearer
+        lags are returned, as (lag, coefficient) pairs, for the caller to
+        add node by node.
+        """
+        out = self.Bu[lo:hi].copy()
+        near = []
+        for lag, coeff in self.delayed:
+            if hi - lag <= known:
+                rows = buf[self.offset + lo - lag:self.offset + hi - lag]
+                out += np.einsum("qij,qj->qi", coeff[lo:hi], rows)
+            else:
+                near.append((lag, coeff))
+        return out, near
 
+
+# ---------------------------------------------------------------------------
+# blocked history convolution shared by the march and the oracle
+# ---------------------------------------------------------------------------
+
+def _convolve(K_hat: np.ndarray, G: np.ndarray, n_fft: int) -> np.ndarray:
+    """Linear convolution along axis 0 of a kernel spectrum with G."""
+    return np.fft.irfft(K_hat @ np.fft.rfft(G, n=n_fft, axis=0), n=n_fft,
+                        axis=0)
+
+
+def _leaves(K: np.ndarray, G: np.ndarray, acc: np.ndarray):
+    """Blocked history  acc[m] += sum_{q=1}^{m-1} K[m - q] @ G[q],  m = 1..L.
+
+    Yields the leaves [lo, hi) of the nodes 1..L (L = len(G) - 1) in order.
+    Before resuming the generator, the caller solves the leaf's nodes one by
+    one, adding the history from inside the leaf itself, and stores their
+    G.  On resumption, the block of ``size`` nodes ending with that leaf is
+    convolved by FFT into the next ``size`` nodes, where ``size`` is _LEAF
+    times the largest power of two dividing the number of finished leaves
+    (its sibling in a binary tree over the leaves).  So every pair of
+    leaves is convolved once, and when a leaf starts ``acc`` holds the
+    history from all earlier leaves.  Blocks of one size share one kernel
+    spectrum while one is still to come.  K has shape (>= L, a, b), G
+    (L + 1, b, c) and acc (L + 1, a, c).
+    """
+    L = G.shape[0] - 1
+    spectra = {}
+    for lo in range(1, L + 1, _LEAF):
+        hi = min(lo + _LEAF, L + 1)
+        yield lo, hi
+        if hi > L:
+            return
+        done = (hi - 1) // _LEAF
+        size = (done & -done) * _LEAF
+        n_fft = 2 * size
+        K_hat = spectra.get(size)
+        if K_hat is None:
+            K_hat = np.fft.rfft(K[1:n_fft], n=n_fft, axis=0)
+            if hi + 2 * size <= L:      # kept only if its size comes again
+                spectra[size] = K_hat
+        end = min(hi + size, L + 1)
+        far = _convolve(K_hat, G[hi - size:hi], n_fft)
+        acc[hi:end] += far[size - 1:size - 1 + end - hi]
+
+
+# ---------------------------------------------------------------------------
+# the march
+# ---------------------------------------------------------------------------
 
 class _Discretization(_Sampling):
     def __init__(self, prob: ValidatedProblem, grid: SimulationGrid,
                  cfg: MlEvalConfig):
         super().__init__(prob, grid)
         sys = prob.system
-
-        # kernel matrix: constants at lag zero fold into A0
-        self.A0_eff = sum(sys.A[i] for i, lag in enumerate(self.lags)
-                          if lag == 0)
-        # instantaneous coupling C(t): lag-zero time-varying parts and gains
-        self.C = np.zeros((self.L + 1, self.n, self.n))
-        for i, lag in enumerate(self.lags):
-            if lag == 0:
-                self.C += self.A_tilde_s[i]
-                if self.gains is not None:
-                    self.C += np.einsum("qik,kj->qij", self.B_s, self.gains[i])
-        # delayed coefficients (lag > 0)
-        self.delayed = [(lag, self.coefficient(i))
-                        for i, lag in enumerate(self.lags) if lag > 0]
 
         # initial-data term f_m = sum_j phi_j(t_m) x_j0
         ker = Kernels(sys.alpha, self.A0_eff, cfg)
@@ -181,60 +277,56 @@ class _Discretization(_Sampling):
             mats = ker.phi_j(j, self.times, _SOLVER_EVAL_TOL, allow_mp=False)
             self.f += np.einsum("qij,j->qi", mats, x0[j])
 
-        # per-gap quadrature weights of the matrix kernel
+        # per-gap quadrature weights of the matrix kernel: the cell g steps
+        # back weighs its older node with Wl(g), its newer with Wr(g), so
+        # node q >= 1 gets K(m - q) = Wl(m - q) + Wr(m - q + 1), K(0) = Wr(1)
+        # (built in place: these tables set the solver's peak memory)
         T = self.dt * np.arange(self.L + 1, dtype=float)
         P0 = ker.int_phi(T, _SOLVER_EVAL_TOL, allow_mp=False)
-        P1 = ker.int_s_phi(T, _SOLVER_EVAL_TOL, allow_mp=False)
         m0 = P0[1:] - P0[:-1]
-        mu1 = (P1[1:] - P1[:-1]) - T[:-1][:, None, None] * m0
-        self.Wl = np.concatenate([np.zeros((1, self.n, self.n)), mu1 / self.dt])
-        self.Wr = np.concatenate([np.zeros((1, self.n, self.n)),
-                                  m0 - mu1 / self.dt])
-
-    def g_known(self, states: np.ndarray, q: int) -> np.ndarray:
-        """The part of G(t_q) not depending on x(t_q)."""
-        out = np.zeros(self.n)
-        for lag, coeff in self.delayed:
-            out += coeff[q] @ self.delayed_state(states, q, lag)
-        if self.u_s is not None:
-            out += self.B_s[q] @ self.u_s[q]
-        return out
-
-    def history_sum(self, G: np.ndarray, m: int) -> np.ndarray:
-        """sum over cells of Wl(g) G_{m-g} + Wr(g) G_{m-g+1}, g = 2..m plus
-        the left weight of the newest cell (its right endpoint is implicit)."""
-        acc = np.einsum("gij,gj->i", self.Wl[1:m + 1], G[m - 1::-1])
-        if m >= 2:
-            acc += np.einsum("gij,gj->i", self.Wr[2:m + 1], G[m - 1:0:-1])
-        return acc
+        del P0
+        P1 = ker.int_s_phi(T, _SOLVER_EVAL_TOL, allow_mp=False)
+        self.Wl = np.zeros((self.L + 1, self.n, self.n))
+        mu1 = np.subtract(P1[1:], P1[:-1], out=self.Wl[1:])
+        del P1
+        mu1 -= T[:-1][:, None, None] * m0
+        mu1 /= self.dt
+        self.K = self.Wl.copy()
+        self.K[:-1] += np.subtract(m0, mu1, out=m0)
 
 
-def _march(disc: _Discretization, max_sweeps: int = 20,
-           sweep_tol: float = 1e-12) -> np.ndarray:
-    n, L = disc.n, disc.L
-    states = np.zeros((L + 1, n))
-    G = np.zeros((L + 1, n))
+def _march(disc: _Discretization) -> np.ndarray:
+    n, K, C = disc.n, disc.K, disc.C
+    buf, states = disc.state_buffer()
     states[0] = disc.prob.ics.x0[0]
-    G[0] = disc.C[0] @ states[0] + disc.g_known(states, 0)
-    Wr1 = disc.Wr[1]
-    for m in range(1, L + 1):
-        base = disc.f[m] + disc.history_sum(G, m)
-        d_m = disc.g_known(states, m)
-        rhs = base + Wr1 @ d_m
-        Wc = Wr1 @ disc.C[m]
-        x = states[m - 1]
-        for sweep in range(max_sweeps):
-            x_new = rhs + Wc @ x
-            if np.max(np.abs(x_new - x)) <= sweep_tol * (1.0 + np.max(np.abs(x_new))):
-                x = x_new
-                break
-            x = x_new
-        else:
+    G = np.zeros((disc.L + 1, n))
+    G[0] = C[0] @ states[0] + disc.forcing(buf, 0, 1, 0)[0][0]
+    # acc[m] collects every term of x_m but K(0) C(t_m) x_m; the G_0
+    # column enters once, the blocked history covers q >= 1
+    acc = disc.f + disc.Wl @ G[0]
+    eye = np.eye(n)
+    for lo, hi in _leaves(K, G[:, :, None], acc[:, :, None]):
+        d, near = disc.forcing(buf, lo, hi, lo)
+        G[lo:hi] = d
+        acc[lo:hi] += d @ K[0].T
+        try:
+            inv = np.linalg.inv(eye - K[0] @ C[lo:hi])
+        except np.linalg.LinAlgError:
             raise NodeCorrectionDiverged(
-                f"node {m}: correction not settled after {max_sweeps} sweeps")
-        states[m] = x
-        G[m] = disc.C[m] @ x + d_m
-    return states
+                f"nodes {lo}..{hi - 1}: I - K(0) C(t) is singular") from None
+        for m in range(lo, hi):
+            for lag, coeff in near:
+                dn = coeff[m] @ buf[disc.offset + m - lag]
+                G[m] += dn
+                acc[m] += K[0] @ dn
+            np.matmul(inv[m - lo], acc[m], out=states[m])
+            G[m] += C[m] @ states[m]
+            acc[m + 1:hi] += K[1:hi - m] @ G[m]
+        if not np.all(np.isfinite(states[lo:hi])):
+            raise NodeCorrectionDiverged(
+                f"nodes {lo}..{hi - 1}: the node solve is not finite")
+    # a copy: the trajectory need not keep the prehistory rows alive
+    return states.copy()
 
 
 def solve_trajectory(prob: ValidatedProblem, grid: SimulationGrid,
@@ -264,19 +356,23 @@ def picard_map(prob: ValidatedProblem, phi_traj: Trajectory,
     side evaluated with it.  The true solution is its fixed point.
     """
     disc = _Discretization(prob, grid, cfg)
+    L = disc.L
     src = phi_traj.states
-    if src.shape != (disc.L + 1, disc.n):
+    if src.shape != (L + 1, disc.n):
         raise DimensionMismatch(
             f"trajectory shape {src.shape} does not match grid "
-            f"({disc.L + 1}, {disc.n})")
-    G = np.empty((disc.L + 1, disc.n))
-    for q in range(disc.L + 1):
-        G[q] = disc.C[q] @ src[q] + disc.g_known(src, q)
-    out = np.empty_like(src)
+            f"({L + 1}, {disc.n})")
+    buf, states = disc.state_buffer()
+    states[:] = src
+    d = disc.forcing(buf, 0, L + 1, L + 1)[0]
+    G = np.einsum("qij,qj->qi", disc.C, src) + d
+    # every node's history at once: one full convolution with K
+    n_fft = 2 * L
+    hist = _convolve(np.fft.rfft(disc.K[:L], n=n_fft, axis=0),
+                     G[1:, :, None], n_fft)
+    out = disc.f + disc.Wl @ G[0]
+    out[1:] += hist[:L, :, 0]
     out[0] = prob.ics.x0[0]
-    for m in range(1, disc.L + 1):
-        out[m] = (disc.f[m] + disc.history_sum(G, m)
-                  + disc.Wr[1] @ G[m])
     return Trajectory(grid=grid, states=out, prehistory=prob.ics)
 
 
@@ -296,16 +392,8 @@ def solve_oracle(prob: ValidatedProblem, grid: SimulationGrid,
     alpha = sys.alpha
     smp = _Sampling(prob, grid)
     dt, L, n, times = smp.dt, smp.L, smp.n, smp.times
-    coeffs = [(lag, smp.coefficient(i)) for i, lag in enumerate(smp.lags)]
-    B_s, u_s, read = smp.B_s, smp.u_s, smp.delayed_state
-
-    def rhs(states, q, xq):
-        out = np.zeros(n)
-        for lag, coeff in coeffs:
-            out += coeff[q] @ (xq if lag == 0 else read(states, q, lag))
-        if u_s is not None:
-            out += B_s[q] @ u_s[q]
-        return out
+    # the part of F acting on x(t) itself: every lag-0 coefficient
+    A_now = smp.A0_eff + smp.C
 
     # Taylor polynomial of the initial data
     x0 = prob.ics.x0
@@ -326,23 +414,37 @@ def solve_oracle(prob: ValidatedProblem, grid: SimulationGrid,
     w_rect = np.concatenate([zero, I0 * rg])             # predictor, F_q
     w_left = np.concatenate([zero, (I1 - s1 * I0) / dt * rg])
     w_right = np.concatenate([zero, ((s1 + dt) * I0 - I1) / dt * rg])
+    # history kernels over node distance h >= 1: rectangle (predictor) and
+    # trapezoid (corrector) weight of F_(m-h), h steps back
+    Kp = np.zeros((L + 1, 2, 1))
+    Kp[:, 0, 0] = w_rect
+    Kp[:, 1, 0] = w_left
+    Kp[:-1, 1, 0] += w_right[1:]
 
-    states = np.zeros((L + 1, n))
-    F = np.zeros((L + 1, n))
+    buf, states = smp.state_buffer()
     states[0] = x0[0]
-    F[0] = rhs(states, 0, states[0])
-    for m in range(1, L + 1):
-        # rectangle predictor: F constant per cell at its older node
-        hist_rect = np.einsum("g,gj->j", w_rect[1:m + 1], F[m - 1::-1])
-        x_pred = Tm[m] + hist_rect
-        # trapezoid corrector
-        hist = np.einsum("g,gj->j", w_left[1:m + 1], F[m - 1::-1])
-        if m >= 2:
-            hist += np.einsum("g,gj->j", w_right[2:m + 1], F[m - 1:0:-1])
-        x = x_pred
-        for _ in range(corrector_passes):
-            Fm = rhs(states, m, x)
-            x = Tm[m] + hist + w_right[1] * Fm
-        states[m] = x
-        F[m] = rhs(states, m, x)
-    return Trajectory(grid=grid, states=states, prehistory=prob.ics)
+    F = np.zeros((L + 1, n))
+    F[0] = A_now[0] @ states[0] + smp.forcing(buf, 0, 1, 0)[0][0]
+    # predictor and corrector bases: Taylor term and the F_0 column
+    acc = np.empty((L + 1, 2, n))
+    acc[:, 0] = Tm + w_rect[:, None] * F[0]
+    acc[:, 1] = Tm + w_left[:, None] * F[0]
+    # acc[m, 1] also takes w1 times the part of F_m known before x_m, so a
+    # corrector pass is x = acc[m, 1] + w1 A_now(t_m) x
+    w1 = w_right[1]
+    for lo, hi in _leaves(Kp, F[:, None, :], acc):
+        F[lo:hi], near = smp.forcing(buf, lo, hi, lo)
+        acc[lo:hi, 1] += w1 * F[lo:hi]
+        w1_A = w1 * A_now[lo:hi]
+        for m in range(lo, hi):
+            for lag, coeff in near:
+                dn = coeff[m] @ buf[smp.offset + m - lag]
+                F[m] += dn
+                acc[m, 1] += w1 * dn
+            x = acc[m, 0]
+            for _ in range(corrector_passes):
+                x = acc[m, 1] + w1_A[m - lo] @ x
+            states[m] = x
+            F[m] += A_now[m] @ x
+            acc[m + 1:hi] += Kp[1:hi - m] * F[m]
+    return Trajectory(grid=grid, states=states.copy(), prehistory=prob.ics)

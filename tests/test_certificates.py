@@ -234,6 +234,15 @@ class TestCertify:
         assert table[0, -1] == pytest.approx(self._exact_l1(ker, 100.0),
                                              rel=1e-6)
 
+    def test_one_delta_l1_of_oscillating_kernel_converges(self):
+        # one graded mesh over [0, 100] stalls at the kink near s = 1.99;
+        # the bound is the allow_mp=False floor of the integrand, whose
+        # E_{1.2,1.2} is off by 1.9e-8 absolute near s = 8.7 (the result
+        # is 3.6e-8 relative from the exact value)
+        ker = kernels.Kernels(1.2, np.array([[-2.0]]))
+        got = kernels.phi_alpha_l1(ker, 100.0, tol=1e-9)
+        assert got == pytest.approx(self._exact_l1(ker, 100.0), rel=1e-7)
+
     def test_edge_just_past_a_sign_change_is_integrated(self):
         # the first zero is near 1.99; with a far last edge the sign probe
         # is coarse there, and delta = 2.3 lies before its next point

@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import const_phi, scalar_problem
-from fracdelay import (ControlInput, SimulationGrid, Trajectory, align_grid,
-                       ml_scalar, picard_map, solve_delay_free, solve_oracle,
+from scipy.special import rgamma
+
+from conftest import const_phi, random_stable_matrix, scalar_problem
+from fracdelay import (ControlInput, Kernels, SimulationGrid,
+                       TimeFunctionTable, Trajectory, align_grid, ml_scalar,
+                       picard_map, solve_delay_free, solve_oracle,
                        solve_trajectory, validate_system)
-from fracdelay.errors import DelaysNotZero, DimensionMismatch
+from fracdelay import solver
+from fracdelay.errors import (DelaysNotZero, DimensionMismatch, GridTooLarge,
+                              NodeCorrectionDiverged)
+from fracdelay.mlf import DEFAULT_CONFIG
 
 
 class TestGrid:
@@ -24,6 +30,14 @@ class TestGrid:
     def test_node_count(self):
         grid = align_grid(0.1, 1.0, [0.0])
         assert grid.node_count == 11
+
+    def test_node_budget(self):
+        # nearly incommensurate delays: the aligned step is about 2.45e-9
+        with pytest.raises(GridTooLarge, match=r"1\.414.*nodes"):
+            align_grid(0.01, 10.0, [0.0, 1.0, math.sqrt(2.0)])
+        with pytest.raises(GridTooLarge):
+            align_grid(1e-7, 1.0, [0.0])
+        assert align_grid(1e-5, 1.0, [0.0, 0.5]).node_count == 100_001
 
     def test_unaligned_delay_rejected_by_every_solver(self):
         # step 0.03 would round the delay 1.0 to 33 steps = 0.99
@@ -74,6 +88,192 @@ class TestAnalyticCases:
         grid = align_grid(0.01, 1.0, prob.system.delays)
         traj = solve_trajectory(prob, grid)
         assert traj.states[0, 0] == 2.5
+
+
+    def test_stiff_instantaneous_coupling_solved_directly(self):
+        # x' = -300 x, all of it in the time-varying slot: K(0) C = -1.5 per
+        # node, beyond any fixed-point sweep; the node solve gives the
+        # trapezoid recurrence x_m = -0.2 x_(m-1)
+        prob = scalar_problem(1.0, 0.0, at0=-300.0)
+        grid = align_grid(0.01, 1.0, prob.system.delays)
+        traj = solve_trajectory(prob, grid)
+        m = np.arange(grid.node_count)
+        np.testing.assert_allclose(traj.states[:, 0], (-0.2) ** m, rtol=0,
+                                   atol=1e-11)
+
+    def test_singular_node_equation(self):
+        # K(0) C = 0.005 * 200 = 1: I - K(0) C is singular at every node
+        prob = scalar_problem(1.0, 0.0, at0=200.0)
+        grid = align_grid(0.01, 1.0, prob.system.delays)
+        with pytest.raises(NodeCorrectionDiverged):
+            solve_trajectory(prob, grid)
+
+
+# ---------------------------------------------------------------------------
+# O(L^2) per-node references: every history sum taken term by term at its
+# node, as the march and the oracle did before the blocked FFT history (the
+# march's node equation solved directly)
+# ---------------------------------------------------------------------------
+
+def _sampled_terms(prob, grid):
+    """Per lag, the samples of A_i + Atilde_i(t) + B(t) K_i; and the
+    samples of B(t) u(t) (None without open-loop input)."""
+    sys, ctl, times = prob.system, prob.control, grid.times
+    B = sys.B(times) if sys.B is not None else None
+    coeffs = []
+    for i in range(len(sys.delays)):
+        coeff = sys.A[i] + sys.A_tilde[i](times)
+        if ctl.kind == "feedback":
+            coeff = coeff + np.einsum("qik,kj->qij", B, ctl.gains[i])
+        coeffs.append(coeff)
+    Bu = (np.einsum("qij,qj->qi", B, ctl.u(times))
+          if ctl.kind == "open_loop" else None)
+    return coeffs, Bu
+
+
+def _reference_march(prob, grid):
+    disc = solver._Discretization(prob, grid, DEFAULT_CONFIG)
+    coeffs, Bu = _sampled_terms(prob, grid)
+    delayed = [(lag, c) for lag, c in zip(disc.lags, coeffs) if lag > 0]
+    n, L, dt = disc.n, disc.L, disc.dt
+    ker = Kernels(prob.system.alpha, disc.A0_eff)
+    T = dt * np.arange(L + 1, dtype=float)
+    P0 = ker.int_phi(T, 1e-11, allow_mp=False)
+    P1 = ker.int_s_phi(T, 1e-11, allow_mp=False)
+    m0 = P0[1:] - P0[:-1]
+    mu1 = (P1[1:] - P1[:-1]) - T[:-1][:, None, None] * m0
+    zero = np.zeros((1, n, n))
+    Wl = np.concatenate([zero, mu1 / dt])
+    Wr = np.concatenate([zero, m0 - mu1 / dt])
+
+    def g_known(states, q):
+        out = np.zeros(n)
+        for lag, coeff in delayed:
+            x = (states[q - lag] if q >= lag
+                 else prob.ics.history(-(lag - q) * dt))
+            out += coeff[q] @ x
+        if Bu is not None:
+            out += Bu[q]
+        return out
+
+    states = np.zeros((L + 1, n))
+    G = np.zeros((L + 1, n))
+    states[0] = prob.ics.x0[0]
+    G[0] = disc.C[0] @ states[0] + g_known(states, 0)
+    for m in range(1, L + 1):
+        hist = np.einsum("gij,gj->i", Wl[1:m + 1], G[m - 1::-1])
+        if m >= 2:
+            hist += np.einsum("gij,gj->i", Wr[2:m + 1], G[m - 1:0:-1])
+        d_m = g_known(states, m)
+        rhs = disc.f[m] + hist + Wr[1] @ d_m
+        states[m] = np.linalg.solve(np.eye(n) - Wr[1] @ disc.C[m], rhs)
+        G[m] = disc.C[m] @ states[m] + d_m
+    return states
+
+
+def _reference_oracle(prob, grid, corrector_passes=2):
+    smp = solver._Sampling(prob, grid)
+    alpha, k = prob.system.alpha, prob.system.k
+    dt, L, n, times = smp.dt, smp.L, smp.n, smp.times
+    coeffs, Bu = _sampled_terms(prob, grid)
+    coeffs = list(zip(smp.lags, coeffs))
+
+    def rhs(states, q, xq):
+        out = np.zeros(n)
+        for lag, coeff in coeffs:
+            if lag == 0:
+                x = xq
+            elif q >= lag:
+                x = states[q - lag]
+            else:
+                x = prob.ics.history(-(lag - q) * dt)
+            out += coeff[q] @ x
+        if Bu is not None:
+            out += Bu[q]
+        return out
+
+    x0 = prob.ics.x0
+    Tm = np.zeros((L + 1, n))
+    for j in range(k):
+        Tm += (times ** j / math.gamma(j + 1))[:, None] * x0[j]
+    j = np.arange(L + 1, dtype=float)
+    I0 = np.diff((j * dt) ** alpha) / alpha
+    I1 = np.diff((j * dt) ** (alpha + 1.0)) / (alpha + 1.0)
+    s1 = (j * dt)[:-1]
+    rg = rgamma(alpha)
+    zero = np.zeros(1)
+    w_rect = np.concatenate([zero, I0 * rg])
+    w_left = np.concatenate([zero, (I1 - s1 * I0) / dt * rg])
+    w_right = np.concatenate([zero, ((s1 + dt) * I0 - I1) / dt * rg])
+
+    states = np.zeros((L + 1, n))
+    F = np.zeros((L + 1, n))
+    states[0] = x0[0]
+    F[0] = rhs(states, 0, states[0])
+    for m in range(1, L + 1):
+        x = Tm[m] + np.einsum("g,gj->j", w_rect[1:m + 1], F[m - 1::-1])
+        hist = np.einsum("g,gj->j", w_left[1:m + 1], F[m - 1::-1])
+        if m >= 2:
+            hist += np.einsum("g,gj->j", w_right[2:m + 1], F[m - 1:0:-1])
+        for _ in range(corrector_passes):
+            x = Tm[m] + hist + w_right[1] * rhs(states, m, x)
+        states[m] = x
+        F[m] = rhs(states, m, x)
+    return states
+
+
+def _blocked_case(n, alpha, lags, control, tv, seed):
+    """Problem on step 0.01 with the given lags (in steps), a prehistory
+    that varies over [-h, 0], and open-loop input or feedback."""
+    rng = np.random.default_rng(seed)
+    dt = 0.01
+    delays = [0.0] + [lag * dt for lag in lags]
+    A = [random_stable_matrix(rng, n)] + [
+        0.2 * rng.normal(size=(n, n)) / len(lags) for _ in lags]
+    t_end = 8.0
+    A_tilde = [None] * len(delays)
+    if tv:
+        times = np.linspace(0.0, t_end, 33)
+        A_tilde[0] = TimeFunctionTable(
+            times, 0.2 * np.sin(times)[:, None, None] * rng.normal(size=(n, n)),
+            "linear")
+    B = rng.normal(size=(n, 1))
+    if control == "open_loop":
+        times = np.linspace(0.0, t_end, 81)
+        ctl = ControlInput.open_loop(
+            TimeFunctionTable(times, np.cos(1.3 * times)[:, None], "linear"))
+    else:
+        ctl = ControlInput.feedback(
+            [0.1 * rng.normal(size=(1, n)) for _ in delays])
+    h = delays[-1]
+    phi = [TimeFunctionTable(np.array([-h, 0.0]), rng.normal(size=(2, n)),
+                             "linear") for _ in range(math.ceil(alpha))]
+    prob = validate_system(alpha, delays, A, A_tilde, B, phi, control=ctl)
+    # L = 703 nodes: eleven leaves of 64, the last one partial
+    return prob, SimulationGrid(step=dt, horizon=7.03)
+
+
+class TestBlockedHistory:
+    # lags below the leaf length (1 included), equal to it and above it
+    CASES = [
+        (1, 0.7, (1,), "open_loop", True),
+        (1, 1.4, (solver._LEAF,), "feedback", False),
+        (1, 0.5, (solver._LEAF + 37,), "feedback", True),
+        (3, 0.8, (1, solver._LEAF), "feedback", True),
+        (3, 1.3, (5, solver._LEAF + 37), "open_loop", False),
+    ]
+
+    @pytest.mark.parametrize("n, alpha, lags, control, tv", CASES)
+    def test_against_per_node_reference(self, n, alpha, lags, control, tv):
+        prob, grid = _blocked_case(n, alpha, lags, control, tv, seed=n + 7)
+        assert grid.node_count == 704
+        march = solve_trajectory(prob, grid).states
+        ref = _reference_march(prob, grid)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(march - ref)) <= 1e-12 * scale
+        oracle = solve_oracle(prob, grid).states
+        ref = _reference_oracle(prob, grid)
+        assert np.max(np.abs(oracle - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestLinearity:
