@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
                      OrderTooLow, PremiseViolated, WindowOutOfRange)
-from .kernels import Kernels, phi_alpha_l1, phi_alpha_l2sq, spectral_norms
+from .kernels import Kernels, phi_alpha_l1, spectral_norms
 from .mlf import DEFAULT_CONFIG, MlEvalConfig
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm)
@@ -81,8 +81,8 @@ class _CertInputs:
     uniform family and the B K_i tables in the windowed-L2 family.  Without
     feedback both reduce to the uncontrolled certificates.  The kernel
     integrals ``||phi||^p`` for ``p in powers`` (1 for the uniform family, 2
-    for the windowed-L2 one) and the phi_j come from one cumulative
-    integration over the sorted grid and are looked up per delta.
+    for the windowed-L2 one) come from one cumulative integration over the
+    sorted grid, the phi_j from one table per j, looked up per delta.
     """
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
@@ -107,8 +107,8 @@ class _CertInputs:
         keys = grid.tolist()
         self.integrals = {p: dict(zip(keys, row))
                           for p, row in zip(powers, table)}
-        self.phi = {d: [self.ker.phi_j(j, np.array([d]))[0]
-                        for j in range(sys.k)] for d in keys}
+        phis = [self.ker.phi_j(j, grid) for j in range(sys.k)]
+        self.phi = {d: [p[i] for p in phis] for i, d in enumerate(keys)}
 
 
 def _contraction(numer: float, D: float):
@@ -209,7 +209,9 @@ def gain_bound_uniform(prob: ValidatedProblem, delta: float, epsilon: float,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    value, feasible = cert_g_h(prob, delta, cfg)
+    inputs = _CertInputs(prob, ControlInput.none(), cfg, [delta], (1,),
+                         _QUAD_TOL)
+    value, feasible = _g(inputs, delta)
     if not feasible or value >= 1.0 - epsilon:
         raise PremiseViolated(
             f"g_h({delta}) = {value:.6g} is not below 1 - epsilon = "
@@ -217,7 +219,7 @@ def gain_bound_uniform(prob: ValidatedProblem, delta: float, epsilon: float,
     bn = b_sup_norm(prob)
     if bn == 0.0:
         return math.inf
-    l1 = phi_alpha_l1(prob.system, delta, cfg)
+    l1 = inputs.integrals[1][delta]
     return epsilon / (len(prob.system.delays) * l1 * bn)
 
 
@@ -228,7 +230,9 @@ def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     t0 = prob.system.h if t is None else t
-    value, feasible = cert_g_hat_h(prob, t0, delta, cfg)
+    inputs = _CertInputs(prob, ControlInput.none(), cfg, [delta], (2,),
+                         _QUAD_TOL)
+    value, feasible = _g_hat(inputs, t0, delta)
     if not feasible or value >= 1.0 - epsilon:
         raise PremiseViolated(
             f"g_hat_h({t0}, {delta}) = {value:.6g} is not below "
@@ -236,7 +240,7 @@ def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
     bn = b_sup_norm(prob)
     if bn == 0.0:
         return math.inf
-    l2k = math.sqrt(phi_alpha_l2sq(prob.system, delta, cfg))
+    l2k = math.sqrt(inputs.integrals[2][delta])
     return epsilon / (l2k * bn)
 
 

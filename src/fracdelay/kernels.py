@@ -14,7 +14,8 @@ mesh doubling with Richardson extrapolation.  One cumulative integration per
 kernel serves a whole grid of upper limits 0 < d_1 < ... < d_K: a graded
 mesh on [0, d_1], a uniform one on every later [d_(k-1), d_k], all segments
 refined level by level together, and both integrals read off the same
-samples of ||E_{a,a}(A0 s^a)||.
+samples of ||E_{a,a}(A0 s^a)||.  A single upper limit delta is integrated
+over the halving edges delta 2^-k, k = 10..0.
 
 The bound verifier checks the norm inequalities relating these kernels to
 exponential majorants.  The right-hand sides use the series-of-norms
@@ -22,6 +23,9 @@ majorant sum_l ||A0^l|| t^(a l) / Gamma(a l + b); placing the norm inside the
 sum is what the triangle inequality actually yields, and it is the form that
 holds for every matrix (the variant with ||e^{A0 t^a}|| on the right fails
 already for scalar negative A0, e.g. E_{2,1}(-t^2) = cos t vs e^{-t^2}).
+One summation (``norm_series_ml``) computes every majorant over a whole time
+grid, one E_{a,j+1} table per order serves both ||E|| and ||phi_j||, and
+||e^{A0 t}|| comes from one stacked ``expm`` per grid.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
 from .mlf import (DEFAULT_CONFIG, MlEvalConfig, _ml_matrix_series, eig_factors,
                   ml_scalar_array)
 from .system import FractionalDelaySystem
+
+_HALVINGS = 10      # a single delta runs over the edges delta 2^-k, k <= 10
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -136,7 +142,9 @@ class Kernels:
 
         ``edges`` is one upper limit delta (edges 0, delta) or a sequence
         increasing from e_0 >= 0; the result has shape (len(powers), K),
-        one column per edge e_1..e_K, and p is 1 or 2.  One segmented
+        one column per edge e_1..e_K, and p is 1 or 2.  A single delta runs
+        over the halving edges delta 2^-k, k = 10..0, where one graded mesh
+        over [0, delta] can stall on a far kink of ||phi||.  One segmented
         cumulative product integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p
         serves every edge and every power from the same norm samples, on a
         first segment graded for the most singular power.  For a scalar
@@ -151,6 +159,10 @@ class Kernels:
                 f"||phi||^2 ~ s^({2 * alpha - 2}) is not integrable for "
                 f"alpha <= 1/2")
         edges = _edges(edges)
+        if edges.size == 2 and edges[0] == 0:
+            halving = edges[1] * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)
+            return self.norm_integrals(np.concatenate(([0.0], halving)),
+                                       powers, tol)[:, -1:]
         out = np.empty((len(powers), edges.size - 1))
         exact = np.zeros(edges.size - 1, dtype=bool)
         if self.n == 1 and 1 in powers:
@@ -355,96 +367,65 @@ def weighted_singular_integral(gamma_exp, w_func, delta,
     return float(out) if out.ndim == 0 else out
 
 
-# a one-delta integral runs over the edges delta 2^-k, k = _HALVINGS..0: the
-# graded first segment stays short and every later one is smooth, where one
-# graded mesh over [0, delta] can stall on a far kink of ||phi||
-_HALVINGS = 10
-
-
-def _halving_edges(delta: float) -> np.ndarray:
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return np.concatenate(([0.0],
-                           delta * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)))
-
-
 def phi_alpha_l1(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
                  tol: float = 1e-10) -> float:
     """integral_0^delta ||phi(s)||_2 ds (see ``Kernels.norm_integrals``)."""
-    return float(_kernels(sys, cfg).norm_integrals(
-        _halving_edges(delta), (1,), tol)[0, -1])
+    return float(_kernels(sys, cfg).norm_integrals(delta, (1,), tol)[0, 0])
 
 
 def phi_alpha_l2sq(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
                    tol: float = 1e-10) -> float:
     """integral_0^delta ||phi(s)||_2^2 ds; requires alpha > 1/2."""
-    return float(_kernels(sys, cfg).norm_integrals(
-        _halving_edges(delta), (2,), tol)[0, -1])
+    return float(_kernels(sys, cfg).norm_integrals(delta, (2,), tol)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # norm-series majorants and sup factors
 # ---------------------------------------------------------------------------
 
-def power_norm_series(A: np.ndarray, log_coeff_fn, ratio_bound_fn,
-                      max_terms: int = 4000) -> float:
-    """sum_l ||A^l|| c_l with geometric tail control, coefficients in log space.
+def norm_series_ml(alpha: float, beta: float, A: np.ndarray, t):
+    """sum_l ||A^l|| t^(a l) / Gamma(a l + b), the kernel-series majorant.
 
-    ``log_coeff_fn(l)`` returns ln c_l (or -inf), ``ratio_bound_fn(l, norm_A)``
-    an upper bound for c_{l+1} ||A^{l+1}|| / (c_l ||A^l||).
+    ``t`` is one time t >= 0 (a float back) or an array of them.  One A^l
+    and one ||A^l||_2 per term serve every t, coefficients in log space;
+    each t stops on its own geometric tail bound (Gamma(x)/Gamma(x+a) <=
+    x^(-a) for x >= 1).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    t_in = np.asarray(t, dtype=float)
+    ts = t_in.ravel()
+    if not np.all(ts >= 0):
+        raise ValueError("t must be nonnegative")
+    total = np.where(ts == 0, float(rgamma(beta)), 0.0)
+    live = np.flatnonzero(ts > 0)
+    ln_t = np.log(ts[live])
+    ta = ts[live] ** alpha
     norm_a = np.linalg.norm(A, 2)
     P = np.eye(A.shape[0])
-    total = 0.0
-    with np.errstate(divide="ignore"):
-        for ell in range(max_terms):
-            lc = log_coeff_fn(ell)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for ell in range(4000):
+            if live.size == 0:
+                break
+            x = alpha * ell + beta
             pn = np.linalg.norm(P, 2)
-            lt = lc + (math.log(pn) if pn > 0 else -math.inf)
-            term = math.exp(lt) if lt < 700 else math.inf
-            total += term
-            rb = ratio_bound_fn(ell, norm_a)
-            if rb < 1.0 and term * rb / (1.0 - rb) < 1e-14 * max(total, 1e-300):
-                return total
+            # gammaln is ln|Gamma|, +inf at the poles where the term is 0
+            lt = alpha * ell * ln_t - gammaln(x) + np.log(pn)
+            term = np.where(lt < 700, np.exp(lt), np.inf)
+            total[live] += term
+            if x > 1.0:
+                rb = norm_a * ta * x ** (-alpha)
+                keep = ~((rb < 1.0) & (term * rb / (1.0 - rb) < 1e-14
+                                       * np.maximum(total[live], 1e-300)))
+                live, ln_t, ta = live[keep], ln_t[keep], ta[keep]
             P = P @ A
-    raise QuadratureNotConverged("norm-series majorant did not converge")
+    if live.size:
+        raise QuadratureNotConverged("norm-series majorant did not converge")
+    return float(total[0]) if t_in.ndim == 0 else total.reshape(t_in.shape)
 
 
-def norm_series_exp(A: np.ndarray, s: float) -> float:
+def norm_series_exp(A: np.ndarray, s):
     """sum_l ||A^l|| s^l / l!  (the triangle-inequality majorant of e^{A s})."""
-    if s == 0:
-        return 1.0
-    ln_s = math.log(s)
-    return power_norm_series(
-        A,
-        lambda ell: ell * ln_s - math.lgamma(ell + 1),
-        lambda ell, na: na * s / (ell + 1.0),
-    )
-
-
-def norm_series_ml(alpha: float, beta: float, A: np.ndarray, t: float) -> float:
-    """sum_l ||A^l|| t^(a l) / Gamma(a l + b), the kernel-series majorant."""
-    if t == 0:
-        return float(rgamma(beta))
-    ta = t ** alpha
-    ln_t = math.log(t)
-
-    def log_coeff(ell):
-        x = alpha * ell + beta
-        if x <= 0:
-            rg = float(rgamma(x))
-            return math.log(abs(rg)) if rg != 0 else -math.inf
-        return alpha * ell * ln_t - float(gammaln(x))
-
-    def ratio(ell, na):
-        x = alpha * ell + beta
-        if x <= 1.0:
-            return np.inf
-        # Gamma(x)/Gamma(x+a) <= x^(-a) for x >= 1
-        return na * ta * x ** (-alpha)
-
-    return power_norm_series(A, log_coeff, ratio)
+    return norm_series_ml(1.0, 1.0, A, s)
 
 
 def sup_factor(alpha: float, beta: float, ell_max: int = 600) -> float:
@@ -480,16 +461,17 @@ class DecayEnvelope:
 
 
 def _expm_norms(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.norm(expm(A * t), 2) for t in ts])
+    """||e^{A t}||_2 for every t, from one stacked ``expm``."""
+    return spectral_norms(expm(A[None] * ts[:, None, None]))
 
 
 def fit_decay_envelope(A0: np.ndarray, margin: float = 0.1,
                        coarse: int = 400) -> DecayEnvelope:
     """Fit (K, lam) with lam at (1 - margin) of the spectral abscissa.
 
-    K is the grid maximum of ||e^{A0 t}|| e^{lam t}, re-verified on a 4x finer
-    grid; the fit grid extends far enough that the polynomial transient of a
-    non-normal matrix has decayed.
+    K is the maximum of ||e^{A0 t}|| e^{lam t} over a grid and a 4x finer
+    one, evaluated together; the grids extend far enough that the
+    polynomial transient of a non-normal matrix has decayed.
     """
     A0 = np.atleast_2d(np.asarray(A0, dtype=float))
     mu = float(np.max(np.linalg.eigvals(A0).real))
@@ -499,16 +481,12 @@ def fit_decay_envelope(A0: np.ndarray, margin: float = 0.1,
     lam = (1.0 - margin) * abs(mu)
     gap = margin * abs(mu)
     t_max = 80.0 / gap
-
-    def log_ratio_max(ts):
-        norms = _expm_norms(A0, ts)
-        with np.errstate(divide="ignore"):
-            logs = np.where(norms > 0, np.log(np.maximum(norms, 1e-320)), -np.inf)
-        return float(np.max(logs + lam * ts))
-
-    ts = np.concatenate(([0.0], np.geomspace(t_max * 1e-4, t_max, coarse)))
-    fine = np.concatenate(([0.0], np.geomspace(t_max * 1e-4, t_max, 4 * coarse)))
-    log_K = max(0.0, log_ratio_max(ts), log_ratio_max(fine))
+    ts = np.concatenate(([0.0], np.geomspace(t_max * 1e-4, t_max, coarse),
+                         np.geomspace(t_max * 1e-4, t_max, 4 * coarse)))
+    norms = _expm_norms(A0, ts)
+    with np.errstate(divide="ignore"):
+        logs = np.where(norms > 0, np.log(np.maximum(norms, 1e-320)), -np.inf)
+    log_K = max(0.0, float(np.max(logs + lam * ts)))
     K = math.exp(log_K) * (1.0 + 1e-9)
     return DecayEnvelope(K=K, lam=lam)
 
@@ -584,23 +562,35 @@ def verify_lemma22(sys, t_grid, cfg: MlEvalConfig = DEFAULT_CONFIG,
         raise ValueError("t_grid must be strictly positive")
     report = BoundReport(alpha=alpha)
 
-    e_norm = {j: spectral_norms(ker.e_ml(j + 1, t_grid)) for j in range(k)}
-    phi_j_norm = {j: spectral_norms(ker.phi_j(j, t_grid)) for j in range(k)}
+    # one E_{a,j+1} table per order serves ||E|| and ||phi_j|| = ||t^j E||
+    e_norm, phi_j_norm = {}, {}
+    for j in range(k):
+        E = ker.e_ml(j + 1, t_grid)
+        e_norm[j] = spectral_norms(E)
+        phi_j_norm[j] = spectral_norms((t_grid ** j)[:, None, None] * E)
     phi_norm = spectral_norms(ker.phi(t_grid))
+
+    if envelope is None:
+        try:
+            envelope = fit_decay_envelope(A0)
+        except NotAStabilityMatrix:
+            envelope = None
+    if alpha < 1 or envelope is not None:
+        exp_n = _expm_norms(A0, t_grid)
 
     if alpha < 1:
         big = t_grid >= 1.0
         if np.any(big):
             tb = t_grid[big]
-            exp_n = _expm_norms(A0, tb)
+            exp_b = exp_n[big]
 
             def fitted(name, norm, power):
                 # ||.|| <= C t^power ||e^{A0 t}|| on t >= 1, C fitted
-                fit = float(np.max(norm[big] / (tb ** power * exp_n)))
+                fit = float(np.max(norm[big] / (tb ** power * exp_b)))
                 const = max(fit, 1.0)
                 report.checks.append(BoundCheck(
                     name=name, passed=math.isfinite(fit),
-                    worst_margin=float(np.min(const * tb ** power * exp_n
+                    worst_margin=float(np.min(const * tb ** power * exp_b
                                               - norm[big])),
                     worst_ratio=fit / const, fitted_constant=const))
 
@@ -609,7 +599,7 @@ def verify_lemma22(sys, t_grid, cfg: MlEvalConfig = DEFAULT_CONFIG,
                 fitted(f"sub_unit_order_phi_{j}", phi_j_norm[j], j)
             fitted("sub_unit_order_phi", phi_norm, alpha - 1.0)
     else:
-        majorant = np.array([norm_series_exp(A0, t ** alpha) for t in t_grid])
+        majorant = norm_series_exp(A0, t_grid ** alpha)
         for j in range(k):
             s_fac = sup_factor(alpha, j + 1.0)
             report.checks.append(_check_from_sides(
@@ -623,13 +613,7 @@ def verify_lemma22(sys, t_grid, cfg: MlEvalConfig = DEFAULT_CONFIG,
             s_fac * t_grid ** (alpha - 1.0) * majorant))
 
     # decay envelope checks for stability matrices
-    if envelope is None:
-        try:
-            envelope = fit_decay_envelope(A0)
-        except NotAStabilityMatrix:
-            envelope = None
     if envelope is not None:
-        exp_n = _expm_norms(A0, t_grid)
         report.checks.append(_check_from_sides(
             "envelope_exp", exp_n, envelope.K * np.exp(-envelope.lam * t_grid)))
         exp_na = _expm_norms(A0, t_grid ** alpha)
@@ -648,16 +632,16 @@ def verify_lemma22(sys, t_grid, cfg: MlEvalConfig = DEFAULT_CONFIG,
     if k >= 1 and abs(alpha - k) > 1e-12:
         # ||phi_(k-1)(t)|| <= C t^(k-a) Phi-hat(t)
         c1 = sup_gamma_ratio(alpha, alpha, k)
-        phat = np.array([t ** (alpha - 1.0) * norm_series_ml(alpha, alpha, A0, t)
-                         for t in t_grid])
+        phat = t_grid ** (alpha - 1.0) * norm_series_ml(alpha, alpha, A0,
+                                                         t_grid)
         report.checks.append(_check_from_sides(
             "order_phi_km1_vs_phi", phi_j_norm[k - 1],
             c1 * t_grid ** (k - alpha) * phat))
     if k >= 2:
         # ||phi(t)|| <= C t^(a+1-k) Phi-hat_(k-2)(t)
         c2 = sup_gamma_ratio(alpha, k - 1.0, alpha)
-        phat2 = np.array([t ** (k - 2.0) * norm_series_ml(alpha, k - 1.0, A0, t)
-                          for t in t_grid])
+        phat2 = t_grid ** (k - 2.0) * norm_series_ml(alpha, k - 1.0, A0,
+                                                      t_grid)
         report.checks.append(_check_from_sides(
             "order_phi_vs_phi_km2", phi_norm,
             c2 * t_grid ** (alpha + 1.0 - k) * phat2))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, loggamma, rgamma
+from scipy.special import gammaln, rgamma
 
 from .errors import (OverflowBeyondRepresentableRange, PoleAtNonpositiveInteger,
                      SeriesNotConverged)
@@ -66,23 +66,6 @@ def gamma_fn(x: float) -> float:
             f"Gamma({x}) exceeds double range") from exc
     except ValueError as exc:  # pragma: no cover - guarded above
         raise PoleAtNonpositiveInteger(str(exc)) from exc
-
-
-def _ln_abs_gamma(x: np.ndarray) -> np.ndarray:
-    """ln|Gamma(x)| for real x, -inf at poles."""
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    pos = x > 0
-    out[pos] = gammaln(x[pos])
-    neg = ~pos
-    if np.any(neg):
-        xn = x[neg]
-        pole = np.abs(xn - np.round(xn)) < 1e-12
-        vals = np.real(loggamma(xn.astype(complex)))
-        vals[pole] = np.inf
-        out[neg] = np.where(pole, np.inf, vals)
-    # a pole of Gamma makes the series term zero: ln|term| = -inf
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +414,37 @@ def eig_factors(A: np.ndarray, spectral_threshold: float):
 
 def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray, rel_tol: float,
                       max_terms: int) -> np.ndarray:
+    """Truncated power series.  A non-finite term, or a cancellation estimate
+    (eps times the largest term norm over the sum's norm, as in
+    ``_series_double``) above max(rel_tol, 1e-8) raises SeriesNotConverged.
+    """
     n = M.shape[0]
     S = np.eye(n) * rgamma(beta)
     P = np.eye(n)
     norm_prev = np.inf
+    largest = np.linalg.norm(S, ord="fro")
     calm = 0
-    for ell in range(1, max_terms):
-        P = P @ M
-        term = P * rgamma(alpha * ell + beta)
-        S = S + term
-        tn = np.linalg.norm(term, ord="fro")
-        if tn <= rel_tol * max(np.linalg.norm(S, ord="fro"), 1e-300) and tn < norm_prev:
-            calm += 1
-            if calm >= 3:
-                return S
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ell in range(1, max_terms):
+            P = P @ M
+            term = P * rgamma(alpha * ell + beta)
+            S = S + term
+            tn = np.linalg.norm(term, ord="fro")
+            sn = np.linalg.norm(S, ord="fro")
+            largest = max(largest, tn)
+            small = tn <= rel_tol * max(sn, 1e-300) and tn < norm_prev
+            calm = calm + 1 if small else 0
+            norm_prev = tn
+            if calm >= 3 or not np.isfinite(tn):
+                break
         else:
-            calm = 0
-        norm_prev = tn
-    raise SeriesNotConverged(
-        f"matrix series for E_{{{alpha},{beta}}} hit {max_terms} terms")
+            raise SeriesNotConverged(f"matrix series for E_{{{alpha},{beta}}} "
+                                     f"hit {max_terms} terms")
+    if not np.isfinite(tn) or _EPS * largest > max(rel_tol, 1e-8) * sn:
+        raise SeriesNotConverged(
+            f"matrix series for E_{{{alpha},{beta}}} lost its digits: "
+            f"largest term norm {largest:.3g}, sum norm {sn:.3g}")
+    return S
 
 
 def ml_matrix(alpha: float, beta: float, A: np.ndarray, t: float,

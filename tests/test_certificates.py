@@ -243,6 +243,23 @@ class TestCertify:
         got = kernels.phi_alpha_l1(ker, 100.0, tol=1e-9)
         assert got == pytest.approx(self._exact_l1(ker, 100.0), rel=1e-7)
 
+    def test_one_delta_certificates_integrate_over_halving_edges(self):
+        # a single delta takes the halving edges inside norm_integrals, so
+        # the one-delta certificate and gain bound converge where one graded
+        # mesh over [0, 100] stalled; 1e-7 is the allow_mp=False floor above
+        A0 = np.array([[-2.0]])
+        prob = validate_system(1.2, [0.0, 1.0], [A0, np.array([[0.3]])],
+                               B=np.array([[1.0]]),
+                               phi=[const_phi([1.0], 1.0)] * 2)
+        ker = kernels.Kernels(1.2, A0)
+        l1 = self._exact_l1(ker, 100.0)
+        phi_sum = abs(sum(ker.phi_j(j, [100.0])[0, 0, 0] for j in range(2)))
+        value, feasible = cert_g_h(prob, 100.0)
+        assert feasible
+        assert value == pytest.approx(phi_sum + 0.3 * l1, rel=1e-7)
+        assert gain_bound_uniform(prob, 100.0, 0.1) == pytest.approx(
+            0.1 / (2 * l1), rel=1e-7)
+
     def test_edge_just_past_a_sign_change_is_integrated(self):
         # the first zero is near 1.99; with a far last edge the sign probe
         # is coarse there, and delta = 2.3 lies before its next point

@@ -7,8 +7,9 @@ from scipy.integrate import quad
 from conftest import random_stable_matrix
 from fracdelay import (fit_decay_envelope, phi_alpha, phi_alpha_j,
                        phi_alpha_l1, phi_alpha_l2sq, verify_lemma22)
+from fracdelay import kernels
 from fracdelay.errors import NotAStabilityMatrix, SingularAtZero
-from fracdelay.kernels import (Kernels, norm_series_exp,
+from fracdelay.kernels import (Kernels, norm_series_exp, norm_series_ml,
                                weighted_singular_integral)
 
 A1 = np.array([[-1.0]])
@@ -198,6 +199,45 @@ class TestLemmaVerifier:
                 rep = verify_lemma22((alpha, A0), grid)
                 assert rep.all_passed, (alpha, [c.name for c in rep.checks
                                                 if not c.passed])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+    def test_each_table_evaluated_once(self, monkeypatch, alpha):
+        # one E_{a,j+1} table per order (shared by ||E|| and ||phi_j||) plus
+        # the phi table; one stacked expm per grid of times
+        calls = {"e_ml": 0, "expm": 0}
+        e_ml, expm = Kernels.e_ml, kernels.expm
+
+        def count_e_ml(*args, **kwargs):
+            calls["e_ml"] += 1
+            return e_ml(*args, **kwargs)
+
+        def count_expm(*args, **kwargs):
+            calls["expm"] += 1
+            return expm(*args, **kwargs)
+
+        monkeypatch.setattr(Kernels, "e_ml", count_e_ml)
+        monkeypatch.setattr(kernels, "expm", count_expm)
+        A0 = np.array([[-1.0, 0.5, 0.0], [0.0, -1.5, 0.3], [0.2, 0.0, -2.0]])
+        grid = np.linspace(1.0, 10.0, 20)
+        envelope = fit_decay_envelope(A0)
+        calls["expm"] = 0
+        rep = verify_lemma22((alpha, A0), grid, envelope=envelope)
+        assert rep.all_passed
+        k = math.ceil(alpha)
+        # ||e^{A0 t}|| on the grid and on its powers t^alpha
+        assert calls == {"e_ml": k + 1, "expm": 2}
+
+
+def test_norm_series_ml_vector_matches_points():
+    # a non-normal 3x3: ||A^l|| is not ||A||^l
+    A = np.array([[-1.0, 4.0, 0.0], [0.0, -0.5, 2.0], [0.3, 0.0, -2.0]])
+    ts = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+    for alpha in (0.5, 1.5):
+        for beta in (alpha, 1.0, 2.0):
+            vec = norm_series_ml(alpha, beta, A, ts)
+            one = np.array([norm_series_ml(alpha, beta, A, t) for t in ts])
+            np.testing.assert_allclose(vec, one, rtol=1e-15, atol=0)
+            assert vec[0] == pytest.approx(1.0 / math.gamma(beta), rel=1e-15)
 
 
 def test_norm_series_exp_scalar():

@@ -1,8 +1,10 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import erfc
 
 from fracdelay import MlEvalConfig, gamma_fn, ml_matrix, ml_scalar
@@ -98,7 +100,13 @@ class TestMlScalar:
                  (1.2, 1.2, -60.0), (0.9, 2.0, -18.0), (0.4, 1.0, -3.0)]
         for alpha, beta, z in cases:
             got = ml_scalar(alpha, beta, z)
-            ref = ml_reference(alpha, beta, z)
+            if (alpha, beta) == (0.5, 1.0):
+                # E_{1/2,1}(z) = exp(z^2) erfc(-z): the series reference
+                # needs hundreds of digits at z = -40
+                with mp.workdps(30):
+                    ref = complex(mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z)))
+            else:
+                ref = ml_reference(alpha, beta, z)
             assert abs(got - ref) <= 1e-10 * abs(ref), (alpha, beta, z)
 
     def test_generic_series_path_matches_exp(self):
@@ -179,3 +187,18 @@ class TestMlMatrix:
         out = ml_matrix(1.0, 1.0, A, 1.0)
         expected = math.exp(-1) * np.array([[1.0, 1.0], [0.0, 1.0]])
         np.testing.assert_allclose(out, expected, rtol=1e-10)
+
+    def test_series_path_refuses_lost_digits(self):
+        # a Jordan block takes the matrix series; e^{40 J} has norm 1.7e-16
+        # while its terms reach 1e17, so the double sum is noise
+        J = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        ref = expm(5.0 * J)
+        np.testing.assert_allclose(ml_matrix(1.0, 1.0, J, 5.0), ref, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(ref, 2))
+        t0 = time.monotonic()
+        with pytest.raises(SeriesNotConverged):
+            ml_matrix(1.0, 1.0, J, 40.0)
+        # terms that overflow stop the series at once
+        with pytest.raises(SeriesNotConverged):
+            ml_matrix(0.8, 0.8, np.array([[-2.0, 1.0], [0.0, -2.0]]), 1000.0)
+        assert time.monotonic() - t0 < 1.0
