@@ -431,7 +431,7 @@ def delay_free_certify(prob: ValidatedProblem,
     tail_by_j = []
     tail_mask = grid >= 0.8 * T0
     for j in range(sys.k):
-        norms = spectral_norms(ker.phi_j(j, grid, 1e-8, allow_mp=False))
+        norms = spectral_norms(ker.phi_j(j, grid, 1e-8))
         sup_by_j.append(float(np.max(norms)))
         tail_by_j.append(float(np.max(norms[tail_mask])))
     K0 = max(sup_by_j)

@@ -1,21 +1,27 @@
 """Gamma and Mittag-Leffler evaluation, scalar and matrix.
 
-The two-parameter function E_{a,b}(z) = sum_l z^l / Gamma(a*l + b) is entire,
-but summing it in double precision cancels catastrophically for a < 1 once z
-is moderately large and negative.  Three regimes cover the plane:
+The two-parameter function E_{a,b}(z) = sum_l z^l / Gamma(a*l + b) is entire.
+For a scalar argument three routes cover the plane, each chosen per point:
 
-* direct power series in double precision where the accumulated cancellation
-  stays harmless (an a-posteriori estimate from the largest term);
-* the large-|z| expansion combining the algebraic series
-  -sum_k z^{-k}/Gamma(b - a*k) with the exponential branch terms
-  (1/a) zeta^{1-b} e^zeta for every root zeta = |z|^{1/a} exp(i(arg z + 2 pi m)/a)
-  lying inside the sector |arg z + 2 pi m| <= a*pi;
-* the same power series summed in extended precision (mpmath) with the working
-  precision sized to the observed cancellation, as a rescue for the narrow
-  annulus where neither double-precision route meets the requested tolerance.
+* exact reductions for integer orders (exp, cosh, sinh), identities of the
+  series rather than approximations;
+* the power series in double precision for |z| <= 1, where its terms never
+  exceed its sum by much;
+* everywhere else the inverse Laplace transform at t = 1,
 
-Exact reductions for integer orders (exp, cosh, sinh) are dispatched first;
-they are identities of the series, not approximations.
+      E_{a,b}(z) = (1/2 pi i) int_C e^s s^(a-b) / (s^a - z) ds,
+
+  by the trapezoidal rule on a parabola s = mu (1 + iu)^2 (Weideman &
+  Trefethen, Math. Comp. 76, 2007), plus the residues
+  (1/a) s*^(1-b) e^(s*) of the poles s*^a = z right of it.  The parabola
+  is Garrappa's (SIAM J. Numer. Anal. 53(3), 2015): among the regions
+  between the origin and the poles it takes the one needing the fewest
+  nodes for 1e-15, keeping mu small enough that round-off (about
+  eps e^mu) stays at that level.  The rule sees each pole through the
+  edge of its bin of ratio 2^(1/8) nearer the parabola, so points whose
+  poles share bins share a parabola and its node factors; points with no
+  pole on the principal sheet, such as every negative real z for a < 1,
+  all share one and cost one division per node.
 
 Matrix arguments go through the eigendecomposition whenever the eigenvector
 basis is well conditioned, otherwise through a truncated matrix power series
@@ -25,12 +31,10 @@ with a norm-based tail bound.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, rgamma
+from scipy.special import rgamma
 
 from .errors import (OverflowBeyondRepresentableRange, PoleAtNonpositiveInteger,
                      SeriesNotConverged)
@@ -122,136 +126,245 @@ def _series_double(alpha: float, beta: float, z: np.ndarray, rel_tol: float,
 
 
 # ---------------------------------------------------------------------------
-# large-|z| expansion
+# contour integral, vectorized over z
 # ---------------------------------------------------------------------------
 
-def _asymptotic(alpha: float, beta: float, z: np.ndarray):
-    """Algebraic tail plus in-sector exponential branch terms.
+_LOG_EPS = math.log(_EPS)
+_LOG_TOL = math.log(1e-15)       # Garrappa's target accuracy
+_BINS_PER_OCTAVE = 8
+_NO_POLE = np.iinfo(np.int64).max
 
-    Valid for 0 < alpha; self-reports accuracy through the smallest retained
-    algebraic term (classic optimal truncation of a divergent expansion).
+
+def _singularities(alpha: float, z: np.ndarray):
+    """Poles of s^(a-b)/(s^a - z) on the principal sheet and their bins.
+
+    Returns (poles, phi, bins), each of shape (P, m).  phi(s) =
+    (Re s + |s|)/2 is the mu of the parabola mu (1 + iu)^2 through s.  The
+    bin of a pole is floor(8 log2 phi), sorted per row; a missing pole, or
+    one on the branch cut (phi = 0, left of every parabola), has phi = inf
+    and the bin _NO_POLE.
     """
-    z = np.asarray(z, dtype=complex)
-    absz = np.abs(z)
-    S = np.zeros(z.shape, dtype=complex)
-    # algebraic part: -sum_k z^{-k} / Gamma(beta - alpha k), truncate at the
-    # smallest term
-    zinv = np.where(absz > 0, 1.0 / z, 0.0)
-    zp = np.ones_like(z)
-    best = np.full(z.shape, np.inf)
-    frozen = np.zeros(z.shape, dtype=bool)
-    kmax = min(2 + int(200 / max(alpha, 0.1)), 400)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in range(1, kmax + 1):
-            x = beta - alpha * k
-            rg = rgamma(x)
-            # envelope of |1/Gamma(x)| without the reflection sine factor,
-            # whose dips would otherwise fake an early optimal truncation
-            if x < 0.5:
-                g_env = math.exp(min(700.0, gammaln(1.0 + alpha * k - beta))) / math.pi
-            else:
-                g_env = abs(rg)
-            zp = zp * zinv
-            # power underflow or envelope overflow: expansion exhausted
-            dead = (np.abs(zp) == 0.0) | ~np.isfinite(g_env)
-            frozen |= dead
-            term = np.where(dead, 0.0, -zp * rg)
-            env = np.abs(zp) * g_env
-            growing = env > best
-            frozen |= growing
-            S = np.where(frozen, S, S + term)
-            best = np.where(frozen, best,
-                            np.minimum(best, np.where(env > 0, env, best)))
-            if np.all(frozen) or np.all(best < 1e-320):
-                break
-    err_abs = np.where(np.isfinite(best), best, 0.0)
-    # exponential branch terms
     theta = np.angle(z)
-    mmax = int(alpha) + 2
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for m in range(-mmax, mmax + 1):
-            th = theta + 2.0 * np.pi * m
-            sector = np.abs(th) <= alpha * np.pi + 1e-12
-            if not np.any(sector):
+    radius = np.abs(z) ** (1.0 / alpha)
+    kmin = np.ceil(-alpha / 2.0 - theta / (2.0 * np.pi)).astype(int)
+    kmax = np.floor(alpha / 2.0 - theta / (2.0 * np.pi)).astype(int)
+    m = int(np.max(kmax - kmin + 1, initial=0))
+    poles = np.zeros((z.size, m), dtype=complex)
+    phi = np.zeros((z.size, m))
+    for i in range(m):
+        k = kmin + i
+        ok = k <= kmax
+        s = radius[ok] * np.exp(1j * (theta[ok] + 2.0 * np.pi * k[ok]) / alpha)
+        poles[ok, i] = s
+        phi[ok, i] = (s.real + np.abs(s)) / 2.0
+    phi = np.where(phi > 1e-15, phi, np.inf)
+    bins = np.floor(_BINS_PER_OCTAVE * np.log2(np.where(phi < np.inf, phi, 1)))
+    bins = np.where(phi < np.inf, bins.astype(np.int64), _NO_POLE)
+    return poles, phi, np.sort(bins, axis=1)
+
+
+def _params_between(lo, hi, p, log_tol):
+    """Parabola between singularities at phi = lo < hi (Garrappa's
+    OptimalParam_RB, pole strength q = 1 on the right): (mu, h, N)."""
+    f_max = np.exp(log_tol - _LOG_EPS)
+    sq_lo = np.sqrt(lo)
+    sq_hi = np.minimum(np.sqrt(hi), 2.0 * np.sqrt(log_tol - _LOG_EPS) - sq_lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if p < 1e-14:
+            f_min = np.where(sq_lo > 0, 1.01 * sq_lo / (sq_hi - sq_lo), 1.01)
+            ok = f_min < f_max
+            f_bar = f_min + f_min / f_max * (f_max - f_min)
+            fq = 1.0 / f_bar
+            sqb_lo = sq_lo
+            sqb_hi = (2.0 * sq_hi - fq * sq_lo) / (2.0 + fq)
+        else:
+            f_min = 1.01 * (sq_lo + sq_hi) / (sq_hi - sq_lo) ** max(p, 1.0)
+            ok = f_min < f_max
+            f_min = np.maximum(f_min, 1.5)
+            f_bar = f_min + f_min / f_max * (f_max - f_min)
+            fp = f_bar ** (-1.0 / p)
+            fq = 1.0 / f_bar
+            w = -hi / log_tol
+            den = 2.0 + w - (1.0 + w) * fp + fq
+            sqb_lo = ((2.0 + w + fq) * sq_lo + fp * sq_hi) / den
+            sqb_hi = (-(1.0 + w) * fq * sq_lo
+                      + (2.0 + w - (1.0 + w) * fp) * sq_hi) / den
+        lt = log_tol - np.log(f_bar)
+        w = -sqb_hi ** 2 / lt
+        mu = (((1.0 + w) * sqb_lo + sqb_hi) / (2.0 + w)) ** 2
+        h = (-2.0 * np.pi / lt * (sqb_hi - sqb_lo)
+             / ((1.0 + w) * sqb_lo + sqb_hi))
+        N = np.ceil(np.sqrt(1.0 - lt / mu) / h)
+    return mu, h, np.where(ok & np.isfinite(N), N, np.inf)
+
+
+def _params_beyond(lo, p, log_tol):
+    """Parabola right of the last singularity, at phi = lo (Garrappa's
+    OptimalParam_RU): (mu, h, N)."""
+    sq_lo = np.sqrt(lo)
+    phib = np.where(lo > 0, 1.01 * lo, 0.01)
+    sqb = np.sqrt(phib)
+    N, A, sq_mu = (np.empty(lo.shape) for _ in range(3))
+    todo = np.arange(lo.size)
+    while todo.size:
+        lept = log_tol[todo] / phib[todo]
+        N[todo] = np.ceil(phib[todo] / np.pi
+                          * (1.0 - 1.5 * lept + np.sqrt(1.0 - 2.0 * lept)))
+        A[todo] = np.pi * N[todo] / phib[todo]
+        sq_mu[todo] = (sqb[todo] * np.abs(4.0 - A[todo])
+                       / np.abs(7.0 - np.sqrt(1.0 + 12.0 * A[todo])))
+        if p < 1e-14:
+            break
+        f_bar = ((sqb[todo] - sq_lo[todo]) / sq_mu[todo]) ** (-p)
+        todo = todo[~((f_bar > 1.0) & (f_bar < 10.0))]
+        sqb[todo] = 5.0 ** (-1.0 / p) * sq_mu[todo] + sq_lo[todo]
+        phib[todo] = sqb[todo] ** 2
+    mu = sq_mu ** 2
+    h = (-3.0 * A - 2.0 + 2.0 * np.sqrt(1.0 + 12.0 * A)) / (4.0 - A) / N
+    # round-off grows like e^mu: cap mu where the singularity allows it
+    thr = log_tol - _LOG_EPS
+    big = mu > thr
+    if np.any(big):
+        q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * np.sqrt(mu[big])
+        ok = (q + sq_lo[big]) ** 2 < thr[big]
+        w = np.sqrt(_LOG_EPS / (_LOG_EPS - log_tol[big]))
+        u = np.sqrt(-(q + sq_lo[big]) ** 2 / _LOG_EPS)
+        Nb = np.ceil(w * log_tol[big] / (2.0 * np.pi) / (u * w - 1.0))
+        mu[big] = thr[big]
+        N[big] = np.where(ok, Nb, np.inf)
+        h[big] = np.where(ok, w / Nb, 0.0)
+    return mu, h, N
+
+
+def _contours(alpha: float, beta: float, bins: np.ndarray):
+    """Garrappa's contour for each row of pole bins: (mu, h, N).
+
+    Region r lies between singularity r and r + 1 (0 is the origin, poles
+    in order); the one needing the fewest nodes wins, and the target
+    accuracy is relaxed tenfold while every region needs more than 200.
+    A pole enters as the edge of its bin that is nearer the contour, so the
+    true singularities are never closer to it than the rule assumed.
+    """
+    U, m = bins.shape
+    # bin b covers [2^(b/8), 2^((b+1)/8)); no pole, no edge
+    none = bins == _NO_POLE
+    edge = np.where(none, np.inf,
+                    2.0 ** (np.where(none, 0, bins) / _BINS_PER_OCTAVE))
+    lows = np.concatenate(
+        [np.zeros((U, 1)), edge * 2.0 ** (1.0 / _BINS_PER_OCTAVE)], axis=1)
+    highs = np.concatenate([edge, np.full((U, 1), np.inf)], axis=1)
+    p0 = max(0.0, 2.0 * (beta - alpha - 1.0))   # strength of the origin
+    mu, h = np.zeros(U), np.zeros(U)
+    N = np.full(U, np.inf)
+    log_tol = np.full(U, _LOG_TOL)
+    todo = np.arange(U)
+    while todo.size:
+        for r in range(m + 1):
+            lo, hi, lt = lows[todo, r], highs[todo, r], log_tol[todo]
+            p = p0 if r == 0 else 1.0
+            adm = (lo < lt - _LOG_EPS) & (lo < hi)
+            for beyond in (False, True):
+                sel = adm & (np.isinf(hi) == beyond)
+                if not sel.any():
+                    continue
+                cand = (_params_beyond(lo[sel], p, lt[sel]) if beyond else
+                        _params_between(lo[sel], hi[sel], p, lt[sel]))
+                better = cand[2] < N[todo[sel]]
+                idx = todo[sel][better]
+                mu[idx], h[idx], N[idx] = (c[better] for c in cand)
+        todo = todo[N[todo] > 200]
+        log_tol[todo] += math.log(10.0)
+        N[todo] = np.inf
+    return mu, h, N.astype(int)
+
+
+def _trapezoid(alpha: float, beta: float, z: np.ndarray, contour: np.ndarray,
+               mu, h, N, real: bool) -> np.ndarray:
+    """h/(2 pi i) sum_k e^s s^(a-b) s' / (s^a - z), nodes s = mu (1 + ihk)^2.
+
+    Point i runs over |k| <= N of its contour ``contour[i]`` (an index into
+    ``mu``, ``h``, ``N``).  Node factors are computed once per contour and
+    node, in blocks of nodes no larger than the points; points are visited
+    contour by contour in order of decreasing N, so the points still summing
+    at node k are a prefix and memory stays O(points).  For real z the nodes
+    k and -k are conjugate: only k >= 0 is summed, and only the imaginary
+    part, in real arithmetic.
+    """
+    counts = np.bincount(contour, minlength=mu.size)
+    used = np.flatnonzero(counts)
+    order = used[np.argsort(-N[used], kind="stable")]
+    rank = np.empty(mu.size, dtype=np.min_scalar_type(order.size))
+    rank[order] = np.arange(order.size)
+    perm = np.argsort(rank[contour], kind="stable")
+    counts, ends = counts[order], np.cumsum(counts[order])
+    mus, hs, Ns = mu[order], h[order], N[order]
+    zs = z[perm].real if real else z[perm]
+    acc = np.zeros(zs.shape, dtype=zs.dtype)
+    ks = np.arange(0 if real else -Ns[0], Ns[0] + 1)
+    # contours still summing at node k: Ns is decreasing
+    active = np.searchsorted(-Ns, -np.abs(ks), side="right")
+    block = max(1, z.size // order.size)
+    for b0 in range(0, ks.size, block):
+        w = 1.0 + 1j * np.multiply.outer(ks[b0:b0 + block], hs)
+        s = mus * w * w
+        ls = np.log(s)
+        c = np.exp(s + (alpha - beta) * ls) * (2j * mus * w)
+        d = np.exp(alpha * ls)
+        for i, k in enumerate(ks[b0:b0 + block]):
+            nu = active[b0 + i]
+            n, rep = ends[nu - 1], counts[:nu]
+            ck, dk = c[i, :nu], d[i, :nu]
+            if not real:
+                acc[:n] += np.repeat(ck, rep) / (np.repeat(dk, rep) - zs[:n])
                 continue
-            zeta = absz ** (1.0 / alpha) * np.exp(1j * th / alpha)
-            contrib = (zeta ** (1.0 - beta)) * np.exp(zeta) / alpha
-            S = np.where(sector, S + contrib, S)
-    absS = np.abs(S)
-    rel_err = np.where(absS > 0, err_abs / np.maximum(absS, 1e-300) + 4 * _EPS,
-                       np.inf)
-    rel_err = np.where(absz >= 1.0, rel_err, np.inf)   # expansion needs |z| > 1
-    return S, rel_err
+            if k:
+                ck = 2.0 * ck
+            # Im c / (d - x) = (Im c (Re d - x) - Re c Im d) / |d - x|^2
+            e = np.repeat(dk.real, rep) - zs[:n]
+            acc[:n] += ((np.repeat(ck.imag, rep) * e
+                         - np.repeat(ck.real * dk.imag, rep))
+                        / (e * e + np.repeat(dk.imag * dk.imag, rep)))
+    step = np.repeat(hs, counts) / (2.0 * np.pi)
+    out = np.empty(z.size, dtype=complex)
+    out[perm] = step * acc if real else -1j * step * acc
+    return out
 
 
-# ---------------------------------------------------------------------------
-# extended-precision rescue
-# ---------------------------------------------------------------------------
+def _contour_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) for nonzero z by the contour integral.
 
-# least recently used (alpha, beta, dps) ladders; a fixed number is kept,
-# since working precisions vary per point and a ladder can hold 200k terms
-_MP_LADDER_SLOTS = 32
-_MP_LADDERS: OrderedDict = OrderedDict()
-
-
-def _mp_ladder(alpha: float, beta: float, dps: int, count: int):
-    key = (alpha, beta, dps)
-    lst = _MP_LADDERS.setdefault(key, [])
-    _MP_LADDERS.move_to_end(key)
-    if len(_MP_LADDERS) > _MP_LADDER_SLOTS:
-        _MP_LADDERS.popitem(last=False)
-    if len(lst) < count:
-        with mp.workdps(dps):
-            a, b = mp.mpf(alpha), mp.mpf(beta)
-            for ell in range(len(lst), count):
-                # argument formed in mp arithmetic: a double-rounded
-                # alpha*ell + beta would poison heavily cancelled sums
-                lst.append(mp.rgamma(a * ell + b))
-    return lst
-
-
-def _series_mp(alpha: float, beta: float, z: complex, rel_tol: float,
-               max_terms: int, extra_digits: int) -> complex:
-    """Sum the series with working precision sized to the cancellation."""
-    digits = min(400, 25 + max(0, extra_digits))
-    # the term count needed grows like |z|^(1/alpha)/alpha, independent of the
-    # caller's cap meant for the double-precision path
-    max_terms = max(max_terms,
-                    min(200_000, int(8 * abs(z) ** (1.0 / alpha)) + 500))
-    for _ in range(2):
-        with mp.workdps(digits):
-            zc = mp.mpc(z)
-            ladder = _mp_ladder(alpha, beta, digits, 64)
-            S = mp.mpc(ladder[0])
-            zp = mp.mpc(1)
-            maxabs = abs(S)
-            calm = 0
-            prev = abs(S)
-            for ell in range(1, max_terms):
-                if ell >= len(ladder):
-                    ladder = _mp_ladder(alpha, beta, digits,
-                                        min(max_terms, 2 * len(ladder)))
-                zp *= zc
-                term = zp * ladder[ell]
-                S += term
-                ta = abs(term)
-                maxabs = max(maxabs, ta)
-                if ta <= mp.mpf(rel_tol) * abs(S) and ta < prev:
-                    calm += 1
-                    if calm >= 3:
-                        break
-                else:
-                    calm = 0
-                prev = ta
-            else:
-                raise SeriesNotConverged(
-                    f"series for E_{{{alpha},{beta}}}({z}) hit {max_terms} terms")
-            need = 25 + int(mp.log10(maxabs / abs(S))) if abs(S) > 0 else digits
-            val = complex(S)
-        if need <= digits:
-            return val
-        digits = min(400, need + 10)
-    return val
+    Points whose poles fall in the same bins share one contour.
+    """
+    poles, phi, bins = _singularities(alpha, z)
+    if bins.shape[1] <= 4:
+        # a row of bins as one integer: 16 bits per pole, |bin| < 2^14
+        code = np.where(bins == _NO_POLE, 0xFFFF, bins + 0x8000)
+        key = np.zeros(z.size, dtype=np.uint64)
+        for col in code.T:
+            key = (key << np.uint64(16)) | col.astype(np.uint64)
+        _, first, contour = np.unique(key, return_index=True,
+                                      return_inverse=True)
+    else:
+        _, first, contour = np.unique(bins, axis=0, return_index=True,
+                                      return_inverse=True)
+    contour = contour.ravel()
+    mu, h, N = _contours(alpha, beta, bins[first])
+    out = np.empty(z.size, dtype=complex)
+    real = z.imag == 0
+    for part in (True, False):
+        sel = np.flatnonzero(real == part)
+        if sel.size:
+            out[sel] = _trapezoid(alpha, beta, z[sel], contour[sel], mu, h, N,
+                                  part)
+    # residues of the poles right of the contour
+    mu = mu[contour]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(poles.shape[1]):
+            right = np.isfinite(phi[:, i]) & (phi[:, i] > mu)
+            s = poles[right, i]
+            out[right] += np.exp(s + (1.0 - beta) * np.log(s)) / alpha
+    out[real] = out[real].real
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,75 +427,43 @@ def _identity_path(alpha: float, beta: float, z: np.ndarray):
 # public scalar / array evaluation
 # ---------------------------------------------------------------------------
 
-def _update_best(vals, err, mask, v_sub, e_sub):
-    idx = np.where(mask)[0]
-    imp = e_sub < err[idx]
-    vals[idx[imp]] = v_sub[imp]
-    err[idx[imp]] = e_sub[imp]
-
-
 def ml_scalar_array(alpha: float, beta: float, z, rel_tol: float = 1e-12,
-                    max_terms: int = 10_000, allow_mp: bool = True) -> np.ndarray:
+                    max_terms: int = 10_000) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of complex arguments.
 
-    With ``allow_mp=False`` the extended-precision rescue is skipped and the
-    best double-precision candidate is returned; in the narrow annulus where
-    series cancellation and expansion truncation meet, accuracy then bottoms
-    out around 1e-8.  Bulk quadrature uses this mode and treats the residue
-    as an evaluation noise floor.
+    Closed forms serve integer orders, the power series |z| <= 1 (summed
+    to ``rel_tol`` within ``max_terms`` terms), and the contour integral
+    every other point; each value depends on its own point only.  Against
+    a 30-digit series for alpha in 0.3..1.8 and the betas 1, alpha,
+    alpha + 1, alpha + 2, the measured error is at most 3.3e-14 absolute
+    where |E| <= 1, and that much relative above.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-
     ident = _identity_path(alpha, beta, z)
     if ident is not None and ident[1].all():
         return ident[0]
 
     flat = z.ravel()
-    vals = np.full(flat.shape, np.nan, dtype=complex)
-    err = np.full(flat.shape, np.inf)
-
-    zero = flat == 0
-    vals[zero] = complex(rgamma(beta))
-    err[zero] = 0.0
-    settled = zero.copy()
+    vals = np.empty(flat.shape, dtype=complex)
+    todo = np.ones(flat.shape, dtype=bool)
     if ident is not None:
         closed = ident[1].ravel()
         vals[closed] = ident[0].ravel()[closed]
-        err[closed] = 0.0
-        settled |= closed
-
-    # expansion first for clearly large arguments, series for the rest,
-    # each route scored by its own error estimate
-    big = ~settled & (np.abs(flat) >= 4.0)
-    if np.any(big):
-        va, ea = _asymptotic(alpha, beta, flat[big])
-        _update_best(vals, err, big, va, ea)
-
-    need = err > rel_tol
-    if np.any(need):
-        vs, es, _ = _series_double(alpha, beta, flat[need], rel_tol, max_terms)
-        _update_best(vals, err, need, vs, es)
-
-    need = (err > rel_tol) & (np.abs(flat) >= 1.5) & ~big
-    if np.any(need):
-        va, ea = _asymptotic(alpha, beta, flat[need])
-        _update_best(vals, err, need, va, ea)
-
-    # extended-precision rescue for whatever is left
-    need = (err > max(rel_tol, 1e-13)) if allow_mp else np.zeros(flat.shape, bool)
-    for idx in np.where(need)[0]:
-        mag = abs(vals[idx]) if np.isfinite(vals[idx]) else 0.0
-        extra = 60 if mag == 0 else int(
-            max(0.0, math.log10(max(err[idx], 1e-300) / _EPS)) + 10)
-        vals[idx] = _series_mp(alpha, beta, complex(flat[idx]),
-                               min(rel_tol, 1e-14), max_terms, extra)
-        err[idx] = rel_tol
-
-    out.ravel()[:] = vals
-    return out
+        todo &= ~closed
+    zero = todo & (flat == 0)
+    vals[zero] = rgamma(beta)
+    todo &= ~zero
+    near = np.flatnonzero(todo & (np.abs(flat) <= 1.0))
+    if near.size:
+        vs, es, _ = _series_double(alpha, beta, flat[near], rel_tol, max_terms)
+        ok = es <= rel_tol
+        vals[near[ok]] = vs[ok]
+        todo[near[ok]] = False
+    if todo.any():
+        vals[todo] = _contour_values(alpha, beta, flat[todo])
+    return vals.reshape(z.shape)
 
 
 def ml_scalar(alpha: float, beta: float, z: complex,

@@ -274,7 +274,7 @@ class _Discretization(_Sampling):
         x0 = prob.ics.x0
         self.f = np.zeros((self.L + 1, self.n))
         for j in range(sys.k):
-            mats = ker.phi_j(j, self.times, _SOLVER_EVAL_TOL, allow_mp=False)
+            mats = ker.phi_j(j, self.times, _SOLVER_EVAL_TOL)
             self.f += np.einsum("qij,j->qi", mats, x0[j])
 
         # per-gap quadrature weights of the matrix kernel: the cell g steps
@@ -282,10 +282,10 @@ class _Discretization(_Sampling):
         # node q >= 1 gets K(m - q) = Wl(m - q) + Wr(m - q + 1), K(0) = Wr(1)
         # (built in place: these tables set the solver's peak memory)
         T = self.dt * np.arange(self.L + 1, dtype=float)
-        P0 = ker.int_phi(T, _SOLVER_EVAL_TOL, allow_mp=False)
+        P0 = ker.int_phi(T, _SOLVER_EVAL_TOL)
+        P1 = ker.int_s_phi(T, _SOLVER_EVAL_TOL, int_phi=P0)
         m0 = P0[1:] - P0[:-1]
         del P0
-        P1 = ker.int_s_phi(T, _SOLVER_EVAL_TOL, allow_mp=False)
         self.Wl = np.zeros((self.L + 1, self.n, self.n))
         mu1 = np.subtract(P1[1:], P1[:-1], out=self.Wl[1:])
         del P1

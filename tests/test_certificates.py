@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import const_phi, scalar_problem
+from test_mlf import ml_reference
 from fracdelay import (ControlInput, cert_g_f, cert_g_h, cert_g_hat_f,
                        cert_g_hat_h, certify, delay_free_certify,
                        gain_bound_l2, gain_bound_uniform, high_order_check,
@@ -210,20 +212,28 @@ class TestCertify:
         assert len(rep.grid) == len(DEFAULT_DELTA_GRID)
 
     @staticmethod
-    def _exact_l1(ker, delta):
-        # integral_0^delta |phi| is the sum of |P(z_(i+1)) - P(z_i)| between
-        # the zeros z_i of E_{a,a}(A0 s^a), P(T) = int_0^T phi
-        s = np.linspace(1e-3, delta, 2001)
-        sign = np.sign(ker.e_ml(ker.alpha, s, 1e-12, allow_mp=False)[:, 0, 0])
-        cross = np.nonzero(sign[:-1] != sign[1:])[0]
-        assert cross.size > 0
+    @functools.lru_cache
+    def _exact_l1(delta):
+        # integral_0^delta |phi| for alpha = 1.2, A0 = -2: the sum of
+        # |P(z_(i+1)) - P(z_i)| between the zeros z_i of E_{a,a}(-2 s^a),
+        # P(T) = T^a E_{a,a+1}(-2 T^a), all from the mpmath series.  Past
+        # s = 20 the oscillating part of E_{a,a}(-2 s^a), of size
+        # e^(-1.54 s), is far below its algebraic tail 0.05 s^-2.4, so no
+        # zero lies there.
+        alpha = 1.2
 
         def e_aa(x):
-            return float(ker.e_ml(ker.alpha, np.array([x]), 1e-14)[0, 0, 0])
+            return ml_reference(alpha, alpha, -2.0 * x ** alpha).real
 
+        s = np.linspace(1e-3, min(delta, 20.0), 401)
+        sign = np.sign([e_aa(x) for x in s])
+        cross = np.nonzero(sign[:-1] != sign[1:])[0]
+        assert cross.size > 0
         zeros = [brentq(e_aa, s[i], s[i + 1], xtol=1e-14) for i in cross]
         ends = np.array(zeros + [delta])
-        prim = np.concatenate(([0.0], ker.int_phi(ends, 1e-14)[:, 0, 0]))
+        prim = [0.0] + [t ** alpha * ml_reference(alpha, alpha + 1.0,
+                                                  -2.0 * t ** alpha).real
+                        for t in ends]
         return float(np.sum(np.abs(np.diff(prim))))
 
     def test_oscillating_kernel_l1_against_exact_primitive(self):
@@ -231,41 +241,40 @@ class TestCertify:
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
         table = ker.norm_integrals(np.concatenate(([0.0], DEFAULT_DELTA_GRID)),
                                    (1, 2), 1e-9)
-        assert table[0, -1] == pytest.approx(self._exact_l1(ker, 100.0),
+        assert table[0, -1] == pytest.approx(self._exact_l1(100.0),
                                              rel=1e-6)
 
     def test_one_delta_l1_of_oscillating_kernel_converges(self):
         # one graded mesh over [0, 100] stalls at the kink near s = 1.99;
-        # the bound is the allow_mp=False floor of the integrand, whose
-        # E_{1.2,1.2} is off by 1.9e-8 absolute near s = 8.7 (the result
-        # is 3.6e-8 relative from the exact value)
+        # the integrand is accurate to about 1e-14 absolute, so the result
+        # meets the quadrature tolerance
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
         got = kernels.phi_alpha_l1(ker, 100.0, tol=1e-9)
-        assert got == pytest.approx(self._exact_l1(ker, 100.0), rel=1e-7)
+        assert got == pytest.approx(self._exact_l1(100.0), rel=1e-8)
 
     def test_one_delta_certificates_integrate_over_halving_edges(self):
         # a single delta takes the halving edges inside norm_integrals, so
         # the one-delta certificate and gain bound converge where one graded
-        # mesh over [0, 100] stalled; 1e-7 is the allow_mp=False floor above
+        # mesh over [0, 100] stalled, to the quadrature tolerance
         A0 = np.array([[-2.0]])
         prob = validate_system(1.2, [0.0, 1.0], [A0, np.array([[0.3]])],
                                B=np.array([[1.0]]),
                                phi=[const_phi([1.0], 1.0)] * 2)
         ker = kernels.Kernels(1.2, A0)
-        l1 = self._exact_l1(ker, 100.0)
+        l1 = self._exact_l1(100.0)
         phi_sum = abs(sum(ker.phi_j(j, [100.0])[0, 0, 0] for j in range(2)))
         value, feasible = cert_g_h(prob, 100.0)
         assert feasible
-        assert value == pytest.approx(phi_sum + 0.3 * l1, rel=1e-7)
+        assert value == pytest.approx(phi_sum + 0.3 * l1, rel=1e-8)
         assert gain_bound_uniform(prob, 100.0, 0.1) == pytest.approx(
-            0.1 / (2 * l1), rel=1e-7)
+            0.1 / (2 * l1), rel=1e-8)
 
     def test_edge_just_past_a_sign_change_is_integrated(self):
         # the first zero is near 1.99; with a far last edge the sign probe
         # is coarse there, and delta = 2.3 lies before its next point
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
         table = ker.norm_integrals([0.0, 2.3, 1000.0], (1,), 1e-9)
-        assert table[0, 0] == pytest.approx(self._exact_l1(ker, 2.3), rel=1e-6)
+        assert table[0, 0] == pytest.approx(self._exact_l1(2.3), rel=1e-6)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.05, 0.6), st.floats(0.05, 0.6))

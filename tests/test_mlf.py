@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 
 import mpmath as mp
@@ -7,6 +10,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import erfc
 
+import fracdelay
 from fracdelay import MlEvalConfig, gamma_fn, ml_matrix, ml_scalar
 from fracdelay.errors import (OverflowBeyondRepresentableRange,
                               PoleAtNonpositiveInteger, SeriesNotConverged)
@@ -121,21 +125,6 @@ class TestMlScalar:
         with pytest.raises(SeriesNotConverged):
             _ml_matrix_series(0.5, 1.0, np.array([[-30.0]]), 1e-14, 8)
 
-    def test_mp_ladder_cache_is_bounded(self):
-        from fracdelay import mlf
-        first = mlf._series_mp(0.7, 0.7, -12.0, 1e-14, 10000, 20)
-        assert (0.7, 0.7, 45) in mlf._MP_LADDERS
-        for i in range(3 * mlf._MP_LADDER_SLOTS):
-            beta = 1.0 + i / 64
-            ladder = mlf._mp_ladder(0.6, beta, 30, 8)
-            assert len(mlf._MP_LADDERS) <= mlf._MP_LADDER_SLOTS
-            with mp.workdps(30):
-                ref = [mp.rgamma(mp.mpf(0.6) * ell + mp.mpf(beta))
-                       for ell in range(8)]
-            assert ladder == ref
-        assert (0.7, 0.7, 45) not in mlf._MP_LADDERS
-        assert mlf._series_mp(0.7, 0.7, -12.0, 1e-14, 10000, 20) == first
-
     @pytest.mark.parametrize("alpha, beta", [(1.0, 2.0), (1.0, 3.0),
                                              (2.0, 3.0), (2.0, 4.0)])
     def test_closed_forms_do_not_depend_on_the_batch(self, alpha, beta):
@@ -153,6 +142,53 @@ class TestMlScalar:
         arr = ml_scalar_array(0.8, 1.3, zs)
         for z, v in zip(zs, arr):
             assert abs(ml_scalar(0.8, 1.3, z) - v) <= 1e-12 * max(1, abs(v))
+
+
+# the contour probe: every order band, the betas Kernels uses, arg z in
+# {pi, 0.8 pi, 0.5 pi, 0} at sizes the reference sums quickly, plus two
+# alpha = 1.2 points in the annulus where neither the power series nor the
+# large-|z| expansion keeps its digits in double precision
+PROBE_ALPHAS = (0.3, 0.6, 0.9, 1.2, 1.5, 1.8)
+PROBE_ZS = ([sign * r for sign in (-1.0, 1.0) for r in (0.5, 4.0, 15.0)]
+            + [r * np.exp(1j * th * np.pi) for th in (0.8, 0.5)
+               for r in (0.5, 4.0, 15.0)])
+
+
+def probe_points(alpha):
+    zs = [z for z in PROBE_ZS if abs(z) ** (1.0 / alpha) <= 200]
+    if alpha == 1.2:
+        zs += [complex(-27.0, 0.0), 27.0 * np.exp(0.8j * np.pi)]
+    return np.array(zs, dtype=complex)
+
+
+class TestContour:
+    @pytest.mark.parametrize("alpha", PROBE_ALPHAS)
+    def test_against_reference_at_the_floor(self, alpha):
+        # measured floor: 3.3e-14 absolute for |E| <= 1, relative above
+        zs = probe_points(alpha)
+        for beta in (1.0, alpha, alpha + 1.0, alpha + 2.0):
+            got = ml_scalar_array(alpha, beta, zs)
+            for z, v in zip(zs, got):
+                ref = ml_reference(alpha, beta, z)
+                assert abs(v - ref) <= 5e-14 * max(1.0, abs(ref)), (beta, z)
+
+    @pytest.mark.parametrize("alpha", PROBE_ALPHAS)
+    def test_values_do_not_depend_on_the_batch(self, alpha):
+        zs = probe_points(alpha)
+        for beta in (1.0, alpha, alpha + 1.0, alpha + 2.0):
+            arr = ml_scalar_array(alpha, beta, zs)
+            one = [ml_scalar_array(alpha, beta, zs[i:i + 1])[0]
+                   for i in range(zs.size)]
+            assert arr.tolist() == one, beta
+
+    def test_import_does_not_load_mpmath(self):
+        # mpmath is a test dependency: the tests' reference, not the library's
+        src = os.path.dirname(os.path.dirname(fracdelay.__file__))
+        code = "import sys, fracdelay; print('mpmath' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
 
 class TestMlMatrix:

@@ -138,8 +138,8 @@ def _reference_march(prob, grid):
     n, L, dt = disc.n, disc.L, disc.dt
     ker = Kernels(prob.system.alpha, disc.A0_eff)
     T = dt * np.arange(L + 1, dtype=float)
-    P0 = ker.int_phi(T, 1e-11, allow_mp=False)
-    P1 = ker.int_s_phi(T, 1e-11, allow_mp=False)
+    P0 = ker.int_phi(T, 1e-11)
+    P1 = ker.int_s_phi(T, 1e-11)
     m0 = P0[1:] - P0[:-1]
     mu1 = (P1[1:] - P1[:-1]) - T[:-1][:, None, None] * m0
     zero = np.zeros((1, n, n))
@@ -274,6 +274,25 @@ class TestBlockedHistory:
         oracle = solve_oracle(prob, grid).states
         ref = _reference_oracle(prob, grid)
         assert np.max(np.abs(oracle - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.4])
+    def test_discretization_evaluates_each_table_once(self, monkeypatch,
+                                                      alpha):
+        # phi_j needs E_{a,j+1}, int_phi E_{a,a+1}, int_s_phi E_{a,a+1}
+        # and E_{a,a+2}: the shared E_{a,a+1} table is evaluated once
+        prob, grid = _blocked_case(1, alpha, (1,), "open_loop", False, seed=3)
+        betas = []
+        e_ml = Kernels.e_ml
+
+        def counted(self, beta, *args, **kwargs):
+            betas.append(beta)
+            return e_ml(self, beta, *args, **kwargs)
+
+        monkeypatch.setattr(Kernels, "e_ml", counted)
+        solver._Discretization(prob, grid, DEFAULT_CONFIG)
+        k = prob.system.k
+        assert sorted(betas) == [j + 1.0 for j in range(k)] + [alpha + 1.0,
+                                                               alpha + 2.0]
 
 
 class TestLinearity:
