@@ -10,7 +10,7 @@ from .certificates import (CertificateReport, DelayFreeBounds, cert_g_f,
 from .kernels import (DecayEnvelope, Kernels, fit_decay_envelope, phi_alpha,
                       phi_alpha_j, phi_alpha_l1, phi_alpha_l2sq,
                       verify_lemma22)
-from .mlf import MlEvalConfig, gamma_fn, ml_matrix, ml_scalar, ml_scalar_array
+from .mlf import gamma_fn, ml_matrix, ml_scalar, ml_scalar_array
 from .solver import (SimulationGrid, Trajectory, align_grid, picard_map,
                      solve_delay_free, solve_oracle, solve_trajectory)
 from .spectral import (BetaWeights, SpectralDecomposition,

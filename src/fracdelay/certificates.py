@@ -41,7 +41,6 @@ import numpy as np
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
                      OrderTooLow, PremiseViolated, WindowOutOfRange)
 from .kernels import Kernels, phi_alpha_l1, spectral_norms
-from .mlf import DEFAULT_CONFIG, MlEvalConfig
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm)
 from .tables import (TimeFunctionTable, l2_window_norm,
@@ -49,6 +48,8 @@ from .tables import (TimeFunctionTable, l2_window_norm,
 
 _TIE_TOL = 1e-12
 _QUAD_TOL = 1e-9
+# largest |phi_j| on the prehistory that counts as zero in high_order_check
+_ZERO_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +87,13 @@ class _CertInputs:
     """
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
-                 cfg: MlEvalConfig, deltas, powers, tol: float):
+                 deltas, powers, tol: float):
         sys = prob.system
         bounds, ctl = _gain_bounds(prob, feedback)
         bn = b_sup_norm(prob)
         lags = range(1, len(sys.delays))
         self.prob = prob
-        self.ker = Kernels(sys.alpha, sys.A[0], cfg)
+        self.ker = Kernels(sys.alpha, sys.A[0])
         self.a0 = atilde_sup_norm(prob, 0) + bn * bounds[0]
         self.a_delayed = sum(ahat_sup_norm(prob, i) + bn * bounds[i]
                              for i in lags)
@@ -129,21 +130,18 @@ def _g(inputs: _CertInputs, delta: float):
 
 
 def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
-             delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
-             tol: float = _QUAD_TOL):
+             delta: float, tol: float = _QUAD_TOL):
     """Window-contraction certificate; gains enter through their declared bounds.
 
     Returns (value, feasible); infeasible means the inverse factor's
     denominator was not positive, reported rather than raised.
     """
-    return _g(_CertInputs(prob, feedback, cfg, [delta], (1,), tol), delta)
+    return _g(_CertInputs(prob, feedback, [delta], (1,), tol), delta)
 
 
-def cert_g_h(prob: ValidatedProblem, delta: float,
-             cfg: MlEvalConfig = DEFAULT_CONFIG,
-             tol: float = _QUAD_TOL):
+def cert_g_h(prob: ValidatedProblem, delta: float, tol: float = _QUAD_TOL):
     """Uncontrolled certificate: the controlled one with zero gain bounds."""
-    return cert_g_f(prob, ControlInput.none(), delta, cfg, tol)
+    return cert_g_f(prob, ControlInput.none(), delta, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +176,26 @@ def _g_hat(inputs: _CertInputs, t: float, delta: float):
 
 
 def cert_g_hat_f(prob: ValidatedProblem, feedback: ControlInput | None,
-                 t: float, delta: float,
-                 cfg: MlEvalConfig = DEFAULT_CONFIG,
-                 tol: float = _QUAD_TOL):
+                 t: float, delta: float, tol: float = _QUAD_TOL):
     """Windowed-L2 certificate at window start t; requires alpha > 1/2.
 
     Gain terms enter as L2 windows of B K_i.
     """
-    return _g_hat(_CertInputs(prob, feedback, cfg, [delta], (2,), tol), t,
-                  delta)
+    return _g_hat(_CertInputs(prob, feedback, [delta], (2,), tol), t, delta)
 
 
 def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float,
-                 cfg: MlEvalConfig = DEFAULT_CONFIG,
                  tol: float = _QUAD_TOL):
     """Uncontrolled windowed-L2 certificate: no B K_i windows."""
-    return cert_g_hat_f(prob, ControlInput.none(), t, delta, cfg, tol)
+    return cert_g_hat_f(prob, ControlInput.none(), t, delta, tol)
 
 
 # ---------------------------------------------------------------------------
 # admissible gain bounds
 # ---------------------------------------------------------------------------
 
-def gain_bound_uniform(prob: ValidatedProblem, delta: float, epsilon: float,
-                       cfg: MlEvalConfig = DEFAULT_CONFIG) -> float:
+def gain_bound_uniform(prob: ValidatedProblem, delta: float,
+                       epsilon: float) -> float:
     """Largest uniform gain bound preserving the margin epsilon.
 
     Requires g_h(delta) < 1 - epsilon; a zero input norm makes the bound
@@ -209,8 +203,7 @@ def gain_bound_uniform(prob: ValidatedProblem, delta: float, epsilon: float,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    inputs = _CertInputs(prob, ControlInput.none(), cfg, [delta], (1,),
-                         _QUAD_TOL)
+    inputs = _CertInputs(prob, ControlInput.none(), [delta], (1,), _QUAD_TOL)
     value, feasible = _g(inputs, delta)
     if not feasible or value >= 1.0 - epsilon:
         raise PremiseViolated(
@@ -224,14 +217,12 @@ def gain_bound_uniform(prob: ValidatedProblem, delta: float, epsilon: float,
 
 
 def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
-                  cfg: MlEvalConfig = DEFAULT_CONFIG,
                   t: float | None = None) -> float:
     """L2 analogue bounding the summed windowed gain norms."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     t0 = prob.system.h if t is None else t
-    inputs = _CertInputs(prob, ControlInput.none(), cfg, [delta], (2,),
-                         _QUAD_TOL)
+    inputs = _CertInputs(prob, ControlInput.none(), [delta], (2,), _QUAD_TOL)
     value, feasible = _g_hat(inputs, t0, delta)
     if not feasible or value >= 1.0 - epsilon:
         raise PremiseViolated(
@@ -279,7 +270,6 @@ class CertificateReport:
 
 def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
             delta_grid=None, t_grid=None,
-            cfg: MlEvalConfig = DEFAULT_CONFIG,
             tol: float = _QUAD_TOL) -> CertificateReport:
     """Evaluate the applicable certificate family over a delta grid.
 
@@ -299,7 +289,7 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
     if t_grid is None:
         t_grid = [prob.system.h]
     with_hat = prob.system.alpha > 0.5
-    inputs = _CertInputs(prob, feedback, cfg, delta_grid,
+    inputs = _CertInputs(prob, feedback, delta_grid,
                          (1, 2) if with_hat else (1,), tol)
 
     entries = []
@@ -400,8 +390,7 @@ def _l1_to_infinity(ker: Kernels) -> float:
 
 
 def delay_free_certify(prob: ValidatedProblem,
-                       feedback: ControlInput | None = None,
-                       cfg: MlEvalConfig = DEFAULT_CONFIG) -> DelayFreeBounds:
+                       feedback: ControlInput | None = None) -> DelayFreeBounds:
     """Solution bounds for the all-lags-zero encoding.
 
     Kernels use A0 -> sum_i A_i; a constant lag-0 feedback gain with constant
@@ -422,7 +411,7 @@ def delay_free_certify(prob: ValidatedProblem,
         A_bar = A_bar + sys.B.values[0] @ ctl.gains[0]
         load_terms[0] = atilde_sup_norm(prob, 0)
 
-    ker = Kernels(sys.alpha, A_bar, cfg)
+    ker = Kernels(sys.alpha, A_bar)
     lam = np.linalg.eigvals(ker.A0)
     rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
     T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(sys.alpha, 1.0)))
@@ -431,7 +420,7 @@ def delay_free_certify(prob: ValidatedProblem,
     tail_by_j = []
     tail_mask = grid >= 0.8 * T0
     for j in range(sys.k):
-        norms = spectral_norms(ker.phi_j(j, grid, 1e-8))
+        norms = spectral_norms(ker.phi_j(j, grid))
         sup_by_j.append(float(np.max(norms)))
         tail_by_j.append(float(np.max(norms[tail_mask])))
     K0 = max(sup_by_j)
@@ -465,9 +454,7 @@ class HighOrderResult:
                 "spectral_passes": self.spectral_passes, **self.details}
 
 
-def high_order_check(prob: ValidatedProblem,
-                     cfg: MlEvalConfig = DEFAULT_CONFIG,
-                     zero_tol: float = 1e-12) -> HighOrderResult:
+def high_order_check(prob: ValidatedProblem) -> HighOrderResult:
     """Boundedness check for orders alpha >= 2 (not a stability verdict).
 
     Requires phi_j identically zero for every j < alpha - 1 and the strict
@@ -484,9 +471,9 @@ def high_order_check(prob: ValidatedProblem,
         if j < sys.alpha - 1.0:
             ss = np.linspace(phi.t_start, 0.0, 2001)
             worst = float(np.max(np.abs(phi(ss))))
-            if worst > zero_tol:
+            if worst > _ZERO_TOL:
                 zero_ok = False
-    t34 = theorem34_certify(sys, cfg)
+    t34 = theorem34_certify(sys)
     spectral_ok = bool(t34.arg_condition_met and t34.strict_norm_test)
     verdict = ("BoundedIndependentOfDelays" if zero_ok and spectral_ok
                else "Inconclusive")

@@ -28,7 +28,6 @@ from .certificates import (DEFAULT_DELTA_GRID, certify, delay_free_certify,
                            high_order_check)
 from .errors import FracDelayError, KernelNotIntegrable, OrderTooLow
 from .kernels import Kernels, verify_lemma22
-from .mlf import MlEvalConfig
 from .solver import align_grid, solve_oracle, solve_trajectory
 from .spectral import theorem34_certify
 from .system import load_problem, problem_to_dict
@@ -102,8 +101,6 @@ def _add_common(sp):
     sp.add_argument("--out", default=None, help="directory for output artifacts")
     sp.add_argument("--tol", type=float, default=1e-9,
                     help="quadrature tolerance for certificate integrals")
-    sp.add_argument("--ml-tol", type=float, default=1e-12,
-                    help="series truncation tolerance")
     sp.add_argument("--dump-normalized", action="store_true",
                     help="echo the normalized problem JSON and exit")
 
@@ -157,9 +154,9 @@ def build_parser() -> _Parser:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _run_ml(args, prob, cfg) -> int:
+def _run_ml(args, prob) -> int:
     sys_ = prob.system
-    ker = Kernels(sys_.alpha, sys_.A[0], cfg)
+    ker = Kernels(sys_.alpha, sys_.A[0])
     t = args.t
     doc = {
         "alpha": sys_.alpha,
@@ -177,9 +174,9 @@ def _run_ml(args, prob, cfg) -> int:
     return 0
 
 
-def _run_simulate(args, prob, cfg) -> int:
+def _run_simulate(args, prob) -> int:
     grid = align_grid(args.step, args.horizon, prob.system.delays)
-    traj = solve_trajectory(prob, grid, cfg)
+    traj = solve_trajectory(prob, grid)
     doc = {
         "step": grid.step,
         "horizon": grid.horizon,
@@ -199,24 +196,24 @@ def _run_simulate(args, prob, cfg) -> int:
     return 0
 
 
-def _run_certify(args, prob, cfg) -> int:
+def _run_certify(args, prob) -> int:
     delta_grid = (DEFAULT_DELTA_GRID if args.delta_grid is None
                   else _parse_grid_spec(args.delta_grid))
     t_grid = None
     if args.t_grid is not None:
         t_grid = [float(x) for x in args.t_grid.split(",")]
-    report = certify(prob, None, delta_grid, t_grid, cfg, tol=args.tol)
+    report = certify(prob, None, delta_grid, t_grid, tol=args.tol)
     doc = report.as_dict()
     doc["bounds"] = None
     doc["high_order"] = None
     if prob.system.is_delay_free:
         try:
-            doc["bounds"] = delay_free_certify(prob, None, cfg).as_dict()
+            doc["bounds"] = delay_free_certify(prob).as_dict()
         except KernelNotIntegrable as exc:
             doc["bounds"] = {"error": str(exc)}
     if prob.system.alpha >= 2.0:
         try:
-            doc["high_order"] = high_order_check(prob, cfg).as_dict()
+            doc["high_order"] = high_order_check(prob).as_dict()
         except OrderTooLow:
             pass
     _emit(doc, args.out, "report.json")
@@ -226,18 +223,18 @@ def _run_certify(args, prob, cfg) -> int:
     return 2 if inconclusive else 0
 
 
-def _run_spectral(args, prob, cfg) -> int:
-    res = theorem34_certify(prob.system, cfg)
+def _run_spectral(args, prob) -> int:
+    res = theorem34_certify(prob.system)
     _emit(res.as_dict(), args.out, "spectral.json")
     return 2 if res.verdict == "Inconclusive" else 0
 
 
-def _run_verify_bounds(args, prob, cfg) -> int:
+def _run_verify_bounds(args, prob) -> int:
     if args.t_grid is not None:
         t_grid = np.array([float(x) for x in args.t_grid.split(",")])
     else:
         t_grid = np.geomspace(0.1, 10.0, 50)
-    report = verify_lemma22(prob.system, t_grid, cfg)
+    report = verify_lemma22(prob.system, t_grid)
     _emit(report.as_dict(), args.out, "bounds.json")
     return 0 if report.all_passed else 2
 
@@ -255,12 +252,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = MlEvalConfig(rel_tol=args.ml_tol)
         prob = load_problem(args.problem)
         if args.dump_normalized:
             _emit(problem_to_dict(prob), args.out, "problem.normalized.json")
             return 0
-        return _RUNNERS[args.command](args, prob, cfg)
+        return _RUNNERS[args.command](args, prob)
     except FracDelayError as exc:
         sys.stderr.write(dump_json({"error": type(exc).__name__,
                                     "message": str(exc)}) + "\n")

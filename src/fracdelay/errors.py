@@ -42,7 +42,7 @@ class PoleAtNonpositiveInteger(FracDelayError):
 
 
 class OverflowBeyondRepresentableRange(FracDelayError):
-    """Gamma argument too large for double precision."""
+    """A Gamma or Mittag-Leffler value beyond double range."""
 
 
 class SeriesNotConverged(FracDelayError):

@@ -39,8 +39,7 @@ from scipy.special import gammaln, rgamma
 
 from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
                      SingularAtZero)
-from .mlf import (DEFAULT_CONFIG, MlEvalConfig, _ml_matrix_series, eig_factors,
-                  ml_scalar_array)
+from .mlf import _ml_matrices, eig_factors, ml_scalar_array
 from .system import FractionalDelaySystem
 
 _HALVINGS = 10      # a single delta runs over the edges delta 2^-k, k <= 10
@@ -56,47 +55,32 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
 class Kernels:
     """Vectorized evaluator of the kernel family for one (alpha, A0) pair."""
 
-    def __init__(self, alpha: float, A0: np.ndarray,
-                 cfg: MlEvalConfig = DEFAULT_CONFIG):
+    def __init__(self, alpha: float, A0: np.ndarray):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
         self.A0 = np.atleast_2d(np.asarray(A0, dtype=float))
         self.n = self.A0.shape[0]
-        self.cfg = cfg
-        self._fac = eig_factors(self.A0, cfg.spectral_threshold)
+        self._fac = eig_factors(self.A0)
 
-    def e_ml(self, beta: float, t,
-             rel_tol: float | None = None) -> np.ndarray:
+    def e_ml(self, beta: float, t) -> np.ndarray:
         """E_{alpha,beta}(A0 t^alpha) for an array of t >= 0, shape (N, n, n)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        scale = t ** self.alpha
-        rel_tol = self.cfg.rel_tol if rel_tol is None else rel_tol
-        if self._fac is not None:
-            lam, factors = self._fac
-            f = ml_scalar_array(self.alpha, beta, np.multiply.outer(lam, scale),
-                                rel_tol, self.cfg.max_terms)
-            return np.real(np.einsum("kN,kij->Nij", f, factors))
-        out = np.empty((t.size, self.n, self.n))
-        for idx, s in enumerate(scale):
-            out[idx] = np.real(_ml_matrix_series(self.alpha, beta,
-                                                 self.A0 * s, rel_tol,
-                                                 self.cfg.max_terms))
-        return out
+        return _ml_matrices(self.alpha, beta, self.A0, self._fac,
+                            t ** self.alpha)
 
-    def phi_j(self, j: int, t,
-              rel_tol: float | None = None) -> np.ndarray:
+    def phi_j(self, j: int, t) -> np.ndarray:
         """Initial-data kernel t^j E_{a,j+1}(A0 t^a); zero for t < 0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((t.size, self.n, self.n))
         pos = t >= 0
         if np.any(pos):
             tp = t[pos]
-            vals = self.e_ml(j + 1, tp, rel_tol)
+            vals = self.e_ml(j + 1, tp)
             out[pos] = (tp ** j)[:, None, None] * vals
         return out
 
-    def phi(self, t, rel_tol: float | None = None) -> np.ndarray:
+    def phi(self, t) -> np.ndarray:
         """Forcing kernel t^(a-1) E_{a,a}(A0 t^a); zero for t < 0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.alpha < 1 and np.any(t == 0):
@@ -106,36 +90,34 @@ class Kernels:
         pos = t >= 0
         if np.any(pos):
             tp = t[pos]
-            vals = self.e_ml(self.alpha, tp, rel_tol)
+            vals = self.e_ml(self.alpha, tp)
             out[pos] = (tp ** (self.alpha - 1.0))[:, None, None] * vals
         return out
 
-    def int_phi(self, T, rel_tol: float | None = None) -> np.ndarray:
+    def int_phi(self, T) -> np.ndarray:
         """Exact primitive integral_0^T phi(s) ds = T^a E_{a,a+1}(A0 T^a)."""
         T = np.atleast_1d(np.asarray(T, dtype=float))
-        vals = self.e_ml(self.alpha + 1, T, rel_tol)
+        vals = self.e_ml(self.alpha + 1, T)
         return (T ** self.alpha)[:, None, None] * vals
 
-    def int_s_phi(self, T, rel_tol: float | None = None,
-                  int_phi: np.ndarray | None = None) -> np.ndarray:
+    def int_s_phi(self, T, int_phi: np.ndarray | None = None) -> np.ndarray:
         """Exact primitive integral_0^T s phi(s) ds.
 
         Termwise integration gives T^(a+1) [E_{a,a+1} - E_{a,a+2}](A0 T^a),
         that is T int_phi(T) - T^(a+1) E_{a,a+2}(A0 T^a); a caller that
-        holds ``int_phi(T, rel_tol)`` passes it to skip evaluating it again.
+        holds ``int_phi(T)`` passes it to skip evaluating it again.
         """
         T = np.atleast_1d(np.asarray(T, dtype=float))
         if int_phi is None:
-            int_phi = self.int_phi(T, rel_tol)
-        vals = self.e_ml(self.alpha + 2, T, rel_tol)
+            int_phi = self.int_phi(T)
+        vals = self.e_ml(self.alpha + 2, T)
         return (T[:, None, None] * int_phi
                 - (T ** (self.alpha + 1.0))[:, None, None] * vals)
 
     # -- norms of the smooth factor, vectorized -------------------------
 
-    def _e_norms(self, beta: float, s: np.ndarray,
-                 rel_tol: float) -> np.ndarray:
-        return spectral_norms(self.e_ml(beta, s, rel_tol))
+    def _e_norms(self, beta: float, s: np.ndarray) -> np.ndarray:
+        return spectral_norms(self.e_ml(beta, s))
 
     def norm_integrals(self, edges, powers, tol: float) -> np.ndarray:
         """integral_(e_0)^(e_k) ||phi(s)||_2^p ds for each p in ``powers``.
@@ -171,7 +153,8 @@ class Kernels:
             probe = np.union1d(_segment_mesh(edges[0], edges[-1], 2048,
                                              max(1.0, 1.0 / alpha))[1:],
                                edges[1:])
-            vals = np.real(self.e_ml(alpha, probe, 1e-6)[:, 0, 0])
+            vals = ml_scalar_array(alpha, alpha,
+                                   self.A0[0, 0] * probe ** alpha).real
             # the primitive serves the edges before the first probe point
             # where the smooth factor is no longer clearly of its first sign
             bad = np.flatnonzero(vals * np.sign(vals[0]) <= 1e-7)
@@ -186,7 +169,7 @@ class Kernels:
             def w(s):
                 norms = np.empty(s.shape)
                 pos = s > 0
-                norms[pos] = self._e_norms(alpha, s[pos], 1e-11)
+                norms[pos] = self._e_norms(alpha, s[pos])
                 # limit of ||E_{a,a}(A0 s^a)|| at 0+
                 norms[~pos] = rgamma(alpha)
                 return np.array([norms ** p for p in quad_powers])
@@ -196,9 +179,9 @@ class Kernels:
                 grading=max(gradings[p] for p in quad_powers),
                 noise_floor=3e-8)
         if exact.any():
-            prim = self.int_phi(edges[1:][exact], 1e-13)[:, 0, 0]
+            prim = self.int_phi(edges[1:][exact])[:, 0, 0]
             if edges[0] > 0:
-                prim = prim - self.int_phi(edges[:1], 1e-13)[0, 0, 0]
+                prim = prim - self.int_phi(edges[:1])[0, 0, 0]
             out[powers.index(1), exact] = np.abs(prim)
         return out
 
@@ -207,26 +190,26 @@ class Kernels:
 # spec-level operations
 # ---------------------------------------------------------------------------
 #
-# ``sys`` is a Kernels (used as is, ``cfg`` ignored), a FractionalDelaySystem
-# (its alpha and A[0]) or an (alpha, A0) pair.
+# ``sys`` is a Kernels (used as is), a FractionalDelaySystem (its alpha and
+# A[0]) or an (alpha, A0) pair.
 
-def _kernels(sys, cfg: MlEvalConfig) -> Kernels:
+def _kernels(sys) -> Kernels:
     if isinstance(sys, Kernels):
         return sys
     if isinstance(sys, FractionalDelaySystem):
-        return Kernels(sys.alpha, sys.A[0], cfg)
+        return Kernels(sys.alpha, sys.A[0])
     alpha, A0 = sys
-    return Kernels(alpha, A0, cfg)
+    return Kernels(alpha, A0)
 
 
-def phi_alpha_j(sys, j: int, t: float, cfg: MlEvalConfig = DEFAULT_CONFIG):
+def phi_alpha_j(sys, j: int, t: float):
     """t^j E_{a,j+1}(A0 t^a); the zero matrix for t < 0."""
-    return _kernels(sys, cfg).phi_j(j, np.array([t]))[0]
+    return _kernels(sys).phi_j(j, np.array([t]))[0]
 
 
-def phi_alpha(sys, t: float, cfg: MlEvalConfig = DEFAULT_CONFIG):
+def phi_alpha(sys, t: float):
     """t^(a-1) E_{a,a}(A0 t^a); zero for t < 0, singular at 0 when a < 1."""
-    return _kernels(sys, cfg).phi(np.array([t]))[0]
+    return _kernels(sys).phi(np.array([t]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +348,14 @@ def weighted_singular_integral(gamma_exp, w_func, delta,
     return float(out) if out.ndim == 0 else out
 
 
-def phi_alpha_l1(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
-                 tol: float = 1e-10) -> float:
+def phi_alpha_l1(sys, delta: float, tol: float = 1e-10) -> float:
     """integral_0^delta ||phi(s)||_2 ds (see ``Kernels.norm_integrals``)."""
-    return float(_kernels(sys, cfg).norm_integrals(delta, (1,), tol)[0, 0])
+    return float(_kernels(sys).norm_integrals(delta, (1,), tol)[0, 0])
 
 
-def phi_alpha_l2sq(sys, delta: float, cfg: MlEvalConfig = DEFAULT_CONFIG,
-                   tol: float = 1e-10) -> float:
+def phi_alpha_l2sq(sys, delta: float, tol: float = 1e-10) -> float:
     """integral_0^delta ||phi(s)||_2^2 ds; requires alpha > 1/2."""
-    return float(_kernels(sys, cfg).norm_integrals(delta, (2,), tol)[0, 0])
+    return float(_kernels(sys).norm_integrals(delta, (2,), tol)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +521,7 @@ def _check_from_sides(name, lhs, rhs, slack=1e-9) -> BoundCheck:
                       worst_margin=float(np.min(margin)), worst_ratio=ratio)
 
 
-def verify_lemma22(sys, t_grid, cfg: MlEvalConfig = DEFAULT_CONFIG,
+def verify_lemma22(sys, t_grid,
                    envelope: DecayEnvelope | None = None) -> BoundReport:
     """Check the kernel norm inequalities on a time grid.
 
@@ -552,7 +533,7 @@ def verify_lemma22(sys, t_grid, cfg: MlEvalConfig = DEFAULT_CONFIG,
     relations between phi_(k-1), phi, and phi_(k-2) are checked with the
     provable Gamma-ratio constants.
     """
-    ker = _kernels(sys, cfg)
+    ker = _kernels(sys)
     alpha, A0 = ker.alpha, ker.A0
     k = int(math.ceil(alpha - 1e-12))
     t_grid = np.sort(np.asarray(t_grid, dtype=float))

@@ -54,15 +54,15 @@ from scipy.special import rgamma
 from .errors import (DelaysNotZero, DimensionMismatch, GridTooLarge,
                      NodeCorrectionDiverged)
 from .kernels import Kernels
-from .mlf import DEFAULT_CONFIG, MlEvalConfig
 from .system import ValidatedProblem
 
-_SOLVER_EVAL_TOL = 1e-11
 # nodes solved one by one between two FFT far-history updates
 _LEAF = 64
 # largest grid accepted: the solvers hold (nodes, n, n) weight and
 # coefficient tables in memory
 _MAX_NODES = 1_000_000
+# corrector passes per node of the oracle
+_CORRECTOR_PASSES = 2
 
 
 def _float_gcd(a: float, b: float, tol: float = 1e-9) -> float:
@@ -122,8 +122,9 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.grid.times
 
-    def sup_norm(self, vector_order=np.inf) -> float:
-        return float(np.max(np.linalg.norm(self.states, vector_order, axis=1)))
+    def sup_norm(self) -> float:
+        """max over nodes of the max-norm of the state."""
+        return float(np.max(np.abs(self.states)))
 
     def to_csv(self, path) -> None:
         n = self.states.shape[1]
@@ -264,17 +265,16 @@ def _leaves(K: np.ndarray, G: np.ndarray, acc: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _Discretization(_Sampling):
-    def __init__(self, prob: ValidatedProblem, grid: SimulationGrid,
-                 cfg: MlEvalConfig):
+    def __init__(self, prob: ValidatedProblem, grid: SimulationGrid):
         super().__init__(prob, grid)
         sys = prob.system
 
         # initial-data term f_m = sum_j phi_j(t_m) x_j0
-        ker = Kernels(sys.alpha, self.A0_eff, cfg)
+        ker = Kernels(sys.alpha, self.A0_eff)
         x0 = prob.ics.x0
         self.f = np.zeros((self.L + 1, self.n))
         for j in range(sys.k):
-            mats = ker.phi_j(j, self.times, _SOLVER_EVAL_TOL)
+            mats = ker.phi_j(j, self.times)
             self.f += np.einsum("qij,j->qi", mats, x0[j])
 
         # per-gap quadrature weights of the matrix kernel: the cell g steps
@@ -282,8 +282,8 @@ class _Discretization(_Sampling):
         # node q >= 1 gets K(m - q) = Wl(m - q) + Wr(m - q + 1), K(0) = Wr(1)
         # (built in place: these tables set the solver's peak memory)
         T = self.dt * np.arange(self.L + 1, dtype=float)
-        P0 = ker.int_phi(T, _SOLVER_EVAL_TOL)
-        P1 = ker.int_s_phi(T, _SOLVER_EVAL_TOL, int_phi=P0)
+        P0 = ker.int_phi(T)
+        P1 = ker.int_s_phi(T, int_phi=P0)
         m0 = P0[1:] - P0[:-1]
         del P0
         self.Wl = np.zeros((self.L + 1, self.n, self.n))
@@ -329,33 +329,32 @@ def _march(disc: _Discretization) -> np.ndarray:
     return states.copy()
 
 
-def solve_trajectory(prob: ValidatedProblem, grid: SimulationGrid,
-                     cfg: MlEvalConfig = DEFAULT_CONFIG) -> Trajectory:
+def solve_trajectory(prob: ValidatedProblem,
+                     grid: SimulationGrid) -> Trajectory:
     """March the solution representation over the grid."""
-    disc = _Discretization(prob, grid, cfg)
+    disc = _Discretization(prob, grid)
     states = _march(disc)
     return Trajectory(grid=grid, states=states, prehistory=prob.ics)
 
 
-def solve_delay_free(prob: ValidatedProblem, grid: SimulationGrid,
-                     cfg: MlEvalConfig = DEFAULT_CONFIG) -> Trajectory:
+def solve_delay_free(prob: ValidatedProblem,
+                     grid: SimulationGrid) -> Trajectory:
     """Delay-free variant: kernels built with A0 -> sum of all A_i."""
     if not prob.system.is_delay_free:
         raise DelaysNotZero(
             f"system has nonzero delays {prob.system.delays}")
-    return solve_trajectory(prob, grid, cfg)
+    return solve_trajectory(prob, grid)
 
 
 def picard_map(prob: ValidatedProblem, phi_traj: Trajectory,
-               grid: SimulationGrid,
-               cfg: MlEvalConfig = DEFAULT_CONFIG) -> Trajectory:
+               grid: SimulationGrid) -> Trajectory:
     """One application of the solution-representation map to a trajectory.
 
     The supplied trajectory stands in for the unknown on t >= 0 (prehistory
     always comes from the problem's initial data); the image is the right
     side evaluated with it.  The true solution is its fixed point.
     """
-    disc = _Discretization(prob, grid, cfg)
+    disc = _Discretization(prob, grid)
     L = disc.L
     src = phi_traj.states
     if src.shape != (L + 1, disc.n):
@@ -380,8 +379,7 @@ def picard_map(prob: ValidatedProblem, phi_traj: Trajectory,
 # independent cross-validation solver
 # ---------------------------------------------------------------------------
 
-def solve_oracle(prob: ValidatedProblem, grid: SimulationGrid,
-                 corrector_passes: int = 2) -> Trajectory:
+def solve_oracle(prob: ValidatedProblem, grid: SimulationGrid) -> Trajectory:
     """Fractional Adams predictor-corrector on the state equation itself.
 
     Discretizes  x(t) = T(t) + (1/Gamma(a)) integral (t-tau)^(a-1) F(tau) dtau
@@ -442,7 +440,7 @@ def solve_oracle(prob: ValidatedProblem, grid: SimulationGrid,
                 F[m] += dn
                 acc[m, 1] += w1 * dn
             x = acc[m, 0]
-            for _ in range(corrector_passes):
+            for _ in range(_CORRECTOR_PASSES):
                 x = acc[m, 1] + w1_A[m - lo] @ x
             states[m] = x
             F[m] += A_now[m] @ x

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (AllBlocksZero, DefectiveMatrixNoTransform,
                      EigenvalueAtOrigin, SingularMatrix)
-from .mlf import DEFAULT_CONFIG, MlEvalConfig
+from .mlf import SPECTRAL_THRESHOLD
 from .system import FractionalDelaySystem
 from .tables import induced_norm
 
@@ -79,13 +79,14 @@ class SpectralDecomposition:
         return np.diag(self.J_d)
 
 
-def decompose(A0: np.ndarray, spectral_threshold: float = 1e8,
+def decompose(A0: np.ndarray,
               T: np.ndarray | None = None) -> SpectralDecomposition:
     """Eigendecomposition in transform form, or a split along a supplied T.
 
     Without ``T`` the matrix must be safely diagonalizable (eigenvector
-    condition number below the threshold); a user transform covers defective
-    matrices, with J = T A0 T^-1 split into diagonal and off-diagonal parts.
+    condition number below ``SPECTRAL_THRESHOLD``); a user transform covers
+    defective matrices, with J = T A0 T^-1 split into diagonal and
+    off-diagonal parts.
     """
     A0 = np.atleast_2d(np.asarray(A0, dtype=float))
     if T is not None:
@@ -96,10 +97,10 @@ def decompose(A0: np.ndarray, spectral_threshold: float = 1e8,
     else:
         lam, V = np.linalg.eig(A0)
         cond_v = np.linalg.cond(V)
-        if not np.isfinite(cond_v) or cond_v >= spectral_threshold:
+        if not np.isfinite(cond_v) or cond_v >= SPECTRAL_THRESHOLD:
             raise DefectiveMatrixNoTransform(
                 f"eigenvector condition number {cond_v:.3g} exceeds "
-                f"{spectral_threshold:.3g}; supply a transform explicitly")
+                f"{SPECTRAL_THRESHOLD:.3g}; supply a transform explicitly")
         T = np.linalg.inv(V)
         J_d = np.diag(lam)
         J_off = np.zeros_like(J_d)
@@ -249,7 +250,6 @@ class Theorem34Result:
 
 
 def theorem34_certify(sys: FractionalDelaySystem,
-                      cfg: MlEvalConfig = DEFAULT_CONFIG,
                       T: np.ndarray | None = None) -> Theorem34Result:
     """Delay-independent stability test from the eigenstructure of A0.
 
@@ -259,7 +259,7 @@ def theorem34_certify(sys: FractionalDelaySystem,
     equality (to 1e-12) global stability.  The eigenvalue argument condition
     is evaluated and reported alongside; it is not the gate.
     """
-    dec = decompose(sys.A[0], cfg.spectral_threshold, T=T)
+    dec = decompose(sys.A[0], T=T)
     m = frac_power_measure(dec, sys.alpha)
     lam = dec.eigenvalues
     arg_ok = bool(np.all(np.abs(np.angle(lam))

@@ -126,7 +126,7 @@ class TestIntegrals:
         def w(s):
             out = np.empty(s.shape)
             pos = s > 0
-            out[pos] = np.linalg.svd(ker.e_ml(0.7, s[pos], 1e-11),
+            out[pos] = np.linalg.svd(ker.e_ml(0.7, s[pos]),
                                      compute_uv=False)[:, 0]
             out[~pos] = 1.0 / math.gamma(0.7)
             return out

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -11,10 +12,11 @@ from scipy.linalg import expm
 from scipy.special import erfc
 
 import fracdelay
-from fracdelay import MlEvalConfig, gamma_fn, ml_matrix, ml_scalar
+from fracdelay import gamma_fn, ml_matrix, ml_scalar
 from fracdelay.errors import (OverflowBeyondRepresentableRange,
                               PoleAtNonpositiveInteger, SeriesNotConverged)
-from fracdelay.mlf import _series_double, ml_scalar_array
+from fracdelay.mlf import (_EPS, _MAX_TERMS, _ml_matrix_series, _series_double,
+                          ml_scalar_array)
 
 
 def ml_reference(alpha, beta, z):
@@ -121,7 +123,6 @@ class TestMlScalar:
         assert err[0] < 1e-11
 
     def test_series_cap_raises(self):
-        from fracdelay.mlf import _ml_matrix_series
         with pytest.raises(SeriesNotConverged):
             _ml_matrix_series(0.5, 1.0, np.array([[-30.0]]), 1e-14, 8)
 
@@ -145,13 +146,14 @@ class TestMlScalar:
 
 
 # the contour probe: every order band, the betas Kernels uses, arg z in
-# {pi, 0.8 pi, 0.5 pi, 0} at sizes the reference sums quickly, plus two
+# {pi, 0.8 pi, 0.5 pi, 0} at sizes the reference sums quickly (|z| = 1 on
+# the power series' side of its seam with the contour), plus two
 # alpha = 1.2 points in the annulus where neither the power series nor the
 # large-|z| expansion keeps its digits in double precision
 PROBE_ALPHAS = (0.3, 0.6, 0.9, 1.2, 1.5, 1.8)
-PROBE_ZS = ([sign * r for sign in (-1.0, 1.0) for r in (0.5, 4.0, 15.0)]
+PROBE_ZS = ([sign * r for sign in (-1.0, 1.0) for r in (0.5, 1.0, 4.0, 15.0)]
             + [r * np.exp(1j * th * np.pi) for th in (0.8, 0.5)
-               for r in (0.5, 4.0, 15.0)])
+               for r in (0.5, 1.0, 4.0, 15.0)])
 
 
 def probe_points(alpha):
@@ -180,6 +182,14 @@ class TestContour:
             one = [ml_scalar_array(alpha, beta, zs[i:i + 1])[0]
                    for i in range(zs.size)]
             assert arr.tolist() == one, beta
+
+    def test_complex_overflow_raises_and_real_gives_inf(self):
+        for alpha, beta, r, th in ((0.5, 1.0, 200.0, 0.1),
+                                   (0.9, 0.9, 1e6, 0.3)):
+            with pytest.raises(OverflowBeyondRepresentableRange,
+                               match=rf"E_\{{{alpha},{beta}\}}\("):
+                ml_scalar_array(alpha, beta, np.array([r * np.exp(1j * th)]))
+            assert ml_scalar_array(alpha, beta, np.array([r]))[0] == np.inf
 
     def test_import_does_not_load_mpmath(self):
         # mpmath is a test dependency: the tests' reference, not the library's
@@ -213,8 +223,9 @@ class TestMlMatrix:
             t = float(rng.uniform(0.2, 1.5))
             alpha, beta = 0.8, 1.0
             spectral = ml_matrix(alpha, beta, A, t)
-            series = ml_matrix(alpha, beta, A, t,
-                               MlEvalConfig(spectral_threshold=1.0))
+            # the series path as ml_matrix runs it for a defective matrix
+            series = _ml_matrix_series(alpha, beta, A * t ** alpha, _EPS,
+                                       _MAX_TERMS)
             assert np.max(np.abs(spectral - series)) <= 1e-9 * max(
                 1.0, np.max(np.abs(spectral)))
 
@@ -238,3 +249,15 @@ class TestMlMatrix:
         with pytest.raises(SeriesNotConverged):
             ml_matrix(0.8, 0.8, np.array([[-2.0, 1.0], [0.0, -2.0]]), 1000.0)
         assert time.monotonic() - t0 < 1.0
+
+
+def test_no_public_accuracy_options():
+    # the evaluator has one accuracy: nothing public takes a tolerance,
+    # term cap or configuration for it
+    banned = {"cfg", "rel_tol", "max_terms"}
+    public = [getattr(fracdelay, name) for name in fracdelay.__all__]
+    public += [member for name, member in vars(fracdelay.Kernels).items()
+               if not name.startswith("__")]
+    takers = [fn.__qualname__ for fn in public if callable(fn)
+              and banned & set(inspect.signature(fn).parameters)]
+    assert takers == []

@@ -13,7 +13,6 @@ from fracdelay import (ControlInput, Kernels, SimulationGrid,
 from fracdelay import solver
 from fracdelay.errors import (DelaysNotZero, DimensionMismatch, GridTooLarge,
                               NodeCorrectionDiverged)
-from fracdelay.mlf import DEFAULT_CONFIG
 
 
 class TestGrid:
@@ -132,14 +131,14 @@ def _sampled_terms(prob, grid):
 
 
 def _reference_march(prob, grid):
-    disc = solver._Discretization(prob, grid, DEFAULT_CONFIG)
+    disc = solver._Discretization(prob, grid)
     coeffs, Bu = _sampled_terms(prob, grid)
     delayed = [(lag, c) for lag, c in zip(disc.lags, coeffs) if lag > 0]
     n, L, dt = disc.n, disc.L, disc.dt
     ker = Kernels(prob.system.alpha, disc.A0_eff)
     T = dt * np.arange(L + 1, dtype=float)
-    P0 = ker.int_phi(T, 1e-11)
-    P1 = ker.int_s_phi(T, 1e-11)
+    P0 = ker.int_phi(T)
+    P1 = ker.int_s_phi(T)
     m0 = P0[1:] - P0[:-1]
     mu1 = (P1[1:] - P1[:-1]) - T[:-1][:, None, None] * m0
     zero = np.zeros((1, n, n))
@@ -289,7 +288,7 @@ class TestBlockedHistory:
             return e_ml(self, beta, *args, **kwargs)
 
         monkeypatch.setattr(Kernels, "e_ml", counted)
-        solver._Discretization(prob, grid, DEFAULT_CONFIG)
+        solver._Discretization(prob, grid)
         k = prob.system.k
         assert sorted(betas) == [j + 1.0 for j in range(k)] + [alpha + 1.0,
                                                                alpha + 2.0]
