@@ -23,7 +23,11 @@ integrable and covers strongly time-localized perturbations better.
 A certificate value at delta is the claimed bound for window sups taken at
 spacing delta; to compare against the decay of consecutive delay windows of
 a simulation, evaluate the grid at the delay itself.  The report's
-contraction constant is the minimum over the supplied grid.
+contraction constant is the minimum over the supplied grid.  The grid is
+evaluated as arrays: each family is one array expression over the sorted
+deltas, fed by one kernel integration, one stacked norm of the phi_j and
+one windowed-L2 pass per table and window start; a one-delta certificate
+is the same computation on a grid of one.
 
 The delay-free bounds follow the representation with A0 -> sum_i A_i: with
 K0_bar = sup_t max_j ||phi_j(t)||, K1_bar = L1(inf), and
@@ -40,10 +44,10 @@ import numpy as np
 
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
                      OrderTooLow, PremiseViolated, WindowOutOfRange)
-from .kernels import Kernels, phi_alpha_l1, spectral_norms
+from .kernels import Kernels, phi_alpha_l1
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm)
-from .tables import (TimeFunctionTable, l2_window_norm,
+from .tables import (TimeFunctionTable, induced_norms, l2_window_norms,
                      table_linear_combination)
 
 _TIE_TOL = 1e-12
@@ -59,20 +63,9 @@ _ZERO_TOL = 1e-12
 def _gain_bounds(prob: ValidatedProblem, feedback: ControlInput | None):
     """Per-lag declared gain bounds K_i^0 (zeros without feedback)."""
     ctl = feedback if feedback is not None else prob.control
-    r1 = len(prob.system.delays)
     if ctl is None or ctl.kind != "feedback":
-        return [0.0] * r1, None
+        return [0.0] * len(prob.system.delays), None
     return list(ctl.gain_bounds), ctl
-
-
-def _ahat_table(prob: ValidatedProblem, i: int) -> TimeFunctionTable:
-    return table_linear_combination(prob.system.A[i], prob.system.A_tilde[i])
-
-
-def _bk_table(prob: ValidatedProblem, K: np.ndarray) -> TimeFunctionTable:
-    B = prob.system.B
-    vals = np.einsum("qik,kj->qij", B.values, K)
-    return TimeFunctionTable(B.sample_times.copy(), vals, B.interpolation)
 
 
 class _CertInputs:
@@ -83,7 +76,7 @@ class _CertInputs:
     feedback both reduce to the uncontrolled certificates.  The kernel
     integrals ``||phi||^p`` for ``p in powers`` (1 for the uniform family, 2
     for the windowed-L2 one) come from one cumulative integration over the
-    sorted grid, the phi_j from one table per j, looked up per delta.
+    sorted grid, the phi_j norms from one table per j and one stacked norm.
     """
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
@@ -93,41 +86,72 @@ class _CertInputs:
         bn = b_sup_norm(prob)
         lags = range(1, len(sys.delays))
         self.prob = prob
-        self.ker = Kernels(sys.alpha, sys.A[0])
+        ker = Kernels(sys.alpha, sys.A[0])
         self.a0 = atilde_sup_norm(prob, 0) + bn * bounds[0]
         self.a_delayed = sum(ahat_sup_norm(prob, i) + bn * bounds[i]
                              for i in lags)
-        self.ahat = [(sys.delays[i], _ahat_table(prob, i)) for i in lags]
-        self.bk = (None if ctl is None
-                   else [_bk_table(prob, K) for K in ctl.gains])
-        grid = np.unique(np.asarray(deltas, dtype=float))
-        if not grid[0] > 0:
+        self.ahat = [(sys.delays[i], table_linear_combination(
+            sys.A[i], sys.A_tilde[i])) for i in lags]
+        B = sys.B
+        self.bk = None if ctl is None else [TimeFunctionTable(
+            B.sample_times.copy(), np.einsum("qik,kj->qij", B.values, K),
+            B.interpolation) for K in ctl.gains]
+        self.grid = np.unique(np.asarray(deltas, dtype=float))
+        if not self.grid[0] > 0:
             raise ValueError("delta must be positive")
-        table = self.ker.norm_integrals(np.concatenate(([0.0], grid)),
-                                        powers, tol)
-        keys = grid.tolist()
-        self.integrals = {p: dict(zip(keys, row))
-                          for p, row in zip(powers, table)}
-        phis = [self.ker.phi_j(j, grid) for j in range(sys.k)]
-        self.phi = {d: [p[i] for p in phis] for i, d in enumerate(keys)}
+        integrals = dict(zip(powers, ker.norm_integrals(
+            np.concatenate(([0.0], self.grid)), powers, tol)))
+        self.l1 = integrals.get(1)
+        self.l2k = np.sqrt(integrals[2]) if 2 in integrals else None
+        phis = np.array([ker.phi_j(j, self.grid) for j in range(sys.k)])
+        self.phi_sum_norm = induced_norms(phis.sum(axis=0))
+        self.phi_norm_sum = induced_norms(phis).sum(axis=0)
+
+    def g(self):
+        """Uniform-family values and feasibility per delta."""
+        return _contraction(self.phi_sum_norm + self.l1 * self.a_delayed,
+                            self.l1 * self.a0)
+
+    def g_hat(self, t: float):
+        """Windowed-L2 values (NaN where a window leaves a table's domain)
+        and feasibility per delta at window start t; the matrix functions
+        count as zero for t < 0, where the trajectory difference is zero."""
+        grid, bk = self.grid, self.bk
+        d_factor = l2_window_norms(self.prob.system.A_tilde[0], t, grid)
+        if bk is not None:
+            d_factor = d_factor + l2_window_norms(bk[0], t, grid)
+        numer = self.phi_norm_sum
+        for i, (r_i, ahat) in enumerate(self.ahat, start=1):
+            lo = max(t - r_i, 0.0)
+            numer = numer + self.l2k * l2_window_norms(
+                ahat, lo, (t - r_i + grid) - lo)
+            if bk is not None:
+                lo = max(t, 0.0)
+                numer = numer + self.l2k * l2_window_norms(
+                    bk[i], lo, (t + grid) - lo)
+        value, feasible = _contraction(numer, self.l2k * d_factor)
+        return np.where(np.isnan(numer + d_factor), np.nan, value), feasible
 
 
-def _contraction(numer: float, D: float):
-    if D >= 1.0:
-        return math.inf, False
-    return numer / (1.0 - D), True
+def _contraction(numer: np.ndarray, D: np.ndarray):
+    """(numer / (1 - D), D < 1); inf where the denominator is not positive."""
+    feasible = D < 1.0
+    return (np.where(feasible, numer / np.where(feasible, 1.0 - D, 1.0),
+                     math.inf), feasible)
+
+
+def _one_delta(values, what: str):
+    """(value, feasible) of a one-delta grid, raising where a window left a
+    table's domain (NaN)."""
+    value, feasible = float(values[0][0]), bool(values[1][0])
+    if math.isnan(value):
+        raise WindowOutOfRange(f"a window of {what} leaves a table's domain")
+    return value, feasible
 
 
 # ---------------------------------------------------------------------------
 # uniform-bound family
 # ---------------------------------------------------------------------------
-
-def _g(inputs: _CertInputs, delta: float):
-    l1 = inputs.integrals[1][delta]
-    numer = (float(np.linalg.norm(sum(inputs.phi[delta]), 2))
-             + l1 * inputs.a_delayed)
-    return _contraction(numer, l1 * inputs.a0)
-
 
 def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
              delta: float, tol: float = _QUAD_TOL):
@@ -136,7 +160,8 @@ def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
     Returns (value, feasible); infeasible means the inverse factor's
     denominator was not positive, reported rather than raised.
     """
-    return _g(_CertInputs(prob, feedback, [delta], (1,), tol), delta)
+    return _one_delta(_CertInputs(prob, feedback, [delta], (1,), tol).g(),
+                      f"g({delta})")
 
 
 def cert_g_h(prob: ValidatedProblem, delta: float, tol: float = _QUAD_TOL):
@@ -148,40 +173,14 @@ def cert_g_h(prob: ValidatedProblem, delta: float, tol: float = _QUAD_TOL):
 # windowed-L2 family
 # ---------------------------------------------------------------------------
 
-def _window_l2(tbl: TimeFunctionTable, start: float, delta: float) -> float:
-    """Windowed L2 norm with the matrix function extended by zero to t < 0.
-
-    Delayed windows reach below zero for window starts before the delay;
-    there the trajectory difference inside the estimate is zero anyway, so
-    the negative part contributes nothing.
-    """
-    lo = max(start, 0.0)
-    hi = start + delta
-    if hi <= lo:
-        return 0.0
-    return l2_window_norm(tbl, lo, hi - lo)
-
-
-def _g_hat(inputs: _CertInputs, t: float, delta: float):
-    l2k = math.sqrt(inputs.integrals[2][delta])
-    d_factor = l2_window_norm(inputs.prob.system.A_tilde[0], t, delta)
-    if inputs.bk is not None:
-        d_factor += l2_window_norm(inputs.bk[0], t, delta)
-    numer = sum(float(np.linalg.norm(m, 2)) for m in inputs.phi[delta])
-    for i, (r_i, ahat) in enumerate(inputs.ahat, start=1):
-        numer += l2k * _window_l2(ahat, t - r_i, delta)
-        if inputs.bk is not None:
-            numer += l2k * _window_l2(inputs.bk[i], t, delta)
-    return _contraction(numer, l2k * d_factor)
-
-
 def cert_g_hat_f(prob: ValidatedProblem, feedback: ControlInput | None,
                  t: float, delta: float, tol: float = _QUAD_TOL):
     """Windowed-L2 certificate at window start t; requires alpha > 1/2.
 
     Gain terms enter as L2 windows of B K_i.
     """
-    return _g_hat(_CertInputs(prob, feedback, [delta], (2,), tol), t, delta)
+    inputs = _CertInputs(prob, feedback, [delta], (2,), tol)
+    return _one_delta(inputs.g_hat(t), f"g_hat({t}, {delta})")
 
 
 def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float,
@@ -204,7 +203,7 @@ def gain_bound_uniform(prob: ValidatedProblem, delta: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     inputs = _CertInputs(prob, ControlInput.none(), [delta], (1,), _QUAD_TOL)
-    value, feasible = _g(inputs, delta)
+    value, feasible = _one_delta(inputs.g(), f"g_h({delta})")
     if not feasible or value >= 1.0 - epsilon:
         raise PremiseViolated(
             f"g_h({delta}) = {value:.6g} is not below 1 - epsilon = "
@@ -212,8 +211,7 @@ def gain_bound_uniform(prob: ValidatedProblem, delta: float,
     bn = b_sup_norm(prob)
     if bn == 0.0:
         return math.inf
-    l1 = inputs.integrals[1][delta]
-    return epsilon / (len(prob.system.delays) * l1 * bn)
+    return epsilon / (len(prob.system.delays) * inputs.l1[0] * bn)
 
 
 def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
@@ -223,7 +221,7 @@ def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
         raise ValueError("epsilon must lie in (0, 1)")
     t0 = prob.system.h if t is None else t
     inputs = _CertInputs(prob, ControlInput.none(), [delta], (2,), _QUAD_TOL)
-    value, feasible = _g_hat(inputs, t0, delta)
+    value, feasible = _one_delta(inputs.g_hat(t0), f"g_hat_h({t0}, {delta})")
     if not feasible or value >= 1.0 - epsilon:
         raise PremiseViolated(
             f"g_hat_h({t0}, {delta}) = {value:.6g} is not below "
@@ -231,8 +229,7 @@ def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
     bn = b_sup_norm(prob)
     if bn == 0.0:
         return math.inf
-    l2k = math.sqrt(inputs.integrals[2][delta])
-    return epsilon / (l2k * bn)
+    return epsilon / (inputs.l2k[0] * bn)
 
 
 # ---------------------------------------------------------------------------
@@ -291,40 +288,30 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
     with_hat = prob.system.alpha > 0.5
     inputs = _CertInputs(prob, feedback, delta_grid,
                          (1, 2) if with_hat else (1,), tol)
-
-    entries = []
-    for delta in delta_grid:
-        value, feasible = _g(inputs, delta)
-        try:
-            hat_vals = ([_g_hat(inputs, t, delta) for t in t_grid]
-                        if with_hat else [])
-        except WindowOutOfRange:
-            hat_vals = []
-        if hat_vals:
-            hat_value = max(v for v, _ in hat_vals)
-            hat_feasible = all(f for _, f in hat_vals)
-            if hat_feasible and (not feasible or hat_value < value):
-                value, feasible = hat_value, True
-        entries.append(GridEntry(delta=delta, value=value, feasible=feasible))
-
-    feas = [e for e in entries if e.feasible]
-    if not feas:
-        return CertificateReport(verdict="Inconclusive",
-                                 contraction_constant=None,
-                                 witness_delta=None, grid=entries)
-    best = min(feas, key=lambda e: e.value)
-    if best.value < 1.0 - _TIE_TOL:
-        verdict = "ContractiveGAS"
-    elif best.value <= 1.0 + _TIE_TOL:
-        verdict = "NonExpansiveStable"
-    else:
+    value, feasible = inputs.g()
+    hats = [inputs.g_hat(t) for t in t_grid] if with_hat else []
+    if hats:
+        hat_value = np.max([v for v, _ in hats], axis=0)
+        hat_feasible = np.all([f for _, f in hats], axis=0)
+        # a delta with a window outside a table's domain keeps its uniform value
+        better = (~np.isnan(hat_value) & hat_feasible
+                  & (~feasible | (hat_value < value)))
+        value = np.where(better, hat_value, value)
+        feasible = feasible | better
+    entries = [GridEntry(delta=d, value=float(value[i]),
+                         feasible=bool(feasible[i])) for d, i in
+               zip(delta_grid, np.searchsorted(inputs.grid, delta_grid))]
+    best = min((e for e in entries if e.feasible), key=lambda e: e.value,
+               default=None)
+    if best is None or best.value > 1.0 + _TIE_TOL:
         return CertificateReport(verdict="Inconclusive",
                                  contraction_constant=None,
                                  witness_delta=None, grid=entries)
     return CertificateReport(
-        verdict=verdict, contraction_constant=best.value,
-        witness_delta=best.delta, grid=entries,
-        sup_bound=prob.ics.sup_history_sum())
+        verdict=("ContractiveGAS" if best.value < 1.0 - _TIE_TOL
+                 else "NonExpansiveStable"),
+        contraction_constant=best.value, witness_delta=best.delta,
+        grid=entries, sup_bound=prob.ics.sup_history_sum())
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +403,16 @@ def delay_free_certify(prob: ValidatedProblem,
     rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
     T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(sys.alpha, 1.0)))
     grid = np.concatenate(([0.0], np.geomspace(T0 * 1e-5, T0, 2000)))
-    sup_by_j = []
-    tail_by_j = []
-    tail_mask = grid >= 0.8 * T0
-    for j in range(sys.k):
-        norms = spectral_norms(ker.phi_j(j, grid))
-        sup_by_j.append(float(np.max(norms)))
-        tail_by_j.append(float(np.max(norms[tail_mask])))
-    K0 = max(sup_by_j)
-    decay = max(tail_by_j) <= 1e-3 * max(K0, 1e-300)
+    norms = induced_norms(np.array([ker.phi_j(j, grid) for j in range(sys.k)]))
+    K0 = float(np.max(norms))
+    decay = bool(np.max(norms[:, grid >= 0.8 * T0]) <= 1e-3 * max(K0, 1e-300))
 
     K1 = _l1_to_infinity(ker)
     load = K1 * sum(load_terms)
     condition = load < 1.0
     K2 = None
     if condition:
-        x0_sum = sum(float(np.linalg.norm(v, 2)) for v in prob.ics.x0)
+        x0_sum = sum(induced_norms(np.array(prob.ics.x0)).tolist())
         K2 = K0 * x0_sum / (1.0 - load)
     return DelayFreeBounds(K0_bar=K0, K1_bar=K1, K2_bar=K2,
                            decay_detected=decay, condition_holds=condition,

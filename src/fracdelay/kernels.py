@@ -41,15 +41,12 @@ from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
                      SingularAtZero)
 from .mlf import _ml_matrices, eig_factors, ml_scalar_array
 from .system import FractionalDelaySystem
+from .tables import induced_norm, induced_norms
 
 _HALVINGS = 10      # a single delta runs over the edges delta 2^-k, k <= 10
-
-
-def spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Spectral norm of every matrix in a stack of shape (N, n, n)."""
-    if mats.shape[1] == 1:
-        return np.abs(mats[:, 0, 0])
-    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+_ELL = np.arange(601.0)  # the l = 0..600 of sup_factor and sup_gamma_ratio
+_ENVELOPE_MARGIN = 0.1  # fit_decay_envelope's lam: 0.9 of the abscissa
+_ENVELOPE_POINTS = 400  # its coarse grid; the fine one has 4x as many
 
 
 class Kernels:
@@ -117,7 +114,7 @@ class Kernels:
     # -- norms of the smooth factor, vectorized -------------------------
 
     def _e_norms(self, beta: float, s: np.ndarray) -> np.ndarray:
-        return spectral_norms(self.e_ml(beta, s))
+        return induced_norms(self.e_ml(beta, s))
 
     def norm_integrals(self, edges, powers, tol: float) -> np.ndarray:
         """integral_(e_0)^(e_k) ||phi(s)||_2^p ds for each p in ``powers``.
@@ -379,14 +376,14 @@ def norm_series_ml(alpha: float, beta: float, A: np.ndarray, t):
     live = np.flatnonzero(ts > 0)
     ln_t = np.log(ts[live])
     ta = ts[live] ** alpha
-    norm_a = np.linalg.norm(A, 2)
+    norm_a = induced_norm(A)
     P = np.eye(A.shape[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for ell in range(4000):
             if live.size == 0:
                 break
             x = alpha * ell + beta
-            pn = np.linalg.norm(P, 2)
+            pn = induced_norm(P)
             # gammaln is ln|Gamma|, +inf at the poles where the term is 0
             lt = alpha * ell * ln_t - gammaln(x) + np.log(pn)
             term = np.where(lt < 700, np.exp(lt), np.inf)
@@ -407,21 +404,19 @@ def norm_series_exp(A: np.ndarray, s):
     return norm_series_ml(1.0, 1.0, A, s)
 
 
-def sup_factor(alpha: float, beta: float, ell_max: int = 600) -> float:
+def sup_factor(alpha: float, beta: float) -> float:
     """sup over l of l! / Gamma(alpha l + beta)."""
-    ell = np.arange(ell_max + 1, dtype=float)
-    x = alpha * ell + beta
-    vals = np.where(x > 0, np.exp(gammaln(ell + 1.0) - gammaln(np.maximum(x, 1e-12))),
+    x = alpha * _ELL + beta
+    vals = np.where(x > 0, np.exp(gammaln(_ELL + 1.0) - gammaln(np.maximum(x, 1e-12))),
                     0.0)
     return float(np.max(vals))
 
 
-def sup_gamma_ratio(alpha: float, num_shift: float, den_shift: float,
-                    ell_max: int = 600) -> float:
+def sup_gamma_ratio(alpha: float, num_shift: float,
+                    den_shift: float) -> float:
     """sup over l of Gamma(alpha l + num_shift) / Gamma(alpha l + den_shift)."""
-    ell = np.arange(ell_max + 1, dtype=float)
-    xn = alpha * ell + num_shift
-    xd = alpha * ell + den_shift
+    xn = alpha * _ELL + num_shift
+    xd = alpha * _ELL + den_shift
     ok = (xn > 0) & (xd > 0)
     vals = np.where(ok, np.exp(gammaln(np.maximum(xn, 1e-12))
                                - gammaln(np.maximum(xd, 1e-12))), 0.0)
@@ -441,12 +436,11 @@ class DecayEnvelope:
 
 def _expm_norms(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """||e^{A t}||_2 for every t, from one stacked ``expm``."""
-    return spectral_norms(expm(A[None] * ts[:, None, None]))
+    return induced_norms(expm(A[None] * ts[:, None, None]))
 
 
-def fit_decay_envelope(A0: np.ndarray, margin: float = 0.1,
-                       coarse: int = 400) -> DecayEnvelope:
-    """Fit (K, lam) with lam at (1 - margin) of the spectral abscissa.
+def fit_decay_envelope(A0: np.ndarray) -> DecayEnvelope:
+    """Fit (K, lam) with lam at (1 - _ENVELOPE_MARGIN) of the abscissa |mu|.
 
     K is the maximum of ||e^{A0 t}|| e^{lam t} over a grid and a 4x finer
     one, evaluated together; the grids extend far enough that the
@@ -457,11 +451,12 @@ def fit_decay_envelope(A0: np.ndarray, margin: float = 0.1,
     if mu >= 0:
         raise NotAStabilityMatrix(
             f"spectral abscissa {mu:.6g} is not negative")
-    lam = (1.0 - margin) * abs(mu)
-    gap = margin * abs(mu)
+    lam = (1.0 - _ENVELOPE_MARGIN) * abs(mu)
+    gap = _ENVELOPE_MARGIN * abs(mu)
     t_max = 80.0 / gap
-    ts = np.concatenate(([0.0], np.geomspace(t_max * 1e-4, t_max, coarse),
-                         np.geomspace(t_max * 1e-4, t_max, 4 * coarse)))
+    ts = np.concatenate((
+        [0.0], np.geomspace(t_max * 1e-4, t_max, _ENVELOPE_POINTS),
+        np.geomspace(t_max * 1e-4, t_max, 4 * _ENVELOPE_POINTS)))
     norms = _expm_norms(A0, ts)
     with np.errstate(divide="ignore"):
         logs = np.where(norms > 0, np.log(np.maximum(norms, 1e-320)), -np.inf)
@@ -542,12 +537,11 @@ def verify_lemma22(sys, t_grid,
     report = BoundReport(alpha=alpha)
 
     # one E_{a,j+1} table per order serves ||E|| and ||phi_j|| = ||t^j E||
-    e_norm, phi_j_norm = {}, {}
-    for j in range(k):
-        E = ker.e_ml(j + 1, t_grid)
-        e_norm[j] = spectral_norms(E)
-        phi_j_norm[j] = spectral_norms((t_grid ** j)[:, None, None] * E)
-    phi_norm = spectral_norms(ker.phi(t_grid))
+    E = np.array([ker.e_ml(j + 1, t_grid) for j in range(k)])
+    e_norm = induced_norms(E)
+    phi_j_norm = induced_norms(np.array(
+        [(t_grid ** j)[:, None, None] * E[j] for j in range(k)]))
+    phi_norm = induced_norms(ker.phi(t_grid))
 
     if envelope is None:
         try:

@@ -476,28 +476,34 @@ def ml_scalar(alpha: float, beta: float, z: complex) -> complex:
 # matrix arguments
 # ---------------------------------------------------------------------------
 
+def eig_basis(A: np.ndarray):
+    """(eigenvalues, eigenvectors V, cond(V)) of A; V is None when cond(V)
+    is not below ``SPECTRAL_THRESHOLD``, the one defectiveness test."""
+    lam, V = np.linalg.eig(np.asarray(A, dtype=float))
+    cond = np.linalg.cond(V)
+    ok = np.isfinite(cond) and cond < SPECTRAL_THRESHOLD
+    return lam, V if ok else None, cond
+
+
 def eig_factors(A: np.ndarray):
     """(eigenvalues, rank-one factors O_k) when A is safely diagonalizable.
 
     E(A) is then sum_k f(lambda_k) O_k with O_k = v_k w_k^T built from the
     right/left eigenvectors; returns None for a near-defective basis.
     """
-    A = np.asarray(A, dtype=float)
-    lam, V = np.linalg.eig(A)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond >= SPECTRAL_THRESHOLD:
+    lam, V, _ = eig_basis(A)
+    if V is None:
         return None
-    Vinv = np.linalg.inv(V)
-    factors = np.einsum("ik,kj->kij", V, Vinv)
-    return lam, factors
+    return lam, np.einsum("ik,kj->kij", V, np.linalg.inv(V))
 
 
 def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray, rel_tol: float,
                       max_terms: int) -> np.ndarray:
-    """Truncated power series, stopped once three shrinking terms in a row
-    are below ``rel_tol`` of the sum.  A non-finite term, or a cancellation
-    estimate (eps times the largest term norm over the sum's norm, as in
-    ``_series_double``) above 1e-8 raises SeriesNotConverged.
+    """Truncated power series, stopped at an exactly zero term (nilpotent M)
+    or once three shrinking terms in a row are below ``rel_tol`` of the sum.
+    A non-finite term, or a cancellation estimate (eps times the largest
+    term norm over the sum's norm, as in ``_series_double``) above 1e-8
+    raises SeriesNotConverged.
     """
     n = M.shape[0]
     S = np.eye(n) * rgamma(beta)
@@ -516,7 +522,7 @@ def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray, rel_tol: float,
             small = tn <= rel_tol * max(sn, 1e-300) and tn < norm_prev
             calm = calm + 1 if small else 0
             norm_prev = tn
-            if calm >= 3 or not np.isfinite(tn):
+            if tn == 0 or calm >= 3 or not np.isfinite(tn):
                 break
         else:
             raise SeriesNotConverged(f"matrix series for E_{{{alpha},{beta}}} "

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import (AllBlocksZero, DefectiveMatrixNoTransform,
                      EigenvalueAtOrigin, SingularMatrix)
-from .mlf import SPECTRAL_THRESHOLD
+from .mlf import SPECTRAL_THRESHOLD, eig_basis
 from .system import FractionalDelaySystem
-from .tables import induced_norm
+from .tables import induced_norm, induced_norms
 
 _RECONSTRUCT_RTOL = 1e-9
 
@@ -40,14 +40,10 @@ matrix_norm = induced_norm
 def matrix_measure(M: np.ndarray, p=2) -> float:
     """Logarithmic norm mu_p; satisfies max(-||M||, max Re lambda) <= mu_p <= ||M||."""
     M = np.atleast_2d(np.asarray(M))
-    if p in ("inf", np.inf):
-        diag = np.real(np.diag(M))
-        off = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
-        return float(np.max(diag + off))
-    if p == 1:
-        diag = np.real(np.diag(M))
-        off = np.sum(np.abs(M), axis=0) - np.abs(np.diag(M))
-        return float(np.max(diag + off))
+    if p in ("inf", np.inf, 1):
+        # row sums for inf, column sums for 1
+        off = np.sum(np.abs(M), axis=0 if p == 1 else 1) - np.abs(np.diag(M))
+        return float(np.max(np.real(np.diag(M)) + off))
     if p == 2:
         H = (M + M.conj().T) / 2.0
         return float(np.max(np.linalg.eigvalsh(H)))
@@ -83,7 +79,7 @@ def decompose(A0: np.ndarray,
               T: np.ndarray | None = None) -> SpectralDecomposition:
     """Eigendecomposition in transform form, or a split along a supplied T.
 
-    Without ``T`` the matrix must be safely diagonalizable (eigenvector
+    Without ``T`` the matrix must pass ``mlf.eig_basis`` (eigenvector
     condition number below ``SPECTRAL_THRESHOLD``); a user transform covers
     defective matrices, with J = T A0 T^-1 split into diagonal and
     off-diagonal parts.
@@ -95,9 +91,8 @@ def decompose(A0: np.ndarray,
         J_d = np.diag(np.diag(J))
         J_off = J - J_d
     else:
-        lam, V = np.linalg.eig(A0)
-        cond_v = np.linalg.cond(V)
-        if not np.isfinite(cond_v) or cond_v >= SPECTRAL_THRESHOLD:
+        lam, V, cond_v = eig_basis(A0)
+        if V is None:
             raise DefectiveMatrixNoTransform(
                 f"eigenvector condition number {cond_v:.3g} exceeds "
                 f"{SPECTRAL_THRESHOLD:.3g}; supply a transform explicitly")
@@ -106,9 +101,8 @@ def decompose(A0: np.ndarray,
         J_off = np.zeros_like(J_d)
     dec = SpectralDecomposition(T=T, J_d=J_d, J_off=J_off,
                                 cond_T=float(np.linalg.cond(T)))
-    residual = np.linalg.norm(
-        A0 - np.linalg.inv(T) @ (J_d + J_off) @ T, 2)
-    if residual > _RECONSTRUCT_RTOL * max(np.linalg.norm(A0, 2), 1e-300):
+    residual = matrix_norm(A0 - np.linalg.inv(T) @ (J_d + J_off) @ T)
+    if residual > _RECONSTRUCT_RTOL * max(matrix_norm(A0), 1e-300):
         raise DefectiveMatrixNoTransform(
             f"reconstruction residual {residual:.3g} too large")
     return dec
@@ -148,10 +142,8 @@ class BetaWeights:
 
 def _blocks(dec: SpectralDecomposition, A_list) -> list:
     Tinv = np.linalg.inv(dec.T)
-    blocks = [Tinv @ dec.J_off @ dec.T]
-    for Ai in A_list:
-        blocks.append(Tinv @ np.atleast_2d(np.asarray(Ai)) @ dec.T)
-    return blocks
+    return [Tinv @ np.atleast_2d(np.asarray(M)) @ dec.T
+            for M in (dec.J_off, *A_list)]
 
 
 def composite_block_norm(dec: SpectralDecomposition, A_list,
@@ -164,17 +156,12 @@ def composite_block_norm(dec: SpectralDecomposition, A_list,
     blocks = _blocks(dec, A_list)
     if len(beta.beta) != len(blocks):
         raise ValueError(f"{len(beta.beta)} weights for {len(blocks)} blocks")
-    scaled = []
-    for b, blk in zip(beta.beta, blocks):
-        bn = np.linalg.norm(blk, 2)
-        if b == 0.0:
-            if bn > 1e-13 * max(1.0, bn):
-                raise ValueError("zero weight on a nonzero block")
-            continue
-        scaled.append(blk / b)
-    if not scaled:
-        return 0.0
-    return float(np.linalg.norm(np.hstack(scaled), 2))
+    norms = induced_norms(blocks)
+    zero = np.asarray(beta.beta) == 0.0
+    if np.any(zero & (norms > 1e-13 * np.maximum(1.0, norms))):
+        raise ValueError("zero weight on a nonzero block")
+    scaled = [blk / b for blk, b in zip(blocks, beta.beta) if b != 0.0]
+    return matrix_norm(np.hstack(scaled)) if scaled else 0.0
 
 
 def optimize_beta(dec: SpectralDecomposition, A_list):
@@ -187,19 +174,19 @@ def optimize_beta(dec: SpectralDecomposition, A_list):
     weight in the returned tuple.
     """
     blocks = _blocks(dec, A_list)
-    norms = [float(np.linalg.norm(b, 2)) for b in blocks]
-    live = [i for i, bn in enumerate(norms) if bn > 0.0]
-    if not live:
+    norms = induced_norms(blocks)
+    live = np.flatnonzero(norms > 0.0)
+    if not live.size:
         raise AllBlocksZero("all blocks vanish; nothing to weight")
-    total = sum(norms[i] for i in live)
-    u = np.array([math.sqrt(norms[i] / total) for i in live])
+    # summed left to right: np.sum regroups eight or more terms
+    u = np.sqrt(norms[live] / sum(norms[live].tolist()))
 
     live_blocks = [blocks[i] for i in live]
 
     def objective(uvec):
-        b = uvec / np.linalg.norm(uvec)
-        return float(np.linalg.norm(
-            np.hstack([blk / bi for blk, bi in zip(live_blocks, b)]), 2))
+        b = uvec / induced_norm(uvec)
+        return matrix_norm(
+            np.hstack([blk / bi for blk, bi in zip(live_blocks, b)]))
 
     best = objective(u)
     step = 0.3
@@ -217,10 +204,8 @@ def optimize_beta(dec: SpectralDecomposition, A_list):
             step *= 0.5
             if step < 1e-6:
                 break
-    u /= np.linalg.norm(u)
-    beta_full = [0.0] * len(blocks)
-    for pos, idx in enumerate(live):
-        beta_full[idx] = float(u[pos])
+    beta_full = np.zeros(len(blocks))
+    beta_full[live] = u / induced_norm(u)
     return BetaWeights(tuple(beta_full)), best
 
 

@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import (DelayOrderViolation, DimensionMismatch, EndpointMismatch,
                      NonPositiveOrder)
-from .tables import TimeFunctionTable, as_table, induced_norm, sup_norm_bound
+from .tables import (TimeFunctionTable, as_table, induced_norm, induced_norms,
+                     sup_norm_bound)
 
 ENDPOINT_ATOL = 1e-12
+_HISTORY_POINTS = 2001      # sample points of sup_history_sum on [-h, 0]
 
 
 def order_index(alpha: float) -> int:
@@ -74,10 +76,10 @@ class InitialConditionSet:
         """Prehistory value sum_j phi_j(s) for s in [-h, 0]."""
         return sum(p(s) for p in self.phi)
 
-    def sup_history_sum(self, grid_points: int = 2001) -> float:
+    def sup_history_sum(self) -> float:
         """sup over [-h, 0] of sum_j ||phi_j(t)||_inf, sampled."""
         lo = min(p.t_start for p in self.phi)
-        ss = np.linspace(lo, 0.0, grid_points)
+        ss = np.linspace(lo, 0.0, _HISTORY_POINTS)
         total = np.zeros(ss.size)
         for p in self.phi:
             vals = np.atleast_2d(p(ss))
@@ -245,8 +247,7 @@ def ahat_sup_norm(prob: ValidatedProblem, i: int) -> float:
     if tbl.declared_sup_norm is not None and tbl.declared_sup_norm > 0:
         # declared bound on the varying part: conservative triangle combination
         return induced_norm(sys.A[i]) + tbl.declared_sup_norm
-    vals = tbl.values + sys.A[i]
-    return max(induced_norm(v) for v in vals)
+    return float(np.max(induced_norms(tbl.values + sys.A[i])))
 
 
 def atilde_sup_norm(prob: ValidatedProblem, i: int) -> float:

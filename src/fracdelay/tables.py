@@ -10,6 +10,13 @@ interpolation rule:
 
 ``declared_sup_norm``, when given, is trusted as the uniform bound after being
 checked against the samples.
+
+Norm convention: every norm in the package is the 2-norm, the spectral norm
+(largest singular value) of a matrix and the Euclidean norm of a vector, and
+``induced_norms`` at p = 2 is its one routine.  The exceptions are the
+max-norms of ``Trajectory.sup_norm`` and ``sup_history_sum``, the Frobenius
+tail estimate of ``mlf._ml_matrix_series``, and the p = 1, inf branches of
+``induced_norm``.
 """
 
 from __future__ import annotations
@@ -21,16 +28,30 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyTable, WindowOutOfRange
 
 
+def induced_norms(stack, p=2) -> np.ndarray:
+    """Induced p-norm, p in {1, 2, inf} ("inf" for np.inf), of every item of
+    a stack: rows of a 2-D (real) stack are vectors, the last two axes of a
+    longer one matrices.  At p = 2 it is the package's one 2-norm routine."""
+    p = np.inf if p in ("inf", np.inf) else p
+    if p not in (1, 2, np.inf):
+        raise ValueError(f"unsupported norm order {p!r}")
+    x = np.asarray(stack)
+    if p != 2:
+        return np.linalg.norm(x, p, axis=-1 if x.ndim == 2 else (-2, -1))
+    if x.ndim == 2:
+        # one dot product per row, rounded as np.linalg.norm rounds a vector
+        return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    if x.shape[-2:] == (1, 1):
+        return np.abs(x[..., 0, 0])
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
 def induced_norm(M: np.ndarray, p=2) -> float:
     """Induced matrix norm (vector norm for 1-D input) for p in {1, 2, inf}.
 
     p = 2 is the largest singular value; "inf" is accepted for np.inf.
     """
-    if p in ("inf", np.inf):
-        p = np.inf
-    if p not in (1, 2, np.inf):
-        raise ValueError(f"unsupported norm order {p!r}")
-    return float(np.linalg.norm(np.asarray(M), p))
+    return float(induced_norms(np.asarray(M)[None], p)[0])
 
 
 @dataclass(frozen=True)
@@ -60,7 +81,7 @@ class TimeFunctionTable:
             declared = float(self.declared_sup_norm)
             if declared < 0:
                 raise ValueError("declared_sup_norm must be nonnegative")
-            worst = max(induced_norm(v) for v in vals)
+            worst = float(np.max(induced_norms(vals)))
             if worst > declared * (1 + 1e-12) + 1e-15:
                 raise ValueError(
                     f"declared_sup_norm {declared} smaller than sampled norm {worst}")
@@ -78,9 +99,6 @@ class TimeFunctionTable:
         if self.interpolation == "const":
             return np.inf
         return float(self.sample_times[-1])
-
-    def covers(self, a: float, b: float) -> bool:
-        return a >= self.t_start - 1e-12 and b <= self.t_end + 1e-12
 
     # -- evaluation ------------------------------------------------------
 
@@ -133,41 +151,56 @@ def sup_norm_bound(tbl: TimeFunctionTable, p=2) -> float:
         raise EmptyTable("empty table")
     if tbl.declared_sup_norm is not None:
         return tbl.declared_sup_norm
-    return max(induced_norm(v, p) for v in tbl.values)
+    return float(np.max(induced_norms(tbl.values, p)))
+
+
+def l2_window_norms(tbl: TimeFunctionTable, t: float, deltas) -> np.ndarray:
+    """Windowed L2 norms ( integral_0^delta ||M(t+tau)||^2 dtau )^(1/2).
+
+    A window is split at the sample times inside it, and each panel
+    integrated exactly for const tables, by Simpson for linear ones (exact
+    when the panel norm is a polynomial of degree <= 2, e.g. scalar tables).
+    One table evaluation and one stacked norm serve every panel; windows
+    share the panels between sample times through prefix sums.  A window
+    that leaves the table's domain gives NaN, an empty one (delta <= 0) 0.
+    """
+    a = float(t)
+    deltas = np.asarray(deltas, dtype=float)
+    out = np.where(deltas > 0, np.nan, 0.0)
+    live = ((deltas > 0) & (a >= tbl.t_start - 1e-12)
+            & (a + deltas <= tbl.t_end + 1e-12))
+    if not live.any():
+        return out
+    ends = a + deltas[live]
+    times = tbl.sample_times
+    cuts = times[(times > a) & (times < ends.max())]
+    inside = np.searchsorted(cuts, ends)        # sample times inside each window
+    knots = np.concatenate(([a], cuts))
+    lo = np.concatenate((knots[:-1], knots[inside]))
+    hi = np.concatenate((cuts, ends))
+    # squared by C pow, which rounds as Python's float ** 2; x * x may not
+    if tbl.interpolation == "const":
+        pieces = np.float_power(induced_norms(tbl(lo)), 2) * (hi - lo)
+    else:
+        f = np.float_power(induced_norms(tbl(np.concatenate(
+            (lo, 0.5 * (lo + hi), hi)))), 2).reshape(3, -1)
+        pieces = (hi - lo) * (f[0] + 4.0 * f[1] + f[2]) / 6.0
+    prefix = np.concatenate(([0.0], np.cumsum(pieces[:cuts.size])))
+    out[live] = np.sqrt(prefix[inside] + pieces[cuts.size:])
+    return out
 
 
 def l2_window_norm(tbl: TimeFunctionTable, t: float, delta: float) -> float:
-    """Windowed L2 norm ( integral_0^delta ||M(t+tau)||^2 dtau )^(1/2).
-
-    Uses the spectral norm pointwise.  Each table segment clipped to the window
-    is integrated by a rule consistent with the interpolation: exact sums for
-    const tables, Simpson per segment for linear ones (exact whenever the
-    segment norm is a polynomial of degree <= 2, e.g. scalar tables).
-    """
+    """``l2_window_norms`` at one delta > 0; raises WindowOutOfRange where
+    the window leaves the table's domain."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    a, b = float(t), float(t) + float(delta)
-    if not tbl.covers(a, b):
+    value = float(l2_window_norms(tbl, t, [delta])[0])
+    if np.isnan(value):
         raise WindowOutOfRange(
-            f"window [{a}, {b}] not covered by table domain "
-            f"[{tbl.t_start}, {tbl.t_end}]")
-
-    times = tbl.sample_times
-    # breakpoints of the interpolant inside the window
-    cuts = times[(times > a) & (times < b)]
-    knots = np.concatenate(([a], cuts, [b]))
-    total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        width = hi - lo
-        if width <= 0:
-            continue
-        if tbl.interpolation == "const":
-            total += induced_norm(tbl(lo)) ** 2 * width
-        else:
-            mid = 0.5 * (lo + hi)
-            f = [induced_norm(tbl(s)) ** 2 for s in (lo, mid, hi)]
-            total += width * (f[0] + 4.0 * f[1] + f[2]) / 6.0
-    return float(np.sqrt(total))
+            f"window [{float(t)}, {float(t) + float(delta)}] not covered by "
+            f"table domain [{tbl.t_start}, {tbl.t_end}]")
+    return value
 
 
 def table_linear_combination(base: np.ndarray | None,

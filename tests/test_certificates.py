@@ -9,14 +9,14 @@ from scipy.optimize import brentq
 
 from conftest import const_phi, scalar_problem
 from test_mlf import ml_reference
-from fracdelay import (ControlInput, cert_g_f, cert_g_h, cert_g_hat_f,
-                       cert_g_hat_h, certify, delay_free_certify,
-                       gain_bound_l2, gain_bound_uniform, high_order_check,
-                       validate_system)
+from fracdelay import (ControlInput, TimeFunctionTable, cert_g_f, cert_g_h,
+                       cert_g_hat_f, cert_g_hat_h, certify,
+                       delay_free_certify, gain_bound_l2, gain_bound_uniform,
+                       high_order_check, validate_system)
 from fracdelay import kernels
 from fracdelay.certificates import DEFAULT_DELTA_GRID
 from fracdelay.errors import (DelaysNotZero, EmptyGrid, OrderTooLow,
-                              PremiseViolated)
+                              PremiseViolated, WindowOutOfRange)
 
 
 def g_h_closed_form(delta, a1):
@@ -284,6 +284,71 @@ class TestCertify:
         v2 = cert_g_h(scalar_problem(1.0, -1.0, small + extra, r1=1.0),
                       delta)[0]
         assert v2 >= v1 - 1e-12
+
+
+def bump_feedback_problem():
+    """Scalar alpha = 0.8 problem under feedback whose tables live on [0, 3].
+
+    The lag-0 perturbation is a bump just after the delay h = 0.6, so the
+    windowed-L2 family (window start h) beats the uniform one.
+    """
+    h = 0.6
+    ts = np.linspace(0.0, 3.0, 31)
+    at0 = TimeFunctionTable(
+        ts, 1.5 * np.exp(-((ts - 0.8) / 0.15) ** 2)[:, None, None], "linear")
+    at1 = TimeFunctionTable(ts, 0.1 * np.cos(ts)[:, None, None], "linear")
+    B = TimeFunctionTable(ts, (1.0 + 0.2 * np.sin(ts))[:, None, None],
+                          "linear")
+    prob = validate_system(0.8, [0.0, h], [np.array([[-1.5]]),
+                                            np.array([[0.2]])],
+                           [at0, at1], B, [const_phi([1.0], h)])
+    fb = ControlInput.feedback([np.array([[-0.1]]), np.array([[0.05]])])
+    return prob, fb, h
+
+
+class TestGridArrays:
+    @staticmethod
+    def better_family(prob, fb, t, delta):
+        g = cert_g_f(prob, fb, delta)
+        g_hat = cert_g_hat_f(prob, fb, t, delta)
+        if g_hat[1] and (not g[1] or g_hat[0] < g[0]):
+            return g_hat
+        return g
+
+    def test_grid_values_equal_the_one_delta_certificates(self):
+        prob, fb, h = bump_feedback_problem()
+        deltas = [0.1, 0.5, 1.0, 2.0]
+        best = {d: self.better_family(prob, fb, h, d) for d in deltas}
+        assert any(best[d] != cert_g_f(prob, fb, d) for d in deltas)
+        # a one-delta grid integrates the kernel over the edges the one-delta
+        # certificates use: bit for bit
+        for d in deltas:
+            e = certify(prob, fb, [d]).grid[0]
+            assert (e.value, e.feasible) == best[d]
+        # a longer grid integrates cumulatively, to the quadrature tolerance
+        rep = certify(prob, fb, deltas[::-1] + [0.5])
+        assert [e.delta for e in rep.grid] == deltas[::-1] + [0.5]
+        for e in rep.grid:
+            assert e.feasible == best[e.delta][1]
+            assert e.value == pytest.approx(best[e.delta][0], rel=1e-9)
+
+    def test_grid_past_the_table_end_drops_only_its_l2_values(self):
+        prob, fb, h = bump_feedback_problem()
+        deltas = [0.5, 2.0, 3.0, 5.0]       # windows [h, h + delta], 3 ends
+        rep = certify(prob, fb, deltas)
+        for d, e in zip(deltas, rep.grid):
+            g = cert_g_f(prob, fb, d)
+            if h + d <= 3.0:
+                expected = self.better_family(prob, fb, h, d)
+                assert expected[0] < g[0]
+            else:
+                with pytest.raises(WindowOutOfRange):
+                    cert_g_hat_f(prob, fb, h, d)
+                expected = g
+                single = certify(prob, fb, [d]).grid[0]
+                assert (single.value, single.feasible) == g
+            assert e.feasible == expected[1]
+            assert e.value == pytest.approx(expected[0], rel=1e-9)
 
 
 class TestDelayFreeBounds:

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from scipy.special import erfc
 
 import fracdelay
-from fracdelay import gamma_fn, ml_matrix, ml_scalar
+from fracdelay import Kernels, gamma_fn, ml_matrix, ml_scalar
 from fracdelay.errors import (OverflowBeyondRepresentableRange,
                               PoleAtNonpositiveInteger, SeriesNotConverged)
 from fracdelay.mlf import (_EPS, _MAX_TERMS, _ml_matrix_series, _series_double,
@@ -249,6 +249,17 @@ class TestMlMatrix:
         with pytest.raises(SeriesNotConverged):
             ml_matrix(0.8, 0.8, np.array([[-2.0, 1.0], [0.0, -2.0]]), 1000.0)
         assert time.monotonic() - t0 < 1.0
+
+    def test_nilpotent_series_stops_on_a_zero_term(self):
+        # N^2 = 0: the terms from l = 2 on are exactly zero, and the value
+        # is I + N t^a / Gamma(1 + a)
+        N = np.array([[0.0, 1.0], [0.0, 0.0]])
+        closed = [np.eye(2) + N * t ** 0.5 / math.gamma(1.5)
+                  for t in (0.5, 1.0)]
+        np.testing.assert_allclose(ml_matrix(0.5, 1.0, N, 1.0), closed[1],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(Kernels(0.5, N).e_ml(1.0, [0.5, 1.0]),
+                                   closed, rtol=0, atol=1e-15)
 
 
 def test_no_public_accuracy_options():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fracdelay import TimeFunctionTable, l2_window_norm, sup_norm_bound
 from fracdelay.errors import EmptyTable, WindowOutOfRange
-from fracdelay.tables import as_table
+from fracdelay.tables import as_table, l2_window_norms
 
 
 def table(times, values, interp="linear", sup=None):
@@ -114,3 +114,53 @@ def test_sup_norm_monotone_in_samples(vals, extra):
     more = table(np.append(times, times[-1] + 1.0),
                  [[[v]] for v in vals] + [[[extra]]], "const")
     assert sup_norm_bound(more) >= sup_norm_bound(tbl)
+
+
+def panel_reference(tbl, t, delta):
+    """The windowed L2 norm one panel at a time: split at the sample times
+    inside [t, t + delta], Simpson per panel for linear tables."""
+    a, b = float(t), float(t) + float(delta)
+    times = tbl.sample_times
+    knots = np.concatenate(([a], times[(times > a) & (times < b)], [b]))
+    total = 0.0
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        if tbl.interpolation == "const":
+            total += float(np.linalg.norm(tbl(lo), 2)) ** 2 * (hi - lo)
+        else:
+            f = [float(np.linalg.norm(tbl(s), 2)) ** 2
+                 for s in (lo, 0.5 * (lo + hi), hi)]
+            total += (hi - lo) * (f[0] + 4.0 * f[1] + f[2]) / 6.0
+    return float(np.sqrt(total))
+
+
+def matrix_and_vector_tables():
+    rng = np.random.default_rng(11)
+    times = np.array([0.0, 0.5, 1.25, 2.0, 3.0])
+    mats = rng.normal(size=(times.size, 3, 3))
+    return [table(times, mats, "linear"), table(times, mats, "const"),
+            table(times, rng.normal(size=(times.size, 4)), "linear")]
+
+
+# (start, delta): inside to inside, sample to sample, inside to a sample,
+# a sample to inside, the whole domain, inside one segment
+WINDOWS = [(0.2, 0.7), (0.5, 0.75), (0.25, 1.75), (1.25, 0.3), (0.0, 3.0),
+           (2.1, 0.5)]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_l2_window_matches_the_panel_rule_bit_for_bit(which):
+    # the same panels summed in the same order: equal, not just close
+    tbl = matrix_and_vector_tables()[which]
+    for t, delta in WINDOWS:
+        assert l2_window_norm(tbl, t, delta) == panel_reference(tbl, t, delta)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_l2_windows_of_one_start_match_the_panel_rule(which):
+    tbl = matrix_and_vector_tables()[which]
+    deltas = [1.75, 0.125, 2.75, 0.5, 1.75, 1.0]     # unsorted, repeated
+    got = l2_window_norms(tbl, 0.25, deltas + [3.0, 0.0, -1.0])
+    assert got[:6].tolist() == [panel_reference(tbl, 0.25, d) for d in deltas]
+    # past the end of a linear table NaN, empty windows 0
+    assert np.isnan(got[6]) == (tbl.interpolation == "linear")
+    assert got[7:].tolist() == [0.0, 0.0]
