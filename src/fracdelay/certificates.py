@@ -52,6 +52,9 @@ from .tables import (TimeFunctionTable, induced_norms, l2_window_norms,
 
 _TIE_TOL = 1e-12
 _QUAD_TOL = 1e-9
+# eigenvalue arguments within this many radians of alpha pi / 2 count as
+# on the edge of the decay sector
+_SECTOR_TOL = 1e-12
 # largest |phi_j| on the prehistory that counts as zero in high_order_check
 _ZERO_TOL = 1e-12
 
@@ -80,13 +83,14 @@ class _CertInputs:
     """
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
-                 deltas, powers, tol: float):
+                 deltas, powers, tol: float, ker: Kernels | None = None):
         sys = prob.system
         bounds, ctl = _gain_bounds(prob, feedback)
         bn = b_sup_norm(prob)
         lags = range(1, len(sys.delays))
         self.prob = prob
-        ker = Kernels(sys.alpha, sys.A[0])
+        if ker is None:
+            ker = Kernels(sys.alpha, sys.A[0])
         self.a0 = atilde_sup_norm(prob, 0) + bn * bounds[0]
         self.a_delayed = sum(ahat_sup_norm(prob, i) + bn * bounds[i]
                              for i in lags)
@@ -277,17 +281,29 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
     some feasible value < 1 (within a 1e-12 tie tolerance) certifies global
     asymptotic stability of the zero solution; a feasible value at 1
     certifies bounded solutions with the sup bound recorded in the report.
+    When an eigenvalue of A0 lies strictly inside the sector
+    |arg lambda| < alpha pi / 2 (``Kernels.sector_margin`` below 0) the
+    kernels grow exponentially and no delta can certify: the report is
+    Inconclusive, every entry infeasible at +inf, and no quadrature runs.
     """
     if delta_grid is None:
         delta_grid = DEFAULT_DELTA_GRID
     delta_grid = [float(d) for d in delta_grid]
     if len(delta_grid) == 0:
         raise EmptyGrid("certify needs at least one delta")
+    sys = prob.system
     if t_grid is None:
-        t_grid = [prob.system.h]
-    with_hat = prob.system.alpha > 0.5
+        t_grid = [sys.h]
+    ker = Kernels(sys.alpha, sys.A[0])
+    if ker.sector_margin() < -_SECTOR_TOL:
+        return CertificateReport(
+            verdict="Inconclusive", contraction_constant=None,
+            witness_delta=None, grid=[GridEntry(delta=d, value=math.inf,
+                                                feasible=False)
+                                      for d in delta_grid])
+    with_hat = sys.alpha > 0.5
     inputs = _CertInputs(prob, feedback, delta_grid,
-                         (1, 2) if with_hat else (1,), tol)
+                         (1, 2) if with_hat else (1,), tol, ker)
     value, feasible = inputs.g()
     hats = [inputs.g_hat(t) for t in t_grid] if with_hat else []
     if hats:
@@ -347,14 +363,10 @@ def _l1_to_infinity(ker: Kernels) -> float:
     if np.any(lam.real >= 0):
         raise KernelNotIntegrable(
             "effective matrix is not a stability matrix")
-    if alpha >= 2:
+    if ker.sector_margin() <= _SECTOR_TOL:
         raise KernelNotIntegrable(
-            "kernel has no decay sector for alpha >= 2")
-    if alpha > 1:
-        args = np.abs(np.angle(lam))
-        if np.any(args <= alpha * math.pi / 2 + 1e-12):
-            raise KernelNotIntegrable(
-                "eigenvalue arguments inside the non-decaying sector")
+            "eigenvalue arguments inside the non-decaying sector "
+            "|arg| <= alpha pi / 2")
     rho = float(np.min(np.abs(lam.real)))
     T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
     prev = phi_alpha_l1(ker, T, tol=1e-8)

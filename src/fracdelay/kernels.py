@@ -25,7 +25,9 @@ holds for every matrix (the variant with ||e^{A0 t^a}|| on the right fails
 already for scalar negative A0, e.g. E_{2,1}(-t^2) = cos t vs e^{-t^2}).
 One summation (``norm_series_ml``) computes every majorant over a whole time
 grid, one E_{a,j+1} table per order serves both ||E|| and ||phi_j||, and
-||e^{A0 t}|| comes from one stacked ``expm`` per grid.
+||e^{A0 t}|| comes from one stacked ``expm`` per grid.  ``expm`` is loaded
+on its first call, so importing this module loads no matrix-exponential
+code; only the verifier and ``fit_decay_envelope`` reach it.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln, rgamma
 
 from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
                      SingularAtZero)
-from .mlf import _ml_matrices, eig_factors, ml_scalar_array
+from .mlf import _ml_matrices, eig_factors, lgamma, ml_scalar_array, rgamma
 from .system import FractionalDelaySystem
 from .tables import induced_norm, induced_norms
 
@@ -59,6 +59,16 @@ class Kernels:
         self.A0 = np.atleast_2d(np.asarray(A0, dtype=float))
         self.n = self.A0.shape[0]
         self._fac = eig_factors(self.A0)
+
+    def sector_margin(self) -> float:
+        """min |arg lambda| - alpha pi / 2 over the nonzero eigenvalues of A0
+        (+inf without any).  Below 0 some E_{a,b}(A0 t^a) grows
+        exponentially; phi is integrable on [0, inf) only above 0 and
+        without a zero eigenvalue, hence only for alpha < 2."""
+        lam = (self._fac[0] if self._fac is not None
+               else np.linalg.eigvals(self.A0))
+        args = np.abs(np.angle(lam[lam != 0]))
+        return float(np.min(args, initial=math.inf)) - self.alpha * math.pi / 2
 
     def e_ml(self, beta: float, t) -> np.ndarray:
         """E_{alpha,beta}(A0 t^alpha) for an array of t >= 0, shape (N, n, n)."""
@@ -372,7 +382,7 @@ def norm_series_ml(alpha: float, beta: float, A: np.ndarray, t):
     ts = t_in.ravel()
     if not np.all(ts >= 0):
         raise ValueError("t must be nonnegative")
-    total = np.where(ts == 0, float(rgamma(beta)), 0.0)
+    total = np.where(ts == 0, rgamma(beta), 0.0)
     live = np.flatnonzero(ts > 0)
     ln_t = np.log(ts[live])
     ta = ts[live] ** alpha
@@ -384,8 +394,8 @@ def norm_series_ml(alpha: float, beta: float, A: np.ndarray, t):
                 break
             x = alpha * ell + beta
             pn = induced_norm(P)
-            # gammaln is ln|Gamma|, +inf at the poles where the term is 0
-            lt = alpha * ell * ln_t - gammaln(x) + np.log(pn)
+            # lgamma is ln|Gamma|, +inf at the poles where the term is 0
+            lt = alpha * ell * ln_t - lgamma(x) + np.log(pn)
             term = np.where(lt < 700, np.exp(lt), np.inf)
             total[live] += term
             if x > 1.0:
@@ -407,8 +417,8 @@ def norm_series_exp(A: np.ndarray, s):
 def sup_factor(alpha: float, beta: float) -> float:
     """sup over l of l! / Gamma(alpha l + beta)."""
     x = alpha * _ELL + beta
-    vals = np.where(x > 0, np.exp(gammaln(_ELL + 1.0) - gammaln(np.maximum(x, 1e-12))),
-                    0.0)
+    vals = np.where(x > 0, np.exp(lgamma(_ELL + 1.0)
+                                  - lgamma(np.maximum(x, 1e-12))), 0.0)
     return float(np.max(vals))
 
 
@@ -418,8 +428,8 @@ def sup_gamma_ratio(alpha: float, num_shift: float,
     xn = alpha * _ELL + num_shift
     xd = alpha * _ELL + den_shift
     ok = (xn > 0) & (xd > 0)
-    vals = np.where(ok, np.exp(gammaln(np.maximum(xn, 1e-12))
-                               - gammaln(np.maximum(xd, 1e-12))), 0.0)
+    vals = np.where(ok, np.exp(lgamma(np.maximum(xn, 1e-12))
+                               - lgamma(np.maximum(xd, 1e-12))), 0.0)
     return float(np.max(vals))
 
 
@@ -432,6 +442,13 @@ class DecayEnvelope:
     """Certified pair (K, lam) with ||e^{A0 t}|| <= K e^{-lam t} on the fit grid."""
     K: float
     lam: float
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of A, or of each matrix of a stack; the
+    implementation is imported on the first call."""
+    from scipy.linalg import expm as _expm
+    return _expm(A)
 
 
 def _expm_norms(A: np.ndarray, ts: np.ndarray) -> np.ndarray:

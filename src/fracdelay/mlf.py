@@ -1,5 +1,9 @@
 """Gamma and Mittag-Leffler evaluation, scalar and matrix.
 
+The package's one Gamma source is the standard library: ``gamma_fn``,
+``rgamma`` (1/Gamma) and ``lgamma`` (ln|Gamma|, elementwise) are built on
+``math.gamma`` and ``math.lgamma`` and share one pole test.
+
 The two-parameter function E_{a,b}(z) = sum_l z^l / Gamma(a*l + b) is entire.
 For a scalar argument three routes cover the plane, each chosen per point:
 
@@ -41,7 +45,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import (OverflowBeyondRepresentableRange, PoleAtNonpositiveInteger,
                      SeriesNotConverged)
@@ -57,18 +60,42 @@ _MAX_TERMS = 10_000
 SPECTRAL_THRESHOLD = 1e8
 
 
+def _at_pole(x: float) -> bool:
+    """True at the poles 0, -1, -2, ... of Gamma (to 1e-14) and at -inf."""
+    return x <= 0 and (x == -math.inf or abs(x - round(x)) < 1e-14)
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function on the real line, poles and overflow mapped to errors."""
     x = float(x)
-    if x <= 0 and abs(x - round(x)) < 1e-14:
-        raise PoleAtNonpositiveInteger(f"Gamma has a pole at {round(x)}")
+    if _at_pole(x):
+        raise PoleAtNonpositiveInteger(f"Gamma has a pole at {x:g}")
     try:
         return math.gamma(x)
     except OverflowError as exc:
         raise OverflowBeyondRepresentableRange(
             f"Gamma({x}) exceeds double range") from exc
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise PoleAtNonpositiveInteger(str(exc)) from exc
+
+
+def rgamma(x: float) -> float:
+    """1/Gamma(x) on the real line: 0 at the poles and where Gamma overflows
+    (x > 171.62), a signed infinity where 1/Gamma does (x below about -171
+    off the poles)."""
+    x = float(x)
+    if _at_pole(x):
+        return 0.0
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        return 0.0
+    return 1.0 / g if g else math.copysign(math.inf, g)
+
+
+def lgamma(x) -> np.ndarray:
+    """ln|Gamma(x)| elementwise, an array of x's shape; +inf at the poles."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.inf if _at_pole(v) else math.lgamma(v)
+                     for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

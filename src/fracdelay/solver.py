@@ -49,11 +49,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import (DelaysNotZero, DimensionMismatch, GridTooLarge,
                      NodeCorrectionDiverged)
 from .kernels import Kernels
+from .mlf import rgamma
 from .system import ValidatedProblem
 
 # nodes solved one by one between two FFT far-history updates

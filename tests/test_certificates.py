@@ -162,6 +162,43 @@ class TestCertify:
         assert rep.verdict == "Inconclusive"
         assert rep.contraction_constant is None
 
+    def test_kernel_outside_decay_sector_is_inconclusive(self, monkeypatch):
+        # eigenvalues at |arg| = 0.65 pi < alpha pi / 2 = 0.81 pi: phi grows,
+        # and the quadrature out to delta = 100 used to stall at 65,536 cells
+        A0 = np.array([[-1.2333, -0.9583], [1.6, 0.2029]])
+        phi = [TimeFunctionTable(np.array([-1.0]), np.array([[1.0, 0.0]]),
+                                 "const")] * 2
+        prob = validate_system(1.6219, [0.0, 1.0], [A0, 0.1 * np.eye(2)],
+                               None, None, phi)
+        assert kernels.Kernels(1.6219, A0).sector_margin() < -0.1
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(kernels.Kernels, "norm_integrals", no_quadrature)
+        rep = certify(prob)
+        assert rep.verdict == "Inconclusive"
+        assert rep.contraction_constant is None and rep.witness_delta is None
+        assert [e.delta for e in rep.grid] == list(DEFAULT_DELTA_GRID)
+        assert all(e.value == math.inf and not e.feasible for e in rep.grid)
+
+    def test_sector_margin(self):
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
+        K = kernels.Kernels
+        assert K(0.9, rot).sector_margin() == pytest.approx(0.05 * math.pi)
+        assert K(1.1, rot).sector_margin() == pytest.approx(-0.05 * math.pi)
+        assert K(2.0, np.array([[-1.0]])).sector_margin() == 0.0
+        # a zero eigenvalue has no argument: phi_0 stays bounded there
+        assert K(1.0, np.zeros((2, 2))).sector_margin() == math.inf
+
+    def test_zero_kernel_matrix_still_certifies(self):
+        # x' = -x(t - 1): A0 = 0 lies on no growing ray, so certify still
+        # integrates and reports the finite values 1 + delta
+        rep = certify(scalar_problem(1.0, 0.0, -1.0, r1=1.0),
+                      delta_grid=[0.5, 1.0])
+        assert [e.value for e in rep.grid] == pytest.approx([1.5, 2.0])
+        assert all(e.feasible for e in rep.grid)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(EmptyGrid):
             certify(scalar_problem(1.0, -1.0, 0.5), delta_grid=[])

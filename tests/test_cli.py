@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+import fracdelay
 from conftest import FIXTURES
 from fracdelay.cli import dump_json, main
 
@@ -129,3 +133,42 @@ class TestDeterminism:
         _, first = run_cli(*argv)
         _, second = run_cli(*argv)
         assert first == second
+
+
+# Runs in a fresh interpreter: every command but verify-bounds loads no scipy
+# module, and verify-bounds loads scipy.linalg (for expm) but not
+# scipy.special.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+import fracdelay
+from fracdelay.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    assert code in (0, 2), (argv, code)
+
+fx = sys.argv[1]
+for argv in (("ml", "--problem", f"{fx}/frac_nodelay.json", "--t", "1.0"),
+             ("simulate", "--problem", f"{fx}/frac_delay_a07.json",
+              "--step", "0.01", "--horizon", "2", "--oracle"),
+             ("certify", "--problem", f"{fx}/scalar_contractive.json"),
+             ("spectral", "--problem", f"{fx}/spectral_t34.json")):
+    run(*argv)
+    assert not scipy_modules(), (argv[0], scipy_modules())
+run("verify-bounds", "--problem", f"{fx}/exp_decay.json",
+    "--t-grid", "0.5,1,2,5")
+assert "scipy.linalg" in sys.modules
+assert "scipy.special" not in sys.modules, scipy_modules()
+"""
+
+
+def test_only_verify_bounds_loads_scipy():
+    src = os.path.dirname(os.path.dirname(fracdelay.__file__))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(FIXTURES)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

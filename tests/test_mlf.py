@@ -9,14 +9,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import erfc
+from scipy.special import erfc, gammaln
 
 import fracdelay
 from fracdelay import Kernels, gamma_fn, ml_matrix, ml_scalar
 from fracdelay.errors import (OverflowBeyondRepresentableRange,
                               PoleAtNonpositiveInteger, SeriesNotConverged)
+from fracdelay.kernels import norm_series_ml
 from fracdelay.mlf import (_EPS, _MAX_TERMS, _ml_matrix_series, _series_double,
-                          ml_scalar_array)
+                          lgamma, ml_scalar_array, rgamma)
 
 
 def ml_reference(alpha, beta, z):
@@ -76,6 +77,46 @@ class TestGamma:
             with mp.workdps(30):
                 ref = float(mp.gamma(x))
             assert gamma_fn(float(x)) == pytest.approx(ref, rel=1e-13)
+
+
+class TestStdlibGamma:
+    """rgamma and lgamma against mpmath and a test-only scipy reference."""
+
+    def test_rgamma_zero_at_poles_and_past_overflow(self):
+        for x in (0.0, -1.0, -7.0, 171.7, 200.0):
+            assert rgamma(x) == 0.0
+
+    def test_rgamma_against_mpmath(self):
+        xs = np.random.default_rng(7).uniform(-5.0, 171.0, 2000)
+        with mp.workdps(30):
+            refs = [mp.rgamma(mp.mpf(float(x))) for x in xs]
+        for x, ref in zip(xs, refs):
+            val = rgamma(float(x))
+            assert np.sign(val) == np.sign(float(ref))
+            assert abs(val - ref) <= 2e-15 * abs(ref), x
+
+    def test_rgamma_is_reciprocal_gamma(self):
+        assert rgamma(3.7) == 1.0 / gamma_fn(3.7)
+
+    def test_lgamma_matches_gammaln(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate((rng.uniform(-5.0, 171.0, 1000),
+                            np.geomspace(1e-10, 1e300, 200),
+                            -rng.uniform(0.0, 60.0, 200))).reshape(10, -1)
+        got = lgamma(x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, gammaln(x), rtol=1e-15, atol=1e-13)
+
+    def test_lgamma_infinite_at_poles(self):
+        poles = np.array([0.0, -1.0, -2.0, -13.0])
+        assert np.all(lgamma(poles) == np.inf)
+        assert lgamma(-1.5) == math.lgamma(-1.5)
+
+    def test_norm_series_at_zero_is_rgamma(self):
+        A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        for alpha, beta in ((0.5, 0.5), (1.5, 1.0), (0.8, 2.3)):
+            assert (norm_series_ml(alpha, beta, A, 0.0)
+                    == 1.0 / math.gamma(beta))
 
 
 class TestMlScalar:
