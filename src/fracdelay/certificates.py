@@ -44,14 +44,13 @@ import numpy as np
 
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
                      OrderTooLow, PremiseViolated, WindowOutOfRange)
-from .kernels import Kernels, phi_alpha_l1
+from .kernels import _QUAD_TOL, Kernels, phi_alpha_l1
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
-                     atilde_sup_norm, b_sup_norm)
+                     atilde_sup_norm, b_sup_norm, check_feedback)
 from .tables import (TimeFunctionTable, induced_norms, l2_window_norms,
                      table_linear_combination)
 
 _TIE_TOL = 1e-12
-_QUAD_TOL = 1e-9
 # eigenvalue arguments within this many radians of alpha pi / 2 count as
 # on the edge of the decay sector
 _SECTOR_TOL = 1e-12
@@ -68,6 +67,7 @@ def _gain_bounds(prob: ValidatedProblem, feedback: ControlInput | None):
     ctl = feedback if feedback is not None else prob.control
     if ctl is None or ctl.kind != "feedback":
         return [0.0] * len(prob.system.delays), None
+    check_feedback(prob.system, ctl)
     return list(ctl.gain_bounds), ctl
 
 
@@ -80,17 +80,25 @@ class _CertInputs:
     integrals ``||phi||^p`` for ``p in powers`` (1 for the uniform family, 2
     for the windowed-L2 one) come from one cumulative integration over the
     sorted grid, the phi_j norms from one table per j and one stacked norm.
+    An eigenvalue of A0 inside |arg lambda| < alpha pi / 2 (``sector_margin``
+    below 0) makes the kernels grow exponentially: then no table is built
+    and both families are infeasible at +inf on the whole grid.
     """
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
-                 deltas, powers, tol: float, ker: Kernels | None = None):
+                 deltas, powers):
         sys = prob.system
         bounds, ctl = _gain_bounds(prob, feedback)
+        self.grid = np.unique(np.asarray(deltas, dtype=float))
+        if not self.grid[0] > 0:
+            raise ValueError("delta must be positive")
+        ker = Kernels(sys.alpha, sys.A[0])
+        self.growing = ker.sector_margin() < -_SECTOR_TOL
+        if self.growing:
+            return
         bn = b_sup_norm(prob)
         lags = range(1, len(sys.delays))
         self.prob = prob
-        if ker is None:
-            ker = Kernels(sys.alpha, sys.A[0])
         self.a0 = atilde_sup_norm(prob, 0) + bn * bounds[0]
         self.a_delayed = sum(ahat_sup_norm(prob, i) + bn * bounds[i]
                              for i in lags)
@@ -100,19 +108,22 @@ class _CertInputs:
         self.bk = None if ctl is None else [TimeFunctionTable(
             B.sample_times.copy(), np.einsum("qik,kj->qij", B.values, K),
             B.interpolation) for K in ctl.gains]
-        self.grid = np.unique(np.asarray(deltas, dtype=float))
-        if not self.grid[0] > 0:
-            raise ValueError("delta must be positive")
         integrals = dict(zip(powers, ker.norm_integrals(
-            np.concatenate(([0.0], self.grid)), powers, tol)))
+            np.concatenate(([0.0], self.grid)), powers)))
         self.l1 = integrals.get(1)
         self.l2k = np.sqrt(integrals[2]) if 2 in integrals else None
         phis = np.array([ker.phi_j(j, self.grid) for j in range(sys.k)])
         self.phi_sum_norm = induced_norms(phis.sum(axis=0))
         self.phi_norm_sum = induced_norms(phis).sum(axis=0)
 
+    def _infeasible(self):
+        return (np.full(self.grid.size, math.inf),
+                np.zeros(self.grid.size, dtype=bool))
+
     def g(self):
         """Uniform-family values and feasibility per delta."""
+        if self.growing:
+            return self._infeasible()
         return _contraction(self.phi_sum_norm + self.l1 * self.a_delayed,
                             self.l1 * self.a0)
 
@@ -120,6 +131,8 @@ class _CertInputs:
         """Windowed-L2 values (NaN where a window leaves a table's domain)
         and feasibility per delta at window start t; the matrix functions
         count as zero for t < 0, where the trajectory difference is zero."""
+        if self.growing:
+            return self._infeasible()
         grid, bk = self.grid, self.bk
         d_factor = l2_window_norms(self.prob.system.A_tilde[0], t, grid)
         if bk is not None:
@@ -158,19 +171,19 @@ def _one_delta(values, what: str):
 # ---------------------------------------------------------------------------
 
 def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
-             delta: float, tol: float = _QUAD_TOL):
+             delta: float):
     """Window-contraction certificate; gains enter through their declared bounds.
 
     Returns (value, feasible); infeasible means the inverse factor's
     denominator was not positive, reported rather than raised.
     """
-    return _one_delta(_CertInputs(prob, feedback, [delta], (1,), tol).g(),
+    return _one_delta(_CertInputs(prob, feedback, [delta], (1,)).g(),
                       f"g({delta})")
 
 
-def cert_g_h(prob: ValidatedProblem, delta: float, tol: float = _QUAD_TOL):
+def cert_g_h(prob: ValidatedProblem, delta: float):
     """Uncontrolled certificate: the controlled one with zero gain bounds."""
-    return cert_g_f(prob, ControlInput.none(), delta, tol)
+    return cert_g_f(prob, ControlInput.none(), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +191,18 @@ def cert_g_h(prob: ValidatedProblem, delta: float, tol: float = _QUAD_TOL):
 # ---------------------------------------------------------------------------
 
 def cert_g_hat_f(prob: ValidatedProblem, feedback: ControlInput | None,
-                 t: float, delta: float, tol: float = _QUAD_TOL):
+                 t: float, delta: float):
     """Windowed-L2 certificate at window start t; requires alpha > 1/2.
 
     Gain terms enter as L2 windows of B K_i.
     """
-    inputs = _CertInputs(prob, feedback, [delta], (2,), tol)
+    inputs = _CertInputs(prob, feedback, [delta], (2,))
     return _one_delta(inputs.g_hat(t), f"g_hat({t}, {delta})")
 
 
-def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float,
-                 tol: float = _QUAD_TOL):
+def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float):
     """Uncontrolled windowed-L2 certificate: no B K_i windows."""
-    return cert_g_hat_f(prob, ControlInput.none(), t, delta, tol)
+    return cert_g_hat_f(prob, ControlInput.none(), t, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +218,7 @@ def gain_bound_uniform(prob: ValidatedProblem, delta: float,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    inputs = _CertInputs(prob, ControlInput.none(), [delta], (1,), _QUAD_TOL)
+    inputs = _CertInputs(prob, ControlInput.none(), [delta], (1,))
     value, feasible = _one_delta(inputs.g(), f"g_h({delta})")
     if not feasible or value >= 1.0 - epsilon:
         raise PremiseViolated(
@@ -224,7 +236,7 @@ def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     t0 = prob.system.h if t is None else t
-    inputs = _CertInputs(prob, ControlInput.none(), [delta], (2,), _QUAD_TOL)
+    inputs = _CertInputs(prob, ControlInput.none(), [delta], (2,))
     value, feasible = _one_delta(inputs.g_hat(t0), f"g_hat_h({t0}, {delta})")
     if not feasible or value >= 1.0 - epsilon:
         raise PremiseViolated(
@@ -270,8 +282,7 @@ class CertificateReport:
 
 
 def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
-            delta_grid=None, t_grid=None,
-            tol: float = _QUAD_TOL) -> CertificateReport:
+            delta_grid=None, t_grid=None) -> CertificateReport:
     """Evaluate the applicable certificate family over a delta grid.
 
     Per delta the reported value is the best (smallest) among the feasible
@@ -281,10 +292,8 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
     some feasible value < 1 (within a 1e-12 tie tolerance) certifies global
     asymptotic stability of the zero solution; a feasible value at 1
     certifies bounded solutions with the sup bound recorded in the report.
-    When an eigenvalue of A0 lies strictly inside the sector
-    |arg lambda| < alpha pi / 2 (``Kernels.sector_margin`` below 0) the
-    kernels grow exponentially and no delta can certify: the report is
-    Inconclusive, every entry infeasible at +inf, and no quadrature runs.
+    Kernels that grow exponentially (see ``_CertInputs``) give an
+    Inconclusive report, every entry infeasible at +inf, and no quadrature.
     """
     if delta_grid is None:
         delta_grid = DEFAULT_DELTA_GRID
@@ -294,16 +303,9 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
     sys = prob.system
     if t_grid is None:
         t_grid = [sys.h]
-    ker = Kernels(sys.alpha, sys.A[0])
-    if ker.sector_margin() < -_SECTOR_TOL:
-        return CertificateReport(
-            verdict="Inconclusive", contraction_constant=None,
-            witness_delta=None, grid=[GridEntry(delta=d, value=math.inf,
-                                                feasible=False)
-                                      for d in delta_grid])
     with_hat = sys.alpha > 0.5
     inputs = _CertInputs(prob, feedback, delta_grid,
-                         (1, 2) if with_hat else (1,), tol, ker)
+                         (1, 2) if with_hat else (1,))
     value, feasible = inputs.g()
     hats = [inputs.g_hat(t) for t in t_grid] if with_hat else []
     if hats:
@@ -369,14 +371,14 @@ def _l1_to_infinity(ker: Kernels) -> float:
             "|arg| <= alpha pi / 2")
     rho = float(np.min(np.abs(lam.real)))
     T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
-    prev = phi_alpha_l1(ker, T, tol=1e-8)
+    prev = phi_alpha_l1(ker, T)
     inc_prev = None
     for _ in range(10):
         # only the new segment [T, 2T] is integrated
-        inc = float(ker.norm_integrals([T, 2.0 * T], (1,), 1e-8)[0, 0])
+        inc = float(ker.norm_integrals([T, 2.0 * T], (1,))[0, 0])
         T *= 2.0
         cur = prev + inc
-        if inc <= 1e-9 * max(1.0, cur):
+        if inc <= _QUAD_TOL * max(1.0, cur):
             return cur
         if inc_prev is not None:
             ratio = inc / inc_prev
@@ -459,13 +461,9 @@ def high_order_check(prob: ValidatedProblem) -> HighOrderResult:
     sys = prob.system
     if sys.alpha < 2.0:
         raise OrderTooLow(f"alpha = {sys.alpha} is below 2")
-    zero_ok = True
-    for j, phi in enumerate(prob.ics.phi):
-        if j < sys.alpha - 1.0:
-            ss = np.linspace(phi.t_start, 0.0, 2001)
-            worst = float(np.max(np.abs(phi(ss))))
-            if worst > _ZERO_TOL:
-                zero_ok = False
+    zero_ok = all(np.max(np.abs(phi(np.linspace(phi.t_start, 0.0, 2001))))
+                  <= _ZERO_TOL for j, phi in enumerate(prob.ics.phi)
+                  if j < sys.alpha - 1.0)
     t34 = theorem34_certify(sys)
     spectral_ok = bool(t34.arg_condition_met and t34.strict_norm_test)
     verdict = ("BoundedIndependentOfDelays" if zero_ok and spectral_ok

@@ -17,6 +17,7 @@ All emitted JSON and CSV is byte-deterministic: fixed key order, floats at
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .certificates import (DEFAULT_DELTA_GRID, certify, delay_free_certify,
                            high_order_check)
-from .errors import FracDelayError, KernelNotIntegrable, OrderTooLow
+from .errors import FracDelayError, KernelNotIntegrable
 from .kernels import Kernels, verify_lemma22
 from .solver import align_grid, solve_oracle, solve_trajectory
 from .spectral import theorem34_certify
@@ -57,8 +58,7 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return dump_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -70,9 +70,8 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        import json as _json
         inner = ",\n".join(
-            "  " * (indent + 1) + _json.dumps(str(k)) + ": "
+            "  " * (indent + 1) + json.dumps(str(k)) + ": "
             + dump_json(v, indent + 1) for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -99,8 +98,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sp):
     sp.add_argument("--problem", required=True, help="problem JSON file")
     sp.add_argument("--out", default=None, help="directory for output artifacts")
-    sp.add_argument("--tol", type=float, default=1e-9,
-                    help="quadrature tolerance for certificate integrals")
     sp.add_argument("--dump-normalized", action="store_true",
                     help="echo the normalized problem JSON and exit")
 
@@ -199,10 +196,9 @@ def _run_simulate(args, prob) -> int:
 def _run_certify(args, prob) -> int:
     delta_grid = (DEFAULT_DELTA_GRID if args.delta_grid is None
                   else _parse_grid_spec(args.delta_grid))
-    t_grid = None
-    if args.t_grid is not None:
-        t_grid = [float(x) for x in args.t_grid.split(",")]
-    report = certify(prob, None, delta_grid, t_grid, tol=args.tol)
+    t_grid = (None if args.t_grid is None
+              else [float(x) for x in args.t_grid.split(",")])
+    report = certify(prob, None, delta_grid, t_grid)
     doc = report.as_dict()
     doc["bounds"] = None
     doc["high_order"] = None
@@ -212,10 +208,7 @@ def _run_certify(args, prob) -> int:
         except KernelNotIntegrable as exc:
             doc["bounds"] = {"error": str(exc)}
     if prob.system.alpha >= 2.0:
-        try:
-            doc["high_order"] = high_order_check(prob).as_dict()
-        except OrderTooLow:
-            pass
+        doc["high_order"] = high_order_check(prob).as_dict()
     _emit(doc, args.out, "report.json")
     inconclusive = report.verdict == "Inconclusive"
     if doc["bounds"] is not None and "verdict" in doc["bounds"]:
@@ -230,10 +223,8 @@ def _run_spectral(args, prob) -> int:
 
 
 def _run_verify_bounds(args, prob) -> int:
-    if args.t_grid is not None:
-        t_grid = np.array([float(x) for x in args.t_grid.split(",")])
-    else:
-        t_grid = np.geomspace(0.1, 10.0, 50)
+    t_grid = (np.geomspace(0.1, 10.0, 50) if args.t_grid is None
+              else np.array([float(x) for x in args.t_grid.split(",")]))
     report = verify_lemma22(prob.system, t_grid)
     _emit(report.as_dict(), args.out, "bounds.json")
     return 0 if report.all_passed else 2
@@ -257,11 +248,7 @@ def main(argv=None) -> int:
             _emit(problem_to_dict(prob), args.out, "problem.normalized.json")
             return 0
         return _RUNNERS[args.command](args, prob)
-    except FracDelayError as exc:
-        sys.stderr.write(dump_json({"error": type(exc).__name__,
-                                    "message": str(exc)}) + "\n")
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (FracDelayError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(dump_json({"error": type(exc).__name__,
                                     "message": str(exc)}) + "\n")
         return 1

@@ -44,6 +44,7 @@ from .system import FractionalDelaySystem
 from .tables import induced_norm, induced_norms
 
 _HALVINGS = 10      # a single delta runs over the edges delta 2^-k, k <= 10
+_QUAD_TOL = 1e-9    # the one accuracy of every kernel norm integral
 _ELL = np.arange(601.0)  # the l = 0..600 of sup_factor and sup_gamma_ratio
 _ENVELOPE_MARGIN = 0.1  # fit_decay_envelope's lam: 0.9 of the abscissa
 _ENVELOPE_POINTS = 400  # its coarse grid; the fine one has 4x as many
@@ -126,7 +127,7 @@ class Kernels:
     def _e_norms(self, beta: float, s: np.ndarray) -> np.ndarray:
         return induced_norms(self.e_ml(beta, s))
 
-    def norm_integrals(self, edges, powers, tol: float) -> np.ndarray:
+    def norm_integrals(self, edges, powers) -> np.ndarray:
         """integral_(e_0)^(e_k) ||phi(s)||_2^p ds for each p in ``powers``.
 
         ``edges`` is one upper limit delta (edges 0, delta) or a sequence
@@ -140,6 +141,11 @@ class Kernels:
         system, one sign probe over [e_0, e_K], the edges among its points,
         finds the edges up to which the smooth factor keeps one sign; there
         L1 is the exact primitive s^a E_{a,a+1}(A0 s^a) instead.
+
+        The accuracy is fixed at ``_QUAD_TOL`` = 1e-9 of the mixed absolute/
+        relative scale, but a stagnating segment is accepted at 50 x 3e-8 of
+        its share, and matrix kernels rely on this: their integrals, and the
+        certificate values built on them, can carry about 1e-6 relative error.
         """
         alpha = self.alpha
         powers = list(powers)
@@ -151,7 +157,7 @@ class Kernels:
         if edges.size == 2 and edges[0] == 0:
             halving = edges[1] * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)
             return self.norm_integrals(np.concatenate(([0.0], halving)),
-                                       powers, tol)[:, -1:]
+                                       powers)[:, -1:]
         out = np.empty((len(powers), edges.size - 1))
         exact = np.zeros(edges.size - 1, dtype=bool)
         if self.n == 1 and 1 in powers:
@@ -169,9 +175,9 @@ class Kernels:
         quad = [i for i, p in enumerate(powers) if p != 1 or not exact.all()]
         if quad:
             quad_powers = [powers[i] for i in quad]
-            gradings = {1: max(1.0, 1.0 / alpha),
-                        2: min(max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0)),
-                               40.0)}
+            grading = max(max(1.0, 1.0 / alpha) if p == 1 else
+                          min(max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0)), 40.0)
+                          for p in quad_powers)
 
             def w(s):
                 norms = np.empty(s.shape)
@@ -182,9 +188,8 @@ class Kernels:
                 return np.array([norms ** p for p in quad_powers])
 
             out[quad] = weighted_singular_integral(
-                [p * (alpha - 1.0) for p in quad_powers], w, edges, tol,
-                grading=max(gradings[p] for p in quad_powers),
-                noise_floor=3e-8)
+                [p * (alpha - 1.0) for p in quad_powers], w, edges, _QUAD_TOL,
+                grading=grading, noise_floor=3e-8)
         if exact.any():
             prim = self.int_phi(edges[1:][exact])[:, 0, 0]
             if edges[0] > 0:
@@ -263,9 +268,8 @@ def _product_integrate(gamma_exp: np.ndarray, w: np.ndarray,
     return np.sum(wa * m0 + slope * (m1 - a * m0), axis=1)
 
 
-def weighted_singular_integral(gamma_exp, w_func, delta,
-                               tol: float = 1e-10, n0: int = 32,
-                               max_doublings: int = 11,
+def weighted_singular_integral(gamma_exp, w_func, delta, tol: float,
+                               n0: int = 32, max_doublings: int = 11,
                                grading: float = 1.0,
                                noise_floor: float = 0.0):
     """Adaptive integral of s^gamma w(s) ds for a smooth vectorized w.
@@ -355,14 +359,14 @@ def weighted_singular_integral(gamma_exp, w_func, delta,
     return float(out) if out.ndim == 0 else out
 
 
-def phi_alpha_l1(sys, delta: float, tol: float = 1e-10) -> float:
+def phi_alpha_l1(sys, delta: float) -> float:
     """integral_0^delta ||phi(s)||_2 ds (see ``Kernels.norm_integrals``)."""
-    return float(_kernels(sys).norm_integrals(delta, (1,), tol)[0, 0])
+    return float(_kernels(sys).norm_integrals(delta, (1,))[0, 0])
 
 
-def phi_alpha_l2sq(sys, delta: float, tol: float = 1e-10) -> float:
+def phi_alpha_l2sq(sys, delta: float) -> float:
     """integral_0^delta ||phi(s)||_2^2 ds; requires alpha > 1/2."""
-    return float(_kernels(sys).norm_integrals(delta, (2,), tol)[0, 0])
+    return float(_kernels(sys).norm_integrals(delta, (2,))[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def theorem34_certify(sys: FractionalDelaySystem,
     m = frac_power_measure(dec, sys.alpha)
     lam = dec.eigenvalues
     arg_ok = bool(np.all(np.abs(np.angle(lam))
-                         < sys.alpha * math.pi / 2.0 - 0.0))
+                         < sys.alpha * math.pi / 2.0))
     mu2 = matrix_measure(dec.J_d, 2)
     threshold = abs(mu2) ** (1.0 / sys.alpha)
     try:

@@ -136,6 +136,26 @@ def _freeze_matrix(M, n_rows, n_cols, what) -> np.ndarray:
     return M
 
 
+def check_feedback(sys: FractionalDelaySystem, control: ControlInput) -> None:
+    """Raise DimensionMismatch unless the feedback ``control`` fits ``sys``."""
+    if sys.B is None:
+        raise DimensionMismatch("feedback control requires an input matrix B")
+    if len(control.gains) != len(sys.delays):
+        raise DimensionMismatch(f"{len(control.gains)} feedback gains for "
+                                f"{len(sys.delays)} delays")
+    if len(control.gain_bounds) != len(control.gains):
+        raise DimensionMismatch(f"{len(control.gain_bounds)} gain bounds for "
+                                f"{len(control.gains)} gains")
+    shape = (sys.m, sys.n)
+    for i, (K, bound) in enumerate(zip(control.gains, control.gain_bounds)):
+        if K.shape != shape:
+            raise DimensionMismatch(f"gain K[{i}] has shape {K.shape}, "
+                                    f"expected {shape}")
+        if induced_norm(K) > bound * (1 + 1e-12) + 1e-15:
+            raise DimensionMismatch(
+                f"gain K[{i}] violates its declared bound {bound}")
+
+
 def validate_system(alpha, delays, A, A_tilde=None, B=None, phi=(), x0=None,
                     control: ControlInput | None = None) -> ValidatedProblem:
     """Check all structural invariants and return the normalized problem.
@@ -218,18 +238,7 @@ def validate_system(alpha, delays, A, A_tilde=None, B=None, phi=(), x0=None,
 
     control = control or ControlInput.none()
     if control.kind == "feedback":
-        if sys.B is None:
-            raise DimensionMismatch("feedback control requires an input matrix B")
-        if len(control.gains) != len(delays):
-            raise DimensionMismatch(f"{len(control.gains)} feedback gains for "
-                                    f"{len(delays)} delays")
-        for i, (K, bound) in enumerate(zip(control.gains, control.gain_bounds)):
-            if K.shape != (m, n):
-                raise DimensionMismatch(f"gain K[{i}] has shape {K.shape}, "
-                                        f"expected {(m, n)}")
-            if induced_norm(K) > bound * (1 + 1e-12) + 1e-15:
-                raise DimensionMismatch(
-                    f"gain K[{i}] violates its declared bound {bound}")
+        check_feedback(sys, control)
     elif control.kind == "open_loop":
         if sys.B is None:
             raise DimensionMismatch("open-loop control requires an input matrix B")

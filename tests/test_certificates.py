@@ -15,12 +15,29 @@ from fracdelay import (ControlInput, TimeFunctionTable, cert_g_f, cert_g_h,
                        high_order_check, validate_system)
 from fracdelay import kernels
 from fracdelay.certificates import DEFAULT_DELTA_GRID
-from fracdelay.errors import (DelaysNotZero, EmptyGrid, OrderTooLow,
-                              PremiseViolated, WindowOutOfRange)
+from fracdelay.errors import (DelaysNotZero, DimensionMismatch, EmptyGrid,
+                              OrderTooLow, PremiseViolated, WindowOutOfRange)
 
 
 def g_h_closed_form(delta, a1):
     return math.exp(-delta) + a1 * (1.0 - math.exp(-delta))
+
+
+def growing_kernel_problem():
+    """alpha 1.6219 with eigenvalues of A0 at |arg| = 0.65 pi, strictly
+    inside the sector |arg| < alpha pi / 2 = 0.81 pi: phi grows."""
+    A0 = np.array([[-1.2333, -0.9583], [1.6, 0.2029]])
+    phi = [TimeFunctionTable(np.array([-1.0]), np.array([[1.0, 0.0]]),
+                             "const")] * 2
+    return validate_system(1.6219, [0.0, 1.0], [A0, 0.1 * np.eye(2)],
+                           None, None, phi)
+
+
+def forbid_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(kernels.Kernels, "norm_integrals", no_quadrature)
 
 
 class TestUniformFamily:
@@ -115,6 +132,35 @@ class TestControlledFamily:
         assert v1 == pytest.approx(ref, abs=1e-7)
 
 
+class TestFeedbackOverride:
+    """A feedback passed to a certificate gets validate_system's checks."""
+
+    BAD = {
+        # K_1 = 5 breaks its declared bound 0; the closed loop diverges
+        "over_bound": ControlInput.feedback([[[0.0]], [[5.0]]], [0.0, 0.0]),
+        # 2 x 2 gains for m = 1
+        "shape": ControlInput.feedback([np.zeros((2, 2))] * 2),
+        # one gain for two lags
+        "gain_count": ControlInput.feedback([[[0.1]]]),
+        # one declared bound for two gains
+        "bound_count": ControlInput.feedback([[[0.1]], [[0.1]]], [1.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_rejected(self, case):
+        fb = self.BAD[case]
+        prob = scalar_problem(1.0, -1.0, 0.2, r1=1.0, b=1.0)
+        with pytest.raises(DimensionMismatch):
+            certify(prob, fb, [1.0])
+        with pytest.raises(DimensionMismatch):
+            cert_g_f(prob, fb, 1.0)
+        with pytest.raises(DimensionMismatch):
+            cert_g_hat_f(prob, fb, 1.0, 1.0)
+        with pytest.raises(DimensionMismatch):
+            delay_free_certify(scalar_problem(1.0, -1.0, 0.2, b=1.0,
+                                              zero_delays=True), fb)
+
+
 class TestGainBounds:
     def test_formula_arithmetic(self):
         prob = scalar_problem(1.0, -1.0, 0.0, r1=1.0, b=1.0)
@@ -163,24 +209,28 @@ class TestCertify:
         assert rep.contraction_constant is None
 
     def test_kernel_outside_decay_sector_is_inconclusive(self, monkeypatch):
-        # eigenvalues at |arg| = 0.65 pi < alpha pi / 2 = 0.81 pi: phi grows,
-        # and the quadrature out to delta = 100 used to stall at 65,536 cells
-        A0 = np.array([[-1.2333, -0.9583], [1.6, 0.2029]])
-        phi = [TimeFunctionTable(np.array([-1.0]), np.array([[1.0, 0.0]]),
-                                 "const")] * 2
-        prob = validate_system(1.6219, [0.0, 1.0], [A0, 0.1 * np.eye(2)],
-                               None, None, phi)
-        assert kernels.Kernels(1.6219, A0).sector_margin() < -0.1
-
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature ran")
-
-        monkeypatch.setattr(kernels.Kernels, "norm_integrals", no_quadrature)
+        # the quadrature out to delta = 100 used to stall at 65,536 cells
+        prob = growing_kernel_problem()
+        assert kernels.Kernels(1.6219, prob.system.A[0]).sector_margin() < -0.1
+        forbid_quadrature(monkeypatch)
         rep = certify(prob)
         assert rep.verdict == "Inconclusive"
         assert rep.contraction_constant is None and rep.witness_delta is None
         assert [e.delta for e in rep.grid] == list(DEFAULT_DELTA_GRID)
         assert all(e.value == math.inf and not e.feasible for e in rep.grid)
+
+    def test_one_delta_certificates_outside_decay_sector(self, monkeypatch):
+        # cert_g_h(prob, 100.0) used to stall in the quadrature, and
+        # cert_g_h(prob, 30.0) to return a finite feasible value
+        prob = growing_kernel_problem()
+        forbid_quadrature(monkeypatch)
+        for delta in (30.0, 100.0):
+            assert cert_g_h(prob, delta) == (math.inf, False)
+            assert cert_g_hat_h(prob, 1.0, delta) == (math.inf, False)
+            with pytest.raises(PremiseViolated):
+                gain_bound_uniform(prob, delta, 0.1)
+            with pytest.raises(PremiseViolated):
+                gain_bound_l2(prob, delta, 0.1)
 
     def test_sector_margin(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +-i
@@ -277,7 +327,7 @@ class TestCertify:
         # E_{1.2,1.2}(-2 s^1.2) changes sign
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
         table = ker.norm_integrals(np.concatenate(([0.0], DEFAULT_DELTA_GRID)),
-                                   (1, 2), 1e-9)
+                                   (1, 2))
         assert table[0, -1] == pytest.approx(self._exact_l1(100.0),
                                              rel=1e-6)
 
@@ -286,7 +336,7 @@ class TestCertify:
         # the integrand is accurate to about 1e-14 absolute, so the result
         # meets the quadrature tolerance
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
-        got = kernels.phi_alpha_l1(ker, 100.0, tol=1e-9)
+        got = kernels.phi_alpha_l1(ker, 100.0)
         assert got == pytest.approx(self._exact_l1(100.0), rel=1e-8)
 
     def test_one_delta_certificates_integrate_over_halving_edges(self):
@@ -310,7 +360,7 @@ class TestCertify:
         # the first zero is near 1.99; with a far last edge the sign probe
         # is coarse there, and delta = 2.3 lies before its next point
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
-        table = ker.norm_integrals([0.0, 2.3, 1000.0], (1,), 1e-9)
+        table = ker.norm_integrals([0.0, 2.3, 1000.0], (1,))
         assert table[0, 0] == pytest.approx(self._exact_l1(2.3), rel=1e-6)
 
     @settings(max_examples=20, deadline=None)

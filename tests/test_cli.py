@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 
 import fracdelay
 from conftest import FIXTURES
-from fracdelay.cli import dump_json, main
+from fracdelay.cli import _RUNNERS, build_parser, dump_json, main
+from fracdelay.system import load_problem
 
 
 def run_cli(*argv):
@@ -133,6 +135,53 @@ class TestDeterminism:
         _, first = run_cli(*argv)
         _, second = run_cli(*argv)
         assert first == second
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A Namespace that records the names of the attributes read from it."""
+
+    reads: set = set()
+
+    def __getattribute__(self, name):
+        type(self).reads.add(name)
+        return super().__getattribute__(name)
+
+
+class TestFlags:
+    # one cheap invocation per subcommand, every optional flag given
+    ARGV = {
+        "ml": ("--problem", f"{FIXTURES}/frac_nodelay.json", "--t", "0.7",
+               "--beta", "1.5"),
+        "simulate": ("--problem", f"{FIXTURES}/frac_delay_a07.json",
+                     "--step", "0.05", "--horizon", "1", "--oracle"),
+        "certify": ("--problem", f"{FIXTURES}/scalar_contractive.json",
+                    "--delta-grid", "0.5,2,3", "--t-grid", "1,2"),
+        "spectral": ("--problem", f"{FIXTURES}/spectral_t34.json"),
+        "verify-bounds": ("--problem", f"{FIXTURES}/exp_decay.json",
+                          "--t-grid", "0.5,1"),
+    }
+    # main reads these itself before it hands over to the runner
+    READ_BY_MAIN = {"command", "problem", "dump_normalized"}
+
+    @pytest.mark.parametrize("command", sorted(_RUNNERS))
+    def test_every_flag_is_read_by_its_subcommand(self, command, tmp_path):
+        args = build_parser().parse_args(
+            [command, *self.ARGV[command], "--out", str(tmp_path)],
+            namespace=_ReadRecorder())
+        prob = load_problem(args.problem)
+        _ReadRecorder.reads = set()
+        with redirect_stdout(io.StringIO()):
+            assert _RUNNERS[command](args, prob) in (0, 2)
+        unread = set(vars(args)) - self.READ_BY_MAIN - _ReadRecorder.reads
+        assert unread == set()
+
+    @pytest.mark.parametrize("command", sorted(_RUNNERS))
+    def test_no_tolerance_flag(self, command, capsys):
+        code, out = run_cli(command, *self.ARGV[command], "--tol", "1e-9")
+        assert code == 1 and out == ""
+        err = json.loads(capsys.readouterr().err)
+        assert "argument error" in err["message"]
+        assert "--tol" in err["message"]
 
 
 # Runs in a fresh interpreter: every command but verify-bounds loads no scipy

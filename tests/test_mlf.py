@@ -304,9 +304,9 @@ class TestMlMatrix:
 
 
 def test_no_public_accuracy_options():
-    # the evaluator has one accuracy: nothing public takes a tolerance,
-    # term cap or configuration for it
-    banned = {"cfg", "rel_tol", "max_terms"}
+    # the evaluator and the kernel quadrature have one accuracy each:
+    # nothing public takes a tolerance, term cap or configuration for them
+    banned = {"cfg", "rel_tol", "max_terms", "tol"}
     public = [getattr(fracdelay, name) for name in fracdelay.__all__]
     public += [member for name, member in vars(fracdelay.Kernels).items()
                if not name.startswith("__")]
