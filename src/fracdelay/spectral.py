@@ -45,8 +45,9 @@ def matrix_measure(M: np.ndarray, p=2) -> float:
         off = np.sum(np.abs(M), axis=0 if p == 1 else 1) - np.abs(np.diag(M))
         return float(np.max(np.real(np.diag(M)) + off))
     if p == 2:
-        H = (M + M.conj().T) / 2.0
-        return float(np.max(np.linalg.eigvalsh(H)))
+        # eigvalsh can undershoot max Re lambda by roundoff (M = -c 11^T)
+        mu = np.linalg.eigvalsh((M + M.conj().T) / 2.0).max()
+        return float(max(mu, np.linalg.eigvals(M).real.max()))
     raise ValueError(f"unsupported measure order {p!r}")
 
 
