@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Sweep the certificate value over a delta grid and compare the certified
-window-contraction constant against the measured decay of a simulation.
+"""Sweep the certificate value over a delta grid and print the value at the
+delay next to the measured decay of consecutive delay windows of a
+simulation.  The value is not a bound on those window ratios (README,
+"Interpreting certificates"); only the verdict is claimed.
 
 Example:
     python scripts/certificate_sweep.py --problem tests/fixtures/scalar_contractive.json
@@ -38,7 +40,6 @@ def main() -> int:
     r1 = next((d for d in prob.system.delays if d > 0), None)
     if r1 is None:
         return 0
-    # certificate evaluated at the delay bounds the per-window decay ratio
     at_delay = certify(prob, delta_grid=[r1])
     if at_delay.verdict != "ContractiveGAS":
         print(f"\nno contraction certificate at delta = r1 = {r1}")
@@ -50,7 +51,7 @@ def main() -> int:
     sups = [float(np.max(np.linalg.norm(
         traj.states[k * lag:(k + 1) * lag], np.inf, axis=1)))
         for k in range(args.windows)]
-    print(f"\ncertified per-window ratio at r1: {kc:.6f}")
+    print(f"\ncertificate value at delta = r1: {kc:.6f}")
     print(f"{'window':>7} {'sup':>14} {'ratio':>10}")
     for k, s in enumerate(sups):
         ratio = "" if k == 0 or sups[k - 1] == 0 else f"{s / sups[k - 1]:10.6f}"

@@ -1,8 +1,7 @@
 """Contraction and boundedness certificates.
 
 All certificates are sufficient conditions built from norm bounds on the
-solution representation.  The window-contraction family compares the state
-over consecutive delay windows:
+solution representation.  The uniform (window-contraction) family is
 
     g(delta) = (1 - D(delta))^-1 ( ||sum_j phi_j(delta)||
                                    + L1(delta) * sum_{i>=1} a_i )
@@ -20,14 +19,20 @@ factorizations (integral ||phi|| f <= (integral ||phi||^2)^(1/2)
 (integral f^2)^(1/2)); it requires alpha > 1/2 for the squared kernel to be
 integrable and covers strongly time-localized perturbations better.
 
-A certificate value at delta is the claimed bound for window sups taken at
-spacing delta; to compare against the decay of consecutive delay windows of
-a simulation, evaluate the grid at the delay itself.  The report's
-contraction constant is the minimum over the supplied grid.  The grid is
-evaluated as arrays: each family is one array expression over the sorted
-deltas, fed by one kernel integration, one stacked norm of the phi_j and
-one windowed-L2 pass per table and window start; a one-delta certificate
-is the same computation on a grid of one.
+What a certificate claims is its verdict only.  A value at delta does not
+bound the ratio of solution sup-norms over windows spaced delta apart: for
+alpha 1.76, A0 = [[-3.84]], A1 = [[-0.25]], r1 = 1, phi_0 = 1 and
+phi_1 = 0, certify(prob, delta_grid=[1]) gives ContractiveGAS with
+g = 0.107, while the solution's sup over [1, 2) is 0.708 of its sup over
+[0, 1) (it still decays).  What each value bounds is open (ROADMAP.md item
+1).  The uniform family reads no delay, so its value and verdict are the
+same for every delay size.
+
+The report's contraction constant is the minimum over the supplied grid.
+The grid is evaluated as arrays: each family is one array expression over
+the sorted deltas, fed by one kernel integration, one stacked norm of the
+phi_j and one windowed-L2 pass per table and window start; a one-delta
+certificate is the same computation on a grid of one.
 
 The delay-free bounds follow the representation with A0 -> sum_i A_i: with
 K0_bar = sup_t max_j ||phi_j(t)||, K1_bar = L1(inf), and

@@ -61,6 +61,15 @@ class TestUniformFamily:
         assert not feasible
         assert value == math.inf
 
+    def test_value_does_not_depend_on_the_delay(self):
+        # the uniform family reads sup norms and the kernel of (alpha, A0),
+        # no delay: one value, and one verdict, for every delay size
+        values = [cert_g_h(scalar_problem(0.7, -1.0, 0.3, r1=r1), 1.0)
+                  for r1 in (0.5, 1.3, 2.9)]
+        assert values == [values[0]] * 3
+        assert values[0] == (pytest.approx(0.5797283846809197, rel=1e-12),
+                             True)
+
     def test_monotone_in_delayed_norm(self):
         prob_small = scalar_problem(1.0, -1.0, 0.2, r1=1.0)
         prob_large = scalar_problem(1.0, -1.0, 0.4, r1=1.0)

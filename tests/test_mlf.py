@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from scipy.special import erfc, gammaln
 
 import fracdelay
-from fracdelay import Kernels, gamma_fn, ml_matrix, ml_scalar
+from fracdelay import Kernels, gamma_fn, ml_matrix, ml_scalar, mlf
 from fracdelay.errors import (OverflowBeyondRepresentableRange,
                               PoleAtNonpositiveInteger, SeriesNotConverged)
 from fracdelay.kernels import norm_series_ml
@@ -204,6 +204,30 @@ def probe_points(alpha):
     return np.array(zs, dtype=complex)
 
 
+def per_node_trapezoid(alpha, beta, z, contour, mu, h, N, real):
+    """``mlf._trapezoid`` node by node: at each k, every point whose contour
+    reaches k adds its term."""
+    zs = z.real if real else z
+    acc = np.zeros(z.size, dtype=zs.dtype)
+    for k in range(0 if real else -N.max(), N.max() + 1):
+        on = abs(k) <= N[contour]
+        i = contour[on]
+        w = 1.0 + 1j * (k * h[i])
+        s = mu[i] * w * w
+        ls = np.log(s)
+        c = np.exp(s + (alpha - beta) * ls) * (2j * mu[i] * w)
+        d = np.exp(alpha * ls)
+        if not real:
+            acc[on] += c / (d - zs[on])
+            continue
+        if k:
+            c = 2.0 * c
+        e = d.real - zs[on]
+        acc[on] += (c.imag * e - c.real * d.imag) / (e * e + d.imag * d.imag)
+    step = h[contour] / (2.0 * np.pi)
+    return step * acc if real else -1j * step * acc
+
+
 class TestContour:
     @pytest.mark.parametrize("alpha", PROBE_ALPHAS)
     def test_against_reference_at_the_floor(self, alpha):
@@ -223,6 +247,23 @@ class TestContour:
             one = [ml_scalar_array(alpha, beta, zs[i:i + 1])[0]
                    for i in range(zs.size)]
             assert arr.tolist() == one, beta
+
+    @pytest.mark.parametrize("alpha, zs", [
+        # dozens of contours: for alpha > 1 every negative real z has poles
+        (1.2, -np.geomspace(1.1, 200, 300)),
+        (1.5, -np.geomspace(1.1, 200, 300)),
+        (0.3, np.array([z for z in probe_points(0.3) if z.imag])),
+        (0.9, np.array([-7.5])),
+        (0.9, np.array([6.0 * np.exp(0.7j * np.pi)])),
+    ])
+    def test_against_per_node_reference(self, monkeypatch, alpha, zs):
+        # the blocked rule adds each point's terms in the reference's order
+        for beta in (1.0, alpha, alpha + 2.0):
+            got = ml_scalar_array(alpha, beta, zs)
+            monkeypatch.setattr(mlf, "_trapezoid", per_node_trapezoid)
+            ref = ml_scalar_array(alpha, beta, zs)
+            monkeypatch.undo()
+            assert got.tolist() == ref.tolist(), beta
 
     def test_complex_overflow_raises_and_real_gives_inf(self):
         for alpha, beta, r, th in ((0.5, 1.0, 200.0, 0.1),
