@@ -12,10 +12,16 @@ integration (the singular power factor integrated exactly against a
 piecewise-linear interpolant of the smooth matrix-norm factor), refined by
 mesh doubling with Richardson extrapolation.  One cumulative integration per
 kernel serves a whole grid of upper limits 0 < d_1 < ... < d_K: a graded
-mesh on [0, d_1], a uniform one on every later [d_(k-1), d_k], all segments
-refined level by level together, and both integrals read off the same
-samples of ||E_{a,a}(A0 s^a)||.  A single upper limit delta is integrated
-over the halving edges delta 2^-k, k = 10..0.
+mesh on [0, d_1], a uniform one on every later [d_(k-1), d_k], and both
+integrals read off the same samples of ||E_{a,a}(A0 s^a)||.  The segments
+not yet converged share one cell count, so each level refines them as one
+(segments x nodes) array: one norm evaluation, one product integration and
+one Richardson row, with no loop over segments.  A single upper limit delta
+is integrated over the halving edges delta 2^-k, k = 10..0.  For a scalar
+kernel with alpha <= 1 the smooth factor E_{a,a}(A0 s^a) never changes sign
+(E_{a,a}(-x) is completely monotone: H. Pollard, Bull. AMS 54, 1948;
+W. R. Schneider, Expo. Math. 14, 1996), so L1 is the exact primitive
+s^a E_{a,a+1}(A0 s^a) at every edge.
 
 The bound verifier checks the norm inequalities relating these kernels to
 exponential majorants.  The right-hand sides use the series-of-norms
@@ -138,9 +144,14 @@ class Kernels:
         cumulative product integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p
         serves every edge and every power from the same norm samples, on a
         first segment graded for the most singular power.  For a scalar
-        system, one sign probe over [e_0, e_K], the edges among its points,
-        finds the edges up to which the smooth factor keeps one sign; there
-        L1 is the exact primitive s^a E_{a,a+1}(A0 s^a) instead.
+        system L1 is the exact primitive s^a E_{a,a+1}(A0 s^a) wherever the
+        smooth factor E_{a,a}(A0 s^a) keeps one sign: at every edge for
+        alpha <= 1, where it never changes sign (E_{a,a}(-x) is completely
+        monotone, Pollard 1948 and Schneider 1996, and E_{a,a}(x) > 0 for
+        x >= 0); for alpha > 1 up to the first point of a 2,048-point sign
+        probe over [e_0, e_K], the edges among its points, where the factor
+        is no longer clearly of its first sign.  An edge that is not finite
+        raises ``ValueError`` before any evaluation.
 
         The accuracy is fixed at ``_QUAD_TOL`` = 1e-9 of the mixed absolute/
         relative scale, but a stagnating segment is accepted at 50 x 3e-8 of
@@ -159,8 +170,10 @@ class Kernels:
             return self.norm_integrals(np.concatenate(([0.0], halving)),
                                        powers)[:, -1:]
         out = np.empty((len(powers), edges.size - 1))
-        exact = np.zeros(edges.size - 1, dtype=bool)
-        if self.n == 1 and 1 in powers:
+        scalar_l1 = self.n == 1 and 1 in powers
+        # for alpha <= 1 the smooth factor never changes sign (see above)
+        exact = np.full(edges.size - 1, scalar_l1 and alpha <= 1)
+        if scalar_l1 and alpha > 1:
             # the edges are probe points too, so an edge past a sign change
             # is never read off the primitive
             probe = np.union1d(_segment_mesh(edges[0], edges[-1], 2048,
@@ -228,22 +241,23 @@ def phi_alpha(sys, t: float):
 # segmented product integration of s^gamma * w(s)
 # ---------------------------------------------------------------------------
 
-def _segment_mesh(lo: float, hi: float, n_cells: int,
-                  grading: float) -> np.ndarray:
-    """Nodes of [lo, hi]: graded toward the singular point when lo = 0."""
-    i = np.arange(n_cells + 1, dtype=float)
-    if lo == 0:
-        return hi * (i / n_cells) ** grading
-    return lo + (hi - lo) * (i / n_cells)
+def _segment_mesh(lo, hi, n_cells: int, grading: float) -> np.ndarray:
+    """Nodes of [lo, hi], or one row per segment for arrays of ends: graded
+    toward the singular point where lo = 0, uniform elsewhere."""
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi)[..., None]
+    x = np.arange(n_cells + 1, dtype=float) / n_cells
+    return np.where(lo == 0, hi * x ** grading, lo + (hi - lo) * x)
 
 
 def _edges(delta) -> np.ndarray:
     """[0, delta] for one upper limit, else validated increasing edges."""
-    if np.ndim(delta) == 0:
+    edges = np.asarray(delta, dtype=float)
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("integration edges must be finite")
+    if edges.ndim == 0:
         if delta <= 0:
             raise ValueError("delta must be positive")
         return np.array([0.0, float(delta)])
-    edges = np.asarray(delta, dtype=float)
     if edges.size < 2 or edges[0] < 0 or not np.all(np.diff(edges) > 0):
         raise ValueError("integration edges must increase from a "
                          "nonnegative start")
@@ -252,20 +266,22 @@ def _edges(delta) -> np.ndarray:
 
 def _product_integrate(gamma_exp: np.ndarray, w: np.ndarray,
                        mesh: np.ndarray) -> np.ndarray:
-    """integral s^gamma w(s) ds per row, w piecewise linear on the mesh.
+    """integral s^gamma w(s) ds per segment and row, w piecewise linear.
 
-    ``gamma_exp`` has shape (m, 1) and ``w`` shape (m, nodes).  The moments
-    of the power weight are integrated exactly per cell, so the integrable
-    singularity at s = 0 (gamma > -1) costs no accuracy.
+    ``gamma_exp`` has shape (m, 1), ``w`` shape (segments, m, nodes) and
+    ``mesh`` shape (segments, nodes); the result has shape (segments, m).
+    The moments of the power weight are integrated exactly per cell, so the
+    integrable singularity at s = 0 (gamma > -1) costs no accuracy.
     """
-    a, b = mesh[:-1], mesh[1:]
-    g1, g2 = gamma_exp + 1.0, gamma_exp + 2.0
-    m0 = (b ** g1 - a ** g1) / g1
-    m1 = (b ** g2 - a ** g2) / g2
-    wa, wb = w[:, :-1], w[:, 1:]
-    width = b - a
+    a, b = mesh[:, :-1], mesh[:, 1:]
+    # one 2-D power per exponent: numpy's power broadcast over three axes
+    # takes another loop, where x ** 2.0 is not the exact square
+    m0, m1 = (np.stack([(b ** g - a ** g) / g for g in gamma_exp + shift],
+                       axis=1) for shift in (1.0, 2.0))
+    a, width = a[:, None], (b - a)[:, None]
+    wa, wb = w[..., :-1], w[..., 1:]
     slope = np.where(width > 0, (wb - wa) / np.where(width > 0, width, 1.0), 0.0)
-    return np.sum(wa * m0 + slope * (m1 - a * m0), axis=1)
+    return np.sum(wa * m0 + slope * (m1 - a * m0), axis=-1)
 
 
 def weighted_singular_integral(gamma_exp, w_func, delta, tol: float,
@@ -285,9 +301,12 @@ def weighted_singular_integral(gamma_exp, w_func, delta, tol: float,
     Each segment [e_(k-1), e_k] doubles its own nested mesh (graded toward
     s = 0 in the segment that starts there, uniform otherwise), so only odd
     nodes are evaluated per level, and accelerates its raw product-
-    integration sequence with a Richardson tableau in powers of h^2.  All
-    unconverged segments refine together, one ``w_func`` call per level.  A
-    segment has converged when its tableau change drops below its share
+    integration sequence with a Richardson tableau in powers of h^2.  Every
+    segment starts at ``n0`` cells and the unconverged ones double together,
+    so they always share one cell count: each level is one (segments x
+    nodes) mesh, one ``w_func`` call, one product integration and one
+    tableau row of (segments x m) arrays, filtered to the unconverged rows.
+    A segment has converged when its tableau change drops below its share
     ``tol / K`` of the mixed absolute/relative scale of the cumulative value
     at its right edge, so for a nonnegative integrand the summed change at
     every edge stays within ``tol * max(1, |value|)``.  A stagnating segment
@@ -299,56 +318,52 @@ def weighted_singular_integral(gamma_exp, w_func, delta, tol: float,
         raise ValueError("weight exponent must exceed -1 for integrability")
     edges = _edges(delta)
     K = edges.size - 1
-    n_cells = [n0] * K
-    meshes = [_segment_mesh(lo, hi, n0, grading)
-              for lo, hi in zip(edges[:-1], edges[1:])]
+    n_cells = n0
+    mesh = _segment_mesh(edges[:-1], edges[1:], n0, grading)
     # adjacent segments share their common edge: evaluate it once
-    first = np.atleast_2d(w_func(np.concatenate(
-        [meshes[0]] + [mesh[1:] for mesh in meshes[1:]])))
-    vals = [first[:, k * n0:(k + 1) * n0 + 1] for k in range(K)]
-    rows = [[_product_integrate(gammas, v, mesh)]
-            for v, mesh in zip(vals, meshes)]
-    est = np.array([row[0] for row in rows])          # (K, m)
+    first = np.atleast_2d(w_func(np.concatenate((mesh[0],
+                                                 mesh[1:, 1:].ravel()))))
+    vals = np.lib.stride_tricks.sliding_window_view(
+        first, n0 + 1, axis=1)[:, ::n0].swapaxes(0, 1)   # (K, m, nodes)
+    rows = [_product_integrate(gammas, vals, mesh)]    # tableau, (K, m) each
+    est = rows[0].copy()
     done = np.zeros(est.shape, dtype=bool)
     best_change = np.full(est.shape, math.inf)
     change = np.zeros(est.shape)
+    active = np.arange(K)
     for _ in range(max_doublings):
-        active = [k for k in range(K) if not done[k].all()]
-        if not active:
+        live = ~done[active].all(axis=1)
+        active = active[live]
+        if not active.size:
             break
-        for k in active:
-            n_cells[k] *= 2
-            meshes[k] = _segment_mesh(edges[k], edges[k + 1], n_cells[k],
-                                      grading)
-        new = np.atleast_2d(w_func(np.concatenate(
-            [meshes[k][1::2] for k in active])))
-        splits = np.cumsum([n_cells[k] // 2 for k in active])[:-1]
-        for k, odd in zip(active, np.split(new, splits, axis=1)):
-            v = np.empty((gammas.shape[0], n_cells[k] + 1))
-            v[:, ::2] = vals[k]
-            v[:, 1::2] = odd
-            vals[k] = v
-            prev = rows[k]
-            row = [_product_integrate(gammas, v, meshes[k])]
-            for j in range(1, min(len(prev) + 1, 5)):
-                fac = 4.0 ** j
-                row.append(row[j - 1] + (row[j - 1] - prev[j - 1]) / (fac - 1.0))
-            rows[k] = row
-            change[k] = np.abs(row[-1] - prev[-1])
-            est[k] = np.where(done[k], est[k], row[-1])
-        scale = np.maximum(1.0, np.abs(np.cumsum(est, axis=0))) / K
-        for k in active:
-            ok = change[k] <= tol * scale[k]
-            # stagnation at the weight-evaluation noise floor
-            if noise_floor > 0:
-                ok |= ((change[k] >= 0.25 * best_change[k])
-                       & (change[k] <= 50.0 * noise_floor * scale[k]))
-            done[k] |= ok
-            best_change[k] = np.minimum(best_change[k], change[k])
+        n_cells *= 2
+        mesh = _segment_mesh(edges[active], edges[active + 1], n_cells,
+                             grading)
+        new = np.atleast_2d(w_func(mesh[:, 1::2].ravel()))
+        v = np.empty((active.size, gammas.shape[0], n_cells + 1))
+        v[..., ::2] = vals[live]
+        v[..., 1::2] = new.reshape(-1, active.size, n_cells // 2).swapaxes(0, 1)
+        vals = v
+        prev = [col[live] for col in rows]
+        rows = [_product_integrate(gammas, v, mesh)]
+        for j in range(1, min(len(prev) + 1, 5)):
+            fac = 4.0 ** j
+            rows.append(rows[j - 1] + (rows[j - 1] - prev[j - 1]) / (fac - 1.0))
+        ch = change[active] = np.abs(rows[-1] - prev[-1])
+        est[active] = np.where(done[active], est[active], rows[-1])
+        scale = (np.maximum(1.0, np.abs(np.cumsum(est, axis=0))) / K)[active]
+        ok = ch <= tol * scale
+        # stagnation at the weight-evaluation noise floor
+        if noise_floor > 0:
+            ok |= ((ch >= 0.25 * best_change[active])
+                   & (ch <= 50.0 * noise_floor * scale))
+        done[active] |= ok
+        best_change[active] = np.minimum(best_change[active], ch)
     if not done.all():
+        # an unconverged segment refined at every level
         k = int(np.argmin(done.all(axis=1)))
         raise QuadratureNotConverged(
-            f"power-weight quadrature stalled at {n_cells[k]} cells on "
+            f"power-weight quadrature stalled at {n_cells} cells on "
             f"[{edges[k]:.6g}, {edges[k + 1]:.6g}] (last tableau change "
             f"{float(np.max(change[k])):.3e})")
     out = np.cumsum(est, axis=0).T

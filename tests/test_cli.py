@@ -99,6 +99,16 @@ class TestCommands:
         code, _ = run_cli("certify", "--problem", "/nonexistent.json")
         assert code == 1
 
+    def test_infinite_delta_is_error(self, capsys):
+        # geomspace(1, inf, 3) is [1, inf, inf]: rejected before quadrature
+        code, out = run_cli("certify", "--problem",
+                            f"{FIXTURES}/scalar_contractive.json",
+                            "--delta-grid", "1,inf,3")
+        assert code == 1 and out == ""
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "integration edges must be finite"}
+
     def test_invalid_problem_is_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

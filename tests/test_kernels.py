@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_stable_matrix
-from fracdelay import (fit_decay_envelope, phi_alpha, phi_alpha_j,
+from conftest import random_stable_matrix, scalar_problem
+from fracdelay import (certify, fit_decay_envelope, phi_alpha, phi_alpha_j,
                        phi_alpha_l1, phi_alpha_l2sq, verify_lemma22)
-from fracdelay import kernels
-from fracdelay.errors import NotAStabilityMatrix, SingularAtZero
+from fracdelay import kernels, mlf
+from fracdelay.certificates import DEFAULT_DELTA_GRID
+from fracdelay.errors import (NotAStabilityMatrix, QuadratureNotConverged,
+                              SingularAtZero)
 from fracdelay.kernels import (Kernels, norm_series_exp, norm_series_ml,
                                weighted_singular_integral)
 
@@ -144,6 +146,258 @@ class TestIntegrals:
         fine = weighted_singular_integral(-0.3, w, 2.0, tol, n0=64,
                                           grading=1 / 0.7, noise_floor=3e-8)
         assert abs(coarse - fine) < tol * max(1.0, abs(fine)) * 5
+
+
+def per_segment_quadrature(gamma_exp, w_func, delta, tol, n0=32,
+                           max_doublings=11, grading=1.0, noise_floor=0.0):
+    """The segmented quadrature refined one segment at a time in Python:
+    a per-segment mesh, product integration and Richardson tableau."""
+
+    def segment_mesh(lo, hi, n_cells):
+        i = np.arange(n_cells + 1, dtype=float)
+        if lo == 0:
+            return hi * (i / n_cells) ** grading
+        return lo + (hi - lo) * (i / n_cells)
+
+    def product_integrate(gammas, w, mesh):
+        a, b = mesh[:-1], mesh[1:]
+        g1, g2 = gammas + 1.0, gammas + 2.0
+        m0 = (b ** g1 - a ** g1) / g1
+        m1 = (b ** g2 - a ** g2) / g2
+        wa, wb = w[:, :-1], w[:, 1:]
+        width = b - a
+        slope = np.where(width > 0,
+                         (wb - wa) / np.where(width > 0, width, 1.0), 0.0)
+        return np.sum(wa * m0 + slope * (m1 - a * m0), axis=1)
+
+    gammas = np.atleast_1d(np.asarray(gamma_exp, dtype=float))[:, None]
+    edges = kernels._edges(delta)
+    K = edges.size - 1
+    n_cells = [n0] * K
+    meshes = [segment_mesh(lo, hi, n0) for lo, hi in zip(edges[:-1], edges[1:])]
+    first = np.atleast_2d(w_func(np.concatenate(
+        [meshes[0]] + [mesh[1:] for mesh in meshes[1:]])))
+    vals = [first[:, k * n0:(k + 1) * n0 + 1] for k in range(K)]
+    rows = [[product_integrate(gammas, v, mesh)]
+            for v, mesh in zip(vals, meshes)]
+    est = np.array([row[0] for row in rows])
+    done = np.zeros(est.shape, dtype=bool)
+    best_change = np.full(est.shape, math.inf)
+    change = np.zeros(est.shape)
+    for _ in range(max_doublings):
+        active = [k for k in range(K) if not done[k].all()]
+        if not active:
+            break
+        for k in active:
+            n_cells[k] *= 2
+            meshes[k] = segment_mesh(edges[k], edges[k + 1], n_cells[k])
+        new = np.atleast_2d(w_func(np.concatenate(
+            [meshes[k][1::2] for k in active])))
+        splits = np.cumsum([n_cells[k] // 2 for k in active])[:-1]
+        for k, odd in zip(active, np.split(new, splits, axis=1)):
+            v = np.empty((gammas.shape[0], n_cells[k] + 1))
+            v[:, ::2] = vals[k]
+            v[:, 1::2] = odd
+            vals[k] = v
+            prev = rows[k]
+            row = [product_integrate(gammas, v, meshes[k])]
+            for j in range(1, min(len(prev) + 1, 5)):
+                fac = 4.0 ** j
+                row.append(row[j - 1] + (row[j - 1] - prev[j - 1]) / (fac - 1.0))
+            rows[k] = row
+            change[k] = np.abs(row[-1] - prev[-1])
+            est[k] = np.where(done[k], est[k], row[-1])
+        scale = np.maximum(1.0, np.abs(np.cumsum(est, axis=0))) / K
+        for k in active:
+            ok = change[k] <= tol * scale[k]
+            if noise_floor > 0:
+                ok |= ((change[k] >= 0.25 * best_change[k])
+                       & (change[k] <= 50.0 * noise_floor * scale[k]))
+            done[k] |= ok
+            best_change[k] = np.minimum(best_change[k], change[k])
+    if not done.all():
+        k = int(np.argmin(done.all(axis=1)))
+        raise QuadratureNotConverged(
+            f"power-weight quadrature stalled at {n_cells[k]} cells on "
+            f"[{edges[k]:.6g}, {edges[k + 1]:.6g}] (last tableau change "
+            f"{float(np.max(change[k])):.3e})")
+    out = np.cumsum(est, axis=0).T
+    if np.ndim(delta) == 0:
+        out = out[:, -1]
+    if np.ndim(gamma_exp) == 0:
+        out = out[0]
+    return float(out) if out.ndim == 0 else out
+
+
+A3 = np.array([[-1.0, 0.5, 0.0], [0.0, -1.5, 0.3], [0.2, 0.0, -2.0]])
+GRID26 = [0.0, *DEFAULT_DELTA_GRID]
+
+
+class TestSegmentedQuadrature:
+    """All segments refined as one array give exactly the values of the
+    per-segment refinement.  GRID26 holds 26 edges, 25 segments."""
+
+    @staticmethod
+    def both(monkeypatch, fn):
+        """fn() with the batched quadrature, then with the per-segment one."""
+        got = fn()
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "weighted_singular_integral",
+                      per_segment_quadrature)
+            ref = fn()
+        return got, ref
+
+    @pytest.mark.parametrize("alpha, A0, edges, powers", [
+        # scalar: the exact primitive takes p = 1 for alpha <= 1
+        (0.7, A1, GRID26, (2,)),
+        (0.7, A1, [0.5, 3.0], (1, 2)),
+        (0.7, A1, 3.0, (2,)),
+        # scalar alpha = 1.5: E_{a,a}(-2 s^a) changes sign, so |phi| has
+        # kinks and the segments converge at different levels
+        (1.5, [[-2.0]], GRID26, (1,)),
+        (1.5, [[-2.0]], [0.3, 1.0, 1.7, 2.2, 2.9, 4.0, 6.5], (1, 2)),
+        (1.5, [[-2.0]], [1.0, 2.5], (1,)),
+        (0.8, A3, GRID26, (1, 2)),
+        (0.8, A3, GRID26, (1,)),
+        # alpha = 1: the moment exponents are 1 and 2 exactly
+        (1.0, A3, GRID26, (1, 2)),
+        (1.0, A1, [0.5, 2.0, 9.0], (2,)),
+        (1.2, A3, GRID26[3:], (2,)),
+        (0.8, A3, [0.0, 2.0], (1, 2)),
+        (1.2, A3, [2.0, 6.0], (1,)),
+    ])
+    def test_against_per_segment_reference(self, monkeypatch, alpha, A0,
+                                           edges, powers):
+        ker = Kernels(alpha, np.array(A0))
+        got, ref = self.both(monkeypatch,
+                             lambda: ker.norm_integrals(edges, powers))
+        assert got.tolist() == ref.tolist()
+
+    def test_segments_converge_at_different_levels(self, monkeypatch):
+        # per level, the segments still refined evaluate n/2 new nodes each
+        sizes = []
+        ker = Kernels(1.5, np.array([[-2.0]]))
+        w = ker._e_norms
+
+        def counted(beta, s):
+            sizes.append(s.size)
+            return w(beta, s)
+
+        monkeypatch.setattr(ker, "_e_norms", counted)
+        ker.norm_integrals(GRID26, (1,))
+        active = [size // (32 * 2 ** (level - 1))
+                  for level, size in enumerate(sizes) if level]
+        assert active[0] == 25 and len(set(active)) > 2
+
+    def test_scalar_exponent_and_delta(self, monkeypatch):
+        def w(s):
+            return np.exp(-s) * (1.0 + 0.3 * np.sin(3.0 * s))
+
+        got, ref = self.both(monkeypatch, lambda: kernels.weighted_singular_integral(
+            -0.3, w, 2.0, 1e-10, grading=1 / 0.7))
+        assert isinstance(got, float) and got == ref
+
+    def test_stall_names_the_first_unconverged_segment(self, monkeypatch):
+        # smooth on [0, 2], unresolved oscillation on [2, 3] and [3, 4]
+        def w(s):
+            return np.array([np.where(s > 2.0, np.sin(400.0 * s), 1.0),
+                             np.exp(-s)])
+
+        def run():
+            with pytest.raises(QuadratureNotConverged) as exc:
+                kernels.weighted_singular_integral(
+                    [-0.5, 0.0], w, [0.0, 1.0, 2.0, 3.0, 4.0], 1e-9,
+                    max_doublings=3)
+            return str(exc.value)
+
+        got, ref = self.both(monkeypatch, run)
+        assert got == ref
+        assert "stalled at 256 cells on [2, 3]" in got
+
+
+class TestNoSignProbe:
+    """For alpha <= 1 a scalar kernel keeps one sign: no probe, L1 from the
+    exact primitive at every edge."""
+
+    @staticmethod
+    def probe_points(monkeypatch):
+        # the probe is the only ml_scalar_array call kernels makes itself
+        points = []
+        ml = kernels.ml_scalar_array
+
+        def counted(alpha, beta, z):
+            points.append(np.size(z))
+            return ml(alpha, beta, z)
+
+        monkeypatch.setattr(kernels, "ml_scalar_array", counted)
+        return points
+
+    @pytest.mark.parametrize("alpha, a0, edges, powers", [
+        (0.4, -1.0, GRID26, (1,)),
+        (0.7, -1.0, GRID26, (1, 2)),
+        (0.7, 0.5, [0.2, 1.0, 3.0], (1, 2)),
+        (1.0, -1.0, GRID26, (1, 2)),
+        # e^(-2 s) falls below 1e-7 near s = 8, far inside the grid
+        (1.0, -2.0, GRID26, (1,)),
+    ])
+    def test_l1_is_the_exact_primitive(self, monkeypatch, alpha, a0, edges,
+                                       powers):
+        points = self.probe_points(monkeypatch)
+        ker = Kernels(alpha, np.array([[a0]]))
+        table = ker.norm_integrals(edges, powers)
+        assert points == []
+        edges = np.asarray(edges)
+        prim = ker.int_phi(edges[1:])[:, 0, 0]
+        if edges[0] > 0:
+            prim = prim - ker.int_phi(edges[:1])[0, 0, 0]
+        assert table[0].tolist() == np.abs(prim).tolist()
+
+    def test_exponential_kernel_past_the_old_guard(self):
+        # alpha = 1: integral_0^T e^(-2 s) ds = (1 - e^(-2 T)) / 2
+        table = Kernels(1.0, np.array([[-2.0]])).norm_integrals(GRID26, (1,))
+        exact = -np.expm1(-2.0 * np.array(DEFAULT_DELTA_GRID)) / 2.0
+        np.testing.assert_allclose(table[0], exact, rtol=1e-14, atol=0)
+        assert table[0, -1] == 0.5
+
+    def test_order_above_one_still_probes(self, monkeypatch):
+        points = self.probe_points(monkeypatch)
+        Kernels(1.2, np.array([[-2.0]])).norm_integrals(GRID26, (1,))
+        assert sum(points) > 2048
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.0])
+    def test_forcing_factor_is_positive(self, alpha):
+        x = np.geomspace(1e-3, 1e3)
+        vals = kernels.ml_scalar_array(alpha, alpha, -x).real
+        # E_{1,1}(-x) = e^(-x) underflows to 0 past x = 745
+        assert np.all((vals > 0) | ((alpha == 1.0) & (x > 745.0)))
+        assert np.all(vals >= 0)
+
+
+class TestNonFiniteEdges:
+    """A non-finite edge fails before any kernel evaluation."""
+
+    @staticmethod
+    def no_evaluation(monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel evaluated")
+
+        monkeypatch.setattr(kernels, "ml_scalar_array", fail)
+        monkeypatch.setattr(mlf, "ml_scalar_array", fail)
+
+    @pytest.mark.parametrize("A0", [[[-1.0]], [[-1.0, 0.5], [0.0, -2.0]]])
+    @pytest.mark.parametrize("edges", [[0.0, 1.0, math.inf], math.inf,
+                                       [0.0, math.nan, 2.0]])
+    def test_norm_integrals(self, monkeypatch, A0, edges):
+        self.no_evaluation(monkeypatch)
+        with pytest.raises(ValueError, match="integration edges must be "
+                                             "finite"):
+            Kernels(0.4, np.array(A0)).norm_integrals(edges, (1,))
+
+    def test_certify(self):
+        prob = scalar_problem(0.8, -1.0, 0.3, r1=1.0)
+        with pytest.raises(ValueError, match="integration edges must be "
+                                             "finite"):
+            certify(prob, delta_grid=[1.0, math.inf])
 
 
 class TestDecayEnvelope:
