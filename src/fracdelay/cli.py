@@ -103,8 +103,18 @@ def _add_common(sp):
 
 
 def _parse_grid_spec(spec: str):
-    lo, hi, count = spec.split(",")
-    return np.geomspace(float(lo), float(hi), int(count))
+    """``MIN,MAX,COUNT``: COUNT log-spaced points from MIN to MAX, with
+    finite positive ends and an integer COUNT >= 1."""
+    try:
+        lo, hi, count = spec.split(",")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        lo = hi = count = 0
+    if not (0 < lo < math.inf and 0 < hi < math.inf and count >= 1):
+        raise FracDelayError(
+            f"argument error: --delta-grid {spec!r} is not MIN,MAX,COUNT "
+            "with finite positive ends and an integer count >= 1")
+    return np.geomspace(lo, hi, count)
 
 
 def build_parser() -> _Parser:

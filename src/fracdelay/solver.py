@@ -34,13 +34,12 @@ zero encoding this reproduces the delay-free representation with
 A0 -> sum_i A_i automatically.
 
 ``solve_oracle`` is a deliberately different discretization for
-cross-validation: a fractional Adams predictor-corrector applied to the state
-equation directly (power kernel (t-tau)^(a-1)/Gamma(a) against the full right
-side, including the A0 term, with rectangle predictor and trapezoid
-corrector).  It shares with the marching scheme the sampling of the problem
-data at the nodes (``_Sampling``: aligned lags, coefficient samples, input
-and prehistory) and the blocked convolution driver (``_leaves``); its
-kernel, weights and corrector are its own.
+cross-validation: the implicit product-trapezoid rule (R. Garrappa, Math.
+Comput. Simul. 110, 2015) for the Volterra form of the state equation,
+with the power kernel (t-tau)^(a-1)/Gamma(a) against the full right side
+(the A0 term included) and the Taylor polynomial of the initial data.  Its
+kernel, weights, formulation and initial term are its own (``_Volterra``);
+the node loop is the march's, so each of its nodes is solved directly.
 """
 
 from __future__ import annotations
@@ -61,15 +60,13 @@ _LEAF = 64
 # largest grid accepted: the solvers hold (nodes, n, n) weight and
 # coefficient tables in memory
 _MAX_NODES = 1_000_000
-# corrector passes per node of the oracle
-_CORRECTOR_PASSES = 2
+# relative remainder at which the delays' common divisor is taken
+_GCD_TOL = 1e-9
 
 
-def _float_gcd(a: float, b: float, tol: float = 1e-9) -> float:
-    while b > tol * max(a, 1.0):
+def _float_gcd(a: float, b: float) -> float:
+    while b > _GCD_TOL * max(a, 1.0):
         a, b = b, math.fmod(a, b)
-        if a < b:
-            a, b = b, a
     return a
 
 
@@ -146,7 +143,8 @@ class _Sampling:
     Lag 0 gives the constant kernel matrix ``A0_eff`` and the time-varying
     coupling ``C(t)`` (with the lag-0 feedback gain); every positive lag
     its coefficient A_i + Atilde_i(t) + B(t) K_i in ``delayed``; ``Bu`` is
-    the input term B(t) u(t).
+    the input term B(t) u(t).  A subclass adds what ``_march`` reads: the
+    initial term ``f``, the weight ``Wl`` of node 0 and the kernel ``K``.
     """
 
     def __init__(self, prob: ValidatedProblem, grid: SimulationGrid):
@@ -261,7 +259,7 @@ def _leaves(K: np.ndarray, G: np.ndarray, acc: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# the march
+# the march (its node loop also solves the oracle's discretization)
 # ---------------------------------------------------------------------------
 
 class _Discretization(_Sampling):
@@ -295,7 +293,9 @@ class _Discretization(_Sampling):
         self.K[:-1] += np.subtract(m0, mu1, out=m0)
 
 
-def _march(disc: _Discretization) -> np.ndarray:
+def _march(disc: _Sampling) -> np.ndarray:
+    """Solve x_m = f_m + Wl(m) G_0 + sum_{q=1}^{m} K(m - q) G_q node by node,
+    with G = C x + the delayed and input terms."""
     n, K, C = disc.n, disc.K, disc.C
     buf, states = disc.state_buffer()
     states[0] = disc.prob.ics.x0[0]
@@ -379,70 +379,53 @@ def picard_map(prob: ValidatedProblem, phi_traj: Trajectory,
 # independent cross-validation solver
 # ---------------------------------------------------------------------------
 
+class _Volterra(_Sampling):
+    """The oracle's discretization of the Volterra form
+
+        x(t) = sum_j t^j/j! x_j0
+               + (1/Gamma(a)) integral_0^t (t-tau)^(a-1) F(tau) dtau
+
+    with F the full right side, by the product-trapezoid rule: F is
+    interpolated piecewise-linearly between nodes and the power kernel is
+    integrated exactly against it per cell.  The weights are scalars, laid
+    out as the march's ``Wl`` and ``K`` times the identity, and ``C`` holds
+    every lag-0 coefficient, A0 included.
+    """
+
+    def __init__(self, prob: ValidatedProblem, grid: SimulationGrid):
+        super().__init__(prob, grid)
+        alpha = prob.system.alpha
+        x0 = prob.ics.x0
+        self.f = np.zeros((self.L + 1, self.n))
+        for j in range(prob.system.k):
+            self.f += (self.times ** j / math.gamma(j + 1))[:, None] * x0[j]
+
+        # the cell g steps back weighs its older node with w_left(g), its
+        # newer with w_right(g); entry 0 unused
+        s = self.dt * np.arange(self.L + 1, dtype=float)
+        I0 = np.diff(s ** alpha) / alpha
+        I1 = np.diff(s ** (alpha + 1.0)) / (alpha + 1.0)
+        rg = rgamma(alpha) / self.dt
+        w_left = np.zeros(self.L + 1)
+        w_left[1:] = (I1 - s[:-1] * I0) * rg
+        w_right = np.zeros(self.L + 1)
+        w_right[1:] = (s[1:] * I0 - I1) * rg
+        eye = np.eye(self.n)
+        self.Wl = w_left[:, None, None] * eye
+        self.K = self.Wl.copy()
+        self.K[:-1] += w_right[1:, None, None] * eye
+        # every lag-0 coefficient acts on x(t) itself
+        self.C += self.A0_eff
+
+
 def solve_oracle(prob: ValidatedProblem, grid: SimulationGrid) -> Trajectory:
-    """Fractional Adams predictor-corrector on the state equation itself.
+    """Product-trapezoid rule on the Volterra form of the state equation.
 
     Discretizes  x(t) = T(t) + (1/Gamma(a)) integral (t-tau)^(a-1) F(tau) dtau
-    with F the full right side (including the instantaneous constant part),
-    rectangle predictor and piecewise-linear corrector weights.
+    with T the Taylor polynomial of the initial data and F the full right
+    side (including the constant lag-0 part).  The march's node loop solves
+    each node's implicit equation (I - w_right(1) A_now(t_m)) x_m = rhs
+    directly, A_now being the sum of the lag-0 coefficients.
     """
-    sys = prob.system
-    alpha = sys.alpha
-    smp = _Sampling(prob, grid)
-    dt, L, n, times = smp.dt, smp.L, smp.n, smp.times
-    # the part of F acting on x(t) itself: every lag-0 coefficient
-    A_now = smp.A0_eff + smp.C
-
-    # Taylor polynomial of the initial data
-    x0 = prob.ics.x0
-    Tm = np.zeros((L + 1, n))
-    for j in range(sys.k):
-        Tm += (times ** j / math.gamma(j + 1))[:, None] * x0[j]
-
-    # weights over node distance j = m - q
-    j = np.arange(L + 1, dtype=float)
-    s_pow_a = (j * dt) ** alpha
-    s_pow_a1 = (j * dt) ** (alpha + 1.0)
-    I0 = (s_pow_a[1:] - s_pow_a[:-1]) / alpha
-    I1 = (s_pow_a1[1:] - s_pow_a1[:-1]) / (alpha + 1.0)
-    s1 = (j * dt)[:-1]
-    rg = rgamma(alpha)
-    zero = np.zeros(1)
-    # index g = node distance of the cell's older edge; entry 0 unused
-    w_rect = np.concatenate([zero, I0 * rg])             # predictor, F_q
-    w_left = np.concatenate([zero, (I1 - s1 * I0) / dt * rg])
-    w_right = np.concatenate([zero, ((s1 + dt) * I0 - I1) / dt * rg])
-    # history kernels over node distance h >= 1: rectangle (predictor) and
-    # trapezoid (corrector) weight of F_(m-h), h steps back
-    Kp = np.zeros((L + 1, 2, 1))
-    Kp[:, 0, 0] = w_rect
-    Kp[:, 1, 0] = w_left
-    Kp[:-1, 1, 0] += w_right[1:]
-
-    buf, states = smp.state_buffer()
-    states[0] = x0[0]
-    F = np.zeros((L + 1, n))
-    F[0] = A_now[0] @ states[0] + smp.forcing(buf, 0, 1, 0)[0][0]
-    # predictor and corrector bases: Taylor term and the F_0 column
-    acc = np.empty((L + 1, 2, n))
-    acc[:, 0] = Tm + w_rect[:, None] * F[0]
-    acc[:, 1] = Tm + w_left[:, None] * F[0]
-    # acc[m, 1] also takes w1 times the part of F_m known before x_m, so a
-    # corrector pass is x = acc[m, 1] + w1 A_now(t_m) x
-    w1 = w_right[1]
-    for lo, hi in _leaves(Kp, F[:, None, :], acc):
-        F[lo:hi], near = smp.forcing(buf, lo, hi, lo)
-        acc[lo:hi, 1] += w1 * F[lo:hi]
-        w1_A = w1 * A_now[lo:hi]
-        for m in range(lo, hi):
-            for lag, coeff in near:
-                dn = coeff[m] @ buf[smp.offset + m - lag]
-                F[m] += dn
-                acc[m, 1] += w1 * dn
-            x = acc[m, 0]
-            for _ in range(_CORRECTOR_PASSES):
-                x = acc[m, 1] + w1_A[m - lo] @ x
-            states[m] = x
-            F[m] += A_now[m] @ x
-            acc[m + 1:hi] += Kp[1:hi - m] * F[m]
-    return Trajectory(grid=grid, states=states.copy(), prehistory=prob.ics)
+    states = _march(_Volterra(prob, grid))
+    return Trajectory(grid=grid, states=states, prehistory=prob.ics)

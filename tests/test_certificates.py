@@ -16,7 +16,8 @@ from fracdelay import (ControlInput, TimeFunctionTable, cert_g_f, cert_g_h,
 from fracdelay import kernels
 from fracdelay.certificates import DEFAULT_DELTA_GRID
 from fracdelay.errors import (DelaysNotZero, DimensionMismatch, EmptyGrid,
-                              OrderTooLow, PremiseViolated, WindowOutOfRange)
+                              KernelNotIntegrable, OrderTooLow,
+                              PremiseViolated, WindowOutOfRange)
 
 
 def g_h_closed_form(delta, a1):
@@ -473,6 +474,11 @@ class TestDelayFreeBounds:
     def test_requires_zero_delays(self):
         with pytest.raises(DelaysNotZero):
             delay_free_certify(scalar_problem(1.0, -1.0, 0.5, r1=1.0))
+
+    def test_growing_kernel_is_not_integrable(self):
+        # alpha 0.8, A0 = 0.5: E_{a,a}(0.5 t^a) grows, phi has no finite L1
+        with pytest.raises(KernelNotIntegrable, match="not a stability"):
+            delay_free_certify(scalar_problem(0.8, 0.5))
 
     def test_constant_gain_folds_into_kernel(self):
         fb = ControlInput.feedback([np.array([[-0.5]]), np.array([[0.0]])])

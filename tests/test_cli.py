@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -100,14 +101,46 @@ class TestCommands:
         assert code == 1
 
     def test_infinite_delta_is_error(self, capsys):
-        # geomspace(1, inf, 3) is [1, inf, inf]: rejected before quadrature
+        # the spec is checked before np.geomspace sees it: no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli("certify", "--problem",
+                                f"{FIXTURES}/scalar_contractive.json",
+                                "--delta-grid", "1,inf,3")
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        doc, end = json.JSONDecoder().raw_decode(err)
+        assert err[end:] == "\n"
+        assert doc == {"error": "FracDelayError",
+                       "message": "argument error: --delta-grid '1,inf,3' is "
+                                  "not MIN,MAX,COUNT with finite positive "
+                                  "ends and an integer count >= 1"}
+
+    @pytest.mark.parametrize("spec", ["1,2", "1,2,3,4", "a,2,3", "0,2,3",
+                                      "1,nan,3", "1,2,0", "1,2,2.5"])
+    def test_malformed_delta_grid_is_error(self, capsys, spec):
         code, out = run_cli("certify", "--problem",
                             f"{FIXTURES}/scalar_contractive.json",
-                            "--delta-grid", "1,inf,3")
+                            "--delta-grid", spec)
         assert code == 1 and out == ""
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError",
-                       "message": "integration edges must be finite"}
+        assert err["message"].startswith(f"argument error: --delta-grid "
+                                         f"{spec!r}")
+
+    def test_growing_delay_free_kernel_reports_bounds_error(self, tmp_path):
+        # alpha 0.8, A0 = 0.5 > 0: phi grows, so the delay-free bounds have
+        # no finite L1 and the report carries the error instead
+        path = tmp_path / "growing.json"
+        path.write_text(json.dumps({
+            "alpha": 0.8, "delays": [0.0], "A": [[[0.5]]],
+            "phi": [{"times": [0.0], "values": [[1.0]], "interp": "const"}],
+        }))
+        code, out = run_cli("certify", "--problem", str(path))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "Inconclusive"
+        assert doc["bounds"] == {
+            "error": "effective matrix is not a stability matrix"}
 
     def test_invalid_problem_is_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -239,6 +239,21 @@ class TestContour:
                 ref = ml_reference(alpha, beta, z)
                 assert abs(v - ref) <= 5e-14 * max(1.0, abs(ref)), (beta, z)
 
+    @pytest.mark.parametrize("alpha", [4.5, 5.5])
+    def test_more_than_four_poles_at_the_floor(self, alpha):
+        # five or six poles per point: contours are grouped by whole rows
+        # of bins (np.unique over axis 0), not by a packed integer key
+        zs = np.array([sign * r for sign in (-1.0, 1.0)
+                       for r in (1.5, 4.0, 20.0)]
+                      + [r * np.exp(1j * th * np.pi) for th in (0.8, 0.5, 0.2)
+                         for r in (1.5, 4.0, 20.0)], dtype=complex)
+        assert mlf._singularities(alpha, zs)[2].shape[1] > 4
+        for beta in (1.0, alpha):
+            got = ml_scalar_array(alpha, beta, zs)
+            for z, v in zip(zs, got):
+                ref = ml_reference(alpha, beta, z)
+                assert abs(v - ref) <= 5e-14 * max(1.0, abs(ref)), (beta, z)
+
     @pytest.mark.parametrize("alpha", PROBE_ALPHAS)
     def test_values_do_not_depend_on_the_batch(self, alpha):
         zs = probe_points(alpha)

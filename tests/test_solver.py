@@ -110,8 +110,8 @@ class TestAnalyticCases:
 
 # ---------------------------------------------------------------------------
 # O(L^2) per-node references: every history sum taken term by term at its
-# node, as the march and the oracle did before the blocked FFT history (the
-# march's node equation solved directly)
+# node, as the march and the oracle did before the blocked FFT history (each
+# node equation solved directly)
 # ---------------------------------------------------------------------------
 
 def _sampled_terms(prob, grid):
@@ -170,7 +170,7 @@ def _reference_march(prob, grid):
     return states
 
 
-def _reference_oracle(prob, grid, corrector_passes=2):
+def _reference_oracle(prob, grid):
     smp = solver._Sampling(prob, grid)
     alpha, k = prob.system.alpha, prob.system.k
     dt, L, n, times = smp.dt, smp.L, smp.n, smp.times
@@ -201,7 +201,6 @@ def _reference_oracle(prob, grid, corrector_passes=2):
     s1 = (j * dt)[:-1]
     rg = rgamma(alpha)
     zero = np.zeros(1)
-    w_rect = np.concatenate([zero, I0 * rg])
     w_left = np.concatenate([zero, (I1 - s1 * I0) / dt * rg])
     w_right = np.concatenate([zero, ((s1 + dt) * I0 - I1) / dt * rg])
 
@@ -210,14 +209,16 @@ def _reference_oracle(prob, grid, corrector_passes=2):
     states[0] = x0[0]
     F[0] = rhs(states, 0, states[0])
     for m in range(1, L + 1):
-        x = Tm[m] + np.einsum("g,gj->j", w_rect[1:m + 1], F[m - 1::-1])
         hist = np.einsum("g,gj->j", w_left[1:m + 1], F[m - 1::-1])
         if m >= 2:
             hist += np.einsum("g,gj->j", w_right[2:m + 1], F[m - 1:0:-1])
-        for _ in range(corrector_passes):
-            x = Tm[m] + hist + w_right[1] * rhs(states, m, x)
-        states[m] = x
-        F[m] = rhs(states, m, x)
+        # the node equation x = Tm + hist + w_right(1) F(x), solved
+        # directly: F is affine in x, with the lag-0 coefficients as slope
+        d_m = rhs(states, m, np.zeros(n))
+        A_now = sum(coeff[m] for lag, coeff in coeffs if lag == 0)
+        states[m] = np.linalg.solve(np.eye(n) - w_right[1] * A_now,
+                                    Tm[m] + hist + w_right[1] * d_m)
+        F[m] = rhs(states, m, states[m])
     return states
 
 
