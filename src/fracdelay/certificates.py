@@ -136,6 +136,8 @@ class _CertInputs:
         """Windowed-L2 values (NaN where a window leaves a table's domain)
         and feasibility per delta at window start t; the matrix functions
         count as zero for t < 0, where the trajectory difference is zero."""
+        if not math.isfinite(t):
+            raise ValueError(f"window start t must be finite, got {t}")
         if self.growing:
             return self._infeasible()
         grid, bk = self.grid, self.bk
@@ -143,14 +145,16 @@ class _CertInputs:
         if bk is not None:
             d_factor = d_factor + l2_window_norms(bk[0], t, grid)
         numer = self.phi_norm_sum
+        # each window starts at max(start, 0); its width is measured from
+        # delta, since (start + delta) - lo rounds to 0 for a large start
         for i, (r_i, ahat) in enumerate(self.ahat, start=1):
             lo = max(t - r_i, 0.0)
             numer = numer + self.l2k * l2_window_norms(
-                ahat, lo, (t - r_i + grid) - lo)
+                ahat, lo, grid - (lo - (t - r_i)))
             if bk is not None:
                 lo = max(t, 0.0)
                 numer = numer + self.l2k * l2_window_norms(
-                    bk[i], lo, (t + grid) - lo)
+                    bk[i], lo, grid - (lo - t))
         value, feasible = _contraction(numer, self.l2k * d_factor)
         return np.where(np.isnan(numer + d_factor), np.nan, value), feasible
 
@@ -306,8 +310,9 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
     if len(delta_grid) == 0:
         raise EmptyGrid("certify needs at least one delta")
     sys = prob.system
-    if t_grid is None:
-        t_grid = [sys.h]
+    t_grid = [sys.h] if t_grid is None else [float(t) for t in t_grid]
+    if not all(map(math.isfinite, t_grid)):
+        raise ValueError(f"t_grid must be finite, got {t_grid}")
     with_hat = sys.alpha > 0.5
     inputs = _CertInputs(prob, feedback, delta_grid,
                          (1, 2) if with_hat else (1,))

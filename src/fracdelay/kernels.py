@@ -31,9 +31,8 @@ holds for every matrix (the variant with ||e^{A0 t^a}|| on the right fails
 already for scalar negative A0, e.g. E_{2,1}(-t^2) = cos t vs e^{-t^2}).
 One summation (``norm_series_ml``) computes every majorant over a whole time
 grid, one E_{a,j+1} table per order serves both ||E|| and ||phi_j||, and
-||e^{A0 t}|| comes from one stacked ``expm`` per grid.  ``expm`` is loaded
-on its first call, so importing this module loads no matrix-exponential
-code; only the verifier and ``fit_decay_envelope`` reach it.
+||e^{A0 t}|| comes from one stacked ``expm`` per grid, a Pade(13) scaling
+and squaring in numpy; only the verifier and ``fit_decay_envelope`` reach it.
 """
 
 from __future__ import annotations
@@ -463,11 +462,50 @@ class DecayEnvelope:
     lam: float
 
 
+# Pade(13) numerator coefficients b_k / b_0, and the 1-norm up to which the
+# unscaled approximant is accurate to unit roundoff (N. J. Higham, SIAM J.
+# Matrix Anal. Appl. 26(4), 2005, Table 2.3).  With b_0 = 1 the solve
+# divides by exact unit pivots, so exp(0) = I and exp(N) = I + N for a
+# strictly upper triangular N with N^2 = 0 come out exactly.
+_PADE13 = tuple(b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600,
+    1187353796428800, 129060195264000, 10559470521600, 670442572800,
+    33522128640, 1323241920, 40840800, 960960, 16380, 182, 1))
+_THETA13 = 5.371920351148152
+
+
 def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of A, or of each matrix of a stack; the
-    implementation is imported on the first call."""
-    from scipy.linalg import expm as _expm
-    return _expm(A)
+    """Matrix exponential of a real A, or of each matrix of a stack
+    (..., n, n).
+
+    Pade(13) scaling and squaring (Higham 2005): each matrix is scaled by
+    its own power of two 2^-s, s = max(0, ceil(log2(||A||_1 / theta_13))),
+    one batched solve gives the approximant, and only the matrices whose s
+    is not yet spent are squared again.  A 1x1 stack is ``np.exp``.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.shape[-2:] == (1, 1):
+        return np.exp(A)
+    shape, n = A.shape, A.shape[-1]
+    A = A.reshape(-1, n, n)
+    # a zero, inf or NaN norm gives frexp exponent 0 and no scaling
+    frac, s = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(s - (frac == 0.5), 0)
+    A = np.ldexp(A, -s[:, None, None])
+    b = _PADE13
+    ident = np.eye(n)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    X = np.linalg.solve(V - U, V + U)
+    for k in range(int(s.max(initial=0))):
+        sq = np.flatnonzero(s > k)
+        X[sq] = X[sq] @ X[sq]
+    return X.reshape(shape)
 
 
 def _expm_norms(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -564,12 +602,12 @@ def verify_lemma22(sys, t_grid,
     relations between phi_(k-1), phi, and phi_(k-2) are checked with the
     provable Gamma-ratio constants.
     """
+    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(t_grid) & (t_grid > 0)):
+        raise ValueError("t_grid must be finite and strictly positive")
     ker = _kernels(sys)
     alpha, A0 = ker.alpha, ker.A0
     k = int(math.ceil(alpha - 1e-12))
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid <= 0):
-        raise ValueError("t_grid must be strictly positive")
     report = BoundReport(alpha=alpha)
 
     # one E_{a,j+1} table per order serves ||E|| and ||phi_j|| = ||t^j E||

@@ -162,11 +162,12 @@ def l2_window_norms(tbl: TimeFunctionTable, t: float, deltas) -> np.ndarray:
     when the panel norm is a polynomial of degree <= 2, e.g. scalar tables).
     One table evaluation and one stacked norm serve every panel; windows
     share the panels between sample times through prefix sums.  A window
-    that leaves the table's domain gives NaN, an empty one (delta <= 0) 0.
+    that leaves the table's domain gives NaN, as does a NaN delta, and an
+    empty one (delta <= 0) 0.
     """
     a = float(t)
     deltas = np.asarray(deltas, dtype=float)
-    out = np.where(deltas > 0, np.nan, 0.0)
+    out = np.where(deltas <= 0, 0.0, np.nan)
     live = ((deltas > 0) & (a >= tbl.t_start - 1e-12)
             & (a + deltas <= tbl.t_end + 1e-12))
     if not live.any():
@@ -178,13 +179,18 @@ def l2_window_norms(tbl: TimeFunctionTable, t: float, deltas) -> np.ndarray:
     knots = np.concatenate(([a], cuts))
     lo = np.concatenate((knots[:-1], knots[inside]))
     hi = np.concatenate((cuts, ends))
+    # widths in coordinates relative to t: a rounded t + delta may lose
+    # most of delta, or all of it, when t is large
+    offsets = np.concatenate(([0.0], cuts - a))
+    width = (np.concatenate((offsets[1:], deltas[live]))
+             - np.concatenate((offsets[:-1], offsets[inside])))
     # squared by C pow, which rounds as Python's float ** 2; x * x may not
     if tbl.interpolation == "const":
-        pieces = np.float_power(induced_norms(tbl(lo)), 2) * (hi - lo)
+        pieces = np.float_power(induced_norms(tbl(lo)), 2) * width
     else:
         f = np.float_power(induced_norms(tbl(np.concatenate(
             (lo, 0.5 * (lo + hi), hi)))), 2).reshape(3, -1)
-        pieces = (hi - lo) * (f[0] + 4.0 * f[1] + f[2]) / 6.0
+        pieces = width * (f[0] + 4.0 * f[1] + f[2]) / 6.0
     prefix = np.concatenate(([0.0], np.cumsum(pieces[:cuts.size])))
     out[live] = np.sqrt(prefix[inside] + pieces[cuts.size:])
     return out

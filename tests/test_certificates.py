@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import const_phi, scalar_problem
+from conftest import FIXTURES, const_phi, scalar_problem
 from test_mlf import ml_reference
 from fracdelay import (ControlInput, TimeFunctionTable, cert_g_f, cert_g_h,
                        cert_g_hat_f, cert_g_hat_h, certify,
                        delay_free_certify, gain_bound_l2, gain_bound_uniform,
                        high_order_check, validate_system)
 from fracdelay import kernels
-from fracdelay.certificates import DEFAULT_DELTA_GRID
+from fracdelay.certificates import DEFAULT_DELTA_GRID, _CertInputs
 from fracdelay.errors import (DelaysNotZero, DimensionMismatch, EmptyGrid,
                               KernelNotIntegrable, OrderTooLow,
                               PremiseViolated, WindowOutOfRange)
+from fracdelay.system import load_problem
 
 
 def g_h_closed_form(delta, a1):
@@ -295,6 +296,46 @@ class TestCertify:
         calls.clear()
         certify(prob, delta_grid=[1.0], t_grid=[1.0, 2.0, 3.0])
         assert 0 < len(calls) <= one_start
+
+    @pytest.mark.parametrize("fixture, t", [
+        ("scalar_nonexpansive.json", 1e10),
+        ("scalar_inconclusive.json", 1e15),
+        ("delay_steps.json", 1e15),
+    ])
+    def test_large_window_start_keeps_the_default_verdict(self, fixture, t):
+        # t + delta rounds to t for small delta: the window widths must
+        # still be delta, not the rounded difference (0 for an empty one)
+        prob = load_problem(f"{FIXTURES}/{fixture}")
+        default = certify(prob)
+        far = certify(prob, t_grid=[t])
+        assert far.verdict == default.verdict
+        assert far.contraction_constant == default.contraction_constant
+
+    @pytest.mark.parametrize("fixture", ["scalar_contractive.json",
+                                         "frac_delay_a07.json", None])
+    def test_constant_coefficient_windows_do_not_depend_on_start(self,
+                                                                 fixture):
+        # None: a problem under feedback, so the B K_i windows run too
+        prob = (load_problem(f"{FIXTURES}/{fixture}") if fixture else
+                scalar_problem(0.8, -2.0, 0.3, r1=0.5, at0=0.2, b=1.5,
+                               control=ControlInput.feedback(
+                                   [[[-0.2]], [[0.1]]])))
+        inputs = _CertInputs(prob, None, DEFAULT_DELTA_GRID, (1, 2))
+        near, far = inputs.g_hat(10.0), inputs.g_hat(1e16)
+        assert not np.any(np.isnan(near[0])) and near[1].any()
+        np.testing.assert_array_equal(far[0], near[0])
+        np.testing.assert_array_equal(far[1], near[1])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_window_start_rejected(self, t):
+        prob = scalar_problem(0.8, -1.0, 0.5, r1=1.0)
+        with pytest.raises(ValueError, match="t_grid"):
+            certify(prob, t_grid=[1.0, t])
+        # the one-delta windowed-L2 functions check their start too
+        with pytest.raises(ValueError, match="window start"):
+            cert_g_hat_h(prob, t, 1.0)
+        with pytest.raises(ValueError, match="window start"):
+            gain_bound_l2(prob, 1.0, 0.5, t=t)
 
     @pytest.mark.parametrize("alpha, A0", [
         (1.2, np.array([[-2.0]])),

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +129,26 @@ class TestCommands:
         assert err["message"].startswith(f"argument error: --delta-grid "
                                          f"{spec!r}")
 
+    @pytest.mark.parametrize("command", ["certify", "verify-bounds"])
+    @pytest.mark.parametrize("grid", ["0.5,nan", "0.5,inf", "-inf,0.5"])
+    def test_non_finite_t_grid_is_error(self, capsys, command, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(command, "--problem",
+                                f"{FIXTURES}/frac_delay_a07.json",
+                                f"--t-grid={grid}")
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        doc, end = json.JSONDecoder().raw_decode(err)
+        assert err[end:] == "\n"
+        assert doc["error"] == "ValueError" and "t_grid" in doc["message"]
+
+    def test_negative_certify_window_start_is_legal(self):
+        code, out = run_cli("certify", "--problem",
+                            f"{FIXTURES}/frac_delay_a07.json",
+                            "--t-grid=-0.5,0.5")
+        assert code in (0, 2) and "verdict" in json.loads(out)
+
     def test_growing_delay_free_kernel_reports_bounds_error(self, tmp_path):
         # alpha 0.8, A0 = 0.5 > 0: phi grows, so the delay-free bounds have
         # no finite L1 and the report carries the error instead
@@ -227,40 +249,55 @@ class TestFlags:
         assert "--tol" in err["message"]
 
 
-# Runs in a fresh interpreter: every command but verify-bounds loads no scipy
-# module, and verify-bounds loads scipy.linalg (for expm) but not
-# scipy.special.
+# Runs in a fresh interpreter with scipy blocked (sys.modules["scipy"] =
+# None makes every scipy import raise ImportError): all five commands run,
+# and no scipy module is loaded after any of them.
 _IMPORT_PROBE = """
 import contextlib, io, sys
+sys.modules["scipy"] = None
 import fracdelay
 from fracdelay.cli import main
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(list(argv))
-    assert code in (0, 2), (argv, code)
+    return sorted(m for m, mod in sys.modules.items()
+                  if m.split(".")[0] == "scipy" and mod is not None)
 
 fx = sys.argv[1]
 for argv in (("ml", "--problem", f"{fx}/frac_nodelay.json", "--t", "1.0"),
              ("simulate", "--problem", f"{fx}/frac_delay_a07.json",
               "--step", "0.01", "--horizon", "2", "--oracle"),
              ("certify", "--problem", f"{fx}/scalar_contractive.json"),
-             ("spectral", "--problem", f"{fx}/spectral_t34.json")):
-    run(*argv)
+             ("spectral", "--problem", f"{fx}/spectral_t34.json"),
+             ("verify-bounds", "--problem", f"{fx}/exp_decay.json",
+              "--t-grid", "0.5,1,2,5"),
+             # a 2x2 A0: expm's Pade path, not np.exp
+             ("verify-bounds", "--problem", f"{fx}/spectral_t34.json")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    assert code in (0, 2), (argv, code)
     assert not scipy_modules(), (argv[0], scipy_modules())
-run("verify-bounds", "--problem", f"{fx}/exp_decay.json",
-    "--t-grid", "0.5,1,2,5")
-assert "scipy.linalg" in sys.modules
-assert "scipy.special" not in sys.modules, scipy_modules()
 """
 
 
-def test_only_verify_bounds_loads_scipy():
+def test_no_command_loads_scipy():
     src = os.path.dirname(os.path.dirname(fracdelay.__file__))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(FIXTURES)],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_scipy():
+    src = Path(fracdelay.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []

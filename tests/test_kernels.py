@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
+from scipy.linalg import expm as scipy_expm
 
 from conftest import random_stable_matrix, scalar_problem
 from fracdelay import (certify, fit_decay_envelope, phi_alpha, phi_alpha_j,
@@ -400,6 +404,68 @@ class TestNonFiniteEdges:
             certify(prob, delta_grid=[1.0, math.inf])
 
 
+class TestExpm:
+    def test_one_by_one_stack_is_np_exp(self):
+        a = np.array([-800.0, -3.5, -1e-300, 0.0, 0.7, 700.0])[:, None, None]
+        got = kernels.expm(a)
+        assert got.shape == a.shape
+        assert np.array_equal(got, np.exp(a))
+
+    def test_rotation(self):
+        ts = np.linspace(0.0, 800.0, 2001)
+        got = kernels.expm(np.array([[0.0, -1.0], [1.0, 0.0]])
+                           * ts[:, None, None])
+        c, s = np.cos(ts), np.sin(ts)
+        exact = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        assert np.max(np.abs(got - exact)) < 1e-12
+
+    def test_jordan_block(self):
+        ts = np.linspace(0.0, 100.0, 1001)
+        got = kernels.expm(np.array([[-1.0, 1.0], [0.0, -1.0]])
+                           * ts[:, None, None])
+        one, zero = np.ones_like(ts), np.zeros_like(ts)
+        exact = np.exp(-ts)[:, None, None] * np.stack(
+            [np.stack([one, ts], -1), np.stack([zero, one], -1)], -2)
+        scale = np.max(np.abs(exact), axis=(-2, -1))
+        assert np.max(np.abs(got - exact).max(axis=(-2, -1)) / scale) < 1e-12
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 5.0, 100.0, 1e6])
+    def test_nilpotent_and_zero_are_exact(self, c):
+        # |c| > theta_13 scales and squares: (I + N/2^s)^(2^s) = I + N
+        N = np.array([[0.0, c], [0.0, 0.0]])
+        assert np.array_equal(kernels.expm(N), np.eye(2) + N)
+        N3 = np.zeros((3, 3))
+        N3[0, 2] = c
+        assert np.array_equal(kernels.expm(N3), np.eye(3) + N3)
+        for n in (2, 6):
+            assert np.array_equal(kernels.expm(np.zeros((4, n, n))),
+                                  np.broadcast_to(np.eye(n), (4, n, n)))
+
+    def test_mixed_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(3)
+        mats = []
+        for scale in (1e-300, 1e-9, 0.0, 1.0, 1e3, 3e4):
+            M = rng.normal(size=(4, 4))
+            mats.append(scale * (M - M.T))      # e^M orthogonal: no overflow
+        mats.append(rng.normal(size=(4, 4)) - 50.0 * np.eye(4))
+        mats.append(1e2 * np.triu(rng.normal(size=(4, 4)), 1))
+        stack = np.stack(mats)
+        got = kernels.expm(stack)
+        for i, M in enumerate(mats):
+            assert np.array_equal(got[i], kernels.expm(M))
+        # leading axes are kept
+        assert np.array_equal(kernels.expm(stack.reshape(2, 4, 4, 4)),
+                              got.reshape(2, 4, 4, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: arrays(
+        float, (n, n), elements=st.floats(-1.5, 1.5))))
+    def test_against_scipy(self, A):
+        ref = scipy_expm(A)
+        err = np.linalg.norm(kernels.expm(A) - ref) / np.linalg.norm(ref)
+        assert err < 1e-12
+
+
 class TestDecayEnvelope:
     def test_normal_matrix(self):
         env = fit_decay_envelope(np.diag([-1.0, -2.0]))
@@ -415,9 +481,8 @@ class TestDecayEnvelope:
         env = fit_decay_envelope(A)
         assert env.K > 1.0
         # independent grid re-verification of the envelope
-        from scipy.linalg import expm
         for t in np.linspace(0.0, 20.0, 200):
-            assert np.linalg.norm(expm(A * t), 2) <= env.K * math.exp(
+            assert np.linalg.norm(scipy_expm(A * t), 2) <= env.K * math.exp(
                 -env.lam * t) * (1 + 1e-9)
 
 

@@ -73,6 +73,22 @@ def test_l2_window_linear_ramp():
         np.sqrt(1.0 / 3.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [1e10, 1e15, 1e16])
+def test_l2_window_far_start_keeps_its_width(t):
+    # t + delta rounds to t or to a neighbour of t: widths come from delta
+    deltas = [1e-2, 0.3, 1.0]
+    tbl = table([0.0], [3.0 * np.eye(2)], "const")
+    np.testing.assert_allclose(l2_window_norms(tbl, t, deltas),
+                               3.0 * np.sqrt(deltas), rtol=1e-15)
+    # a sample time inside the window splits it at its offset d from t;
+    # t + delta is not a float, and the last panel still has width delta - d
+    ulp = np.spacing(t)
+    d, delta = 8.0 * ulp, 16.25 * ulp
+    step = table([0.0, t + d], [[[1.0]], [[2.0]]], "const")
+    assert l2_window_norm(step, t, delta) == pytest.approx(
+        np.sqrt(d + 4.0 * (delta - d)), rel=1e-15)
+
+
 def test_l2_window_out_of_range():
     tbl = table([0.0, 1.0], [[[0.0]], [[1.0]]], "linear")
     with pytest.raises(WindowOutOfRange):
@@ -118,18 +134,21 @@ def test_sup_norm_monotone_in_samples(vals, extra):
 
 def panel_reference(tbl, t, delta):
     """The windowed L2 norm one panel at a time: split at the sample times
-    inside [t, t + delta], Simpson per panel for linear tables."""
+    inside [t, t + delta], Simpson per panel for linear tables.  Panel
+    widths are differences of offsets from t (the last one delta itself)."""
     a, b = float(t), float(t) + float(delta)
     times = tbl.sample_times
-    knots = np.concatenate(([a], times[(times > a) & (times < b)], [b]))
+    cuts = times[(times > a) & (times < b)]
+    knots = np.concatenate(([a], cuts, [b]))
+    offsets = np.concatenate(([0.0], cuts - a, [float(delta)]))
     total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
+    for lo, hi, w in zip(knots[:-1], knots[1:], np.diff(offsets)):
         if tbl.interpolation == "const":
-            total += float(np.linalg.norm(tbl(lo), 2)) ** 2 * (hi - lo)
+            total += float(np.linalg.norm(tbl(lo), 2)) ** 2 * w
         else:
             f = [float(np.linalg.norm(tbl(s), 2)) ** 2
                  for s in (lo, 0.5 * (lo + hi), hi)]
-            total += (hi - lo) * (f[0] + 4.0 * f[1] + f[2]) / 6.0
+            total += w * (f[0] + 4.0 * f[1] + f[2]) / 6.0
     return float(np.sqrt(total))
 
 
@@ -159,8 +178,9 @@ def test_l2_window_matches_the_panel_rule_bit_for_bit(which):
 def test_l2_windows_of_one_start_match_the_panel_rule(which):
     tbl = matrix_and_vector_tables()[which]
     deltas = [1.75, 0.125, 2.75, 0.5, 1.75, 1.0]     # unsorted, repeated
-    got = l2_window_norms(tbl, 0.25, deltas + [3.0, 0.0, -1.0])
+    got = l2_window_norms(tbl, 0.25, deltas + [3.0, 0.0, -1.0, np.nan])
     assert got[:6].tolist() == [panel_reference(tbl, 0.25, d) for d in deltas]
-    # past the end of a linear table NaN, empty windows 0
+    # past the end of a linear table NaN, empty windows 0, a NaN width NaN
     assert np.isnan(got[6]) == (tbl.interpolation == "linear")
-    assert got[7:].tolist() == [0.0, 0.0]
+    assert got[7:9].tolist() == [0.0, 0.0]
+    assert np.isnan(got[9])
