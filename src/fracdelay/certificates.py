@@ -369,7 +369,13 @@ class DelayFreeBounds:
 
 
 def _l1_to_infinity(ker: Kernels) -> float:
-    """Truncated L1 norm of the forcing kernel with a decay-fit tail estimate."""
+    """integral_0^inf ||phi(s)|| ds.
+
+    Exact for a scalar kernel with alpha <= 1: phi >= 0 there (see
+    ``Kernels.norm_integrals``), so the integral is its Laplace transform
+    (s^a - lam)^-1 at s = 0, that is 1/|lam|.  Otherwise a truncated
+    integral over doubling horizons with a geometric tail estimate.
+    """
     alpha = ker.alpha
     lam = np.linalg.eigvals(ker.A0)
     if np.any(lam.real >= 0):
@@ -379,6 +385,8 @@ def _l1_to_infinity(ker: Kernels) -> float:
         raise KernelNotIntegrable(
             "eigenvalue arguments inside the non-decaying sector "
             "|arg| <= alpha pi / 2")
+    if ker.n == 1 and alpha <= 1:
+        return 1.0 / abs(float(ker.A0[0, 0]))
     rho = float(np.min(np.abs(lam.real)))
     T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
     prev = phi_alpha_l1(ker, T)

@@ -117,6 +117,18 @@ def _parse_grid_spec(spec: str):
     return np.geomspace(lo, hi, count)
 
 
+def _join_t_grid(argv: list[str]) -> list[str]:
+    """``--t-grid -0.5,1`` as ``--t-grid=-0.5,1``: argparse would read a
+    value that starts with '-' as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--t-grid" and tok.startswith("-"):
+            out[-1] = f"--t-grid={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="fracdelay",
                 description="Solution machinery and stability certificates "
@@ -252,7 +264,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_t_grid(
+            sys.argv[1:] if argv is None else list(argv)))
         prob = load_problem(args.problem)
         if args.dump_normalized:
             _emit(problem_to_dict(prob), args.out, "problem.normalized.json")

@@ -17,9 +17,9 @@ integrals read off the same samples of ||E_{a,a}(A0 s^a)||.  The segments
 not yet converged share one cell count, so each level refines them as one
 (segments x nodes) array: one norm evaluation, one product integration and
 one Richardson row, with no loop over segments.  A single upper limit delta
-is integrated over the halving edges delta 2^-k, k = 10..0.  For a scalar
-kernel with alpha <= 1 the smooth factor E_{a,a}(A0 s^a) never changes sign
-(E_{a,a}(-x) is completely monotone: H. Pollard, Bull. AMS 54, 1948;
+is integrated over the halving edges delta 2^-k, k = 10..0.  The one other
+route: for a scalar kernel with alpha <= 1 the smooth factor never changes
+sign (E_{a,a}(-x) is completely monotone: H. Pollard, Bull. AMS 54, 1948;
 W. R. Schneider, Expo. Math. 14, 1996), so L1 is the exact primitive
 s^a E_{a,a+1}(A0 s^a) at every edge.
 
@@ -44,12 +44,17 @@ import numpy as np
 
 from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
                      SingularAtZero)
+# ml_scalar_array is not called here: perfbench/test_harness.py reads it
 from .mlf import _ml_matrices, eig_factors, lgamma, ml_scalar_array, rgamma
 from .system import FractionalDelaySystem
 from .tables import induced_norm, induced_norms
 
 _HALVINGS = 10      # a single delta runs over the edges delta 2^-k, k <= 10
 _QUAD_TOL = 1e-9    # the one accuracy of every kernel norm integral
+_N0 = 32            # the quadrature's cells per segment at its first level
+_MAX_DOUBLINGS = 11  # its further levels
+_NOISE_FLOOR = 3e-8  # its weight-evaluation noise (see the quadrature)
+_CHECK_SLACK = 1e-9  # bound checks pass at rhs - lhs >= -slack max(1, |rhs|)
 _ELL = np.arange(601.0)  # the l = 0..600 of sup_factor and sup_gamma_ratio
 _ENVELOPE_MARGIN = 0.1  # fit_decay_envelope's lam: 0.9 of the abscissa
 _ENVELOPE_POINTS = 400  # its coarse grid; the fine one has 4x as many
@@ -139,23 +144,22 @@ class Kernels:
         increasing from e_0 >= 0; the result has shape (len(powers), K),
         one column per edge e_1..e_K, and p is 1 or 2.  A single delta runs
         over the halving edges delta 2^-k, k = 10..0, where one graded mesh
-        over [0, delta] can stall on a far kink of ||phi||.  One segmented
-        cumulative product integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p
-        serves every edge and every power from the same norm samples, on a
-        first segment graded for the most singular power.  For a scalar
-        system L1 is the exact primitive s^a E_{a,a+1}(A0 s^a) wherever the
-        smooth factor E_{a,a}(A0 s^a) keeps one sign: at every edge for
-        alpha <= 1, where it never changes sign (E_{a,a}(-x) is completely
+        over [0, delta] can stall on a far kink of ||phi||.  For a scalar
+        kernel with alpha <= 1, L1 is the exact primitive
+        s^a E_{a,a+1}(A0 s^a) at every edge: the smooth factor
+        E_{a,a}(A0 s^a) never changes sign there (E_{a,a}(-x) is completely
         monotone, Pollard 1948 and Schneider 1996, and E_{a,a}(x) > 0 for
-        x >= 0); for alpha > 1 up to the first point of a 2,048-point sign
-        probe over [e_0, e_K], the edges among its points, where the factor
-        is no longer clearly of its first sign.  An edge that is not finite
-        raises ``ValueError`` before any evaluation.
+        x >= 0).  Every other power and kernel takes one segmented
+        cumulative product integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p,
+        which serves every edge and every power from the same norm samples,
+        on a first segment graded for the most singular power.  An edge
+        that is not finite raises ``ValueError`` before any evaluation.
 
         The accuracy is fixed at ``_QUAD_TOL`` = 1e-9 of the mixed absolute/
-        relative scale, but a stagnating segment is accepted at 50 x 3e-8 of
-        its share, and matrix kernels rely on this: their integrals, and the
-        certificate values built on them, can carry about 1e-6 relative error.
+        relative scale, but a stagnating segment is accepted at 50 x
+        ``_NOISE_FLOOR`` = 3e-8 of its share, and matrix kernels rely on
+        this: their integrals, and the certificate values built on them,
+        can carry about 1e-6 relative error.
         """
         alpha = self.alpha
         powers = list(powers)
@@ -169,22 +173,9 @@ class Kernels:
             return self.norm_integrals(np.concatenate(([0.0], halving)),
                                        powers)[:, -1:]
         out = np.empty((len(powers), edges.size - 1))
-        scalar_l1 = self.n == 1 and 1 in powers
-        # for alpha <= 1 the smooth factor never changes sign (see above)
-        exact = np.full(edges.size - 1, scalar_l1 and alpha <= 1)
-        if scalar_l1 and alpha > 1:
-            # the edges are probe points too, so an edge past a sign change
-            # is never read off the primitive
-            probe = np.union1d(_segment_mesh(edges[0], edges[-1], 2048,
-                                             max(1.0, 1.0 / alpha))[1:],
-                               edges[1:])
-            vals = ml_scalar_array(alpha, alpha,
-                                   self.A0[0, 0] * probe ** alpha).real
-            # the primitive serves the edges before the first probe point
-            # where the smooth factor is no longer clearly of its first sign
-            bad = np.flatnonzero(vals * np.sign(vals[0]) <= 1e-7)
-            exact = edges[1:] < (probe[bad[0]] if bad.size else math.inf)
-        quad = [i for i, p in enumerate(powers) if p != 1 or not exact.all()]
+        # for alpha <= 1 the scalar smooth factor never changes sign (above)
+        exact = self.n == 1 and alpha <= 1
+        quad = [i for i, p in enumerate(powers) if p != 1 or not exact]
         if quad:
             quad_powers = [powers[i] for i in quad]
             grading = max(max(1.0, 1.0 / alpha) if p == 1 else
@@ -200,13 +191,12 @@ class Kernels:
                 return np.array([norms ** p for p in quad_powers])
 
             out[quad] = weighted_singular_integral(
-                [p * (alpha - 1.0) for p in quad_powers], w, edges, _QUAD_TOL,
-                grading=grading, noise_floor=3e-8)
-        if exact.any():
-            prim = self.int_phi(edges[1:][exact])[:, 0, 0]
+                [p * (alpha - 1.0) for p in quad_powers], w, edges, grading)
+        if exact and 1 in powers:
+            prim = self.int_phi(edges[1:])[:, 0, 0]
             if edges[0] > 0:
                 prim = prim - self.int_phi(edges[:1])[0, 0, 0]
-            out[powers.index(1), exact] = np.abs(prim)
+            out[powers.index(1)] = np.abs(prim)
         return out
 
 
@@ -283,41 +273,37 @@ def _product_integrate(gamma_exp: np.ndarray, w: np.ndarray,
     return np.sum(wa * m0 + slope * (m1 - a * m0), axis=-1)
 
 
-def weighted_singular_integral(gamma_exp, w_func, delta, tol: float,
-                               n0: int = 32, max_doublings: int = 11,
-                               grading: float = 1.0,
-                               noise_floor: float = 0.0):
+def weighted_singular_integral(gamma_exp, w_func, edges, grading: float):
     """Adaptive integral of s^gamma w(s) ds for a smooth vectorized w.
 
-    ``delta`` is the upper limit of an integral from 0, or an increasing
-    sequence of edges e_0 < e_1 < ... < e_K (e_0 >= 0); then the cumulative
-    integrals from e_0 to every e_k are returned.  ``gamma_exp`` is one
-    exponent, or a sequence of m exponents with ``w_func`` returning one row
-    of weights per exponent (shape (m, N)), all integrated from the same
-    samples.  The result is a float for a scalar ``gamma_exp`` and
-    ``delta``, else an array of shape (m, K) without the scalar axes.
+    ``edges`` is the upper limit of an integral from 0, or an increasing
+    sequence e_0 < e_1 < ... < e_K (e_0 >= 0).  ``gamma_exp`` holds m
+    exponents (or is one), with ``w_func`` returning one row of weights per
+    exponent (shape (m, N)), all integrated from the same samples.  The
+    result, shape (m, K), holds the integrals from e_0 to every e_k.
 
     Each segment [e_(k-1), e_k] doubles its own nested mesh (graded toward
     s = 0 in the segment that starts there, uniform otherwise), so only odd
     nodes are evaluated per level, and accelerates its raw product-
     integration sequence with a Richardson tableau in powers of h^2.  Every
-    segment starts at ``n0`` cells and the unconverged ones double together,
-    so they always share one cell count: each level is one (segments x
-    nodes) mesh, one ``w_func`` call, one product integration and one
-    tableau row of (segments x m) arrays, filtered to the unconverged rows.
-    A segment has converged when its tableau change drops below its share
-    ``tol / K`` of the mixed absolute/relative scale of the cumulative value
-    at its right edge, so for a nonnegative integrand the summed change at
-    every edge stays within ``tol * max(1, |value|)``.  A stagnating segment
-    whose changes are already at its share of the evaluation
-    ``noise_floor`` is accepted at that floor rather than refined forever.
+    segment starts at ``_N0`` cells and the unconverged ones double together,
+    up to ``_MAX_DOUBLINGS`` times, so they always share one cell count:
+    each level is one (segments x nodes) mesh, one ``w_func`` call, one
+    product integration and one tableau row of (segments x m) arrays,
+    filtered to the unconverged rows.  A segment has converged when its
+    tableau change drops below its share ``_QUAD_TOL / K`` of the mixed
+    absolute/relative scale of the cumulative value at its right edge, so
+    for a nonnegative integrand the summed change at every edge stays within
+    ``_QUAD_TOL * max(1, |value|)``.  A stagnating segment whose changes are
+    already at 50 times its share of the evaluation noise floor
+    ``_NOISE_FLOOR`` is accepted there rather than refined forever.
     """
     gammas = np.atleast_1d(np.asarray(gamma_exp, dtype=float))[:, None]
     if np.any(gammas <= -1.0):
         raise ValueError("weight exponent must exceed -1 for integrability")
-    edges = _edges(delta)
+    edges = _edges(edges)
     K = edges.size - 1
-    n_cells = n0
+    n_cells = n0 = _N0
     mesh = _segment_mesh(edges[:-1], edges[1:], n0, grading)
     # adjacent segments share their common edge: evaluate it once
     first = np.atleast_2d(w_func(np.concatenate((mesh[0],
@@ -330,7 +316,7 @@ def weighted_singular_integral(gamma_exp, w_func, delta, tol: float,
     best_change = np.full(est.shape, math.inf)
     change = np.zeros(est.shape)
     active = np.arange(K)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         live = ~done[active].all(axis=1)
         active = active[live]
         if not active.size:
@@ -351,12 +337,10 @@ def weighted_singular_integral(gamma_exp, w_func, delta, tol: float,
         ch = change[active] = np.abs(rows[-1] - prev[-1])
         est[active] = np.where(done[active], est[active], rows[-1])
         scale = (np.maximum(1.0, np.abs(np.cumsum(est, axis=0))) / K)[active]
-        ok = ch <= tol * scale
-        # stagnation at the weight-evaluation noise floor
-        if noise_floor > 0:
-            ok |= ((ch >= 0.25 * best_change[active])
-                   & (ch <= 50.0 * noise_floor * scale))
-        done[active] |= ok
+        # converged, or stagnating at the weight-evaluation noise floor
+        done[active] |= ((ch <= _QUAD_TOL * scale)
+                         | ((ch >= 0.25 * best_change[active])
+                            & (ch <= 50.0 * _NOISE_FLOOR * scale)))
         best_change[active] = np.minimum(best_change[active], ch)
     if not done.all():
         # an unconverged segment refined at every level
@@ -365,12 +349,7 @@ def weighted_singular_integral(gamma_exp, w_func, delta, tol: float,
             f"power-weight quadrature stalled at {n_cells} cells on "
             f"[{edges[k]:.6g}, {edges[k + 1]:.6g}] (last tableau change "
             f"{float(np.max(change[k])):.3e})")
-    out = np.cumsum(est, axis=0).T
-    if np.ndim(delta) == 0:
-        out = out[:, -1]
-    if np.ndim(gamma_exp) == 0:
-        out = out[0]
-    return float(out) if out.ndim == 0 else out
+    return np.cumsum(est, axis=0).T
 
 
 def phi_alpha_l1(sys, delta: float) -> float:
@@ -579,12 +558,12 @@ class BoundReport:
         }
 
 
-def _check_from_sides(name, lhs, rhs, slack=1e-9) -> BoundCheck:
+def _check_from_sides(name, lhs, rhs) -> BoundCheck:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     margin = rhs - lhs
     scale = np.maximum(np.abs(rhs), 1.0)
-    passed = bool(np.all(margin >= -slack * scale))
+    passed = bool(np.all(margin >= -_CHECK_SLACK * scale))
     ratio = float(np.max(lhs / np.maximum(rhs, 1e-300)))
     return BoundCheck(name=name, passed=passed,
                       worst_margin=float(np.min(margin)), worst_ratio=ratio)

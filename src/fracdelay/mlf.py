@@ -106,15 +106,14 @@ def lgamma(x) -> np.ndarray:
 # power series, double precision, vectorized over z
 # ---------------------------------------------------------------------------
 
-def _series_double(alpha: float, beta: float, z: np.ndarray, rel_tol: float,
-                   max_terms: int):
+def _series_double(alpha: float, beta: float, z: np.ndarray):
     """Sum the defining series for a 1-D array of z.
 
-    A point stops after three shrinking terms in a row below ``rel_tol`` of
-    its sum, or at a non-finite term; only the points still summing are
-    updated.  Returns (values, rel_err_estimate, n_terms).  The error
-    estimate is eps * (largest term magnitude) / |sum|, i.e. the
-    cancellation noise floor.
+    A point stops after three shrinking terms in a row below ``_EPS`` of
+    its sum, or at a non-finite term, and at the latest after ``_MAX_TERMS``
+    terms; only the points still summing are updated.  Returns (values,
+    rel_err_estimate, n_terms).  The error estimate is eps * (largest term
+    magnitude) / |sum|, i.e. the cancellation noise floor.
     """
     z = np.asarray(z, dtype=complex)
     S = np.full(z.shape, complex(rgamma(beta)))
@@ -126,14 +125,14 @@ def _series_double(alpha: float, beta: float, z: np.ndarray, rel_tol: float,
     big, prev, calm = maxabs.copy(), maxabs.copy(), np.zeros(z.shape, int)
     ell = 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        while live.size and ell < max_terms:
+        while live.size and ell < _MAX_TERMS:
             ell += 1
             zp = zp * zl
             term = zp * rgamma(alpha * ell + beta)
             Sl = Sl + term
             ta = np.abs(term)
             big = np.maximum(big, ta)
-            small = ta <= rel_tol * np.maximum(np.abs(Sl), 1e-300)
+            small = ta <= _EPS * np.maximum(np.abs(Sl), 1e-300)
             calm = np.where(small & (ta < prev), calm + 1, 0)
             prev = ta
             stop = (calm >= 3) | ~np.isfinite(ta)
@@ -485,7 +484,7 @@ def ml_scalar_array(alpha: float, beta: float, z) -> np.ndarray:
     todo &= ~zero
     near = np.flatnonzero(todo & (np.abs(flat) <= 1.0))
     if near.size:
-        vs, es, _ = _series_double(alpha, beta, flat[near], _EPS, _MAX_TERMS)
+        vs, es, _ = _series_double(alpha, beta, flat[near])
         ok = es <= _SERIES_ACCEPT
         vals[near[ok]] = vs[ok]
         todo[near[ok]] = False
@@ -528,13 +527,12 @@ def eig_factors(A: np.ndarray):
     return lam, np.einsum("ik,kj->kij", V, np.linalg.inv(V))
 
 
-def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray, rel_tol: float,
-                      max_terms: int) -> np.ndarray:
+def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray) -> np.ndarray:
     """Truncated power series, stopped at an exactly zero term (nilpotent M)
-    or once three shrinking terms in a row are below ``rel_tol`` of the sum.
-    A non-finite term, or a cancellation estimate (eps times the largest
-    term norm over the sum's norm, as in ``_series_double``) above 1e-8
-    raises SeriesNotConverged.
+    or once three shrinking terms in a row are below ``_EPS`` of the sum.
+    Reaching ``_MAX_TERMS`` terms, a non-finite term, or a cancellation
+    estimate (eps times the largest term norm over the sum's norm, as in
+    ``_series_double``) above 1e-8 raises SeriesNotConverged.
     """
     n = M.shape[0]
     S = np.eye(n) * rgamma(beta)
@@ -543,21 +541,21 @@ def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray, rel_tol: float,
     largest = np.linalg.norm(S, ord="fro")
     calm = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for ell in range(1, max_terms):
+        for ell in range(1, _MAX_TERMS):
             P = P @ M
             term = P * rgamma(alpha * ell + beta)
             S = S + term
             tn = np.linalg.norm(term, ord="fro")
             sn = np.linalg.norm(S, ord="fro")
             largest = max(largest, tn)
-            small = tn <= rel_tol * max(sn, 1e-300) and tn < norm_prev
+            small = tn <= _EPS * max(sn, 1e-300) and tn < norm_prev
             calm = calm + 1 if small else 0
             norm_prev = tn
             if tn == 0 or calm >= 3 or not np.isfinite(tn):
                 break
         else:
             raise SeriesNotConverged(f"matrix series for E_{{{alpha},{beta}}} "
-                                     f"hit {max_terms} terms")
+                                     f"hit {_MAX_TERMS} terms")
     if not np.isfinite(tn) or _EPS * largest > _MATRIX_SERIES_FLOOR * sn:
         raise SeriesNotConverged(
             f"matrix series for E_{{{alpha},{beta}}} lost its digits: "
@@ -578,8 +576,7 @@ def _ml_matrices(alpha: float, beta: float, A: np.ndarray, fac,
         return np.real(np.einsum("kN,kij->Nij", f, factors))
     out = np.empty((scale.size, A.shape[0], A.shape[0]))
     for idx, s in enumerate(scale):
-        out[idx] = np.real(_ml_matrix_series(alpha, beta, A * s, _EPS,
-                                             _MAX_TERMS))
+        out[idx] = np.real(_ml_matrix_series(alpha, beta, A * s))
     return out
 
 

@@ -1,14 +1,12 @@
-import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from conftest import FIXTURES, const_phi, scalar_problem
-from test_mlf import ml_reference
+from test_kernels import exact_l1
 from fracdelay import (ControlInput, TimeFunctionTable, cert_g_f, cert_g_h,
                        cert_g_hat_f, cert_g_hat_h, certify,
                        delay_free_certify, gain_bound_l2, gain_bound_uniform,
@@ -350,29 +348,9 @@ class TestCertify:
         assert len(rep.grid) == len(DEFAULT_DELTA_GRID)
 
     @staticmethod
-    @functools.lru_cache
     def _exact_l1(delta):
-        # integral_0^delta |phi| for alpha = 1.2, A0 = -2: the sum of
-        # |P(z_(i+1)) - P(z_i)| between the zeros z_i of E_{a,a}(-2 s^a),
-        # P(T) = T^a E_{a,a+1}(-2 T^a), all from the mpmath series.  Past
-        # s = 20 the oscillating part of E_{a,a}(-2 s^a), of size
-        # e^(-1.54 s), is far below its algebraic tail 0.05 s^-2.4, so no
-        # zero lies there.
-        alpha = 1.2
-
-        def e_aa(x):
-            return ml_reference(alpha, alpha, -2.0 * x ** alpha).real
-
-        s = np.linspace(1e-3, min(delta, 20.0), 401)
-        sign = np.sign([e_aa(x) for x in s])
-        cross = np.nonzero(sign[:-1] != sign[1:])[0]
-        assert cross.size > 0
-        zeros = [brentq(e_aa, s[i], s[i + 1], xtol=1e-14) for i in cross]
-        ends = np.array(zeros + [delta])
-        prim = [0.0] + [t ** alpha * ml_reference(alpha, alpha + 1.0,
-                                                  -2.0 * t ** alpha).real
-                        for t in ends]
-        return float(np.sum(np.abs(np.diff(prim))))
+        # integral_0^delta |phi| for alpha = 1.2, A0 = -2
+        return float(exact_l1(1.2, -2.0, (delta,))[0][0])
 
     def test_oscillating_kernel_l1_against_exact_primitive(self):
         # E_{1.2,1.2}(-2 s^1.2) changes sign
@@ -408,8 +386,7 @@ class TestCertify:
             0.1 / (2 * l1), rel=1e-8)
 
     def test_edge_just_past_a_sign_change_is_integrated(self):
-        # the first zero is near 1.99; with a far last edge the sign probe
-        # is coarse there, and delta = 2.3 lies before its next point
+        # the first zero is near 1.99, and the segment [0, 2.3] holds it
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
         table = ker.norm_integrals([0.0, 2.3, 1000.0], (1,))
         assert table[0, 0] == pytest.approx(self._exact_l1(2.3), rel=1e-6)
@@ -520,6 +497,31 @@ class TestDelayFreeBounds:
         # alpha 0.8, A0 = 0.5: E_{a,a}(0.5 t^a) grows, phi has no finite L1
         with pytest.raises(KernelNotIntegrable, match="not a stability"):
             delay_free_certify(scalar_problem(0.8, 0.5))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.7, 0.9, 1.0])
+    def test_scalar_l1_is_exact_up_to_order_one(self, alpha):
+        # phi >= 0 with Laplace transform (s^a + 1.5)^-1: K1 = 1 / 1.5
+        prob = scalar_problem(alpha, -2.0, 0.5, zero_delays=True)
+        assert delay_free_certify(prob).K1_bar == 1.0 / 1.5
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("T", [10.0, 1e3, 1e5])
+    def test_scalar_l1_splits_at_any_horizon(self, alpha, T):
+        # integral_T^inf phi = E_{a,1}(lam T^a) / |lam|, from
+        # z E_{a,a+1}(z) = E_{a,1}(z) - 1
+        lam = -1.5
+        ker = kernels.Kernels(alpha, np.array([[lam]]))
+        head = ker.norm_integrals([0.0, T], (1,))[0, 0]
+        tail = ker.e_ml(1.0, T)[0, 0, 0] / abs(lam)
+        assert head + tail == pytest.approx(1.0 / abs(lam), rel=1e-13)
+
+    def test_order_below_the_ratio_test_returns_bounds(self):
+        # below alpha 0.41 the doubling loop's ratio test cannot settle
+        prob = scalar_problem(0.3, -1.0, 0.2, zero_delays=True, at0=0.3)
+        b = delay_free_certify(prob)
+        assert b.K1_bar == 1.0 / 0.8
+        assert b.condition_holds and b.load == pytest.approx(0.3 / 0.8)
+        assert b.K2_bar == pytest.approx(b.K0_bar / (1.0 - 0.3 / 0.8))
 
     def test_constant_gain_folds_into_kernel(self):
         fb = ControlInput.feedback([np.array([[-0.5]]), np.array([[0.0]])])

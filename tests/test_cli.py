@@ -149,6 +149,32 @@ class TestCommands:
                             "--t-grid=-0.5,0.5")
         assert code in (0, 2) and "verdict" in json.loads(out)
 
+    def test_negative_t_grid_needs_no_equals_sign(self):
+        argv = ("certify", "--problem", f"{FIXTURES}/frac_delay_a07.json")
+        joined = run_cli(*argv, "--t-grid=-0.5,0.5")
+        assert run_cli(*argv, "--t-grid", "-0.5,0.5") == joined
+
+    def test_negative_verify_bounds_t_grid_is_error(self, capsys):
+        code, out = run_cli("verify-bounds", "--problem",
+                            f"{FIXTURES}/frac_delay_a07.json",
+                            "--t-grid", "-1,2")
+        assert code == 1 and out == ""
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "t_grid must be finite and strictly positive"}
+
+    def test_low_order_delay_free_bounds(self, tmp_path):
+        # alpha 0.3, below the doubling loop's reach: K1 = 1/|A0| exactly
+        path = tmp_path / "low_order.json"
+        path.write_text(json.dumps({
+            "alpha": 0.3, "delays": [0.0], "A": [[[-2.0]]],
+            "phi": [{"times": [0.0], "values": [[1.0]], "interp": "const"}],
+        }))
+        code, out = run_cli("certify", "--problem", str(path))
+        assert code == 0
+        bounds = json.loads(out)["bounds"]
+        assert bounds["K1"] == 0.5 and bounds["verdict"] == "GloballyStable"
+
     def test_growing_delay_free_kernel_reports_bounds_error(self, tmp_path):
         # alpha 0.8, A0 = 0.5 > 0: phi grows, so the delay-free bounds have
         # no finite L1 and the report carries the error instead
@@ -300,4 +326,22 @@ def test_no_module_imports_scipy():
                 continue
             found += [(path.name, name) for name in names
                       if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_no_accuracy_parameter():
+    # accuracy settings are module constants, not per-call arguments
+    knobs = {"tol", "rel_tol", "max_terms", "n0", "max_doublings",
+             "noise_floor", "slack"}
+    src = Path(fracdelay.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                found += [(path.name, arg.arg)
+                          for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg)
+                          if arg is not None and arg.arg in knobs]
     assert found == []

@@ -16,8 +16,8 @@ from fracdelay import Kernels, gamma_fn, ml_matrix, ml_scalar, mlf
 from fracdelay.errors import (OverflowBeyondRepresentableRange,
                               PoleAtNonpositiveInteger, SeriesNotConverged)
 from fracdelay.kernels import norm_series_ml
-from fracdelay.mlf import (_EPS, _MAX_TERMS, _ml_matrix_series, _series_double,
-                          lgamma, ml_scalar_array, rgamma)
+from fracdelay.mlf import (_ml_matrix_series, _series_double, lgamma,
+                          ml_scalar_array, rgamma)
 
 
 def ml_reference(alpha, beta, z):
@@ -158,14 +158,14 @@ class TestMlScalar:
 
     def test_generic_series_path_matches_exp(self):
         # bypass the alpha=1 closed form: the raw double series at moderate z
-        vals, err, _ = _series_double(1.0, 1.0, np.array([-2.0 + 0j]),
-                                      1e-14, 10000)
+        vals, err, _ = _series_double(1.0, 1.0, np.array([-2.0 + 0j]))
         assert vals[0].real == pytest.approx(math.exp(-2.0), rel=1e-13)
         assert err[0] < 1e-11
 
-    def test_series_cap_raises(self):
-        with pytest.raises(SeriesNotConverged):
-            _ml_matrix_series(0.5, 1.0, np.array([[-30.0]]), 1e-14, 8)
+    def test_series_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(mlf, "_MAX_TERMS", 8)
+        with pytest.raises(SeriesNotConverged, match="hit 8 terms"):
+            _ml_matrix_series(0.5, 1.0, np.array([[-30.0]]))
 
     @pytest.mark.parametrize("alpha, beta", [(1.0, 2.0), (1.0, 3.0),
                                              (2.0, 3.0), (2.0, 4.0)])
@@ -321,8 +321,7 @@ class TestMlMatrix:
             alpha, beta = 0.8, 1.0
             spectral = ml_matrix(alpha, beta, A, t)
             # the series path as ml_matrix runs it for a defective matrix
-            series = _ml_matrix_series(alpha, beta, A * t ** alpha, _EPS,
-                                       _MAX_TERMS)
+            series = _ml_matrix_series(alpha, beta, A * t ** alpha)
             assert np.max(np.abs(spectral - series)) <= 1e-9 * max(
                 1.0, np.max(np.abs(spectral)))
 
