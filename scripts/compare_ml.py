@@ -7,22 +7,25 @@ Records every ``ml_scalar_array`` call that ``certify``,
 ``solve_trajectory`` (the CLI's default grid: step 0.01, horizon 10) make on
 ``tests/fixtures/*.json``, and every ``Kernels.norm_integrals`` call that
 the two certificates make, using the OLD tree.  Then it replays each call on
-both trees, interleaved, and prints per call the best time of each and
-whether the values are equal (``np.array_equal``).  A ``norm_integrals``
-call is replayed on a kernel object built outside the timed region; only
-the outermost call is recorded, not the one a single delta makes on its
-halving edges.  Each SRC is a directory that holds the ``fracdelay``
-package, such as a checkout's ``src``.
+both trees, interleaved, and prints per call the best time of each,
+whether the values are equal (``np.array_equal``) and the largest relative
+difference between them, and per section the largest of those.  A
+``norm_integrals`` call is replayed on a kernel object built outside the
+timed region; only the outermost call is recorded, not the one a single
+delta makes on its halving edges.  Each SRC is a directory that holds the
+``fracdelay`` package, such as a checkout's ``src``.
 
 Example, against the parent commit:
     git archive HEAD~1 | (mkdir -p /tmp/old && tar -x -C /tmp/old)
     python scripts/compare_ml.py /tmp/old/src src
 
-The exit status is 1 when any call's values differ.
+The exit status is 1 when any call's values differ, whatever their
+relative difference.
 """
 
 import argparse
 import importlib.util
+import math
 import sys
 import time
 from pathlib import Path
@@ -99,11 +102,27 @@ def timed(fd, fn, *args):
     return time.perf_counter() - t0, out
 
 
+def rel_diff(old, new) -> float:
+    """Largest |new - old| / |old| over the values: 0 where they are equal
+    (infinities and NaNs included), inf where only one is finite, old is 0,
+    or only one call raised."""
+    if isinstance(old, str) or isinstance(new, str):
+        return 0.0 if old == new else math.inf
+    old, new = np.asarray(old), np.asarray(new)
+    with np.errstate(all="ignore"):
+        rel = np.abs(new - old) / np.abs(old)
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    rel = np.where(same, 0.0, np.where(np.isnan(rel), math.inf, rel))
+    return float(np.max(rel, initial=0.0))
+
+
 def compare(trees, calls, repeat: int, label) -> tuple:
     """Replay ``calls`` (each a per-tree (fn, args) maker) on both trees;
-    print one line per call; return (differing calls, summed best times)."""
+    print one line per call; return (differing calls, summed best times,
+    largest relative difference)."""
     differ = 0
     total = [0.0, 0.0]
+    worst = 0.0
     for i, call in enumerate(calls):
         made = [call(fd) for fd in trees]
         best = [np.inf, np.inf]
@@ -116,12 +135,14 @@ def compare(trees, calls, repeat: int, label) -> tuple:
         a, b = outs
         same = (a == b if isinstance(a, str) or isinstance(b, str)
                 else np.array_equal(a, b, equal_nan=True))
+        rel = rel_diff(a, b)
         differ += not same
         total[0] += best[0]
         total[1] += best[1]
+        worst = max(worst, rel)
         print(f"{i:5d} {label(i)} {best[0]:10.6f} {best[1]:10.6f} "
-              f"{best[1] / best[0]:8.3f} {same}")
-    return differ, total
+              f"{best[1] / best[0]:8.3f} {same!s:>5} {rel:8.2e}")
+    return differ, total, worst
 
 
 def main() -> int:
@@ -158,10 +179,11 @@ def main() -> int:
     )
     for name, head, calls, label in sections:
         print(f"{name}:\n{'call':>5} {head} {'old_s':>10} {'new_s':>10} "
-              f"{'new/old':>8} equal")
-        bad, total = compare(trees, calls, args.repeat, label)
+              f"{'new/old':>8} equal {'max_rel':>8}")
+        bad, total, worst = compare(trees, calls, args.repeat, label)
         differ += bad
-        print(f"{len(calls)} calls, {bad} differ; summed best times "
+        print(f"{len(calls)} calls, {bad} differ, largest relative "
+              f"difference {worst:.2e}; summed best times "
               f"old {total[0]:.4f} s, new {total[1]:.4f} s "
               f"({total[1] / total[0]:.3f}x)\n")
     return 1 if differ else 0

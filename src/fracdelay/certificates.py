@@ -94,9 +94,14 @@ class _CertInputs:
                  deltas, powers):
         sys = prob.system
         bounds, ctl = _gain_bounds(prob, feedback)
-        self.grid = np.unique(np.asarray(deltas, dtype=float))
-        if not self.grid[0] > 0:
-            raise ValueError("delta must be positive")
+        grid = np.sort(np.asarray(deltas, dtype=float))
+        bad = grid[~(np.isfinite(grid) & (grid > 0))]
+        if bad.size:
+            raise ValueError(f"delta must be finite and positive, got "
+                             f"{float(bad[0])}")
+        # sorted without repeats, as np.unique gives it, but np.unique
+        # imports numpy.ma
+        self.grid = grid[np.append(True, grid[1:] != grid[:-1])]
         ker = Kernels(sys.alpha, sys.A[0])
         self.growing = ker.sector_margin() < -_SECTOR_TOL
         if self.growing:

@@ -149,7 +149,10 @@ class Kernels:
         s^a E_{a,a+1}(A0 s^a) at every edge: the smooth factor
         E_{a,a}(A0 s^a) never changes sign there (E_{a,a}(-x) is completely
         monotone, Pollard 1948 and Schneider 1996, and E_{a,a}(x) > 0 for
-        x >= 0).  Every other power and kernel takes one segmented
+        x >= 0); from e_0 > 0 and A0 != 0 the increments are
+        (E_{a,1}(A0 e_k^a) - E_{a,1}(A0 e_0^a)) / A0, which keep their
+        relative accuracy where two primitives near 1/|A0| would cancel.
+        Every other power and kernel takes one segmented
         cumulative product integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p,
         which serves every edge and every power from the same norm samples,
         on a first segment graded for the most singular power.  An edge
@@ -193,10 +196,12 @@ class Kernels:
             out[quad] = weighted_singular_integral(
                 [p * (alpha - 1.0) for p in quad_powers], w, edges, grading)
         if exact and 1 in powers:
-            prim = self.int_phi(edges[1:])[:, 0, 0]
-            if edges[0] > 0:
-                prim = prim - self.int_phi(edges[:1])[0, 0, 0]
-            out[powers.index(1)] = np.abs(prim)
+            lam = self.A0[0, 0]
+            # d/dt E_{a,1}(lam t^a) = lam phi(t): from e_0 > 0 the increments
+            # come without the cancellation of two primitives near 1/|lam|
+            prim = (self.e_ml(1.0, edges) / lam if edges[0] > 0 and lam != 0
+                    else self.int_phi(edges))[:, 0, 0]
+            out[powers.index(1)] = np.abs(prim[1:] - prim[0])
         return out
 
 

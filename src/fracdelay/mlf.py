@@ -9,10 +9,10 @@ For a scalar argument three routes cover the plane, each chosen per point:
 
 * exact reductions for integer orders (exp, cosh, sinh), identities of the
   series rather than approximations;
-* the power series in double precision for |z| <= 1, where its terms never
-  exceed its sum by much: it sums to round-off and keeps a point only when
-  its cancellation estimate is below 1e-13, else the point goes to the
-  contour;
+* the power series in double precision for |z| <= 1 (the pole-free real
+  points below excepted), where its terms never exceed its sum by much: it
+  sums to round-off and keeps a point only when its cancellation estimate
+  is below 1e-13, else the point goes to the contour;
 * everywhere else the inverse Laplace transform at t = 1,
 
       E_{a,b}(z) = (1/2 pi i) int_C e^s s^(a-b) / (s^a - z) ds,
@@ -27,11 +27,18 @@ For a scalar argument three routes cover the plane, each chosen per point:
   edge of its bin of ratio 2^(1/8) nearer the parabola, so points whose
   poles share bins share a parabola and its node factors; points with no
   pole on the principal sheet, such as every negative real z for a < 1,
-  all share one and cost one division per node.  The rule runs contour by
-  contour: each contour's node factors are computed once, and its terms as
-  (nodes x points) blocks of at most 2^14 elements, so the memory the rule
-  needs beyond its output is bounded by the block, not by the number of
-  points.
+  all share one and cost one division per node.  Such points skip the
+  series even for |z| <= 1 when 0 < b <= a < 1: they share one parabola of
+  27 nodes, 1.4-12x cheaper per call than the series (a 0.99 down to 0.1,
+  10 to 100k points on [-1, 0), one CPU of a 2-vCPU x86-64 host) and
+  within 2.4e-15 absolute of a 40-digit series (the series: 9.1e-16), so
+  every sample of E_{a,a}(A0 s^a) for a real negative spectrum goes there.
+  For b > a the contour loses digits toward z = 0 (6.7e-13 absolute at
+  a = 0.99, b = a + 1) and the series keeps those points.  The rule runs
+  contour by contour: each contour's node factors are computed once, and
+  its terms as (nodes x points) blocks of at most 2^14 elements, so the
+  memory the rule needs beyond its output is bounded by the block, not by
+  the number of points.
 
 The evaluator has one accuracy, set by no argument.  Against a 30-digit
 series for alpha in 0.3..1.8 and the betas 1, alpha, alpha + 1, alpha + 2,
@@ -464,10 +471,12 @@ def ml_scalar_array(alpha: float, beta: float, z) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of complex arguments.
 
     Closed forms serve integer orders, the power series |z| <= 1 where it
-    keeps its digits, and the contour integral every other point; each
-    value depends on its own point only.  A real z whose value exceeds
-    double range gives inf; a complex one raises
-    OverflowBeyondRepresentableRange.
+    keeps its digits, and the contour integral every other point; a real
+    z < 0 with 0 < beta <= alpha < 1 has no pole on the principal sheet and
+    takes the shared pole-free contour, cheaper there than the series and
+    as accurate (see the module docstring).  Each value depends on its own
+    point only.  A real z whose value exceeds double range gives inf; a
+    complex one raises OverflowBeyondRepresentableRange.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -482,7 +491,11 @@ def ml_scalar_array(alpha: float, beta: float, z) -> np.ndarray:
     zero = todo & (flat == 0)
     vals[zero] = rgamma(beta)
     todo &= ~zero
-    near = np.flatnonzero(todo & (np.abs(flat) <= 1.0))
+    near = todo & (np.abs(flat) <= 1.0)
+    if alpha < 1.0 and 0.0 < beta <= alpha:
+        # no pole on the principal sheet: one shared contour is cheaper
+        near &= ~((flat.imag == 0) & (flat.real < 0))
+    near = np.flatnonzero(near)
     if near.size:
         vs, es, _ = _series_double(alpha, beta, flat[near])
         ok = es <= _SERIES_ACCEPT

@@ -11,7 +11,7 @@ from fracdelay import (ControlInput, TimeFunctionTable, cert_g_f, cert_g_h,
                        cert_g_hat_f, cert_g_hat_h, certify,
                        delay_free_certify, gain_bound_l2, gain_bound_uniform,
                        high_order_check, validate_system)
-from fracdelay import kernels
+from fracdelay import certificates, kernels
 from fracdelay.certificates import DEFAULT_DELTA_GRID, _CertInputs
 from fracdelay.errors import (DelaysNotZero, DimensionMismatch, EmptyGrid,
                               KernelNotIntegrable, OrderTooLow,
@@ -261,6 +261,23 @@ class TestCertify:
     def test_empty_grid_rejected(self):
         with pytest.raises(EmptyGrid):
             certify(scalar_problem(1.0, -1.0, 0.5), delta_grid=[])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("a0", [-1.0, 0.5])
+    def test_non_finite_or_nonpositive_delta_rejected(self, monkeypatch, a0,
+                                                      bad):
+        # a0 = 0.5 puts the kernel outside the decay sector, where no
+        # quadrature runs: a bad delta used to give an Inconclusive report
+        def no_kernel(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(certificates, "Kernels", no_kernel)
+        prob = scalar_problem(0.8, a0, 0.2, r1=1.0)
+        match = rf"delta must be finite and positive, got {bad}"
+        with pytest.raises(ValueError, match=match):
+            certify(prob, delta_grid=[1.0, bad])
+        with pytest.raises(ValueError, match=match):
+            cert_g_h(prob, bad)
 
     def test_report_serialization(self):
         rep = certify(scalar_problem(1.0, -1.0, 0.5, r1=1.0),

@@ -340,11 +340,29 @@ class TestNoSignProbe:
         ker = Kernels(alpha, np.array([[a0]]))
         table = ker.norm_integrals(edges, powers)
         assert rows == [1] * (2 in powers)
-        edges = np.asarray(edges)
-        prim = ker.int_phi(edges[1:])[:, 0, 0]
-        if edges[0] > 0:
-            prim = prim - ker.int_phi(edges[:1])[0, 0, 0]
-        assert table[0].tolist() == np.abs(prim).tolist()
+        # from e_0 > 0 the increments of E_{a,1}(a0 t^a) / a0
+        prim = (ker.e_ml(1.0, edges) / a0 if edges[0] > 0
+                else ker.int_phi(edges))[:, 0, 0]
+        assert table[0].tolist() == np.abs(prim[1:] - prim[0]).tolist()
+
+    def test_late_increments_do_not_cancel(self):
+        # integral_40^80 e^-s ds = 4.25e-18, far below the primitives'
+        # round-off at 1 - e^-T
+        table = Kernels(1.0, A1).norm_integrals([40.0, 80.0, 120.0], (1,))
+        exact = [math.exp(-40.0) - math.exp(-80.0),
+                 math.exp(-40.0) - math.exp(-120.0)]
+        np.testing.assert_allclose(table[0], exact, rtol=1e-14, atol=0)
+
+    def test_late_increments_against_mpmath(self):
+        # integral_e0^ek phi = (E_{a,1}(lam ek^a) - E_{a,1}(lam e0^a)) / lam
+        # with E_{a,1} from the mpmath series; the evaluator's relative
+        # floor bounds the error (the difference of two primitives
+        # T^a E_{a,a+1}(lam T^a) misses by 3e-13 to 7e-13 here)
+        alpha, lam, edges = 0.97, -1.0, [40.0, 80.0, 200.0]
+        e = [ml_reference(alpha, 1.0, lam * t ** alpha).real for t in edges]
+        exact = [(ek - e[0]) / lam for ek in e[1:]]
+        table = Kernels(alpha, np.array([[lam]])).norm_integrals(edges, (1,))
+        np.testing.assert_allclose(table[0], exact, rtol=3.3e-14, atol=0)
 
     def test_exponential_kernel_past_the_old_guard(self):
         # alpha = 1: integral_0^T e^(-2 s) ds = (1 - e^(-2 T)) / 2
@@ -436,10 +454,12 @@ class TestNonFiniteEdges:
                                              "finite"):
             Kernels(0.4, np.array(A0)).norm_integrals(edges, (1,))
 
-    def test_certify(self):
+    def test_certify(self, monkeypatch):
+        # certify checks its delta grid itself (tests/test_certificates.py)
+        self.no_evaluation(monkeypatch)
         prob = scalar_problem(0.8, -1.0, 0.3, r1=1.0)
-        with pytest.raises(ValueError, match="integration edges must be "
-                                             "finite"):
+        with pytest.raises(ValueError, match="delta must be finite and "
+                                             "positive, got inf"):
             certify(prob, delta_grid=[1.0, math.inf])
 
 

@@ -298,6 +298,56 @@ class TestContour:
         assert out.stdout.strip() == "False"
 
 
+POLE_FREE_ZS = np.array([-1e-300, -1e-16, -1e-6, -0.5, -1.0], dtype=complex)
+
+
+class TestPoleFreeRoute:
+    """For alpha < 1 and 0 < beta <= alpha a real z < 0 has no pole on the
+    principal sheet and goes to the shared contour, not the power series."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 0.9, 0.999])
+    def test_against_reference_at_the_floor(self, alpha):
+        for beta in (alpha, alpha / 2.0):
+            got = ml_scalar_array(alpha, beta, POLE_FREE_ZS)
+            for z, v in zip(POLE_FREE_ZS, got):
+                ref = ml_reference(alpha, beta, z)
+                assert abs(v - ref) <= 3.3e-14 * max(1.0, abs(ref)), (beta, z)
+
+    def test_series_sees_no_pole_free_point(self, monkeypatch):
+        seen = []
+        series = mlf._series_double
+
+        def counted(alpha, beta, z):
+            seen.append((alpha, beta, z.copy()))
+            return series(alpha, beta, z)
+
+        monkeypatch.setattr(mlf, "_series_double", counted)
+        mixed = np.concatenate((POLE_FREE_ZS, [0.5, 0.3 + 0.4j, -0.5j]))
+        for alpha in (0.3, 0.7, 0.95):
+            for beta in (alpha, alpha / 2.0, alpha + 1.0):
+                ml_scalar_array(alpha, beta, mixed)
+        negative = [(a, b) for a, b, z in seen
+                    if np.any((z.imag == 0) & (z.real < 0))]
+        # beta > alpha keeps the series: the contour loses digits toward 0
+        assert negative == [(a, a + 1.0) for a in (0.3, 0.7, 0.95)]
+        # positive and complex points still take the series
+        assert len(seen) == 9
+        # alpha >= 1 has poles for z < 0: the series serves them
+        seen.clear()
+        ml_scalar_array(1.2, 1.2, POLE_FREE_ZS)
+        assert seen and seen[0][2].size == POLE_FREE_ZS.size
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999])
+    def test_values_do_not_depend_on_the_batch(self, alpha):
+        mixed = np.concatenate((POLE_FREE_ZS, [0.5, 1.0, 0.3 + 0.4j,
+                                               -0.5j, -3.0 + 1e-3j, -4.0]))
+        for beta in (alpha, alpha / 2.0):
+            arr = ml_scalar_array(alpha, beta, mixed)
+            one = [ml_scalar_array(alpha, beta, mixed[i:i + 1])[0]
+                   for i in range(mixed.size)]
+            assert arr.tolist() == one, beta
+
+
 class TestMlMatrix:
     def test_zero_matrix(self):
         out = ml_matrix(0.7, 1.0, np.zeros((3, 3)), 2.0)
