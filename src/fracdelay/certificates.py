@@ -37,7 +37,15 @@ certificate is the same computation on a grid of one.
 The delay-free bounds follow the representation with A0 -> sum_i A_i: with
 K0_bar = sup_t max_j ||phi_j(t)||, K1_bar = L1(inf), and
 q = K1_bar * sum_i (||Atilde_i|| + ||B|| K_i), the solution satisfies
-sup_t ||x(t)|| <= K2_bar = (1 - q)^-1 K0_bar sum_j ||x_j0||  whenever q < 1.
+
+    sup_t ||x(t)|| <= K2_bar = (1 - q)^-1 (K0_bar sum_j ||x_j0||
+                                           + K1_bar sup||B|| sup||u||)
+
+whenever q < 1 (the u term for an open-loop input).  K1_bar is finite
+exactly when sum_i A_i has no zero eigenvalue and none in
+|arg lambda| <= alpha pi / 2, the one gate.  Past it every phi_j, j < alpha,
+tends to 0, so unforced, limsup ||x|| <= q limsup ||x||: q < 1 alone gives
+global asymptotic stability.
 """
 
 from __future__ import annotations
@@ -49,11 +57,12 @@ import numpy as np
 
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
                      OrderTooLow, PremiseViolated, WindowOutOfRange)
-from .kernels import _QUAD_TOL, Kernels, phi_alpha_l1
+# phi_alpha_l1 is not called here: perfbench/test_harness.py reads it
+from .kernels import _HALVINGS, Kernels, phi_alpha_l1
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm, check_feedback)
 from .tables import (TimeFunctionTable, induced_norms, l2_window_norms,
-                     table_linear_combination)
+                     sup_norm_bound, table_linear_combination)
 
 _TIE_TOL = 1e-12
 # eigenvalue arguments within this many radians of alpha pi / 2 count as
@@ -356,61 +365,51 @@ class DelayFreeBounds:
     K0_bar: float
     K1_bar: float
     K2_bar: float | None          # None when the smallness condition fails
-    decay_detected: bool
     condition_holds: bool
     load: float                   # K1_bar * sum_i (||Atilde_i|| + ||B|| K_i)
 
     @property
     def verdict(self) -> str:
-        if not self.condition_holds:
-            return "Inconclusive"
-        return ("GloballyAsymptoticallyStable" if self.decay_detected
-                else "GloballyStable")
+        return ("GloballyAsymptoticallyStable" if self.condition_holds
+                else "Inconclusive")
 
     def as_dict(self) -> dict:
         return {"K0": self.K0_bar, "K1": self.K1_bar, "K2": self.K2_bar,
-                "decay_detected": self.decay_detected,
                 "verdict": self.verdict}
 
 
 def _l1_to_infinity(ker: Kernels) -> float:
-    """integral_0^inf ||phi(s)|| ds.
+    """integral_0^inf ||phi(s)|| ds behind the one gate (module docstring).
 
     Exact for a scalar kernel with alpha <= 1: phi >= 0 there (see
-    ``Kernels.norm_integrals``), so the integral is its Laplace transform
-    (s^a - lam)^-1 at s = 0, that is 1/|lam|.  Otherwise a truncated
-    integral over doubling horizons with a geometric tail estimate.
+    ``Kernels.norm_integrals``), so the integral is 1/|lam|.  Otherwise one
+    integration over the edges 0, T 2^k, k = -10..10, T set by min |lambda|.
+    phi decays like t^(-1-alpha) (Gorenflo, Kilbas, Mainardi and Rogosin,
+    2014), so doubling segments shrink by 2^-alpha: the tail is twice the
+    geometric series of the last increment, with ratio max(last observed,
+    2^-alpha).  Raises once the increments stop shrinking.
     """
     alpha = ker.alpha
     lam = np.linalg.eigvals(ker.A0)
-    if np.any(lam.real >= 0):
+    rho = float(np.min(np.abs(lam)))
+    if rho == 0.0 or ker.sector_margin() <= _SECTOR_TOL:
         raise KernelNotIntegrable(
-            "effective matrix is not a stability matrix")
-    if ker.sector_margin() <= _SECTOR_TOL:
-        raise KernelNotIntegrable(
-            "eigenvalue arguments inside the non-decaying sector "
+            "phi is not integrable: A0 has a zero eigenvalue or one with "
             "|arg| <= alpha pi / 2")
     if ker.n == 1 and alpha <= 1:
         return 1.0 / abs(float(ker.A0[0, 0]))
-    rho = float(np.min(np.abs(lam.real)))
     T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
-    prev = phi_alpha_l1(ker, T)
-    inc_prev = None
-    for _ in range(10):
-        # only the new segment [T, 2T] is integrated
-        inc = float(ker.norm_integrals([T, 2.0 * T], (1,))[0, 0])
-        T *= 2.0
-        cur = prev + inc
-        if inc <= _QUAD_TOL * max(1.0, cur):
-            return cur
-        if inc_prev is not None:
-            ratio = inc / inc_prev
-            if ratio < 0.75:
-                tail = inc * ratio / (1.0 - ratio)
-                return cur + 2.0 * tail
-        inc_prev, prev = inc, cur
-    raise KernelNotIntegrable(
-        f"L1 tail did not settle by T = {T:.3g} (last increment {inc:.3g})")
+    edges = T * 2.0 ** np.arange(-_HALVINGS, _HALVINGS + 1.0)
+    cum = ker.norm_integrals(np.concatenate(([0.0], edges)), (1,))[0]
+    inc_prev, inc = np.diff(cum)[-2:]
+    if inc == 0.0:     # an exponential decay underflows before T 2^10
+        return float(cum[-1])
+    ratio = max(inc / inc_prev, 2.0 ** -alpha)
+    if ratio >= 1.0:
+        raise KernelNotIntegrable(
+            f"L1 increments stopped shrinking by T = {edges[-1]:.3g} "
+            f"(ratio {inc / inc_prev:.3g})")
+    return float(cum[-1] + 2.0 * inc * ratio / (1.0 - ratio))
 
 
 def delay_free_certify(prob: ValidatedProblem,
@@ -418,7 +417,8 @@ def delay_free_certify(prob: ValidatedProblem,
     """Solution bounds for the all-lags-zero encoding.
 
     Kernels use A0 -> sum_i A_i; a constant lag-0 feedback gain with constant
-    B is absorbed into that matrix (and dropped from the load sum).
+    B is absorbed into that matrix (and dropped from the load sum).  The
+    verdict needs no decay test (module docstring).
     """
     sys = prob.system
     if not sys.is_delay_free:
@@ -442,7 +442,6 @@ def delay_free_certify(prob: ValidatedProblem,
     grid = np.concatenate(([0.0], np.geomspace(T0 * 1e-5, T0, 2000)))
     norms = induced_norms(np.array([ker.phi_j(j, grid) for j in range(sys.k)]))
     K0 = float(np.max(norms))
-    decay = bool(np.max(norms[:, grid >= 0.8 * T0]) <= 1e-3 * max(K0, 1e-300))
 
     K1 = _l1_to_infinity(ker)
     load = K1 * sum(load_terms)
@@ -450,10 +449,12 @@ def delay_free_certify(prob: ValidatedProblem,
     K2 = None
     if condition:
         x0_sum = sum(induced_norms(np.array(prob.ics.x0)).tolist())
-        K2 = K0 * x0_sum / (1.0 - load)
+        inp = feedback if feedback is not None else prob.control
+        forcing = (K1 * bn * sup_norm_bound(inp.u)
+                   if inp.kind == "open_loop" else 0.0)
+        K2 = (K0 * x0_sum + forcing) / (1.0 - load)
     return DelayFreeBounds(K0_bar=K0, K1_bar=K1, K2_bar=K2,
-                           decay_detected=decay, condition_holds=condition,
-                           load=load)
+                           condition_holds=condition, load=load)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,6 @@ class SpectralDecomposition:
     T: np.ndarray          # transform with A0 = T^-1 (J_d + J_off) T
     J_d: np.ndarray        # diagonal part
     J_off: np.ndarray      # strictly off-diagonal part
-    cond_T: float
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -100,8 +99,7 @@ def decompose(A0: np.ndarray,
         T = np.linalg.inv(V)
         J_d = np.diag(lam)
         J_off = np.zeros_like(J_d)
-    dec = SpectralDecomposition(T=T, J_d=J_d, J_off=J_off,
-                                cond_T=float(np.linalg.cond(T)))
+    dec = SpectralDecomposition(T=T, J_d=J_d, J_off=J_off)
     residual = matrix_norm(A0 - np.linalg.inv(T) @ (J_d + J_off) @ T)
     if residual > _RECONSTRUCT_RTOL * max(matrix_norm(A0), 1e-300):
         raise DefectiveMatrixNoTransform(

@@ -59,10 +59,6 @@ class FractionalDelaySystem:
         return self.delays[-1]
 
     @property
-    def r(self) -> int:
-        return len(self.delays) - 1
-
-    @property
     def is_delay_free(self) -> bool:
         return all(d == 0.0 for d in self.delays)
 

@@ -147,8 +147,6 @@ def sup_norm_bound(tbl: TimeFunctionTable, p=2) -> float:
     so this is exact for the table and a lower estimate for the underlying
     function it samples.
     """
-    if tbl.sample_times.size == 0:
-        raise EmptyTable("empty table")
     if tbl.declared_sup_norm is not None:
         return tbl.declared_sup_norm
     return float(np.max(induced_norms(tbl.values, p)))

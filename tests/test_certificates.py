@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, const_phi, scalar_problem
+from conftest import FIXTURES, const_phi, random_stable_matrix, scalar_problem
 from test_kernels import exact_l1
-from fracdelay import (ControlInput, TimeFunctionTable, cert_g_f, cert_g_h,
-                       cert_g_hat_f, cert_g_hat_h, certify,
+from fracdelay import (ControlInput, TimeFunctionTable, align_grid, cert_g_f,
+                       cert_g_h, cert_g_hat_f, cert_g_hat_h, certify,
                        delay_free_certify, gain_bound_l2, gain_bound_uniform,
-                       high_order_check, validate_system)
-from fracdelay import certificates, kernels
+                       high_order_check, solve_delay_free, validate_system)
+from fracdelay import certificates, kernels, mlf
 from fracdelay.certificates import DEFAULT_DELTA_GRID, _CertInputs
 from fracdelay.errors import (DelaysNotZero, DimensionMismatch, EmptyGrid,
                               KernelNotIntegrable, OrderTooLow,
@@ -490,7 +490,6 @@ class TestDelayFreeBounds:
         assert b.K0_bar == pytest.approx(1.0, abs=1e-9)
         assert b.K1_bar == pytest.approx(1.0, abs=1e-6)
         assert b.K2_bar == pytest.approx(1.0, abs=1e-6)
-        assert b.decay_detected
         assert b.verdict == "GloballyAsymptoticallyStable"
 
     def test_loaded_variant(self):
@@ -512,8 +511,62 @@ class TestDelayFreeBounds:
 
     def test_growing_kernel_is_not_integrable(self):
         # alpha 0.8, A0 = 0.5: E_{a,a}(0.5 t^a) grows, phi has no finite L1
-        with pytest.raises(KernelNotIntegrable, match="not a stability"):
+        with pytest.raises(KernelNotIntegrable, match="not integrable"):
             delay_free_certify(scalar_problem(0.8, 0.5))
+
+    def test_zero_eigenvalue_is_not_integrable(self):
+        # alpha 0.5, A0 = [[0, 1], [0, -1]]: phi_0 tends to a nonzero limit
+        prob = validate_system(0.5, [0.0], [np.array([[0.0, 1.0],
+                                                      [0.0, -1.0]])],
+                               phi=[const_phi([1.0, 0.0], 0.0)])
+        with pytest.raises(KernelNotIntegrable, match="zero eigenvalue"):
+            delay_free_certify(prob)
+
+    def test_verdict_follows_the_smallness_condition(self):
+        # the kernel of E_{1/2,1}(-t^(1/2)) decays only like t^(-1/2); the
+        # condition alone decides, and the report carries no decay flag
+        for at0, verdict in ((0.5, "GloballyAsymptoticallyStable"),
+                             (1.5, "Inconclusive")):
+            b = delay_free_certify(scalar_problem(0.5, -0.5, -0.5,
+                                                  zero_delays=True, at0=at0))
+            assert b.verdict == verdict
+            assert list(b.as_dict()) == ["K0", "K1", "K2", "verdict"]
+
+    def test_open_loop_input_enters_the_sup_bound(self):
+        # x' = -x + 1 from x(0) = 0 rises to 1 - e^-t: the bound must reach
+        # the forced response, not only the free one (which is zero)
+        one = TimeFunctionTable(np.array([0.0]), np.array([[1.0]]), "const")
+        prob = validate_system(1.0, [0.0], [np.array([[-1.0]])], None,
+                               np.array([[1.0]]), [const_phi([0.0], 0.0)],
+                               control=ControlInput.open_loop(one))
+        b = delay_free_certify(prob)
+        assert b.condition_holds and b.K2_bar == 1.0
+        traj = solve_delay_free(prob, align_grid(0.01, 10.0, [0.0]))
+        assert np.max(np.abs(traj.states)) > 0.9999
+        assert np.max(np.abs(traj.states)) <= b.K2_bar
+
+    def test_open_loop_bound_dominates_simulation(self):
+        # criterion 6's construction with a bounded open-loop input
+        rng = np.random.default_rng(20261019)
+        for alpha in (0.7, 1.0, 1.2):
+            n = 2
+            A_bar = random_stable_matrix(rng, n)
+            split = rng.normal(scale=0.2, size=(n, n))
+            ts = np.linspace(0.0, 20.0, 41)
+            u = TimeFunctionTable(ts, np.stack([np.sin(ts), np.cos(2 * ts)],
+                                               axis=1), "linear")
+            B = rng.normal(size=(n, 2))
+            phi = [const_phi(rng.normal(size=n), 0.0)] + (
+                [const_phi(np.zeros(n), 0.0)] if alpha > 1 else [])
+            prob = validate_system(alpha, [0.0, 0.0], [A_bar - split, split],
+                                   [0.1 * rng.normal(size=(n, n)),
+                                    np.zeros((n, n))], B, phi,
+                                   control=ControlInput.open_loop(u))
+            b = delay_free_certify(prob)
+            free = delay_free_certify(prob, ControlInput.none())
+            assert b.condition_holds and b.K2_bar > free.K2_bar
+            traj = solve_delay_free(prob, align_grid(0.01, 20.0, [0.0, 0.0]))
+            assert np.max(np.linalg.norm(traj.states, 2, axis=1)) <= b.K2_bar
 
     @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.7, 0.9, 1.0])
     def test_scalar_l1_is_exact_up_to_order_one(self, alpha):
@@ -533,7 +586,7 @@ class TestDelayFreeBounds:
         assert head + tail == pytest.approx(1.0 / abs(lam), rel=1e-13)
 
     def test_order_below_the_ratio_test_returns_bounds(self):
-        # below alpha 0.41 the doubling loop's ratio test cannot settle
+        # alpha 0.3: a scalar kernel up to order 1 takes the exact route
         prob = scalar_problem(0.3, -1.0, 0.2, zero_delays=True, at0=0.3)
         b = delay_free_certify(prob)
         assert b.K1_bar == 1.0 / 0.8
@@ -548,6 +601,53 @@ class TestDelayFreeBounds:
         # effective matrix -1: same bounds as the pure exponential
         assert b.K1_bar == pytest.approx(1.0, abs=1e-6)
         assert b.condition_holds
+
+
+class TestL1ToInfinity:
+    """``_l1_to_infinity`` on kernels whose tails decay like t^(-1-alpha),
+    against references: conservative, and within 3%."""
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5])
+    def test_scalar_above_order_one(self, alpha):
+        # exact L1 up to T = 40 plus the signed tail |E_{a,1}(-T^a)|, since
+        # E_{a,a}(-s^a) has no zero past s = 17 at these orders
+        T = 40.0
+        head, zeros = exact_l1(alpha, -1.0, (T,))
+        assert zeros[-1] < 17.0
+        ref = head[0] + abs(mlf.ml_scalar_array(alpha, 1.0,
+                                                np.array([-T ** alpha]))[0])
+        got = certificates._l1_to_infinity(
+            kernels.Kernels(alpha, np.array([[-1.0]])))
+        assert ref <= got <= ref * (1.0 + 1e-5)
+
+    # scipy quad on 480 geometric panels of ||phi|| from 1e-8 to 2e7 (and
+    # [0, 1e-8]), plus the asymptotic tail ||A0^-2|| T^-a / (a |Gamma(-a)|)
+    # at T = 2e7
+    @pytest.mark.parametrize("A0, alpha, ref", [
+        ([[-1.0, 0.5], [0.0, -2.0]], 0.8, 1.0442330495),
+        ([[-1.0, 0.5], [0.0, -2.0]], 0.45, 1.0430233458),
+        ([[-1.0, 0.5], [0.0, -2.0]], 0.35, 1.0428634162),
+        ([[-1.0, 5.0], [0.0, -2.0]], 0.4, 2.7939896266),
+        # eigenvalues +-i: Re lambda = 0, yet outside the sector
+        ([[0.0, -1.0], [1.0, 0.0]], 0.5, 1.7939389948),
+    ])
+    def test_matrix_kernels(self, A0, alpha, ref):
+        got = certificates._l1_to_infinity(kernels.Kernels(alpha,
+                                                           np.array(A0)))
+        assert ref <= got <= 1.03 * ref
+
+    def test_one_cumulative_integration(self, monkeypatch):
+        calls = []
+        integrate = kernels.Kernels.norm_integrals
+
+        def counted(self, edges, powers):
+            calls.append(np.size(edges))
+            return integrate(self, edges, powers)
+
+        monkeypatch.setattr(kernels.Kernels, "norm_integrals", counted)
+        certificates._l1_to_infinity(
+            kernels.Kernels(0.35, np.array([[-1.0, 0.5], [0.0, -2.0]])))
+        assert calls == [2 * kernels._HALVINGS + 2]
 
 
 class TestHighOrder:

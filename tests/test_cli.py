@@ -173,7 +173,8 @@ class TestCommands:
         code, out = run_cli("certify", "--problem", str(path))
         assert code == 0
         bounds = json.loads(out)["bounds"]
-        assert bounds["K1"] == 0.5 and bounds["verdict"] == "GloballyStable"
+        assert bounds["K1"] == 0.5
+        assert bounds["verdict"] == "GloballyAsymptoticallyStable"
 
     def test_growing_delay_free_kernel_reports_bounds_error(self, tmp_path):
         # alpha 0.8, A0 = 0.5 > 0: phi grows, so the delay-free bounds have
@@ -188,7 +189,8 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "Inconclusive"
         assert doc["bounds"] == {
-            "error": "effective matrix is not a stability matrix"}
+            "error": "phi is not integrable: A0 has a zero eigenvalue or "
+                     "one with |arg| <= alpha pi / 2"}
 
     def test_invalid_problem_is_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -212,6 +214,49 @@ class TestCommands:
                               "--dump-normalized")
         assert code2 == 0
         assert out == out2
+
+
+    @pytest.mark.parametrize("control", [
+        {"type": "feedback", "gains": [{"matrix": [[-0.5]], "bound": 0.75},
+                                       {"matrix": [[0.1]]}]},
+        {"type": "open_loop",
+         "u": {"times": [0.0, 1.0, 2.0], "values": [[1.0], [0.5], [0.0]]}},
+    ], ids=["feedback", "open_loop"])
+    def test_dump_normalized_round_trip_with_control(self, tmp_path, control):
+        path = tmp_path / "controlled.json"
+        path.write_text(json.dumps({
+            "alpha": 0.8, "delays": [0.0, 1.0], "A": [[[-1.0]], [[0.2]]],
+            "B": [[1.0]],
+            "phi": [{"times": [-1.0], "values": [[1.0]], "interp": "const"}],
+            "control": control,
+        }))
+        code, out = run_cli("certify", "--problem", str(path),
+                            "--dump-normalized")
+        assert code == 0
+        doc = json.loads(out)["control"]
+        assert doc["type"] == control["type"]
+        if control["type"] == "feedback":
+            # a gain without a declared bound is bounded by its own norm
+            assert [g["bound"] for g in doc["gains"]] == [0.75, 0.1]
+        else:
+            assert doc["u"]["values"] == control["u"]["values"]
+            assert doc["u"]["interp"] == "linear"
+        echo = tmp_path / "echo.json"
+        echo.write_text(out)
+        assert run_cli("certify", "--problem", str(echo),
+                       "--dump-normalized") == (0, out)
+
+    def test_unknown_control_type_is_error(self, tmp_path, capsys):
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps({
+            "alpha": 1.0, "delays": [0.0], "A": [[[-1.0]]], "B": [[1.0]],
+            "phi": [{"times": [0.0], "values": [[1.0]], "interp": "const"}],
+            "control": {"type": "bang_bang"},
+        }))
+        assert run_cli("certify", "--problem", str(path)) == (1, "")
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "unknown control type 'bang_bang'"}
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import const_phi, scalar_problem
 from fracdelay import problem_from_dict, problem_to_dict, validate_system
+from fracdelay.system import ahat_sup_norm, atilde_sup_norm
 from fracdelay.errors import (DelayOrderViolation, DimensionMismatch,
                               EndpointMismatch, NonPositiveOrder)
 
@@ -85,3 +86,21 @@ def test_feedback_control_validation():
     assert prob.control.kind == "feedback"
     with pytest.raises(DimensionMismatch):
         scalar_problem(1.0, -1.0, 0.3, control=fb)  # no B matrix
+
+
+def test_declared_sup_norm_bounds_the_varying_part():
+    # a declared sup_norm replaces the sampled one and, for a delayed lag,
+    # adds to ||A_i|| by the triangle inequality
+    doc = {"alpha": 0.7, "delays": [0.0, 0.5], "A": [[[-1.0]], [[-0.3]]],
+           "A_tilde": [{"times": [0.0, 1.0], "values": [[[0.1]], [[0.2]]],
+                        "sup_norm": 0.5},
+                       {"times": [0.0, 1.0], "values": [[[0.1]], [[-0.1]]],
+                        "sup_norm": 0.25}],
+           "phi": [{"times": [-0.5], "values": [[1.0]], "interp": "const"}]}
+    prob = problem_from_dict(doc)
+    assert atilde_sup_norm(prob, 0) == 0.5
+    assert ahat_sup_norm(prob, 1) == 0.3 + 0.25
+    assert problem_to_dict(prob)["A_tilde"][1]["sup_norm"] == 0.25
+    doc["A_tilde"][1].pop("sup_norm")
+    # sampled: max over the samples of |-0.3 + Atilde_1(t)|
+    assert ahat_sup_norm(problem_from_dict(doc), 1) == 0.4
