@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two source trees of fracdelay.
+
+    python scripts/compare_outputs.py PARENT_SRC [SRC]
+
+SRC defaults to this checkout's ``src``.  Each tree runs in its own
+subprocess, with only that tree and this checkout's ``perfbench`` on the
+path, and records:
+
+- the CLI's ``certify`` (default grid), ``simulate --oracle`` (summary and
+  trajectory CSV), ``ml --t 0.7``, ``spectral`` and ``verify-bounds`` on
+  every fixture in ``tests/fixtures``, with exit code and stderr;
+- ``certify`` and ``delay_free_certify`` on the certify-grid ops of
+  ``perfbench/workloads.py`` at seeds 1-3;
+- the simulate-long trajectories (march and oracle) at seed 1.
+
+The ops are built by ``perfbench/workloads.py``, which is only imported.
+Per output it prints "identical" or the largest relative difference
+|a - b| / max(|a|, |b|) over its numbers (inf where text, structure or a
+non-finite value differs), and exits 1 on any difference.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+CLI_COMMANDS = (("certify",), ("simulate", "--oracle"), ("ml", "--t", "0.7"),
+                ("spectral",), ("verify-bounds",))
+CERTIFY_SEEDS = (1, 2, 3)
+SIMULATE_SEED = 1
+
+
+def _text(text):
+    """A JSON document as parsed, other text as is."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _cli(argv, outdir=None):
+    """Exit code, stdout and stderr (and the trajectory CSV's rows with
+    ``outdir``) of one in-process CLI run."""
+    from fracdelay import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    extra = ["--out", str(outdir)] if outdir is not None else []
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv) + extra)
+    result = {"exit": code, "stdout": _text(out.getvalue()),
+              "stderr": _text(err.getvalue())}
+    if outdir is not None:
+        lines = (outdir / "trajectory.csv").read_text().splitlines()
+        result["csv"] = [lines[0]] + [[float(x) for x in line.split(",")]
+                                      for line in lines[1:]]
+    return result
+
+
+def _guarded(fn):
+    try:
+        return fn()
+    except Exception as exc:    # a raise is an output to compare too
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def collect(src: str, out_path: str) -> None:
+    """Run every op on the tree at ``src`` and pickle the outputs."""
+    sys.path[:0] = [src, str(ROOT / "perfbench")]
+    import fracdelay as fd
+    import workloads
+
+    assert Path(fd.__file__).resolve().is_relative_to(Path(src).resolve())
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fixture in sorted(FIXTURES.glob("*.json")):
+            for command in CLI_COMMANDS:
+                argv = [command[0], "--problem", str(fixture), *command[1:]]
+                outdir = Path(tmp) / "out" if command[0] == "simulate" else None
+                outputs[f"cli {' '.join(command)} {fixture.name}"] = _cli(
+                    argv, outdir)
+        for seed in CERTIFY_SEEDS:
+            for op in workloads.CertifyGrid().build(seed, Path(tmp)):
+                prob = op.problem
+                name = f"certify-grid seed {seed} {op.label}"
+                outputs[f"{name} certify"] = _guarded(
+                    lambda: fd.certify(prob).as_dict())
+                if prob.system.is_delay_free:
+                    outputs[f"{name} delay_free_certify"] = _guarded(
+                        lambda: fd.delay_free_certify(prob).as_dict())
+        for op in workloads.SimulateLong().build(SIMULATE_SEED, Path(tmp)):
+            outputs[f"simulate-long seed {SIMULATE_SEED} {op.label}"] = (
+                _guarded(op))
+    with open(out_path, "wb") as fh:
+        pickle.dump(outputs, fh)
+
+
+def _leaves(obj):
+    """Flatten nested lists, tuples, dicts and arrays to (path, leaf)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            for path, leaf in _leaves(value):
+                yield (key,) + path, leaf
+    elif isinstance(obj, (list, tuple)) or hasattr(obj, "tolist"):
+        items = obj.tolist() if hasattr(obj, "tolist") else list(obj)
+        if not isinstance(items, list):
+            yield (), items
+            return
+        for i, value in enumerate(items):
+            for path, leaf in _leaves(value):
+                yield (i,) + path, leaf
+    else:
+        yield (), obj
+
+
+def _number(leaf):
+    return isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
+
+
+def relative_difference(a, b) -> float:
+    """Largest relative difference between two outputs (module docstring)."""
+    la, lb = list(_leaves(a)), list(_leaves(b))
+    if [p for p, _ in la] != [p for p, _ in lb]:
+        return math.inf
+    worst = 0.0
+    for (_, x), (_, y) in zip(la, lb):
+        if x == y or (_number(x) and _number(y)
+                      and math.isnan(x) and math.isnan(y)):
+            continue
+        if not (_number(x) and _number(y)
+                and math.isfinite(x) and math.isfinite(y)):
+            return math.inf
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def main(argv) -> int:
+    if len(argv) >= 1 and argv[0] == "--collect":
+        collect(argv[1], argv[2])
+        return 0
+    if not 1 <= len(argv) <= 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    trees = [argv[0], argv[1] if len(argv) == 2 else str(ROOT / "src")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, src in enumerate(trees):
+            path = Path(tmp) / f"outputs{k}.pickle"
+            subprocess.run([sys.executable, __file__, "--collect",
+                            str(Path(src).resolve()), str(path)],
+                           check=True, env=env)
+            with open(path, "rb") as fh:
+                results.append(pickle.load(fh))
+    parent, child = results
+    differ = 0
+    for name in sorted(set(parent) | set(child)):
+        if name not in parent or name not in child:
+            print(f"{name}: only in {'SRC' if name in child else 'PARENT_SRC'}")
+            differ += 1
+            continue
+        diff = relative_difference(parent[name], child[name])
+        print(f"{name}: " + ("identical" if diff == 0
+                             else f"largest relative difference {diff:.3g}"))
+        differ += diff != 0
+    print(f"{differ} of {len(set(parent) | set(child))} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,40 +1,36 @@
-"""Contraction and boundedness certificates.
+"""Contraction and boundedness certificates: sufficient conditions built
+from norm bounds on the solution representation.
 
-All certificates are sufficient conditions built from norm bounds on the
-solution representation.  The uniform (window-contraction) family is
+Its kernels are those of (alpha, A), A the system's ``kernel_matrix`` (the
+sum of the A_i with r_i = 0, as in the march).  Every term
+[A_i + Atilde_i(t)] x(t - r_i) and B(t) K_i x(t - r_i) splits into that
+kernel and a perturbation: ``_lag_terms`` gives lag i its uniform bound a_i
+(sup ||Atilde_i|| when r_i = 0, sup ||A_i + Atilde_i|| when r_i > 0, plus
+||B|| K_i^0 under feedback) and its tables (Atilde_i or A_i + Atilde_i,
+then B K_i).  Terms with r_i = 0 form the denominator, all others the
+numerator.  The uniform (window-contraction) family is
 
     g(delta) = (1 - D(delta))^-1 ( ||sum_j phi_j(delta)||
-                                   + L1(delta) * sum_{i>=1} a_i )
+                                   + L1(delta) * sum_{r_i > 0} a_i )
 
-with D(delta) = L1(delta) * a_0,  L1(delta) = integral_0^delta ||phi||,
-a_0 the uniform bound of the time-varying instantaneous part (plus the lag-0
-feedback contribution ||B|| K_0), and a_i the uniform bounds of the delayed
-coefficients (plus ||B|| K_i under feedback).  The certificate is usable only
-while D(delta) < 1 ("feasible"); g <= 1 certifies a non-expansive solution
-map (bounded solutions), g < 1 a contraction (zero is a globally
-asymptotically stable attractor).
+with D(delta) = L1(delta) * sum_{r_i = 0} a_i, L1(delta) = integral_0^delta
+||phi||.  It is usable only while D(delta) < 1 ("feasible"); g <= 1
+certifies bounded solutions, g < 1 that zero attracts globally.  The
+windowed-L2 family, for alpha > 1/2, replaces the bounds by Cauchy-Schwarz
+(integral ||phi|| f <= ||phi||_L2 ||f||_L2) and windows every table of lag i
+over [max(t, r_i), t + delta] for a window start t: the term at tau
+multiplies the table at tau by the trajectory difference e(tau - r_i),
+which is zero for tau < r_i.  A value at one window start bounds every
+start only for constant coefficients.
 
-The windowed-L2 family replaces the uniform bounds by Cauchy-Schwarz
-factorizations (integral ||phi|| f <= (integral ||phi||^2)^(1/2)
-(integral f^2)^(1/2)); it requires alpha > 1/2 for the squared kernel to be
-integrable and covers strongly time-localized perturbations better.
+A certificate claims its verdict only; what each value bounds is open
+(README "Interpreting certificates", ROADMAP.md item 1).  The uniform
+family reads no delay, so its verdict is the same for every delay size.
+Each family is one array expression over the sorted delta grid, fed by one
+kernel integration, one stacked norm of the phi_j and one windowed-L2 pass
+per table and window start; the report's constant is the grid minimum.
 
-What a certificate claims is its verdict only.  A value at delta does not
-bound the ratio of solution sup-norms over windows spaced delta apart: for
-alpha 1.76, A0 = [[-3.84]], A1 = [[-0.25]], r1 = 1, phi_0 = 1 and
-phi_1 = 0, certify(prob, delta_grid=[1]) gives ContractiveGAS with
-g = 0.107, while the solution's sup over [1, 2) is 0.708 of its sup over
-[0, 1) (it still decays).  What each value bounds is open (ROADMAP.md item
-1).  The uniform family reads no delay, so its value and verdict are the
-same for every delay size.
-
-The report's contraction constant is the minimum over the supplied grid.
-The grid is evaluated as arrays: each family is one array expression over
-the sorted deltas, fed by one kernel integration, one stacked norm of the
-phi_j and one windowed-L2 pass per table and window start; a one-delta
-certificate is the same computation on a grid of one.
-
-The delay-free bounds follow the representation with A0 -> sum_i A_i: with
+The delay-free bounds read the same terms, all at lag 0: with
 K0_bar = sup_t max_j ||phi_j(t)||, K1_bar = L1(inf), and
 q = K1_bar * sum_i (||Atilde_i|| + ||B|| K_i), the solution satisfies
 
@@ -76,33 +72,51 @@ _ZERO_TOL = 1e-12
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _gain_bounds(prob: ValidatedProblem, feedback: ControlInput | None):
-    """Per-lag declared gain bounds K_i^0 (zeros without feedback)."""
-    ctl = feedback if feedback is not None else prob.control
-    if ctl is None or ctl.kind != "feedback":
-        return [0.0] * len(prob.system.delays), None
-    check_feedback(prob.system, ctl)
-    return list(ctl.gain_bounds), ctl
+def _control(prob: ValidatedProblem, feedback: ControlInput | None):
+    """The control a certificate reads: ``feedback``, else the problem's."""
+    return feedback if feedback is not None else prob.control
+
+
+def _lag_terms(prob: ValidatedProblem, feedback: ControlInput | None):
+    """One term (r_i, a_i, tables) per lag, in lag order: the module
+    docstring's rule, and the one reader of A_tilde, the A_i and the gains
+    in this module."""
+    sys = prob.system
+    ctl = _control(prob, feedback)
+    gains = ctl.kind == "feedback"
+    if gains:
+        check_feedback(sys, ctl)
+    bn = b_sup_norm(prob)
+    terms = []
+    for i, r_i in enumerate(sys.delays):
+        if r_i == 0.0:
+            bound, tables = atilde_sup_norm(prob, i), (sys.A_tilde[i],)
+        else:
+            bound = ahat_sup_norm(prob, i)
+            tables = (table_linear_combination(sys.A[i], sys.A_tilde[i]),)
+        if gains:
+            bound = bound + bn * ctl.gain_bounds[i]
+            bk = np.einsum("qik,kj->qij", sys.B.values, ctl.gains[i])
+            tables += (TimeFunctionTable(sys.B.sample_times, bk,
+                                         sys.B.interpolation),)
+        terms.append((r_i, bound, tables))
+    return terms
 
 
 class _CertInputs:
-    """The inputs of both certificate families over one delta grid.
-
-    Feedback enters here only: through the declared gain bounds in the
-    uniform family and the B K_i tables in the windowed-L2 family.  Without
-    feedback both reduce to the uncontrolled certificates.  The kernel
-    integrals ``||phi||^p`` for ``p in powers`` (1 for the uniform family, 2
-    for the windowed-L2 one) come from one cumulative integration over the
-    sorted grid, the phi_j norms from one table per j and one stacked norm.
-    An eigenvalue of A0 inside |arg lambda| < alpha pi / 2 (``sector_margin``
-    below 0) makes the kernels grow exponentially: then no table is built
-    and both families are infeasible at +inf on the whole grid.
+    """The inputs of both certificate families over one delta grid: the
+    lag terms, the kernel integrals ``||phi||^p`` for ``p in powers`` (1 for
+    the uniform family, 2 for the windowed-L2 one) from one cumulative
+    integration, and the phi_j norms from one stacked norm.  A kernel matrix
+    eigenvalue inside |arg lambda| < alpha pi / 2 (``sector_margin`` below
+    0) makes the kernels grow: then nothing is integrated and both families
+    are infeasible at +inf on the whole grid.
     """
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
                  deltas, powers):
         sys = prob.system
-        bounds, ctl = _gain_bounds(prob, feedback)
+        terms = _lag_terms(prob, feedback)
         grid = np.sort(np.asarray(deltas, dtype=float))
         bad = grid[~(np.isfinite(grid) & (grid > 0))]
         if bad.size:
@@ -111,22 +125,12 @@ class _CertInputs:
         # sorted without repeats, as np.unique gives it, but np.unique
         # imports numpy.ma
         self.grid = grid[np.append(True, grid[1:] != grid[:-1])]
-        ker = Kernels(sys.alpha, sys.A[0])
+        ker = Kernels(sys.alpha, sys.kernel_matrix)
         self.growing = ker.sector_margin() < -_SECTOR_TOL
         if self.growing:
             return
-        bn = b_sup_norm(prob)
-        lags = range(1, len(sys.delays))
-        self.prob = prob
-        self.a0 = atilde_sup_norm(prob, 0) + bn * bounds[0]
-        self.a_delayed = sum(ahat_sup_norm(prob, i) + bn * bounds[i]
-                             for i in lags)
-        self.ahat = [(sys.delays[i], table_linear_combination(
-            sys.A[i], sys.A_tilde[i])) for i in lags]
-        B = sys.B
-        self.bk = None if ctl is None else [TimeFunctionTable(
-            B.sample_times.copy(), np.einsum("qik,kj->qij", B.values, K),
-            B.interpolation) for K in ctl.gains]
+        self.instant = [term for term in terms if term[0] == 0.0]
+        self.delayed = [term for term in terms if term[0] > 0.0]
         integrals = dict(zip(powers, ker.norm_integrals(
             np.concatenate(([0.0], self.grid)), powers)))
         self.l1 = integrals.get(1)
@@ -143,32 +147,32 @@ class _CertInputs:
         """Uniform-family values and feasibility per delta."""
         if self.growing:
             return self._infeasible()
-        return _contraction(self.phi_sum_norm + self.l1 * self.a_delayed,
-                            self.l1 * self.a0)
+        a_instant = sum(bound for _, bound, _ in self.instant)
+        a_delayed = sum(bound for _, bound, _ in self.delayed)
+        return _contraction(self.phi_sum_norm + self.l1 * a_delayed,
+                            self.l1 * a_instant)
+
+    def _windows(self, terms, t: float):
+        """L2 norms of each table of ``terms`` over [max(t, r_i), t + delta]
+        per delta (NaN where a window leaves the table's domain); widths
+        are measured from delta, since (t + delta) - lo rounds to 0 for a
+        large t."""
+        for r_i, _, tables in terms:
+            lo = max(t, r_i)
+            for table in tables:
+                yield l2_window_norms(table, lo, self.grid - (lo - t))
 
     def g_hat(self, t: float):
         """Windowed-L2 values (NaN where a window leaves a table's domain)
-        and feasibility per delta at window start t; the matrix functions
-        count as zero for t < 0, where the trajectory difference is zero."""
+        and feasibility per delta at window start t."""
         if not math.isfinite(t):
             raise ValueError(f"window start t must be finite, got {t}")
         if self.growing:
             return self._infeasible()
-        grid, bk = self.grid, self.bk
-        d_factor = l2_window_norms(self.prob.system.A_tilde[0], t, grid)
-        if bk is not None:
-            d_factor = d_factor + l2_window_norms(bk[0], t, grid)
+        d_factor = sum(self._windows(self.instant, t))
         numer = self.phi_norm_sum
-        # each window starts at max(start, 0); its width is measured from
-        # delta, since (start + delta) - lo rounds to 0 for a large start
-        for i, (r_i, ahat) in enumerate(self.ahat, start=1):
-            lo = max(t - r_i, 0.0)
-            numer = numer + self.l2k * l2_window_norms(
-                ahat, lo, grid - (lo - (t - r_i)))
-            if bk is not None:
-                lo = max(t, 0.0)
-                numer = numer + self.l2k * l2_window_norms(
-                    bk[i], lo, grid - (lo - t))
+        for window in self._windows(self.delayed, t):
+            numer = numer + self.l2k * window
         value, feasible = _contraction(numer, self.l2k * d_factor)
         return np.where(np.isnan(numer + d_factor), np.nan, value), feasible
 
@@ -190,16 +194,13 @@ def _one_delta(values, what: str):
 
 
 # ---------------------------------------------------------------------------
-# uniform-bound family
+# one-delta certificates of both families
 # ---------------------------------------------------------------------------
 
 def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
              delta: float):
-    """Window-contraction certificate; gains enter through their declared bounds.
-
-    Returns (value, feasible); infeasible means the inverse factor's
-    denominator was not positive, reported rather than raised.
-    """
+    """Window-contraction certificate (value, feasible); gains enter through
+    their declared bounds, an infeasible denominator is reported."""
     return _one_delta(_CertInputs(prob, feedback, [delta], (1,)).g(),
                       f"g({delta})")
 
@@ -209,16 +210,10 @@ def cert_g_h(prob: ValidatedProblem, delta: float):
     return cert_g_f(prob, ControlInput.none(), delta)
 
 
-# ---------------------------------------------------------------------------
-# windowed-L2 family
-# ---------------------------------------------------------------------------
-
 def cert_g_hat_f(prob: ValidatedProblem, feedback: ControlInput | None,
                  t: float, delta: float):
     """Windowed-L2 certificate at window start t; requires alpha > 1/2.
-
-    Gain terms enter as L2 windows of B K_i.
-    """
+    Gain terms enter as L2 windows of B K_i."""
     inputs = _CertInputs(prob, feedback, [delta], (2,))
     return _one_delta(inputs.g_hat(t), f"g_hat({t}, {delta})")
 
@@ -232,43 +227,42 @@ def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float):
 # admissible gain bounds
 # ---------------------------------------------------------------------------
 
-def gain_bound_uniform(prob: ValidatedProblem, delta: float,
-                       epsilon: float) -> float:
-    """Largest uniform gain bound preserving the margin epsilon.
-
-    Requires g_h(delta) < 1 - epsilon; a zero input norm makes the bound
-    vacuous and returns +inf.
-    """
+def _gain_bound(prob: ValidatedProblem, delta: float, epsilon: float,
+                t: float | None) -> float:
+    """Largest gain bound keeping g_h(delta) (t None) or g_hat_h(t, delta)
+    below 1 - epsilon; a zero input norm makes the bound vacuous (+inf)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    inputs = _CertInputs(prob, ControlInput.none(), [delta], (1,))
-    value, feasible = _one_delta(inputs.g(), f"g_h({delta})")
+    uniform = t is None
+    inputs = _CertInputs(prob, ControlInput.none(), [delta],
+                         (1,) if uniform else (2,))
+    what = f"g_h({delta})" if uniform else f"g_hat_h({t}, {delta})"
+    value, feasible = _one_delta(inputs.g() if uniform else inputs.g_hat(t),
+                                 what)
     if not feasible or value >= 1.0 - epsilon:
-        raise PremiseViolated(
-            f"g_h({delta}) = {value:.6g} is not below 1 - epsilon = "
-            f"{1 - epsilon:.6g}")
+        raise PremiseViolated(f"{what} = {value:.6g} is not below "
+                              f"1 - epsilon = {1 - epsilon:.6g}")
     bn = b_sup_norm(prob)
     if bn == 0.0:
         return math.inf
-    return epsilon / (len(prob.system.delays) * inputs.l1[0] * bn)
+    # the uniform value carries every lag's gain through L1; the windowed
+    # one bounds the summed gain norms
+    scale = (len(prob.system.delays) * inputs.l1[0] if uniform
+             else inputs.l2k[0])
+    return epsilon / (scale * bn)
+
+
+def gain_bound_uniform(prob: ValidatedProblem, delta: float,
+                       epsilon: float) -> float:
+    """Largest uniform gain bound preserving the margin epsilon."""
+    return _gain_bound(prob, delta, epsilon, None)
 
 
 def gain_bound_l2(prob: ValidatedProblem, delta: float, epsilon: float,
                   t: float | None = None) -> float:
-    """L2 analogue bounding the summed windowed gain norms."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    t0 = prob.system.h if t is None else t
-    inputs = _CertInputs(prob, ControlInput.none(), [delta], (2,))
-    value, feasible = _one_delta(inputs.g_hat(t0), f"g_hat_h({t0}, {delta})")
-    if not feasible or value >= 1.0 - epsilon:
-        raise PremiseViolated(
-            f"g_hat_h({t0}, {delta}) = {value:.6g} is not below "
-            f"{1 - epsilon:.6g}")
-    bn = b_sup_norm(prob)
-    if bn == 0.0:
-        return math.inf
-    return epsilon / (inputs.l2k[0] * bn)
+    """L2 analogue at window start t (default h)."""
+    return _gain_bound(prob, delta, epsilon,
+                       prob.system.h if t is None else t)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +305,12 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
     Per delta the reported value is the best (smallest) among the feasible
     variants: the uniform-bound certificate always, and the sup over
     ``t_grid`` of the windowed-L2 one when alpha > 1/2 and all windows are
-    covered by the problem's tables.  Verdict per the report invariants:
-    some feasible value < 1 (within a 1e-12 tie tolerance) certifies global
-    asymptotic stability of the zero solution; a feasible value at 1
-    certifies bounded solutions with the sup bound recorded in the report.
-    Kernels that grow exponentially (see ``_CertInputs``) give an
-    Inconclusive report, every entry infeasible at +inf, and no quadrature.
+    covered by the problem's tables.  Some feasible value < 1 (within a
+    1e-12 tie tolerance) certifies global asymptotic stability of the zero
+    solution; a feasible value at 1 bounded solutions, with the sup bound
+    recorded in the report (None under an open-loop input: the window map
+    of the forced system is not derived).  Growing kernels (``_CertInputs``)
+    give Inconclusive, every entry infeasible at +inf, and no quadrature.
     """
     if delta_grid is None:
         delta_grid = DEFAULT_DELTA_GRID
@@ -353,7 +347,9 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
         verdict=("ContractiveGAS" if best.value < 1.0 - _TIE_TOL
                  else "NonExpansiveStable"),
         contraction_constant=best.value, witness_delta=best.delta,
-        grid=entries, sup_bound=prob.ics.sup_history_sum())
+        grid=entries,
+        sup_bound=(None if _control(prob, feedback).kind == "open_loop"
+                   else prob.ics.sup_history_sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -414,28 +410,22 @@ def _l1_to_infinity(ker: Kernels) -> float:
 
 def delay_free_certify(prob: ValidatedProblem,
                        feedback: ControlInput | None = None) -> DelayFreeBounds:
-    """Solution bounds for the all-lags-zero encoding.
-
-    Kernels use A0 -> sum_i A_i; a constant lag-0 feedback gain with constant
-    B is absorbed into that matrix (and dropped from the load sum).  The
-    verdict needs no decay test (module docstring).
-    """
+    """Solution bounds for the all-lags-zero encoding (module docstring); a
+    constant B K_0 folds into the kernel matrix and leaves the load sum.
+    The gate runs before any kernel sampling."""
     sys = prob.system
     if not sys.is_delay_free:
         raise DelaysNotZero(f"system has nonzero delays {sys.delays}")
-    bounds, ctl = _gain_bounds(prob, feedback)
-    bn = b_sup_norm(prob)
-
-    A_bar = sum(sys.A)
-    load_terms = [atilde_sup_norm(prob, i) + bn * bounds[i]
-                  for i in range(len(sys.delays))]
-    if (ctl is not None and sys.B is not None
-            and sys.B.sample_times.size == 1):
-        # constant-gain variant: fold B K_0 into the kernel matrix
-        A_bar = A_bar + sys.B.values[0] @ ctl.gains[0]
-        load_terms[0] = atilde_sup_norm(prob, 0)
-
+    terms = _lag_terms(prob, feedback)
+    A_bar = sys.kernel_matrix
+    loads = [bound for _, bound, _ in terms]
+    tables = terms[0][2]
+    if len(tables) == 2 and tables[1].sample_times.size == 1:
+        # constant-gain variant: fold the constant B K_0 into the kernel
+        A_bar = A_bar + tables[1].values[0]
+        loads[0] = sup_norm_bound(tables[0])
     ker = Kernels(sys.alpha, A_bar)
+    K1 = _l1_to_infinity(ker)
     lam = np.linalg.eigvals(ker.A0)
     rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
     T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(sys.alpha, 1.0)))
@@ -443,14 +433,13 @@ def delay_free_certify(prob: ValidatedProblem,
     norms = induced_norms(np.array([ker.phi_j(j, grid) for j in range(sys.k)]))
     K0 = float(np.max(norms))
 
-    K1 = _l1_to_infinity(ker)
-    load = K1 * sum(load_terms)
+    load = K1 * sum(loads)
     condition = load < 1.0
     K2 = None
     if condition:
         x0_sum = sum(induced_norms(np.array(prob.ics.x0)).tolist())
-        inp = feedback if feedback is not None else prob.control
-        forcing = (K1 * bn * sup_norm_bound(inp.u)
+        inp = _control(prob, feedback)
+        forcing = (K1 * b_sup_norm(prob) * sup_norm_bound(inp.u)
                    if inp.kind == "open_loop" else 0.0)
         K2 = (K0 * x0_sum + forcing) / (1.0 - load)
     return DelayFreeBounds(K0_bar=K0, K1_bar=K1, K2_bar=K2,

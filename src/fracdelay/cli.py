@@ -175,7 +175,7 @@ def build_parser() -> _Parser:
 
 def _run_ml(args, prob) -> int:
     sys_ = prob.system
-    ker = Kernels(sys_.alpha, sys_.A[0])
+    ker = Kernels(sys_.alpha, sys_.kernel_matrix)
     t = args.t
     doc = {
         "alpha": sys_.alpha,

@@ -210,13 +210,13 @@ class Kernels:
 # ---------------------------------------------------------------------------
 #
 # ``sys`` is a Kernels (used as is), a FractionalDelaySystem (its alpha and
-# A[0]) or an (alpha, A0) pair.
+# kernel_matrix) or an (alpha, A0) pair.
 
 def _kernels(sys) -> Kernels:
     if isinstance(sys, Kernels):
         return sys
     if isinstance(sys, FractionalDelaySystem):
-        return Kernels(sys.alpha, sys.A[0])
+        return Kernels(sys.alpha, sys.kernel_matrix)
     alpha, A0 = sys
     return Kernels(alpha, A0)
 

@@ -140,11 +140,12 @@ class Trajectory:
 class _Sampling:
     """The problem's data at the grid nodes; delays must land on nodes.
 
-    Lag 0 gives the constant kernel matrix ``A0_eff`` and the time-varying
-    coupling ``C(t)`` (with the lag-0 feedback gain); every positive lag
-    its coefficient A_i + Atilde_i(t) + B(t) K_i in ``delayed``; ``Bu`` is
-    the input term B(t) u(t).  A subclass adds what ``_march`` reads: the
-    initial term ``f``, the weight ``Wl`` of node 0 and the kernel ``K``.
+    Lag 0 gives the kernel matrix ``A0_eff`` (the system's
+    ``kernel_matrix``) and the time-varying coupling ``C(t)`` (with the
+    lag-0 feedback gain); every positive lag its coefficient
+    A_i + Atilde_i(t) + B(t) K_i in ``delayed``; ``Bu`` is the input term
+    B(t) u(t).  A subclass adds what ``_march`` reads: the initial term
+    ``f``, the weight ``Wl`` of node 0 and the kernel ``K``.
     """
 
     def __init__(self, prob: ValidatedProblem, grid: SimulationGrid):
@@ -163,8 +164,7 @@ class _Sampling:
 
         B_s = sys.B(self.times) if sys.B is not None else None
         ctl = prob.control
-        self.A0_eff = sum(sys.A[i] for i, lag in enumerate(self.lags)
-                          if lag == 0)
+        self.A0_eff = sys.kernel_matrix
         self.C = np.zeros((self.L + 1, self.n, self.n))
         self.delayed = []
         for i, lag in enumerate(self.lags):

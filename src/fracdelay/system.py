@@ -62,6 +62,11 @@ class FractionalDelaySystem:
     def is_delay_free(self) -> bool:
         return all(d == 0.0 for d in self.delays)
 
+    @property
+    def kernel_matrix(self) -> np.ndarray:
+        """The constant matrix of the kernels: the A_i with r_i = 0, summed."""
+        return sum(M for M, r in zip(self.A, self.delays) if r == 0.0)
+
 
 @dataclass(frozen=True)
 class InitialConditionSet:

@@ -156,9 +156,11 @@ def l2_window_norms(tbl: TimeFunctionTable, t: float, deltas) -> np.ndarray:
     """Windowed L2 norms ( integral_0^delta ||M(t+tau)||^2 dtau )^(1/2).
 
     A window is split at the sample times inside it, and each panel
-    integrated exactly for const tables, by Simpson for linear ones (exact
-    when the panel norm is a polynomial of degree <= 2, e.g. scalar tables).
-    One table evaluation and one stacked norm serve every panel; windows
+    integrated exactly for const tables.  Along a linear panel ||M||^2 is
+    convex, which the trapezoid bounds from above, and a quadratic for one
+    row or column, which Simpson integrates exactly (for a matrix it may
+    not bound it: 1/2 against 7/12 for diag(1 - tau, tau) on [0, 1]).  One
+    table evaluation and one stacked norm serve every panel; windows
     share the panels between sample times through prefix sums.  A window
     that leaves the table's domain gives NaN, as does a NaN delta, and an
     empty one (delta <= 0) 0.
@@ -185,6 +187,10 @@ def l2_window_norms(tbl: TimeFunctionTable, t: float, deltas) -> np.ndarray:
     # squared by C pow, which rounds as Python's float ** 2; x * x may not
     if tbl.interpolation == "const":
         pieces = np.float_power(induced_norms(tbl(lo)), 2) * width
+    elif tbl.values.ndim == 3 and min(tbl.values.shape[1:]) > 1:
+        f = np.float_power(induced_norms(tbl(np.concatenate((lo, hi)))),
+                           2).reshape(2, -1)
+        pieces = width * (f[0] + f[1]) / 2.0
     else:
         f = np.float_power(induced_norms(tbl(np.concatenate(
             (lo, 0.5 * (lo + hi), hi)))), 2).reshape(3, -1)

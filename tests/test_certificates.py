@@ -10,7 +10,8 @@ from test_kernels import exact_l1
 from fracdelay import (ControlInput, TimeFunctionTable, align_grid, cert_g_f,
                        cert_g_h, cert_g_hat_f, cert_g_hat_h, certify,
                        delay_free_certify, gain_bound_l2, gain_bound_uniform,
-                       high_order_check, solve_delay_free, validate_system)
+                       high_order_check, solve_delay_free, solve_trajectory,
+                       validate_system)
 from fracdelay import certificates, kernels, mlf
 from fracdelay.certificates import DEFAULT_DELTA_GRID, _CertInputs
 from fracdelay.errors import (DelaysNotZero, DimensionMismatch, EmptyGrid,
@@ -483,6 +484,64 @@ class TestGridArrays:
             assert e.value == pytest.approx(expected[0], rel=1e-9)
 
 
+class TestLagTerms:
+    """Every certificate reads the lags one way: the kernel matrix sums the
+    A_i with r_i = 0, and each table of lag i is windowed over
+    [max(t, r_i), t + delta]."""
+
+    def test_delayed_coefficient_is_windowed_where_it_acts(self):
+        # Atilde_1 multiplies x(tau - 1) at tau, so its window from t = h = 1
+        # is [1, 1 + delta], where it is 3; a window on [0, 1] read 0 there
+        # and certified ContractiveGAS, g = 0.37607 at delta = 1
+        step = TimeFunctionTable(np.array([0.0, 1.0]),
+                                 np.array([[[0.0]], [[3.0]]]), "const")
+        prob = validate_system(0.9, [0.0, 1.0], [np.array([[-1.0]]),
+                                                  np.array([[0.0]])],
+                               [None, step], None, [const_phi([1.0], 1.0)])
+        assert certify(prob).verdict == "Inconclusive"
+        inputs = _CertInputs(prob, None, DEFAULT_DELTA_GRID, (1, 2))
+        assert np.min(inputs.g()[0]) == pytest.approx(1.0327, abs=1e-4)
+        assert np.min(inputs.g_hat(1.0)[0]) == pytest.approx(1.0330,
+                                                             abs=1e-4)
+        traj = solve_trajectory(prob, align_grid(0.01, 12.0, [0.0, 1.0]))
+        sup = np.abs(traj.states[:, 0])
+        assert sup[traj.times >= 10.0].max() > 100 * sup[traj.times < 2.0].max()
+
+    def test_delay_free_split_reads_the_kernel_matrix(self):
+        # A = [A0 - S, S] at lags 0, 0 is the system of [A0]: same verdict,
+        # witness and values (S is exact in binary, so the sums are too)
+        A0 = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        S = np.array([[0.25, -0.125], [0.5, 0.25]])
+        ts = np.linspace(0.0, 200.0, 21)
+        T = TimeFunctionTable(ts, 0.2 * np.exp(-ts / 20.0)[:, None, None]
+                              * np.array([[1.0, 0.5], [-0.5, 1.0]]),
+                              "linear")
+        phi = [const_phi([1.0, -1.0], 0.0)]
+        split = validate_system(0.8, [0.0, 0.0], [A0 - S, S], [T, None],
+                                phi=phi)
+        one = validate_system(0.8, [0.0], [A0], [T], phi=phi)
+        got, ref = certify(split), certify(one)
+        assert ref.verdict == "ContractiveGAS"
+        assert (got.verdict, got.witness_delta) == (ref.verdict,
+                                                    ref.witness_delta)
+        for e, f in zip(got.grid, ref.grid):
+            assert (e.delta, e.feasible) == (f.delta, f.feasible)
+            assert e.value == pytest.approx(f.value, rel=1e-12)
+
+    def test_open_loop_input_has_no_sup_bound(self):
+        # x' = -x + 1 from x(0) = 0 rises to 1 - e^-t; the window map of the
+        # forced system is not derived, so no bound is claimed
+        one = TimeFunctionTable(np.array([0.0]), np.array([[1.0]]), "const")
+        prob = validate_system(1.0, [0.0], [np.array([[-1.0]])], None,
+                               np.array([[1.0]]), [const_phi([0.0], 0.0)],
+                               control=ControlInput.open_loop(one))
+        rep = certify(prob)
+        assert rep.verdict == "ContractiveGAS" and rep.sup_bound is None
+        assert rep.as_dict()["sup_bound"] is None
+        free = certify(prob, ControlInput.none())
+        assert free.sup_bound == 0.0
+
+
 class TestDelayFreeBounds:
     def test_pure_exponential(self):
         prob = scalar_problem(1.0, -0.5, -0.5, zero_delays=True)
@@ -513,6 +572,19 @@ class TestDelayFreeBounds:
         # alpha 0.8, A0 = 0.5: E_{a,a}(0.5 t^a) grows, phi has no finite L1
         with pytest.raises(KernelNotIntegrable, match="not integrable"):
             delay_free_certify(scalar_problem(0.8, 0.5))
+
+    def test_gate_runs_before_kernel_sampling(self, monkeypatch):
+        calls = []
+        phi_j = kernels.Kernels.phi_j
+
+        def counted(self, j, t):
+            calls.append(np.size(t))
+            return phi_j(self, j, t)
+
+        monkeypatch.setattr(kernels.Kernels, "phi_j", counted)
+        with pytest.raises(KernelNotIntegrable, match="not integrable"):
+            delay_free_certify(scalar_problem(0.8, 0.5))
+        assert calls == []
 
     def test_zero_eigenvalue_is_not_integrable(self):
         # alpha 0.5, A0 = [[0, 1], [0, -1]]: phi_0 tends to a nonzero limit

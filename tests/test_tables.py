@@ -66,6 +66,25 @@ def test_l2_window_constant():
         3.0 * np.sqrt(delta), rel=1e-14)
 
 
+def test_l2_window_of_a_matrix_panel_bounds_the_integral():
+    # ||diag(1 - t, t)||^2 = max(1 - t, t)^2 integrates to 7/12 on [0, 1];
+    # Simpson gave 1/2, below it; the trapezoid gives (1 + 1) / 2
+    tbl = table([0.0, 1.0], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+                "linear")
+    assert l2_window_norm(tbl, 0.0, 1.0) ** 2 == 1.0 >= 7.0 / 12.0
+
+
+@pytest.mark.parametrize("values, exact", [
+    # a scalar and a column: ||M||^2 is a quadratic, which Simpson keeps
+    ([[[1.0]], [[0.0]]], 1.0 / 3.0),
+    ([[[1.0], [0.0]], [[0.0], [1.0]]], 2.0 / 3.0),
+])
+def test_l2_window_of_a_vector_panel_stays_exact(values, exact):
+    tbl = table([0.0, 1.0], values, "linear")
+    assert l2_window_norm(tbl, 0.0, 1.0) == pytest.approx(np.sqrt(exact),
+                                                          rel=1e-15)
+
+
 def test_l2_window_linear_ramp():
     # M(t) = t on [0, 1]: integral of t^2 is 1/3
     tbl = table([0.0, 1.0], [[[0.0]], [[1.0]]], "linear")
@@ -134,7 +153,8 @@ def test_sup_norm_monotone_in_samples(vals, extra):
 
 def panel_reference(tbl, t, delta):
     """The windowed L2 norm one panel at a time: split at the sample times
-    inside [t, t + delta], Simpson per panel for linear tables.  Panel
+    inside [t, t + delta]; per panel of a linear table the trapezoid for
+    matrices of more than one row and column, Simpson otherwise.  Panel
     widths are differences of offsets from t (the last one delta itself)."""
     a, b = float(t), float(t) + float(delta)
     times = tbl.sample_times
@@ -145,6 +165,9 @@ def panel_reference(tbl, t, delta):
     for lo, hi, w in zip(knots[:-1], knots[1:], np.diff(offsets)):
         if tbl.interpolation == "const":
             total += float(np.linalg.norm(tbl(lo), 2)) ** 2 * w
+        elif tbl.values.ndim == 3 and min(tbl.values.shape[1:]) > 1:
+            f = [float(np.linalg.norm(tbl(s), 2)) ** 2 for s in (lo, hi)]
+            total += w * (f[0] + f[1]) / 2.0
         else:
             f = [float(np.linalg.norm(tbl(s), 2)) ** 2
                  for s in (lo, 0.5 * (lo + hi), hi)]
