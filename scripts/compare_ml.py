@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Replay the Mittag-Leffler and kernel-integral calls of the fixtures on two
-source trees.
+"""Replay the Mittag-Leffler, kernel-integral and 2-norm calls of the
+fixtures on two source trees.
 
 Records every ``ml_scalar_array`` call that ``certify``,
 ``delay_free_certify`` (on the delay-free fixtures, as the CLI does) and
 ``solve_trajectory`` (the CLI's default grid: step 0.01, horizon 10) make on
-``tests/fixtures/*.json``, and every ``Kernels.norm_integrals`` call that
-the two certificates make, using the OLD tree.  Then it replays each call on
-both trees, interleaved, and prints per call the best time of each,
-whether the values are equal (``np.array_equal``) and the largest relative
-difference between them, and per section the largest of those.  A
-``norm_integrals`` call is replayed on a kernel object built outside the
-timed region; only the outermost call is recorded, not the one a single
-delta makes on its halving edges.  Each SRC is a directory that holds the
-``fracdelay`` package, such as a checkout's ``src``.
+``tests/fixtures/*.json``, and every ``Kernels.norm_integrals`` call, every
+``Kernels.e_ml`` call of a matrix kernel (n > 1) and every
+``tables.induced_norms`` stack that the two certificates take, using the
+OLD tree.  Then it replays each call on both trees, interleaved, and prints
+per call the best time of each, whether the values are equal
+(``np.array_equal``) and the largest relative difference between them, and
+per section the largest of those.  A ``norm_integrals`` or ``e_ml`` call is
+replayed on a kernel object built outside the timed region, a new one per
+run, so no run reuses the contours of another; only the outermost
+``norm_integrals`` call is recorded, not the one a single delta makes on its
+halving edges.  Each SRC is a directory that holds the ``fracdelay``
+package, such as a checkout's ``src``.
 
 Example, against the parent commit:
     git archive HEAD~1 | (mkdir -p /tmp/old && tar -x -C /tmp/old)
@@ -46,18 +49,38 @@ def load_tree(name: str, src: Path):
     return mod
 
 
+# the modules that call tables.induced_norms through a name of their own
+NORM_USERS = ("tables", "kernels", "certificates", "spectral", "system")
+
+
 def record_calls(fd):
-    """(alpha, beta, z) of every ml_scalar_array call and (alpha, A0,
-    edges, powers) of every outermost norm_integrals call on the fixtures."""
-    ml_calls, quad_calls = [], []
+    """(alpha, beta, z) of every ml_scalar_array call, (alpha, A0, edges,
+    powers) of every outermost norm_integrals call, (alpha, A0, beta, t) of
+    every e_ml call with n > 1 and (stack, p) of every induced_norms call on
+    the fixtures; the last three in the certificates only."""
+    ml_calls, quad_calls, eml_calls, norm_calls = [], [], [], []
     inner_ml = fd.mlf.ml_scalar_array
     inner_quad = fd.kernels.Kernels.norm_integrals
+    inner_eml = fd.kernels.Kernels.e_ml
+    inner_norms = fd.tables.induced_norms
     depth = [0]
+    certifying = [False]
 
-    def recorded_ml(alpha, beta, z):
+    def recorded_ml(alpha, beta, z, **kwargs):
         ml_calls.append((float(alpha), float(beta),
                          np.array(z, dtype=complex, copy=True)))
-        return inner_ml(alpha, beta, z)
+        return inner_ml(alpha, beta, z, **kwargs)
+
+    def recorded_eml(self, beta, t):
+        if certifying[0] and self.n > 1:
+            eml_calls.append((self.alpha, self.A0.copy(), float(beta),
+                              np.array(t, dtype=float, copy=True)))
+        return inner_eml(self, beta, t)
+
+    def recorded_norms(stack, p=2):
+        if certifying[0]:
+            norm_calls.append((np.array(stack, copy=True), p))
+        return inner_norms(stack, p)
 
     def recorded_quad(self, edges, powers):
         if not depth[0]:
@@ -73,21 +96,29 @@ def record_calls(fd):
     # kernels imports the function by name; mlf calls its own global
     fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = recorded_ml
     fd.kernels.Kernels.norm_integrals = recorded_quad
+    fd.kernels.Kernels.e_ml = recorded_eml
+    for name in NORM_USERS:
+        setattr(getattr(fd, name), "induced_norms", recorded_norms)
     try:
         for path in sorted(FIXTURES.glob("*.json")):
             prob = fd.load_problem(str(path))
+            certifying[0] = True
             fd.certify(prob)
             if prob.system.is_delay_free:
                 try:
                     fd.delay_free_certify(prob)
                 except fd.errors.FracDelayError:
                     pass
+            certifying[0] = False
             grid = fd.align_grid(0.01, 10.0, prob.system.delays)
             fd.solve_trajectory(prob, grid)
     finally:
         fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = inner_ml
         fd.kernels.Kernels.norm_integrals = inner_quad
-    return ml_calls, quad_calls
+        fd.kernels.Kernels.e_ml = inner_eml
+        for name in NORM_USERS:
+            setattr(getattr(fd, name), "induced_norms", inner_norms)
+    return ml_calls, quad_calls, eml_calls, norm_calls
 
 
 def timed(fd, fn, *args):
@@ -117,20 +148,19 @@ def rel_diff(old, new) -> float:
 
 
 def compare(trees, calls, repeat: int, label) -> tuple:
-    """Replay ``calls`` (each a per-tree (fn, args) maker) on both trees;
-    print one line per call; return (differing calls, summed best times,
-    largest relative difference)."""
+    """Replay ``calls`` (each a per-tree (fn, args) maker, called anew
+    before every run) on both trees; print one line per call; return
+    (differing calls, summed best times, largest relative difference)."""
     differ = 0
     total = [0.0, 0.0]
     worst = 0.0
     for i, call in enumerate(calls):
-        made = [call(fd) for fd in trees]
         best = [np.inf, np.inf]
         outs = [None, None]
         for r in range(repeat):
             # alternate which tree goes first
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-                t, outs[side] = timed(trees[side], *made[side])
+                t, outs[side] = timed(trees[side], *call(trees[side]))
                 best[side] = min(best[side], t)
         a, b = outs
         same = (a == b if isinstance(a, str) or isinstance(b, str)
@@ -154,7 +184,7 @@ def main() -> int:
     args = ap.parse_args()
     trees = (load_tree("fracdelay_old", args.old_src),
              load_tree("fracdelay_new", args.new_src))
-    ml_calls, quad_calls = record_calls(trees[0])
+    ml_calls, quad_calls, eml_calls, norm_calls = record_calls(trees[0])
     differ = 0
 
     def ml_call(c):
@@ -164,6 +194,13 @@ def main() -> int:
         alpha, A0, edges, powers = c
         return lambda fd: (fd.kernels.Kernels(alpha, A0).norm_integrals,
                            edges, powers)
+
+    def eml_call(c):
+        alpha, A0, beta, t = c
+        return lambda fd: (fd.kernels.Kernels(alpha, A0).e_ml, beta, t)
+
+    def norm_call(c):
+        return lambda fd: (fd.tables.induced_norms, *c)
 
     sections = (
         ("ml_scalar_array", f"{'alpha':>6} {'beta':>6} {'points':>7}",
@@ -176,6 +213,15 @@ def main() -> int:
          lambda i: (f"{quad_calls[i][0]:6.3f} {quad_calls[i][1].shape[0]:2d}"
                     f" {quad_calls[i][2].size:5d} "
                     f"{','.join(map(str, quad_calls[i][3])):>6}")),
+        ("Kernels.e_ml, n > 1", f"{'alpha':>6} {'n':>2} {'beta':>6} "
+         f"{'points':>7}",
+         [eml_call(c) for c in eml_calls],
+         lambda i: (f"{eml_calls[i][0]:6.3f} {eml_calls[i][1].shape[0]:2d} "
+                    f"{eml_calls[i][2]:6.3f} {eml_calls[i][3].size:7d}")),
+        ("tables.induced_norms", f"{'shape':>14} {'p':>3}",
+         [norm_call(c) for c in norm_calls],
+         lambda i: (f"{'x'.join(map(str, norm_calls[i][0].shape)):>14} "
+                    f"{norm_calls[i][1]!s:>3}")),
     )
     for name, head, calls, label in sections:
         print(f"{name}:\n{'call':>5} {head} {'old_s':>10} {'new_s':>10} "
@@ -185,7 +231,7 @@ def main() -> int:
         print(f"{len(calls)} calls, {bad} differ, largest relative "
               f"difference {worst:.2e}; summed best times "
               f"old {total[0]:.4f} s, new {total[1]:.4f} s "
-              f"({total[1] / total[0]:.3f}x)\n")
+              f"({total[1] / total[0] if calls else math.nan:.3f}x)\n")
     return 1 if differ else 0
 
 

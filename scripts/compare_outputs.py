@@ -17,7 +17,9 @@ path, and records:
 The ops are built by ``perfbench/workloads.py``, which is only imported.
 Per output it prints "identical" or the largest relative difference
 |a - b| / max(|a|, |b|) over its numbers (inf where text, structure or a
-non-finite value differs), and exits 1 on any difference.
+non-finite value differs) and the largest |a - b| over the largest |a| of
+the output (its sup, the measure for a trajectory), and exits 1 on any
+difference.
 """
 
 import contextlib
@@ -125,21 +127,25 @@ def _number(leaf):
     return isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
 
 
-def relative_difference(a, b) -> float:
-    """Largest relative difference between two outputs (module docstring)."""
+def relative_difference(a, b) -> tuple:
+    """Largest relative difference between two outputs, and largest
+    difference over the output's sup (module docstring)."""
     la, lb = list(_leaves(a)), list(_leaves(b))
     if [p for p, _ in la] != [p for p, _ in lb]:
-        return math.inf
-    worst = 0.0
+        return math.inf, math.inf
+    worst = largest = sup = 0.0
     for (_, x), (_, y) in zip(la, lb):
+        if _number(x) and math.isfinite(x):
+            sup = max(sup, abs(x))
         if x == y or (_number(x) and _number(y)
                       and math.isnan(x) and math.isnan(y)):
             continue
         if not (_number(x) and _number(y)
                 and math.isfinite(x) and math.isfinite(y)):
-            return math.inf
+            return math.inf, math.inf
         worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return worst
+        largest = max(largest, abs(x - y))
+    return worst, largest / sup if largest else 0.0
 
 
 def main(argv) -> int:
@@ -167,9 +173,10 @@ def main(argv) -> int:
             print(f"{name}: only in {'SRC' if name in child else 'PARENT_SRC'}")
             differ += 1
             continue
-        diff = relative_difference(parent[name], child[name])
+        diff, of_sup = relative_difference(parent[name], child[name])
         print(f"{name}: " + ("identical" if diff == 0
-                             else f"largest relative difference {diff:.3g}"))
+                             else f"largest relative difference {diff:.3g}, "
+                                  f"{of_sup:.3g} of the sup"))
         differ += diff != 0
     print(f"{differ} of {len(set(parent) | set(child))} outputs differ")
     return 1 if differ else 0

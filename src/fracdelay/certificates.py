@@ -386,8 +386,7 @@ def _l1_to_infinity(ker: Kernels) -> float:
     2^-alpha).  Raises once the increments stop shrinking.
     """
     alpha = ker.alpha
-    lam = np.linalg.eigvals(ker.A0)
-    rho = float(np.min(np.abs(lam)))
+    rho = float(np.min(np.abs(ker.lam)))
     if rho == 0.0 or ker.sector_margin() <= _SECTOR_TOL:
         raise KernelNotIntegrable(
             "phi is not integrable: A0 has a zero eigenvalue or one with "
@@ -426,7 +425,7 @@ def delay_free_certify(prob: ValidatedProblem,
         loads[0] = sup_norm_bound(tables[0])
     ker = Kernels(sys.alpha, A_bar)
     K1 = _l1_to_infinity(ker)
-    lam = np.linalg.eigvals(ker.A0)
+    lam = ker.lam
     rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
     T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(sys.alpha, 1.0)))
     grid = np.concatenate(([0.0], np.geomspace(T0 * 1e-5, T0, 2000)))

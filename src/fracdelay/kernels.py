@@ -45,7 +45,8 @@ import numpy as np
 from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
                      SingularAtZero)
 # ml_scalar_array is not called here: perfbench/test_harness.py reads it
-from .mlf import _ml_matrices, eig_factors, lgamma, ml_scalar_array, rgamma
+from .mlf import (_ContourTable, _ml_matrices, eig_factors, lgamma,
+                  ml_scalar_array, rgamma)
 from .system import FractionalDelaySystem
 from .tables import induced_norm, induced_norms
 
@@ -61,7 +62,13 @@ _ENVELOPE_POINTS = 400  # its coarse grid; the fine one has 4x as many
 
 
 class Kernels:
-    """Vectorized evaluator of the kernel family for one (alpha, A0) pair."""
+    """Vectorized evaluator of the kernel family for one (alpha, A0) pair.
+
+    ``lam`` holds the eigenvalues of A0, read once, whether or not the
+    eigenvector basis is well conditioned.  The object keeps one table of
+    Mittag-Leffler contours per beta it has evaluated, so the quadrature's
+    levels and the kernels of one certificate share their contours.
+    """
 
     def __init__(self, alpha: float, A0: np.ndarray):
         if alpha <= 0:
@@ -70,22 +77,24 @@ class Kernels:
         self.A0 = np.atleast_2d(np.asarray(A0, dtype=float))
         self.n = self.A0.shape[0]
         self._fac = eig_factors(self.A0)
+        self.lam = self._fac[0]
+        self._tables = {}       # beta -> _ContourTable
 
     def sector_margin(self) -> float:
         """min |arg lambda| - alpha pi / 2 over the nonzero eigenvalues of A0
         (+inf without any).  Below 0 some E_{a,b}(A0 t^a) grows
         exponentially; phi is integrable on [0, inf) only above 0 and
         without a zero eigenvalue, hence only for alpha < 2."""
-        lam = (self._fac[0] if self._fac is not None
-               else np.linalg.eigvals(self.A0))
-        args = np.abs(np.angle(lam[lam != 0]))
+        args = np.abs(np.angle(self.lam[self.lam != 0]))
         return float(np.min(args, initial=math.inf)) - self.alpha * math.pi / 2
 
     def e_ml(self, beta: float, t) -> np.ndarray:
         """E_{alpha,beta}(A0 t^alpha) for an array of t >= 0, shape (N, n, n)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if beta not in self._tables:
+            self._tables[beta] = _ContourTable(self.alpha, float(beta))
         return _ml_matrices(self.alpha, beta, self.A0, self._fac,
-                            t ** self.alpha)
+                            t ** self.alpha, self._tables[beta])
 
     def phi_j(self, j: int, t) -> np.ndarray:
         """Initial-data kernel t^j E_{a,j+1}(A0 t^a); zero for t < 0."""

@@ -38,7 +38,12 @@ For a scalar argument three routes cover the plane, each chosen per point:
   contour by contour: each contour's node factors are computed once, and
   its terms as (nodes x points) blocks of at most 2^14 elements, so the
   memory the rule needs beyond its output is bounded by the block, not by
-  the number of points.
+  the number of points.  Contours are kept per kernel and per beta: a
+  ``kernels.Kernels`` object holds one table per beta of the contours and
+  node factors it has met, so the levels of its quadrature and its other
+  kernels build only the contours they are missing; a direct
+  ``ml_scalar_array`` call builds a table of its own, dropped with the
+  call.  A value does not depend on what the table held.
 
 The evaluator has one accuracy, set by no argument.  Against a 30-digit
 series for alpha in 0.3..1.8 and the betas 1, alpha, alpha + 1, alpha + 2,
@@ -47,6 +52,7 @@ much relative above, on |z| <= 1 as everywhere else.
 
 Matrix arguments go through the eigendecomposition whenever the eigenvector
 basis is well conditioned (condition number below ``SPECTRAL_THRESHOLD``),
+the real part of sum_k E(lambda_k s) O_k recombined in real arithmetic,
 otherwise through a truncated matrix power series with a norm-based tail
 bound.
 """
@@ -320,39 +326,91 @@ def _contours(alpha: float, beta: float, bins: np.ndarray):
     return mu, h, N.astype(int)
 
 
-def _trapezoid(alpha: float, beta: float, z: np.ndarray, contour: np.ndarray,
-               mu, h, N, real: bool) -> np.ndarray:
+class _ContourTable:
+    """The contours of one E_{alpha,beta} met so far, and their node factors.
+
+    A contour is keyed by its row of pole bins without the padding of rows
+    with fewer poles (a missing pole adds no admissible region, so the
+    padding changes nothing).  The table keeps its (mu, h, N) and, once a
+    point has used it, its node factors for real z (c, cd, d, dd) or for
+    complex z (c, d).  A value does not depend on what the table held.
+    """
+
+    def __init__(self, alpha: float, beta: float):
+        self.alpha, self.beta = alpha, beta
+        self.mu, self.h = np.empty(0), np.empty(0)
+        self.N = np.empty(0, dtype=int)
+        self._index = {}    # bins row -> contour number
+        self._nodes = {}    # (contour number, real) -> node factors
+
+    def contours(self, bins: np.ndarray) -> np.ndarray:
+        """The contour number of each (distinct) row of ``bins``; the rows
+        not met before go through ``_contours`` as one array."""
+        keys = [tuple(b for b in row if b != _NO_POLE) for row in bins.tolist()]
+        new = [i for i, key in enumerate(keys) if key not in self._index]
+        if new:
+            mu, h, N = _contours(self.alpha, self.beta, bins[new])
+            self._index.update(zip((keys[i] for i in new),
+                                   range(self.mu.size, self.mu.size + len(new))))
+            self.mu = np.concatenate((self.mu, mu))
+            self.h = np.concatenate((self.h, h))
+            self.N = np.concatenate((self.N, N))
+        return np.array([self._index[key] for key in keys], dtype=int)
+
+    def nodes(self, i: int, real: bool) -> tuple:
+        """Node factors of contour ``i``, each of shape (nodes, 1): c and
+        d = s^a for the terms c / (d - z), nodes s = mu (1 + ihk)^2 with
+        |k| <= N; for real z only k >= 0, with c doubled past k = 0 and
+        split into c = Im c, cd = Re c Im d, d = Re d and dd = (Im d)^2."""
+        key = (i, real)
+        if key not in self._nodes:
+            mu, h, N = self.mu[i], self.h[i], self.N[i]
+            w = 1.0 + 1j * (np.arange(0 if real else -N, N + 1) * h)
+            s = mu * w * w
+            ls = np.log(s)
+            c = (np.exp(s + (self.alpha - self.beta) * ls)
+                 * (2j * mu * w))[:, None]
+            d = np.exp(self.alpha * ls)[:, None]
+            if real:
+                c[1:] *= 2.0
+                self._nodes[key] = (c.imag, c.real * d.imag, d.real,
+                                    d.imag * d.imag)
+            else:
+                self._nodes[key] = (c, d)
+        return self._nodes[key]
+
+
+def _trapezoid(z: np.ndarray, contour: np.ndarray, table: _ContourTable,
+               real: bool) -> np.ndarray:
     """h/(2 pi i) sum_k e^s s^(a-b) s' / (s^a - z), nodes s = mu (1 + ihk)^2.
 
-    Point i runs over |k| <= N of its contour ``contour[i]`` (an index into
-    ``mu``, ``h``, ``N``).  Contour by contour, the node factors are computed
-    once and the terms as (nodes x points) blocks of at most ``_BLOCK``
-    elements, whose rows are summed in ascending k: a value does not depend
-    on the batch, and memory beyond the output is bounded by the block.  For
-    real z the nodes k and -k are conjugate: only k >= 0 is summed, and only
-    the imaginary part, in real arithmetic.
+    Point i runs over |k| <= N of its contour ``contour[i]`` (a contour
+    number of ``table``).  Contour by contour, the table's node factors are
+    taken and the terms computed as (nodes x points) blocks of at most
+    ``_BLOCK`` elements, whose rows are summed in ascending k: a value does
+    not depend on the batch, and memory beyond the output is bounded by the
+    block.  For real z the nodes k and -k are conjugate: only k >= 0 is
+    summed, and only the imaginary part, in real arithmetic.
     """
     out = np.empty(z.size, dtype=complex)
     order = np.argsort(contour, kind="stable")
     for idx in np.split(order, np.flatnonzero(np.diff(contour[order])) + 1):
         i = contour[idx[0]]
-        w = 1.0 + 1j * (np.arange(0 if real else -N[i], N[i] + 1) * h[i])
-        s = mu[i] * w * w
-        ls = np.log(s)
-        c = (np.exp(s + (alpha - beta) * ls) * (2j * mu[i] * w))[:, None]
-        d = np.exp(alpha * ls)[:, None]
         if real:
-            c[1:] *= 2.0
             # Im c / (d - x) = (Im c (Re d - x) - Re c Im d) / |d - x|^2
-            c, cd, d, dd = c.imag, c.real * d.imag, d.real, d.imag * d.imag
-        step = h[i] / (2.0 * np.pi)
-        for cols in np.split(idx, range(_BLOCK - 1, idx.size, _BLOCK - 1)):
+            c, cd, d, dd = table.nodes(i, True)
+        else:
+            c, d = table.nodes(i, False)
+        step = table.h[i] / (2.0 * np.pi)
+        for start in range(0, idx.size, _BLOCK - 1):
+            cols = idx[start:start + _BLOCK - 1]
             # a point at 0 pads the block to two columns or more: numpy sums
             # the rows of a wider block in order, of a one-column one pairwise
-            zs = np.append(z[cols].real if real else z[cols], 0.0)
+            zs = np.zeros(cols.size + 1, dtype=float if real else complex)
+            zs[:-1] = z[cols].real if real else z[cols]
             rows = _BLOCK // zs.size
             acc = 0.0
-            for r in range(0, w.size, rows):
+            for r in range(0, d.shape[0], rows):
                 k = slice(r, r + rows)
                 e = d[k] - zs
                 # in place: fewer temporaries of the block's size
@@ -370,11 +428,13 @@ def _trapezoid(alpha: float, beta: float, z: np.ndarray, contour: np.ndarray,
     return out
 
 
-def _contour_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) for nonzero z by the contour integral.
+def _contour_values(table: _ContourTable, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) for nonzero z by the contour integral, alpha and
+    beta those of ``table``.
 
-    Points whose poles fall in the same bins share one contour.
+    Points whose poles fall in the same bins share one contour of the table.
     """
+    alpha, beta = table.alpha, table.beta
     poles, phi, bins = _singularities(alpha, z)
     if bins.shape[1] <= 4:
         # a row of bins as one integer: 16 bits per pole, |bin| < 2^14
@@ -387,17 +447,15 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     else:
         _, first, contour = np.unique(bins, axis=0, return_index=True,
                                       return_inverse=True)
-    contour = contour.ravel()
-    mu, h, N = _contours(alpha, beta, bins[first])
+    contour = table.contours(bins[first])[contour.ravel()]
     out = np.empty(z.size, dtype=complex)
     real = z.imag == 0
     for part in (True, False):
         sel = np.flatnonzero(real == part)
         if sel.size:
-            out[sel] = _trapezoid(alpha, beta, z[sel], contour[sel], mu, h, N,
-                                  part)
+            out[sel] = _trapezoid(z[sel], contour[sel], table, part)
     # residues of the poles right of the contour
-    mu = mu[contour]
+    mu = table.mu[contour]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(poles.shape[1]):
             right = np.isfinite(phi[:, i]) & (phi[:, i] > mu)
@@ -467,7 +525,8 @@ def _identity_path(alpha: float, beta: float, z: np.ndarray):
 # public scalar / array evaluation
 # ---------------------------------------------------------------------------
 
-def ml_scalar_array(alpha: float, beta: float, z) -> np.ndarray:
+def ml_scalar_array(alpha: float, beta: float, z, *,
+                    _table: _ContourTable | None = None) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of complex arguments.
 
     Closed forms serve integer orders, the power series |z| <= 1 where it
@@ -476,7 +535,9 @@ def ml_scalar_array(alpha: float, beta: float, z) -> np.ndarray:
     takes the shared pole-free contour, cheaper there than the series and
     as accurate (see the module docstring).  Each value depends on its own
     point only.  A real z whose value exceeds double range gives inf; a
-    complex one raises OverflowBeyondRepresentableRange.
+    complex one raises OverflowBeyondRepresentableRange.  The contours come
+    from ``_table`` when a kernel passes the one it keeps for (alpha, beta),
+    else from a table of this call's own.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -502,7 +563,9 @@ def ml_scalar_array(alpha: float, beta: float, z) -> np.ndarray:
         vals[near[ok]] = vs[ok]
         todo[near[ok]] = False
     if todo.any():
-        vals[todo] = _contour_values(alpha, beta, flat[todo])
+        if _table is None:
+            _table = _ContourTable(alpha, beta)
+        vals[todo] = _contour_values(_table, flat[todo])
     lost = ~np.isfinite(vals) & (flat.imag != 0)
     if lost.any():
         raise OverflowBeyondRepresentableRange(
@@ -529,14 +592,15 @@ def eig_basis(A: np.ndarray):
 
 
 def eig_factors(A: np.ndarray):
-    """(eigenvalues, rank-one factors O_k) when A is safely diagonalizable.
+    """(eigenvalues, rank-one factors O_k) of A; the factors are None for a
+    near-defective basis.
 
-    E(A) is then sum_k f(lambda_k) O_k with O_k = v_k w_k^T built from the
-    right/left eigenvectors; returns None for a near-defective basis.
+    E(A) is sum_k f(lambda_k) O_k with O_k = v_k w_k^T built from the
+    right/left eigenvectors when A is safely diagonalizable.
     """
     lam, V, _ = eig_basis(A)
     if V is None:
-        return None
+        return lam, None
     return lam, np.einsum("ik,kj->kij", V, np.linalg.inv(V))
 
 
@@ -577,17 +641,25 @@ def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray) -> np.ndarray:
 
 
 def _ml_matrices(alpha: float, beta: float, A: np.ndarray, fac,
-                scale: np.ndarray) -> np.ndarray:
+                 scale: np.ndarray, table: _ContourTable | None = None
+                 ) -> np.ndarray:
     """E_{alpha,beta}(A s) for every s in ``scale``, shape (N, n, n).
 
-    ``fac`` is ``eig_factors(A)``: when it is not None, one scalar call over
-    every eigenvalue times every s; else the matrix series per s.
+    ``fac`` is ``eig_factors(A)``: with factors, one scalar call over every
+    eigenvalue times every s (its contours from ``table`` when given), and
+    Re sum_k f_k O_k in real arithmetic; else the matrix series per s.
     """
-    if fac is not None:
-        lam, factors = fac
-        f = ml_scalar_array(alpha, beta, np.multiply.outer(lam, scale))
-        return np.real(np.einsum("kN,kij->Nij", f, factors))
-    out = np.empty((scale.size, A.shape[0], A.shape[0]))
+    lam, factors = fac
+    n = A.shape[0]
+    if factors is not None:
+        f = ml_scalar_array(alpha, beta, np.multiply.outer(lam, scale),
+                            _table=table)
+        F = factors.reshape(lam.size, n * n)
+        out = f.real.T @ F.real
+        if np.iscomplexobj(F):
+            out -= f.imag.T @ F.imag
+        return out.reshape(scale.size, n, n)
+    out = np.empty((scale.size, n, n))
     for idx, s in enumerate(scale):
         out[idx] = np.real(_ml_matrix_series(alpha, beta, A * s))
     return out

@@ -1,10 +1,11 @@
 """Matrix norms, logarithmic norms, eigenstructure, and the
 delay-independent stability test built on them.
 
-The test transforms the instantaneous matrix to (block-)diagonal form
-A0 = T^-1 (J_d + J_off) T, takes the fractional eigenvalue powers
-lambda^(1/a) on the principal branch *without* re-wrapping the divided
-argument, and compares the jointly scaled block norm
+The test transforms the kernel matrix (the sum of the A_i with r_i = 0)
+to (block-)diagonal form A0 = T^-1 (J_d + J_off) T, takes the fractional
+eigenvalue powers lambda^(1/a) on the principal branch *without*
+re-wrapping the divided argument, and compares the jointly scaled block
+norm over the A_i with r_i > 0
 
     || [ T^-1 J_off T / b_0 | T^-1 A_1 T / b_1 | ... | T^-1 A_r T / b_r ] ||_2
 
@@ -237,13 +238,16 @@ def theorem34_certify(sys: FractionalDelaySystem,
                       T: np.ndarray | None = None) -> Theorem34Result:
     """Delay-independent stability test from the eigenstructure of A0.
 
-    The verdict requires max Re lambda^(1/alpha) < 0 and compares the
+    A0 is the kernel matrix (the sum of the A_i with r_i = 0) and the
+    composite norm runs over the A_i with r_i > 0, the lag rule of the
+    certificates, so every encoding of one system gives one answer.  The
+    verdict requires max Re lambda^(1/alpha) < 0 and compares the
     optimized composite block norm against |mu_2(J_d)|^(1/alpha): strictly
     below certifies global asymptotic stability independent of the delays,
     equality (to 1e-12) global stability.  The eigenvalue argument condition
     is evaluated and reported alongside; it is not the gate.
     """
-    dec = decompose(sys.A[0], T=T)
+    dec = decompose(sys.kernel_matrix, T=T)
     m = frac_power_measure(dec, sys.alpha)
     lam = dec.eigenvalues
     arg_ok = bool(np.all(np.abs(np.angle(lam))
@@ -251,7 +255,8 @@ def theorem34_certify(sys: FractionalDelaySystem,
     mu2 = matrix_measure(dec.J_d, 2)
     threshold = abs(mu2) ** (1.0 / sys.alpha)
     try:
-        beta, composite = optimize_beta(dec, sys.A[1:])
+        beta, composite = optimize_beta(
+            dec, [M for M, r in zip(sys.A, sys.delays) if r > 0.0])
         beta_t = beta.beta
     except AllBlocksZero:
         beta_t, composite = None, 0.0

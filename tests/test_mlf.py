@@ -204,9 +204,11 @@ def probe_points(alpha):
     return np.array(zs, dtype=complex)
 
 
-def per_node_trapezoid(alpha, beta, z, contour, mu, h, N, real):
+def per_node_trapezoid(z, contour, table, real):
     """``mlf._trapezoid`` node by node: at each k, every point whose contour
-    reaches k adds its term."""
+    reaches k adds its term; the table gives only the contours, no node
+    factor."""
+    alpha, beta, mu, h, N = table.alpha, table.beta, table.mu, table.h, table.N
     zs = z.real if real else z
     acc = np.zeros(z.size, dtype=zs.dtype)
     for k in range(0 if real else -N.max(), N.max() + 1):
@@ -279,6 +281,55 @@ class TestContour:
             ref = ml_scalar_array(alpha, beta, zs)
             monkeypatch.undo()
             assert got.tolist() == ref.tolist(), beta
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5])
+    def test_kernel_tables_give_the_bits_of_fresh_calls(self, monkeypatch,
+                                                        alpha):
+        # the dozens-of-contours points above, as E(A0 t^a) for A0 = -1,
+        # reached in overlapping calls on one kernel object
+        t = np.geomspace(1.1, 200, 300) ** (1.0 / alpha)
+        zs = -(t ** alpha) + 0j
+        built = []
+        contours = mlf._contours
+
+        def counted(a, b, bins):
+            built.append(bins.shape[0])
+            return contours(a, b, bins)
+
+        monkeypatch.setattr(mlf, "_contours", counted)
+        ker = Kernels(alpha, np.array([[-1.0]]))
+        for beta in (1.0, alpha, alpha + 2.0):
+            fresh = ml_scalar_array(alpha, beta, zs)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mlf, "_trapezoid", per_node_trapezoid)
+                ref = ml_scalar_array(alpha, beta, zs)
+            built.clear()
+            half = ker.e_ml(beta, t[:150])[:, 0, 0]
+            full = ker.e_ml(beta, t)[:, 0, 0]
+            again = ker.e_ml(beta, t)[:, 0, 0]
+            # every contour went through _contours once, the last call's
+            # through none
+            assert len(built) == 2
+            assert sum(built) == ker._tables[beta].mu.size > 24
+            assert again.tolist() == full.tolist()
+            assert half.tolist() == full[:150].tolist()
+            assert full.tolist() == fresh.real.tolist(), beta
+            assert full.tolist() == ref.real.tolist(), beta
+
+    def test_kernels_share_no_table(self):
+        A0 = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        t = np.geomspace(0.1, 50.0, 40)
+        one, two = Kernels(1.3, A0), Kernels(1.3, A0)
+        first = one.e_ml(1.3, t)
+        assert two._tables == {}
+        second = two.e_ml(1.3, t)
+        assert second.tolist() == first.tolist()
+        assert one._tables[1.3] is not two._tables[1.3]
+        assert one._tables[1.3].mu is not two._tables[1.3].mu
+        # a direct call builds a table of its own and leaves the kernel's
+        size = one._tables[1.3].mu.size
+        ml_scalar_array(1.3, 1.3, -np.geomspace(300.0, 900.0, 7))
+        assert one._tables[1.3].mu.size == size
 
     def test_complex_overflow_raises_and_real_gives_inf(self):
         for alpha, beta, r, th in ((0.5, 1.0, 200.0, 0.1),

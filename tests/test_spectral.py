@@ -249,3 +249,18 @@ class TestTheorem34:
         res = theorem34_certify(sys)
         assert not res.arg_condition_met
         assert res.frac_power_measure < 0
+
+    def test_delay_free_encodings_agree(self):
+        # A = [A0 - S, S] at lags 0, 0 is the system of [A0]: the test reads
+        # the kernel matrix (S is exact in binary, so the sum is too), and
+        # no lag-0 matrix enters the composite norm
+        A0 = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        S = np.array([[0.25, -0.125], [0.5, 0.25]])
+        phi = [const_phi([1.0, -1.0], 0.0)]
+        split = theorem34_certify(validate_system(
+            0.8, [0.0, 0.0], [A0 - S, S], phi=phi).system)
+        one = theorem34_certify(validate_system(0.8, [0.0], [A0],
+                                                phi=phi).system)
+        assert one.verdict == "GloballyAsymptoticallyStable"
+        assert split.as_dict() == one.as_dict()
+        assert (one.threshold, one.composite_norm) == (1.0, 0.0)

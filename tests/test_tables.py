@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from fracdelay import TimeFunctionTable, l2_window_norm, sup_norm_bound
 from fracdelay.errors import EmptyTable, WindowOutOfRange
-from fracdelay.tables import as_table, l2_window_norms
+from fracdelay.tables import (as_table, induced_norm, induced_norms,
+                              l2_window_norms)
 
 
 def table(times, values, interp="linear", sup=None):
@@ -155,7 +156,8 @@ def panel_reference(tbl, t, delta):
     """The windowed L2 norm one panel at a time: split at the sample times
     inside [t, t + delta]; per panel of a linear table the trapezoid for
     matrices of more than one row and column, Simpson otherwise.  Panel
-    widths are differences of offsets from t (the last one delta itself)."""
+    widths are differences of offsets from t (the last one delta itself).
+    The norm is the package's one 2-norm, matrix by matrix."""
     a, b = float(t), float(t) + float(delta)
     times = tbl.sample_times
     cuts = times[(times > a) & (times < b)]
@@ -164,12 +166,12 @@ def panel_reference(tbl, t, delta):
     total = 0.0
     for lo, hi, w in zip(knots[:-1], knots[1:], np.diff(offsets)):
         if tbl.interpolation == "const":
-            total += float(np.linalg.norm(tbl(lo), 2)) ** 2 * w
+            total += induced_norm(tbl(lo)) ** 2 * w
         elif tbl.values.ndim == 3 and min(tbl.values.shape[1:]) > 1:
-            f = [float(np.linalg.norm(tbl(s), 2)) ** 2 for s in (lo, hi)]
+            f = [induced_norm(tbl(s)) ** 2 for s in (lo, hi)]
             total += w * (f[0] + f[1]) / 2.0
         else:
-            f = [float(np.linalg.norm(tbl(s), 2)) ** 2
+            f = [induced_norm(tbl(s)) ** 2
                  for s in (lo, 0.5 * (lo + hi), hi)]
             total += w * (f[0] + 4.0 * f[1] + f[2]) / 6.0
     return float(np.sqrt(total))
@@ -207,3 +209,52 @@ def test_l2_windows_of_one_start_match_the_panel_rule(which):
     assert np.isnan(got[6]) == (tbl.interpolation == "linear")
     assert got[7:9].tolist() == [0.0, 0.0]
     assert np.isnan(got[9])
+
+
+def two_norm_stacks(rng, n):
+    """General real and complex, non-normal, rank-one and zero n x n
+    matrices and n x 2n blocks, each scaled by 10^k, k in -200..200."""
+    general = rng.normal(size=(6, n, n))
+    complex_ = general + 1j * rng.normal(size=(6, n, n))
+    nonnormal = np.triu(1e3 * rng.normal(size=(6, n, n)), 1) + np.eye(n)
+    rank_one = np.einsum("ki,kj->kij", rng.normal(size=(6, n)),
+                         rng.normal(size=(6, n)))
+    square = np.concatenate((general, nonnormal, rank_one, np.zeros((2, n, n))))
+    scale = 10.0 ** rng.integers(-200, 201, size=(3, square.shape[0]))
+    return [square * s[:, None, None] for s in scale] + [
+        complex_ * scale[0, :6, None, None],
+        rng.normal(size=(6, n, 2 * n)) * scale[1, :6, None, None]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_two_norm_agrees_with_the_largest_singular_value(n):
+    eps = np.finfo(float).eps
+    for stack in two_norm_stacks(np.random.default_rng(n), n):
+        got = induced_norms(stack)
+        ref = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        assert got[ref == 0].tolist() == [0.0] * int(np.sum(ref == 0))
+        assert np.all(np.abs(got - ref) <= 4 * n * eps * ref)
+
+
+def test_two_norm_of_a_non_finite_matrix_is_its_largest_entry():
+    stack = np.array([[[np.inf, 1.0], [1.0, 1.0]], [[np.nan, 1.0], [1.0, 1.0]]])
+    got = induced_norms(stack)
+    assert got[0] == np.inf and np.isnan(got[1])
+
+
+def test_two_norm_of_scalars_and_vectors_is_unchanged():
+    rng = np.random.default_rng(5)
+    scalars = rng.normal(size=(9, 1, 1)) * 10.0 ** rng.integers(-200, 201, 9)[
+        :, None, None]
+    assert induced_norms(scalars).tolist() == np.abs(scalars[:, 0, 0]).tolist()
+    rows = rng.normal(size=(9, 4))
+    assert induced_norms(rows).tolist() == [float(np.linalg.norm(r))
+                                            for r in rows]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_declared_sup_norm_refuses_a_nan_sample(n):
+    vals = np.ones((2, n, n))
+    vals[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="smaller than sampled norm nan"):
+        table([0.0, 1.0], vals, "const", sup=10.0)
