@@ -4,11 +4,12 @@ from norm bounds on the solution representation.
 Its kernels are those of (alpha, A), A the system's ``kernel_matrix`` (the
 sum of the A_i with r_i = 0, as in the march).  Every term
 [A_i + Atilde_i(t)] x(t - r_i) and B(t) K_i x(t - r_i) splits into that
-kernel and a perturbation: ``_lag_terms`` gives lag i its uniform bound a_i
-(sup ||Atilde_i|| when r_i = 0, sup ||A_i + Atilde_i|| when r_i > 0, plus
-||B|| K_i^0 under feedback) and its tables (Atilde_i or A_i + Atilde_i,
-then B K_i).  Terms with r_i = 0 form the denominator, all others the
-numerator.  The uniform (window-contraction) family is
+kernel and a perturbation: ``system.lag_tables`` gives lag i its tables
+(Atilde_i or A_i + Atilde_i, then B K_i), as it does the march, and
+``_lag_terms`` its uniform bound a_i (sup ||Atilde_i|| when r_i = 0,
+sup ||A_i + Atilde_i|| when r_i > 0, plus ||B|| K_i^0 under feedback).
+Terms with r_i = 0 form the denominator, all others the numerator.  The
+uniform (window-contraction) family is
 
     g(delta) = (1 - D(delta))^-1 ( ||sum_j phi_j(delta)||
                                    + L1(delta) * sum_{r_i > 0} a_i )
@@ -54,11 +55,11 @@ import numpy as np
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
                      OrderTooLow, PremiseViolated, WindowOutOfRange)
 # phi_alpha_l1 is not called here: perfbench/test_harness.py reads it
-from .kernels import _HALVINGS, Kernels, phi_alpha_l1
+from .kernels import _HALVINGS, Kernels, _kernels, phi_alpha_l1
+from .spectral import theorem34_certify
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
-                     atilde_sup_norm, b_sup_norm, check_feedback)
-from .tables import (TimeFunctionTable, induced_norms, l2_window_norms,
-                     sup_norm_bound, table_linear_combination)
+                     atilde_sup_norm, b_sup_norm, lag_tables)
+from .tables import induced_norms, l2_window_norms, sup_norm_bound
 
 _TIE_TOL = 1e-12
 # eigenvalue arguments within this many radians of alpha pi / 2 count as
@@ -78,27 +79,16 @@ def _control(prob: ValidatedProblem, feedback: ControlInput | None):
 
 
 def _lag_terms(prob: ValidatedProblem, feedback: ControlInput | None):
-    """One term (r_i, a_i, tables) per lag, in lag order: the module
-    docstring's rule, and the one reader of A_tilde, the A_i and the gains
-    in this module."""
-    sys = prob.system
+    """One term (r_i, a_i, tables) per lag, in lag order: ``lag_tables``
+    with the module docstring's bound a_i on top."""
     ctl = _control(prob, feedback)
-    gains = ctl.kind == "feedback"
-    if gains:
-        check_feedback(sys, ctl)
     bn = b_sup_norm(prob)
     terms = []
-    for i, r_i in enumerate(sys.delays):
-        if r_i == 0.0:
-            bound, tables = atilde_sup_norm(prob, i), (sys.A_tilde[i],)
-        else:
-            bound = ahat_sup_norm(prob, i)
-            tables = (table_linear_combination(sys.A[i], sys.A_tilde[i]),)
-        if gains:
+    for i, (r_i, tables) in enumerate(lag_tables(prob, ctl)):
+        bound = (atilde_sup_norm(prob, i) if r_i == 0.0
+                 else ahat_sup_norm(prob, i))
+        if ctl.kind == "feedback":
             bound = bound + bn * ctl.gain_bounds[i]
-            bk = np.einsum("qik,kj->qij", sys.B.values, ctl.gains[i])
-            tables += (TimeFunctionTable(sys.B.sample_times, bk,
-                                         sys.B.interpolation),)
         terms.append((r_i, bound, tables))
     return terms
 
@@ -125,7 +115,7 @@ class _CertInputs:
         # sorted without repeats, as np.unique gives it, but np.unique
         # imports numpy.ma
         self.grid = grid[np.append(True, grid[1:] != grid[:-1])]
-        ker = Kernels(sys.alpha, sys.kernel_matrix)
+        ker = _kernels(sys)
         self.growing = ker.sector_margin() < -_SECTOR_TOL
         if self.growing:
             return
@@ -468,8 +458,6 @@ def high_order_check(prob: ValidatedProblem) -> HighOrderResult:
     composite-norm test against |mu2|^(1/alpha) from the spectral module,
     together with the eigenvalue argument condition |arg| < alpha*pi/2.
     """
-    from .spectral import theorem34_certify
-
     sys = prob.system
     if sys.alpha < 2.0:
         raise OrderTooLow(f"alpha = {sys.alpha} is below 2")

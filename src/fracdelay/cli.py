@@ -28,7 +28,7 @@ from . import __version__
 from .certificates import (DEFAULT_DELTA_GRID, certify, delay_free_certify,
                            high_order_check)
 from .errors import FracDelayError, KernelNotIntegrable
-from .kernels import Kernels, verify_lemma22
+from .kernels import _kernels, verify_lemma22
 from .solver import align_grid, solve_oracle, solve_trajectory
 from .spectral import theorem34_certify
 from .system import load_problem, problem_to_dict
@@ -175,7 +175,7 @@ def build_parser() -> _Parser:
 
 def _run_ml(args, prob) -> int:
     sys_ = prob.system
-    ker = Kernels(sys_.alpha, sys_.kernel_matrix)
+    ker = _kernels(sys_)
     t = args.t
     doc = {
         "alpha": sys_.alpha,

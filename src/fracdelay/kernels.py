@@ -47,7 +47,7 @@ from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
 # ml_scalar_array is not called here: perfbench/test_harness.py reads it
 from .mlf import (_ContourTable, _ml_matrices, eig_factors, lgamma,
                   ml_scalar_array, rgamma)
-from .system import FractionalDelaySystem
+from .system import FractionalDelaySystem, order_index
 from .tables import induced_norm, induced_norms
 
 _HALVINGS = 10      # a single delta runs over the edges delta 2^-k, k <= 10
@@ -96,16 +96,19 @@ class Kernels:
         return _ml_matrices(self.alpha, beta, self.A0, self._fac,
                             t ** self.alpha, self._tables[beta])
 
-    def phi_j(self, j: int, t) -> np.ndarray:
-        """Initial-data kernel t^j E_{a,j+1}(A0 t^a); zero for t < 0."""
+    def _scaled(self, power: float, beta: float, t) -> np.ndarray:
+        """t^power E_{a,beta}(A0 t^a) for an array of t; zero for t < 0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((t.size, self.n, self.n))
         pos = t >= 0
-        if np.any(pos):
-            tp = t[pos]
-            vals = self.e_ml(j + 1, tp)
-            out[pos] = (tp ** j)[:, None, None] * vals
+        vals = self.e_ml(beta, t[pos])
+        vals *= (t[pos] ** power)[:, None, None]
+        out[pos] = vals
         return out
+
+    def phi_j(self, j: int, t) -> np.ndarray:
+        """Initial-data kernel t^j E_{a,j+1}(A0 t^a); zero for t < 0."""
+        return self._scaled(j, j + 1, t)
 
     def phi(self, t) -> np.ndarray:
         """Forcing kernel t^(a-1) E_{a,a}(A0 t^a); zero for t < 0."""
@@ -113,19 +116,11 @@ class Kernels:
         if self.alpha < 1 and np.any(t == 0):
             raise SingularAtZero(
                 f"phi(0) diverges like t^({self.alpha - 1}) for alpha < 1")
-        out = np.zeros((t.size, self.n, self.n))
-        pos = t >= 0
-        if np.any(pos):
-            tp = t[pos]
-            vals = self.e_ml(self.alpha, tp)
-            out[pos] = (tp ** (self.alpha - 1.0))[:, None, None] * vals
-        return out
+        return self._scaled(self.alpha - 1.0, self.alpha, t)
 
     def int_phi(self, T) -> np.ndarray:
         """Exact primitive integral_0^T phi(s) ds = T^a E_{a,a+1}(A0 T^a)."""
-        T = np.atleast_1d(np.asarray(T, dtype=float))
-        vals = self.e_ml(self.alpha + 1, T)
-        return (T ** self.alpha)[:, None, None] * vals
+        return self._scaled(self.alpha, self.alpha + 1, T)
 
     def int_s_phi(self, T, int_phi: np.ndarray | None = None) -> np.ndarray:
         """Exact primitive integral_0^T s phi(s) ds.
@@ -137,9 +132,8 @@ class Kernels:
         T = np.atleast_1d(np.asarray(T, dtype=float))
         if int_phi is None:
             int_phi = self.int_phi(T)
-        vals = self.e_ml(self.alpha + 2, T)
-        return (T[:, None, None] * int_phi
-                - (T ** (self.alpha + 1.0))[:, None, None] * vals)
+        second = self._scaled(self.alpha + 1.0, self.alpha + 2, T)
+        return T[:, None, None] * int_phi - second
 
     # -- norms of the smooth factor, vectorized -------------------------
 
@@ -600,7 +594,7 @@ def verify_lemma22(sys, t_grid,
         raise ValueError("t_grid must be finite and strictly positive")
     ker = _kernels(sys)
     alpha, A0 = ker.alpha, ker.A0
-    k = int(math.ceil(alpha - 1e-12))
+    k = order_index(alpha)
     report = BoundReport(alpha=alpha)
 
     # one E_{a,j+1} table per order serves ||E|| and ||phi_j|| = ||t^j E||

@@ -34,10 +34,11 @@ For a scalar argument three routes cover the plane, each chosen per point:
   within 2.4e-15 absolute of a 40-digit series (the series: 9.1e-16), so
   every sample of E_{a,a}(A0 s^a) for a real negative spectrum goes there.
   For b > a the contour loses digits toward z = 0 (6.7e-13 absolute at
-  a = 0.99, b = a + 1) and the series keeps those points.  The rule runs
-  contour by contour: each contour's node factors are computed once, and
-  its terms as (nodes x points) blocks of at most 2^14 elements, so the
-  memory the rule needs beyond its output is bounded by the block, not by
+  a = 0.99, b = a + 1) and the series keeps those points.  A contour's
+  key is its row of pole bins packed into one integer, 16 bits a pole.
+  The points are grouped by contour once; each contour's node factors are
+  computed once and its terms as (nodes x points) blocks of at most 2^14
+  elements, so memory beyond the output is bounded by the block, not by
   the number of points.  Contours are kept per kernel and per beta: a
   ``kernels.Kernels`` object holds one table per beta of the contours and
   node factors it has met, so the levels of its quadrature and its other
@@ -329,33 +330,42 @@ def _contours(alpha: float, beta: float, bins: np.ndarray):
 class _ContourTable:
     """The contours of one E_{alpha,beta} met so far, and their node factors.
 
-    A contour is keyed by its row of pole bins without the padding of rows
-    with fewer poles (a missing pole adds no admissible region, so the
-    padding changes nothing).  The table keeps its (mu, h, N) and, once a
-    point has used it, its node factors for real z (c, cd, d, dd) or for
-    complex z (c, d).  A value does not depend on what the table held.
+    A contour is keyed by its row of pole bins packed into one integer, 16
+    bits per pole from the nearest up and a missing pole as 0, so the
+    padding of rows with fewer poles changes neither key nor contour.  The
+    table keeps its (mu, h, N) and, once a point has used it, its node
+    factors for real z (c, cd, d, dd) or for complex z (c, d).  A value
+    does not depend on what the table held.
     """
 
     def __init__(self, alpha: float, beta: float):
         self.alpha, self.beta = alpha, beta
         self.mu, self.h = np.empty(0), np.empty(0)
         self.N = np.empty(0, dtype=int)
-        self._index = {}    # bins row -> contour number
+        self._index = {}    # packed bins -> contour number
         self._nodes = {}    # (contour number, real) -> node factors
 
     def contours(self, bins: np.ndarray) -> np.ndarray:
-        """The contour number of each (distinct) row of ``bins``; the rows
-        not met before go through ``_contours`` as one array."""
-        keys = [tuple(b for b in row if b != _NO_POLE) for row in bins.tolist()]
-        new = [i for i, key in enumerate(keys) if key not in self._index]
+        """The contour number of every point, from its row of ``bins``; the
+        rows of new contours go through ``_contours`` as one array."""
+        # |bin| < 2^14, so a pole's code bin + 2^15 is nonzero; past 4 poles
+        # the keys outgrow uint64 and are Python ints
+        dtype = np.uint64 if bins.shape[1] <= 4 else object
+        code = np.where(bins == _NO_POLE, 0, bins + 0x8000).astype(dtype)
+        key = code @ np.array([1 << 16 * c for c in range(bins.shape[1])],
+                              dtype=dtype)
+        keys, first, inverse = np.unique(key, return_index=True,
+                                         return_inverse=True)
+        keys = keys.tolist()
+        new = [u for u, k in enumerate(keys) if k not in self._index]
         if new:
-            mu, h, N = _contours(self.alpha, self.beta, bins[new])
-            self._index.update(zip((keys[i] for i in new),
+            mu, h, N = _contours(self.alpha, self.beta, bins[first[new]])
+            self._index.update(zip((keys[u] for u in new),
                                    range(self.mu.size, self.mu.size + len(new))))
             self.mu = np.concatenate((self.mu, mu))
             self.h = np.concatenate((self.h, h))
             self.N = np.concatenate((self.N, N))
-        return np.array([self._index[key] for key in keys], dtype=int)
+        return np.array([self._index[k] for k in keys])[inverse]
 
     def nodes(self, i: int, real: bool) -> tuple:
         """Node factors of contour ``i``, each of shape (nodes, 1): c and
@@ -380,52 +390,42 @@ class _ContourTable:
         return self._nodes[key]
 
 
-def _trapezoid(z: np.ndarray, contour: np.ndarray, table: _ContourTable,
+def _trapezoid(z: np.ndarray, table: _ContourTable, i: int,
                real: bool) -> np.ndarray:
-    """h/(2 pi i) sum_k e^s s^(a-b) s' / (s^a - z), nodes s = mu (1 + ihk)^2.
+    """h/(2 pi i) sum_k e^s s^(a-b) s' / (s^a - z), nodes s = mu (1 + ihk)^2,
+    |k| <= N, on contour ``i`` of ``table`` for every point of ``z``.
 
-    Point i runs over |k| <= N of its contour ``contour[i]`` (a contour
-    number of ``table``).  Contour by contour, the table's node factors are
-    taken and the terms computed as (nodes x points) blocks of at most
-    ``_BLOCK`` elements, whose rows are summed in ascending k: a value does
-    not depend on the batch, and memory beyond the output is bounded by the
-    block.  For real z the nodes k and -k are conjugate: only k >= 0 is
-    summed, and only the imaginary part, in real arithmetic.
+    The terms are computed as (nodes x points) blocks of at most ``_BLOCK``
+    elements, whose rows are summed in ascending k: a value does not depend
+    on the batch, and memory beyond the output is bounded by the block.
+    For real z the nodes k and -k are conjugate: only k >= 0 is summed, and
+    only the imaginary part, in real arithmetic.
     """
-    out = np.empty(z.size, dtype=complex)
-    order = np.argsort(contour, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(contour[order])) + 1):
-        i = contour[idx[0]]
+    if real:
+        # Im c / (d - x) = (Im c (Re d - x) - Re c Im d) / |d - x|^2
+        c, cd, d, dd = table.nodes(i, True)
+    else:
+        c, d = table.nodes(i, False)
+    out = np.empty(z.size, dtype=float if real else complex)
+    cols = _BLOCK // d.shape[0] - 1
+    for start in range(0, z.size, cols):
+        # a point at 0 pads the block to two columns or more: numpy sums the
+        # rows of a wider block in order, of a one-column one pairwise
+        zs = np.zeros(min(cols, z.size - start) + 1, dtype=out.dtype)
+        zs[:-1] = z[start:start + cols].real if real else z[start:start + cols]
+        e = d - zs
+        # in place: fewer temporaries of the block's size
         if real:
-            # Im c / (d - x) = (Im c (Re d - x) - Re c Im d) / |d - x|^2
-            c, cd, d, dd = table.nodes(i, True)
+            t = c * e
+            t -= cd
+            e *= e
+            e += dd
+            t /= e
         else:
-            c, d = table.nodes(i, False)
-        step = table.h[i] / (2.0 * np.pi)
-        for start in range(0, idx.size, _BLOCK - 1):
-            cols = idx[start:start + _BLOCK - 1]
-            # a point at 0 pads the block to two columns or more: numpy sums
-            # the rows of a wider block in order, of a one-column one pairwise
-            zs = np.zeros(cols.size + 1, dtype=float if real else complex)
-            zs[:-1] = z[cols].real if real else z[cols]
-            rows = _BLOCK // zs.size
-            acc = 0.0
-            for r in range(0, d.shape[0], rows):
-                k = slice(r, r + rows)
-                e = d[k] - zs
-                # in place: fewer temporaries of the block's size
-                if real:
-                    t = c[k] * e
-                    t -= cd[k]
-                    e *= e
-                    e += dd[k]
-                    t /= e
-                else:
-                    t = np.divide(c[k], e, out=e)
-                t[0] += acc
-                acc = np.add.reduce(t, axis=0)
-            out[cols] = (step * acc if real else -1j * step * acc)[:-1]
-    return out
+            t = np.divide(c, e, out=e)
+        out[start:start + cols] = np.add.reduce(t, axis=0)[:-1]
+    step = table.h[i] / (2.0 * np.pi)
+    return step * out if real else -1j * step * out
 
 
 def _contour_values(table: _ContourTable, z: np.ndarray) -> np.ndarray:
@@ -436,24 +436,15 @@ def _contour_values(table: _ContourTable, z: np.ndarray) -> np.ndarray:
     """
     alpha, beta = table.alpha, table.beta
     poles, phi, bins = _singularities(alpha, z)
-    if bins.shape[1] <= 4:
-        # a row of bins as one integer: 16 bits per pole, |bin| < 2^14
-        code = np.where(bins == _NO_POLE, 0xFFFF, bins + 0x8000)
-        key = np.zeros(z.size, dtype=np.uint64)
-        for col in code.T:
-            key = (key << np.uint64(16)) | col.astype(np.uint64)
-        _, first, contour = np.unique(key, return_index=True,
-                                      return_inverse=True)
-    else:
-        _, first, contour = np.unique(bins, axis=0, return_index=True,
-                                      return_inverse=True)
-    contour = table.contours(bins[first])[contour.ravel()]
-    out = np.empty(z.size, dtype=complex)
+    contour = table.contours(bins)
     real = z.imag == 0
-    for part in (True, False):
-        sel = np.flatnonzero(real == part)
-        if sel.size:
-            out[sel] = _trapezoid(z[sel], contour[sel], table, part)
+    out = np.empty(z.size, dtype=complex)
+    # one group per contour and kind of point, points in their order
+    group = 2 * contour + real
+    order = np.argsort(group, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        out[idx] = _trapezoid(z[idx], table, int(contour[idx[0]]),
+                              bool(real[idx[0]]))
     # residues of the poles right of the contour
     mu = table.mu[contour]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -647,22 +638,30 @@ def _ml_matrices(alpha: float, beta: float, A: np.ndarray, fac,
 
     ``fac`` is ``eig_factors(A)``: with factors, one scalar call over every
     eigenvalue times every s (its contours from ``table`` when given), and
-    Re sum_k f_k O_k in real arithmetic; else the matrix series per s.
+    Re sum_k f_k O_k in real arithmetic; else the matrix series per s.  An
+    eigenvalue term (recombined, inf - inf or inf times 0) or a series value
+    beyond double range raises OverflowBeyondRepresentableRange.
     """
     lam, factors = fac
     n = A.shape[0]
-    if factors is not None:
-        f = ml_scalar_array(alpha, beta, np.multiply.outer(lam, scale),
-                            _table=table)
-        F = factors.reshape(lam.size, n * n)
-        out = f.real.T @ F.real
-        if np.iscomplexobj(F):
-            out -= f.imag.T @ F.imag
-        return out.reshape(scale.size, n, n)
-    out = np.empty((scale.size, n, n))
-    for idx, s in enumerate(scale):
-        out[idx] = np.real(_ml_matrix_series(alpha, beta, A * s))
-    return out
+    if factors is None:
+        vals = np.array([np.real(_ml_matrix_series(alpha, beta, A * s))
+                         for s in scale]).reshape(scale.size, n * n)
+    else:
+        vals = ml_scalar_array(alpha, beta, np.multiply.outer(lam, scale),
+                               _table=table).T
+    lost = ~np.isfinite(vals).all(axis=1)
+    if lost.any():
+        raise OverflowBeyondRepresentableRange(
+            f"E_{{{alpha},{beta}}}(A s) exceeds double range at "
+            f"s = {float(scale[lost][0]):.6g}")
+    if factors is None:
+        return vals.reshape(scale.size, n, n)
+    F = factors.reshape(lam.size, n * n)
+    out = vals.real @ F.real
+    if np.iscomplexobj(F):
+        out -= vals.imag @ F.imag
+    return out.reshape(scale.size, n, n)
 
 
 def ml_matrix(alpha: float, beta: float, A: np.ndarray, t: float) -> np.ndarray:

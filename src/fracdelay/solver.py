@@ -51,9 +51,9 @@ import numpy as np
 
 from .errors import (DelaysNotZero, DimensionMismatch, GridTooLarge,
                      NodeCorrectionDiverged)
-from .kernels import Kernels
+from .kernels import _kernels
 from .mlf import rgamma
-from .system import ValidatedProblem
+from .system import ValidatedProblem, lag_tables
 
 # nodes solved one by one between two FFT far-history updates
 _LEAF = 64
@@ -141,9 +141,9 @@ class _Sampling:
     """The problem's data at the grid nodes; delays must land on nodes.
 
     Lag 0 gives the kernel matrix ``A0_eff`` (the system's
-    ``kernel_matrix``) and the time-varying coupling ``C(t)`` (with the
-    lag-0 feedback gain); every positive lag its coefficient
-    A_i + Atilde_i(t) + B(t) K_i in ``delayed``; ``Bu`` is the input term
+    ``kernel_matrix``) and the time-varying coupling ``C(t)``, every
+    positive lag its coefficient in ``delayed``, each the sum of the lag's
+    ``system.lag_tables`` at the nodes; ``Bu`` is the input term
     B(t) u(t).  A subclass adds what ``_march`` reads: the initial term
     ``f``, the weight ``Wl`` of node 0 and the kernel ``K``.
     """
@@ -162,25 +162,18 @@ class _Sampling:
                 raise DimensionMismatch(
                     f"delay {d} is not aligned with step {self.dt}")
 
-        B_s = sys.B(self.times) if sys.B is not None else None
         ctl = prob.control
         self.A0_eff = sys.kernel_matrix
         self.C = np.zeros((self.L + 1, self.n, self.n))
         self.delayed = []
-        for i, lag in enumerate(self.lags):
-            A_tilde = sys.A_tilde[i](self.times)
-            BK = (np.einsum("qik,kj->qij", B_s, ctl.gains[i])
-                  if ctl.kind == "feedback" else None)
-            if lag == 0:
-                self.C += A_tilde
-                if BK is not None:
-                    self.C += BK
-            else:
-                coeff = sys.A[i] + A_tilde
-                if BK is not None:
-                    coeff += BK
+        for (_, tables), lag in zip(lag_tables(prob), self.lags):
+            coeff = self.C if lag == 0 else np.zeros(self.C.shape)
+            for table in tables:    # in place: no array per table is kept
+                coeff += table(self.times)
+            if lag:
                 self.delayed.append((lag, coeff))
-        self.Bu = (np.einsum("qij,qj->qi", B_s, ctl.u(self.times))
+        self.Bu = (np.einsum("qij,qj->qi", sys.B(self.times),
+                             ctl.u(self.times))
                    if ctl.kind == "open_loop"
                    else np.zeros((self.L + 1, self.n)))
         self.offset = max(self.lags)
@@ -268,7 +261,7 @@ class _Discretization(_Sampling):
         sys = prob.system
 
         # initial-data term f_m = sum_j phi_j(t_m) x_j0
-        ker = Kernels(sys.alpha, self.A0_eff)
+        ker = _kernels(sys)
         x0 = prob.ics.x0
         self.f = np.zeros((self.L + 1, self.n))
         for j in range(sys.k):

@@ -234,8 +234,7 @@ class Theorem34Result:
                 "strict_norm_test": self.strict_norm_test}
 
 
-def theorem34_certify(sys: FractionalDelaySystem,
-                      T: np.ndarray | None = None) -> Theorem34Result:
+def theorem34_certify(sys: FractionalDelaySystem) -> Theorem34Result:
     """Delay-independent stability test from the eigenstructure of A0.
 
     A0 is the kernel matrix (the sum of the A_i with r_i = 0) and the
@@ -247,7 +246,7 @@ def theorem34_certify(sys: FractionalDelaySystem,
     equality (to 1e-12) global stability.  The eigenvalue argument condition
     is evaluated and reported alongside; it is not the gate.
     """
-    dec = decompose(sys.kernel_matrix, T=T)
+    dec = decompose(sys.kernel_matrix)
     m = frac_power_measure(dec, sys.alpha)
     lam = dec.eigenvalues
     arg_ok = bool(np.all(np.abs(np.angle(lam))

@@ -7,7 +7,8 @@ with input matrix B(t) and either an open-loop input or delayed state
 feedback u(t) = sum_i K_i x(t - r_i).
 
 ``validate_system`` checks every structural invariant once; downstream code
-treats a :class:`ValidatedProblem` as immutable and consistent.
+treats a :class:`ValidatedProblem` as immutable and consistent.  The
+certificates and the march read the lag terms through ``lag_tables`` alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import (DelayOrderViolation, DimensionMismatch, EndpointMismatch,
                      NonPositiveOrder)
 from .tables import (TimeFunctionTable, as_table, induced_norm, induced_norms,
-                     sup_norm_bound)
+                     sup_norm_bound, table_linear_combination)
 
 ENDPOINT_ATOL = 1e-12
 _HISTORY_POINTS = 2001      # sample points of sup_history_sum on [-h, 0]
@@ -152,6 +153,10 @@ def check_feedback(sys: FractionalDelaySystem, control: ControlInput) -> None:
         if K.shape != shape:
             raise DimensionMismatch(f"gain K[{i}] has shape {K.shape}, "
                                     f"expected {shape}")
+        # a NaN bound would pass the test below: NaN > x is False
+        if not (np.all(np.isfinite(K)) and math.isfinite(bound)):
+            raise DimensionMismatch(
+                f"gain K[{i}] or its declared bound {bound} is not finite")
         if induced_norm(K) > bound * (1 + 1e-12) + 1e-15:
             raise DimensionMismatch(
                 f"gain K[{i}] violates its declared bound {bound}")
@@ -248,6 +253,26 @@ def validate_system(alpha, delays, A, A_tilde=None, B=None, phi=(), x0=None,
                                     f"expected ({m},)")
 
     return ValidatedProblem(system=sys, ics=ics, control=control)
+
+
+def lag_tables(prob: ValidatedProblem, control: ControlInput | None = None):
+    """(r_i, tables) per lag under ``control`` (default the problem's): the
+    tables of x(t - r_i) past the kernel matrix, Atilde_i when r_i = 0 and
+    A_i + Atilde_i otherwise, then B K_i under feedback."""
+    sys = prob.system
+    ctl = prob.control if control is None else control
+    if ctl.kind == "feedback":
+        check_feedback(sys, ctl)
+    out = []
+    for i, r_i in enumerate(sys.delays):
+        tables = ((sys.A_tilde[i],) if r_i == 0.0 else
+                  (table_linear_combination(sys.A[i], sys.A_tilde[i]),))
+        if ctl.kind == "feedback":
+            bk = np.einsum("qik,kj->qij", sys.B.values, ctl.gains[i])
+            tables += (TimeFunctionTable(sys.B.sample_times, bk,
+                                         sys.B.interpolation),)
+        out.append((r_i, tables))
+    return out
 
 
 def ahat_sup_norm(prob: ValidatedProblem, i: int) -> float:

@@ -85,6 +85,8 @@ class TimeFunctionTable:
         vals = np.asarray(self.values, dtype=float)
         if times.size == 0:
             raise EmptyTable("table has no samples")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(vals))):
+            raise ValueError("table sample times and values must be finite")
         if np.any(np.diff(times) <= 0):
             raise DimensionMismatch("sample times must be strictly increasing")
         if vals.shape[0] != times.size:
@@ -101,7 +103,7 @@ class TimeFunctionTable:
             if declared < 0:
                 raise ValueError("declared_sup_norm must be nonnegative")
             worst = float(np.max(induced_norms(vals)))
-            # a NaN sample bounds nothing: the test fails on it
+            # a NaN declared bound bounds nothing: the test fails on it
             if not worst <= declared * (1 + 1e-12) + 1e-15:
                 raise ValueError(
                     f"declared_sup_norm {declared} smaller than sampled norm {worst}")

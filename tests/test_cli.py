@@ -192,6 +192,38 @@ class TestCommands:
             "error": "phi is not integrable: A0 has a zero eigenvalue or "
                      "one with |arg| <= alpha pi / 2"}
 
+    def test_high_order_block_in_report(self, tmp_path):
+        # alpha 2.2: phi_0 = phi_1 = 0 and |a1| = 0.1 below the threshold 1
+        zero = {"times": [-1.0], "values": [[0.0]], "interp": "const"}
+        path = tmp_path / "high_order.json"
+        path.write_text(json.dumps({
+            "alpha": 2.2, "delays": [0.0, 1.0], "A": [[[-1.0]], [[0.1]]],
+            "phi": [zero, zero,
+                    {"times": [-1.0], "values": [[1.0]], "interp": "const"}],
+        }))
+        code, out = run_cli("certify", "--problem", str(path),
+                            "--delta-grid", "0.5,2,3")
+        doc = json.loads(out)
+        assert code == 2 and doc["verdict"] == "Inconclusive"
+        assert doc["high_order"] == {
+            "verdict": "BoundedIndependentOfDelays", "zeroing_holds": True,
+            "spectral_passes": True, "composite_norm": 0.1, "threshold": 1}
+
+    def test_nan_table_sample_is_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "alpha": 0.8, "delays": [0.0, 1.0], "A": [[[-1.0]], [[0.1]]],
+            "A_tilde": [{"times": [0.0, 1.0, 2.0],
+                         "values": [[[0.1]], [[float("nan")]], [[0.1]]]},
+                        None],
+            "phi": [{"times": [-1.0], "values": [[1.0]], "interp": "const"}],
+        }))
+        assert "NaN" in path.read_text()
+        assert run_cli("certify", "--problem", str(path)) == (1, "")
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "table sample times and values must be finite"}
+
     def test_invalid_problem_is_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -266,6 +298,9 @@ class TestDeterminism:
          "--step", "0.01", "--horizon", "2"),
         ("spectral", "--problem", f"{FIXTURES}/spectral_t34.json"),
         ("ml", "--problem", f"{FIXTURES}/frac_nodelay.json", "--t", "0.7"),
+        # time-varying tables and feedback at both lags
+        ("certify", "--problem", f"{FIXTURES}/tv_feedback.json"),
+        ("simulate", "--problem", f"{FIXTURES}/tv_feedback.json", "--oracle"),
     ])
     def test_repeat_runs_byte_identical(self, argv):
         _, first = run_cli(*argv)

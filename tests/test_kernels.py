@@ -16,8 +16,9 @@ from fracdelay import (certify, fit_decay_envelope, phi_alpha, phi_alpha_j,
                        phi_alpha_l1, phi_alpha_l2sq, verify_lemma22)
 from fracdelay import kernels, mlf
 from fracdelay.certificates import DEFAULT_DELTA_GRID
-from fracdelay.errors import (NotAStabilityMatrix, QuadratureNotConverged,
-                              SingularAtZero)
+from fracdelay.errors import (NotAStabilityMatrix,
+                              OverflowBeyondRepresentableRange,
+                              QuadratureNotConverged, SingularAtZero)
 from fracdelay.kernels import (Kernels, norm_series_exp, norm_series_ml,
                                weighted_singular_integral)
 
@@ -52,6 +53,32 @@ class TestPhi:
     def test_singular_at_zero_for_low_order(self):
         with pytest.raises(SingularAtZero):
             phi_alpha((0.5, A1), 0.0)
+
+    @pytest.mark.parametrize("alpha, A0", [
+        (0.7, [[-1.2]]), (1.3, [[-1.0, 0.4], [0.2, -2.0]])])
+    def test_kernels_are_powers_times_e_ml(self, alpha, A0):
+        # the four kernels and t^p E_{a,beta}(A0 t^a), bit for bit; zero
+        # before t = 0
+        ker = Kernels(alpha, np.array(A0))
+        t = np.concatenate(([-1.0, 0.0], np.geomspace(0.05, 30.0, 40)))
+        pos = t >= 0
+
+        def ref(power, beta, s):
+            return (s ** power)[:, None, None] * ker.e_ml(beta, s)
+
+        def check(got, want):
+            assert not got[~pos].any()
+            assert got[pos].tolist() == want.tolist()
+
+        for j in range(math.ceil(alpha)):
+            check(ker.phi_j(j, t), ref(j, j + 1, t[pos]))
+        # phi(0) diverges for alpha < 1
+        assert (ker.phi(t[2:]).tolist()
+                == ref(alpha - 1.0, alpha, t[2:]).tolist())
+        int_phi = ref(alpha, alpha + 1, t[pos])
+        check(ker.int_phi(t), int_phi)
+        check(ker.int_s_phi(t), t[pos][:, None, None] * int_phi
+              - ref(alpha + 1.0, alpha + 2, t[pos]))
 
 
 class TestIntegrals:
@@ -583,6 +610,25 @@ class TestLemmaVerifier:
                 rep = verify_lemma22((alpha, A0), grid)
                 assert rep.all_passed, (alpha, [c.name for c in rep.checks
                                                 if not c.passed])
+
+    def test_non_stability_matrix_gets_no_envelope(self):
+        rep = verify_lemma22((0.8, np.array([[0.5]])), [1.0, 2.0, 4.0])
+        names = [c.name for c in rep.checks]
+        assert names == ["sub_unit_order_E_beta1", "sub_unit_order_phi",
+                         "order_phi_km1_vs_phi"]
+        assert rep.all_passed
+
+    @pytest.mark.parametrize("A0, t, s", [
+        ([[1.0, 0.3], [0.0, 2.0]], [1.0, 100.0, 400.0], 400),
+        ([[1.0]], [1.0, 100.0, 800.0], 800)])
+    def test_kernel_overflow_names_its_cause(self, A0, t, s):
+        # e^(lam s) beyond double range: the 2x2 kernel used to turn NaN
+        # and stall the norm series, the scalar one to fail with NaN margins
+        with np.errstate(over="ignore"), pytest.raises(
+                OverflowBeyondRepresentableRange,
+                match=rf"E_\{{1.0,1\}}\(A s\) exceeds double range at "
+                      rf"s = {s}$"):
+            verify_lemma22((1.0, np.array(A0)), t)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
     def test_each_table_evaluated_once(self, monkeypatch, alpha):

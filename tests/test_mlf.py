@@ -204,29 +204,29 @@ def probe_points(alpha):
     return np.array(zs, dtype=complex)
 
 
-def per_node_trapezoid(z, contour, table, real):
-    """``mlf._trapezoid`` node by node: at each k, every point whose contour
-    reaches k adds its term; the table gives only the contours, no node
-    factor."""
-    alpha, beta, mu, h, N = table.alpha, table.beta, table.mu, table.h, table.N
+def per_node_trapezoid(z, table, i, real):
+    """``mlf._trapezoid`` node by node: at each k, every point adds its
+    term; the table gives only the contour's (mu, h, N), no node factor.
+    The nodes are arrays over the points, as numpy's scalar complex exp and
+    log may round differently from its array loops."""
+    alpha, beta, N = table.alpha, table.beta, table.N[i]
+    mu, h = np.full(z.size, table.mu[i]), np.full(z.size, table.h[i])
     zs = z.real if real else z
     acc = np.zeros(z.size, dtype=zs.dtype)
-    for k in range(0 if real else -N.max(), N.max() + 1):
-        on = abs(k) <= N[contour]
-        i = contour[on]
-        w = 1.0 + 1j * (k * h[i])
-        s = mu[i] * w * w
+    for k in range(0 if real else -N, N + 1):
+        w = 1.0 + 1j * (k * h)
+        s = mu * w * w
         ls = np.log(s)
-        c = np.exp(s + (alpha - beta) * ls) * (2j * mu[i] * w)
+        c = np.exp(s + (alpha - beta) * ls) * (2j * mu * w)
         d = np.exp(alpha * ls)
         if not real:
-            acc[on] += c / (d - zs[on])
+            acc += c / (d - zs)
             continue
         if k:
             c = 2.0 * c
-        e = d.real - zs[on]
-        acc[on] += (c.imag * e - c.real * d.imag) / (e * e + d.imag * d.imag)
-    step = h[contour] / (2.0 * np.pi)
+        e = d.real - zs
+        acc += (c.imag * e - c.real * d.imag) / (e * e + d.imag * d.imag)
+    step = h / (2.0 * np.pi)
     return step * acc if real else -1j * step * acc
 
 
@@ -243,8 +243,8 @@ class TestContour:
 
     @pytest.mark.parametrize("alpha", [4.5, 5.5])
     def test_more_than_four_poles_at_the_floor(self, alpha):
-        # five or six poles per point: contours are grouped by whole rows
-        # of bins (np.unique over axis 0), not by a packed integer key
+        # five or six poles per point: the packed keys of the rows of bins
+        # outgrow uint64 and are Python ints
         zs = np.array([sign * r for sign in (-1.0, 1.0)
                        for r in (1.5, 4.0, 20.0)]
                       + [r * np.exp(1j * th * np.pi) for th in (0.8, 0.5, 0.2)
@@ -315,6 +315,35 @@ class TestContour:
             assert half.tolist() == full[:150].tolist()
             assert full.tolist() == fresh.real.tolist(), beta
             assert full.tolist() == ref.real.tolist(), beta
+
+    @pytest.mark.parametrize("padded_first", [True, False])
+    def test_padding_keeps_the_contour(self, monkeypatch, padded_first):
+        # at alpha 4.5, E(-x) has 4 poles and E(+x) 5, so a kernel with the
+        # eigenvalues -1 and 1 pads the rows of -x to 5 poles: with or
+        # without the padding, the points of -x share their contours
+        built = []
+        contours = mlf._contours
+
+        def counted(a, b, bins):
+            built.append(bins.shape[0])
+            return contours(a, b, bins)
+
+        monkeypatch.setattr(mlf, "_contours", counted)
+        t = np.geomspace(1.2, 2.0, 20)
+        zs = -(t ** 4.5) + 0j
+        assert mlf._singularities(4.5, zs)[2].shape[1] == 4
+        ker = Kernels(4.5, np.diag([-1.0, 1.0]))
+        if padded_first:
+            padded = ker.e_ml(1.0, t)
+        table = ker._tables.setdefault(1.0, mlf._ContourTable(4.5, 1.0))
+        alone = ml_scalar_array(4.5, 1.0, zs, _table=table)
+        if not padded_first:
+            padded = ker.e_ml(1.0, t)
+        assert sum(built) == table.mu.size
+        assert len(built) == 2 - padded_first
+        fresh = ml_scalar_array(4.5, 1.0, zs)
+        assert alone.tolist() == fresh.tolist()
+        assert padded[:, 0, 0].tolist() == fresh.real.tolist()
 
     def test_kernels_share_no_table(self):
         A0 = np.array([[-1.0, 0.5], [0.0, -2.0]])

@@ -5,7 +5,7 @@ import pytest
 
 from scipy.special import rgamma
 
-from conftest import const_phi, random_stable_matrix, scalar_problem
+from conftest import FIXTURES, const_phi, random_stable_matrix, scalar_problem
 from fracdelay import (ControlInput, Kernels, SimulationGrid,
                        TimeFunctionTable, Trajectory, align_grid, ml_scalar,
                        picard_map, solve_delay_free, solve_oracle,
@@ -13,6 +13,7 @@ from fracdelay import (ControlInput, Kernels, SimulationGrid,
 from fracdelay import solver
 from fracdelay.errors import (DelaysNotZero, DimensionMismatch, GridTooLarge,
                               NodeCorrectionDiverged)
+from fracdelay.system import lag_tables, load_problem
 
 
 class TestGrid:
@@ -168,6 +169,19 @@ def _reference_march(prob, grid):
         states[m] = np.linalg.solve(np.eye(n) - Wr[1] @ disc.C[m], rhs)
         G[m] = disc.C[m] @ states[m] + d_m
     return states
+
+
+def test_sampling_sums_the_lag_tables():
+    # linear Atilde_i, a linear B and feedback at both lags: C and the
+    # delayed coefficient are the lag tables of the certificates at the nodes
+    prob = load_problem(f"{FIXTURES}/tv_feedback.json")
+    grid = align_grid(0.01, 10.0, prob.system.delays)
+    smp = solver._Sampling(prob, grid)
+    sums = [sum(table(grid.times) for table in tables)
+            for _, tables in lag_tables(prob)]
+    assert smp.C.tolist() == sums[0].tolist()
+    assert [lag for lag, _ in smp.delayed] == [70]
+    assert smp.delayed[0][1].tolist() == sums[1].tolist()
 
 
 def _reference_oracle(prob, grid):

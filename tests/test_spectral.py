@@ -236,6 +236,16 @@ class TestTheorem34:
         assert res.verdict == "Inconclusive"
         assert res.frac_power_measure > 0
 
+    def test_composite_above_threshold_inconclusive(self):
+        # max Re lambda^(1/a) < 0, but ||A_1|| = 1.5 exceeds |mu_2|^(1/a) = 1
+        sys = self.make_sys(0.8, np.diag([-1.0]), np.array([[1.5]]))
+        res = theorem34_certify(sys)
+        assert res.frac_power_measure < 0
+        assert res.composite_norm == pytest.approx(1.5, abs=1e-12)
+        assert res.threshold == pytest.approx(1.0, abs=1e-12)
+        assert not res.strict_norm_test
+        assert res.verdict == "Inconclusive"
+
     def test_boundary_equality_verdict(self):
         sys = self.make_sys(1.0, np.diag([-2.0, -3.0]), 2.0 * np.eye(2))
         res = theorem34_certify(sys)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import const_phi, scalar_problem
 from fracdelay import problem_from_dict, problem_to_dict, validate_system
-from fracdelay.system import ahat_sup_norm, atilde_sup_norm
+from fracdelay.system import ahat_sup_norm, atilde_sup_norm, check_feedback
 from fracdelay.errors import (DelayOrderViolation, DimensionMismatch,
                               EndpointMismatch, NonPositiveOrder)
 
@@ -86,6 +86,30 @@ def test_feedback_control_validation():
     assert prob.control.kind == "feedback"
     with pytest.raises(DimensionMismatch):
         scalar_problem(1.0, -1.0, 0.3, control=fb)  # no B matrix
+
+
+def test_nan_table_sample_is_refused():
+    # it used to validate, and certify returned Inconclusive on it
+    doc = {"alpha": 0.8, "delays": [0.0, 1.0], "A": [[[-1.0]], [[0.1]]],
+           "A_tilde": [{"times": [0.0, 1.0, 2.0],
+                        "values": [[[0.1]], [[float("nan")]], [[0.1]]]},
+                       None],
+           "phi": [{"times": [-1.0], "values": [[1.0]], "interp": "const"}]}
+    with pytest.raises(ValueError, match="values must be finite"):
+        problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("gain, bound", [
+    (np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)])
+def test_non_finite_feedback_is_refused(gain, bound):
+    from fracdelay import ControlInput
+    prob = scalar_problem(1.0, -1.0, 0.3, b=1.0)
+    fb = ControlInput.feedback([np.array([[gain]]), np.array([[0.1]])],
+                               [bound, 0.1])
+    with pytest.raises(DimensionMismatch, match="not finite"):
+        check_feedback(prob.system, fb)
+    with pytest.raises(DimensionMismatch, match="not finite"):
+        scalar_problem(1.0, -1.0, 0.3, b=1.0, control=fb)
 
 
 def test_declared_sup_norm_bounds_the_varying_part():

@@ -256,5 +256,15 @@ def test_two_norm_of_scalars_and_vectors_is_unchanged():
 def test_declared_sup_norm_refuses_a_nan_sample(n):
     vals = np.ones((2, n, n))
     vals[1, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="smaller than sampled norm nan"):
+    with pytest.raises(ValueError, match="values must be finite"):
         table([0.0, 1.0], vals, "const", sup=10.0)
+
+
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0, 2.0], [[[0.1]], [[np.nan]], [[0.1]]]),
+    ([0.0, np.inf], [[[0.1]], [[0.2]]]),
+    ([np.nan], [[[0.1]]]),
+], ids=["nan_value", "infinite_time", "nan_time"])
+def test_non_finite_samples_are_refused(times, values):
+    with pytest.raises(ValueError, match="values must be finite"):
+        table(times, values)
