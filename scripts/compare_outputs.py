@@ -19,7 +19,11 @@ Per output it prints "identical" or the largest relative difference
 |a - b| / max(|a|, |b|) over its numbers (inf where text, structure or a
 non-finite value differs) and the largest |a - b| over the largest |a| of
 the output (its sup, the measure for a trajectory), and exits 1 on any
-difference.
+difference.  Every document in an output that carries a ``verdict`` (a
+``certify`` report, the CLI's ``report.json`` and its ``bounds`` and
+``high_order`` blocks, ``spectral.json``) is also compared on its own:
+"verdict moved A -> B" and "witness moved A -> B" (its ``witness_delta``)
+name each move, and the last line counts them.
 """
 
 import contextlib
@@ -148,6 +152,36 @@ def relative_difference(a, b) -> tuple:
     return worst, largest / sup if largest else 0.0
 
 
+def _verdicts(obj, path=()):
+    """(path, verdict, witness_delta) of every dict in an output that has a
+    "verdict" key."""
+    if isinstance(obj, dict):
+        if "verdict" in obj:
+            yield path, obj["verdict"], obj.get("witness_delta")
+        for key, value in obj.items():
+            yield from _verdicts(value, path + (key,))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _verdicts(value, path + (i,))
+
+
+def verdict_moves(a, b) -> list:
+    """("verdict" | "witness", where, old, new) per verdict or witness
+    delta that differs between two outputs (None where a side has none)."""
+    old = {path: (v, w) for path, v, w in _verdicts(a)}
+    new = {path: (v, w) for path, v, w in _verdicts(b)}
+    moves = []
+    for path in sorted(set(old) | set(new), key=lambda p: list(map(str, p))):
+        where = "/".join(map(str, path)) or "output"
+        (va, wa), (vb, wb) = (old.get(path, (None, None)),
+                              new.get(path, (None, None)))
+        if va != vb:
+            moves.append(("verdict", where, va, vb))
+        if wa != wb:
+            moves.append(("witness", where, wa, wb))
+    return moves
+
+
 def main(argv) -> int:
     if len(argv) >= 1 and argv[0] == "--collect":
         collect(argv[1], argv[2])
@@ -168,6 +202,7 @@ def main(argv) -> int:
                 results.append(pickle.load(fh))
     parent, child = results
     differ = 0
+    moved = {"verdict": 0, "witness": 0}
     for name in sorted(set(parent) | set(child)):
         if name not in parent or name not in child:
             print(f"{name}: only in {'SRC' if name in child else 'PARENT_SRC'}")
@@ -178,7 +213,12 @@ def main(argv) -> int:
                              else f"largest relative difference {diff:.3g}, "
                                   f"{of_sup:.3g} of the sup"))
         differ += diff != 0
+        for kind, where, old, new in verdict_moves(parent[name], child[name]):
+            print(f"{name}: {where}: {kind} moved {old} -> {new}")
+            moved[kind] += 1
     print(f"{differ} of {len(set(parent) | set(child))} outputs differ")
+    print(f"{moved['verdict']} verdicts moved, {moved['witness']} witnesses "
+          f"moved")
     return 1 if differ else 0
 
 

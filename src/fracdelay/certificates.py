@@ -16,20 +16,20 @@ uniform (window-contraction) family is
 
 with D(delta) = L1(delta) * sum_{r_i = 0} a_i, L1(delta) = integral_0^delta
 ||phi||.  It is usable only while D(delta) < 1 ("feasible"); g <= 1
-certifies bounded solutions, g < 1 that zero attracts globally.  The
-windowed-L2 family, for alpha > 1/2, replaces the bounds by Cauchy-Schwarz
-(integral ||phi|| f <= ||phi||_L2 ||f||_L2) and windows every table of lag i
-over [max(t, r_i), t + delta] for a window start t: the term at tau
-multiplies the table at tau by the trajectory difference e(tau - r_i),
-which is zero for tau < r_i.  A value at one window start bounds every
-start only for constant coefficients.
+certifies bounded solutions, g < 1 that zero attracts globally.
+``certify`` reads this family alone, over a sorted delta grid as one array
+expression from one kernel integration and one stacked norm of the phi_j
+sum; the report's constant is the grid minimum.  The family reads no
+delay, so its verdict is the same for every delay size.
 
-A certificate claims its verdict only; what each value bounds is open
-(README "Interpreting certificates", ROADMAP.md item 1).  The uniform
-family reads no delay, so its verdict is the same for every delay size.
-Each family is one array expression over the sorted delta grid, fed by one
-kernel integration, one stacked norm of the phi_j and one windowed-L2 pass
-per table and window start; the report's constant is the grid minimum.
+The windowed-L2 values (``cert_g_hat_*``, ``gain_bound_l2``; alpha > 1/2)
+replace the bounds by Cauchy-Schwarz and window every table of lag i over
+[max(t, r_i), t + delta] for a window start t: the term at tau multiplies
+the table at tau by e(tau - r_i), zero for tau < r_i.  They come one delta
+at a time and no verdict reads them: a value at one start bounds every
+start only for constant coefficients.  A certificate claims its verdict
+only; what each value bounds is open (README "Interpreting certificates",
+ROADMAP.md item 1).
 
 The delay-free bounds read the same terms, all at lag 0: with
 K0_bar = sup_t max_j ||phi_j(t)||, K1_bar = L1(inf), and
@@ -53,13 +53,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
-                     OrderTooLow, PremiseViolated, WindowOutOfRange)
+                     OrderTooLow, PremiseViolated)
 # phi_alpha_l1 is not called here: perfbench/test_harness.py reads it
 from .kernels import _HALVINGS, Kernels, _kernels, phi_alpha_l1
 from .spectral import theorem34_certify
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm, lag_tables)
-from .tables import induced_norms, l2_window_norms, sup_norm_bound
+from .tables import induced_norms, l2_window_norm, sup_norm_bound
 
 _TIE_TOL = 1e-12
 # eigenvalue arguments within this many radians of alpha pi / 2 count as
@@ -93,94 +93,80 @@ def _lag_terms(prob: ValidatedProblem, feedback: ControlInput | None):
     return terms
 
 
+def _checked(deltas) -> np.ndarray:
+    """``deltas`` as a float array; raises unless each is finite and positive."""
+    deltas = np.asarray(deltas, dtype=float)
+    bad = deltas[~(np.isfinite(deltas) & (deltas > 0))]
+    if bad.size:
+        raise ValueError(f"delta must be finite and positive, got "
+                         f"{float(bad[0])}")
+    return deltas
+
+
 class _CertInputs:
-    """The inputs of both certificate families over one delta grid: the
-    lag terms, the kernel integrals ``||phi||^p`` for ``p in powers`` (1 for
-    the uniform family, 2 for the windowed-L2 one) from one cumulative
-    integration, and the phi_j norms from one stacked norm.  A kernel matrix
-    eigenvalue inside |arg lambda| < alpha pi / 2 (``sector_margin`` below
-    0) makes the kernels grow: then nothing is integrated and both families
-    are infeasible at +inf on the whole grid.
-    """
+    """The uniform family's numerator and D (module docstring) per delta of
+    a grid.  A kernel matrix eigenvalue inside |arg lambda| < alpha pi / 2
+    (``sector_margin`` below 0) makes the kernels grow: then nothing is
+    integrated, and both are +inf, infeasible on the whole grid."""
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
-                 deltas, powers):
+                 deltas):
         sys = prob.system
         terms = _lag_terms(prob, feedback)
-        grid = np.sort(np.asarray(deltas, dtype=float))
-        bad = grid[~(np.isfinite(grid) & (grid > 0))]
-        if bad.size:
-            raise ValueError(f"delta must be finite and positive, got "
-                             f"{float(bad[0])}")
+        grid = _checked(np.sort(np.asarray(deltas, dtype=float)))
         # sorted without repeats, as np.unique gives it, but np.unique
         # imports numpy.ma
         self.grid = grid[np.append(True, grid[1:] != grid[:-1])]
         ker = _kernels(sys)
-        self.growing = ker.sector_margin() < -_SECTOR_TOL
-        if self.growing:
+        if ker.sector_margin() < -_SECTOR_TOL:
+            self.l1 = None
+            self.numer = self.D = np.full(self.grid.size, math.inf)
             return
-        self.instant = [term for term in terms if term[0] == 0.0]
-        self.delayed = [term for term in terms if term[0] > 0.0]
-        integrals = dict(zip(powers, ker.norm_integrals(
-            np.concatenate(([0.0], self.grid)), powers)))
-        self.l1 = integrals.get(1)
-        self.l2k = np.sqrt(integrals[2]) if 2 in integrals else None
+        self.l1 = ker.norm_integrals(np.concatenate(([0.0], self.grid)),
+                                     (1,))[0]
         phis = np.array([ker.phi_j(j, self.grid) for j in range(sys.k)])
-        self.phi_sum_norm = induced_norms(phis.sum(axis=0))
-        self.phi_norm_sum = induced_norms(phis).sum(axis=0)
-
-    def _infeasible(self):
-        return (np.full(self.grid.size, math.inf),
-                np.zeros(self.grid.size, dtype=bool))
-
-    def g(self):
-        """Uniform-family values and feasibility per delta."""
-        if self.growing:
-            return self._infeasible()
-        a_instant = sum(bound for _, bound, _ in self.instant)
-        a_delayed = sum(bound for _, bound, _ in self.delayed)
-        return _contraction(self.phi_sum_norm + self.l1 * a_delayed,
-                            self.l1 * a_instant)
-
-    def _windows(self, terms, t: float):
-        """L2 norms of each table of ``terms`` over [max(t, r_i), t + delta]
-        per delta (NaN where a window leaves the table's domain); widths
-        are measured from delta, since (t + delta) - lo rounds to 0 for a
-        large t."""
-        for r_i, _, tables in terms:
-            lo = max(t, r_i)
-            for table in tables:
-                yield l2_window_norms(table, lo, self.grid - (lo - t))
-
-    def g_hat(self, t: float):
-        """Windowed-L2 values (NaN where a window leaves a table's domain)
-        and feasibility per delta at window start t."""
-        if not math.isfinite(t):
-            raise ValueError(f"window start t must be finite, got {t}")
-        if self.growing:
-            return self._infeasible()
-        d_factor = sum(self._windows(self.instant, t))
-        numer = self.phi_norm_sum
-        for window in self._windows(self.delayed, t):
-            numer = numer + self.l2k * window
-        value, feasible = _contraction(numer, self.l2k * d_factor)
-        return np.where(np.isnan(numer + d_factor), np.nan, value), feasible
+        a_instant = sum(bound for r_i, bound, _ in terms if r_i == 0.0)
+        a_delayed = sum(bound for r_i, bound, _ in terms if r_i > 0.0)
+        self.numer = induced_norms(phis.sum(axis=0)) + self.l1 * a_delayed
+        self.D = self.l1 * a_instant
 
 
-def _contraction(numer: np.ndarray, D: np.ndarray):
+def _contraction(numer, D):
     """(numer / (1 - D), D < 1); inf where the denominator is not positive."""
     feasible = D < 1.0
     return (np.where(feasible, numer / np.where(feasible, 1.0 - D, 1.0),
                      math.inf), feasible)
 
 
-def _one_delta(values, what: str):
-    """(value, feasible) of a one-delta grid, raising where a window left a
-    table's domain (NaN)."""
-    value, feasible = float(values[0][0]), bool(values[1][0])
-    if math.isnan(value):
-        raise WindowOutOfRange(f"a window of {what} leaves a table's domain")
-    return value, feasible
+def _g_hat(prob: ValidatedProblem, feedback: ControlInput | None, t: float,
+           delta: float):
+    """The windowed-L2 numerator and D (module docstring; +inf for growing
+    kernels) at window start t and one delta, and ||phi||_L2(0, delta).
+    Window widths are measured from delta, since (t + delta) - max(t, r_i)
+    rounds to 0 for a large t; an empty window gives 0, one that leaves
+    its table raises WindowOutOfRange."""
+    terms = _lag_terms(prob, feedback)
+    _checked([delta])
+    if not math.isfinite(t):
+        raise ValueError(f"window start t must be finite, got {t}")
+    sys = prob.system
+    ker = _kernels(sys)
+    if ker.sector_margin() < -_SECTOR_TOL:
+        return math.inf, math.inf, None
+    l2k = float(np.sqrt(ker.norm_integrals([0.0, delta], (2,))[0, 0]))
+    phis = np.array([ker.phi_j(j, [delta]) for j in range(sys.k)])
+
+    def windows(lags):
+        for r_i, _, tables in lags:
+            lo = max(t, r_i)
+            for table in tables:
+                yield l2_window_norm(table, lo, delta - (lo - t))
+
+    numer = float(induced_norms(phis).sum(axis=0)[0])
+    for window in windows(term for term in terms if term[0] > 0.0):
+        numer = numer + l2k * window
+    return (numer, l2k * sum(windows(term for term in terms
+                                     if term[0] == 0.0)), l2k)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +177,9 @@ def cert_g_f(prob: ValidatedProblem, feedback: ControlInput | None,
              delta: float):
     """Window-contraction certificate (value, feasible); gains enter through
     their declared bounds, an infeasible denominator is reported."""
-    return _one_delta(_CertInputs(prob, feedback, [delta], (1,)).g(),
-                      f"g({delta})")
+    inputs = _CertInputs(prob, feedback, [delta])
+    value, feasible = _contraction(inputs.numer, inputs.D)
+    return float(value[0]), bool(feasible[0])
 
 
 def cert_g_h(prob: ValidatedProblem, delta: float):
@@ -202,14 +189,16 @@ def cert_g_h(prob: ValidatedProblem, delta: float):
 
 def cert_g_hat_f(prob: ValidatedProblem, feedback: ControlInput | None,
                  t: float, delta: float):
-    """Windowed-L2 certificate at window start t; requires alpha > 1/2.
-    Gain terms enter as L2 windows of B K_i."""
-    inputs = _CertInputs(prob, feedback, [delta], (2,))
-    return _one_delta(inputs.g_hat(t), f"g_hat({t}, {delta})")
+    """Windowed-L2 value (value, feasible) at window start t; requires
+    alpha > 1/2.  Gain terms enter as L2 windows of B K_i.  No verdict
+    reads it (module docstring)."""
+    numer, D, _ = _g_hat(prob, feedback, t, delta)
+    value, feasible = _contraction(numer, D)
+    return float(value), bool(feasible)
 
 
 def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float):
-    """Uncontrolled windowed-L2 certificate: no B K_i windows."""
+    """Uncontrolled windowed-L2 value: no B K_i windows."""
     return cert_g_hat_f(prob, ControlInput.none(), t, delta)
 
 
@@ -219,32 +208,39 @@ def cert_g_hat_h(prob: ValidatedProblem, t: float, delta: float):
 
 def _gain_bound(prob: ValidatedProblem, delta: float, epsilon: float,
                 t: float | None) -> float:
-    """Largest gain bound keeping g_h(delta) (t None) or g_hat_h(t, delta)
-    below 1 - epsilon; a zero input norm makes the bound vacuous (+inf)."""
+    """Largest bound K* = epsilon (1 - D) / (||B|| sum_i s_i) on every gain
+    norm: with g_h(delta) (t None) or g_hat_h(t, delta) at most
+    1 - epsilon, numer + K* ||B|| sum_i s_i < 1 - D keeps the controlled
+    value below 1.  s_i is what a unit gain adds at lag i: L1(delta) in the
+    uniform family, ||phi||_L2(0, delta) sqrt(w_i) in the windowed-L2 one,
+    w_i > 0 the width of lag i's window.  No input gives +inf."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    uniform = t is None
-    inputs = _CertInputs(prob, ControlInput.none(), [delta],
-                         (1,) if uniform else (2,))
-    what = f"g_h({delta})" if uniform else f"g_hat_h({t}, {delta})"
-    value, feasible = _one_delta(inputs.g() if uniform else inputs.g_hat(t),
-                                 what)
+    free = ControlInput.none()
+    if t is None:
+        inputs = _CertInputs(prob, free, [delta])
+        numer, D, what = inputs.numer[0], inputs.D[0], f"g_h({delta})"
+    else:
+        numer, D, l2k = _g_hat(prob, free, t, delta)
+        what = f"g_hat_h({t}, {delta})"
+    value, feasible = _contraction(numer, D)
     if not feasible or value >= 1.0 - epsilon:
-        raise PremiseViolated(f"{what} = {value:.6g} is not below "
+        raise PremiseViolated(f"{what} = {float(value):.6g} is not below "
                               f"1 - epsilon = {1 - epsilon:.6g}")
-    bn = b_sup_norm(prob)
-    if bn == 0.0:
-        return math.inf
-    # the uniform value carries every lag's gain through L1; the windowed
-    # one bounds the summed gain norms
-    scale = (len(prob.system.delays) * inputs.l1[0] if uniform
-             else inputs.l2k[0])
-    return epsilon / (scale * bn)
+    delays = prob.system.delays
+    if t is None:
+        unit = len(delays) * inputs.l1[0]
+    else:
+        widths = [delta - (max(t, r_i) - t) for r_i in delays]
+        unit = l2k * sum(math.sqrt(w) for w in widths if w > 0)
+    # no input, or no window that a gain acts in
+    scale = unit * b_sup_norm(prob)
+    return math.inf if scale == 0.0 else float(epsilon * (1.0 - D) / scale)
 
 
 def gain_bound_uniform(prob: ValidatedProblem, delta: float,
                        epsilon: float) -> float:
-    """Largest uniform gain bound preserving the margin epsilon."""
+    """Largest uniform gain bound that the margin epsilon absorbs."""
     return _gain_bound(prob, delta, epsilon, None)
 
 
@@ -289,41 +285,24 @@ class CertificateReport:
 
 
 def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
-            delta_grid=None, t_grid=None) -> CertificateReport:
-    """Evaluate the applicable certificate family over a delta grid.
+            delta_grid=None) -> CertificateReport:
+    """Evaluate the uniform family over a delta grid.
 
-    Per delta the reported value is the best (smallest) among the feasible
-    variants: the uniform-bound certificate always, and the sup over
-    ``t_grid`` of the windowed-L2 one when alpha > 1/2 and all windows are
-    covered by the problem's tables.  Some feasible value < 1 (within a
-    1e-12 tie tolerance) certifies global asymptotic stability of the zero
-    solution; a feasible value at 1 bounded solutions, with the sup bound
-    recorded in the report (None under an open-loop input: the window map
-    of the forced system is not derived).  Growing kernels (``_CertInputs``)
-    give Inconclusive, every entry infeasible at +inf, and no quadrature.
+    Some feasible value < 1 (within a 1e-12 tie tolerance) certifies global
+    asymptotic stability of the zero solution; a feasible value at 1
+    bounded solutions, with the sup bound recorded in the report (None
+    under an open-loop input: the window map of the forced system is not
+    derived).  Growing kernels (``_CertInputs``) give Inconclusive, every
+    entry infeasible at +inf, and no quadrature.  The windowed-L2 values
+    take no part (module docstring).
     """
     if delta_grid is None:
         delta_grid = DEFAULT_DELTA_GRID
     delta_grid = [float(d) for d in delta_grid]
     if len(delta_grid) == 0:
         raise EmptyGrid("certify needs at least one delta")
-    sys = prob.system
-    t_grid = [sys.h] if t_grid is None else [float(t) for t in t_grid]
-    if not all(map(math.isfinite, t_grid)):
-        raise ValueError(f"t_grid must be finite, got {t_grid}")
-    with_hat = sys.alpha > 0.5
-    inputs = _CertInputs(prob, feedback, delta_grid,
-                         (1, 2) if with_hat else (1,))
-    value, feasible = inputs.g()
-    hats = [inputs.g_hat(t) for t in t_grid] if with_hat else []
-    if hats:
-        hat_value = np.max([v for v, _ in hats], axis=0)
-        hat_feasible = np.all([f for _, f in hats], axis=0)
-        # a delta with a window outside a table's domain keeps its uniform value
-        better = (~np.isnan(hat_value) & hat_feasible
-                  & (~feasible | (hat_value < value)))
-        value = np.where(better, hat_value, value)
-        feasible = feasible | better
+    inputs = _CertInputs(prob, feedback, delta_grid)
+    value, feasible = _contraction(inputs.numer, inputs.D)
     entries = [GridEntry(delta=d, value=float(value[i]),
                          feasible=bool(feasible[i])) for d, i in
                zip(delta_grid, np.searchsorted(inputs.grid, delta_grid))]

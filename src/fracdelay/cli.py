@@ -155,8 +155,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--delta-grid", default=None, metavar="MIN,MAX,COUNT",
                     help="log-spaced certificate window grid "
                          "(default 0.01,100,25)")
-    sp.add_argument("--t-grid", default=None,
-                    help="comma list of window start times for the L2 family")
 
     sp = sub.add_parser("spectral", help="delay-independent stability test")
     _add_common(sp)
@@ -218,9 +216,7 @@ def _run_simulate(args, prob) -> int:
 def _run_certify(args, prob) -> int:
     delta_grid = (DEFAULT_DELTA_GRID if args.delta_grid is None
                   else _parse_grid_spec(args.delta_grid))
-    t_grid = (None if args.t_grid is None
-              else [float(x) for x in args.t_grid.split(",")])
-    report = certify(prob, None, delta_grid, t_grid)
+    report = certify(prob, None, delta_grid)
     doc = report.as_dict()
     doc["bounds"] = None
     doc["high_order"] = None

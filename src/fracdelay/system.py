@@ -301,10 +301,10 @@ def b_sup_norm(prob: ValidatedProblem) -> float:
 
 def _table_from_json(obj) -> TimeFunctionTable:
     if isinstance(obj, dict):
-        interp = {"linear": "linear", "const": "const"}[obj.get("interp", "linear")]
-        vals = np.asarray(obj["values"], dtype=float)
-        return TimeFunctionTable(np.asarray(obj["times"], dtype=float), vals,
-                                 interp, obj.get("sup_norm"))
+        return TimeFunctionTable(np.asarray(obj["times"], dtype=float),
+                                 np.asarray(obj["values"], dtype=float),
+                                 obj.get("interp", "linear"),
+                                 obj.get("sup_norm"))
     return as_table(np.asarray(obj, dtype=float))
 
 

@@ -174,38 +174,33 @@ def sup_norm_bound(tbl: TimeFunctionTable, p=2) -> float:
     return float(np.max(induced_norms(tbl.values, p)))
 
 
-def l2_window_norms(tbl: TimeFunctionTable, t: float, deltas) -> np.ndarray:
-    """Windowed L2 norms ( integral_0^delta ||M(t+tau)||^2 dtau )^(1/2).
+def l2_window_norm(tbl: TimeFunctionTable, t: float, delta: float) -> float:
+    """Windowed L2 norm ( integral_0^delta ||M(t+tau)||^2 dtau )^(1/2).
 
-    A window is split at the sample times inside it, and each panel
+    The window is split at the sample times inside it, and each panel
     integrated exactly for const tables.  Along a linear panel ||M||^2 is
     convex, which the trapezoid bounds from above, and a quadratic for one
     row or column, which Simpson integrates exactly (for a matrix it may
     not bound it: 1/2 against 7/12 for diag(1 - tau, tau) on [0, 1]).  One
-    table evaluation and one stacked norm serve every panel; windows
-    share the panels between sample times through prefix sums.  A window
-    that leaves the table's domain gives NaN, as does a NaN delta, and an
-    empty one (delta <= 0) 0.
+    table evaluation and one stacked norm serve every panel, and the panels
+    are summed in order.  An empty window (delta <= 0) gives 0; a window
+    that leaves the table's domain, or a NaN delta, raises
+    WindowOutOfRange.
     """
-    a = float(t)
-    deltas = np.asarray(deltas, dtype=float)
-    out = np.where(deltas <= 0, 0.0, np.nan)
-    live = ((deltas > 0) & (a >= tbl.t_start - 1e-12)
-            & (a + deltas <= tbl.t_end + 1e-12))
-    if not live.any():
-        return out
-    ends = a + deltas[live]
+    a, delta = float(t), float(delta)
+    if delta <= 0:
+        return 0.0
+    if not (a >= tbl.t_start - 1e-12 and a + delta <= tbl.t_end + 1e-12):
+        raise WindowOutOfRange(
+            f"window [{a}, {a + delta}] not covered by table domain "
+            f"[{tbl.t_start}, {tbl.t_end}]")
     times = tbl.sample_times
-    cuts = times[(times > a) & (times < ends.max())]
-    inside = np.searchsorted(cuts, ends)        # sample times inside each window
-    knots = np.concatenate(([a], cuts))
-    lo = np.concatenate((knots[:-1], knots[inside]))
-    hi = np.concatenate((cuts, ends))
+    cuts = times[(times > a) & (times < a + delta)]
+    lo = np.concatenate(([a], cuts))
+    hi = np.append(cuts, a + delta)
     # widths in coordinates relative to t: a rounded t + delta may lose
     # most of delta, or all of it, when t is large
-    offsets = np.concatenate(([0.0], cuts - a))
-    width = (np.concatenate((offsets[1:], deltas[live]))
-             - np.concatenate((offsets[:-1], offsets[inside])))
+    width = np.diff(np.concatenate(([0.0], cuts - a, [delta])))
     # squared by C pow, which rounds as Python's float ** 2; x * x may not
     if tbl.interpolation == "const":
         pieces = np.float_power(induced_norms(tbl(lo)), 2) * width
@@ -217,22 +212,7 @@ def l2_window_norms(tbl: TimeFunctionTable, t: float, deltas) -> np.ndarray:
         f = np.float_power(induced_norms(tbl(np.concatenate(
             (lo, 0.5 * (lo + hi), hi)))), 2).reshape(3, -1)
         pieces = width * (f[0] + 4.0 * f[1] + f[2]) / 6.0
-    prefix = np.concatenate(([0.0], np.cumsum(pieces[:cuts.size])))
-    out[live] = np.sqrt(prefix[inside] + pieces[cuts.size:])
-    return out
-
-
-def l2_window_norm(tbl: TimeFunctionTable, t: float, delta: float) -> float:
-    """``l2_window_norms`` at one delta > 0; raises WindowOutOfRange where
-    the window leaves the table's domain."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    value = float(l2_window_norms(tbl, t, [delta])[0])
-    if np.isnan(value):
-        raise WindowOutOfRange(
-            f"window [{float(t)}, {float(t) + float(delta)}] not covered by "
-            f"table domain [{tbl.t_start}, {tbl.t_end}]")
-    return value
+    return float(np.sqrt(np.cumsum(pieces)[-1]))
 
 
 def table_linear_combination(base: np.ndarray | None,

@@ -129,7 +129,7 @@ class TestCommands:
         assert err["message"].startswith(f"argument error: --delta-grid "
                                          f"{spec!r}")
 
-    @pytest.mark.parametrize("command", ["certify", "verify-bounds"])
+    @pytest.mark.parametrize("command", ["verify-bounds"])
     @pytest.mark.parametrize("grid", ["0.5,nan", "0.5,inf", "-inf,0.5"])
     def test_non_finite_t_grid_is_error(self, capsys, command, grid):
         with warnings.catch_warnings():
@@ -143,16 +143,41 @@ class TestCommands:
         assert err[end:] == "\n"
         assert doc["error"] == "ValueError" and "t_grid" in doc["message"]
 
-    def test_negative_certify_window_start_is_legal(self):
+    def test_negative_t_grid_needs_no_equals_sign(self, capsys):
+        # both spellings reach verify_lemma22's check, not argparse's
+        argv = ("verify-bounds", "--problem",
+                f"{FIXTURES}/frac_delay_a07.json")
+        results = []
+        for grid in (["--t-grid=-0.5,0.5"], ["--t-grid", "-0.5,0.5"]):
+            results.append((run_cli(*argv, *grid),
+                            json.loads(capsys.readouterr().err)))
+        assert results[0] == results[1] == (
+            (1, ""), {"error": "ValueError",
+                      "message": "t_grid must be finite and strictly "
+                                 "positive"})
+
+    def test_malformed_problem_is_error(self, capsys, tmp_path):
+        path = tmp_path / "three_matrices.json"
+        path.write_text(json.dumps({
+            "alpha": 0.8, "delays": [0.0, 1.0],
+            "A": [[[-1.0]], [[0.1]], [[0.1]]],
+            "phi": [{"times": [-1.0], "values": [[1.0]], "interp": "const"}],
+        }))
+        code, out = run_cli("certify", "--problem", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DimensionMismatch",
+            "message": "3 constant matrices for 2 delays"}
+
+    def test_certify_takes_no_window_starts(self, capsys):
         code, out = run_cli("certify", "--problem",
                             f"{FIXTURES}/frac_delay_a07.json",
-                            "--t-grid=-0.5,0.5")
-        assert code in (0, 2) and "verdict" in json.loads(out)
-
-    def test_negative_t_grid_needs_no_equals_sign(self):
-        argv = ("certify", "--problem", f"{FIXTURES}/frac_delay_a07.json")
-        joined = run_cli(*argv, "--t-grid=-0.5,0.5")
-        assert run_cli(*argv, "--t-grid", "-0.5,0.5") == joined
+                            "--t-grid", "1,2")
+        assert code == 1 and out == ""
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FracDelayError"
+        assert "argument error" in err["message"]
+        assert "--t-grid" in err["message"]
 
     def test_negative_verify_bounds_t_grid_is_error(self, capsys):
         code, out = run_cli("verify-bounds", "--problem",
@@ -326,7 +351,7 @@ class TestFlags:
         "simulate": ("--problem", f"{FIXTURES}/frac_delay_a07.json",
                      "--step", "0.05", "--horizon", "1", "--oracle"),
         "certify": ("--problem", f"{FIXTURES}/scalar_contractive.json",
-                    "--delta-grid", "0.5,2,3", "--t-grid", "1,2"),
+                    "--delta-grid", "0.5,2,3"),
         "spectral": ("--problem", f"{FIXTURES}/spectral_t34.json"),
         "verify-bounds": ("--problem", f"{FIXTURES}/exp_decay.json",
                           "--t-grid", "0.5,1"),

@@ -98,6 +98,14 @@ class TestDecompose:
         dec = decompose(J, T=np.eye(2))
         np.testing.assert_allclose(dec.J_off, [[0.0, 1.0], [0.0, 0.0]])
 
+    def test_ill_conditioned_transform_fails_reconstruction(self):
+        # T is invertible but nearly singular: inv(T) (J_d + J_off) T
+        # misses A0 by far more than the relative tolerance
+        with pytest.raises(DefectiveMatrixNoTransform,
+                           match=r"reconstruction residual \S+ too large"):
+            decompose(np.array([[-1.0, 0.3], [0.2, -2.0]]),
+                      T=np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]]))
+
     @settings(max_examples=25, deadline=None)
     @given(square)
     def test_reconstruction_residual(self, M):

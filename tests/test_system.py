@@ -128,3 +128,73 @@ def test_declared_sup_norm_bounds_the_varying_part():
     doc["A_tilde"][1].pop("sup_norm")
     # sampled: max over the samples of |-0.3 + Atilde_1(t)|
     assert ahat_sup_norm(problem_from_dict(doc), 1) == 0.4
+
+
+def _valid_doc():
+    return {"alpha": 0.8, "delays": [0.0, 1.0], "A": [[[-1.0]], [[0.1]]],
+            "phi": [{"times": [-1.0], "values": [[1.0]], "interp": "const"}]}
+
+
+def _const(values, times=(0.0,), **extra):
+    return {"times": list(times), "values": values, "interp": "const", **extra}
+
+
+# (malformed fields, error, message) per refusal of validate_system and
+# TimeFunctionTable
+MALFORMED = {
+    "non_finite_A": ({"A": [[[float("nan")]], [[0.1]]]}, DimensionMismatch,
+                     r"A\[0\] contains non-finite entries"),
+    "non_finite_delay": ({"delays": [0.0, float("nan")]},
+                         DelayOrderViolation, "delays must be finite"),
+    "matrix_count": ({"A": [[[-1.0]], [[0.1]], [[0.1]]]}, DimensionMismatch,
+                     "3 constant matrices for 2 delays"),
+    "A_tilde_count": ({"A_tilde": [None]}, DimensionMismatch,
+                      "1 time-varying matrices for 2 delays"),
+    "A_tilde_shape": ({"A_tilde": [_const([np.eye(2).tolist()]), None]},
+                      DimensionMismatch, r"A_tilde\[0\] values are"),
+    "B_shape": ({"B": [[1.0], [2.0]]}, DimensionMismatch, "B values are"),
+    "phi_shape": ({"phi": [_const([[1.0, 2.0]], (-1.0,))]},
+                  DimensionMismatch, r"phi\[0\] values are"),
+    "phi_short": ({"phi": [{"times": [-0.5, 0.0], "values": [[1.0], [1.0]]}]},
+                  DimensionMismatch, r"must cover \[-h, 0\]"),
+    "x0_count": ({"x0": [[1.0], [1.0]]}, EndpointMismatch,
+                 "2 endpoint vectors for k=1"),
+    "x0_shape": ({"x0": [[1.0, 1.0]]}, DimensionMismatch,
+                 r"x0\[0\] has shape"),
+    "open_loop_without_B": ({"control": {"type": "open_loop", "u": [1.0]}},
+                            DimensionMismatch,
+                            "open-loop control requires an input matrix B"),
+    "input_width": ({"B": [[1.0]],
+                     "control": {"type": "open_loop", "u": [1.0, 2.0]}},
+                    DimensionMismatch, r"u values are \(2,\)"),
+    "times_not_increasing": ({"A_tilde": [_const([[[0.1]], [[0.2]]],
+                                                 (1.0, 0.0)), None]},
+                             DimensionMismatch, "strictly increasing"),
+    "value_count": ({"A_tilde": [_const([[[0.1]]], (0.0, 1.0)), None]},
+                    DimensionMismatch, "1 values for 2 sample times"),
+    "interpolation": ({"A_tilde": [dict(_const([[[0.1]]]), interp="cubic"),
+                                   None]},
+                      ValueError, "unknown interpolation 'cubic'"),
+    "negative_sup_norm": ({"A_tilde": [_const([[[0.1]]], sup_norm=-1.0),
+                                       None]},
+                          ValueError, "declared_sup_norm must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_problem_is_refused(case):
+    fields, error, match = MALFORMED[case]
+    with pytest.raises(error, match=match):
+        problem_from_dict(dict(_valid_doc(), **fields))
+
+
+@pytest.mark.parametrize("A_tilde, match", [
+    ([[1.0], [2.0]], "expected 1 rows, got 2"),
+    ([[1.0, 2.0]], "expected 1 cols, got 2"),
+])
+def test_constant_perturbation_of_the_wrong_shape_is_refused(A_tilde, match):
+    # a matrix, not a table: only validate_system's as_table sees its shape
+    with pytest.raises(DimensionMismatch, match=match):
+        validate_system(0.8, [0.0, 1.0], [np.eye(1) * -1, np.eye(1) * 0.1],
+                        [np.array(A_tilde), None],
+                        phi=[const_phi([1.0], 1.0)])

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from fracdelay import TimeFunctionTable, l2_window_norm, sup_norm_bound
 from fracdelay.errors import EmptyTable, WindowOutOfRange
-from fracdelay.tables import (as_table, induced_norm, induced_norms,
-                              l2_window_norms)
+from fracdelay.tables import as_table, induced_norm, induced_norms
 
 
 def table(times, values, interp="linear", sup=None):
@@ -98,7 +97,7 @@ def test_l2_window_far_start_keeps_its_width(t):
     # t + delta rounds to t or to a neighbour of t: widths come from delta
     deltas = [1e-2, 0.3, 1.0]
     tbl = table([0.0], [3.0 * np.eye(2)], "const")
-    np.testing.assert_allclose(l2_window_norms(tbl, t, deltas),
+    np.testing.assert_allclose([l2_window_norm(tbl, t, d) for d in deltas],
                                3.0 * np.sqrt(deltas), rtol=1e-15)
     # a sample time inside the window splits it at its offset d from t;
     # t + delta is not a float, and the last panel still has width delta - d
@@ -203,12 +202,18 @@ def test_l2_window_matches_the_panel_rule_bit_for_bit(which):
 def test_l2_windows_of_one_start_match_the_panel_rule(which):
     tbl = matrix_and_vector_tables()[which]
     deltas = [1.75, 0.125, 2.75, 0.5, 1.75, 1.0]     # unsorted, repeated
-    got = l2_window_norms(tbl, 0.25, deltas + [3.0, 0.0, -1.0, np.nan])
-    assert got[:6].tolist() == [panel_reference(tbl, 0.25, d) for d in deltas]
-    # past the end of a linear table NaN, empty windows 0, a NaN width NaN
-    assert np.isnan(got[6]) == (tbl.interpolation == "linear")
-    assert got[7:9].tolist() == [0.0, 0.0]
-    assert np.isnan(got[9])
+    got = [l2_window_norm(tbl, 0.25, d) for d in deltas + [0.0, -1.0]]
+    assert got[:6] == [panel_reference(tbl, 0.25, d) for d in deltas]
+    # empty windows 0; past the end of a linear table, and at a NaN width,
+    # WindowOutOfRange
+    assert got[6:] == [0.0, 0.0]
+    if tbl.interpolation == "linear":
+        with pytest.raises(WindowOutOfRange):
+            l2_window_norm(tbl, 0.25, 3.0)
+    else:
+        assert l2_window_norm(tbl, 0.25, 3.0) > 0.0
+    with pytest.raises(WindowOutOfRange):
+        l2_window_norm(tbl, 0.25, np.nan)
 
 
 def two_norm_stacks(rng, n):
