@@ -21,7 +21,9 @@ is integrated over the halving edges delta 2^-k, k = 10..0.  The one other
 route: for a scalar kernel with alpha <= 1 the smooth factor never changes
 sign (E_{a,a}(-x) is completely monotone: H. Pollard, Bull. AMS 54, 1948;
 W. R. Schneider, Expo. Math. 14, 1996), so L1 is the exact primitive
-s^a E_{a,a+1}(A0 s^a) at every edge.
+s^a E_{a,a+1}(A0 s^a) at every edge.  For 1 < alpha < 2 it does change
+sign, and the scalar L1 quadrature takes the zeros of phi as extra edges,
+so that no segment holds a kink of |phi|.
 
 The bound verifier checks the norm inequalities relating these kernels to
 exponential majorants.  The right-hand sides use the series-of-norms
@@ -55,6 +57,7 @@ _QUAD_TOL = 1e-9    # the one accuracy of every kernel norm integral
 _N0 = 32            # the quadrature's cells per segment at its first level
 _MAX_DOUBLINGS = 11  # its further levels
 _NOISE_FLOOR = 3e-8  # its weight-evaluation noise (see the quadrature)
+_ZERO_STEPS = 6     # regula-falsi steps per zero of a scalar phi, 1 < a < 2
 _CHECK_SLACK = 1e-9  # bound checks pass at rhs - lhs >= -slack max(1, |rhs|)
 _ELL = np.arange(601.0)  # the l = 0..600 of sup_factor and sup_gamma_ratio
 _ENVELOPE_MARGIN = 0.1  # fit_decay_envelope's lam: 0.9 of the abscissa
@@ -140,6 +143,26 @@ class Kernels:
     def _e_norms(self, beta: float, s: np.ndarray) -> np.ndarray:
         return induced_norms(self.e_ml(beta, s))
 
+    def _zeros(self, edges: np.ndarray, grading: float) -> np.ndarray:
+        """Zeros of a scalar E_{a,a}(A0 s^a) inside (e_0, e_K): each sign
+        change on the quadrature's first-level mesh of ``edges``, refined by
+        ``_ZERO_STEPS`` Illinois regula-falsi steps, all brackets at once."""
+        mesh = _segment_mesh(edges[:-1], edges[1:], _N0, grading)
+        s = np.concatenate((mesh[0], mesh[1:, 1:].ravel()))
+        f = self.e_ml(self.alpha, s)[:, 0, 0]
+        # a value of exactly 0 counts as positive: a zero at a node is
+        # bracketed once, and the steps land on that node
+        i = np.flatnonzero((f[:-1] < 0) != (f[1:] < 0))
+        a, b, fa, fb = s[i], s[i + 1], f[i], f[i + 1]
+        for _ in range(_ZERO_STEPS if i.size else 0):
+            c = (a * fb - b * fa) / (fb - fa)
+            fc = self.e_ml(self.alpha, c)[:, 0, 0]
+            # keep the bracket; halve a kept end's value (Illinois)
+            flip = (fc < 0) != (fb < 0)
+            a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+            b, fb = c, fc
+        return b
+
     def norm_integrals(self, edges, powers) -> np.ndarray:
         """integral_(e_0)^(e_k) ||phi(s)||_2^p ds for each p in ``powers``.
 
@@ -158,14 +181,21 @@ class Kernels:
         Every other power and kernel takes one segmented
         cumulative product integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p,
         which serves every edge and every power from the same norm samples,
-        on a first segment graded for the most singular power.  An edge
-        that is not finite raises ``ValueError`` before any evaluation.
+        on a first segment graded for the most singular power.  For a
+        scalar kernel with 1 < alpha < 2, L1 integrates |phi|, which kinks
+        at each zero of E_{a,a}(A0 s^a); those zeros (``_zeros``) join the
+        edges, and the result is read back at the caller's edges.  A pair
+        of zeros within one cell of the scan's mesh is missed, and its
+        segment keeps its kinks.  An edge that is not finite raises
+        ``ValueError`` before any evaluation.
 
         The accuracy is fixed at ``_QUAD_TOL`` = 1e-9 of the mixed absolute/
         relative scale, but a stagnating segment is accepted at 50 x
-        ``_NOISE_FLOOR`` = 3e-8 of its share, and matrix kernels rely on
-        this: their integrals, and the certificate values built on them,
-        can carry about 1e-6 relative error.
+        ``_NOISE_FLOOR`` = 3e-8 of its share.  Matrix kernels rely on this
+        at the kinks of the spectral norm: their integrals, and the
+        certificate values built on them, can carry about 1e-6 relative
+        error.  Scalar kernels do not: with the zeros of phi as edges,
+        every segment without a missed pair converges to ``_QUAD_TOL``.
         """
         alpha = self.alpha
         powers = list(powers)
@@ -196,8 +226,16 @@ class Kernels:
                 norms[~pos] = rgamma(alpha)
                 return np.array([norms ** p for p in quad_powers])
 
+            cuts = edges
+            if self.n == 1 and 1 < alpha < 2 and 1 in quad_powers:
+                # |phi| kinks at each zero of phi: make the zeros edges too
+                cuts = np.sort(np.concatenate((edges,
+                                               self._zeros(edges, grading))))
+                cuts = cuts[np.append(True, np.diff(cuts) > 0)]
+            cols = np.searchsorted(cuts, edges[1:]) - 1
             out[quad] = weighted_singular_integral(
-                [p * (alpha - 1.0) for p in quad_powers], w, edges, grading)
+                [p * (alpha - 1.0) for p in quad_powers], w, cuts,
+                grading)[:, cols]
         if exact and 1 in powers:
             lam = self.A0[0, 0]
             # d/dt E_{a,1}(lam t^a) = lam phi(t): from e_0 > 0 the increments

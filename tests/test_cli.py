@@ -14,7 +14,10 @@ import pytest
 
 import fracdelay
 from conftest import FIXTURES
+from test_kernels import exact_l1
+from fracdelay.certificates import DEFAULT_DELTA_GRID
 from fracdelay.cli import _RUNNERS, build_parser, dump_json, main
+from fracdelay.kernels import Kernels
 from fracdelay.system import load_problem
 
 
@@ -233,6 +236,33 @@ class TestCommands:
         assert doc["high_order"] == {
             "verdict": "BoundedIndependentOfDelays", "zeroing_holds": True,
             "spectral_passes": True, "composite_norm": 0.1, "threshold": 1}
+
+    def test_kernel_near_order_two_gets_a_report(self, tmp_path):
+        # alpha 1.95: |phi| kinks at each zero of a slowly decaying
+        # oscillation, and a quadrature segment holding kinks stalls (here
+        # on [31.6, 46.4]).  The verdict is not asserted: a uniform verdict
+        # at alpha > 1 may be unsound (ROADMAP item 1).
+        alpha, a0, a1 = 1.95, -0.5975, 0.1
+        path = tmp_path / "near_order_two.json"
+        path.write_text(json.dumps({
+            "alpha": alpha, "delays": [0.0, 0.5], "A": [[[a0]], [[a1]]],
+            "phi": [{"times": [-0.5], "values": [[1.0]], "interp": "const"},
+                    {"times": [-0.5], "values": [[0.0]], "interp": "const"}],
+        }))
+        code, out = run_cli("certify", "--problem", str(path))
+        assert code in (0, 2)
+        grid = json.loads(out)["grid"]
+        deltas = np.array(DEFAULT_DELTA_GRID)
+        # the report prints 15 significant digits
+        np.testing.assert_allclose([entry["delta"] for entry in grid], deltas,
+                                   rtol=1e-14)
+        # g = |phi_0 + phi_1|(delta) + a1 L1(delta), with no lag-0 load
+        ker = Kernels(alpha, np.array([[a0]]))
+        phi_sum = np.abs(ker.phi_j(0, deltas) + ker.phi_j(1, deltas))[:, 0, 0]
+        l1 = (np.array([entry["value"] for entry in grid]) - phi_sum) / a1
+        ref, zeros = exact_l1(alpha, a0, tuple(DEFAULT_DELTA_GRID))
+        assert zeros.size > 10
+        np.testing.assert_allclose(l1, ref, rtol=1e-9)
 
     def test_nan_table_sample_is_error(self, tmp_path, capsys):
         path = tmp_path / "nan.json"

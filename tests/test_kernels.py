@@ -303,7 +303,9 @@ class TestSegmentedQuadrature:
         assert got.tolist() == ref.tolist()
 
     def test_segments_converge_at_different_levels(self, monkeypatch):
-        # per level, the segments still refined evaluate n/2 new nodes each
+        # per level, the segments still refined evaluate n/2 new nodes each;
+        # each zero of phi below 100 splits its segment in two
+        _, zeros = exact_l1(1.5, -2.0, tuple(DEFAULT_DELTA_GRID))
         sizes = []
         ker = Kernels(1.5, np.array([[-2.0]]))
         w = ker._e_norms
@@ -316,7 +318,7 @@ class TestSegmentedQuadrature:
         ker.norm_integrals(GRID26, (1,))
         active = [size // (32 * 2 ** (level - 1))
                   for level, size in enumerate(sizes) if level]
-        assert active[0] == 25 and len(set(active)) > 2
+        assert active[0] == 25 + zeros.size and len(set(active)) > 2
 
     def test_stall_names_the_first_unconverged_segment(self, monkeypatch):
         # smooth on [0, 2], unresolved oscillation on [2, 3] and [3, 4]
@@ -435,20 +437,16 @@ def exact_l1(alpha, lam, deltas):
 
 class TestScalarL1AboveOrderOne:
     """For 1 < alpha < 2 the scalar smooth factor E_{a,a}(lam s^a) changes
-    sign, and L1 comes from the quadrature at every edge."""
+    sign, and L1 comes from the quadrature with every zero of phi as an
+    extra edge, so no segment holds a kink of |phi|."""
 
     @pytest.mark.parametrize("lam", [-0.3, -1.0, -2.0])
-    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 1.95])
     def test_default_grid_against_the_zero_sum(self, alpha, lam):
         ref, zeros = exact_l1(alpha, lam, tuple(DEFAULT_DELTA_GRID))
         assert zeros.size
         table = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26, (1,))
-        # before the first zero the smooth integrand converges to _QUAD_TOL;
-        # a segment holding a kink of |phi| is accepted at its noise floor,
-        # 2e-8 to 5e-8 relative past the first zero on this grid
-        before = np.array(DEFAULT_DELTA_GRID) < zeros[0]
-        np.testing.assert_allclose(table[0, before], ref[before], rtol=1e-8)
-        np.testing.assert_allclose(table[0], ref, rtol=1e-7)
+        np.testing.assert_allclose(table[0], ref, rtol=1e-9)
 
     @pytest.mark.parametrize("lam", [-0.3, -2.0])
     @pytest.mark.parametrize("alpha", [1.2, 1.8])
@@ -459,6 +457,27 @@ class TestScalarL1AboveOrderOne:
         ref, _ = exact_l1(alpha, lam, (delta,))
         ker = Kernels(alpha, np.array([[lam]]))
         assert phi_alpha_l1(ker, delta) == pytest.approx(ref[0], rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.8])
+    def test_one_delta_past_the_zeros(self, alpha):
+        # the halving edges up to 100 cross 5 (alpha 1.5) and 23 (1.8)
+        # zeros of phi at lam = -1
+        ref, zeros = exact_l1(alpha, -1.0, (100.0,))
+        assert zeros.size >= 5
+        ker = Kernels(alpha, np.array([[-1.0]]))
+        assert phi_alpha_l1(ker, 100.0) == pytest.approx(ref[0], rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [-0.3, -1.0, -2.0, -5.0])
+    @pytest.mark.parametrize("alpha", [1.1, 1.2, 1.5, 1.8, 1.95])
+    def test_no_noise_floor_acceptance(self, monkeypatch, alpha, lam):
+        # every segment is smooth, so each converges to _QUAD_TOL without
+        # the stagnation rule that matrix kernels still need
+        monkeypatch.setattr(kernels, "_NOISE_FLOOR", 0.0)
+        ker = Kernels(alpha, np.array([[lam]]))
+        table = ker.norm_integrals(GRID26, (1,))
+        assert np.all(np.diff(table[0]) > 0)
+        assert phi_alpha_l1(ker, 100.0) == pytest.approx(table[0, -1],
+                                                         rel=1e-9)
 
 
 class TestNonFiniteEdges:
