@@ -12,7 +12,10 @@ path, and records:
   every fixture in ``tests/fixtures``, with exit code and stderr;
 - ``certify`` and ``delay_free_certify`` on the certify-grid ops of
   ``perfbench/workloads.py`` at seeds 1-3;
-- the simulate-long trajectories (march and oracle) at seed 1.
+- the simulate-long trajectories (march and oracle) at seed 1;
+- ``delay_free_certify`` on the delay-free scalar problems x' = lam x at
+  every alpha of ``DELAY_FREE_ALPHAS`` and lam of ``DELAY_FREE_LAMS``,
+  phi_0 = 1 and any phi_1 = 0, so that a move of K0 or K1 shows by name.
 
 The ops are built by ``perfbench/workloads.py``, which is only imported.
 Per output it prints "identical" or the largest relative difference
@@ -43,6 +46,8 @@ CLI_COMMANDS = (("certify",), ("simulate", "--oracle"), ("ml", "--t", "0.7"),
                 ("spectral",), ("verify-bounds",))
 CERTIFY_SEEDS = (1, 2, 3)
 SIMULATE_SEED = 1
+DELAY_FREE_ALPHAS = (0.5, 0.9, 1.2, 1.5, 1.8, 1.95, 1.99)
+DELAY_FREE_LAMS = (-0.3, -1.0, -5.0)
 
 
 def _text(text):
@@ -69,6 +74,15 @@ def _cli(argv, outdir=None):
         result["csv"] = [lines[0]] + [[float(x) for x in line.split(",")]
                                       for line in lines[1:]]
     return result
+
+
+def _delay_free_bounds(fd, alpha, lam):
+    """``delay_free_certify`` of x' = lam x of order alpha, as a dict."""
+    k = math.ceil(alpha)
+    phi = [fd.TimeFunctionTable([0.0], [[float(j == 0)]], "const")
+           for j in range(k)]
+    prob = fd.validate_system(alpha, [0.0], [[[lam]]], phi=phi)
+    return fd.delay_free_certify(prob).as_dict()
 
 
 def _guarded(fn):
@@ -105,6 +119,11 @@ def collect(src: str, out_path: str) -> None:
         for op in workloads.SimulateLong().build(SIMULATE_SEED, Path(tmp)):
             outputs[f"simulate-long seed {SIMULATE_SEED} {op.label}"] = (
                 _guarded(op))
+    for alpha in DELAY_FREE_ALPHAS:
+        for lam in DELAY_FREE_LAMS:
+            name = f"delay-free alpha {alpha} lam {lam} delay_free_certify"
+            outputs[name] = _guarded(
+                lambda: _delay_free_bounds(fd, alpha, lam))
     with open(out_path, "wb") as fh:
         pickle.dump(outputs, fh)
 

@@ -19,11 +19,11 @@ not yet converged share one cell count, so each level refines them as one
 one Richardson row, with no loop over segments.  A single upper limit delta
 is integrated over the halving edges delta 2^-k, k = 10..0.  The one other
 route: for a scalar kernel with alpha <= 1 the smooth factor never changes
-sign (E_{a,a}(-x) is completely monotone: H. Pollard, Bull. AMS 54, 1948;
-W. R. Schneider, Expo. Math. 14, 1996), so L1 is the exact primitive
+sign (``Kernels.monotone``), so L1 is the exact primitive
 s^a E_{a,a+1}(A0 s^a) at every edge.  For 1 < alpha < 2 it does change
 sign, and the scalar L1 quadrature takes the zeros of phi as extra edges,
-so that no segment holds a kink of |phi|.
+so that no segment holds a kink of |phi|; the scan that finds them also
+serves the quadrature every node it has already evaluated.
 
 The bound verifier checks the norm inequalities relating these kernels to
 exponential majorants.  The right-hand sides use the series-of-norms
@@ -83,6 +83,20 @@ class Kernels:
         self.lam = self._fac[0]
         self._tables = {}       # beta -> _ContourTable
 
+    @property
+    def monotone(self) -> bool:
+        """True for a scalar kernel with alpha <= 1.
+
+        For x >= 0 and 0 < a <= 1, E_{a,1}(-x) is completely monotone
+        (H. Pollard, Bull. AMS 54, 1948), and so is E_{a,a}(-x) (W. R.
+        Schneider, Expo. Math. 14, 1996); E_{a,b}(x) > 0 by its series.  So
+        phi = t^(a-1) E_{a,a}(A0 t^a) never changes sign and its L1 norm is
+        the exact primitive.  For A0 < 0, phi_0 = E_{a,1}(A0 t^a), the one
+        initial-data kernel of such an order, falls from phi_0(0) = 1 toward
+        0, so sup |phi_0| = 1, and integral_0^inf phi = 1/|A0|.
+        """
+        return self.n == 1 and self.alpha <= 1
+
     def sector_margin(self) -> float:
         """min |arg lambda| - alpha pi / 2 over the nonzero eigenvalues of A0
         (+inf without any).  Below 0 some E_{a,b}(A0 t^a) grows
@@ -140,28 +154,75 @@ class Kernels:
 
     # -- norms of the smooth factor, vectorized -------------------------
 
-    def _e_norms(self, beta: float, s: np.ndarray) -> np.ndarray:
-        return induced_norms(self.e_ml(beta, s))
+    def _e_norms(self, beta: float, s: np.ndarray, known=None) -> np.ndarray:
+        """||E_{a,beta}(A0 s^a)|| for an array of s.  ``known`` is a pair
+        (nodes, values) of increasing nodes and their E values: each s equal
+        to a node takes its value without evaluating it again, which keeps
+        every bit, since a value does not depend on the points evaluated
+        with it."""
+        if known is None:
+            return induced_norms(self.e_ml(beta, s))
+        nodes, values = known
+        i = np.minimum(np.searchsorted(nodes, s), nodes.size - 1)
+        hit = nodes[i] == s
+        e = np.empty((s.size, self.n, self.n))
+        e[hit] = values[i[hit]]
+        e[~hit] = self.e_ml(beta, s[~hit])
+        return induced_norms(e)
 
-    def _zeros(self, edges: np.ndarray, grading: float) -> np.ndarray:
-        """Zeros of a scalar E_{a,a}(A0 s^a) inside (e_0, e_K): each sign
-        change on the quadrature's first-level mesh of ``edges``, refined by
-        ``_ZERO_STEPS`` Illinois regula-falsi steps, all brackets at once."""
-        mesh = _segment_mesh(edges[:-1], edges[1:], _N0, grading)
-        s = np.concatenate((mesh[0], mesh[1:, 1:].ravel()))
-        f = self.e_ml(self.alpha, s)[:, 0, 0]
+    def _zeros(self, edges: np.ndarray, grading: float):
+        """Zeros of a scalar E_{a,a}(A0 s^a), A0 < 0, inside (e_0, e_K), and
+        every sample taken to find them.
+
+        The scan starts from the quadrature's first-level mesh of ``edges``
+        (``_N0`` cells a segment) and doubles a segment's cells, at most
+        ``_MAX_DOUBLINGS`` times, until its widest cell is at most a quarter
+        of phi's half-period pi / (|A0|^(1/a) sin(pi/a)), the spacing of its
+        zeros far out, so that no pair of zeros falls in one cell.  Each sign
+        change on those nodes is refined by ``_ZERO_STEPS`` Illinois
+        regula-falsi steps, all brackets at once.  Returns the zeros and the
+        pair (nodes, E values) of the scan and the last step, nodes
+        increasing: a doubled mesh keeps the first-level nodes, so the
+        quadrature reads those back instead of evaluating them again.
+        """
+        alpha = self.alpha
+        lo, hi = edges[:-1], edges[1:]
+        quarter = 0.25 * math.pi / (abs(float(self.A0[0, 0])) ** (1 / alpha)
+                                    * math.sin(math.pi / alpha))
+        cells = np.full(lo.size, _N0)
+        for _ in range(_MAX_DOUBLINGS):
+            widest = np.where(lo == 0, hi * (1 - (1 - 1 / cells) ** grading),
+                              (hi - lo) / cells)
+            wide = widest > quarter
+            if not wide.any():
+                break
+            cells[wide] *= 2
+        # the nodes after each segment's start, at fractions k / cells of it
+        seg = np.repeat(np.arange(lo.size), cells)
+        k = np.arange(1, cells.sum() + 1) - np.repeat(np.cumsum(cells) - cells,
+                                                      cells)
+        s = np.concatenate((edges[:1], _mesh_nodes(lo[seg], hi[seg],
+                                                   k / cells[seg], grading)))
+        e = self.e_ml(alpha, s)
+        f = e[:, 0, 0]
         # a value of exactly 0 counts as positive: a zero at a node is
         # bracketed once, and the steps land on that node
         i = np.flatnonzero((f[:-1] < 0) != (f[1:] < 0))
-        a, b, fa, fb = s[i], s[i + 1], f[i], f[i + 1]
+        a, b, fa, fb, eb = s[i], s[i + 1], f[i], f[i + 1], e[i + 1]
         for _ in range(_ZERO_STEPS if i.size else 0):
             c = (a * fb - b * fa) / (fb - fa)
-            fc = self.e_ml(self.alpha, c)[:, 0, 0]
+            # a converged bracket lands on b again: b's value, not a new one
+            ec = eb.copy()
+            moved = c != b
+            ec[moved] = self.e_ml(alpha, c[moved])
+            fc = ec[:, 0, 0]
             # keep the bracket; halve a kept end's value (Illinois)
             flip = (fc < 0) != (fb < 0)
             a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
-            b, fb = c, fc
-        return b
+            b, fb, eb = c, fc, ec
+        nodes = np.concatenate((s, b))
+        order = np.argsort(nodes, kind="stable")
+        return b, (nodes[order], np.concatenate((e, eb))[order])
 
     def norm_integrals(self, edges, powers) -> np.ndarray:
         """integral_(e_0)^(e_k) ||phi(s)||_2^p ds for each p in ``powers``.
@@ -184,10 +245,12 @@ class Kernels:
         on a first segment graded for the most singular power.  For a
         scalar kernel with 1 < alpha < 2, L1 integrates |phi|, which kinks
         at each zero of E_{a,a}(A0 s^a); those zeros (``_zeros``) join the
-        edges, and the result is read back at the caller's edges.  A pair
-        of zeros within one cell of the scan's mesh is missed, and its
-        segment keeps its kinks.  An edge that is not finite raises
-        ``ValueError`` before any evaluation.
+        edges, and the result is read back at the caller's edges.  The
+        scan's cells are at most a quarter of phi's half-period (up to
+        ``_MAX_DOUBLINGS`` doublings), and every node it has evaluated, the
+        first-level nodes of the segments without a zero among them, is
+        read back rather than evaluated again, with the same bits.  An edge
+        that is not finite raises ``ValueError`` before any evaluation.
 
         The accuracy is fixed at ``_QUAD_TOL`` = 1e-9 of the mixed absolute/
         relative scale, but a stagnating segment is accepted at 50 x
@@ -195,7 +258,7 @@ class Kernels:
         at the kinks of the spectral norm: their integrals, and the
         certificate values built on them, can carry about 1e-6 relative
         error.  Scalar kernels do not: with the zeros of phi as edges,
-        every segment without a missed pair converges to ``_QUAD_TOL``.
+        every segment converges to ``_QUAD_TOL``.
         """
         alpha = self.alpha
         powers = list(powers)
@@ -209,8 +272,7 @@ class Kernels:
             return self.norm_integrals(np.concatenate(([0.0], halving)),
                                        powers)[:, -1:]
         out = np.empty((len(powers), edges.size - 1))
-        # for alpha <= 1 the scalar smooth factor never changes sign (above)
-        exact = self.n == 1 and alpha <= 1
+        exact = self.monotone
         quad = [i for i, p in enumerate(powers) if p != 1 or not exact]
         if quad:
             quad_powers = [powers[i] for i in quad]
@@ -218,20 +280,23 @@ class Kernels:
                           min(max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0)), 40.0)
                           for p in quad_powers)
 
+            cuts, known = edges, None
+            # E_{a,a}(x) > 0 for x >= 0: only A0 < 0 has zeros
+            if (self.n == 1 and 1 < alpha < 2 and 1 in quad_powers
+                    and self.A0[0, 0] < 0):
+                # |phi| kinks at each zero of phi: make the zeros edges too
+                zeros, known = self._zeros(edges, grading)
+                cuts = np.sort(np.concatenate((edges, zeros)))
+                cuts = cuts[np.append(True, np.diff(cuts) > 0)]
+
             def w(s):
                 norms = np.empty(s.shape)
                 pos = s > 0
-                norms[pos] = self._e_norms(alpha, s[pos])
+                norms[pos] = self._e_norms(alpha, s[pos], known)
                 # limit of ||E_{a,a}(A0 s^a)|| at 0+
                 norms[~pos] = rgamma(alpha)
                 return np.array([norms ** p for p in quad_powers])
 
-            cuts = edges
-            if self.n == 1 and 1 < alpha < 2 and 1 in quad_powers:
-                # |phi| kinks at each zero of phi: make the zeros edges too
-                cuts = np.sort(np.concatenate((edges,
-                                               self._zeros(edges, grading))))
-                cuts = cuts[np.append(True, np.diff(cuts) > 0)]
             cols = np.searchsorted(cuts, edges[1:]) - 1
             out[quad] = weighted_singular_integral(
                 [p * (alpha - 1.0) for p in quad_powers], w, cuts,
@@ -276,12 +341,17 @@ def phi_alpha(sys, t: float):
 # segmented product integration of s^gamma * w(s)
 # ---------------------------------------------------------------------------
 
-def _segment_mesh(lo, hi, n_cells: int, grading: float) -> np.ndarray:
-    """Nodes of [lo, hi], or one row per segment for arrays of ends: graded
-    toward the singular point where lo = 0, uniform elsewhere."""
-    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi)[..., None]
-    x = np.arange(n_cells + 1, dtype=float) / n_cells
+def _mesh_nodes(lo, hi, x, grading: float) -> np.ndarray:
+    """The nodes at fractions x of [lo, hi]: graded toward the singular
+    point where lo = 0, uniform elsewhere."""
     return np.where(lo == 0, hi * x ** grading, lo + (hi - lo) * x)
+
+
+def _segment_mesh(lo, hi, n_cells: int, grading: float) -> np.ndarray:
+    """Nodes of [lo, hi], or one row per segment for arrays of ends."""
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi)[..., None]
+    return _mesh_nodes(lo, hi, np.arange(n_cells + 1, dtype=float) / n_cells,
+                       grading)
 
 
 def _edges(delta) -> np.ndarray:

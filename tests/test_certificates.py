@@ -20,6 +20,9 @@ from fracdelay.errors import (DelaysNotZero, DimensionMismatch, EmptyGrid,
 from fracdelay.system import load_problem
 
 
+A1 = np.array([[-1.0]])
+
+
 def g_h_closed_form(delta, a1):
     return math.exp(-delta) + a1 * (1.0 - math.exp(-delta))
 
@@ -577,7 +580,7 @@ class TestDelayFreeBounds:
     def test_pure_exponential(self):
         prob = scalar_problem(1.0, -0.5, -0.5, zero_delays=True)
         b = delay_free_certify(prob)
-        assert b.K0_bar == pytest.approx(1.0, abs=1e-9)
+        assert b.K0_bar == 1.0
         assert b.K1_bar == pytest.approx(1.0, abs=1e-6)
         assert b.K2_bar == pytest.approx(1.0, abs=1e-6)
         assert b.verdict == "GloballyAsymptoticallyStable"
@@ -616,6 +619,50 @@ class TestDelayFreeBounds:
         with pytest.raises(KernelNotIntegrable, match="not integrable"):
             delay_free_certify(scalar_problem(0.8, 0.5))
         assert calls == []
+
+    @staticmethod
+    def sampled(monkeypatch):
+        """The sizes of the Kernels.e_ml and Kernels.phi_j calls to come."""
+        calls = {"e_ml": [], "phi_j": []}
+        for name in calls:
+            method = getattr(kernels.Kernels, name)
+
+            def counted(self, first, t, name=name, method=method):
+                calls[name].append(np.size(t))
+                return method(self, first, t)
+
+            monkeypatch.setattr(kernels.Kernels, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_monotone_kernel_takes_exact_constants(self, monkeypatch, alpha):
+        # phi_0 = E_{a,1}(lam t^a) falls from 1 and phi >= 0: K0 = 1 and
+        # K1 = 1 / |lam| without a Mittag-Leffler value, also after a
+        # constant gain folds into the kernel (lam = -0.5 - 0.5)
+        fb = ControlInput.feedback([np.array([[-0.5]]), np.array([[0.0]])])
+        calls = self.sampled(monkeypatch)
+        for prob, lam in ((scalar_problem(alpha, -2.0, 0.5, zero_delays=True),
+                           -1.5),
+                          (scalar_problem(alpha, -0.5, 0.0, zero_delays=True,
+                                          b=1.0, control=fb), -1.0)):
+            b = delay_free_certify(prob)
+            assert b.K0_bar == 1.0 and b.K1_bar == 1.0 / abs(lam)
+        assert calls == {"e_ml": [], "phi_j": []}
+
+    @pytest.mark.parametrize("alpha, A0", [
+        (0.7, [[-1.0, 0.5], [0.0, -2.0]]),
+        (1.5, [[-1.0]]),
+    ])
+    def test_other_kernels_sample_k0(self, monkeypatch, alpha, A0):
+        # a matrix kernel, or one of order above 1: K0 is the largest of
+        # 2,001 samples of every phi_j
+        k = math.ceil(alpha)
+        phi = [const_phi(np.ones(len(A0)), 0.0)] * k
+        prob = validate_system(alpha, [0.0], [np.array(A0)], phi=phi)
+        calls = self.sampled(monkeypatch)
+        b = delay_free_certify(prob)
+        assert calls["phi_j"] == [2001] * k
+        assert b.K0_bar >= 1.0
 
     def test_zero_eigenvalue_is_not_integrable(self):
         # alpha 0.5, A0 = [[0, 1], [0, -1]]: phi_0 tends to a nonzero limit
@@ -738,6 +785,14 @@ class TestL1ToInfinity:
         got = certificates._l1_to_infinity(kernels.Kernels(alpha,
                                                            np.array(A0)))
         assert ref <= got <= 1.03 * ref
+
+    def test_scaling_law_where_zeros_crowd(self):
+        # phi of lam c at s is c^(1 - 1/a) times phi of lam at c^(1/a) s,
+        # so L1(inf) scales as 1/c; at lam = -5 the half-period of phi is
+        # 1.4 out to s = 1,600, below a first-level cell of the far edges
+        one = certificates._l1_to_infinity(kernels.Kernels(1.99, A1))
+        five = certificates._l1_to_infinity(kernels.Kernels(1.99, 5.0 * A1))
+        assert five == pytest.approx(one / 5.0, rel=1e-8)
 
     def test_one_cumulative_integration(self, monkeypatch):
         calls = []

@@ -310,9 +310,9 @@ class TestSegmentedQuadrature:
         ker = Kernels(1.5, np.array([[-2.0]]))
         w = ker._e_norms
 
-        def counted(beta, s):
+        def counted(beta, s, known=None):
             sizes.append(s.size)
-            return w(beta, s)
+            return w(beta, s, known)
 
         monkeypatch.setattr(ker, "_e_norms", counted)
         ker.norm_integrals(GRID26, (1,))
@@ -478,6 +478,36 @@ class TestScalarL1AboveOrderOne:
         assert np.all(np.diff(table[0]) > 0)
         assert phi_alpha_l1(ker, 100.0) == pytest.approx(table[0, -1],
                                                          rel=1e-9)
+
+
+class TestScanSamplesReused:
+    """The zero scan's samples serve the L1 quadrature of a scalar kernel
+    with 1 < alpha < 2: no point is evaluated twice, and every value keeps
+    its bits."""
+
+    @pytest.mark.parametrize("lam", [-0.548, -5.0])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.95])
+    def test_no_node_evaluated_twice(self, monkeypatch, alpha, lam):
+        points = []
+        e_ml = Kernels.e_ml
+
+        def counted(self, beta, t):
+            points.extend(np.atleast_1d(t).tolist())
+            return e_ml(self, beta, t)
+
+        monkeypatch.setattr(Kernels, "e_ml", counted)
+        table = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26, (1,))
+        reused = len(points)
+        assert len(set(points)) == reused
+
+        e_norms = Kernels._e_norms
+        monkeypatch.setattr(Kernels, "_e_norms",
+                            lambda self, beta, s, known=None:
+                            e_norms(self, beta, s))
+        points.clear()
+        again = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26, (1,))
+        assert again.tolist() == table.tolist()
+        assert len(points) > reused
 
 
 class TestNonFiniteEdges:
