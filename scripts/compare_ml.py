@@ -15,8 +15,9 @@ per section the largest of those.  A ``norm_integrals`` or ``e_ml`` call is
 replayed on a kernel object built outside the timed region, a new one per
 run, so no run reuses the contours of another; only the outermost
 ``norm_integrals`` call is recorded, not the one a single delta makes on its
-halving edges.  Each SRC is a directory that holds the ``fracdelay``
-package, such as a checkout's ``src``.
+halving edges.  Both trees take ``norm_integrals(edges, p)``, one power a
+call.  Each SRC is a directory that holds the ``fracdelay`` package, such
+as a checkout's ``src``.
 
 Example, against the parent commit:
     git archive HEAD~1 | (mkdir -p /tmp/old && tar -x -C /tmp/old)
@@ -55,7 +56,7 @@ NORM_USERS = ("tables", "kernels", "certificates", "spectral", "system")
 
 def record_calls(fd):
     """(alpha, beta, z) of every ml_scalar_array call, (alpha, A0, edges,
-    powers) of every outermost norm_integrals call, (alpha, A0, beta, t) of
+    p) of every outermost norm_integrals call, (alpha, A0, beta, t) of
     every e_ml call with n > 1 and (stack, p) of every induced_norms call on
     the fixtures; the last three in the certificates only."""
     ml_calls, quad_calls, eml_calls, norm_calls = [], [], [], []
@@ -82,14 +83,13 @@ def record_calls(fd):
             norm_calls.append((np.array(stack, copy=True), p))
         return inner_norms(stack, p)
 
-    def recorded_quad(self, edges, powers):
+    def recorded_quad(self, edges, p=1):
         if not depth[0]:
             quad_calls.append((self.alpha, self.A0.copy(),
-                               np.array(edges, dtype=float, copy=True),
-                               tuple(powers)))
+                               np.array(edges, dtype=float, copy=True), p))
         depth[0] += 1
         try:
-            return inner_quad(self, edges, powers)
+            return inner_quad(self, edges, p)
         finally:
             depth[0] -= 1
 
@@ -191,9 +191,9 @@ def main() -> int:
         return lambda fd: (fd.mlf.ml_scalar_array, *c)
 
     def quad_call(c):
-        alpha, A0, edges, powers = c
+        alpha, A0, edges, p = c
         return lambda fd: (fd.kernels.Kernels(alpha, A0).norm_integrals,
-                           edges, powers)
+                           edges, p)
 
     def eml_call(c):
         alpha, A0, beta, t = c
@@ -208,11 +208,10 @@ def main() -> int:
          lambda i: (f"{ml_calls[i][0]:6.3f} {ml_calls[i][1]:6.3f} "
                     f"{ml_calls[i][2].size:7d}")),
         ("Kernels.norm_integrals", f"{'alpha':>6} {'n':>2} {'edges':>5} "
-         f"{'powers':>6}",
+         f"{'p':>1}",
          [quad_call(c) for c in quad_calls],
          lambda i: (f"{quad_calls[i][0]:6.3f} {quad_calls[i][1].shape[0]:2d}"
-                    f" {quad_calls[i][2].size:5d} "
-                    f"{','.join(map(str, quad_calls[i][3])):>6}")),
+                    f" {quad_calls[i][2].size:5d} {quad_calls[i][3]:1d}")),
         ("Kernels.e_ml, n > 1", f"{'alpha':>6} {'n':>2} {'beta':>6} "
          f"{'points':>7}",
          [eml_call(c) for c in eml_calls],

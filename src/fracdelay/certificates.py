@@ -125,8 +125,7 @@ class _CertInputs:
             self.l1 = None
             self.numer = self.D = np.full(self.grid.size, math.inf)
             return
-        self.l1 = ker.norm_integrals(np.concatenate(([0.0], self.grid)),
-                                     (1,))[0]
+        self.l1 = ker.norm_integrals(np.concatenate(([0.0], self.grid)))
         phis = np.array([ker.phi_j(j, self.grid) for j in range(sys.k)])
         a_instant = sum(bound for r_i, bound, _ in terms if r_i == 0.0)
         a_delayed = sum(bound for r_i, bound, _ in terms if r_i > 0.0)
@@ -156,7 +155,7 @@ def _g_hat(prob: ValidatedProblem, feedback: ControlInput | None, t: float,
     ker = _kernels(sys)
     if ker.sector_margin() < -_SECTOR_TOL:
         return math.inf, math.inf, None
-    l2k = float(np.sqrt(ker.norm_integrals([0.0, delta], (2,))[0, 0]))
+    l2k = float(np.sqrt(ker.norm_integrals([0.0, delta], 2)[0]))
     phis = np.array([ker.phi_j(j, [delta]) for j in range(sys.k)])
 
     def windows(lags):
@@ -367,7 +366,7 @@ def _l1_to_infinity(ker: Kernels) -> float:
         return 1.0 / abs(float(ker.A0[0, 0]))
     T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
     edges = T * 2.0 ** np.arange(-_HALVINGS, _HALVINGS + 1.0)
-    cum = ker.norm_integrals(np.concatenate(([0.0], edges)), (1,))[0]
+    cum = ker.norm_integrals(np.concatenate(([0.0], edges)))
     inc_prev, inc = np.diff(cum)[-2:]
     if inc == 0.0:     # an exponential decay underflows before T 2^10
         return float(cum[-1])

@@ -10,17 +10,17 @@ with phi_j = phi = 0 for t < 0.  The forcing kernel is weakly singular at
 t = 0 for a < 1; its L1 and squared-L2 integrals are computed by product
 integration (the singular power factor integrated exactly against a
 piecewise-linear interpolant of the smooth matrix-norm factor), refined by
-mesh doubling with Richardson extrapolation.  One cumulative integration per
-kernel serves a whole grid of upper limits 0 < d_1 < ... < d_K: a graded
-mesh on [0, d_1], a uniform one on every later [d_(k-1), d_k], and both
-integrals read off the same samples of ||E_{a,a}(A0 s^a)||.  The segments
-not yet converged share one cell count, so each level refines them as one
-(segments x nodes) array: one norm evaluation, one product integration and
-one Richardson row, with no loop over segments.  A single upper limit delta
-is integrated over the halving edges delta 2^-k, k = 10..0.  The one other
-route: for a scalar kernel with alpha <= 1 the smooth factor never changes
-sign (``Kernels.monotone``), so L1 is the exact primitive
-s^a E_{a,a+1}(A0 s^a) at every edge.  For 1 < alpha < 2 it does change
+mesh doubling with Richardson extrapolation.  Each call integrates one
+power, L1 or squared L2, and one cumulative integration serves a whole
+grid of upper limits 0 < d_1 < ... < d_K: a graded mesh on [0, d_1] and a
+uniform one on every later [d_(k-1), d_k].  The segments not yet converged
+share one cell count, so each level refines them as one (segments x nodes)
+array: one norm evaluation, one product integration and one Richardson
+row, with no loop over segments.  A single upper limit delta is integrated
+over the halving edges delta 2^-k, k = 10..0.  The one other route: for a
+scalar kernel with alpha <= 1 the smooth factor never changes sign
+(``Kernels.monotone``), so L1 is the exact primitive s^a E_{a,a+1}(A0 s^a)
+at every edge.  For 1 < alpha < 2 it does change
 sign, and the scalar L1 quadrature takes the zeros of phi as extra edges,
 so that no segment holds a kink of |phi|; the scan that finds them also
 serves the quadrature every node it has already evaluated.
@@ -224,33 +224,32 @@ class Kernels:
         order = np.argsort(nodes, kind="stable")
         return b, (nodes[order], np.concatenate((e, eb))[order])
 
-    def norm_integrals(self, edges, powers) -> np.ndarray:
-        """integral_(e_0)^(e_k) ||phi(s)||_2^p ds for each p in ``powers``.
+    def norm_integrals(self, edges, p: int = 1) -> np.ndarray:
+        """integral_(e_0)^(e_k) ||phi(s)||_2^p ds, p = 1 or 2.
 
         ``edges`` is one upper limit delta (edges 0, delta) or a sequence
-        increasing from e_0 >= 0; the result has shape (len(powers), K),
-        one column per edge e_1..e_K, and p is 1 or 2.  A single delta runs
-        over the halving edges delta 2^-k, k = 10..0, where one graded mesh
-        over [0, delta] can stall on a far kink of ||phi||.  For a scalar
-        kernel with alpha <= 1, L1 is the exact primitive
-        s^a E_{a,a+1}(A0 s^a) at every edge: the smooth factor
-        E_{a,a}(A0 s^a) never changes sign there (E_{a,a}(-x) is completely
-        monotone, Pollard 1948 and Schneider 1996, and E_{a,a}(x) > 0 for
-        x >= 0); from e_0 > 0 and A0 != 0 the increments are
-        (E_{a,1}(A0 e_k^a) - E_{a,1}(A0 e_0^a)) / A0, which keep their
-        relative accuracy where two primitives near 1/|A0| would cancel.
-        Every other power and kernel takes one segmented
-        cumulative product integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p,
-        which serves every edge and every power from the same norm samples,
-        on a first segment graded for the most singular power.  For a
-        scalar kernel with 1 < alpha < 2, L1 integrates |phi|, which kinks
-        at each zero of E_{a,a}(A0 s^a); those zeros (``_zeros``) join the
-        edges, and the result is read back at the caller's edges.  The
-        scan's cells are at most a quarter of phi's half-period (up to
-        ``_MAX_DOUBLINGS`` doublings), and every node it has evaluated, the
-        first-level nodes of the segments without a zero among them, is
-        read back rather than evaluated again, with the same bits.  An edge
-        that is not finite raises ``ValueError`` before any evaluation.
+        increasing from e_0 >= 0; the result has shape (K,), one value per
+        edge e_1..e_K.  A single delta runs over the halving edges
+        delta 2^-k, k = 10..0, where one graded mesh over [0, delta] can
+        stall on a far kink of ||phi||.  For a scalar kernel with
+        alpha <= 1, L1 is the exact primitive s^a E_{a,a+1}(A0 s^a) at every
+        edge: the smooth factor E_{a,a}(A0 s^a) never changes sign there
+        (E_{a,a}(-x) is completely monotone, Pollard 1948 and Schneider
+        1996, and E_{a,a}(x) > 0 for x >= 0); from e_0 > 0 and A0 != 0 the
+        increments are (E_{a,1}(A0 e_k^a) - E_{a,1}(A0 e_0^a)) / A0, which
+        keep their relative accuracy where two primitives near 1/|A0| would
+        cancel.  Every other case takes one segmented cumulative product
+        integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p, which serves every
+        edge, on a first segment graded for that power.  For a scalar kernel
+        with 1 < alpha < 2, L1 integrates |phi|, which kinks at each zero of
+        E_{a,a}(A0 s^a); those zeros (``_zeros``) join the edges, and the
+        result is read back at the caller's edges.  The scan's cells are at
+        most a quarter of phi's half-period (up to ``_MAX_DOUBLINGS``
+        doublings), and every node it has evaluated, the first-level nodes
+        of the segments without a zero among them, is read back rather than
+        evaluated again, with the same bits.  A p other than 1 or 2, or an
+        edge that is not finite, raises ``ValueError`` before any
+        evaluation.
 
         The accuracy is fixed at ``_QUAD_TOL`` = 1e-9 of the mixed absolute/
         relative scale, but a stagnating segment is accepted at 50 x
@@ -260,9 +259,10 @@ class Kernels:
         error.  Scalar kernels do not: with the zeros of phi as edges,
         every segment converges to ``_QUAD_TOL``.
         """
+        if np.ndim(p) or p not in (1, 2):
+            raise ValueError(f"norm_integrals takes p = 1 or 2, got {p!r}")
         alpha = self.alpha
-        powers = list(powers)
-        if 2 in powers and alpha <= 0.5:
+        if p == 2 and alpha <= 0.5:
             raise SingularAtZero(
                 f"||phi||^2 ~ s^({2 * alpha - 2}) is not integrable for "
                 f"alpha <= 1/2")
@@ -270,45 +270,35 @@ class Kernels:
         if edges.size == 2 and edges[0] == 0:
             halving = edges[1] * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)
             return self.norm_integrals(np.concatenate(([0.0], halving)),
-                                       powers)[:, -1:]
-        out = np.empty((len(powers), edges.size - 1))
-        exact = self.monotone
-        quad = [i for i, p in enumerate(powers) if p != 1 or not exact]
-        if quad:
-            quad_powers = [powers[i] for i in quad]
-            grading = max(max(1.0, 1.0 / alpha) if p == 1 else
-                          min(max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0)), 40.0)
-                          for p in quad_powers)
-
-            cuts, known = edges, None
-            # E_{a,a}(x) > 0 for x >= 0: only A0 < 0 has zeros
-            if (self.n == 1 and 1 < alpha < 2 and 1 in quad_powers
-                    and self.A0[0, 0] < 0):
-                # |phi| kinks at each zero of phi: make the zeros edges too
-                zeros, known = self._zeros(edges, grading)
-                cuts = np.sort(np.concatenate((edges, zeros)))
-                cuts = cuts[np.append(True, np.diff(cuts) > 0)]
-
-            def w(s):
-                norms = np.empty(s.shape)
-                pos = s > 0
-                norms[pos] = self._e_norms(alpha, s[pos], known)
-                # limit of ||E_{a,a}(A0 s^a)|| at 0+
-                norms[~pos] = rgamma(alpha)
-                return np.array([norms ** p for p in quad_powers])
-
-            cols = np.searchsorted(cuts, edges[1:]) - 1
-            out[quad] = weighted_singular_integral(
-                [p * (alpha - 1.0) for p in quad_powers], w, cuts,
-                grading)[:, cols]
-        if exact and 1 in powers:
+                                       p)[-1:]
+        if p == 1 and self.monotone:
             lam = self.A0[0, 0]
             # d/dt E_{a,1}(lam t^a) = lam phi(t): from e_0 > 0 the increments
             # come without the cancellation of two primitives near 1/|lam|
             prim = (self.e_ml(1.0, edges) / lam if edges[0] > 0 and lam != 0
                     else self.int_phi(edges))[:, 0, 0]
-            out[powers.index(1)] = np.abs(prim[1:] - prim[0])
-        return out
+            return np.abs(prim[1:] - prim[0])
+        grading = (max(1.0, 1.0 / alpha) if p == 1 else
+                   min(max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0)), 40.0))
+        cuts, known = edges, None
+        # E_{a,a}(x) > 0 for x >= 0: only A0 < 0 has zeros
+        if p == 1 and self.n == 1 and 1 < alpha < 2 and self.A0[0, 0] < 0:
+            # |phi| kinks at each zero of phi: make the zeros edges too
+            zeros, known = self._zeros(edges, grading)
+            cuts = np.sort(np.concatenate((edges, zeros)))
+            cuts = cuts[np.append(True, np.diff(cuts) > 0)]
+
+        def w(s):
+            norms = np.empty(s.shape)
+            pos = s > 0
+            norms[pos] = self._e_norms(alpha, s[pos], known)
+            # limit of ||E_{a,a}(A0 s^a)|| at 0+
+            norms[~pos] = rgamma(alpha)
+            return norms ** p
+
+        cols = np.searchsorted(cuts, edges[1:]) - 1
+        return weighted_singular_integral(p * (alpha - 1.0), w, cuts,
+                                          grading)[cols]
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +359,20 @@ def _edges(delta) -> np.ndarray:
     return edges
 
 
-def _product_integrate(gamma_exp: np.ndarray, w: np.ndarray,
+def _product_integrate(gamma_exp: float, w: np.ndarray,
                        mesh: np.ndarray) -> np.ndarray:
-    """integral s^gamma w(s) ds per segment and row, w piecewise linear.
+    """integral s^gamma w(s) ds per segment, w piecewise linear.
 
-    ``gamma_exp`` has shape (m, 1), ``w`` shape (segments, m, nodes) and
-    ``mesh`` shape (segments, nodes); the result has shape (segments, m).
-    The moments of the power weight are integrated exactly per cell, so the
-    integrable singularity at s = 0 (gamma > -1) costs no accuracy.
+    ``w`` and ``mesh`` have shape (segments, nodes); the result has shape
+    (segments,).  The moments of the power weight are integrated exactly
+    per cell, so the integrable singularity at s = 0 (gamma > -1) costs no
+    accuracy.
     """
     a, b = mesh[:, :-1], mesh[:, 1:]
-    # one 2-D power per exponent: numpy's power broadcast over three axes
-    # takes another loop, where x ** 2.0 is not the exact square
-    m0, m1 = (np.stack([(b ** g - a ** g) / g for g in gamma_exp + shift],
-                       axis=1) for shift in (1.0, 2.0))
-    a, width = a[:, None], (b - a)[:, None]
-    wa, wb = w[..., :-1], w[..., 1:]
+    m0, m1 = ((b ** g - a ** g) / g for g in (gamma_exp + 1.0,
+                                              gamma_exp + 2.0))
+    width = b - a
+    wa, wb = w[:, :-1], w[:, 1:]
     slope = np.where(width > 0, (wb - wa) / np.where(width > 0, width, 1.0), 0.0)
     return np.sum(wa * m0 + slope * (m1 - a * m0), axis=-1)
 
@@ -393,10 +381,9 @@ def weighted_singular_integral(gamma_exp, w_func, edges, grading: float):
     """Adaptive integral of s^gamma w(s) ds for a smooth vectorized w.
 
     ``edges`` is the upper limit of an integral from 0, or an increasing
-    sequence e_0 < e_1 < ... < e_K (e_0 >= 0).  ``gamma_exp`` holds m
-    exponents (or is one), with ``w_func`` returning one row of weights per
-    exponent (shape (m, N)), all integrated from the same samples.  The
-    result, shape (m, K), holds the integrals from e_0 to every e_k.
+    sequence e_0 < e_1 < ... < e_K (e_0 >= 0).  ``gamma_exp`` is one
+    exponent and ``w_func`` maps N nodes to their N weights.  The result,
+    shape (K,), holds the integrals from e_0 to every e_k.
 
     Each segment [e_(k-1), e_k] doubles its own nested mesh (graded toward
     s = 0 in the segment that starts there, uniform otherwise), so only odd
@@ -405,77 +392,74 @@ def weighted_singular_integral(gamma_exp, w_func, edges, grading: float):
     segment starts at ``_N0`` cells and the unconverged ones double together,
     up to ``_MAX_DOUBLINGS`` times, so they always share one cell count:
     each level is one (segments x nodes) mesh, one ``w_func`` call, one
-    product integration and one tableau row of (segments x m) arrays,
-    filtered to the unconverged rows.  A segment has converged when its
-    tableau change drops below its share ``_QUAD_TOL / K`` of the mixed
-    absolute/relative scale of the cumulative value at its right edge, so
-    for a nonnegative integrand the summed change at every edge stays within
-    ``_QUAD_TOL * max(1, |value|)``.  A stagnating segment whose changes are
-    already at 50 times its share of the evaluation noise floor
-    ``_NOISE_FLOOR`` is accepted there rather than refined forever.
+    product integration and one tableau row over the unconverged segments.
+    A segment has converged when its tableau change drops below its share
+    ``_QUAD_TOL / K`` of the mixed absolute/relative scale of the cumulative
+    value at its right edge, so for a nonnegative integrand the summed
+    change at every edge stays within ``_QUAD_TOL * max(1, |value|)``.  A
+    stagnating segment whose changes are already at 50 times its share of
+    the evaluation noise floor ``_NOISE_FLOOR`` is accepted there rather
+    than refined forever.
     """
-    gammas = np.atleast_1d(np.asarray(gamma_exp, dtype=float))[:, None]
-    if np.any(gammas <= -1.0):
+    gamma = float(gamma_exp)
+    if gamma <= -1.0:
         raise ValueError("weight exponent must exceed -1 for integrability")
     edges = _edges(edges)
     K = edges.size - 1
     n_cells = n0 = _N0
     mesh = _segment_mesh(edges[:-1], edges[1:], n0, grading)
     # adjacent segments share their common edge: evaluate it once
-    first = np.atleast_2d(w_func(np.concatenate((mesh[0],
-                                                 mesh[1:, 1:].ravel()))))
-    vals = np.lib.stride_tricks.sliding_window_view(
-        first, n0 + 1, axis=1)[:, ::n0].swapaxes(0, 1)   # (K, m, nodes)
-    rows = [_product_integrate(gammas, vals, mesh)]    # tableau, (K, m) each
+    first = w_func(np.concatenate((mesh[0], mesh[1:, 1:].ravel())))
+    vals = np.lib.stride_tricks.sliding_window_view(first, n0 + 1)[::n0]
+    rows = [_product_integrate(gamma, vals, mesh)]    # the tableau
     est = rows[0].copy()
-    done = np.zeros(est.shape, dtype=bool)
-    best_change = np.full(est.shape, math.inf)
-    change = np.zeros(est.shape)
+    done = np.zeros(K, dtype=bool)
+    best_change = np.full(K, math.inf)
+    change = np.zeros(K)
     active = np.arange(K)
     for _ in range(_MAX_DOUBLINGS):
-        live = ~done[active].all(axis=1)
+        live = ~done[active]
         active = active[live]
         if not active.size:
             break
         n_cells *= 2
         mesh = _segment_mesh(edges[active], edges[active + 1], n_cells,
                              grading)
-        new = np.atleast_2d(w_func(mesh[:, 1::2].ravel()))
-        v = np.empty((active.size, gammas.shape[0], n_cells + 1))
-        v[..., ::2] = vals[live]
-        v[..., 1::2] = new.reshape(-1, active.size, n_cells // 2).swapaxes(0, 1)
+        v = np.empty((active.size, n_cells + 1))
+        v[:, ::2] = vals[live]
+        v[:, 1::2] = w_func(mesh[:, 1::2].ravel()).reshape(active.size, -1)
         vals = v
         prev = [col[live] for col in rows]
-        rows = [_product_integrate(gammas, v, mesh)]
+        rows = [_product_integrate(gamma, v, mesh)]
         for j in range(1, min(len(prev) + 1, 5)):
             fac = 4.0 ** j
             rows.append(rows[j - 1] + (rows[j - 1] - prev[j - 1]) / (fac - 1.0))
         ch = change[active] = np.abs(rows[-1] - prev[-1])
-        est[active] = np.where(done[active], est[active], rows[-1])
-        scale = (np.maximum(1.0, np.abs(np.cumsum(est, axis=0))) / K)[active]
+        est[active] = rows[-1]
+        scale = (np.maximum(1.0, np.abs(np.cumsum(est))) / K)[active]
         # converged, or stagnating at the weight-evaluation noise floor
-        done[active] |= ((ch <= _QUAD_TOL * scale)
-                         | ((ch >= 0.25 * best_change[active])
-                            & (ch <= 50.0 * _NOISE_FLOOR * scale)))
+        done[active] = ((ch <= _QUAD_TOL * scale)
+                        | ((ch >= 0.25 * best_change[active])
+                           & (ch <= 50.0 * _NOISE_FLOOR * scale)))
         best_change[active] = np.minimum(best_change[active], ch)
     if not done.all():
         # an unconverged segment refined at every level
-        k = int(np.argmin(done.all(axis=1)))
+        k = int(np.argmin(done))
         raise QuadratureNotConverged(
             f"power-weight quadrature stalled at {n_cells} cells on "
             f"[{edges[k]:.6g}, {edges[k + 1]:.6g}] (last tableau change "
-            f"{float(np.max(change[k])):.3e})")
-    return np.cumsum(est, axis=0).T
+            f"{change[k]:.3e})")
+    return np.cumsum(est)
 
 
 def phi_alpha_l1(sys, delta: float) -> float:
     """integral_0^delta ||phi(s)||_2 ds (see ``Kernels.norm_integrals``)."""
-    return float(_kernels(sys).norm_integrals(delta, (1,))[0, 0])
+    return float(_kernels(sys).norm_integrals(delta)[0])
 
 
 def phi_alpha_l2sq(sys, delta: float) -> float:
     """integral_0^delta ||phi(s)||_2^2 ds; requires alpha > 1/2."""
-    return float(_kernels(sys).norm_integrals(delta, (2,))[0, 0])
+    return float(_kernels(sys).norm_integrals(delta, 2)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -391,12 +391,10 @@ class TestCertify:
 
     def test_oscillating_kernel_l1_against_exact_primitive(self):
         # E_{1.2,1.2}(-2 s^1.2) changes sign; its zero is an edge of the
-        # quadrature, for L1 and L2 together as for L1 alone
+        # L1 quadrature
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
-        table = ker.norm_integrals(np.concatenate(([0.0], DEFAULT_DELTA_GRID)),
-                                   (1, 2))
-        assert table[0, -1] == pytest.approx(self._exact_l1(100.0),
-                                             rel=1e-9)
+        table = ker.norm_integrals(np.concatenate(([0.0], DEFAULT_DELTA_GRID)))
+        assert table[-1] == pytest.approx(self._exact_l1(100.0), rel=1e-9)
 
     def test_one_delta_l1_of_oscillating_kernel_converges(self):
         # one graded mesh over [0, 100] stalls at the kink near s = 1.99;
@@ -427,8 +425,8 @@ class TestCertify:
     def test_edge_just_past_a_sign_change_is_integrated(self):
         # the first zero is near 1.99, and it splits the segment [0, 2.3]
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
-        table = ker.norm_integrals([0.0, 2.3, 1000.0], (1,))
-        assert table[0, 0] == pytest.approx(self._exact_l1(2.3), rel=1e-9)
+        table = ker.norm_integrals([0.0, 2.3, 1000.0])
+        assert table[0] == pytest.approx(self._exact_l1(2.3), rel=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.05, 0.6), st.floats(0.05, 0.6))
@@ -731,7 +729,7 @@ class TestDelayFreeBounds:
         # z E_{a,a+1}(z) = E_{a,1}(z) - 1
         lam = -1.5
         ker = kernels.Kernels(alpha, np.array([[lam]]))
-        head = ker.norm_integrals([0.0, T], (1,))[0, 0]
+        head = ker.norm_integrals([0.0, T])[0]
         tail = ker.e_ml(1.0, T)[0, 0, 0] / abs(lam)
         assert head + tail == pytest.approx(1.0 / abs(lam), rel=1e-13)
 
@@ -798,14 +796,26 @@ class TestL1ToInfinity:
         calls = []
         integrate = kernels.Kernels.norm_integrals
 
-        def counted(self, edges, powers):
-            calls.append(np.size(edges))
-            return integrate(self, edges, powers)
+        def counted(self, edges, p=1):
+            calls.append((np.size(edges), p))
+            return integrate(self, edges, p)
 
         monkeypatch.setattr(kernels.Kernels, "norm_integrals", counted)
         certificates._l1_to_infinity(
             kernels.Kernels(0.35, np.array([[-1.0, 0.5], [0.0, -2.0]])))
-        assert calls == [2 * kernels._HALVINGS + 2]
+        assert calls == [(2 * kernels._HALVINGS + 2, 1)]
+
+    def test_growing_increments_raise(self, monkeypatch):
+        # a table whose last increment exceeds the one before it
+        def growing(self, edges, p=1):
+            return np.cumsum(np.append(np.ones(np.size(edges) - 2), 2.0))
+
+        monkeypatch.setattr(kernels.Kernels, "norm_integrals", growing)
+        with pytest.raises(KernelNotIntegrable,
+                           match=r"L1 increments stopped shrinking by "
+                                 r"T = .* \(ratio 2\)"):
+            certificates._l1_to_infinity(
+                kernels.Kernels(0.8, np.diag([-1.0, -2.0])))
 
 
 class TestHighOrder:

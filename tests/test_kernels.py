@@ -142,17 +142,17 @@ class TestIntegrals:
 
     @pytest.mark.parametrize("alpha", [0.7, 0.8])
     def test_cumulative_table_against_quadpack(self, alpha):
-        # L1 and L2sq at several deltas, all read from one integration
+        # L1 and L2sq at several deltas, each read from one integration
         M = np.array([[-1.0, 0.5], [0.0, -2.0]])
         ker = Kernels(alpha, M)
         deltas = [0.05, 0.4, 1.0, 2.0, 3.0]
-        table = ker.norm_integrals([0.0] + deltas, (1, 2))
 
         def f(s, p):
             return float(np.linalg.norm(ker.e_ml(alpha, np.array([s]))[0],
                                         2)) ** p
 
-        for i, p in enumerate((1, 2)):
+        for p in (1, 2):
+            table = ker.norm_integrals([0.0] + deltas, p)
             gamma = p * (alpha - 1.0)
             ref, _ = quad(f, 0, deltas[0], args=(p,), weight="alg",
                           wvar=(gamma, 0), epsabs=1e-11, epsrel=1e-11)
@@ -160,7 +160,7 @@ class TestIntegrals:
                 if j > 0:
                     ref += quad(lambda s: s ** gamma * f(s, p), deltas[j - 1],
                                 delta, epsabs=1e-12, epsrel=1e-12)[0]
-                assert table[i, j] == pytest.approx(ref, rel=1e-7), (p, delta)
+                assert table[j] == pytest.approx(ref, rel=1e-7), (p, delta)
 
     def test_refinement_convergence(self, monkeypatch):
         # halving the mesh changes the raw rule by less than the tolerance
@@ -176,9 +176,9 @@ class TestIntegrals:
 
         tol = 1e-8
         monkeypatch.setattr(kernels, "_QUAD_TOL", tol)
-        coarse = weighted_singular_integral(-0.3, w, 2.0, 1 / 0.7)[0, 0]
+        coarse = weighted_singular_integral(-0.3, w, 2.0, 1 / 0.7)[0]
         monkeypatch.setattr(kernels, "_N0", 64)
-        fine = weighted_singular_integral(-0.3, w, 2.0, 1 / 0.7)[0, 0]
+        fine = weighted_singular_integral(-0.3, w, 2.0, 1 / 0.7)[0]
         assert abs(coarse - fine) < tol * max(1.0, abs(fine)) * 5
 
 
@@ -195,67 +195,67 @@ def per_segment_quadrature(gamma_exp, w_func, delta, grading):
             return hi * (i / n_cells) ** grading
         return lo + (hi - lo) * (i / n_cells)
 
-    def product_integrate(gammas, w, mesh):
+    def product_integrate(gamma, w, mesh):
         a, b = mesh[:-1], mesh[1:]
-        g1, g2 = gammas + 1.0, gammas + 2.0
+        g1, g2 = gamma + 1.0, gamma + 2.0
         m0 = (b ** g1 - a ** g1) / g1
         m1 = (b ** g2 - a ** g2) / g2
-        wa, wb = w[:, :-1], w[:, 1:]
+        wa, wb = w[:-1], w[1:]
         width = b - a
         slope = np.where(width > 0,
                          (wb - wa) / np.where(width > 0, width, 1.0), 0.0)
-        return np.sum(wa * m0 + slope * (m1 - a * m0), axis=1)
+        return np.sum(wa * m0 + slope * (m1 - a * m0))
 
-    gammas = np.atleast_1d(np.asarray(gamma_exp, dtype=float))[:, None]
+    gamma = float(gamma_exp)
     edges = kernels._edges(delta)
     K = edges.size - 1
     n_cells = [n0] * K
     meshes = [segment_mesh(lo, hi, n0) for lo, hi in zip(edges[:-1], edges[1:])]
-    first = np.atleast_2d(w_func(np.concatenate(
-        [meshes[0]] + [mesh[1:] for mesh in meshes[1:]])))
-    vals = [first[:, k * n0:(k + 1) * n0 + 1] for k in range(K)]
-    rows = [[product_integrate(gammas, v, mesh)]
+    first = w_func(np.concatenate(
+        [meshes[0]] + [mesh[1:] for mesh in meshes[1:]]))
+    vals = [first[k * n0:(k + 1) * n0 + 1] for k in range(K)]
+    rows = [[product_integrate(gamma, v, mesh)]
             for v, mesh in zip(vals, meshes)]
     est = np.array([row[0] for row in rows])
-    done = np.zeros(est.shape, dtype=bool)
-    best_change = np.full(est.shape, math.inf)
-    change = np.zeros(est.shape)
+    done = [False] * K
+    best_change = [math.inf] * K
+    change = [0.0] * K
     for _ in range(max_doublings):
-        active = [k for k in range(K) if not done[k].all()]
+        active = [k for k in range(K) if not done[k]]
         if not active:
             break
         for k in active:
             n_cells[k] *= 2
             meshes[k] = segment_mesh(edges[k], edges[k + 1], n_cells[k])
-        new = np.atleast_2d(w_func(np.concatenate(
-            [meshes[k][1::2] for k in active])))
+        new = w_func(np.concatenate([meshes[k][1::2] for k in active]))
         splits = np.cumsum([n_cells[k] // 2 for k in active])[:-1]
-        for k, odd in zip(active, np.split(new, splits, axis=1)):
-            v = np.empty((gammas.shape[0], n_cells[k] + 1))
-            v[:, ::2] = vals[k]
-            v[:, 1::2] = odd
+        for k, odd in zip(active, np.split(new, splits)):
+            v = np.empty(n_cells[k] + 1)
+            v[::2] = vals[k]
+            v[1::2] = odd
             vals[k] = v
             prev = rows[k]
-            row = [product_integrate(gammas, v, meshes[k])]
+            row = [product_integrate(gamma, v, meshes[k])]
             for j in range(1, min(len(prev) + 1, 5)):
                 fac = 4.0 ** j
                 row.append(row[j - 1] + (row[j - 1] - prev[j - 1]) / (fac - 1.0))
             rows[k] = row
-            change[k] = np.abs(row[-1] - prev[-1])
-            est[k] = np.where(done[k], est[k], row[-1])
-        scale = np.maximum(1.0, np.abs(np.cumsum(est, axis=0))) / K
+            change[k] = abs(row[-1] - prev[-1])
+            est[k] = row[-1]
+        scale = np.maximum(1.0, np.abs(np.cumsum(est))) / K
         for k in active:
-            done[k] |= ((change[k] <= tol * scale[k])
-                        | ((change[k] >= 0.25 * best_change[k])
-                           & (change[k] <= 50.0 * noise_floor * scale[k])))
-            best_change[k] = np.minimum(best_change[k], change[k])
-    if not done.all():
-        k = int(np.argmin(done.all(axis=1)))
+            done[k] = bool((change[k] <= tol * scale[k])
+                           or ((change[k] >= 0.25 * best_change[k])
+                               and (change[k] <= 50.0 * noise_floor
+                                    * scale[k])))
+            best_change[k] = min(best_change[k], change[k])
+    if not all(done):
+        k = done.index(False)
         raise QuadratureNotConverged(
             f"power-weight quadrature stalled at {n_cells[k]} cells on "
             f"[{edges[k]:.6g}, {edges[k + 1]:.6g}] (last tableau change "
-            f"{float(np.max(change[k])):.3e})")
-    return np.cumsum(est, axis=0).T
+            f"{change[k]:.3e})")
+    return np.cumsum(est)
 
 
 A3 = np.array([[-1.0, 0.5, 0.0], [0.0, -1.5, 0.3], [0.2, 0.0, -2.0]])
@@ -286,7 +286,7 @@ class TestSegmentedQuadrature:
         (1.5, [[-2.0]], GRID26, (1,)),
         (1.5, [[-2.0]], [0.3, 1.0, 1.7, 2.2, 2.9, 4.0, 6.5], (1, 2)),
         (1.5, [[-2.0]], [1.0, 2.5], (1,)),
-        (0.8, A3, GRID26, (1, 2)),
+        (0.8, A3, GRID26, (2,)),
         (0.8, A3, GRID26, (1,)),
         # alpha = 1: the moment exponents are 1 and 2 exactly
         (1.0, A3, GRID26, (1, 2)),
@@ -297,10 +297,12 @@ class TestSegmentedQuadrature:
     ])
     def test_against_per_segment_reference(self, monkeypatch, alpha, A0,
                                            edges, powers):
+        # one integration per power
         ker = Kernels(alpha, np.array(A0))
-        got, ref = self.both(monkeypatch,
-                             lambda: ker.norm_integrals(edges, powers))
-        assert got.tolist() == ref.tolist()
+        for p in powers:
+            got, ref = self.both(monkeypatch,
+                                 lambda: ker.norm_integrals(edges, p))
+            assert got.tolist() == ref.tolist(), p
 
     def test_segments_converge_at_different_levels(self, monkeypatch):
         # per level, the segments still refined evaluate n/2 new nodes each;
@@ -315,27 +317,34 @@ class TestSegmentedQuadrature:
             return w(beta, s, known)
 
         monkeypatch.setattr(ker, "_e_norms", counted)
-        ker.norm_integrals(GRID26, (1,))
+        ker.norm_integrals(GRID26)
         active = [size // (32 * 2 ** (level - 1))
                   for level, size in enumerate(sizes) if level]
         assert active[0] == 25 + zeros.size and len(set(active)) > 2
 
     def test_stall_names_the_first_unconverged_segment(self, monkeypatch):
         # smooth on [0, 2], unresolved oscillation on [2, 3] and [3, 4]
+        edges = [0.0, 1.0, 2.0, 3.0, 4.0]
+
         def w(s):
-            return np.array([np.where(s > 2.0, np.sin(400.0 * s), 1.0),
-                             np.exp(-s)])
+            return np.where(s > 2.0, np.sin(400.0 * s), 1.0)
 
         def run():
             with pytest.raises(QuadratureNotConverged) as exc:
-                kernels.weighted_singular_integral(
-                    [-0.5, 0.0], w, [0.0, 1.0, 2.0, 3.0, 4.0], 1.0)
+                kernels.weighted_singular_integral(-0.5, w, edges, 1.0)
             return str(exc.value)
 
         monkeypatch.setattr(kernels, "_MAX_DOUBLINGS", 3)
         got, ref = self.both(monkeypatch, run)
         assert got == ref
         assert "stalled at 256 cells on [2, 3]" in got
+        # a smooth weight converges on the same edges and levels
+        got, ref = self.both(monkeypatch, lambda: (
+            kernels.weighted_singular_integral(0.0, lambda s: np.exp(-s),
+                                               edges, 1.0)))
+        assert got.tolist() == ref.tolist()
+        np.testing.assert_allclose(got, 1.0 - np.exp(-np.array(edges[1:])),
+                                   rtol=1e-9)
 
 
 class TestNoSignProbe:
@@ -343,17 +352,17 @@ class TestNoSignProbe:
     primitive at every edge, the quadrature only for L2."""
 
     @staticmethod
-    def quadrature_rows(monkeypatch):
-        # the number of powers each quadrature call integrates
-        rows = []
+    def quadrature_calls(monkeypatch):
+        # the exponent of each quadrature call
+        calls = []
         quad = kernels.weighted_singular_integral
 
         def counted(gamma_exp, *args):
-            rows.append(len(gamma_exp))
+            calls.append(gamma_exp)
             return quad(gamma_exp, *args)
 
         monkeypatch.setattr(kernels, "weighted_singular_integral", counted)
-        return rows
+        return calls
 
     @pytest.mark.parametrize("alpha, a0, edges, powers", [
         (0.4, -1.0, GRID26, (1,)),
@@ -365,22 +374,27 @@ class TestNoSignProbe:
     ])
     def test_l1_is_the_exact_primitive(self, monkeypatch, alpha, a0, edges,
                                        powers):
-        rows = self.quadrature_rows(monkeypatch)
+        calls = self.quadrature_calls(monkeypatch)
         ker = Kernels(alpha, np.array([[a0]]))
-        table = ker.norm_integrals(edges, powers)
-        assert rows == [1] * (2 in powers)
+        table = ker.norm_integrals(edges)
+        assert calls == []
         # from e_0 > 0 the increments of E_{a,1}(a0 t^a) / a0
         prim = (ker.e_ml(1.0, edges) / a0 if edges[0] > 0
                 else ker.int_phi(edges))[:, 0, 0]
-        assert table[0].tolist() == np.abs(prim[1:] - prim[0]).tolist()
+        assert table.tolist() == np.abs(prim[1:] - prim[0]).tolist()
+        # L2 takes one quadrature of s^(2(a-1)) ||E_{a,a}||^2
+        if 2 in powers:
+            l2 = ker.norm_integrals(edges, 2)
+            assert calls == [2 * (alpha - 1.0)]
+            assert l2.shape == table.shape and np.all(l2 > 0)
 
     def test_late_increments_do_not_cancel(self):
         # integral_40^80 e^-s ds = 4.25e-18, far below the primitives'
         # round-off at 1 - e^-T
-        table = Kernels(1.0, A1).norm_integrals([40.0, 80.0, 120.0], (1,))
+        table = Kernels(1.0, A1).norm_integrals([40.0, 80.0, 120.0])
         exact = [math.exp(-40.0) - math.exp(-80.0),
                  math.exp(-40.0) - math.exp(-120.0)]
-        np.testing.assert_allclose(table[0], exact, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(table, exact, rtol=1e-14, atol=0)
 
     def test_late_increments_against_mpmath(self):
         # integral_e0^ek phi = (E_{a,1}(lam ek^a) - E_{a,1}(lam e0^a)) / lam
@@ -390,15 +404,15 @@ class TestNoSignProbe:
         alpha, lam, edges = 0.97, -1.0, [40.0, 80.0, 200.0]
         e = [ml_reference(alpha, 1.0, lam * t ** alpha).real for t in edges]
         exact = [(ek - e[0]) / lam for ek in e[1:]]
-        table = Kernels(alpha, np.array([[lam]])).norm_integrals(edges, (1,))
-        np.testing.assert_allclose(table[0], exact, rtol=3.3e-14, atol=0)
+        table = Kernels(alpha, np.array([[lam]])).norm_integrals(edges)
+        np.testing.assert_allclose(table, exact, rtol=3.3e-14, atol=0)
 
     def test_exponential_kernel_past_the_old_guard(self):
         # alpha = 1: integral_0^T e^(-2 s) ds = (1 - e^(-2 T)) / 2
-        table = Kernels(1.0, np.array([[-2.0]])).norm_integrals(GRID26, (1,))
+        table = Kernels(1.0, np.array([[-2.0]])).norm_integrals(GRID26)
         exact = -np.expm1(-2.0 * np.array(DEFAULT_DELTA_GRID)) / 2.0
-        np.testing.assert_allclose(table[0], exact, rtol=1e-14, atol=0)
-        assert table[0, -1] == 0.5
+        np.testing.assert_allclose(table, exact, rtol=1e-14, atol=0)
+        assert table[-1] == 0.5
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9, 1.0])
     def test_forcing_factor_is_positive(self, alpha):
@@ -445,8 +459,8 @@ class TestScalarL1AboveOrderOne:
     def test_default_grid_against_the_zero_sum(self, alpha, lam):
         ref, zeros = exact_l1(alpha, lam, tuple(DEFAULT_DELTA_GRID))
         assert zeros.size
-        table = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26, (1,))
-        np.testing.assert_allclose(table[0], ref, rtol=1e-9)
+        table = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26)
+        np.testing.assert_allclose(table, ref, rtol=1e-9)
 
     @pytest.mark.parametrize("lam", [-0.3, -2.0])
     @pytest.mark.parametrize("alpha", [1.2, 1.8])
@@ -474,10 +488,9 @@ class TestScalarL1AboveOrderOne:
         # the stagnation rule that matrix kernels still need
         monkeypatch.setattr(kernels, "_NOISE_FLOOR", 0.0)
         ker = Kernels(alpha, np.array([[lam]]))
-        table = ker.norm_integrals(GRID26, (1,))
-        assert np.all(np.diff(table[0]) > 0)
-        assert phi_alpha_l1(ker, 100.0) == pytest.approx(table[0, -1],
-                                                         rel=1e-9)
+        table = ker.norm_integrals(GRID26)
+        assert np.all(np.diff(table) > 0)
+        assert phi_alpha_l1(ker, 100.0) == pytest.approx(table[-1], rel=1e-9)
 
 
 class TestScanSamplesReused:
@@ -496,7 +509,7 @@ class TestScanSamplesReused:
             return e_ml(self, beta, t)
 
         monkeypatch.setattr(Kernels, "e_ml", counted)
-        table = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26, (1,))
+        table = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26)
         reused = len(points)
         assert len(set(points)) == reused
 
@@ -505,34 +518,75 @@ class TestScanSamplesReused:
                             lambda self, beta, s, known=None:
                             e_norms(self, beta, s))
         points.clear()
-        again = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26, (1,))
+        again = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26)
         assert again.tolist() == table.tolist()
         assert len(points) > reused
+
+
+def forbid_evaluation(monkeypatch):
+    def fail(*args):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setattr(kernels, "ml_scalar_array", fail)
+    monkeypatch.setattr(mlf, "ml_scalar_array", fail)
+
+
+class TestRefusedInputs:
+    """The quadrature layer refuses what it cannot integrate before any
+    kernel evaluation."""
+
+    @pytest.mark.parametrize("p", [0, 3, 1.5, -1, (1,), (1, 2)])
+    def test_norm_integrals_takes_one_power(self, monkeypatch, p):
+        forbid_evaluation(monkeypatch)
+        with pytest.raises(ValueError, match="norm_integrals takes p = 1 "
+                                             "or 2"):
+            Kernels(0.8, A3).norm_integrals(GRID26, p)
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: Kernels(0.0, A1), "alpha must be positive",
+                     id="alpha-zero"),
+        pytest.param(lambda: Kernels(-0.5, A1), "alpha must be positive",
+                     id="alpha-negative"),
+        pytest.param(lambda: phi_alpha_l1((0.8, A1), 0.0),
+                     "delta must be positive", id="delta-zero"),
+        pytest.param(lambda: phi_alpha_l2sq((0.8, A1), -1.0),
+                     "delta must be positive", id="delta-negative"),
+        pytest.param(lambda: Kernels(0.8, A3).norm_integrals([0.0, 2.0, 1.0]),
+                     "edges must increase", id="edges-decrease"),
+        pytest.param(lambda: Kernels(1.5, A1).norm_integrals([0.0, 1.0, 1.0]),
+                     "edges must increase", id="edges-repeat"),
+        pytest.param(lambda: Kernels(0.8, A1).norm_integrals([-1.0, 1.0]),
+                     "nonnegative start", id="edges-negative-start"),
+        pytest.param(lambda: Kernels(0.8, A1).norm_integrals([1.0]),
+                     "edges must increase", id="edges-one"),
+        pytest.param(lambda: weighted_singular_integral(-1.0, np.exp, 1.0,
+                                                        1.0),
+                     "exponent must exceed -1", id="exponent-minus-one"),
+        pytest.param(lambda: weighted_singular_integral(-1.5, np.exp,
+                                                        [0.0, 1.0], 1.0),
+                     "exponent must exceed -1", id="exponent-below"),
+    ])
+    def test_refused(self, monkeypatch, call, match):
+        forbid_evaluation(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestNonFiniteEdges:
     """A non-finite edge fails before any kernel evaluation."""
 
-    @staticmethod
-    def no_evaluation(monkeypatch):
-        def fail(*args):
-            raise AssertionError("kernel evaluated")
-
-        monkeypatch.setattr(kernels, "ml_scalar_array", fail)
-        monkeypatch.setattr(mlf, "ml_scalar_array", fail)
-
     @pytest.mark.parametrize("A0", [[[-1.0]], [[-1.0, 0.5], [0.0, -2.0]]])
     @pytest.mark.parametrize("edges", [[0.0, 1.0, math.inf], math.inf,
                                        [0.0, math.nan, 2.0]])
     def test_norm_integrals(self, monkeypatch, A0, edges):
-        self.no_evaluation(monkeypatch)
+        forbid_evaluation(monkeypatch)
         with pytest.raises(ValueError, match="integration edges must be "
                                              "finite"):
-            Kernels(0.4, np.array(A0)).norm_integrals(edges, (1,))
+            Kernels(0.4, np.array(A0)).norm_integrals(edges)
 
     def test_certify(self, monkeypatch):
         # certify checks its delta grid itself (tests/test_certificates.py)
-        self.no_evaluation(monkeypatch)
+        forbid_evaluation(monkeypatch)
         prob = scalar_problem(0.8, -1.0, 0.3, r1=1.0)
         with pytest.raises(ValueError, match="delta must be finite and "
                                              "positive, got inf"):
