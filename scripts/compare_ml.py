@@ -16,8 +16,11 @@ replayed on a kernel object built outside the timed region, a new one per
 run, so no run reuses the contours of another; only the outermost
 ``norm_integrals`` call is recorded, not the one a single delta makes on its
 halving edges.  Both trees take ``norm_integrals(edges, p)``, one power a
-call.  Each SRC is a directory that holds the ``fracdelay`` package, such
-as a checkout's ``src``.
+call.  A last section replays fixed synthetic ``ml_scalar_array`` batches
+on the |z| <= 1 power series: 6, 50, 600 and 2,000 real points in [-1, 1]
+at each (alpha, beta) of ``SERIES_ORDERS``, and 50 complex points in the
+unit disc.  Each SRC is a directory that holds the ``fracdelay`` package,
+such as a checkout's ``src``.
 
 Example, against the parent commit:
     git archive HEAD~1 | (mkdir -p /tmp/old && tar -x -C /tmp/old)
@@ -52,6 +55,21 @@ def load_tree(name: str, src: Path):
 
 # the modules that call tables.induced_norms through a name of their own
 NORM_USERS = ("tables", "kernels", "certificates", "spectral", "system")
+# the synthetic power-series batches: sizes, and orders with beta > alpha
+# or alpha > 1, so that a real z < 0 takes the series, not the contour
+SERIES_SIZES = (6, 50, 600, 2000)
+SERIES_ORDERS = ((0.7, 1.0), (0.7, 1.7), (1.3, 1.3))
+
+
+def series_batches() -> list:
+    """(alpha, beta, z) of the synthetic |z| <= 1 batches, from a fixed
+    seed."""
+    rng = np.random.default_rng(0)
+    batches = [(alpha, beta, rng.uniform(-1.0, 1.0, size) + 0j)
+               for alpha, beta in SERIES_ORDERS for size in SERIES_SIZES]
+    disc = np.sqrt(rng.uniform(0.0, 1.0, 50)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, 50))
+    return batches + [(alpha, beta, disc) for alpha, beta in SERIES_ORDERS]
 
 
 def record_calls(fd):
@@ -185,6 +203,7 @@ def main() -> int:
     trees = (load_tree("fracdelay_old", args.old_src),
              load_tree("fracdelay_new", args.new_src))
     ml_calls, quad_calls, eml_calls, norm_calls = record_calls(trees[0])
+    series_calls = series_batches()
     differ = 0
 
     def ml_call(c):
@@ -221,6 +240,13 @@ def main() -> int:
          [norm_call(c) for c in norm_calls],
          lambda i: (f"{'x'.join(map(str, norm_calls[i][0].shape)):>14} "
                     f"{norm_calls[i][1]!s:>3}")),
+        ("ml_scalar_array, synthetic |z| <= 1 batches",
+         f"{'alpha':>6} {'beta':>6} {'points':>7} kind",
+         [ml_call(c) for c in series_calls],
+         lambda i: (f"{series_calls[i][0]:6.3f} {series_calls[i][1]:6.3f} "
+                    f"{series_calls[i][2].size:7d} "
+                    f"{'complex' if series_calls[i][2].imag.any() else 'real'}"
+                    )),
     )
     for name, head, calls, label in sections:
         print(f"{name}:\n{'call':>5} {head} {'old_s':>10} {'new_s':>10} "

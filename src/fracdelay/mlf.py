@@ -12,7 +12,10 @@ For a scalar argument three routes cover the plane, each chosen per point:
 * the power series in double precision for |z| <= 1 (the pole-free real
   points below excepted), where its terms never exceed its sum by much: it
   sums to round-off and keeps a point only when its cancellation estimate
-  is below 1e-13, else the point goes to the contour;
+  is below 1e-13, else the point goes to the contour.  Its terms come
+  ``_TERM_BLOCK`` = 10 at a time for every point still summing, as (terms
+  x points) arrays in real arithmetic when every z is real, with one stop
+  test per block and the bits of a term-by-term loop;
 * everywhere else the inverse Laplace transform at t = 1,
 
       E_{a,b}(z) = (1/2 pi i) int_C e^s s^(a-b) / (s^a - z) ds,
@@ -74,6 +77,10 @@ _EPS = 2.2204460492503131e-16
 _SERIES_ACCEPT = 1e-13
 _MATRIX_SERIES_FLOOR = 1e-8
 _MAX_TERMS = 10_000
+# terms of the |z| <= 1 series per block, for every point still summing
+_TERM_BLOCK = 10
+# points of a block from which its sums run row by row (see _accumulate)
+_WIDE = 256
 # eigenvector condition number from which a matrix is treated as defective
 SPECTRAL_THRESHOLD = 1e8
 
@@ -120,56 +127,102 @@ def lgamma(x) -> np.ndarray:
 # power series, double precision, vectorized over z
 # ---------------------------------------------------------------------------
 
+def _accumulate(op: np.ufunc, a: np.ndarray) -> None:
+    """a[j] = op(a[j - 1], a[j]) down the rows of ``a``, in place.
+
+    Both routes apply ``op`` row after row, so they give the same bits:
+    numpy's accumulate along axis 0 walks the columns one by one, faster
+    for a narrow block, and one call per row is faster for a wide one.
+    """
+    if a.shape[1] <= _WIDE:
+        op.accumulate(a, axis=0, out=a)
+    else:
+        for j in range(1, a.shape[0]):
+            op(a[j - 1], a[j], out=a[j])
+
+
 def _series_double(alpha: float, beta: float, z: np.ndarray):
     """Sum the defining series for a 1-D array of z.
 
     A point stops after three shrinking terms in a row below ``_EPS`` of
     its sum, or at a non-finite term, and at the latest after ``_MAX_TERMS``
-    terms; only the points still summing are updated.  Returns (values,
-    rel_err_estimate, n_terms).  The error estimate is eps * (largest term
+    terms.  The terms come ``_TERM_BLOCK`` at a time, as (terms x points)
+    arrays over the points still summing, and the stop test runs once per
+    block: a point that stops inside a block takes its sum at its stop
+    term, and only the points still summing go on to the next block.  The
+    powers come from one multiply per term and the partial sums and the
+    largest term from a sequential accumulation along the terms, so every
+    value has the bits of a term-by-term loop.  When every z is real the
+    arithmetic and the values are real, with the bits of the complex
+    arithmetic on zero imaginary parts.  Returns (values,
+    rel_err_estimate).  The error estimate is eps * (largest term
     magnitude) / |sum|, i.e. the cancellation noise floor.
     """
     z = np.asarray(z, dtype=complex)
-    S = np.full(z.shape, complex(rgamma(beta)))
-    maxabs = np.abs(S)
-    stop_ell = np.zeros(z.shape, dtype=int)
+    if not z.imag.any():
+        z = z.real
+    g0 = rgamma(beta)
+    S = np.empty(z.shape, dtype=z.dtype)
+    maxabs = np.empty(z.shape)
+    stop_ell = np.full(z.shape, _MAX_TERMS)
     # the points still summing: index, z, z^ell, partial sum, largest and
-    # last term magnitude, consecutive small-and-shrinking terms
-    live, zl, zp, Sl = np.arange(z.size), z, np.ones_like(z), S.copy()
-    big, prev, calm = maxabs.copy(), maxabs.copy(), np.zeros(z.shape, int)
+    # last term magnitude, small-and-shrinking flags of the last two terms
+    live, zl, zp = np.arange(z.size), z, np.ones_like(z)
+    Sl, big = np.full(z.shape, g0, dtype=z.dtype), np.full(z.shape, abs(g0))
+    prev, calm = big, np.zeros((2, z.size), dtype=bool)
     ell = 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         while live.size and ell < _MAX_TERMS:
-            ell += 1
-            zp = zp * zl
-            term = zp * rgamma(alpha * ell + beta)
-            Sl = Sl + term
-            ta = np.abs(term)
-            big = np.maximum(big, ta)
-            small = ta <= _EPS * np.maximum(np.abs(Sl), 1e-300)
-            calm = np.where(small & (ta < prev), calm + 1, 0)
-            prev = ta
-            stop = (calm >= 3) | ~np.isfinite(ta)
-            if stop.any():
-                idx = live[stop]
-                S[idx], maxabs[idx], stop_ell[idx] = Sl[stop], big[stop], ell
-                keep = ~stop
-                live, zl, zp, Sl, big, prev, calm = (
-                    a[keep] for a in (live, zl, zp, Sl, big, prev, calm))
-    S[live], maxabs[live], stop_ell[live] = Sl, big, ell
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            nb = min(_TERM_BLOCK, _MAX_TERMS - ell)
+            gam = np.array([rgamma(alpha * k + beta)
+                            for k in range(ell + 1, ell + nb + 1)])
+            # row 0 of each array holds what the previous block left
+            P = np.empty((nb + 1, live.size), dtype=z.dtype)
+            P[0] = zp
+            for j in range(nb):
+                np.multiply(P[j], zl, out=P[j + 1])
+            sums = np.empty_like(P)
+            sums[0] = Sl
+            np.multiply(P[1:], gam[:, None], out=sums[1:])
+            mags = np.empty(P.shape)
+            mags[0] = prev
+            ta = np.abs(sums[1:], out=mags[1:])
+            top = mags.copy()
+            top[0] = big
+            _accumulate(np.add, sums)
+            _accumulate(np.maximum, top)
+            flags = np.empty((nb + 2, live.size), dtype=bool)
+            flags[:2] = calm
+            small = np.less_equal(
+                ta, _EPS * np.maximum(np.abs(sums[1:]), 1e-300), out=flags[2:])
+            small &= ta < mags[:-1]
+            stop = small & flags[1:-1] & flags[:-2]
+            stop |= ~np.isfinite(ta)
+            going = ~stop.any(axis=0)
+            zp, Sl, big, prev = P[-1], sums[-1], top[-1], ta[-1]
+            calm = flags[-2:]
+            if not going.all():
+                done = np.flatnonzero(~going)
+                j = stop[:, done].argmax(axis=0) + 1
+                idx = live[done]
+                S[idx], maxabs[idx] = sums[j, done], top[j, done]
+                stop_ell[idx] = ell + j
+                keep = np.flatnonzero(going)
+                live, zl, zp, Sl = live[keep], zl[keep], zp[keep], Sl[keep]
+                big, prev, calm = big[keep], prev[keep], calm[:, keep]
+            ell += nb
+        # points still summing hit the cap
+        S[live], maxabs[live] = Sl, big
         absS = np.abs(S)
         # each term also carries the rounding of its Gamma argument
         # alpha*ell + beta, amplified by psi(x) ~ ln(x)
         x_end = alpha * stop_ell.astype(float) + abs(beta)
         noise = _EPS * (1.0 + x_end * np.log(x_end + 2.0))
+        # a non-finite part makes |S| non-finite
         rel_err = np.where(np.isfinite(absS) & (absS > 0),
                            noise * maxabs / np.maximum(absS, 1e-300), np.inf)
-        rel_err = np.where(np.isfinite(S.real) & np.isfinite(S.imag),
-                           rel_err, np.inf)
-    # points still summing hit the cap
     rel_err[live] = np.inf
-    return S, rel_err, ell
+    return S, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +602,7 @@ def ml_scalar_array(alpha: float, beta: float, z, *,
         near &= ~((flat.imag == 0) & (flat.real < 0))
     near = np.flatnonzero(near)
     if near.size:
-        vs, es, _ = _series_double(alpha, beta, flat[near])
+        vs, es = _series_double(alpha, beta, flat[near])
         ok = es <= _SERIES_ACCEPT
         vals[near[ok]] = vs[ok]
         todo[near[ok]] = False

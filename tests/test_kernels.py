@@ -14,7 +14,7 @@ from conftest import random_stable_matrix, scalar_problem
 from test_mlf import ml_reference
 from fracdelay import (certify, fit_decay_envelope, phi_alpha, phi_alpha_j,
                        phi_alpha_l1, phi_alpha_l2sq, verify_lemma22)
-from fracdelay import kernels, mlf
+from fracdelay import certificates, kernels, mlf
 from fracdelay.certificates import DEFAULT_DELTA_GRID
 from fracdelay.errors import (NotAStabilityMatrix,
                               OverflowBeyondRepresentableRange,
@@ -523,6 +523,55 @@ class TestScanSamplesReused:
         assert len(points) > reused
 
 
+class TestLastZero:
+    """Past ``kernels._last_zero(alpha)`` E_{a,a}(-x) < 0 for 1 < a < 2, so
+    the zero scan leaves out the segments that start beyond the last zero,
+    and every zero, edge and integral keeps its bits."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("x", [1.0, 30.0, 300.0])
+    def test_representation(self, alpha, x):
+        # the residues of the two poles plus the negative cut integral
+        s = x ** (1 / alpha) * np.exp(1j * np.pi / alpha)
+        res = 2 / alpha * (s ** (1 - alpha) * np.exp(s)).real
+        cut = quad(lambda r: math.exp(-r) * r ** alpha
+                   / (r ** (2 * alpha) + 2 * r ** alpha * x
+                      * math.cos(alpha * math.pi) + x * x),
+                   0, np.inf, limit=200)[0]
+        got = mlf.ml_scalar_array(alpha, alpha, [-x])[0].real
+        ref = res + math.sin(alpha * math.pi) / math.pi * cut
+        assert got == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.8, 1.95])
+    def test_negative_past_the_bound(self, alpha):
+        X = kernels._last_zero(alpha)
+        x = np.geomspace(1e-3, 1e3 * X, 20000)
+        e = mlf.ml_scalar_array(alpha, alpha, -x).real
+        assert np.all(e[x > X] < 0)
+        # a sign change shortly before X: the bound is not far off
+        last = x[np.flatnonzero(np.diff(np.sign(e)))[-1]]
+        assert last < X < 1e3 * last
+
+    @pytest.mark.parametrize("lam", [-0.3, -5.0])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.95])
+    def test_bits_of_the_full_scan(self, monkeypatch, alpha, lam):
+        def both():
+            ker = Kernels(alpha, np.array([[lam]]))
+            T = 20.0 * max(1.0, 1.0 / abs(lam))
+            edges = np.concatenate(([0.0], T * 2.0 ** np.arange(-10, 11.0)))
+            zeros, (nodes, _) = ker._zeros(edges, 1.0)
+            return (zeros, nodes.size, ker.norm_integrals(GRID26),
+                    certificates._l1_to_infinity(ker))
+
+        zeros, nodes, table, k1 = both()
+        monkeypatch.setattr(kernels, "_last_zero", lambda alpha: math.inf)
+        all_zeros, all_nodes, all_table, all_k1 = both()
+        assert zeros.tolist() == all_zeros.tolist()
+        assert table.tolist() == all_table.tolist()
+        assert k1 == all_k1
+        assert nodes < all_nodes / 5
+
+
 def forbid_evaluation(monkeypatch):
     def fail(*args):
         raise AssertionError("kernel evaluated")
@@ -777,3 +826,16 @@ def test_norm_series_exp_scalar():
     # scalar: majorant equals e^{|a| s}
     assert norm_series_exp(np.array([[-2.0]]), 1.5) == pytest.approx(
         math.exp(3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1.0, [0.0, 1.0, -0.5]])
+def test_norm_series_ml_refuses_negative_time(t):
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        norm_series_ml(0.8, 1.0, A1, t)
+
+
+def test_norm_series_ml_raises_when_not_converging():
+    # |A| t^a = 1e5: the terms still grow after the 4,000-term cap
+    with pytest.raises(QuadratureNotConverged,
+                       match="norm-series majorant did not converge"):
+        norm_series_ml(1.0, 1.0, np.array([[-1e3]]), 100.0)

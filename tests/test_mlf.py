@@ -51,6 +51,123 @@ def ml_reference(alpha, beta, z):
         return complex(s)
 
 
+def per_term_series(alpha, beta, z):
+    """The |z| <= 1 power series term by term, every point in complex
+    arithmetic and its own stop test after each term: the bit-for-bit
+    reference of ``mlf._series_double``'s blocks.  Reads ``mlf._MAX_TERMS``
+    at call time."""
+    z = np.asarray(z, dtype=complex)
+    S = np.full(z.shape, complex(rgamma(beta)))
+    maxabs = np.abs(S)
+    stop_ell = np.zeros(z.shape, dtype=int)
+    live, zl, zp, Sl = np.arange(z.size), z, np.ones_like(z), S.copy()
+    big, prev, calm = maxabs.copy(), maxabs.copy(), np.zeros(z.shape, int)
+    ell = 0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        while live.size and ell < mlf._MAX_TERMS:
+            ell += 1
+            zp = zp * zl
+            term = zp * rgamma(alpha * ell + beta)
+            Sl = Sl + term
+            ta = np.abs(term)
+            big = np.maximum(big, ta)
+            small = ta <= mlf._EPS * np.maximum(np.abs(Sl), 1e-300)
+            calm = np.where(small & (ta < prev), calm + 1, 0)
+            prev = ta
+            stop = (calm >= 3) | ~np.isfinite(ta)
+            if stop.any():
+                idx = live[stop]
+                S[idx], maxabs[idx], stop_ell[idx] = Sl[stop], big[stop], ell
+                keep = ~stop
+                live, zl, zp, Sl, big, prev, calm = (
+                    a[keep] for a in (live, zl, zp, Sl, big, prev, calm))
+        S[live], maxabs[live], stop_ell[live] = Sl, big, ell
+        absS = np.abs(S)
+        x_end = alpha * stop_ell.astype(float) + abs(beta)
+        noise = mlf._EPS * (1.0 + x_end * np.log(x_end + 2.0))
+        rel_err = np.where(np.isfinite(absS) & (absS > 0),
+                           noise * maxabs / np.maximum(absS, 1e-300), np.inf)
+        rel_err = np.where(np.isfinite(S.real) & np.isfinite(S.imag),
+                           rel_err, np.inf)
+    rel_err[live] = np.inf
+    return S, rel_err
+
+
+def assert_series_bits(alpha, beta, z):
+    """``_series_double`` gives the reference's error estimates and its
+    finite values bit for bit; a real batch gives real values.  Where the
+    reference value is not finite (its estimate is inf, so it is never
+    used) a real batch's value is only non-finite: complex arithmetic turns
+    inf * 0 into NaN parts that real arithmetic does not have."""
+    vals, err = _series_double(alpha, beta, z)
+    ref, ref_err = per_term_series(alpha, beta, z)
+    assert err.tolist() == ref_err.tolist()
+    if np.iscomplexobj(vals):
+        assert np.array_equal(vals, ref, equal_nan=True)
+        return
+    assert not np.asarray(z).imag.any()
+    fin = np.isfinite(ref)
+    assert vals[fin].tolist() == ref[fin].real.tolist()
+    assert not ref[fin].imag.any()
+    assert not np.isfinite(vals[~fin]).any()
+
+
+class TestSeriesBlocks:
+    """The |z| <= 1 series sums ``_TERM_BLOCK`` terms at a time for every
+    point still summing; each point keeps the sum, error estimate and stop
+    term of a term-by-term loop."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.8, 1.0, 1.3, 1.6, 1.9])
+    def test_bits_of_the_per_term_loop(self, alpha):
+        rng = np.random.default_rng(int(alpha * 100))
+        real = rng.uniform(-1.0, 1.0, 40)
+        radius, angle = rng.uniform(0, 1, 40), rng.uniform(-np.pi, np.pi, 40)
+        cplx = radius * np.exp(1j * angle)
+        for beta in (alpha, 1.0, alpha + 1.0, alpha + 2.0, 0.5):
+            for z in (real + 0j, cplx, np.concatenate((real[:20],
+                                                       cplx[:20]))):
+                assert_series_bits(alpha, beta, z)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.7, 1.0), (0.7, 1.7),
+                                             (1.3, 1.3)])
+    def test_wide_blocks_sum_row_by_row(self, alpha, beta):
+        # past _WIDE points a block accumulates one row at a time
+        rng = np.random.default_rng(3)
+        real = rng.uniform(-1.0, 1.0, 3 * mlf._WIDE)
+        cplx = real[:2 * mlf._WIDE] * np.exp(
+            1j * rng.uniform(0.0, 3.0, 2 * mlf._WIDE))
+        assert_series_bits(alpha, beta, real + 0j)
+        assert_series_bits(alpha, beta, cplx)
+
+    @pytest.mark.parametrize("cap", [25, 30])
+    def test_term_cap(self, monkeypatch, cap):
+        # a cap inside a block and one at its end; points stop before, at
+        # and past the cap, whose error estimate is inf
+        monkeypatch.setattr(mlf, "_MAX_TERMS", cap)
+        zs = np.concatenate((-np.geomspace(1e-3, 1.0, 30), [0.3j, -0.9j]))
+        for alpha in (0.3, 0.9, 1.5):
+            assert_series_bits(alpha, 1.0, zs.real + 0j)
+            assert_series_bits(alpha, 1.0, zs)
+            assert np.isinf(_series_double(0.3, 1.0, zs)[1]).any()
+
+    def test_non_finite_terms(self):
+        # powers and Gamma values beyond double range stop a point at that
+        # term, with an infinite error estimate
+        real = np.array([0.5, 5.0, -30.0, 1e200, -1e200, np.inf, -np.inf,
+                         np.nan], dtype=complex)
+        mixed = np.concatenate((real, [3.0 + 4.0j, 1e300j,
+                                       complex(0, np.nan)]))
+        for alpha in (0.5, 1.5):
+            for beta in (1.0, -171.5, -200.5):
+                assert_series_bits(alpha, beta, real)
+                assert_series_bits(alpha, beta, mixed)
+                assert np.isinf(_series_double(alpha, beta, real)[1][3:]).all()
+
+    def test_empty_batch(self):
+        vals, err = _series_double(0.7, 1.0, np.array([], dtype=complex))
+        assert vals.size == err.size == 0
+
+
 class TestGamma:
     def test_known_values(self):
         assert gamma_fn(1.0) == 1.0
@@ -158,7 +275,7 @@ class TestMlScalar:
 
     def test_generic_series_path_matches_exp(self):
         # bypass the alpha=1 closed form: the raw double series at moderate z
-        vals, err, _ = _series_double(1.0, 1.0, np.array([-2.0 + 0j]))
+        vals, err = _series_double(1.0, 1.0, np.array([-2.0 + 0j]))
         assert vals[0].real == pytest.approx(math.exp(-2.0), rel=1e-13)
         assert err[0] < 1e-11
 
@@ -486,6 +603,24 @@ class TestMlMatrix:
                                    rtol=0, atol=1e-15)
         np.testing.assert_allclose(Kernels(0.5, N).e_ml(1.0, [0.5, 1.0]),
                                    closed, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: ml_scalar_array(0.0, 1.0, [0.5]),
+                 "alpha must be positive, got 0.0", id="array-alpha-zero"),
+    pytest.param(lambda: ml_scalar_array(-0.5, 1.0, [0.5]),
+                 "alpha must be positive, got -0.5",
+                 id="array-alpha-negative"),
+    pytest.param(lambda: ml_matrix(0.0, 1.0, np.eye(2), 1.0),
+                 "alpha must be positive", id="matrix-alpha-zero"),
+    pytest.param(lambda: ml_matrix(-1.0, 1.0, np.eye(2), 1.0),
+                 "alpha must be positive", id="matrix-alpha-negative"),
+    pytest.param(lambda: ml_matrix(0.8, 1.0, np.eye(2), -0.1),
+                 "t must be nonnegative", id="matrix-t-negative"),
+])
+def test_refused_orders_and_times(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_no_public_accuracy_options():
