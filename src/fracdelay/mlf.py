@@ -79,8 +79,6 @@ _MATRIX_SERIES_FLOOR = 1e-8
 _MAX_TERMS = 10_000
 # terms of the |z| <= 1 series per block, for every point still summing
 _TERM_BLOCK = 10
-# points of a block from which its sums run row by row (see _accumulate)
-_WIDE = 256
 # eigenvector condition number from which a matrix is treated as defective
 SPECTRAL_THRESHOLD = 1e8
 
@@ -126,20 +124,6 @@ def lgamma(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # power series, double precision, vectorized over z
 # ---------------------------------------------------------------------------
-
-def _accumulate(op: np.ufunc, a: np.ndarray) -> None:
-    """a[j] = op(a[j - 1], a[j]) down the rows of ``a``, in place.
-
-    Both routes apply ``op`` row after row, so they give the same bits:
-    numpy's accumulate along axis 0 walks the columns one by one, faster
-    for a narrow block, and one call per row is faster for a wide one.
-    """
-    if a.shape[1] <= _WIDE:
-        op.accumulate(a, axis=0, out=a)
-    else:
-        for j in range(1, a.shape[0]):
-            op(a[j - 1], a[j], out=a[j])
-
 
 def _series_double(alpha: float, beta: float, z: np.ndarray):
     """Sum the defining series for a 1-D array of z.
@@ -189,8 +173,8 @@ def _series_double(alpha: float, beta: float, z: np.ndarray):
             ta = np.abs(sums[1:], out=mags[1:])
             top = mags.copy()
             top[0] = big
-            _accumulate(np.add, sums)
-            _accumulate(np.maximum, top)
+            np.add.accumulate(sums, axis=0, out=sums)
+            np.maximum.accumulate(top, axis=0, out=top)
             flags = np.empty((nb + 2, live.size), dtype=bool)
             flags[:2] = calm
             small = np.less_equal(

@@ -130,12 +130,10 @@ class TestSeriesBlocks:
 
     @pytest.mark.parametrize("alpha, beta", [(0.7, 1.0), (0.7, 1.7),
                                              (1.3, 1.3)])
-    def test_wide_blocks_sum_row_by_row(self, alpha, beta):
-        # past _WIDE points a block accumulates one row at a time
+    def test_wide_batches(self, alpha, beta):
         rng = np.random.default_rng(3)
-        real = rng.uniform(-1.0, 1.0, 3 * mlf._WIDE)
-        cplx = real[:2 * mlf._WIDE] * np.exp(
-            1j * rng.uniform(0.0, 3.0, 2 * mlf._WIDE))
+        real = rng.uniform(-1.0, 1.0, 2000)
+        cplx = real[:600] * np.exp(1j * rng.uniform(0.0, 3.0, 600))
         assert_series_bits(alpha, beta, real + 0j)
         assert_series_bits(alpha, beta, cplx)
 
