@@ -45,7 +45,10 @@ tends to 0, so unforced, limsup ||x|| <= q limsup ||x||: q < 1 alone gives
 global asymptotic stability.  For a scalar kernel with alpha <= 1 both
 constants are exact, K0_bar = 1 and K1_bar = 1/|lam| (``Kernels.monotone``),
 and no Mittag-Leffler value is evaluated; every other kernel takes K0_bar as
-the largest of 2,001 samples on [0, T0] and K1_bar from the quadrature.
+the largest of 2,001 samples on [0, T0] and K1_bar from
+``Kernels.norm_integrals`` over doubling edges plus a geometric tail: the
+exact primitive summed between the zeros of phi for a scalar kernel with
+alpha < 2, the quadrature for every other.
 """
 
 from __future__ import annotations
@@ -441,7 +444,10 @@ def high_order_check(prob: ValidatedProblem) -> HighOrderResult:
 
     Requires phi_j identically zero for every j < alpha - 1 and the strict
     composite-norm test against |mu2|^(1/alpha) from the spectral module,
-    together with the eigenvalue argument condition |arg| < alpha*pi/2.
+    together with the spectral module's ``arg_condition_met``,
+    |arg lambda| < alpha pi / 2.  That is the unstable sector, so the flag
+    reads false on every stable kernel, and requiring it is no stability
+    condition (ROADMAP.md item 15).
     """
     sys = prob.system
     if sys.alpha < 2.0:

@@ -18,13 +18,11 @@ share one cell count, so each level refines them as one (segments x nodes)
 array: one norm evaluation, one product integration and one Richardson
 row, with no loop over segments.  A single upper limit delta is integrated
 over the halving edges delta 2^-k, k = 10..0.  The one other route: for a
-scalar kernel with alpha <= 1 the smooth factor never changes sign
-(``Kernels.monotone``), so L1 is the exact primitive s^a E_{a,a+1}(A0 s^a)
-at every edge.  For 1 < alpha < 2 it does change
-sign, and the scalar L1 quadrature takes the zeros of phi as extra edges,
-so that no segment holds a kink of |phi|; the scan that finds them stops
-at a proven bound on the last zero (``_last_zero``) and serves the
-quadrature every node it has already evaluated.
+scalar kernel with alpha < 2, L1 is the exact primitive s^a E_{a,a+1}(A0 s^a)
+summed between the zeros of phi.  For alpha <= 1 the smooth factor never
+changes sign (``Kernels.monotone``); for 1 < alpha < 2 and A0 < 0 it does,
+and a scan finds its zeros, stopping at a proven bound on the last zero
+(``_last_zero``).
 
 The bound verifier checks the norm inequalities relating these kernels to
 exponential majorants.  The right-hand sides use the series-of-norms
@@ -54,9 +52,9 @@ from .system import FractionalDelaySystem, order_index
 from .tables import induced_norm, induced_norms
 
 _HALVINGS = 10      # a single delta runs over the edges delta 2^-k, k <= 10
-_QUAD_TOL = 1e-9    # the one accuracy of every kernel norm integral
-_N0 = 32            # the quadrature's cells per segment at its first level
-_MAX_DOUBLINGS = 11  # its further levels
+_QUAD_TOL = 1e-9    # the one accuracy of the kernel norm quadrature
+_N0 = 32            # cells per segment at the first level (quadrature, scan)
+_MAX_DOUBLINGS = 11  # their further levels
 _NOISE_FLOOR = 3e-8  # its weight-evaluation noise (see the quadrature)
 _ZERO_STEPS = 6     # regula-falsi steps per zero of a scalar phi, 1 < a < 2
 _CHECK_SLACK = 1e-9  # bound checks pass at rhs - lhs >= -slack max(1, |rhs|)
@@ -195,38 +193,25 @@ class Kernels:
 
     # -- norms of the smooth factor, vectorized -------------------------
 
-    def _e_norms(self, beta: float, s: np.ndarray, known=None) -> np.ndarray:
-        """||E_{a,beta}(A0 s^a)|| for an array of s.  ``known`` is a pair
-        (nodes, values) of increasing nodes and their E values: each s equal
-        to a node takes its value without evaluating it again, which keeps
-        every bit, since a value does not depend on the points evaluated
-        with it."""
-        if known is None:
-            return induced_norms(self.e_ml(beta, s))
-        nodes, values = known
-        i = np.minimum(np.searchsorted(nodes, s), nodes.size - 1)
-        hit = nodes[i] == s
-        e = np.empty((s.size, self.n, self.n))
-        e[hit] = values[i[hit]]
-        e[~hit] = self.e_ml(beta, s[~hit])
-        return induced_norms(e)
+    def _e_norms(self, beta: float, s: np.ndarray) -> np.ndarray:
+        """||E_{a,beta}(A0 s^a)|| for an array of s."""
+        return induced_norms(self.e_ml(beta, s))
 
-    def _zeros(self, edges: np.ndarray, grading: float):
-        """Zeros of a scalar E_{a,a}(A0 s^a), A0 < 0, inside (e_0, e_K), and
-        every sample taken to find them.
+    def _zeros(self, edges: np.ndarray) -> np.ndarray:
+        """Zeros of a scalar E_{a,a}(A0 s^a), A0 < 0, 1 < a < 2, inside
+        [e_0, e_K], increasing.
 
-        The scan starts from the quadrature's first-level mesh of ``edges``
-        (``_N0`` cells a segment) and doubles a segment's cells, at most
-        ``_MAX_DOUBLINGS`` times, until its widest cell is at most a quarter
-        of phi's half-period pi / (|A0|^(1/a) sin(pi/a)), the spacing of its
-        zeros far out, so that no pair of zeros falls in one cell.  Segments
-        that start past the last zero, s^a >= ``_last_zero(a)`` / |A0|, are
-        not scanned: past it E_{a,a}(A0 s^a) < 0.  Each sign
-        change on those nodes is refined by ``_ZERO_STEPS`` Illinois
-        regula-falsi steps, all brackets at once.  Returns the zeros and the
-        pair (nodes, E values) of the scan and the last step, nodes
-        increasing: a doubled mesh keeps the first-level nodes, so the
-        quadrature reads those back instead of evaluating them again.
+        The scan starts from ``_N0`` uniform cells a segment of ``edges``
+        and doubles a segment's cells, at most ``_MAX_DOUBLINGS`` times,
+        until each is at most a quarter of phi's half-period
+        pi / (|A0|^(1/a) sin(pi/a)), the spacing of its zeros far out, so
+        that no pair of zeros falls in one cell; a segment still wider than
+        that raises ``QuadratureNotConverged``, since a missed pair of
+        zeros would drop two lobes of |phi| from L1.  Segments that start
+        past the last zero, s^a >= ``_last_zero(a)`` / |A0|, are not
+        scanned: past it E_{a,a}(A0 s^a) < 0.  Each sign change on those
+        nodes is refined by ``_ZERO_STEPS`` Illinois regula-falsi steps,
+        all brackets at once.
         """
         alpha = self.alpha
         lam = abs(float(self.A0[0, 0]))
@@ -237,74 +222,71 @@ class Kernels:
         quarter = 0.25 * math.pi / (lam ** (1 / alpha)
                                     * math.sin(math.pi / alpha))
         cells = np.full(lo.size, _N0)
+        wide = (hi - lo) / cells > quarter
         for _ in range(_MAX_DOUBLINGS):
-            widest = np.where(lo == 0, hi * (1 - (1 - 1 / cells) ** grading),
-                              (hi - lo) / cells)
-            wide = widest > quarter
             if not wide.any():
                 break
             cells[wide] *= 2
+            wide = (hi - lo) / cells > quarter
+        if wide.any():
+            k = int(np.argmax(wide))
+            raise QuadratureNotConverged(
+                f"zero scan: {cells[k]} cells on [{lo[k]:.6g}, {hi[k]:.6g}] "
+                f"are wider than a quarter of phi's half-period, "
+                f"{quarter:.3g}")
         # the nodes after each segment's start, at fractions k / cells of it
         seg = np.repeat(np.arange(lo.size), cells)
         k = np.arange(1, cells.sum() + 1) - np.repeat(np.cumsum(cells) - cells,
                                                       cells)
         s = np.concatenate((edges[:1], _mesh_nodes(lo[seg], hi[seg],
-                                                   k / cells[seg], grading)))
-        e = self.e_ml(alpha, s)
-        f = e[:, 0, 0]
+                                                   k / cells[seg], 1.0)))
+        f = self.e_ml(alpha, s)[:, 0, 0]
         # a value of exactly 0 counts as positive: a zero at a node is
         # bracketed once, and the steps land on that node
         i = np.flatnonzero((f[:-1] < 0) != (f[1:] < 0))
-        a, b, fa, fb, eb = s[i], s[i + 1], f[i], f[i + 1], e[i + 1]
+        a, b, fa, fb = s[i], s[i + 1], f[i], f[i + 1]
         for _ in range(_ZERO_STEPS if i.size else 0):
             c = (a * fb - b * fa) / (fb - fa)
             # a converged bracket lands on b again: b's value, not a new one
-            ec = eb.copy()
+            fc = fb.copy()
             moved = c != b
-            ec[moved] = self.e_ml(alpha, c[moved])
-            fc = ec[:, 0, 0]
+            fc[moved] = self.e_ml(alpha, c[moved])[:, 0, 0]
             # keep the bracket; halve a kept end's value (Illinois)
             flip = (fc < 0) != (fb < 0)
             a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
-            b, fb, eb = c, fc, ec
-        nodes = np.concatenate((s, b))
-        order = np.argsort(nodes, kind="stable")
-        return b, (nodes[order], np.concatenate((e, eb))[order])
+            b, fb = c, fc
+        return b
 
     def norm_integrals(self, edges, p: int = 1) -> np.ndarray:
         """integral_(e_0)^(e_k) ||phi(s)||_2^p ds, p = 1 or 2.
 
         ``edges`` is one upper limit delta (edges 0, delta) or a sequence
         increasing from e_0 >= 0; the result has shape (K,), one value per
-        edge e_1..e_K.  A single delta runs over the halving edges
+        edge e_k, k = 1..K.  A single delta runs over the halving edges
         delta 2^-k, k = 10..0, where one graded mesh over [0, delta] can
-        stall on a far kink of ||phi||.  For a scalar kernel with
-        alpha <= 1, L1 is the exact primitive s^a E_{a,a+1}(A0 s^a) at every
-        edge: the smooth factor E_{a,a}(A0 s^a) never changes sign there
-        (E_{a,a}(-x) is completely monotone, Pollard 1948 and Schneider
-        1996, and E_{a,a}(x) > 0 for x >= 0); from e_0 > 0 and A0 != 0 the
-        increments are (E_{a,1}(A0 e_k^a) - E_{a,1}(A0 e_0^a)) / A0, which
-        keep their relative accuracy where two primitives near 1/|A0| would
-        cancel.  Every other case takes one segmented cumulative product
-        integration of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p, which serves every
-        edge, on a first segment graded for that power.  For a scalar kernel
-        with 1 < alpha < 2, L1 integrates |phi|, which kinks at each zero of
-        E_{a,a}(A0 s^a); those zeros (``_zeros``) join the edges, and the
-        result is read back at the caller's edges.  The scan's cells are at
-        most a quarter of phi's half-period (up to ``_MAX_DOUBLINGS``
-        doublings), and every node it has evaluated, the first-level nodes
-        of the segments without a zero among them, is read back rather than
-        evaluated again, with the same bits.  A p other than 1 or 2, or an
-        edge that is not finite, raises ``ValueError`` before any
-        evaluation.
+        stall on a far kink of ||phi||.  A p other than 1 or 2, or an edge
+        that is not finite, raises ``ValueError`` before any evaluation.
 
-        The accuracy is fixed at ``_QUAD_TOL`` = 1e-9 of the mixed absolute/
-        relative scale, but a stagnating segment is accepted at 50 x
-        ``_NOISE_FLOOR`` = 3e-8 of its share.  Matrix kernels rely on this
-        at the kinks of the spectral norm: their integrals, and the
-        certificate values built on them, can carry about 1e-6 relative
-        error.  Scalar kernels do not: with the zeros of phi as edges,
-        every segment converges to ``_QUAD_TOL``.
+        For a scalar kernel with alpha < 2, L1 is the exact primitive P of
+        phi, summed between the zeros of phi: with anchors e_0 and the
+        zeros z_i (``_zeros``), L1(e_k) is the sum of |P(z_(i+1)) - P(z_i)|
+        over the lobes below e_k plus |P(e_k) - P(the last anchor below
+        e_k)|.  phi has zeros only for 1 < alpha < 2 and A0 < 0: for
+        alpha <= 1, E_{a,a}(-x) is completely monotone (Pollard 1948,
+        Schneider 1996), and E_{a,a}(x) > 0 for x >= 0.  P is
+        s^a E_{a,a+1}(A0 s^a) from e_0 = 0; from e_0 > 0 and A0 != 0 it is
+        E_{a,1}(A0 s^a) / A0, since d/ds E_{a,1}(A0 s^a) = A0 phi(s), whose
+        differences keep their relative accuracy where two primitives near
+        1/|A0| would cancel.
+
+        Every other case takes one segmented cumulative product integration
+        of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p, which serves every edge, on a
+        first segment graded for that power.  Its accuracy is fixed at
+        ``_QUAD_TOL`` = 1e-9 of the mixed absolute/relative scale, but a
+        stagnating segment is accepted at 50 x ``_NOISE_FLOOR`` = 3e-8 of
+        its share.  Matrix kernels rely on this at the kinks of the
+        spectral norm: their integrals, and the certificate values built on
+        them, can carry about 1e-6 relative error.
         """
         if np.ndim(p) or p not in (1, 2):
             raise ValueError(f"norm_integrals takes p = 1 or 2, got {p!r}")
@@ -318,34 +300,31 @@ class Kernels:
             halving = edges[1] * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)
             return self.norm_integrals(np.concatenate(([0.0], halving)),
                                        p)[-1:]
-        if p == 1 and self.monotone:
+        if p == 1 and self.n == 1 and alpha < 2:
             lam = self.A0[0, 0]
-            # d/dt E_{a,1}(lam t^a) = lam phi(t): from e_0 > 0 the increments
-            # come without the cancellation of two primitives near 1/|lam|
-            prim = (self.e_ml(1.0, edges) / lam if edges[0] > 0 and lam != 0
-                    else self.int_phi(edges))[:, 0, 0]
-            return np.abs(prim[1:] - prim[0])
+            zeros = (self._zeros(edges) if alpha > 1 and lam < 0
+                     else np.empty(0))
+            anchors = np.concatenate((edges[:1], zeros))
+            points = np.concatenate((anchors, edges[1:]))
+            prim = (self.e_ml(1.0, points) / lam if edges[0] > 0 and lam != 0
+                    else self.int_phi(points))[:, 0, 0]
+            at_anchor, at_edge = prim[:anchors.size], prim[anchors.size:]
+            lobes = np.concatenate(([0.0],
+                                    np.cumsum(np.abs(np.diff(at_anchor)))))
+            below = np.searchsorted(anchors, edges[1:]) - 1
+            return lobes[below] + np.abs(at_edge - at_anchor[below])
         grading = (max(1.0, 1.0 / alpha) if p == 1 else
                    min(max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0)), 40.0))
-        cuts, known = edges, None
-        # E_{a,a}(x) > 0 for x >= 0: only A0 < 0 has zeros
-        if p == 1 and self.n == 1 and 1 < alpha < 2 and self.A0[0, 0] < 0:
-            # |phi| kinks at each zero of phi: make the zeros edges too
-            zeros, known = self._zeros(edges, grading)
-            cuts = np.sort(np.concatenate((edges, zeros)))
-            cuts = cuts[np.append(True, np.diff(cuts) > 0)]
 
         def w(s):
             norms = np.empty(s.shape)
             pos = s > 0
-            norms[pos] = self._e_norms(alpha, s[pos], known)
+            norms[pos] = self._e_norms(alpha, s[pos])
             # limit of ||E_{a,a}(A0 s^a)|| at 0+
             norms[~pos] = rgamma(alpha)
             return norms ** p
 
-        cols = np.searchsorted(cuts, edges[1:]) - 1
-        return weighted_singular_integral(p * (alpha - 1.0), w, cuts,
-                                          grading)[cols]
+        return weighted_singular_integral(p * (alpha - 1.0), w, edges, grading)
 
 
 # ---------------------------------------------------------------------------

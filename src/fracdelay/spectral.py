@@ -13,10 +13,13 @@ minimized over weights sum b_i^2 = 1 against the threshold |mu_2(J_d)|^(1/a).
 Blocks that vanish are dropped (the weight limit b -> 0 concentrates the
 budget on the live blocks).
 
-Two necessary-condition diagnostics are reported side by side and may
-disagree: the direct sign of max Re lambda^(1/a) under the stated branch
-convention, and the eigenvalue argument test |arg lambda| < a*pi/2.  The
-verdict follows the former; both appear in the result.
+Two diagnostics are reported side by side: the direct sign of
+max Re lambda^(1/a) under the stated branch convention, which gates the
+verdict, and the eigenvalue argument flag |arg lambda| < a*pi/2.  That
+sector is the unstable one (E_{a,b}(lambda t^a) grows for lambda inside
+it), so the flag reads false on every stable kernel, and
+``certificates.high_order_check``, which requires it, reads no stability
+condition from it (ROADMAP.md item 15).
 """
 
 from __future__ import annotations
@@ -221,7 +224,9 @@ class Theorem34Result:
     threshold: float               # |mu_2(J_d)|^(1/alpha)
     composite_norm: float
     beta: tuple | None
-    arg_condition_met: bool        # |arg lambda| < alpha*pi/2 for every eigenvalue
+    # |arg lambda| < alpha*pi/2 for every eigenvalue: the unstable sector,
+    # so false on every stable kernel
+    arg_condition_met: bool
     strict_norm_test: bool
 
     def as_dict(self) -> dict:
@@ -243,8 +248,10 @@ def theorem34_certify(sys: FractionalDelaySystem) -> Theorem34Result:
     verdict requires max Re lambda^(1/alpha) < 0 and compares the
     optimized composite block norm against |mu_2(J_d)|^(1/alpha): strictly
     below certifies global asymptotic stability independent of the delays,
-    equality (to 1e-12) global stability.  The eigenvalue argument condition
-    is evaluated and reported alongside; it is not the gate.
+    equality (to 1e-12) global stability.  The eigenvalue argument flag
+    |arg lambda| < alpha pi / 2 is reported alongside and is not the gate:
+    that is the unstable sector, so the flag reads false on every stable
+    kernel.
     """
     dec = decompose(sys.kernel_matrix)
     m = frac_power_measure(dec, sys.alpha)

@@ -196,6 +196,12 @@ class TestGainBounds:
         with pytest.raises(PremiseViolated):
             gain_bound_uniform(prob, 40.0, 0.5)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_margin_outside_the_unit_interval_rejected(self, epsilon):
+        prob = scalar_problem(1.0, -1.0, 0.0, r1=1.0, b=1.0)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            gain_bound_uniform(prob, 40.0, epsilon)
+
     def test_l2_bound_value(self):
         # windows [1, 2] at both lags from t = h = 1: s_i = l2k sqrt(1)
         prob = scalar_problem(1.0, -1.0, 0.0, r1=1.0, b=1.0)
@@ -390,20 +396,18 @@ class TestCertify:
         return float(exact_l1(1.2, -2.0, (delta,))[0][0])
 
     def test_oscillating_kernel_l1_against_exact_primitive(self):
-        # E_{1.2,1.2}(-2 s^1.2) changes sign; its zero is an edge of the
-        # L1 quadrature
+        # E_{1.2,1.2}(-2 s^1.2) changes sign; L1 sums the primitive between
+        # its zeros
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
         table = ker.norm_integrals(np.concatenate(([0.0], DEFAULT_DELTA_GRID)))
-        assert table[-1] == pytest.approx(self._exact_l1(100.0), rel=1e-9)
+        assert table[-1] == pytest.approx(self._exact_l1(100.0), rel=1e-13)
 
     def test_one_delta_l1_of_oscillating_kernel_converges(self):
-        # one graded mesh over [0, 100] stalls at the kink near s = 1.99;
-        # over the halving edges and that zero the integrand is smooth and
-        # accurate to about 1e-14 absolute, so the result meets the
-        # quadrature tolerance
+        # the zero near s = 1.99, found on the halving edges, splits [0, 100]
+        # into two lobes of the primitive
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
         got = kernels.phi_alpha_l1(ker, 100.0)
-        assert got == pytest.approx(self._exact_l1(100.0), rel=1e-9)
+        assert got == pytest.approx(self._exact_l1(100.0), rel=1e-13)
 
     def test_one_delta_certificates_integrate_over_halving_edges(self):
         # a single delta takes the halving edges inside norm_integrals, so
@@ -426,7 +430,7 @@ class TestCertify:
         # the first zero is near 1.99, and it splits the segment [0, 2.3]
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
         table = ker.norm_integrals([0.0, 2.3, 1000.0])
-        assert table[0] == pytest.approx(self._exact_l1(2.3), rel=1e-9)
+        assert table[0] == pytest.approx(self._exact_l1(2.3), rel=1e-13)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.05, 0.6), st.floats(0.05, 0.6))

@@ -281,11 +281,11 @@ class TestSegmentedQuadrature:
         (0.7, A1, GRID26, (2,)),
         (0.7, A1, [0.5, 3.0], (1, 2)),
         (0.7, A1, 3.0, (2,)),
-        # scalar alpha = 1.5: E_{a,a}(-2 s^a) changes sign, so |phi| has
-        # kinks and the segments converge at different levels
-        (1.5, [[-2.0]], GRID26, (1,)),
-        (1.5, [[-2.0]], [0.3, 1.0, 1.7, 2.2, 2.9, 4.0, 6.5], (1, 2)),
-        (1.5, [[-2.0]], [1.0, 2.5], (1,)),
+        # scalar alpha = 1.5: E_{a,a}(-2 s^a) changes sign; L1 is the exact
+        # primitive, so only L2 takes the quadrature
+        (1.5, [[-2.0]], GRID26, (2,)),
+        (1.5, [[-2.0]], [0.3, 1.0, 1.7, 2.2, 2.9, 4.0, 6.5], (2,)),
+        (1.5, [[-2.0]], [1.0, 2.5], (2,)),
         (0.8, A3, GRID26, (2,)),
         (0.8, A3, GRID26, (1,)),
         # alpha = 1: the moment exponents are 1 and 2 exactly
@@ -305,22 +305,20 @@ class TestSegmentedQuadrature:
             assert got.tolist() == ref.tolist(), p
 
     def test_segments_converge_at_different_levels(self, monkeypatch):
-        # per level, the segments still refined evaluate n/2 new nodes each;
-        # each zero of phi below 100 splits its segment in two
-        _, zeros = exact_l1(1.5, -2.0, tuple(DEFAULT_DELTA_GRID))
+        # per level, the segments still refined evaluate n/2 new nodes each
         sizes = []
         ker = Kernels(1.5, np.array([[-2.0]]))
         w = ker._e_norms
 
-        def counted(beta, s, known=None):
+        def counted(beta, s):
             sizes.append(s.size)
-            return w(beta, s, known)
+            return w(beta, s)
 
         monkeypatch.setattr(ker, "_e_norms", counted)
-        ker.norm_integrals(GRID26)
+        ker.norm_integrals(GRID26, 2)
         active = [size // (32 * 2 ** (level - 1))
                   for level, size in enumerate(sizes) if level]
-        assert active[0] == 25 + zeros.size and len(set(active)) > 2
+        assert active[0] == 25 and len(set(active)) > 2
 
     def test_stall_names_the_first_unconverged_segment(self, monkeypatch):
         # smooth on [0, 2], unresolved oscillation on [2, 3] and [3, 4]
@@ -348,8 +346,9 @@ class TestSegmentedQuadrature:
 
 
 class TestNoSignProbe:
-    """For alpha <= 1 a scalar kernel keeps one sign: L1 from the exact
-    primitive at every edge, the quadrature only for L2."""
+    """A scalar kernel with alpha < 2 takes L1 from the exact primitive at
+    every edge, summed between the zeros of phi where it has any, and the
+    quadrature only for L2."""
 
     @staticmethod
     def quadrature_calls(monkeypatch):
@@ -371,6 +370,11 @@ class TestNoSignProbe:
         (1.0, -1.0, GRID26, (1, 2)),
         # e^(-2 s) falls below 1e-7 near s = 8, far inside the grid
         (1.0, -2.0, GRID26, (1,)),
+        # 1 < alpha < 2: phi changes sign only for a0 < 0
+        (1.5, -1.0, GRID26, (1, 2)),
+        (1.5, 0.0, GRID26, (1,)),
+        (1.5, 0.0, [0.2, 1.0, 3.0], (1,)),
+        (1.5, 0.5, [0.2, 1.0, 3.0], (1, 2)),
     ])
     def test_l1_is_the_exact_primitive(self, monkeypatch, alpha, a0, edges,
                                        powers):
@@ -378,10 +382,16 @@ class TestNoSignProbe:
         ker = Kernels(alpha, np.array([[a0]]))
         table = ker.norm_integrals(edges)
         assert calls == []
-        # from e_0 > 0 the increments of E_{a,1}(a0 t^a) / a0
-        prim = (ker.e_ml(1.0, edges) / a0 if edges[0] > 0
-                else ker.int_phi(edges))[:, 0, 0]
-        assert table.tolist() == np.abs(prim[1:] - prim[0]).tolist()
+        if alpha > 1 and a0 < 0:
+            # the primitive summed lobe by lobe between the zeros of phi
+            ref, zeros = exact_l1(alpha, a0, tuple(edges[1:]))
+            assert zeros.size
+            np.testing.assert_allclose(table, ref, rtol=1e-13)
+        else:
+            # from e_0 > 0 the increments of E_{a,1}(a0 t^a) / a0
+            prim = (ker.e_ml(1.0, edges) / a0 if edges[0] > 0 and a0 != 0
+                    else ker.int_phi(edges))[:, 0, 0]
+            assert table.tolist() == np.abs(prim[1:] - prim[0]).tolist()
         # L2 takes one quadrature of s^(2(a-1)) ||E_{a,a}||^2
         if 2 in powers:
             l2 = ker.norm_integrals(edges, 2)
@@ -450,9 +460,9 @@ def exact_l1(alpha, lam, deltas):
 
 
 class TestScalarL1AboveOrderOne:
-    """For 1 < alpha < 2 the scalar smooth factor E_{a,a}(lam s^a) changes
-    sign, and L1 comes from the quadrature with every zero of phi as an
-    extra edge, so no segment holds a kink of |phi|."""
+    """For 1 < alpha < 2 and lam < 0 the scalar smooth factor
+    E_{a,a}(lam s^a) changes sign, and L1 sums the exact primitive between
+    the zeros of phi."""
 
     @pytest.mark.parametrize("lam", [-0.3, -1.0, -2.0])
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 1.95])
@@ -460,17 +470,17 @@ class TestScalarL1AboveOrderOne:
         ref, zeros = exact_l1(alpha, lam, tuple(DEFAULT_DELTA_GRID))
         assert zeros.size
         table = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26)
-        np.testing.assert_allclose(table, ref, rtol=1e-9)
+        np.testing.assert_allclose(table, ref, rtol=1e-13)
 
     @pytest.mark.parametrize("lam", [-0.3, -2.0])
     @pytest.mark.parametrize("alpha", [1.2, 1.8])
     def test_one_delta_before_the_first_zero(self, alpha, lam):
-        # |phi| is smooth before the first zero: no kink to stall on
+        # one lobe: the primitive at delta alone
         _, zeros = exact_l1(alpha, lam, (100.0,))
         delta = 0.6 * zeros[0]
         ref, _ = exact_l1(alpha, lam, (delta,))
         ker = Kernels(alpha, np.array([[lam]]))
-        assert phi_alpha_l1(ker, delta) == pytest.approx(ref[0], rel=1e-8)
+        assert phi_alpha_l1(ker, delta) == pytest.approx(ref[0], rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [1.5, 1.8])
     def test_one_delta_past_the_zeros(self, alpha):
@@ -479,48 +489,28 @@ class TestScalarL1AboveOrderOne:
         ref, zeros = exact_l1(alpha, -1.0, (100.0,))
         assert zeros.size >= 5
         ker = Kernels(alpha, np.array([[-1.0]]))
-        assert phi_alpha_l1(ker, 100.0) == pytest.approx(ref[0], rel=1e-9)
+        assert phi_alpha_l1(ker, 100.0) == pytest.approx(ref[0], rel=1e-13)
 
     @pytest.mark.parametrize("lam", [-0.3, -1.0, -2.0, -5.0])
     @pytest.mark.parametrize("alpha", [1.1, 1.2, 1.5, 1.8, 1.95])
     def test_no_noise_floor_acceptance(self, monkeypatch, alpha, lam):
-        # every segment is smooth, so each converges to _QUAD_TOL without
-        # the stagnation rule that matrix kernels still need
+        # no quadrature, so no stagnation rule: the grid and the halving
+        # edges of one delta find the same lobes
         monkeypatch.setattr(kernels, "_NOISE_FLOOR", 0.0)
         ker = Kernels(alpha, np.array([[lam]]))
         table = ker.norm_integrals(GRID26)
         assert np.all(np.diff(table) > 0)
-        assert phi_alpha_l1(ker, 100.0) == pytest.approx(table[-1], rel=1e-9)
+        assert phi_alpha_l1(ker, 100.0) == pytest.approx(table[-1], rel=1e-13)
 
-
-class TestScanSamplesReused:
-    """The zero scan's samples serve the L1 quadrature of a scalar kernel
-    with 1 < alpha < 2: no point is evaluated twice, and every value keeps
-    its bits."""
-
-    @pytest.mark.parametrize("lam", [-0.548, -5.0])
-    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.95])
-    def test_no_node_evaluated_twice(self, monkeypatch, alpha, lam):
-        points = []
-        e_ml = Kernels.e_ml
-
-        def counted(self, beta, t):
-            points.extend(np.atleast_1d(t).tolist())
-            return e_ml(self, beta, t)
-
-        monkeypatch.setattr(Kernels, "e_ml", counted)
-        table = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26)
-        reused = len(points)
-        assert len(set(points)) == reused
-
-        e_norms = Kernels._e_norms
-        monkeypatch.setattr(Kernels, "_e_norms",
-                            lambda self, beta, s, known=None:
-                            e_norms(self, beta, s))
-        points.clear()
-        again = Kernels(alpha, np.array([[lam]])).norm_integrals(GRID26)
-        assert again.tolist() == table.tolist()
-        assert len(points) > reused
+    def test_scan_coarser_than_the_zeros_raises(self, monkeypatch):
+        # at lam = -5, alpha = 1.95 the quarter half-period is 0.344, and
+        # the first-level cells of the default grid past s = 31.6 are wider:
+        # a pair of zeros could share a cell and drop two lobes from L1
+        monkeypatch.setattr(kernels, "_MAX_DOUBLINGS", 0)
+        ker = Kernels(1.95, np.array([[-5.0]]))
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"32 cells on \[31.6228, 46.4159\]"):
+            ker.norm_integrals(GRID26)
 
 
 class TestLastZero:
@@ -555,12 +545,22 @@ class TestLastZero:
     @pytest.mark.parametrize("lam", [-0.3, -5.0])
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.95])
     def test_bits_of_the_full_scan(self, monkeypatch, alpha, lam):
+        points = []
+        e_ml = Kernels.e_ml
+
+        def counted(self, beta, t):
+            points.append(np.size(t))
+            return e_ml(self, beta, t)
+
+        monkeypatch.setattr(Kernels, "e_ml", counted)
+
         def both():
             ker = Kernels(alpha, np.array([[lam]]))
             T = 20.0 * max(1.0, 1.0 / abs(lam))
             edges = np.concatenate(([0.0], T * 2.0 ** np.arange(-10, 11.0)))
-            zeros, (nodes, _) = ker._zeros(edges, 1.0)
-            return (zeros, nodes.size, ker.norm_integrals(GRID26),
+            points.clear()
+            zeros = ker._zeros(edges)
+            return (zeros, sum(points), ker.norm_integrals(GRID26),
                     certificates._l1_to_infinity(ker))
 
         zeros, nodes, table, k1 = both()

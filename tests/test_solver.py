@@ -31,6 +31,11 @@ class TestGrid:
         grid = align_grid(0.1, 1.0, [0.0])
         assert grid.node_count == 11
 
+    @pytest.mark.parametrize("step, horizon", [(0.0, 1.0), (0.1, -1.0)])
+    def test_nonpositive_step_or_horizon_rejected(self, step, horizon):
+        with pytest.raises(ValueError, match="must be positive"):
+            align_grid(step, horizon, [0.0])
+
     def test_node_budget(self):
         # nearly incommensurate delays: the aligned step is about 2.45e-9
         with pytest.raises(GridTooLarge, match=r"1\.414.*nodes"):
@@ -106,6 +111,15 @@ class TestAnalyticCases:
         prob = scalar_problem(1.0, 0.0, at0=200.0)
         grid = align_grid(0.01, 1.0, prob.system.delays)
         with pytest.raises(NodeCorrectionDiverged):
+            solve_trajectory(prob, grid)
+
+    def test_overflowing_node_solve(self):
+        # K(0) C = 0.9995: each node multiplies x by 1.9995 / 0.0005 = 3999,
+        # past the largest double within 100 nodes
+        prob = scalar_problem(1.0, 0.0, at0=199.9)
+        grid = align_grid(0.01, 1.0, prob.system.delays)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NodeCorrectionDiverged, match="not finite"):
             solve_trajectory(prob, grid)
 
 
@@ -382,6 +396,14 @@ class TestPicard:
                            prehistory=prob.ics)
         image = picard_map(prob, start, grid)
         np.testing.assert_allclose(image.states, 2.0, rtol=1e-12)
+
+    def test_trajectory_of_another_grid_rejected(self):
+        prob = scalar_problem(0.7, -1.0)
+        grid = align_grid(0.01, 1.0, prob.system.delays)
+        start = Trajectory(grid=grid, states=np.zeros((grid.node_count - 1, 1)),
+                           prehistory=prob.ics)
+        with pytest.raises(DimensionMismatch, match="does not match grid"):
+            picard_map(prob, start, grid)
 
     def test_iteration_converges_on_contractive_system(self):
         prob = scalar_problem(1.0, -1.0, 0.5, r1=1.0)

@@ -45,6 +45,10 @@ class TestMeasure:
         for p in (1, 2, np.inf):
             assert matrix_measure(np.zeros((2, 2)), p) == 0.0
 
+    def test_unsupported_order_rejected(self):
+        with pytest.raises(ValueError, match="unsupported measure order 3"):
+            matrix_measure(np.eye(2), 3)
+
     def test_row_column_forms(self):
         M = np.array([[-2.0, 1.0], [3.0, -5.0]])
         assert matrix_measure(M, 1) == max(-2 + 3, -5 + 1)
@@ -158,6 +162,17 @@ class TestCompositeNorm:
     def test_weight_normalization_enforced(self):
         with pytest.raises(ValueError):
             BetaWeights((0.5, 0.5))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            BetaWeights((-0.6, 0.8))
+
+    def test_weight_count_must_match_blocks(self):
+        # J_off and one A_i make two blocks
+        dec = decompose(np.diag([-1.0, -2.0]))
+        with pytest.raises(ValueError, match="3 weights for 2 blocks"):
+            composite_block_norm(dec, [np.eye(2)],
+                                 BetaWeights((0.6, 0.0, 0.8)))
 
     def test_scaling_beta_down_increases(self):
         dec = decompose(np.diag([-1.0, -2.0]))

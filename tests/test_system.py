@@ -68,6 +68,12 @@ def test_k_equals_ceil_alpha():
         assert prob.k == k
 
 
+def test_problem_dimension():
+    prob = validate_system(0.5, [0.0], [-np.eye(3)],
+                           phi=[const_phi([0.0, 0.0, 0.0], 0.0)])
+    assert prob.n == 3
+
+
 def test_json_round_trip():
     prob = scalar_problem(0.7, -1.0, 0.3, r1=0.5, at0=0.2)
     doc = problem_to_dict(prob)
