@@ -42,13 +42,12 @@ whenever q < 1 (the u term for an open-loop input).  K1_bar is finite
 exactly when sum_i A_i has no zero eigenvalue and none in
 |arg lambda| <= alpha pi / 2, the one gate.  Past it every phi_j, j < alpha,
 tends to 0, so unforced, limsup ||x|| <= q limsup ||x||: q < 1 alone gives
-global asymptotic stability.  For a scalar kernel with alpha <= 1 both
-constants are exact, K0_bar = 1 and K1_bar = 1/|lam| (``Kernels.monotone``),
-and no Mittag-Leffler value is evaluated; every other kernel takes K0_bar as
-the largest of 2,001 samples on [0, T0] and K1_bar from
-``Kernels.norm_integrals`` over doubling edges plus a geometric tail: the
-exact primitive summed between the zeros of phi for a scalar kernel with
-alpha < 2, the quadrature for every other.
+global asymptotic stability.  For a scalar kernel with alpha < 2, K1_bar
+is exact, the primitive of phi summed between its zeros; at alpha <= 1 it
+is 1/|lam|, K0_bar = 1 (``Kernels.monotone``), and no Mittag-Leffler value
+is evaluated.  Every other kernel takes K0_bar as the largest of 2,001
+samples on [0, T0]; a matrix kernel takes K1_bar from the quadrature over
+doubling edges plus a geometric tail.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ import numpy as np
 from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
                      OrderTooLow, PremiseViolated)
 # phi_alpha_l1 is not called here: perfbench/test_harness.py reads it
-from .kernels import _HALVINGS, Kernels, _kernels, phi_alpha_l1
+from .kernels import _HALVINGS, Kernels, _kernels, _last_zero, phi_alpha_l1
 from .spectral import theorem34_certify
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm, lag_tables)
@@ -351,13 +350,17 @@ class DelayFreeBounds:
 def _l1_to_infinity(ker: Kernels) -> float:
     """integral_0^inf ||phi(s)|| ds behind the one gate (module docstring).
 
-    Exact for a scalar kernel with alpha <= 1 (``Kernels.monotone``): the
-    integral is 1/|lam|.  Otherwise one
-    integration over the edges 0, T 2^k, k = -10..10, T set by min |lambda|.
-    phi decays like t^(-1-alpha) (Gorenflo, Kilbas, Mainardi and Rogosin,
-    2014), so doubling segments shrink by 2^-alpha: the tail is twice the
-    geometric series of the last increment, with ratio max(last observed,
-    2^-alpha).  Raises once the increments stop shrinking.
+    Exact for a scalar kernel with alpha < 2 (past the gate lam < 0): with
+    P(s) = E_{a,1}(lam s^a) / lam, P' = phi, P(0) = 1/lam and P(inf) = 0,
+    it is sum |P(z_(i+1)) - P(z_i)| + |P(z_last)| over z_0 = 0 and the
+    zeros of phi: none for alpha <= 1 (``Kernels.monotone``), else those
+    ``_zeros`` finds on the edges 0, last 2^-k, k = 20..0, all below
+    last = (``_last_zero`` / |lam|)^(1/a).
+    Otherwise one integration over the edges 0, T 2^k, k = -10..10, T set
+    by min |lambda|.  phi decays like t^(-1-alpha) (Gorenflo, Kilbas,
+    Mainardi and Rogosin, 2014), so doubling segments shrink by 2^-alpha:
+    the tail is twice the geometric series of the last increment, with
+    ratio max(last observed, 2^-alpha).  Raises once they stop shrinking.
     """
     alpha = ker.alpha
     rho = float(np.min(np.abs(ker.lam)))
@@ -365,8 +368,15 @@ def _l1_to_infinity(ker: Kernels) -> float:
         raise KernelNotIntegrable(
             "phi is not integrable: A0 has a zero eigenvalue or one with "
             "|arg| <= alpha pi / 2")
-    if ker.monotone:
-        return 1.0 / abs(float(ker.A0[0, 0]))
+    if ker.n == 1 and alpha < 2:
+        lam = float(ker.A0[0, 0])
+        prim = np.array([1.0 / lam])
+        if alpha > 1:
+            last = (_last_zero(alpha) / abs(lam)) ** (1.0 / alpha)
+            zeros = ker._zeros(np.append(0.0, last * 2.0 ** -np.arange(
+                20, -1, -1.0)))
+            prim = np.append(prim, ker.e_ml(1.0, zeros)[:, 0, 0] / lam)
+        return float(np.sum(np.abs(np.diff(prim))) + abs(prim[-1]))
     T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
     edges = T * 2.0 ** np.arange(-_HALVINGS, _HALVINGS + 1.0)
     cum = ker.norm_integrals(np.concatenate(([0.0], edges)))

@@ -59,8 +59,6 @@ def dump_json(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return dump_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

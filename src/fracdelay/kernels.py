@@ -7,18 +7,14 @@ forcing kernels are
     phi(t)   = t^(a-1) E_{a,a}(A0 t^a)
 
 with phi_j = phi = 0 for t < 0.  The forcing kernel is weakly singular at
-t = 0 for a < 1; its L1 and squared-L2 integrals are computed by product
-integration (the singular power factor integrated exactly against a
-piecewise-linear interpolant of the smooth matrix-norm factor), refined by
-mesh doubling with Richardson extrapolation.  Each call integrates one
-power, L1 or squared L2, and one cumulative integration serves a whole
-grid of upper limits 0 < d_1 < ... < d_K: a graded mesh on [0, d_1] and a
-uniform one on every later [d_(k-1), d_k].  The segments not yet converged
-share one cell count, so each level refines them as one (segments x nodes)
-array: one norm evaluation, one product integration and one Richardson
-row, with no loop over segments.  A single upper limit delta is integrated
-over the halving edges delta 2^-k, k = 10..0.  The one other route: for a
-scalar kernel with alpha < 2, L1 is the exact primitive s^a E_{a,a+1}(A0 s^a)
+t = 0 for a < 1.  Its L1 and squared-L2 integrals are taken in u = s^a,
+||phi||^p ds = u^((p-1)(1 - 1/a)) ||E_{a,a}(A0 u)||^p du / a, where the
+norm factor is smooth: product integration (the power integrated exactly
+against a piecewise-linear interpolant of the norm factor) on uniform
+meshes, refined by doubling with Richardson extrapolation.  One call
+integrates one power over a whole grid 0 < d_1 < ... < d_K; one upper
+limit delta takes the halving edges delta 2^-k, k = 10..0.  The one other
+route: for a scalar kernel with alpha < 2, L1 is the exact primitive
 summed between the zeros of phi.  For alpha <= 1 the smooth factor never
 changes sign (``Kernels.monotone``); for 1 < alpha < 2 and A0 < 0 it does,
 and a scan finds its zeros, stopping at a proven bound on the last zero
@@ -55,7 +51,9 @@ _HALVINGS = 10      # a single delta runs over the edges delta 2^-k, k <= 10
 _QUAD_TOL = 1e-9    # the one accuracy of the kernel norm quadrature
 _N0 = 32            # cells per segment at the first level (quadrature, scan)
 _MAX_DOUBLINGS = 11  # their further levels
-_NOISE_FLOOR = 3e-8  # its weight-evaluation noise (see the quadrature)
+# a stagnating segment's acceptance floor, needed only at alpha > 1: at 0,
+# 13 of 66 L1 grids and 25 of 66 K1s of random 2x2, 3x3 kernels stalled
+_NOISE_FLOOR = 3e-8  # at the kinks of ||phi||; none of 76 at alpha <= 1
 _ZERO_STEPS = 6     # regula-falsi steps per zero of a scalar phi, 1 < a < 2
 _CHECK_SLACK = 1e-9  # bound checks pass at rhs - lhs >= -slack max(1, |rhs|)
 _ELL = np.arange(601.0)  # the l = 0..600 of sup_factor and sup_gamma_ratio
@@ -147,10 +145,14 @@ class Kernels:
     def e_ml(self, beta: float, t) -> np.ndarray:
         """E_{alpha,beta}(A0 t^alpha) for an array of t >= 0, shape (N, n, n)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        return self._e_at(beta, t ** self.alpha)
+
+    def _e_at(self, beta: float, u: np.ndarray) -> np.ndarray:
+        """E_{alpha,beta}(A0 u) for an array of u >= 0, shape (N, n, n)."""
         if beta not in self._tables:
             self._tables[beta] = _ContourTable(self.alpha, float(beta))
-        return _ml_matrices(self.alpha, beta, self.A0, self._fac,
-                            t ** self.alpha, self._tables[beta])
+        return _ml_matrices(self.alpha, beta, self.A0, self._fac, u,
+                            self._tables[beta])
 
     def _scaled(self, power: float, beta: float, t) -> np.ndarray:
         """t^power E_{a,beta}(A0 t^a) for an array of t; zero for t < 0."""
@@ -193,9 +195,9 @@ class Kernels:
 
     # -- norms of the smooth factor, vectorized -------------------------
 
-    def _e_norms(self, beta: float, s: np.ndarray) -> np.ndarray:
-        """||E_{a,beta}(A0 s^a)|| for an array of s."""
-        return induced_norms(self.e_ml(beta, s))
+    def _e_norms(self, beta: float, u: np.ndarray) -> np.ndarray:
+        """||E_{a,beta}(A0 u)|| for an array of u = s^a >= 0."""
+        return induced_norms(self._e_at(beta, u))
 
     def _zeros(self, edges: np.ndarray) -> np.ndarray:
         """Zeros of a scalar E_{a,a}(A0 s^a), A0 < 0, 1 < a < 2, inside
@@ -238,8 +240,8 @@ class Kernels:
         seg = np.repeat(np.arange(lo.size), cells)
         k = np.arange(1, cells.sum() + 1) - np.repeat(np.cumsum(cells) - cells,
                                                       cells)
-        s = np.concatenate((edges[:1], _mesh_nodes(lo[seg], hi[seg],
-                                                   k / cells[seg], 1.0)))
+        s = np.concatenate((edges[:1], lo[seg] + (hi[seg] - lo[seg])
+                            * (k / cells[seg])))
         f = self.e_ml(alpha, s)[:, 0, 0]
         # a value of exactly 0 counts as positive: a zero at a node is
         # bracketed once, and the steps land on that node
@@ -263,8 +265,8 @@ class Kernels:
         ``edges`` is one upper limit delta (edges 0, delta) or a sequence
         increasing from e_0 >= 0; the result has shape (K,), one value per
         edge e_k, k = 1..K.  A single delta runs over the halving edges
-        delta 2^-k, k = 10..0, where one graded mesh over [0, delta] can
-        stall on a far kink of ||phi||.  A p other than 1 or 2, or an edge
+        delta 2^-k, k = 10..0, where one mesh over [0, delta] can stall on
+        a far kink of ||phi||.  A p other than 1 or 2, or an edge
         that is not finite, raises ``ValueError`` before any evaluation.
 
         For a scalar kernel with alpha < 2, L1 is the exact primitive P of
@@ -280,13 +282,14 @@ class Kernels:
         1/|A0| would cancel.
 
         Every other case takes one segmented cumulative product integration
-        of s^(p(a-1)) ||E_{a,a}(A0 s^a)||^p, which serves every edge, on a
-        first segment graded for that power.  Its accuracy is fixed at
-        ``_QUAD_TOL`` = 1e-9 of the mixed absolute/relative scale, but a
+        in u = s^a over the edges e_k^a, which serves every edge: there
+        ||phi(s)||^p ds = u^((p-1)(1 - 1/a)) ||E_{a,a}(A0 u)||^p du / a, and
+        ||E_{a,a}(A0 u)|| is smooth in u (its power series), not in s.  L1
+        has no power weight; L2 keeps u^(1 - 1/a).  The weight carries the
+        1/a, so the stop test measures the integral itself, at
+        ``_QUAD_TOL`` = 1e-9 of the mixed absolute/relative scale; a
         stagnating segment is accepted at 50 x ``_NOISE_FLOOR`` = 3e-8 of
-        its share.  Matrix kernels rely on this at the kinks of the
-        spectral norm: their integrals, and the certificate values built on
-        them, can carry about 1e-6 relative error.
+        its share.  A stall names its segment in u.
         """
         if np.ndim(p) or p not in (1, 2):
             raise ValueError(f"norm_integrals takes p = 1 or 2, got {p!r}")
@@ -313,18 +316,14 @@ class Kernels:
                                     np.cumsum(np.abs(np.diff(at_anchor)))))
             below = np.searchsorted(anchors, edges[1:]) - 1
             return lobes[below] + np.abs(at_edge - at_anchor[below])
-        grading = (max(1.0, 1.0 / alpha) if p == 1 else
-                   min(max(1.0 / alpha, 2.0 / (2.0 * alpha - 1.0)), 40.0))
 
-        def w(s):
-            norms = np.empty(s.shape)
-            pos = s > 0
-            norms[pos] = self._e_norms(alpha, s[pos])
-            # limit of ||E_{a,a}(A0 s^a)|| at 0+
-            norms[~pos] = rgamma(alpha)
-            return norms ** p
-
-        return weighted_singular_integral(p * (alpha - 1.0), w, edges, grading)
+        u = edges ** alpha
+        # edges an ulp apart can round to one u: their segment adds nothing
+        new = np.append(True, u[1:] > u[:-1])
+        cum = np.append(0.0, weighted_singular_integral(
+            (p - 1) * (1.0 - 1.0 / alpha),
+            lambda x: self._e_norms(alpha, x) ** p / alpha, u[new]))
+        return cum[np.cumsum(new)[1:] - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +356,10 @@ def phi_alpha(sys, t: float):
 # segmented product integration of s^gamma * w(s)
 # ---------------------------------------------------------------------------
 
-def _mesh_nodes(lo, hi, x, grading: float) -> np.ndarray:
-    """The nodes at fractions x of [lo, hi]: graded toward the singular
-    point where lo = 0, uniform elsewhere."""
-    return np.where(lo == 0, hi * x ** grading, lo + (hi - lo) * x)
-
-
-def _segment_mesh(lo, hi, n_cells: int, grading: float) -> np.ndarray:
-    """Nodes of [lo, hi], or one row per segment for arrays of ends."""
+def _segment_mesh(lo, hi, n_cells: int) -> np.ndarray:
+    """Uniform nodes of [lo, hi], one row per segment for arrays of ends."""
     lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi)[..., None]
-    return _mesh_nodes(lo, hi, np.arange(n_cells + 1, dtype=float) / n_cells,
-                       grading)
+    return lo + (hi - lo) * (np.arange(n_cells + 1, dtype=float) / n_cells)
 
 
 def _edges(delta) -> np.ndarray:
@@ -403,7 +395,7 @@ def _product_integrate(gamma_exp: float, w: np.ndarray,
     return np.sum(wa * m0 + slope * (m1 - a * m0), axis=-1)
 
 
-def weighted_singular_integral(gamma_exp, w_func, edges, grading: float):
+def weighted_singular_integral(gamma_exp, w_func, edges):
     """Adaptive integral of s^gamma w(s) ds for a smooth vectorized w.
 
     ``edges`` is the upper limit of an integral from 0, or an increasing
@@ -411,12 +403,12 @@ def weighted_singular_integral(gamma_exp, w_func, edges, grading: float):
     exponent and ``w_func`` maps N nodes to their N weights.  The result,
     shape (K,), holds the integrals from e_0 to every e_k.
 
-    Each segment [e_(k-1), e_k] doubles its own nested mesh (graded toward
-    s = 0 in the segment that starts there, uniform otherwise), so only odd
-    nodes are evaluated per level, and accelerates its raw product-
-    integration sequence with a Richardson tableau in powers of h^2.  Every
-    segment starts at ``_N0`` cells and the unconverged ones double together,
-    up to ``_MAX_DOUBLINGS`` times, so they always share one cell count:
+    Each segment [e_(k-1), e_k] doubles its own nested uniform mesh, so
+    only odd nodes are evaluated per level, and accelerates its raw
+    product-integration sequence with a Richardson tableau in powers of
+    h^2, which needs w smooth up to s = 0.  Every segment starts at ``_N0``
+    cells and the unconverged ones double together, up to
+    ``_MAX_DOUBLINGS`` times, so they always share one cell count:
     each level is one (segments x nodes) mesh, one ``w_func`` call, one
     product integration and one tableau row over the unconverged segments.
     A segment has converged when its tableau change drops below its share
@@ -433,7 +425,7 @@ def weighted_singular_integral(gamma_exp, w_func, edges, grading: float):
     edges = _edges(edges)
     K = edges.size - 1
     n_cells = n0 = _N0
-    mesh = _segment_mesh(edges[:-1], edges[1:], n0, grading)
+    mesh = _segment_mesh(edges[:-1], edges[1:], n0)
     # adjacent segments share their common edge: evaluate it once
     first = w_func(np.concatenate((mesh[0], mesh[1:, 1:].ravel())))
     vals = np.lib.stride_tricks.sliding_window_view(first, n0 + 1)[::n0]
@@ -449,8 +441,7 @@ def weighted_singular_integral(gamma_exp, w_func, edges, grading: float):
         if not active.size:
             break
         n_cells *= 2
-        mesh = _segment_mesh(edges[active], edges[active + 1], n_cells,
-                             grading)
+        mesh = _segment_mesh(edges[active], edges[active + 1], n_cells)
         v = np.empty((active.size, n_cells + 1))
         v[:, ::2] = vals[live]
         v[:, 1::2] = w_func(mesh[:, 1::2].ravel()).reshape(active.size, -1)

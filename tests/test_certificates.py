@@ -275,6 +275,20 @@ class TestCertify:
         assert [e.delta for e in rep.grid] == list(DEFAULT_DELTA_GRID)
         assert all(e.value == math.inf and not e.feasible for e in rep.grid)
 
+    def test_steep_matrix_kernel_at_low_order_gets_a_report(self):
+        # ||A0|| near 40 at alpha 0.33: integrated in s, the kernel norm
+        # stalled at 65,536 cells on [0, 0.01]
+        A0 = np.array([[6.39, 8.708, 39.694], [0.356, -1.911, 4.078],
+                       [-1.623, -1.608, -10.183]])
+        A1 = np.array([[-0.211, -0.259, 0.194], [-0.186, -0.585, 0.217],
+                       [-0.245, 0.125, 0.131]])
+        prob = validate_system(0.33, [0.0, 1.33], [A0, A1],
+                               phi=[const_phi([1.0, 1.0, 1.0], 1.33)])
+        rep = certify(prob)
+        assert rep.verdict == "Inconclusive"
+        assert [e.delta for e in rep.grid] == list(DEFAULT_DELTA_GRID)
+        assert all(e.feasible and 1.0 < e.value < math.inf for e in rep.grid)
+
     def test_one_delta_certificates_outside_decay_sector(self, monkeypatch):
         # cert_g_h(prob, 100.0) used to stall in the quadrature, and
         # cert_g_h(prob, 30.0) to return a finite feasible value
@@ -790,11 +804,14 @@ class TestL1ToInfinity:
 
     def test_scaling_law_where_zeros_crowd(self):
         # phi of lam c at s is c^(1 - 1/a) times phi of lam at c^(1/a) s,
-        # so L1(inf) scales as 1/c; at lam = -5 the half-period of phi is
-        # 1.4 out to s = 1,600, below a first-level cell of the far edges
-        one = certificates._l1_to_infinity(kernels.Kernels(1.99, A1))
-        five = certificates._l1_to_infinity(kernels.Kernels(1.99, 5.0 * A1))
-        assert five == pytest.approx(one / 5.0, rel=1e-8)
+        # so L1(inf) scales as 1/c; at alpha 1.99 and lam = -5 the
+        # half-period of phi is 1.4 out to s = 1,600, and at 1.999 phi has
+        # 15,633 zeros
+        for alpha in (1.99, 1.999):
+            one = certificates._l1_to_infinity(kernels.Kernels(alpha, A1))
+            five = certificates._l1_to_infinity(kernels.Kernels(alpha,
+                                                                5.0 * A1))
+            assert five == pytest.approx(one / 5.0, rel=1e-12), alpha
 
     def test_one_cumulative_integration(self, monkeypatch):
         calls = []

@@ -2,6 +2,7 @@ import argparse
 import ast
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,19 @@ class TestJsonEmitter:
         assert dump_json(3) == "3"
         assert dump_json(0.1) == "0.1"
         assert dump_json(float("inf")) == "Infinity"
+
+    def test_non_finite_floats(self):
+        assert dump_json(float("nan")) == "NaN"
+        assert dump_json([-math.inf, math.inf]) == (
+            "[\n  -Infinity,\n  Infinity\n]")
+
+    def test_empty_containers(self):
+        assert dump_json({"grid": [], "bounds": {}}) == (
+            '{\n  "grid": [],\n  "bounds": {}\n}')
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dump_json({"x": {1, 2}})
 
     def test_fifteen_digits(self):
         assert dump_json(1 / 3) == "0.333333333333333"

@@ -115,13 +115,12 @@ class TestIntegrals:
             return float(np.linalg.norm(ker.e_ml(alpha, np.array([s]))[0], 2))
 
         ref, _ = quad(f, 0, 3.0, weight="alg", wvar=(alpha - 1.0, 0),
-                      limit=200, epsabs=1e-11, epsrel=1e-11)
-        assert got == pytest.approx(ref, rel=1e-7)
+                      limit=200, epsabs=1e-13, epsrel=1e-13)
+        assert got == pytest.approx(ref, rel=1e-11)
 
     def test_matrix_l1_at_order_one_half(self):
         # ||E_{a,a}(A0 s^a)|| is E_{a,a}(-s^a) here, whose L1 the scalar
-        # kernel reads off its primitive; the p = 2 mesh grading is not
-        # evaluated (it divides by 2 alpha - 1)
+        # kernel reads off its primitive
         got = phi_alpha_l1((0.5, np.diag([-1.0, -2.0])), 1.0)
         assert got == pytest.approx(phi_alpha_l1((0.5, A1), 1.0), rel=1e-8)
 
@@ -151,38 +150,59 @@ class TestIntegrals:
             return float(np.linalg.norm(ker.e_ml(alpha, np.array([s]))[0],
                                         2)) ** p
 
-        for p in (1, 2):
+        # L1 has no weight in u = s^a; L2 keeps u^(1 - 1/a)
+        for p, rel in ((1, 1e-11), (2, 1e-7)):
             table = ker.norm_integrals([0.0] + deltas, p)
             gamma = p * (alpha - 1.0)
             ref, _ = quad(f, 0, deltas[0], args=(p,), weight="alg",
-                          wvar=(gamma, 0), epsabs=1e-11, epsrel=1e-11)
+                          wvar=(gamma, 0), epsabs=1e-13, epsrel=1e-13)
             for j, delta in enumerate(deltas):
                 if j > 0:
                     ref += quad(lambda s: s ** gamma * f(s, p), deltas[j - 1],
-                                delta, epsabs=1e-12, epsrel=1e-12)[0]
-                assert table[j] == pytest.approx(ref, rel=1e-7), (p, delta)
+                                delta, epsabs=1e-13, epsrel=1e-13)[0]
+                assert table[j] == pytest.approx(ref, rel=rel), (p, delta)
+
+    def test_edges_that_share_their_power(self):
+        # 1 and the next double share 1^0.3: a segment of zero width in u
+        ker = Kernels(0.3, np.array([[-1.0, 0.5], [0.0, -2.0]]))
+        edges = [0.0, 1.0, np.nextafter(1.0, 2.0), 2.0]
+        ref = ker.norm_integrals([0.0, 1.0, 2.0])
+        assert ker.norm_integrals(edges).tolist() == [ref[0], *ref]
+
+    @pytest.mark.parametrize("A0", [[[-1.0, 0.5], [0.0, -2.0]],
+                                    [[-1.0, 0.5, 0.0], [0.0, -1.5, 0.3],
+                                     [0.2, 0.0, -2.0]]])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.95])
+    def test_matrix_l1_grid_at_tight_constants(self, monkeypatch, A0,
+                                               alpha):
+        # ||E_{a,a}(A0 u)|| is smooth in u = s^a: the default accuracy
+        # constants already give the L1 grid of much tighter ones
+        ker = Kernels(alpha, np.array(A0))
+        got = ker.norm_integrals(GRID26)
+        monkeypatch.setattr(kernels, "_QUAD_TOL", 1e-13)
+        monkeypatch.setattr(kernels, "_NOISE_FLOOR", 1e-15)
+        monkeypatch.setattr(kernels, "_MAX_DOUBLINGS", 15)
+        np.testing.assert_allclose(got, ker.norm_integrals(GRID26),
+                                   rtol=1e-12, atol=0)
 
     def test_refinement_convergence(self, monkeypatch):
-        # halving the mesh changes the raw rule by less than the tolerance
+        # halving the mesh changes the raw rule by less than the tolerance;
+        # in u = s^a, L1 over [0, 2] is integral_0^(2^a) ||E(A0 u)|| du / a
         ker = Kernels(0.7, np.array([[-1.0, 0.3], [0.1, -1.5]]))
 
-        def w(s):
-            out = np.empty(s.shape)
-            pos = s > 0
-            out[pos] = np.linalg.svd(ker.e_ml(0.7, s[pos]),
-                                     compute_uv=False)[:, 0]
-            out[~pos] = 1.0 / math.gamma(0.7)
-            return out
+        def w(u):
+            return np.linalg.svd(ker._e_at(0.7, u),
+                                 compute_uv=False)[:, 0] / 0.7
 
         tol = 1e-8
         monkeypatch.setattr(kernels, "_QUAD_TOL", tol)
-        coarse = weighted_singular_integral(-0.3, w, 2.0, 1 / 0.7)[0]
+        coarse = weighted_singular_integral(0.0, w, 2.0 ** 0.7)[0]
         monkeypatch.setattr(kernels, "_N0", 64)
-        fine = weighted_singular_integral(-0.3, w, 2.0, 1 / 0.7)[0]
+        fine = weighted_singular_integral(0.0, w, 2.0 ** 0.7)[0]
         assert abs(coarse - fine) < tol * max(1.0, abs(fine)) * 5
 
 
-def per_segment_quadrature(gamma_exp, w_func, delta, grading):
+def per_segment_quadrature(gamma_exp, w_func, delta):
     """The segmented quadrature refined one segment at a time in Python:
     a per-segment mesh, product integration and Richardson tableau, with
     the accuracy constants of ``kernels`` read at call time."""
@@ -191,8 +211,6 @@ def per_segment_quadrature(gamma_exp, w_func, delta, grading):
 
     def segment_mesh(lo, hi, n_cells):
         i = np.arange(n_cells + 1, dtype=float)
-        if lo == 0:
-            return hi * (i / n_cells) ** grading
         return lo + (hi - lo) * (i / n_cells)
 
     def product_integrate(gamma, w, mesh):
@@ -329,7 +347,7 @@ class TestSegmentedQuadrature:
 
         def run():
             with pytest.raises(QuadratureNotConverged) as exc:
-                kernels.weighted_singular_integral(-0.5, w, edges, 1.0)
+                kernels.weighted_singular_integral(-0.5, w, edges)
             return str(exc.value)
 
         monkeypatch.setattr(kernels, "_MAX_DOUBLINGS", 3)
@@ -339,7 +357,7 @@ class TestSegmentedQuadrature:
         # a smooth weight converges on the same edges and levels
         got, ref = self.both(monkeypatch, lambda: (
             kernels.weighted_singular_integral(0.0, lambda s: np.exp(-s),
-                                               edges, 1.0)))
+                                               edges)))
         assert got.tolist() == ref.tolist()
         np.testing.assert_allclose(got, 1.0 - np.exp(-np.array(edges[1:])),
                                    rtol=1e-9)
@@ -392,10 +410,11 @@ class TestNoSignProbe:
             prim = (ker.e_ml(1.0, edges) / a0 if edges[0] > 0 and a0 != 0
                     else ker.int_phi(edges))[:, 0, 0]
             assert table.tolist() == np.abs(prim[1:] - prim[0]).tolist()
-        # L2 takes one quadrature of s^(2(a-1)) ||E_{a,a}||^2
+        # L2 takes one quadrature of u^(1 - 1/a) ||E_{a,a}(A0 u)||^2 / a in
+        # u = s^a
         if 2 in powers:
             l2 = ker.norm_integrals(edges, 2)
-            assert calls == [2 * (alpha - 1.0)]
+            assert calls == [1.0 - 1.0 / alpha]
             assert l2.shape == table.shape and np.all(l2 > 0)
 
     def test_late_increments_do_not_cancel(self):
@@ -608,11 +627,10 @@ class TestRefusedInputs:
                      "nonnegative start", id="edges-negative-start"),
         pytest.param(lambda: Kernels(0.8, A1).norm_integrals([1.0]),
                      "edges must increase", id="edges-one"),
-        pytest.param(lambda: weighted_singular_integral(-1.0, np.exp, 1.0,
-                                                        1.0),
+        pytest.param(lambda: weighted_singular_integral(-1.0, np.exp, 1.0),
                      "exponent must exceed -1", id="exponent-minus-one"),
         pytest.param(lambda: weighted_singular_integral(-1.5, np.exp,
-                                                        [0.0, 1.0], 1.0),
+                                                        [0.0, 1.0]),
                      "exponent must exceed -1", id="exponent-below"),
     ])
     def test_refused(self, monkeypatch, call, match):
