@@ -16,11 +16,18 @@ replayed on a kernel object built outside the timed region, a new one per
 run, so no run reuses the contours of another; only the outermost
 ``norm_integrals`` call is recorded, not the one a single delta makes on its
 halving edges.  Both trees take ``norm_integrals(edges, p)``, one power a
-call.  A last section replays fixed synthetic ``ml_scalar_array`` batches
-on the |z| <= 1 power series: 6, 50, 600 and 2,000 real points in [-1, 1]
-at each (alpha, beta) of ``SERIES_ORDERS``, and 50 complex points in the
-unit disc.  Each SRC is a directory that holds the ``fracdelay`` package,
-such as a checkout's ``src``.
+call.  Two last sections replay fixed synthetic calls.  One replays
+``ml_scalar_array`` batches on the |z| <= 1 power series: 6, 50, 600 and
+2,000 real points in [-1, 1] at each (alpha, beta) of ``SERIES_ORDERS``,
+and 50 complex points in the unit disc.  The other replays
+``norm_integrals(GRID26, p)``, GRID26 the default delta grid with a
+leading 0, on the matrix kernels of ``SYNTHETIC_KERNELS`` at each alpha of
+``SYNTHETIC_ALPHAS``, p = 1 and, for alpha > 1/2, p = 2.  Its kernels
+with an orthonormal eigenvector basis (symmetric, a complex spectrum, a
+repeated eigenvalue) take their norms from the eigenvalue values, the
+others from the Gram matrix; among the fixtures only one normal matrix
+kernel, a diagonal one, shows the first route.  Each SRC is a directory
+that holds the ``fracdelay`` package, such as a checkout's ``src``.
 
 Example, against the parent commit:
     git archive HEAD~1 | (mkdir -p /tmp/old && tar -x -C /tmp/old)
@@ -59,6 +66,28 @@ NORM_USERS = ("tables", "kernels", "certificates", "spectral", "system")
 # or alpha > 1, so that a real z < 0 takes the series, not the contour
 SERIES_SIZES = (6, 50, 600, 2000)
 SERIES_ORDERS = ((0.7, 1.0), (0.7, 1.7), (1.3, 1.3))
+SYNTHETIC_ALPHAS = (0.5, 0.95, 1.5)
+
+
+def householder(v) -> np.ndarray:
+    """The orthogonal, symmetric reflection I - 2 v v^T / (v^T v)."""
+    v = np.asarray(v, dtype=float)
+    return np.eye(v.size) - 2.0 * np.outer(v, v) / (v @ v)
+
+
+_H3, _H6 = householder([1.0, 2.0, 3.0]), householder([1.0, -1.0, 2.0, 0.5,
+                                                      -3.0, 1.0])
+_SHEAR6 = np.eye(6) + 0.4 * np.triu(np.ones((6, 6)), 1)
+_SPECTRUM6 = np.diag([-0.3, -0.7, -1.1, -1.9, -2.5, -4.0])
+# (name, A0): four normal kernels, then two non-normal ones
+SYNTHETIC_KERNELS = (
+    ("symmetric3", _H3 @ np.diag([-0.5, -1.2, -3.0]) @ _H3),
+    ("symmetric6", _H6 @ _SPECTRUM6 @ _H6),
+    ("rotation", np.array([[-1.0, 2.0], [-2.0, -1.0]])),
+    ("minus-identity", -np.eye(3)),
+    ("triangular2", np.array([[-1.0, 0.5], [0.0, -2.0]])),
+    ("sheared6", _SHEAR6 @ _SPECTRUM6 @ np.linalg.inv(_SHEAR6)),
+)
 
 
 def series_batches() -> list:
@@ -70,6 +99,14 @@ def series_batches() -> list:
     disc = np.sqrt(rng.uniform(0.0, 1.0, 50)) * np.exp(
         1j * rng.uniform(-np.pi, np.pi, 50))
     return batches + [(alpha, beta, disc) for alpha, beta in SERIES_ORDERS]
+
+
+def kernel_calls(fd) -> list:
+    """(name, alpha, A0, GRID26, p) of the synthetic norm_integrals calls."""
+    grid = np.array([0.0, *fd.certificates.DEFAULT_DELTA_GRID])
+    return [(name, alpha, A0, grid, p) for name, A0 in SYNTHETIC_KERNELS
+            for alpha in SYNTHETIC_ALPHAS
+            for p in ((1, 2) if alpha > 0.5 else (1,))]
 
 
 def record_calls(fd):
@@ -204,6 +241,7 @@ def main() -> int:
              load_tree("fracdelay_new", args.new_src))
     ml_calls, quad_calls, eml_calls, norm_calls = record_calls(trees[0])
     series_calls = series_batches()
+    synthetic_quad = kernel_calls(trees[0])
     differ = 0
 
     def ml_call(c):
@@ -247,6 +285,12 @@ def main() -> int:
                     f"{series_calls[i][2].size:7d} "
                     f"{'complex' if series_calls[i][2].imag.any() else 'real'}"
                     )),
+        ("Kernels.norm_integrals, synthetic matrix kernels",
+         f"{'kernel':>14} {'alpha':>6} {'n':>2} {'p':>1}",
+         [quad_call(c[1:]) for c in synthetic_quad],
+         lambda i: (f"{synthetic_quad[i][0]:>14} {synthetic_quad[i][1]:6.3f} "
+                    f"{synthetic_quad[i][2].shape[0]:2d} "
+                    f"{synthetic_quad[i][4]:1d}")),
     )
     for name, head, calls, label in sections:
         print(f"{name}:\n{'call':>5} {head} {'old_s':>10} {'new_s':>10} "

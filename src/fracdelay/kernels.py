@@ -13,11 +13,14 @@ norm factor is smooth: product integration (the power integrated exactly
 against a piecewise-linear interpolant of the norm factor) on uniform
 meshes, refined by doubling with Richardson extrapolation.  One call
 integrates one power over a whole grid 0 < d_1 < ... < d_K; one upper
-limit delta takes the halving edges delta 2^-k, k = 10..0.  The one other
-route: for a scalar kernel with alpha < 2, L1 is the exact primitive
-summed between the zeros of phi.  For alpha <= 1 the smooth factor never
-changes sign (``Kernels.monotone``); for 1 < alpha < 2 and A0 < 0 it does,
-and a scan finds its zeros, stopping at a proven bound on the last zero
+limit delta takes the halving edges delta 2^-k, k = 10..0.  For an A0
+whose eigenvector basis V is orthonormal to rounding, the norm factor is
+cond(V) max_k |E_{a,a}(lambda_k u)|, with no n x n matrix formed
+(``Kernels._e_norms``).  The one other route: for a scalar kernel with
+alpha < 2, L1 is the exact primitive summed between the zeros of phi.
+For alpha <= 1 the smooth factor never changes sign
+(``Kernels.monotone``); for 1 < alpha < 2 and A0 < 0 it does, and a scan
+finds its zeros, stopping at a proven bound on the last zero
 (``_last_zero``).
 
 The bound verifier checks the norm inequalities relating these kernels to
@@ -41,9 +44,10 @@ import numpy as np
 
 from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
                      SingularAtZero)
-# ml_scalar_array is not called here: perfbench/test_harness.py reads it
-from .mlf import (_ContourTable, _ml_matrices, eig_factors, lgamma,
-                  ml_scalar_array, rgamma)
+# ml_scalar_array is not called here (mlf._eig_values calls it):
+# perfbench/test_harness.py reads it
+from .mlf import (_ContourTable, _eig_values, _ml_matrices, eig_factors,
+                  lgamma, ml_scalar_array, rgamma)
 from .system import FractionalDelaySystem, order_index
 from .tables import induced_norm, induced_norms
 
@@ -59,6 +63,11 @@ _CHECK_SLACK = 1e-9  # bound checks pass at rhs - lhs >= -slack max(1, |rhs|)
 _ELL = np.arange(601.0)  # the l = 0..600 of sup_factor and sup_gamma_ratio
 _ENVELOPE_MARGIN = 0.1  # fit_decay_envelope's lam: 0.9 of the abscissa
 _ENVELOPE_POINTS = 400  # its coarse grid; the fine one has 4x as many
+# an eigenvector basis with cond(V) <= 1 + _ORTHONORMAL_TOL counts as
+# orthonormal, and _e_norms bounds ||E(A0 u)|| by cond(V) max_k |E(lam_k u)|:
+# an upper bound at most 1e-12 relative above the norm, 1,000x below
+# _QUAD_TOL, for normal A0 with distinct eigenvalues about 1e-15
+_ORTHONORMAL_TOL = 1e-12
 
 
 def _last_zero(alpha: float) -> float:
@@ -105,7 +114,11 @@ class Kernels:
     """Vectorized evaluator of the kernel family for one (alpha, A0) pair.
 
     ``lam`` holds the eigenvalues of A0, read once, whether or not the
-    eigenvector basis is well conditioned.  The object keeps one table of
+    eigenvector basis is well conditioned; the one ``eig`` and the one
+    ``cond`` of the basis come from ``eig_factors``.  When the basis is
+    orthonormal to rounding, cond(V) <= 1 + ``_ORTHONORMAL_TOL`` (a normal
+    A0, a scalar one among them), ``_e_norms`` takes the kernel norms from
+    the eigenvalue values alone.  The object keeps one table of
     Mittag-Leffler contours per beta it has evaluated, so the quadrature's
     levels and the kernels of one certificate share their contours.
     """
@@ -117,7 +130,9 @@ class Kernels:
         self.A0 = np.atleast_2d(np.asarray(A0, dtype=float))
         self.n = self.A0.shape[0]
         self._fac = eig_factors(self.A0)
-        self.lam = self._fac[0]
+        self.lam, _, cond = self._fac
+        # cond(V) where the basis is orthonormal to rounding, else None
+        self._cond = cond if cond <= 1.0 + _ORTHONORMAL_TOL else None
         self._tables = {}       # beta -> _ContourTable
 
     @property
@@ -147,12 +162,16 @@ class Kernels:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return self._e_at(beta, t ** self.alpha)
 
-    def _e_at(self, beta: float, u: np.ndarray) -> np.ndarray:
-        """E_{alpha,beta}(A0 u) for an array of u >= 0, shape (N, n, n)."""
+    def _table(self, beta: float) -> _ContourTable:
+        """The contour table of E_{alpha,beta}, built at its first use."""
         if beta not in self._tables:
             self._tables[beta] = _ContourTable(self.alpha, float(beta))
+        return self._tables[beta]
+
+    def _e_at(self, beta: float, u: np.ndarray) -> np.ndarray:
+        """E_{alpha,beta}(A0 u) for an array of u >= 0, shape (N, n, n)."""
         return _ml_matrices(self.alpha, beta, self.A0, self._fac, u,
-                            self._tables[beta])
+                            self._table(beta))
 
     def _scaled(self, power: float, beta: float, t) -> np.ndarray:
         """t^power E_{a,beta}(A0 t^a) for an array of t; zero for t < 0."""
@@ -196,7 +215,21 @@ class Kernels:
     # -- norms of the smooth factor, vectorized -------------------------
 
     def _e_norms(self, beta: float, u: np.ndarray) -> np.ndarray:
-        """||E_{a,beta}(A0 u)|| for an array of u = s^a >= 0."""
+        """||E_{a,beta}(A0 u)|| for an array of u = s^a >= 0.
+
+        With an orthonormal eigenvector basis (``_cond`` set) it is
+        cond(V) max_k |E_{a,beta}(lam_k u)|, from the eigenvalue values
+        alone: a normal matrix's 2-norm is its spectral radius, and for any
+        diagonalizable A0, max_k |f_k| <= ||V diag(f) V^-1|| <= cond(V)
+        max_k |f_k|, so the value is an upper bound within cond(V) - 1 <=
+        ``_ORTHONORMAL_TOL`` relative of the norm.  For n = 1, cond(V) = 1
+        and the value is |E|.  Every other kernel takes the 2-norm of the
+        recombined matrices (``tables.induced_norms``).
+        """
+        if self._cond is not None:
+            vals = _eig_values(self.alpha, beta, self.lam, u,
+                               self._table(beta))
+            return self._cond * np.abs(vals).max(axis=1)
         return induced_norms(self._e_at(beta, u))
 
     def _zeros(self, edges: np.ndarray) -> np.ndarray:
@@ -320,6 +353,8 @@ class Kernels:
         u = edges ** alpha
         # edges an ulp apart can round to one u: their segment adds nothing
         new = np.append(True, u[1:] > u[:-1])
+        if np.count_nonzero(new) < 2:
+            return np.zeros(edges.size - 1)
         cum = np.append(0.0, weighted_singular_integral(
             (p - 1) * (1.0 - 1.0 / alpha),
             lambda x: self._e_norms(alpha, x) ** p / alpha, u[new]))

@@ -620,16 +620,18 @@ def eig_basis(A: np.ndarray):
 
 
 def eig_factors(A: np.ndarray):
-    """(eigenvalues, rank-one factors O_k) of A; the factors are None for a
-    near-defective basis.
+    """(eigenvalues, rank-one factors O_k, cond(V)) of A; the factors are
+    None for a near-defective basis.
 
     E(A) is sum_k f(lambda_k) O_k with O_k = v_k w_k^T built from the
-    right/left eigenvectors when A is safely diagonalizable.
+    right/left eigenvectors when A is safely diagonalizable.  cond(V) is
+    the one ``eig_basis`` computed, so a caller needs no second
+    eigendecomposition to bound ||E(A)||_2 by cond(V) max_k |f(lambda_k)|.
     """
-    lam, V, _ = eig_basis(A)
+    lam, V, cond = eig_basis(A)
     if V is None:
-        return lam, None
-    return lam, np.einsum("ik,kj->kij", V, np.linalg.inv(V))
+        return lam, None, cond
+    return lam, np.einsum("ik,kj->kij", V, np.linalg.inv(V)), cond
 
 
 def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray) -> np.ndarray:
@@ -668,32 +670,47 @@ def _ml_matrix_series(alpha: float, beta: float, M: np.ndarray) -> np.ndarray:
     return S
 
 
-def _ml_matrices(alpha: float, beta: float, A: np.ndarray, fac,
-                 scale: np.ndarray, table: _ContourTable | None = None
-                 ) -> np.ndarray:
-    """E_{alpha,beta}(A s) for every s in ``scale``, shape (N, n, n).
-
-    ``fac`` is ``eig_factors(A)``: with factors, one scalar call over every
-    eigenvalue times every s (its contours from ``table`` when given), and
-    Re sum_k f_k O_k in real arithmetic; else the matrix series per s.  An
-    eigenvalue term (recombined, inf - inf or inf times 0) or a series value
-    beyond double range raises OverflowBeyondRepresentableRange.
-    """
-    lam, factors = fac
-    n = A.shape[0]
-    if factors is None:
-        vals = np.array([np.real(_ml_matrix_series(alpha, beta, A * s))
-                         for s in scale]).reshape(scale.size, n * n)
-    else:
-        vals = ml_scalar_array(alpha, beta, np.multiply.outer(lam, scale),
-                               _table=table).T
+def _finite(alpha: float, beta: float, scale: np.ndarray,
+            vals: np.ndarray) -> np.ndarray:
+    """``vals``, one row per s in ``scale``; a row with a value beyond
+    double range raises OverflowBeyondRepresentableRange."""
     lost = ~np.isfinite(vals).all(axis=1)
     if lost.any():
         raise OverflowBeyondRepresentableRange(
             f"E_{{{alpha},{beta}}}(A s) exceeds double range at "
             f"s = {float(scale[lost][0]):.6g}")
+    return vals
+
+
+def _eig_values(alpha: float, beta: float, lam: np.ndarray,
+                scale: np.ndarray, table: _ContourTable | None = None
+                ) -> np.ndarray:
+    """E_{alpha,beta}(lambda_k s) for every s in ``scale`` and eigenvalue
+    lambda_k, shape (N, n): one scalar call over every eigenvalue times
+    every s, its contours from ``table`` when given.  A value beyond
+    double range raises OverflowBeyondRepresentableRange."""
+    return _finite(alpha, beta, scale, ml_scalar_array(
+        alpha, beta, np.multiply.outer(lam, scale), _table=table).T)
+
+
+def _ml_matrices(alpha: float, beta: float, A: np.ndarray, fac,
+                 scale: np.ndarray, table: _ContourTable | None = None
+                 ) -> np.ndarray:
+    """E_{alpha,beta}(A s) for every s in ``scale``, shape (N, n, n).
+
+    ``fac`` is ``eig_factors(A)``: with factors, the eigenvalue values of
+    ``_eig_values`` and Re sum_k f_k O_k in real arithmetic; else the
+    matrix series per s.  An eigenvalue term (recombined, inf - inf or inf
+    times 0) or a series value beyond double range raises
+    OverflowBeyondRepresentableRange.
+    """
+    lam, factors, _ = fac
+    n = A.shape[0]
     if factors is None:
-        return vals.reshape(scale.size, n, n)
+        vals = np.array([np.real(_ml_matrix_series(alpha, beta, A * s))
+                         for s in scale]).reshape(scale.size, n * n)
+        return _finite(alpha, beta, scale, vals).reshape(scale.size, n, n)
+    vals = _eig_values(alpha, beta, lam, scale, table)
     F = factors.reshape(lam.size, n * n)
     out = vals.real @ F.real
     if np.iscomplexobj(F):

@@ -20,10 +20,15 @@ square under- or overflows for entries near 1e-200 or 1e+200, and a zero
 matrix gives 0.  It agrees with the largest singular value to about n eps
 relative for n x n matrices (measured at most 6.4 eps for n = 2..6, on
 general, complex, non-normal and rank-one matrices scaled by 10^-200 to
-10^200); 1x1 matrices and vectors keep their exact routes.  The exceptions
-are the max-norms of ``Trajectory.sup_norm`` and ``sup_history_sum``, the
-Frobenius tail estimate of ``mlf._ml_matrix_series``, and the p = 1, inf
-branches of ``induced_norm``.
+10^200); 1x1 matrices and vectors keep their exact routes.  One 2-norm
+does not come from it: the kernel norms ||E_{a,b}(A0 u)|| of the
+quadrature (``kernels.Kernels._e_norms``), for an A0 whose eigenvector
+basis V is orthonormal to rounding, cond(V) <= 1 + 1e-12, are cond(V)
+max_k |E_{a,b}(lambda_k u)|, an upper bound at most cond(V) - 1 relative
+above the norm.  The other exceptions are the max-norms of
+``Trajectory.sup_norm`` and ``sup_history_sum``, the Frobenius tail
+estimate of ``mlf._ml_matrix_series``, and the p = 1, inf branches of
+``induced_norm``.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -496,3 +497,22 @@ def test_no_accuracy_parameter():
                                       a.vararg, a.kwarg)
                           if arg is not None and arg.arg in knobs]
     assert found == []
+
+
+@pytest.mark.filterwarnings("ignore:'fracdelay.cli' found in sys.modules"
+                            ":RuntimeWarning")
+@pytest.mark.parametrize("module", ["fracdelay", "fracdelay.cli"])
+@pytest.mark.parametrize("argv", [
+    ("spectral", "--problem", f"{FIXTURES}/spectral_t34.json"),
+    ("certify", "--problem", f"{FIXTURES}/scalar_inconclusive.json"),
+    ("certify", "--problem", "/nonexistent.json"),
+])
+def test_module_entry_points(monkeypatch, capsys, module, argv):
+    # python -m fracdelay and python -m fracdelay.cli exit with main's code
+    # and print main's output
+    want = run_cli(*argv)
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", [module, *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module(module, run_name="__main__")
+    assert (exit_info.value.code, capsys.readouterr().out) == want

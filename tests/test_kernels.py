@@ -21,6 +21,7 @@ from fracdelay.errors import (NotAStabilityMatrix,
                               QuadratureNotConverged, SingularAtZero)
 from fracdelay.kernels import (Kernels, norm_series_exp, norm_series_ml,
                                weighted_singular_integral)
+from fracdelay.tables import induced_norms
 
 A1 = np.array([[-1.0]])
 
@@ -163,11 +164,18 @@ class TestIntegrals:
                 assert table[j] == pytest.approx(ref, rel=rel), (p, delta)
 
     def test_edges_that_share_their_power(self):
-        # 1 and the next double share 1^0.3: a segment of zero width in u
-        ker = Kernels(0.3, np.array([[-1.0, 0.5], [0.0, -2.0]]))
-        edges = [0.0, 1.0, np.nextafter(1.0, 2.0), 2.0]
-        ref = ker.norm_integrals([0.0, 1.0, 2.0])
-        assert ker.norm_integrals(edges).tolist() == [ref[0], *ref]
+        # s and the next double share s^alpha: a segment of zero width in u
+        for alpha, p, s in ((0.3, 1, 1.0), (0.7, 2, 3.5)):
+            ker = Kernels(alpha, np.array([[-1.0, 0.5], [0.0, -2.0]]))
+            after = np.nextafter(s, 2.0 * s)
+            assert s ** alpha == after ** alpha
+            ref = ker.norm_integrals([0.0, s, 2.0 * s], p)
+            got = ker.norm_integrals([0.0, s, after, 2.0 * s], p)
+            assert got.tolist() == [ref[0], *ref]
+            # no segment of nonzero width left: nothing is integrated
+            assert ker.norm_integrals([s, after], p).tolist() == [0.0]
+            assert (ker.norm_integrals([0.0, s, after], p).tolist()
+                    == [ref[0]] * 2)
 
     @pytest.mark.parametrize("A0", [[[-1.0, 0.5], [0.0, -2.0]],
                                     [[-1.0, 0.5, 0.0], [0.0, -1.5, 0.3],
@@ -361,6 +369,127 @@ class TestSegmentedQuadrature:
         assert got.tolist() == ref.tolist()
         np.testing.assert_allclose(got, 1.0 - np.exp(-np.array(edges[1:])),
                                    rtol=1e-9)
+
+
+def householder(v) -> np.ndarray:
+    """The orthogonal, symmetric reflection I - 2 v v^T / (v^T v)."""
+    v = np.asarray(v, dtype=float)
+    return np.eye(v.size) - 2.0 * np.outer(v, v) / (v @ v)
+
+
+H3, H6 = householder([1.0, 2.0, 3.0]), householder([1.0, -1.0, 2.0, 0.5,
+                                                    -3.0, 1.0])
+SHEAR6 = np.eye(6) + 0.4 * np.triu(np.ones((6, 6)), 1)
+SPECTRUM6 = np.diag([-0.3, -0.7, -1.1, -1.9, -2.5, -4.0])
+# A0 with an orthonormal eigenvector basis: symmetric, a complex spectrum,
+# a repeated eigenvalue
+NORMAL = {
+    "symmetric3": H3 @ np.diag([-0.5, -1.2, -3.0]) @ H3,
+    "symmetric6": H6 @ SPECTRUM6 @ H6,
+    "rotation": np.array([[-1.0, 2.0], [-2.0, -1.0]]),
+    "minus-identity": -np.eye(3),
+}
+NON_NORMAL = {
+    "triangular2": np.array([[-1.0, 0.5], [0.0, -2.0]]),
+    "sheared6": SHEAR6 @ SPECTRUM6 @ np.linalg.inv(SHEAR6),
+}
+EPS = np.finfo(float).eps
+
+
+class TestEigenbasisNorms:
+    """With an orthonormal eigenvector basis, ||E(A0 u)|| is cond(V) times
+    the largest |E(lam_k u)|: an upper bound within 1e-12 of the Gram
+    route.  Every other kernel keeps the Gram route's bits."""
+
+    @staticmethod
+    def u_grid(alpha):
+        # the u = s^a of the default delta grid, and 0
+        return np.concatenate(([0.0], np.geomspace(1e-3, 100.0, 200)
+                               ** alpha))
+
+    @staticmethod
+    def gram(alpha, A0, monkeypatch):
+        """A kernel that takes the Gram route whatever its basis."""
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_ORTHONORMAL_TOL", -1.0)
+            return Kernels(alpha, A0)
+
+    @pytest.mark.parametrize("name", NORMAL)
+    @pytest.mark.parametrize("alpha", [0.5, 0.95, 1.5])
+    def test_normal_kernels_bound_the_gram_norm(self, monkeypatch, name,
+                                                alpha):
+        ker = Kernels(alpha, NORMAL[name])
+        assert ker._cond is not None
+        u = self.u_grid(alpha)
+        got = ker._e_norms(alpha, u)
+        ref = induced_norms(ker._e_at(alpha, u))
+        assert np.all(got >= ref * (1.0 - 8.0 * EPS))
+        assert np.all(got <= ref * (1.0 + 1e-12 + 8.0 * EPS))
+        assert np.array_equal(self.gram(alpha, NORMAL[name],
+                                        monkeypatch)._e_norms(alpha, u), ref)
+
+    @pytest.mark.parametrize("name", NORMAL)
+    @pytest.mark.parametrize("alpha, p", [(0.5, 1), (0.95, 1), (0.95, 2),
+                                          (1.5, 1), (1.5, 2)])
+    def test_normal_kernel_integrals_match_the_gram_route(self, monkeypatch,
+                                                          name, alpha, p):
+        got = Kernels(alpha, NORMAL[name]).norm_integrals(GRID26, p)
+        ref = self.gram(alpha, NORMAL[name], monkeypatch).norm_integrals(
+            GRID26, p)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", NON_NORMAL)
+    @pytest.mark.parametrize("alpha", [0.5, 0.95, 1.5])
+    def test_non_normal_kernels_keep_the_gram_bits(self, name, alpha):
+        ker = Kernels(alpha, NON_NORMAL[name])
+        assert ker._cond is None
+        u = self.u_grid(alpha)
+        assert np.array_equal(ker._e_norms(alpha, u),
+                              induced_norms(ker._e_at(alpha, u)))
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.3, 2.0, 2.3])
+    @pytest.mark.parametrize("lam", [-4.0, -1.0, 0.0, 0.5])
+    def test_scalar_kernels_keep_the_gram_bits(self, monkeypatch, alpha,
+                                               lam):
+        ker = Kernels(alpha, np.array([[lam]]))
+        assert ker._cond == 1.0
+        u = self.u_grid(alpha)[:150]
+        for beta in (alpha, 1.0):
+            assert np.array_equal(ker._e_norms(beta, u),
+                                  induced_norms(ker._e_at(beta, u)))
+        if lam < 0:
+            edges = [0.0, 0.1, 0.5, 1.0, 2.0]
+            assert np.array_equal(
+                ker.norm_integrals(edges, 2),
+                self.gram(alpha, ker.A0, monkeypatch).norm_integrals(edges,
+                                                                     2))
+
+    @pytest.mark.parametrize("alpha, u", [(1.0, 800.0), (0.8, 1e3)])
+    def test_overflow_still_raises(self, monkeypatch, alpha, u):
+        # e^800, and E_{0.8,0.8}(1e3) past double range: inf, not a norm
+        A0 = np.diag([1.0, -1.0])
+        for ker in (Kernels(alpha, A0), self.gram(alpha, A0, monkeypatch)):
+            with (pytest.raises(OverflowBeyondRepresentableRange,
+                                match="exceeds double range"),
+                  np.errstate(over="ignore")):
+                ker._e_norms(alpha, np.array([1.0, u]))
+
+    @pytest.mark.parametrize("A0", [NORMAL["symmetric6"],
+                                    NON_NORMAL["sheared6"], A1])
+    def test_one_eig_and_one_cond_per_build(self, monkeypatch, A0):
+        calls = []
+
+        def counted(name, fn):
+            def inner(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return inner
+
+        for name in ("eig", "cond"):
+            monkeypatch.setattr(np.linalg, name,
+                                counted(name, getattr(np.linalg, name)))
+        Kernels(0.8, A0).norm_integrals(GRID26)
+        assert sorted(calls) == ["cond", "eig"]
 
 
 class TestNoSignProbe:
