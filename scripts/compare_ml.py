@@ -22,12 +22,13 @@ call.  Two last sections replay fixed synthetic calls.  One replays
 and 50 complex points in the unit disc.  The other replays
 ``norm_integrals(GRID26, p)``, GRID26 the default delta grid with a
 leading 0, on the matrix kernels of ``SYNTHETIC_KERNELS`` at each alpha of
-``SYNTHETIC_ALPHAS``, p = 1 and, for alpha > 1/2, p = 2.  Its kernels
-with an orthonormal eigenvector basis (symmetric, a complex spectrum, a
-repeated eigenvalue) take their norms from the eigenvalue values, the
-others from the Gram matrix; among the fixtures only one normal matrix
-kernel, a diagonal one, shows the first route.  Each SRC is a directory
-that holds the ``fracdelay`` package, such as a checkout's ``src``.
+``SYNTHETIC_ALPHAS``, p = 1 and, for alpha > 1/2, p = 2.  At alpha <= 1
+its kernels with a real spectrum and an orthonormal eigenvector basis
+(symmetric, a repeated eigenvalue) are monotone (``Kernels.monotone``) and
+take L1 from the exact primitive of their largest eigenvalue's scalar
+kernel; every other call takes the Gram quadrature.  Each SRC is a
+directory that holds the ``fracdelay`` package, such as a checkout's
+``src``.
 
 Example, against the parent commit:
     git archive HEAD~1 | (mkdir -p /tmp/old && tar -x -C /tmp/old)
@@ -112,7 +113,7 @@ def kernel_calls(fd) -> list:
 def record_calls(fd):
     """(alpha, beta, z) of every ml_scalar_array call, (alpha, A0, edges,
     p) of every outermost norm_integrals call, (alpha, A0, beta, t) of
-    every e_ml call with n > 1 and (stack, p) of every induced_norms call on
+    every e_ml call with n > 1 and the stack of every induced_norms call on
     the fixtures; the last three in the certificates only."""
     ml_calls, quad_calls, eml_calls, norm_calls = [], [], [], []
     inner_ml = fd.mlf.ml_scalar_array
@@ -133,10 +134,11 @@ def record_calls(fd):
                               np.array(t, dtype=float, copy=True)))
         return inner_eml(self, beta, t)
 
-    def recorded_norms(stack, p=2):
+    def recorded_norms(stack, *order):
+        # an older tree passes its one order, 2, on from induced_norm
         if certifying[0]:
-            norm_calls.append((np.array(stack, copy=True), p))
-        return inner_norms(stack, p)
+            norm_calls.append(np.array(stack, copy=True))
+        return inner_norms(stack, *order)
 
     def recorded_quad(self, edges, p=1):
         if not depth[0]:
@@ -257,7 +259,7 @@ def main() -> int:
         return lambda fd: (fd.kernels.Kernels(alpha, A0).e_ml, beta, t)
 
     def norm_call(c):
-        return lambda fd: (fd.tables.induced_norms, *c)
+        return lambda fd: (fd.tables.induced_norms, c)
 
     sections = (
         ("ml_scalar_array", f"{'alpha':>6} {'beta':>6} {'points':>7}",
@@ -274,10 +276,9 @@ def main() -> int:
          [eml_call(c) for c in eml_calls],
          lambda i: (f"{eml_calls[i][0]:6.3f} {eml_calls[i][1].shape[0]:2d} "
                     f"{eml_calls[i][2]:6.3f} {eml_calls[i][3].size:7d}")),
-        ("tables.induced_norms", f"{'shape':>14} {'p':>3}",
+        ("tables.induced_norms", f"{'shape':>14}",
          [norm_call(c) for c in norm_calls],
-         lambda i: (f"{'x'.join(map(str, norm_calls[i][0].shape)):>14} "
-                    f"{norm_calls[i][1]!s:>3}")),
+         lambda i: f"{'x'.join(map(str, norm_calls[i].shape)):>14}"),
         ("ml_scalar_array, synthetic |z| <= 1 batches",
          f"{'alpha':>6} {'beta':>6} {'points':>7} kind",
          [ml_call(c) for c in series_calls],

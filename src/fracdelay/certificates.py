@@ -42,12 +42,14 @@ whenever q < 1 (the u term for an open-loop input).  K1_bar is finite
 exactly when sum_i A_i has no zero eigenvalue and none in
 |arg lambda| <= alpha pi / 2, the one gate.  Past it every phi_j, j < alpha,
 tends to 0, so unforced, limsup ||x|| <= q limsup ||x||: q < 1 alone gives
-global asymptotic stability.  For a scalar kernel with alpha < 2, K1_bar
-is exact, the primitive of phi summed between its zeros; at alpha <= 1 it
-is 1/|lam|, K0_bar = 1 (``Kernels.monotone``), and no Mittag-Leffler value
-is evaluated.  Every other kernel takes K0_bar as the largest of 2,001
-samples on [0, T0]; a matrix kernel takes K1_bar from the quadrature over
-doubling edges plus a geometric tail.
+global asymptotic stability.  A monotone kernel (``Kernels.monotone``:
+alpha <= 1, a real spectrum, an eigenvector basis V orthonormal to
+rounding) has K1_bar = cond(V) / |lam_max| and K0_bar = cond(V), exact for
+a normal kernel, with no Mittag-Leffler value evaluated.  For a scalar
+kernel with 1 < alpha < 2, K1_bar is exact, the primitive of phi summed
+between its zeros.  Every other kernel takes K0_bar as the largest of
+2,001 samples on [0, T0]; a matrix kernel takes K1_bar from the
+quadrature over doubling edges plus a geometric tail.
 """
 
 from __future__ import annotations
@@ -275,7 +277,9 @@ class CertificateReport:
     contraction_constant: float | None
     witness_delta: float | None
     grid: list = field(default_factory=list)
-    sup_bound: float | None = None      # claimed uniform bound on ||x||_inf
+    # the initial-data sup (sup_history_sum); not a bound on ||x||_inf
+    # (README "Interpreting certificates")
+    sup_bound: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -294,9 +298,10 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
 
     Some feasible value < 1 (within a 1e-12 tie tolerance) certifies global
     asymptotic stability of the zero solution; a feasible value at 1
-    bounded solutions, with the sup bound recorded in the report (None
-    under an open-loop input: the window map of the forced system is not
-    derived).  Growing kernels (``_CertInputs``) give Inconclusive, every
+    bounded solutions.  The report records the initial-data sup as
+    ``sup_bound``, which does not bound the solution (README
+    "Interpreting certificates"), and None under an open-loop input.
+    Growing kernels (``_CertInputs``) give Inconclusive, every
     entry infeasible at +inf, and no quadrature.  The windowed-L2 values
     take no part (module docstring).
     """
@@ -350,12 +355,13 @@ class DelayFreeBounds:
 def _l1_to_infinity(ker: Kernels) -> float:
     """integral_0^inf ||phi(s)|| ds behind the one gate (module docstring).
 
-    Exact for a scalar kernel with alpha < 2 (past the gate lam < 0): with
-    P(s) = E_{a,1}(lam s^a) / lam, P' = phi, P(0) = 1/lam and P(inf) = 0,
-    it is sum |P(z_(i+1)) - P(z_i)| + |P(z_last)| over z_0 = 0 and the
-    zeros of phi: none for alpha <= 1 (``Kernels.monotone``), else those
-    ``_zeros`` finds on the edges 0, last 2^-k, k = 20..0, all below
-    last = (``_last_zero`` / |lam|)^(1/a).
+    Exact for a monotone kernel, cond(V) / |lam_max| (``Kernels.monotone``;
+    past the gate every eigenvalue is negative), and for a scalar kernel
+    with 1 < alpha < 2 (past the gate lam < 0): with P(s) =
+    E_{a,1}(lam s^a) / lam, P' = phi, P(0) = 1/lam and P(inf) = 0, it is
+    sum |P(z_(i+1)) - P(z_i)| + |P(z_last)| over z_0 = 0 and the zeros of
+    phi that ``_zeros`` finds on the edges 0, last 2^-k, k = 20..0, all
+    below last = (``_last_zero`` / |lam|)^(1/a).
     Otherwise one integration over the edges 0, T 2^k, k = -10..10, T set
     by min |lambda|.  phi decays like t^(-1-alpha) (Gorenflo, Kilbas,
     Mainardi and Rogosin, 2014), so doubling segments shrink by 2^-alpha:
@@ -368,14 +374,14 @@ def _l1_to_infinity(ker: Kernels) -> float:
         raise KernelNotIntegrable(
             "phi is not integrable: A0 has a zero eigenvalue or one with "
             "|arg| <= alpha pi / 2")
+    if ker.monotone:
+        return float(ker._cond / abs(ker.lam_max))
     if ker.n == 1 and alpha < 2:
-        lam = float(ker.A0[0, 0])
-        prim = np.array([1.0 / lam])
-        if alpha > 1:
-            last = (_last_zero(alpha) / abs(lam)) ** (1.0 / alpha)
-            zeros = ker._zeros(np.append(0.0, last * 2.0 ** -np.arange(
-                20, -1, -1.0)))
-            prim = np.append(prim, ker.e_ml(1.0, zeros)[:, 0, 0] / lam)
+        lam = ker.lam_max
+        last = (_last_zero(alpha) / abs(lam)) ** (1.0 / alpha)
+        zeros = ker._zeros(np.append(0.0, last * 2.0 ** -np.arange(
+            20, -1, -1.0)))
+        prim = np.append(1.0 / lam, ker.e_ml(1.0, zeros)[:, 0, 0] / lam)
         return float(np.sum(np.abs(np.diff(prim))) + abs(prim[-1]))
     T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
     edges = T * 2.0 ** np.arange(-_HALVINGS, _HALVINGS + 1.0)
@@ -410,8 +416,8 @@ def delay_free_certify(prob: ValidatedProblem,
     ker = Kernels(sys.alpha, A_bar)
     K1 = _l1_to_infinity(ker)
     if ker.monotone:
-        # past the gate lam < 0: phi_0 falls from 1 (``Kernels.monotone``)
-        K0 = 1.0
+        # ||phi_0|| is 1 at t = 0 and at most cond(V) (``Kernels.monotone``)
+        K0 = float(ker._cond)
     else:
         lam = ker.lam
         rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0

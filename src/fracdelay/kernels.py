@@ -13,15 +13,15 @@ norm factor is smooth: product integration (the power integrated exactly
 against a piecewise-linear interpolant of the norm factor) on uniform
 meshes, refined by doubling with Richardson extrapolation.  One call
 integrates one power over a whole grid 0 < d_1 < ... < d_K; one upper
-limit delta takes the halving edges delta 2^-k, k = 10..0.  For an A0
-whose eigenvector basis V is orthonormal to rounding, the norm factor is
-cond(V) max_k |E_{a,a}(lambda_k u)|, with no n x n matrix formed
-(``Kernels._e_norms``).  The one other route: for a scalar kernel with
-alpha < 2, L1 is the exact primitive summed between the zeros of phi.
-For alpha <= 1 the smooth factor never changes sign
-(``Kernels.monotone``); for 1 < alpha < 2 and A0 < 0 it does, and a scan
-finds its zeros, stopping at a proven bound on the last zero
-(``_last_zero``).
+limit delta takes the halving edges delta 2^-k, k = 10..0.  The one other
+route is exact, L1 from the primitive of a scalar kernel.  A monotone
+kernel (``Kernels.monotone``: alpha <= 1, a real spectrum, an eigenvector
+basis V orthonormal to rounding) has ||phi|| at most cond(V) times the
+scalar kernel of its largest eigenvalue, which never changes sign, with
+equality for a normal A0.  A scalar
+kernel with 1 < alpha < 2 and A0 < 0 changes sign: its L1 sums the
+primitive between the zeros of phi, which a scan finds, stopping at a
+proven bound on the last zero (``_last_zero``).
 
 The bound verifier checks the norm inequalities relating these kernels to
 exponential majorants.  The right-hand sides use the series-of-norms
@@ -63,10 +63,9 @@ _CHECK_SLACK = 1e-9  # bound checks pass at rhs - lhs >= -slack max(1, |rhs|)
 _ELL = np.arange(601.0)  # the l = 0..600 of sup_factor and sup_gamma_ratio
 _ENVELOPE_MARGIN = 0.1  # fit_decay_envelope's lam: 0.9 of the abscissa
 _ENVELOPE_POINTS = 400  # its coarse grid; the fine one has 4x as many
-# an eigenvector basis with cond(V) <= 1 + _ORTHONORMAL_TOL counts as
-# orthonormal, and _e_norms bounds ||E(A0 u)|| by cond(V) max_k |E(lam_k u)|:
-# an upper bound at most 1e-12 relative above the norm, 1,000x below
-# _QUAD_TOL, for normal A0 with distinct eigenvalues about 1e-15
+# cond(V) <= 1 + _ORTHONORMAL_TOL is Kernels.monotone's basis test: its
+# norms are then upper bounds at most 1e-12 relative above the norm, 1,000x
+# below _QUAD_TOL (a normal A0's cond(V) - 1 is about 1e-15)
 _ORTHONORMAL_TOL = 1e-12
 
 
@@ -115,12 +114,11 @@ class Kernels:
 
     ``lam`` holds the eigenvalues of A0, read once, whether or not the
     eigenvector basis is well conditioned; the one ``eig`` and the one
-    ``cond`` of the basis come from ``eig_factors``.  When the basis is
-    orthonormal to rounding, cond(V) <= 1 + ``_ORTHONORMAL_TOL`` (a normal
-    A0, a scalar one among them), ``_e_norms`` takes the kernel norms from
-    the eigenvalue values alone.  The object keeps one table of
-    Mittag-Leffler contours per beta it has evaluated, so the quadrature's
-    levels and the kernels of one certificate share their contours.
+    ``cond`` of the basis come from ``eig_factors``.  A monotone kernel
+    (``monotone``) takes its L1 from one scalar kernel, every other one
+    from the Gram 2-norm of the matrices (``_e_norms``).  The object keeps
+    one table of Mittag-Leffler contours per beta it has evaluated, so the
+    quadrature's levels and the kernels of one certificate share them.
     """
 
     def __init__(self, alpha: float, A0: np.ndarray):
@@ -130,24 +128,33 @@ class Kernels:
         self.A0 = np.atleast_2d(np.asarray(A0, dtype=float))
         self.n = self.A0.shape[0]
         self._fac = eig_factors(self.A0)
-        self.lam, _, cond = self._fac
-        # cond(V) where the basis is orthonormal to rounding, else None
-        self._cond = cond if cond <= 1.0 + _ORTHONORMAL_TOL else None
+        self.lam, _, self._cond = self._fac
         self._tables = {}       # beta -> _ContourTable
 
     @property
     def monotone(self) -> bool:
-        """True for a scalar kernel with alpha <= 1.
+        """True for alpha <= 1, a real spectrum and an eigenvector basis V
+        with cond(V) <= 1 + ``_ORTHONORMAL_TOL``.
 
-        For x >= 0 and 0 < a <= 1, E_{a,1}(-x) is completely monotone
-        (H. Pollard, Bull. AMS 54, 1948), and so is E_{a,a}(-x) (W. R.
-        Schneider, Expo. Math. 14, 1996); E_{a,b}(x) > 0 by its series.  So
-        phi = t^(a-1) E_{a,a}(A0 t^a) never changes sign and its L1 norm is
-        the exact primitive.  For A0 < 0, phi_0 = E_{a,1}(A0 t^a), the one
-        initial-data kernel of such an order, falls from phi_0(0) = 1 toward
-        0, so sup |phi_0| = 1, and integral_0^inf phi = 1/|A0|.
+        For 0 < a <= 1 and b >= a, E_{a,b}(x) is positive and increasing on
+        the real line: by its series for x >= 0, and since E_{a,b}(-x) is
+        completely monotone for x >= 0 (H. Pollard, Bull. AMS 54, 1948; W.
+        R. Schneider, Expo. Math. 14, 1996).  So ||E_{a,b}(A0 u)|| <=
+        cond(V) max_k |E_{a,b}(lam_k u)| = cond(V) E_{a,b}(lam_max u), with
+        equality for a normal A0: L1 is cond(V) times the exact primitive
+        of the scalar kernel of lam_max, K1 = cond(V) / |lam_max| past the
+        gate (lam_max < 0), and K0 = cond(V), since phi_0 = E_{a,1}(A0 t^a),
+        the one initial-data kernel of such an order, is I at t = 0.  Each
+        is exact for a normal A0, else at most cond(V) - 1 relative above;
+        a scalar kernel has cond(V) = 1.0 and lam_max = A0[0, 0].
         """
-        return self.n == 1 and self.alpha <= 1
+        return (self.alpha <= 1 and not np.iscomplexobj(self.lam)
+                and self._cond <= 1.0 + _ORTHONORMAL_TOL)
+
+    @property
+    def lam_max(self) -> float:
+        """The largest eigenvalue of a real spectrum, A0[0, 0] for n = 1."""
+        return float(self.A0[0, 0] if self.n == 1 else self.lam.max())
 
     def sector_margin(self) -> float:
         """min |arg lambda| - alpha pi / 2 over the nonzero eigenvalues of A0
@@ -215,21 +222,8 @@ class Kernels:
     # -- norms of the smooth factor, vectorized -------------------------
 
     def _e_norms(self, beta: float, u: np.ndarray) -> np.ndarray:
-        """||E_{a,beta}(A0 u)|| for an array of u = s^a >= 0.
-
-        With an orthonormal eigenvector basis (``_cond`` set) it is
-        cond(V) max_k |E_{a,beta}(lam_k u)|, from the eigenvalue values
-        alone: a normal matrix's 2-norm is its spectral radius, and for any
-        diagonalizable A0, max_k |f_k| <= ||V diag(f) V^-1|| <= cond(V)
-        max_k |f_k|, so the value is an upper bound within cond(V) - 1 <=
-        ``_ORTHONORMAL_TOL`` relative of the norm.  For n = 1, cond(V) = 1
-        and the value is |E|.  Every other kernel takes the 2-norm of the
-        recombined matrices (``tables.induced_norms``).
-        """
-        if self._cond is not None:
-            vals = _eig_values(self.alpha, beta, self.lam, u,
-                               self._table(beta))
-            return self._cond * np.abs(vals).max(axis=1)
+        """||E_{a,beta}(A0 u)||_2 for an array of u = s^a >= 0, the Gram
+        2-norm of the matrices (``tables.induced_norms``)."""
         return induced_norms(self._e_at(beta, u))
 
     def _zeros(self, edges: np.ndarray) -> np.ndarray:
@@ -302,17 +296,17 @@ class Kernels:
         a far kink of ||phi||.  A p other than 1 or 2, or an edge
         that is not finite, raises ``ValueError`` before any evaluation.
 
-        For a scalar kernel with alpha < 2, L1 is the exact primitive P of
-        phi, summed between the zeros of phi: with anchors e_0 and the
-        zeros z_i (``_zeros``), L1(e_k) is the sum of |P(z_(i+1)) - P(z_i)|
-        over the lobes below e_k plus |P(e_k) - P(the last anchor below
-        e_k)|.  phi has zeros only for 1 < alpha < 2 and A0 < 0: for
-        alpha <= 1, E_{a,a}(-x) is completely monotone (Pollard 1948,
-        Schneider 1996), and E_{a,a}(x) > 0 for x >= 0.  P is
-        s^a E_{a,a+1}(A0 s^a) from e_0 = 0; from e_0 > 0 and A0 != 0 it is
-        E_{a,1}(A0 s^a) / A0, since d/ds E_{a,1}(A0 s^a) = A0 phi(s), whose
-        differences keep their relative accuracy where two primitives near
-        1/|A0| would cancel.
+        For a monotone kernel (``monotone``) and a scalar kernel with
+        alpha < 2, L1 is exact: cond(V) times the primitive P of the scalar
+        kernel phi_lam of lam = ``lam_max``, no n x n matrix formed, summed
+        between the zeros of phi_lam: with anchors e_0 and the zeros z_i
+        (``_zeros``; only for n = 1, 1 < alpha < 2 and A0 < 0), L1(e_k) is
+        the sum of |P(z_(i+1)) - P(z_i)| over the lobes below e_k plus
+        |P(e_k) - P(the last anchor below e_k)|.  P is
+        s^a E_{a,a+1}(lam s^a) from e_0 = 0; from e_0 > 0 and lam != 0 it is
+        E_{a,1}(lam s^a) / lam, since d/ds E_{a,1}(lam s^a) = lam
+        phi_lam(s), whose differences keep their relative accuracy where two
+        primitives near 1/|lam| would cancel.
 
         Every other case takes one segmented cumulative product integration
         in u = s^a over the edges e_k^a, which serves every edge: there
@@ -336,19 +330,26 @@ class Kernels:
             halving = edges[1] * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)
             return self.norm_integrals(np.concatenate(([0.0], halving)),
                                        p)[-1:]
-        if p == 1 and self.n == 1 and alpha < 2:
-            lam = self.A0[0, 0]
+        if p == 1 and (self.monotone or self.n == 1 and alpha < 2):
+            lam = self.lam_max
             zeros = (self._zeros(edges) if alpha > 1 and lam < 0
                      else np.empty(0))
             anchors = np.concatenate((edges[:1], zeros))
             points = np.concatenate((anchors, edges[1:]))
-            prim = (self.e_ml(1.0, points) / lam if edges[0] > 0 and lam != 0
-                    else self.int_phi(points))[:, 0, 0]
+            u = points ** alpha
+
+            def e_lam(beta):    # E_{a,beta}(lam u)
+                return _eig_values(alpha, beta, np.array([lam]), u,
+                                   self._table(beta))[:, 0].real
+
+            prim = (e_lam(1.0) / lam if edges[0] > 0 and lam != 0
+                    else u * e_lam(alpha + 1.0))
             at_anchor, at_edge = prim[:anchors.size], prim[anchors.size:]
             lobes = np.concatenate(([0.0],
                                     np.cumsum(np.abs(np.diff(at_anchor)))))
             below = np.searchsorted(anchors, edges[1:]) - 1
-            return lobes[below] + np.abs(at_edge - at_anchor[below])
+            return self._cond * (lobes[below]
+                                 + np.abs(at_edge - at_anchor[below]))
 
         u = edges ** alpha
         # edges an ulp apart can round to one u: their segment adds nothing

@@ -686,11 +686,19 @@ def _eig_values(alpha: float, beta: float, lam: np.ndarray,
                 scale: np.ndarray, table: _ContourTable | None = None
                 ) -> np.ndarray:
     """E_{alpha,beta}(lambda_k s) for every s in ``scale`` and eigenvalue
-    lambda_k, shape (N, n): one scalar call over every eigenvalue times
-    every s, its contours from ``table`` when given.  A value beyond
-    double range raises OverflowBeyondRepresentableRange."""
-    return _finite(alpha, beta, scale, ml_scalar_array(
-        alpha, beta, np.multiply.outer(lam, scale), _table=table).T)
+    lambda_k of a real matrix, shape (N, n): one scalar call over every
+    eigenvalue with Im lambda_k >= 0 times every s, its contours from
+    ``table`` when given.  The other member of a conjugate pair takes the
+    conjugate values, since E(conj z) = conj E(z) for real alpha, beta.
+    A value beyond double range raises OverflowBeyondRepresentableRange."""
+    upper = lam.imag >= 0
+    vals = np.empty((lam.size, scale.size), dtype=complex)
+    vals[upper] = ml_scalar_array(alpha, beta, np.multiply.outer(
+        lam[upper], scale), _table=table)
+    # eig returns the pairs of a real matrix as exact conjugates
+    pair = np.argmax(lam == lam[:, None].conj(), axis=1)
+    vals[~upper] = vals[pair[~upper]].conj()
+    return _finite(alpha, beta, scale, vals.T)
 
 
 def _ml_matrices(alpha: float, beta: float, A: np.ndarray, fac,

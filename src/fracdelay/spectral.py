@@ -37,31 +37,26 @@ from .tables import induced_norm, induced_norms
 
 _RECONSTRUCT_RTOL = 1e-9
 
-# induced matrix norm for p in {1, 2, inf}, under its spectral-test name
+# the induced 2-norm, under its spectral-test name
 matrix_norm = induced_norm
 
 
-def matrix_measure(M: np.ndarray, p=2) -> float:
-    """Logarithmic norm mu_p; satisfies max(-||M||, max Re lambda) <= mu_p <= ||M||."""
+def matrix_measure(M: np.ndarray) -> float:
+    """Logarithmic 2-norm mu_2; satisfies max(-||M||, max Re lambda) <= mu_2
+    <= ||M||."""
     M = np.atleast_2d(np.asarray(M))
-    if p in ("inf", np.inf, 1):
-        # row sums for inf, column sums for 1
-        off = np.sum(np.abs(M), axis=0 if p == 1 else 1) - np.abs(np.diag(M))
-        return float(np.max(np.real(np.diag(M)) + off))
-    if p == 2:
-        # eigvalsh can undershoot max Re lambda by roundoff (M = -c 11^T)
-        mu = np.linalg.eigvalsh((M + M.conj().T) / 2.0).max()
-        return float(max(mu, np.linalg.eigvals(M).real.max()))
-    raise ValueError(f"unsupported measure order {p!r}")
+    # eigvalsh can undershoot max Re lambda by roundoff (M = -c 11^T)
+    mu = np.linalg.eigvalsh((M + M.conj().T) / 2.0).max()
+    return float(max(mu, np.linalg.eigvals(M).real.max()))
 
 
-def condition_number(M: np.ndarray, p=2) -> float:
-    """||M||_p ||M^-1||_p; singular input raises."""
+def condition_number(M: np.ndarray) -> float:
+    """||M||_2 ||M^-1||_2; singular input raises."""
     M = np.atleast_2d(np.asarray(M))
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= 1e-14 * max(sv[0], 1.0):
         raise SingularMatrix("matrix is singular to working precision")
-    return matrix_norm(M, p) * matrix_norm(np.linalg.inv(M), p)
+    return matrix_norm(M) * matrix_norm(np.linalg.inv(M))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def theorem34_certify(sys: FractionalDelaySystem) -> Theorem34Result:
     lam = dec.eigenvalues
     arg_ok = bool(np.all(np.abs(np.angle(lam))
                          < sys.alpha * math.pi / 2.0))
-    mu2 = matrix_measure(dec.J_d, 2)
+    mu2 = matrix_measure(dec.J_d)
     threshold = abs(mu2) ** (1.0 / sys.alpha)
     try:
         beta, composite = optimize_beta(

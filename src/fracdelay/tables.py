@@ -13,22 +13,17 @@ checked against the samples.
 
 Norm convention: every norm in the package is the 2-norm, the spectral norm
 (largest singular value) of a matrix and the Euclidean norm of a vector, and
-``induced_norms`` at p = 2 is its one routine.  It takes a matrix's 2-norm
+``induced_norms`` is its one routine.  It takes a matrix's 2-norm
 from the largest eigenvalue of a Gram matrix, not from an SVD: with
 s = max |M_ij| and Y = M / s, ||M|| = s sqrt(lambda_max(Y^H Y)), so no
 square under- or overflows for entries near 1e-200 or 1e+200, and a zero
 matrix gives 0.  It agrees with the largest singular value to about n eps
 relative for n x n matrices (measured at most 6.4 eps for n = 2..6, on
 general, complex, non-normal and rank-one matrices scaled by 10^-200 to
-10^200); 1x1 matrices and vectors keep their exact routes.  One 2-norm
-does not come from it: the kernel norms ||E_{a,b}(A0 u)|| of the
-quadrature (``kernels.Kernels._e_norms``), for an A0 whose eigenvector
-basis V is orthonormal to rounding, cond(V) <= 1 + 1e-12, are cond(V)
-max_k |E_{a,b}(lambda_k u)|, an upper bound at most cond(V) - 1 relative
-above the norm.  The other exceptions are the max-norms of
-``Trajectory.sup_norm`` and ``sup_history_sum``, the Frobenius tail
-estimate of ``mlf._ml_matrix_series``, and the p = 1, inf branches of
-``induced_norm``.
+10^200); 1x1 matrices and vectors keep their exact routes.  The
+exceptions are the max-norms of ``Trajectory.sup_norm`` and
+``sup_history_sum`` and the Frobenius tail estimate of
+``mlf._ml_matrix_series``.
 """
 
 from __future__ import annotations
@@ -40,20 +35,14 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyTable, WindowOutOfRange
 
 
-def induced_norms(stack, p=2) -> np.ndarray:
-    """Induced p-norm, p in {1, 2, inf} ("inf" for np.inf), of every item of
-    a stack: rows of a 2-D (real) stack are vectors, the last two axes of a
-    longer one matrices.  At p = 2 it is the package's one 2-norm routine:
-    the 2-norm of a matrix M other than 1x1 is s sqrt(lambda_max(Y^H Y))
-    with Y = M / s and s = max |M_ij| (the Gram matrix of the shorter side);
-    a zero matrix gives 0, a matrix with a non-finite entry s (inf, or NaN
-    with a NaN entry)."""
-    p = np.inf if p in ("inf", np.inf) else p
-    if p not in (1, 2, np.inf):
-        raise ValueError(f"unsupported norm order {p!r}")
+def induced_norms(stack) -> np.ndarray:
+    """The 2-norm of every item of a stack, the package's one 2-norm
+    routine: rows of a 2-D (real) stack are vectors, the last two axes of a
+    longer one matrices.  The 2-norm of a matrix M other than 1x1 is
+    s sqrt(lambda_max(Y^H Y)) with Y = M / s and s = max |M_ij| (the Gram
+    matrix of the shorter side); a zero matrix gives 0, a matrix with a
+    non-finite entry s (inf, or NaN with a NaN entry)."""
     x = np.asarray(stack)
-    if p != 2:
-        return np.linalg.norm(x, p, axis=-1 if x.ndim == 2 else (-2, -1))
     if x.ndim == 2:
         # one dot product per row, rounded as np.linalg.norm rounds a vector
         return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
@@ -70,12 +59,10 @@ def induced_norms(stack, p=2) -> np.ndarray:
                     s * np.sqrt(np.linalg.eigvalsh(gram)[..., -1]), s)
 
 
-def induced_norm(M: np.ndarray, p=2) -> float:
-    """Induced matrix norm (vector norm for 1-D input) for p in {1, 2, inf}.
-
-    p = 2 is the largest singular value; "inf" is accepted for np.inf.
-    """
-    return float(induced_norms(np.asarray(M)[None], p)[0])
+def induced_norm(M: np.ndarray) -> float:
+    """The 2-norm of a matrix, its largest singular value (the Euclidean
+    norm for 1-D input)."""
+    return float(induced_norms(np.asarray(M)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -165,18 +152,18 @@ def as_table(entry, n_rows: int | None = None, n_cols: int | None = None) -> Tim
                              float(induced_norm(val)))
 
 
-def sup_norm_bound(tbl: TimeFunctionTable, p=2) -> float:
+def sup_norm_bound(tbl: TimeFunctionTable) -> float:
     """Uniform norm bound of the tabled function.
 
     Returns the declared bound when present, otherwise the maximum sampled
-    induced p-norm.  For both interpolation rules the sampled maximum equals
+    2-norm.  For both interpolation rules the sampled maximum equals
     the sup of the interpolant itself (norms are convex along linear segments),
     so this is exact for the table and a lower estimate for the underlying
     function it samples.
     """
     if tbl.declared_sup_norm is not None:
         return tbl.declared_sup_norm
-    return float(np.max(induced_norms(tbl.values, p)))
+    return float(np.max(induced_norms(tbl.values)))
 
 
 def l2_window_norm(tbl: TimeFunctionTable, t: float, delta: float) -> float:

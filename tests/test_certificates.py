@@ -665,6 +665,32 @@ class TestDelayFreeBounds:
             assert b.K0_bar == 1.0 and b.K1_bar == 1.0 / abs(lam)
         assert calls == {"e_ml": [], "phi_j": []}
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_normal_kernel_takes_exact_constants(self, monkeypatch, alpha):
+        # a symmetric kernel with eigenvalues -0.8 and -2 is monotone: K0 =
+        # cond(V) and K1 = cond(V) / 0.8 without a Mittag-Leffler value
+        Q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        A0 = Q @ np.diag([-0.8, -2.0]) @ Q.T
+        prob = validate_system(alpha, [0.0, 1.0], [A0, 0.1 * np.eye(2)],
+                               phi=[const_phi([1.0, 0.5], 1.0)])
+        ker = kernels.Kernels(alpha, A0)
+        assert ker.monotone
+        calls = self.sampled(monkeypatch)
+        b = delay_free_certify(validate_system(
+            alpha, [0.0], [A0], phi=[const_phi([1.0, 0.5], 0.0)]))
+        assert b.K0_bar == ker._cond == pytest.approx(1.0, abs=1e-15)
+        assert b.K1_bar == ker._cond / abs(ker.lam_max)
+        assert b.K1_bar == pytest.approx(1.0 / 0.8, rel=1e-14)
+        assert calls == {"e_ml": [], "phi_j": []}
+        # certify takes the same kernel's L1 grid without quadrature
+        quad = []
+        integrate = kernels.weighted_singular_integral
+        monkeypatch.setattr(kernels, "weighted_singular_integral",
+                            lambda *args: quad.append(args) or integrate(
+                                *args))
+        certify(prob)
+        assert quad == []
+
     @pytest.mark.parametrize("alpha, A0", [
         (0.7, [[-1.0, 0.5], [0.0, -2.0]]),
         (1.5, [[-1.0]]),
@@ -832,11 +858,12 @@ class TestL1ToInfinity:
             return np.cumsum(np.append(np.ones(np.size(edges) - 2), 2.0))
 
         monkeypatch.setattr(kernels.Kernels, "norm_integrals", growing)
+        # a non-normal kernel: a monotone one takes K1 exactly
         with pytest.raises(KernelNotIntegrable,
                            match=r"L1 increments stopped shrinking by "
                                  r"T = .* \(ratio 2\)"):
             certificates._l1_to_infinity(
-                kernels.Kernels(0.8, np.diag([-1.0, -2.0])))
+                kernels.Kernels(0.8, np.array([[-1.0, 0.5], [0.0, -2.0]])))
 
 
 class TestHighOrder:

@@ -10,10 +10,11 @@ from scipy.integrate import quad
 from scipy.linalg import expm as scipy_expm
 from scipy.optimize import brentq
 
-from conftest import random_stable_matrix, scalar_problem
+from conftest import const_phi, random_stable_matrix, scalar_problem
 from test_mlf import ml_reference
 from fracdelay import (certify, fit_decay_envelope, phi_alpha, phi_alpha_j,
-                       phi_alpha_l1, phi_alpha_l2sq, verify_lemma22)
+                       phi_alpha_l1, phi_alpha_l2sq, validate_system,
+                       verify_lemma22)
 from fracdelay import certificates, kernels, mlf
 from fracdelay.certificates import DEFAULT_DELTA_GRID
 from fracdelay.errors import (NotAStabilityMatrix,
@@ -397,9 +398,11 @@ EPS = np.finfo(float).eps
 
 
 class TestEigenbasisNorms:
-    """With an orthonormal eigenvector basis, ||E(A0 u)|| is cond(V) times
-    the largest |E(lam_k u)|: an upper bound within 1e-12 of the Gram
-    route.  Every other kernel keeps the Gram route's bits."""
+    """A monotone kernel (alpha <= 1, a real spectrum, an orthonormal
+    eigenvector basis) takes its L1 and K1 exactly, cond(V) times those of
+    the scalar kernel of its largest eigenvalue: within 1e-13 relative of
+    the Gram quadrature, and not below it by more than 8 eps.  Every other
+    kernel, and every L2, takes the Gram quadrature."""
 
     @staticmethod
     def u_grid(alpha):
@@ -408,71 +411,162 @@ class TestEigenbasisNorms:
                                ** alpha))
 
     @staticmethod
-    def gram(alpha, A0, monkeypatch):
-        """A kernel that takes the Gram route whatever its basis."""
+    def gram(monkeypatch, fn, *args):
+        """fn(*args) with every kernel on the Gram route."""
         with monkeypatch.context() as m:
             m.setattr(kernels, "_ORTHONORMAL_TOL", -1.0)
-            return Kernels(alpha, A0)
+            return fn(*args)
+
+    @staticmethod
+    def quadrature_calls(monkeypatch):
+        calls = []
+        quad = kernels.weighted_singular_integral
+
+        def counted(*args):
+            calls.append(args[0])
+            return quad(*args)
+
+        monkeypatch.setattr(kernels, "weighted_singular_integral", counted)
+        return calls
 
     @pytest.mark.parametrize("name", NORMAL)
     @pytest.mark.parametrize("alpha", [0.5, 0.95, 1.5])
-    def test_normal_kernels_bound_the_gram_norm(self, monkeypatch, name,
-                                                alpha):
+    def test_normal_kernels_bound_the_gram_norm(self, name, alpha):
+        # cond(V) E_{a,b}(lam_max u) against the Gram 2-norm, b = a and 1;
+        # the complex spectrum and alpha > 1 are not monotone
         ker = Kernels(alpha, NORMAL[name])
-        assert ker._cond is not None
+        assert ker.monotone == (alpha <= 1 and name != "rotation")
         u = self.u_grid(alpha)
-        got = ker._e_norms(alpha, u)
-        ref = induced_norms(ker._e_at(alpha, u))
-        assert np.all(got >= ref * (1.0 - 8.0 * EPS))
-        assert np.all(got <= ref * (1.0 + 1e-12 + 8.0 * EPS))
-        assert np.array_equal(self.gram(alpha, NORMAL[name],
-                                        monkeypatch)._e_norms(alpha, u), ref)
+        for beta in (alpha, 1.0):
+            ref = induced_norms(ker._e_at(beta, u))
+            assert np.array_equal(ker._e_norms(beta, u), ref)
+            if ker.monotone:
+                got = ker._cond * mlf.ml_scalar_array(
+                    alpha, beta, ker.lam_max * u).real
+                assert np.all(got >= ref * (1.0 - 8.0 * EPS))
+                assert np.all(got <= ref * (1.0 + 1e-12 + 8.0 * EPS))
 
     @pytest.mark.parametrize("name", NORMAL)
     @pytest.mark.parametrize("alpha, p", [(0.5, 1), (0.95, 1), (0.95, 2),
                                           (1.5, 1), (1.5, 2)])
     def test_normal_kernel_integrals_match_the_gram_route(self, monkeypatch,
                                                           name, alpha, p):
-        got = Kernels(alpha, NORMAL[name]).norm_integrals(GRID26, p)
-        ref = self.gram(alpha, NORMAL[name], monkeypatch).norm_integrals(
-            GRID26, p)
+        ker = Kernels(alpha, NORMAL[name])
+        calls = self.quadrature_calls(monkeypatch)
+        got = ker.norm_integrals(GRID26, p)
+        exact = p == 1 and ker.monotone
+        assert len(calls) == (0 if exact else 1)
+        ref = self.gram(monkeypatch, ker.norm_integrals, GRID26, p)
+        if exact:
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+            assert np.all(got >= ref * (1.0 - 8.0 * EPS))
+        else:
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name, lam_max", [("symmetric3", -0.5),
+                                               ("symmetric6", -0.3),
+                                               ("minus-identity", -1.0)])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.95])
+    def test_monotone_l1_and_k1_are_exact(self, monkeypatch, name, lam_max,
+                                          alpha):
+        ker = Kernels(alpha, NORMAL[name])
+        assert ker.monotone and ker.lam_max == pytest.approx(lam_max,
+                                                             rel=1e-14)
+        calls = self.quadrature_calls(monkeypatch)
+        got = ker.norm_integrals(GRID26)
+        k1 = certificates._l1_to_infinity(ker)
+        assert calls == [] and k1 == ker._cond / abs(ker.lam_max)
+        ref = self.gram(monkeypatch, ker.norm_integrals, GRID26)
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        assert np.all(got >= ref * (1.0 - 8.0 * EPS))
+        # K1 is the Gram quadrature up to T plus the scalar tail past it,
+        # integral_T^inf phi = E_{a,1}(lam_max T^a) / |lam_max|
+        for T in (10.0, 100.0):
+            head = self.gram(monkeypatch, ker.norm_integrals, [0.0, T])[0]
+            tail = mlf.ml_scalar_array(alpha, 1.0, [ker.lam_max * T ** alpha])
+            assert head + tail[0].real / abs(ker.lam_max) == pytest.approx(
+                k1, rel=1e-13)
+
+    def test_exponential_matrix_kernel(self):
+        # alpha = 1, A0 = diag(-2, -3): ||phi(s)|| = e^(-2 s), so L1 up to
+        # T is (1 - e^(-2 T)) / 2, with the bits of the scalar kernel -2,
+        # within the evaluator's floor (2.7e-15 here)
+        ker = Kernels(1.0, np.diag([-2.0, -3.0]))
+        assert ker.monotone and ker._cond == 1.0 and ker.lam_max == -2.0
+        table = ker.norm_integrals(GRID26)
+        assert np.array_equal(
+            table, Kernels(1.0, np.array([[-2.0]])).norm_integrals(GRID26))
+        exact = -np.expm1(-2.0 * np.array(DEFAULT_DELTA_GRID)) / 2.0
+        np.testing.assert_allclose(table, exact, rtol=5e-15, atol=0)
+
+    @pytest.mark.parametrize("name", NON_NORMAL)
+    @pytest.mark.parametrize("alpha", [0.5, 0.95])
+    def test_basis_condition_keeps_the_values_bounds(self, monkeypatch,
+                                                     name, alpha):
+        # a non-normal kernel counted monotone: cond(V) E_{a,b}(lam_max u)
+        # bounds ||E_{a,b}(A0 u)||, so L1, K1 and K0 stay upper bounds
+        A0 = NON_NORMAL[name]
+        ref = Kernels(alpha, A0).norm_integrals(GRID26)
+        prob = validate_system(alpha, [0.0], [A0],
+                               phi=[const_phi(np.ones(len(A0)), 0.0)])
+        sampled = certificates.delay_free_certify(prob)
+        monkeypatch.setattr(kernels, "_ORTHONORMAL_TOL", 10.0)
+        ker = Kernels(alpha, A0)
+        assert ker.monotone
+        got = ker.norm_integrals(GRID26)
+        assert np.all(got >= ref) and np.all(got <= ker._cond * ref)
+        bounds = certificates.delay_free_certify(prob)
+        assert bounds.K1_bar == ker._cond / abs(ker.lam_max) > sampled.K1_bar
+        assert bounds.K0_bar == ker._cond >= sampled.K0_bar
 
     @pytest.mark.parametrize("name", NON_NORMAL)
     @pytest.mark.parametrize("alpha", [0.5, 0.95, 1.5])
     def test_non_normal_kernels_keep_the_gram_bits(self, name, alpha):
         ker = Kernels(alpha, NON_NORMAL[name])
-        assert ker._cond is None
+        assert not ker.monotone and ker._cond > 1.5
         u = self.u_grid(alpha)
         assert np.array_equal(ker._e_norms(alpha, u),
                               induced_norms(ker._e_at(alpha, u)))
+        # L1 is the one quadrature of ||E_{a,a}(A0 u)|| / a in u = s^a
+        ref = weighted_singular_integral(
+            0.0, lambda x: induced_norms(ker._e_at(alpha, x)) / alpha,
+            np.array(GRID26) ** alpha)
+        assert np.array_equal(ker.norm_integrals(GRID26), ref)
 
     @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.3, 2.0, 2.3])
     @pytest.mark.parametrize("lam", [-4.0, -1.0, 0.0, 0.5])
     def test_scalar_kernels_keep_the_gram_bits(self, monkeypatch, alpha,
                                                lam):
         ker = Kernels(alpha, np.array([[lam]]))
-        assert ker._cond == 1.0
+        assert ker._cond == 1.0 and ker.lam_max == lam
+        assert ker.monotone == (alpha <= 1)
         u = self.u_grid(alpha)[:150]
         for beta in (alpha, 1.0):
             assert np.array_equal(ker._e_norms(beta, u),
                                   induced_norms(ker._e_at(beta, u)))
+        edges = [0.0, 0.1, 0.5, 1.0, 2.0]
+        if alpha < 2 and not (alpha > 1 and lam < 0):
+            # no zeros: the primitive from 0, read off the 1x1 matrices
+            prim = ker.int_phi(edges)[:, 0, 0]
+            assert (ker.norm_integrals(edges).tolist()
+                    == np.abs(prim[1:] - prim[0]).tolist())
         if lam < 0:
-            edges = [0.0, 0.1, 0.5, 1.0, 2.0]
             assert np.array_equal(
                 ker.norm_integrals(edges, 2),
-                self.gram(alpha, ker.A0, monkeypatch).norm_integrals(edges,
-                                                                     2))
+                self.gram(monkeypatch, ker.norm_integrals, edges, 2))
 
     @pytest.mark.parametrize("alpha, u", [(1.0, 800.0), (0.8, 1e3)])
-    def test_overflow_still_raises(self, monkeypatch, alpha, u):
-        # e^800, and E_{0.8,0.8}(1e3) past double range: inf, not a norm
-        A0 = np.diag([1.0, -1.0])
-        for ker in (Kernels(alpha, A0), self.gram(alpha, A0, monkeypatch)):
+    def test_overflow_still_raises(self, alpha, u):
+        # e^800, and E_{0.8,0.8}(1e3) past double range: inf, not a norm;
+        # the exact L1 of the monotone kernel raises as well
+        ker = Kernels(alpha, np.diag([1.0, -1.0]))
+        assert ker.monotone
+        for call in (lambda: ker._e_norms(alpha, np.array([1.0, u])),
+                     lambda: ker.norm_integrals([0.0, u ** (1 / alpha)])):
             with (pytest.raises(OverflowBeyondRepresentableRange,
                                 match="exceeds double range"),
-                  np.errstate(over="ignore")):
-                ker._e_norms(alpha, np.array([1.0, u]))
+                  np.errstate(over="ignore", invalid="ignore")):
+                call()
 
     @pytest.mark.parametrize("A0", [NORMAL["symmetric6"],
                                     NON_NORMAL["sheared6"], A1])

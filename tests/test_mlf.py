@@ -570,6 +570,31 @@ class TestMlMatrix:
             assert np.max(np.abs(spectral - series)) <= 1e-9 * max(
                 1.0, np.max(np.abs(spectral)))
 
+    @pytest.mark.parametrize("alpha, beta", [(0.95, 0.95), (0.6, 1.0),
+                                             (1.5, 2.5)])
+    def test_conjugate_eigenvalues_take_conjugate_values(self, monkeypatch,
+                                                         alpha, beta):
+        # E(conj z) = conj E(z): the member of a pair with Im >= 0 is
+        # evaluated, and the other takes its conjugate, bit for bit
+        A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -0.5]])
+        lam = np.linalg.eigvals(A)
+        upper = lam.imag >= 0
+        u = np.geomspace(1e-3, 79.0, 400)
+        points = []
+
+        def counted(alpha, beta, z, **kwargs):
+            points.append(np.size(z))
+            return ml_scalar_array(alpha, beta, z, **kwargs)
+
+        monkeypatch.setattr(mlf, "ml_scalar_array", counted)
+        vals = mlf._eig_values(alpha, beta, lam, u)
+        assert points == [2 * u.size]
+        lower = np.flatnonzero(~upper)[0]
+        pair = np.flatnonzero(lam == lam[lower].conj())[0]
+        assert vals[:, lower].tolist() == vals[:, pair].conj().tolist()
+        assert np.array_equal(vals[:, upper], ml_scalar_array(
+            alpha, beta, np.multiply.outer(lam[upper], u)).T)
+
     def test_nondiagonalizable_series_path(self):
         A = np.array([[-1.0, 1.0], [0.0, -1.0]])   # Jordan block
         out = ml_matrix(1.0, 1.0, A, 1.0)

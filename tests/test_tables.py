@@ -33,10 +33,7 @@ def test_sup_norm_bound_constant():
 
 def test_sup_norm_bound_max_of_samples():
     tbl = table([0.0, 1.0], [np.eye(2), 2 * np.eye(2)], "const")
-    assert sup_norm_bound(tbl, 2) == 2.0
-    for p in (3, "fro"):
-        with pytest.raises(ValueError):
-            sup_norm_bound(tbl, p)
+    assert sup_norm_bound(tbl) == 2.0
 
 
 def test_sup_norm_bound_declared_wins():
