@@ -15,20 +15,23 @@ per section the largest of those.  A ``norm_integrals`` or ``e_ml`` call is
 replayed on a kernel object built outside the timed region, a new one per
 run, so no run reuses the contours of another; only the outermost
 ``norm_integrals`` call is recorded, not the one a single delta makes on its
-halving edges.  Both trees take ``norm_integrals(edges, p)``, one power a
-call.  Two last sections replay fixed synthetic calls.  One replays
-``ml_scalar_array`` batches on the |z| <= 1 power series: 6, 50, 600 and
-2,000 real points in [-1, 1] at each (alpha, beta) of ``SERIES_ORDERS``,
-and 50 complex points in the unit disc.  The other replays
-``norm_integrals(GRID26, p)``, GRID26 the default delta grid with a
-leading 0, on the matrix kernels of ``SYNTHETIC_KERNELS`` at each alpha of
-``SYNTHETIC_ALPHAS``, p = 1 and, for alpha > 1/2, p = 2.  At alpha <= 1
-its kernels with a real spectrum and an orthonormal eigenvector basis
-(symmetric, a repeated eigenvalue) are monotone (``Kernels.monotone``) and
-take L1 from the exact primitive of their largest eigenvalue's scalar
-kernel; every other call takes the Gram quadrature.  Each SRC is a
-directory that holds the ``fracdelay`` package, such as a checkout's
-``src``.
+halving edges.  A call is kept as (alpha, A0, deltas, p): a tree whose
+``norm_integrals(edges, p)`` takes a start edge and a power (edges 0 and
+the deltas, or one delta) is recorded and replayed in those terms, and a
+tree whose ``norm_integrals(deltas)`` takes the deltas alone, L1 only, in
+these.  A p = 2 call runs through ``phi_alpha_l2sq``, one delta at a time,
+on both trees.  Two last sections replay fixed synthetic calls.  One
+replays ``ml_scalar_array`` batches on the |z| <= 1 power series: 6, 50,
+600 and 2,000 real points in [-1, 1] at each (alpha, beta) of
+``SERIES_ORDERS``, and 50 complex points in the unit disc.  The other
+replays the L1 grid of the default deltas and, for alpha > 1/2, their
+squared L2, on the matrix kernels of ``SYNTHETIC_KERNELS`` at each alpha
+of ``SYNTHETIC_ALPHAS``.  At alpha <= 1 its kernels with a real spectrum
+and an orthonormal eigenvector basis (symmetric, a repeated eigenvalue)
+are monotone (``Kernels.monotone``) and take L1 from the exact primitive
+of their largest eigenvalue's scalar kernel; every other call takes the
+Gram quadrature.  Each SRC is a directory that holds the ``fracdelay``
+package, such as a checkout's ``src``.
 
 Example, against the parent commit:
     git archive HEAD~1 | (mkdir -p /tmp/old && tar -x -C /tmp/old)
@@ -40,6 +43,7 @@ relative difference.
 
 import argparse
 import importlib.util
+import inspect
 import math
 import sys
 import time
@@ -103,15 +107,30 @@ def series_batches() -> list:
 
 
 def kernel_calls(fd) -> list:
-    """(name, alpha, A0, GRID26, p) of the synthetic norm_integrals calls."""
-    grid = np.array([0.0, *fd.certificates.DEFAULT_DELTA_GRID])
+    """(name, alpha, A0, deltas, p) of the synthetic kernel-norm calls, on
+    the default delta grid."""
+    grid = np.array(fd.certificates.DEFAULT_DELTA_GRID)
     return [(name, alpha, A0, grid, p) for name, A0 in SYNTHETIC_KERNELS
             for alpha in SYNTHETIC_ALPHAS
             for p in ((1, 2) if alpha > 0.5 else (1,))]
 
 
+def takes_edges(fd) -> bool:
+    """True for a tree whose ``norm_integrals(edges, p)`` takes a start
+    edge and a power, False for ``norm_integrals(deltas)``."""
+    params = inspect.signature(fd.kernels.Kernels.norm_integrals).parameters
+    return "p" in params
+
+
+def as_deltas(edges_or_deltas, edged: bool) -> np.ndarray:
+    """The upper limits of a recorded call: one delta, or the edges after
+    their leading 0 on a tree that takes edges."""
+    limits = np.atleast_1d(np.array(edges_or_deltas, dtype=float))
+    return limits[1:] if edged and limits.size > 1 else limits
+
+
 def record_calls(fd):
-    """(alpha, beta, z) of every ml_scalar_array call, (alpha, A0, edges,
+    """(alpha, beta, z) of every ml_scalar_array call, (alpha, A0, deltas,
     p) of every outermost norm_integrals call, (alpha, A0, beta, t) of
     every e_ml call with n > 1 and the stack of every induced_norms call on
     the fixtures; the last three in the certificates only."""
@@ -122,6 +141,7 @@ def record_calls(fd):
     inner_norms = fd.tables.induced_norms
     depth = [0]
     certifying = [False]
+    edged = takes_edges(fd)
 
     def recorded_ml(alpha, beta, z, **kwargs):
         ml_calls.append((float(alpha), float(beta),
@@ -140,13 +160,14 @@ def record_calls(fd):
             norm_calls.append(np.array(stack, copy=True))
         return inner_norms(stack, *order)
 
-    def recorded_quad(self, edges, p=1):
+    def recorded_quad(self, limits, *p):
         if not depth[0]:
             quad_calls.append((self.alpha, self.A0.copy(),
-                               np.array(edges, dtype=float, copy=True), p))
+                               as_deltas(limits, edged),
+                               p[0] if p else 1))
         depth[0] += 1
         try:
-            return inner_quad(self, edges, p)
+            return inner_quad(self, limits, *p)
         finally:
             depth[0] -= 1
 
@@ -250,9 +271,18 @@ def main() -> int:
         return lambda fd: (fd.mlf.ml_scalar_array, *c)
 
     def quad_call(c):
-        alpha, A0, edges, p = c
-        return lambda fd: (fd.kernels.Kernels(alpha, A0).norm_integrals,
-                           edges, p)
+        alpha, A0, deltas, p = c
+
+        def make(fd):
+            ker = fd.kernels.Kernels(alpha, A0)
+            if p == 2:
+                return (lambda: np.array([fd.kernels.phi_alpha_l2sq(ker, d)
+                                          for d in deltas]),)
+            if takes_edges(fd):
+                return ker.norm_integrals, np.append(0.0, deltas), 1
+            return ker.norm_integrals, deltas
+
+        return make
 
     def eml_call(c):
         alpha, A0, beta, t = c
@@ -266,11 +296,11 @@ def main() -> int:
          [ml_call(c) for c in ml_calls],
          lambda i: (f"{ml_calls[i][0]:6.3f} {ml_calls[i][1]:6.3f} "
                     f"{ml_calls[i][2].size:7d}")),
-        ("Kernels.norm_integrals", f"{'alpha':>6} {'n':>2} {'edges':>5} "
+        ("Kernels.norm_integrals", f"{'alpha':>6} {'n':>2} {'deltas':>6} "
          f"{'p':>1}",
          [quad_call(c) for c in quad_calls],
          lambda i: (f"{quad_calls[i][0]:6.3f} {quad_calls[i][1].shape[0]:2d}"
-                    f" {quad_calls[i][2].size:5d} {quad_calls[i][3]:1d}")),
+                    f" {quad_calls[i][2].size:6d} {quad_calls[i][3]:1d}")),
         ("Kernels.e_ml, n > 1", f"{'alpha':>6} {'n':>2} {'beta':>6} "
          f"{'points':>7}",
          [eml_call(c) for c in eml_calls],

@@ -15,7 +15,14 @@ path, and records:
 - the simulate-long trajectories (march and oracle) at seed 1;
 - ``delay_free_certify`` on the delay-free scalar problems x' = lam x at
   every alpha of ``DELAY_FREE_ALPHAS`` and lam of ``DELAY_FREE_LAMS``,
-  phi_0 = 1 and any phi_1 = 0, so that a move of K0 or K1 shows by name.
+  phi_0 = 1 and any phi_1 = 0, so that a move of K0 or K1 shows by name;
+- the one-delta values ``cert_g_f``, ``cert_g_hat_f`` (window start h),
+  ``gain_bound_uniform``, ``gain_bound_l2`` (epsilon ``EPSILON``),
+  ``phi_alpha_l1`` and ``phi_alpha_l2sq`` on every fixture at each delta of
+  ``ONE_DELTAS``;
+- ``delay_free_certify`` (phi_0 = 1, any phi_1 = 0), ``phi_alpha_l1`` and
+  ``phi_alpha_l2sq`` on the non-normal kernels ``NON_NORMAL`` at each alpha
+  of ``NON_NORMAL_ALPHAS``, which take K1 from the quadrature.
 
 The ops are built by ``perfbench/workloads.py``, which is only imported.
 Per output it prints "identical" or the largest relative difference
@@ -48,6 +55,10 @@ CERTIFY_SEEDS = (1, 2, 3)
 SIMULATE_SEED = 1
 DELAY_FREE_ALPHAS = (0.5, 0.9, 1.2, 1.5, 1.8, 1.95, 1.99)
 DELAY_FREE_LAMS = (-0.3, -1.0, -5.0)
+ONE_DELTAS = (1.0, 30.0)
+EPSILON = 0.1
+NON_NORMAL = (((-1.0, 0.5), (0.0, -2.0)), ((-1.0, 5.0), (0.0, -2.0)))
+NON_NORMAL_ALPHAS = (0.4, 0.7, 1.3, 1.6)
 
 
 def _text(text):
@@ -76,13 +87,26 @@ def _cli(argv, outdir=None):
     return result
 
 
-def _delay_free_bounds(fd, alpha, lam):
-    """``delay_free_certify`` of x' = lam x of order alpha, as a dict."""
-    k = math.ceil(alpha)
-    phi = [fd.TimeFunctionTable([0.0], [[float(j == 0)]], "const")
+def _delay_free_bounds(fd, alpha, A0):
+    """``delay_free_certify`` of x' = A0 x of order alpha, phi_0 = 1 and
+    any phi_1 = 0, as a dict."""
+    k, n = math.ceil(alpha), len(A0)
+    phi = [fd.TimeFunctionTable([0.0], [[float(j == 0)] * n], "const")
            for j in range(k)]
-    prob = fd.validate_system(alpha, [0.0], [[[lam]]], phi=phi)
+    prob = fd.validate_system(alpha, [0.0], [A0], phi=phi)
     return fd.delay_free_certify(prob).as_dict()
+
+
+def _one_delta_values(fd, prob, delta):
+    """(name, thunk) of every one-delta value of ``prob`` at ``delta``."""
+    return (("cert_g_f", lambda: fd.cert_g_f(prob, None, delta)),
+            ("cert_g_hat_f",
+             lambda: fd.cert_g_hat_f(prob, None, prob.system.h, delta)),
+            ("gain_bound_uniform",
+             lambda: fd.gain_bound_uniform(prob, delta, EPSILON)),
+            ("gain_bound_l2", lambda: fd.gain_bound_l2(prob, delta, EPSILON)),
+            ("phi_alpha_l1", lambda: fd.phi_alpha_l1(prob.system, delta)),
+            ("phi_alpha_l2sq", lambda: fd.phi_alpha_l2sq(prob.system, delta)))
 
 
 def _guarded(fn):
@@ -107,6 +131,11 @@ def collect(src: str, out_path: str) -> None:
                 outdir = Path(tmp) / "out" if command[0] == "simulate" else None
                 outputs[f"cli {' '.join(command)} {fixture.name}"] = _cli(
                     argv, outdir)
+            prob = fd.load_problem(str(fixture))
+            for delta in ONE_DELTAS:
+                for what, value in _one_delta_values(fd, prob, delta):
+                    outputs[f"one-delta {delta} {what} {fixture.name}"] = (
+                        _guarded(value))
         for seed in CERTIFY_SEEDS:
             for op in workloads.CertifyGrid().build(seed, Path(tmp)):
                 prob = op.problem
@@ -123,7 +152,17 @@ def collect(src: str, out_path: str) -> None:
         for lam in DELAY_FREE_LAMS:
             name = f"delay-free alpha {alpha} lam {lam} delay_free_certify"
             outputs[name] = _guarded(
-                lambda: _delay_free_bounds(fd, alpha, lam))
+                lambda: _delay_free_bounds(fd, alpha, [[lam]]))
+    for A0 in NON_NORMAL:
+        for alpha in NON_NORMAL_ALPHAS:
+            name = f"non-normal {A0} alpha {alpha}"
+            outputs[f"{name} delay_free_certify"] = _guarded(
+                lambda: _delay_free_bounds(fd, alpha, A0))
+            for delta in ONE_DELTAS:
+                for what, fn in (("phi_alpha_l1", fd.phi_alpha_l1),
+                                 ("phi_alpha_l2sq", fd.phi_alpha_l2sq)):
+                    outputs[f"{name} {what} {delta}"] = _guarded(
+                        lambda: fn((alpha, A0), delta))
     with open(out_path, "wb") as fh:
         pickle.dump(outputs, fh)
 

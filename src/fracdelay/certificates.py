@@ -42,14 +42,9 @@ whenever q < 1 (the u term for an open-loop input).  K1_bar is finite
 exactly when sum_i A_i has no zero eigenvalue and none in
 |arg lambda| <= alpha pi / 2, the one gate.  Past it every phi_j, j < alpha,
 tends to 0, so unforced, limsup ||x|| <= q limsup ||x||: q < 1 alone gives
-global asymptotic stability.  A monotone kernel (``Kernels.monotone``:
-alpha <= 1, a real spectrum, an eigenvector basis V orthonormal to
-rounding) has K1_bar = cond(V) / |lam_max| and K0_bar = cond(V), exact for
-a normal kernel, with no Mittag-Leffler value evaluated.  For a scalar
-kernel with 1 < alpha < 2, K1_bar is exact, the primitive of phi summed
-between its zeros.  Every other kernel takes K0_bar as the largest of
-2,001 samples on [0, T0]; a matrix kernel takes K1_bar from the
-quadrature over doubling edges plus a geometric tail.
+global asymptotic stability.  K0_bar, K1_bar and every L1 come from
+``kernels`` (its module docstring); this module computes loads, family
+values and verdicts.
 """
 
 from __future__ import annotations
@@ -59,19 +54,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
-                     OrderTooLow, PremiseViolated)
+from .errors import DelaysNotZero, EmptyGrid, OrderTooLow, PremiseViolated
 # phi_alpha_l1 is not called here: perfbench/test_harness.py reads it
-from .kernels import _HALVINGS, Kernels, _kernels, _last_zero, phi_alpha_l1
+from .kernels import (Kernels, _kernels, _l1_to_infinity, phi_alpha_l1,
+                      phi_alpha_l2sq)
 from .spectral import theorem34_certify
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm, lag_tables)
 from .tables import induced_norms, l2_window_norm, sup_norm_bound
 
 _TIE_TOL = 1e-12
-# eigenvalue arguments within this many radians of alpha pi / 2 count as
-# on the edge of the decay sector
-_SECTOR_TOL = 1e-12
 # largest |phi_j| on the prehistory that counts as zero in high_order_check
 _ZERO_TOL = 1e-12
 
@@ -112,9 +104,8 @@ def _checked(deltas) -> np.ndarray:
 
 class _CertInputs:
     """The uniform family's numerator and D (module docstring) per delta of
-    a grid.  A kernel matrix eigenvalue inside |arg lambda| < alpha pi / 2
-    (``sector_margin`` below 0) makes the kernels grow: then nothing is
-    integrated, and both are +inf, infeasible on the whole grid."""
+    a grid.  Growing kernels (``Kernels.grows``) integrate nothing: both
+    are +inf, infeasible on the whole grid."""
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
                  deltas):
@@ -125,11 +116,11 @@ class _CertInputs:
         # imports numpy.ma
         self.grid = grid[np.append(True, grid[1:] != grid[:-1])]
         ker = _kernels(sys)
-        if ker.sector_margin() < -_SECTOR_TOL:
+        if ker.grows:
             self.l1 = None
             self.numer = self.D = np.full(self.grid.size, math.inf)
             return
-        self.l1 = ker.norm_integrals(np.concatenate(([0.0], self.grid)))
+        self.l1 = ker.norm_integrals(self.grid)
         phis = np.array([ker.phi_j(j, self.grid) for j in range(sys.k)])
         a_instant = sum(bound for r_i, bound, _ in terms if r_i == 0.0)
         a_delayed = sum(bound for r_i, bound, _ in terms if r_i > 0.0)
@@ -157,9 +148,9 @@ def _g_hat(prob: ValidatedProblem, feedback: ControlInput | None, t: float,
         raise ValueError(f"window start t must be finite, got {t}")
     sys = prob.system
     ker = _kernels(sys)
-    if ker.sector_margin() < -_SECTOR_TOL:
+    if ker.grows:
         return math.inf, math.inf, None
-    l2k = float(np.sqrt(ker.norm_integrals([0.0, delta], 2)[0]))
+    l2k = math.sqrt(phi_alpha_l2sq(ker, delta))
     phis = np.array([ker.phi_j(j, [delta]) for j in range(sys.k)])
 
     def windows(lags):
@@ -352,51 +343,6 @@ class DelayFreeBounds:
                 "verdict": self.verdict}
 
 
-def _l1_to_infinity(ker: Kernels) -> float:
-    """integral_0^inf ||phi(s)|| ds behind the one gate (module docstring).
-
-    Exact for a monotone kernel, cond(V) / |lam_max| (``Kernels.monotone``;
-    past the gate every eigenvalue is negative), and for a scalar kernel
-    with 1 < alpha < 2 (past the gate lam < 0): with P(s) =
-    E_{a,1}(lam s^a) / lam, P' = phi, P(0) = 1/lam and P(inf) = 0, it is
-    sum |P(z_(i+1)) - P(z_i)| + |P(z_last)| over z_0 = 0 and the zeros of
-    phi that ``_zeros`` finds on the edges 0, last 2^-k, k = 20..0, all
-    below last = (``_last_zero`` / |lam|)^(1/a).
-    Otherwise one integration over the edges 0, T 2^k, k = -10..10, T set
-    by min |lambda|.  phi decays like t^(-1-alpha) (Gorenflo, Kilbas,
-    Mainardi and Rogosin, 2014), so doubling segments shrink by 2^-alpha:
-    the tail is twice the geometric series of the last increment, with
-    ratio max(last observed, 2^-alpha).  Raises once they stop shrinking.
-    """
-    alpha = ker.alpha
-    rho = float(np.min(np.abs(ker.lam)))
-    if rho == 0.0 or ker.sector_margin() <= _SECTOR_TOL:
-        raise KernelNotIntegrable(
-            "phi is not integrable: A0 has a zero eigenvalue or one with "
-            "|arg| <= alpha pi / 2")
-    if ker.monotone:
-        return float(ker._cond / abs(ker.lam_max))
-    if ker.n == 1 and alpha < 2:
-        lam = ker.lam_max
-        last = (_last_zero(alpha) / abs(lam)) ** (1.0 / alpha)
-        zeros = ker._zeros(np.append(0.0, last * 2.0 ** -np.arange(
-            20, -1, -1.0)))
-        prim = np.append(1.0 / lam, ker.e_ml(1.0, zeros)[:, 0, 0] / lam)
-        return float(np.sum(np.abs(np.diff(prim))) + abs(prim[-1]))
-    T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
-    edges = T * 2.0 ** np.arange(-_HALVINGS, _HALVINGS + 1.0)
-    cum = ker.norm_integrals(np.concatenate(([0.0], edges)))
-    inc_prev, inc = np.diff(cum)[-2:]
-    if inc == 0.0:     # an exponential decay underflows before T 2^10
-        return float(cum[-1])
-    ratio = max(inc / inc_prev, 2.0 ** -alpha)
-    if ratio >= 1.0:
-        raise KernelNotIntegrable(
-            f"L1 increments stopped shrinking by T = {edges[-1]:.3g} "
-            f"(ratio {inc / inc_prev:.3g})")
-    return float(cum[-1] + 2.0 * inc * ratio / (1.0 - ratio))
-
-
 def delay_free_certify(prob: ValidatedProblem,
                        feedback: ControlInput | None = None) -> DelayFreeBounds:
     """Solution bounds for the all-lags-zero encoding (module docstring); a
@@ -415,17 +361,7 @@ def delay_free_certify(prob: ValidatedProblem,
         loads[0] = sup_norm_bound(tables[0])
     ker = Kernels(sys.alpha, A_bar)
     K1 = _l1_to_infinity(ker)
-    if ker.monotone:
-        # ||phi_0|| is 1 at t = 0 and at most cond(V) (``Kernels.monotone``)
-        K0 = float(ker._cond)
-    else:
-        lam = ker.lam
-        rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
-        T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(sys.alpha, 1.0)))
-        grid = np.concatenate(([0.0], np.geomspace(T0 * 1e-5, T0, 2000)))
-        K0 = float(np.max(induced_norms(np.array(
-            [ker.phi_j(j, grid) for j in range(sys.k)]))))
-
+    K0 = ker.k0()
     load = K1 * sum(loads)
     condition = load < 1.0
     K2 = None

@@ -1,4 +1,4 @@
-"""Fundamental solution kernels and their integrals.
+"""Fundamental solution kernels and the constants of their norms.
 
 For the constant part A0 of the instantaneous dynamics, the initial-data and
 forcing kernels are
@@ -7,21 +7,20 @@ forcing kernels are
     phi(t)   = t^(a-1) E_{a,a}(A0 t^a)
 
 with phi_j = phi = 0 for t < 0.  The forcing kernel is weakly singular at
-t = 0 for a < 1.  Its L1 and squared-L2 integrals are taken in u = s^a,
-||phi||^p ds = u^((p-1)(1 - 1/a)) ||E_{a,a}(A0 u)||^p du / a, where the
-norm factor is smooth: product integration (the power integrated exactly
-against a piecewise-linear interpolant of the norm factor) on uniform
-meshes, refined by doubling with Richardson extrapolation.  One call
-integrates one power over a whole grid 0 < d_1 < ... < d_K; one upper
-limit delta takes the halving edges delta 2^-k, k = 10..0.  The one other
-route is exact, L1 from the primitive of a scalar kernel.  A monotone
-kernel (``Kernels.monotone``: alpha <= 1, a real spectrum, an eigenvector
-basis V orthonormal to rounding) has ||phi|| at most cond(V) times the
-scalar kernel of its largest eigenvalue, which never changes sign, with
-equality for a normal A0.  A scalar
-kernel with 1 < alpha < 2 and A0 < 0 changes sign: its L1 sums the
-primitive between the zeros of phi, which a scan finds, stopping at a
-proven bound on the last zero (``_last_zero``).
+t = 0 for a < 1.  Every kernel-norm constant the certificates read comes
+from here: L1(delta) = integral_0^delta ||phi|| (``Kernels.norm_integrals``),
+its squared-L2 analogue (``phi_alpha_l2sq``), K1 = L1(inf)
+(``_l1_to_infinity``) and K0 = sup_t max_j ||phi_j(t)|| (``Kernels.k0``).
+The integrals are taken in u = s^a, ||phi||^p ds = u^((p-1)(1 - 1/a))
+||E_{a,a}(A0 u)||^p du / a, where the norm factor is smooth: product
+integration (the power integrated exactly against a piecewise-linear
+interpolant of the norm factor) on uniform meshes, refined by doubling with
+Richardson extrapolation, over a whole grid 0 < d_1 < ... < d_K at once or
+over the halving edges delta 2^-k, k = 10..0, of one delta.  Two kinds of
+kernel take L1 and K1 exactly, from the primitive of a scalar kernel: a
+monotone one (``Kernels.monotone``), whose K0 is exact too, and a scalar
+one with 1 < alpha < 2, whose L1 sums the primitive between the zeros of
+phi up to a proven bound on the last zero (``_last_zero``).
 
 The bound verifier checks the norm inequalities relating these kernels to
 exponential majorants.  The right-hand sides use the series-of-norms
@@ -42,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NotAStabilityMatrix, QuadratureNotConverged,
-                     SingularAtZero)
+from .errors import (KernelNotIntegrable, NotAStabilityMatrix,
+                     QuadratureNotConverged, SingularAtZero)
 # ml_scalar_array is not called here (mlf._eig_values calls it):
 # perfbench/test_harness.py reads it
 from .mlf import (_ContourTable, _eig_values, _ml_matrices, eig_factors,
@@ -63,6 +62,9 @@ _CHECK_SLACK = 1e-9  # bound checks pass at rhs - lhs >= -slack max(1, |rhs|)
 _ELL = np.arange(601.0)  # the l = 0..600 of sup_factor and sup_gamma_ratio
 _ENVELOPE_MARGIN = 0.1  # fit_decay_envelope's lam: 0.9 of the abscissa
 _ENVELOPE_POINTS = 400  # its coarse grid; the fine one has 4x as many
+# eigenvalue arguments within this many radians of alpha pi / 2 count as
+# on the edge of the decay sector
+_SECTOR_TOL = 1e-12
 # cond(V) <= 1 + _ORTHONORMAL_TOL is Kernels.monotone's basis test: its
 # norms are then upper bounds at most 1e-12 relative above the norm, 1,000x
 # below _QUAD_TOL (a normal A0's cond(V) - 1 is about 1e-15)
@@ -164,6 +166,25 @@ class Kernels:
         args = np.abs(np.angle(self.lam[self.lam != 0]))
         return float(np.min(args, initial=math.inf)) - self.alpha * math.pi / 2
 
+    @property
+    def grows(self) -> bool:
+        """An eigenvalue lies inside |arg lambda| < alpha pi / 2 by more than
+        ``_SECTOR_TOL``: some kernel grows, no norm integral is finite."""
+        return self.sector_margin() < -_SECTOR_TOL
+
+    def k0(self) -> float:
+        """K0 = sup_t max_j ||phi_j(t)||: cond(V) for a monotone kernel
+        (``monotone``), else the largest of 2,001 samples of every phi_j on
+        [0, T0], T0 set by min |Re lambda|."""
+        if self.monotone:
+            return float(self._cond)
+        lam = self.lam
+        rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
+        T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(self.alpha, 1.0)))
+        grid = np.concatenate(([0.0], np.geomspace(T0 * 1e-5, T0, 2000)))
+        return float(np.max(induced_norms(np.array(
+            [self.phi_j(j, grid) for j in range(order_index(self.alpha))]))))
+
     def e_ml(self, beta: float, t) -> np.ndarray:
         """E_{alpha,beta}(A0 t^alpha) for an array of t >= 0, shape (N, n, n)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -228,7 +249,7 @@ class Kernels:
 
     def _zeros(self, edges: np.ndarray) -> np.ndarray:
         """Zeros of a scalar E_{a,a}(A0 s^a), A0 < 0, 1 < a < 2, inside
-        [e_0, e_K], increasing.
+        [0, e_K] of edges 0 < e_1 < ... < e_K, increasing.
 
         The scan starts from ``_N0`` uniform cells a segment of ``edges``
         and doubles a segment's cells, at most ``_MAX_DOUBLINGS`` times,
@@ -286,73 +307,58 @@ class Kernels:
             b, fb = c, fc
         return b
 
-    def norm_integrals(self, edges, p: int = 1) -> np.ndarray:
-        """integral_(e_0)^(e_k) ||phi(s)||_2^p ds, p = 1 or 2.
+    def norm_integrals(self, deltas) -> np.ndarray:
+        """integral_0^(d_k) ||phi(s)||_2 ds at every delta d_k.
 
-        ``edges`` is one upper limit delta (edges 0, delta) or a sequence
-        increasing from e_0 >= 0; the result has shape (K,), one value per
-        edge e_k, k = 1..K.  A single delta runs over the halving edges
-        delta 2^-k, k = 10..0, where one mesh over [0, delta] can stall on
-        a far kink of ||phi||.  A p other than 1 or 2, or an edge
-        that is not finite, raises ``ValueError`` before any evaluation.
+        ``deltas`` is one delta, which runs over its halving edges
+        (``_edges``), or an increasing sequence of them; the result has one
+        value per delta.  A delta that is not positive and finite, or a
+        sequence that does not increase, raises ``ValueError`` before any
+        evaluation.
 
         For a monotone kernel (``monotone``) and a scalar kernel with
-        alpha < 2, L1 is exact: cond(V) times the primitive P of the scalar
-        kernel phi_lam of lam = ``lam_max``, no n x n matrix formed, summed
-        between the zeros of phi_lam: with anchors e_0 and the zeros z_i
-        (``_zeros``; only for n = 1, 1 < alpha < 2 and A0 < 0), L1(e_k) is
-        the sum of |P(z_(i+1)) - P(z_i)| over the lobes below e_k plus
-        |P(e_k) - P(the last anchor below e_k)|.  P is
-        s^a E_{a,a+1}(lam s^a) from e_0 = 0; from e_0 > 0 and lam != 0 it is
-        E_{a,1}(lam s^a) / lam, since d/ds E_{a,1}(lam s^a) = lam
-        phi_lam(s), whose differences keep their relative accuracy where two
-        primitives near 1/|lam| would cancel.
-
-        Every other case takes one segmented cumulative product integration
-        in u = s^a over the edges e_k^a, which serves every edge: there
-        ||phi(s)||^p ds = u^((p-1)(1 - 1/a)) ||E_{a,a}(A0 u)||^p du / a, and
-        ||E_{a,a}(A0 u)|| is smooth in u (its power series), not in s.  L1
-        has no power weight; L2 keeps u^(1 - 1/a).  The weight carries the
-        1/a, so the stop test measures the integral itself, at
-        ``_QUAD_TOL`` = 1e-9 of the mixed absolute/relative scale; a
-        stagnating segment is accepted at 50 x ``_NOISE_FLOOR`` = 3e-8 of
-        its share.  A stall names its segment in u.
+        alpha < 2, L1 is exact: cond(V) times the primitive P(s) = s^a
+        E_{a,a+1}(lam s^a) of the scalar kernel phi_lam of lam =
+        ``lam_max``, no n x n matrix formed, summed between the zeros of
+        phi_lam: with anchors 0 and the zeros z_i (``_zeros``; only for
+        n = 1, 1 < alpha < 2 and A0 < 0), L1(d_k) is the sum of
+        |P(z_(i+1)) - P(z_i)| over the lobes below d_k plus |P(d_k) - P(the
+        last anchor below d_k)|.  Every other kernel takes the quadrature
+        (``_norm_quadrature``).
         """
-        if np.ndim(p) or p not in (1, 2):
-            raise ValueError(f"norm_integrals takes p = 1 or 2, got {p!r}")
+        edges = _edges(deltas)
+        if not (self.monotone or self.n == 1 and self.alpha < 2):
+            return self._norm_quadrature(1, edges)[-np.size(deltas):]
+        alpha, lam = self.alpha, self.lam_max
+        zeros = self._zeros(edges) if alpha > 1 and lam < 0 else np.empty(0)
+        anchors = np.append(0.0, zeros)
+        u = np.concatenate((anchors, edges[1:])) ** alpha
+        prim = u * _eig_values(alpha, alpha + 1.0, np.array([lam]), u,
+                               self._table(alpha + 1.0))[:, 0].real
+        at_anchor, at_edge = prim[:anchors.size], prim[anchors.size:]
+        lobes = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(at_anchor)))))
+        below = np.searchsorted(anchors, edges[1:]) - 1
+        l1 = self._cond * (lobes[below] + np.abs(at_edge - at_anchor[below]))
+        return l1[-np.size(deltas):]
+
+    def _norm_quadrature(self, p: int, edges: np.ndarray) -> np.ndarray:
+        """integral_0^(e_k) ||phi(s)||_2^p ds, p = 1 or 2, at every edge
+        e_k > 0 of ``_edges``.
+
+        One segmented cumulative product integration in u = s^a over the
+        edges e_k^a serves every edge: there ||phi(s)||^p ds =
+        u^((p-1)(1 - 1/a)) ||E_{a,a}(A0 u)||^p du / a, and ||E_{a,a}(A0 u)||
+        is smooth in u (its power series), not in s.  L1 has no power
+        weight; L2 keeps u^(1 - 1/a).  The weight carries the 1/a, so the
+        stop test measures the integral itself, at ``_QUAD_TOL`` = 1e-9 of
+        the mixed absolute/relative scale; a stagnating segment is accepted
+        at 50 x ``_NOISE_FLOOR`` = 3e-8 of its share.  A stall names its
+        segment in u.
+        """
         alpha = self.alpha
-        if p == 2 and alpha <= 0.5:
-            raise SingularAtZero(
-                f"||phi||^2 ~ s^({2 * alpha - 2}) is not integrable for "
-                f"alpha <= 1/2")
-        edges = _edges(edges)
-        if edges.size == 2 and edges[0] == 0:
-            halving = edges[1] * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)
-            return self.norm_integrals(np.concatenate(([0.0], halving)),
-                                       p)[-1:]
-        if p == 1 and (self.monotone or self.n == 1 and alpha < 2):
-            lam = self.lam_max
-            zeros = (self._zeros(edges) if alpha > 1 and lam < 0
-                     else np.empty(0))
-            anchors = np.concatenate((edges[:1], zeros))
-            points = np.concatenate((anchors, edges[1:]))
-            u = points ** alpha
-
-            def e_lam(beta):    # E_{a,beta}(lam u)
-                return _eig_values(alpha, beta, np.array([lam]), u,
-                                   self._table(beta))[:, 0].real
-
-            prim = (e_lam(1.0) / lam if edges[0] > 0 and lam != 0
-                    else u * e_lam(alpha + 1.0))
-            at_anchor, at_edge = prim[:anchors.size], prim[anchors.size:]
-            lobes = np.concatenate(([0.0],
-                                    np.cumsum(np.abs(np.diff(at_anchor)))))
-            below = np.searchsorted(anchors, edges[1:]) - 1
-            return self._cond * (lobes[below]
-                                 + np.abs(at_edge - at_anchor[below]))
-
         u = edges ** alpha
-        # edges an ulp apart can round to one u: their segment adds nothing
+        # edges an ulp apart, or below the underflow of u, share one u:
+        # their segment adds nothing
         new = np.append(True, u[1:] > u[:-1])
         if np.count_nonzero(new) < 2:
             return np.zeros(edges.size - 1)
@@ -398,21 +404,6 @@ def _segment_mesh(lo, hi, n_cells: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(n_cells + 1, dtype=float) / n_cells)
 
 
-def _edges(delta) -> np.ndarray:
-    """[0, delta] for one upper limit, else validated increasing edges."""
-    edges = np.asarray(delta, dtype=float)
-    if not np.all(np.isfinite(edges)):
-        raise ValueError("integration edges must be finite")
-    if edges.ndim == 0:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        return np.array([0.0, float(delta)])
-    if edges.size < 2 or edges[0] < 0 or not np.all(np.diff(edges) > 0):
-        raise ValueError("integration edges must increase from a "
-                         "nonnegative start")
-    return edges
-
-
 def _product_integrate(gamma_exp: float, w: np.ndarray,
                        mesh: np.ndarray) -> np.ndarray:
     """integral s^gamma w(s) ds per segment, w piecewise linear.
@@ -434,10 +425,10 @@ def _product_integrate(gamma_exp: float, w: np.ndarray,
 def weighted_singular_integral(gamma_exp, w_func, edges):
     """Adaptive integral of s^gamma w(s) ds for a smooth vectorized w.
 
-    ``edges`` is the upper limit of an integral from 0, or an increasing
-    sequence e_0 < e_1 < ... < e_K (e_0 >= 0).  ``gamma_exp`` is one
-    exponent and ``w_func`` maps N nodes to their N weights.  The result,
-    shape (K,), holds the integrals from e_0 to every e_k.
+    ``edges`` is an increasing sequence e_0 < e_1 < ... < e_K (e_0 >= 0).
+    ``gamma_exp`` is one exponent and ``w_func`` maps N nodes to their N
+    weights.  The result, shape (K,), holds the integrals from e_0 to every
+    e_k.
 
     Each segment [e_(k-1), e_k] doubles its own nested uniform mesh, so
     only odd nodes are evaluated per level, and accelerates its raw
@@ -458,7 +449,7 @@ def weighted_singular_integral(gamma_exp, w_func, edges):
     gamma = float(gamma_exp)
     if gamma <= -1.0:
         raise ValueError("weight exponent must exceed -1 for integrability")
-    edges = _edges(edges)
+    edges = np.asarray(edges, dtype=float)
     K = edges.size - 1
     n_cells = n0 = _N0
     mesh = _segment_mesh(edges[:-1], edges[1:], n0)
@@ -505,14 +496,84 @@ def weighted_singular_integral(gamma_exp, w_func, edges):
     return np.cumsum(est)
 
 
+# ---------------------------------------------------------------------------
+# kernel-norm constants: L1, squared L2, K1 (K0 is ``Kernels.k0``)
+# ---------------------------------------------------------------------------
+
+def _edges(deltas) -> np.ndarray:
+    """0 and the upper limits ``deltas``: for one delta its halving edges
+    delta 2^-k, k = ``_HALVINGS``..0, where one mesh over [0, delta] can
+    stall on a far kink of ||phi||; else the increasing sequence itself."""
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("deltas must be finite")
+    if not deltas.size or deltas[0] <= 0 or not np.all(np.diff(deltas) > 0):
+        raise ValueError("deltas must be positive and increase")
+    if deltas.size == 1:
+        deltas = deltas[0] * 2.0 ** -np.arange(_HALVINGS, -1, -1.0)
+    return np.append(0.0, deltas)
+
+
 def phi_alpha_l1(sys, delta: float) -> float:
     """integral_0^delta ||phi(s)||_2 ds (see ``Kernels.norm_integrals``)."""
     return float(_kernels(sys).norm_integrals(delta)[0])
 
 
 def phi_alpha_l2sq(sys, delta: float) -> float:
-    """integral_0^delta ||phi(s)||_2^2 ds; requires alpha > 1/2."""
-    return float(_kernels(sys).norm_integrals(delta, 2)[0])
+    """integral_0^delta ||phi(s)||_2^2 ds over the halving edges of delta
+    (``_edges``), by ``Kernels._norm_quadrature``; requires alpha > 1/2."""
+    ker = _kernels(sys)
+    if ker.alpha <= 0.5:
+        raise SingularAtZero(
+            f"||phi||^2 ~ s^({2 * ker.alpha - 2}) is not integrable for "
+            f"alpha <= 1/2")
+    return float(ker._norm_quadrature(2, _edges(delta))[-1])
+
+
+def _l1_to_infinity(ker: Kernels) -> float:
+    """K1 = integral_0^inf ||phi(s)|| ds, finite exactly when A0 has no zero
+    eigenvalue and none in |arg lambda| <= alpha pi / 2 (the gate).
+
+    Exact for a monotone kernel, cond(V) / |lam_max| (``Kernels.monotone``;
+    past the gate every eigenvalue is negative), and for a scalar kernel
+    with 1 < alpha < 2 (past the gate lam < 0): phi keeps one sign past
+    last = (``_last_zero`` / |lam|)^(1/a), so K1 is L1(last), read on the
+    edges last 2^-k, k = 20..0, plus |E_{a,1}(lam last^a)| / |lam|, the
+    size of integral_last^inf phi, since d/ds E_{a,1}(lam s^a) = lam phi(s).
+    Otherwise one integration over the edges T 2^k, k = -10..10, T set
+    by min |lambda|.  phi decays like t^(-1-alpha) (Gorenflo, Kilbas,
+    Mainardi and Rogosin, 2014), so doubling segments shrink by 2^-alpha:
+    the tail is twice the geometric series of the last increment, with
+    ratio max(last observed, 2^-alpha).  Raises once they stop shrinking.
+    The doubled tail over-states K1: on normal kernels sent down this route,
+    where K1 = 1 / |lam_max| is known, by 4.0% at alpha 0.3, 0.39% at 0.5,
+    0.032% at 0.7 and 4e-6 at 0.95.
+    """
+    alpha = ker.alpha
+    rho = float(np.min(np.abs(ker.lam)))
+    if rho == 0.0 or ker.sector_margin() <= _SECTOR_TOL:
+        raise KernelNotIntegrable(
+            "phi is not integrable: A0 has a zero eigenvalue or one with "
+            "|arg| <= alpha pi / 2")
+    if ker.monotone:
+        return float(ker._cond / abs(ker.lam_max))
+    if ker.n == 1 and alpha < 2:
+        lam = ker.lam_max
+        last = (_last_zero(alpha) / abs(lam)) ** (1.0 / alpha)
+        head = ker.norm_integrals(last * 2.0 ** -np.arange(20, -1, -1.0))[-1]
+        return float(head + abs(ker.e_ml(1.0, last)[0, 0, 0]) / abs(lam))
+    T = max(20.0, 20.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
+    deltas = T * 2.0 ** np.arange(-_HALVINGS, _HALVINGS + 1.0)
+    cum = ker.norm_integrals(deltas)
+    inc_prev, inc = np.diff(cum)[-2:]
+    if inc == 0.0:     # an exponential decay underflows before T 2^10
+        return float(cum[-1])
+    ratio = max(inc / inc_prev, 2.0 ** -alpha)
+    if ratio >= 1.0:
+        raise KernelNotIntegrable(
+            f"L1 increments stopped shrinking by T = {deltas[-1]:.3g} "
+            f"(ratio {inc / inc_prev:.3g})")
+    return float(cum[-1] + 2.0 * inc * ratio / (1.0 - ratio))
 
 
 # ---------------------------------------------------------------------------

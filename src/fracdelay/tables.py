@@ -207,10 +207,9 @@ def l2_window_norm(tbl: TimeFunctionTable, t: float, delta: float) -> float:
     return float(np.sqrt(np.cumsum(pieces)[-1]))
 
 
-def table_linear_combination(base: np.ndarray | None,
+def table_linear_combination(base: np.ndarray,
                              tbl: TimeFunctionTable) -> TimeFunctionTable:
     """Table for ``base + tbl(t)`` with the same sampling."""
-    vals = tbl.values
-    if base is not None:
-        vals = vals + np.asarray(base, dtype=float)
-    return TimeFunctionTable(tbl.sample_times.copy(), vals, tbl.interpolation, None)
+    return TimeFunctionTable(tbl.sample_times.copy(),
+                             tbl.values + np.asarray(base, dtype=float),
+                             tbl.interpolation, None)

@@ -42,6 +42,7 @@ def forbid_quadrature(monkeypatch):
         raise AssertionError("quadrature ran")
 
     monkeypatch.setattr(kernels.Kernels, "norm_integrals", no_quadrature)
+    monkeypatch.setattr(kernels, "weighted_singular_integral", no_quadrature)
 
 
 class TestUniformFamily:
@@ -413,7 +414,7 @@ class TestCertify:
         # E_{1.2,1.2}(-2 s^1.2) changes sign; L1 sums the primitive between
         # its zeros
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
-        table = ker.norm_integrals(np.concatenate(([0.0], DEFAULT_DELTA_GRID)))
+        table = ker.norm_integrals(DEFAULT_DELTA_GRID)
         assert table[-1] == pytest.approx(self._exact_l1(100.0), rel=1e-13)
 
     def test_one_delta_l1_of_oscillating_kernel_converges(self):
@@ -443,7 +444,7 @@ class TestCertify:
     def test_edge_just_past_a_sign_change_is_integrated(self):
         # the first zero is near 1.99, and it splits the segment [0, 2.3]
         ker = kernels.Kernels(1.2, np.array([[-2.0]]))
-        table = ker.norm_integrals([0.0, 2.3, 1000.0])
+        table = ker.norm_integrals([2.3, 1000.0])
         assert table[0] == pytest.approx(self._exact_l1(2.3), rel=1e-13)
 
     @settings(max_examples=20, deadline=None)
@@ -773,7 +774,7 @@ class TestDelayFreeBounds:
         # z E_{a,a+1}(z) = E_{a,1}(z) - 1
         lam = -1.5
         ker = kernels.Kernels(alpha, np.array([[lam]]))
-        head = ker.norm_integrals([0.0, T])[0]
+        head = ker.norm_integrals(T)[0]
         tail = ker.e_ml(1.0, T)[0, 0, 0] / abs(lam)
         assert head + tail == pytest.approx(1.0 / abs(lam), rel=1e-13)
 
@@ -812,6 +813,28 @@ class TestL1ToInfinity:
             kernels.Kernels(alpha, np.array([[-1.0]])))
         assert ref <= got <= ref * (1.0 + 1e-5)
 
+    @staticmethod
+    def lobe_sum_to_infinity(ker):
+        """K1 of a scalar kernel, 1 < alpha < 2, as the exact primitive
+        P = E_{a,1}(lam s^a) / lam summed between 0, the zeros of phi on
+        the edges last 2^-k, k = 20..0, and infinity, where P is 0."""
+        alpha, lam = ker.alpha, ker.lam_max
+        last = (kernels._last_zero(alpha) / abs(lam)) ** (1.0 / alpha)
+        zeros = ker._zeros(np.append(0.0, last * 2.0 ** -np.arange(
+            20, -1, -1.0)))
+        prim = np.append(1.0 / lam, ker.e_ml(1.0, zeros)[:, 0, 0] / lam)
+        return float(np.sum(np.abs(np.diff(prim))) + abs(prim[-1]))
+
+    @pytest.mark.parametrize("lam", [-0.3, -1.0, -5.0])
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.2, 1.5, 1.8, 1.95, 1.99])
+    def test_scalar_k1_against_the_lobe_sum(self, alpha, lam):
+        # L1 up to the proven last zero plus the one-signed tail past it
+        ker = kernels.Kernels(alpha, np.array([[lam]]))
+        got = certificates._l1_to_infinity(ker)
+        ref = (self.lobe_sum_to_infinity(ker) if alpha > 1
+               else 1.0 / abs(lam))
+        assert abs(got - ref) <= 4e-15 * ref
+
     # scipy quad on 480 geometric panels of ||phi|| from 1e-8 to 2e7 (and
     # [0, 1e-8]), plus the asymptotic tail ||A0^-2|| T^-a / (a |Gamma(-a)|)
     # at T = 2e7
@@ -843,19 +866,19 @@ class TestL1ToInfinity:
         calls = []
         integrate = kernels.Kernels.norm_integrals
 
-        def counted(self, edges, p=1):
-            calls.append((np.size(edges), p))
-            return integrate(self, edges, p)
+        def counted(self, deltas):
+            calls.append(np.size(deltas))
+            return integrate(self, deltas)
 
         monkeypatch.setattr(kernels.Kernels, "norm_integrals", counted)
         certificates._l1_to_infinity(
             kernels.Kernels(0.35, np.array([[-1.0, 0.5], [0.0, -2.0]])))
-        assert calls == [(2 * kernels._HALVINGS + 2, 1)]
+        assert calls == [2 * kernels._HALVINGS + 1]
 
     def test_growing_increments_raise(self, monkeypatch):
         # a table whose last increment exceeds the one before it
-        def growing(self, edges, p=1):
-            return np.cumsum(np.append(np.ones(np.size(edges) - 2), 2.0))
+        def growing(self, deltas):
+            return np.cumsum(np.append(np.ones(np.size(deltas) - 1), 2.0))
 
         monkeypatch.setattr(kernels.Kernels, "norm_integrals", growing)
         # a non-normal kernel: a monotone one takes K1 exactly
