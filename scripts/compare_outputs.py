@@ -23,6 +23,10 @@ path, and records:
 - ``delay_free_certify`` (phi_0 = 1, any phi_1 = 0), ``phi_alpha_l1`` and
   ``phi_alpha_l2sq`` on the non-normal kernels ``NON_NORMAL`` at each alpha
   of ``NON_NORMAL_ALPHAS``, which take K1 from the quadrature.
+- ``certify`` on the scalar one-delay problems ``SMALL_GAIN`` (phi_0 = 1,
+  every other phi_j = 0), with the grid minimum g and the load
+  q = K1 sum_i a_i (an error where K1 raises);
+- ``high_order_check`` on the problems ``HIGH_ORDER``.
 
 The ops are built by ``perfbench/workloads.py``, which is only imported.
 Per output it prints "identical" or the largest relative difference
@@ -33,7 +37,8 @@ difference.  Every document in an output that carries a ``verdict`` (a
 ``certify`` report, the CLI's ``report.json`` and its ``bounds`` and
 ``high_order`` blocks, ``spectral.json``) is also compared on its own:
 "verdict moved A -> B" and "witness moved A -> B" (its ``witness_delta``)
-name each move, and the last line counts them.
+name each move, with g and q where the output has them, and the last line
+counts them.
 """
 
 import contextlib
@@ -59,6 +64,16 @@ ONE_DELTAS = (1.0, 30.0)
 EPSILON = 0.1
 NON_NORMAL = (((-1.0, 0.5), (0.0, -2.0)), ((-1.0, 5.0), (0.0, -2.0)))
 NON_NORMAL_ALPHAS = (0.4, 0.7, 1.3, 1.6)
+# (alpha, a0, a1, r1): ROADMAP item 1's three reproducers and the alpha
+# 1.95 problem of tests/test_cli.py
+SMALL_GAIN = ((1.8, -1.0, -0.43, 2.0), (1.8, -1.0, 0.43, 5.0),
+              (2.0, -1.0, 0.1, 4.0), (1.95, -0.5975, 0.1, 0.5))
+# (alpha, diagonal of A0, diagonal of A1 at r = 1 or None, the top phi_j);
+# every lower phi_j is 0: the alpha 2.2 problem of tests/test_cli.py, the
+# alpha 2.5 one of tests/test_certificates.py and D^3 x = -x
+HIGH_ORDER = ((2.2, (-1.0,), (0.1,), (1.0,)),
+              (2.5, (-2.0, -3.0), (0.1, 0.1), (1.0, 2.0)),
+              (3.0, (-1.0,), None, (1.0,)))
 
 
 def _text(text):
@@ -107,6 +122,45 @@ def _one_delta_values(fd, prob, delta):
             ("gain_bound_l2", lambda: fd.gain_bound_l2(prob, delta, EPSILON)),
             ("phi_alpha_l1", lambda: fd.phi_alpha_l1(prob.system, delta)),
             ("phi_alpha_l2sq", lambda: fd.phi_alpha_l2sq(prob.system, delta)))
+
+
+def _small_gain(fd, alpha, a0, a1, r1):
+    """``certify`` of a scalar one-delay problem, its grid minimum g and its
+    load q = K1 sum_i a_i."""
+    from fracdelay import certificates, kernels
+
+    phi = [fd.TimeFunctionTable([-r1], [[float(j == 0)]], "const")
+           for j in range(math.ceil(alpha))]
+    prob = fd.validate_system(alpha, [0.0, r1], [[[a0]], [[a1]]], phi=phi)
+    report = fd.certify(prob).as_dict()
+    load_sum = sum(bound for _, bound, _ in
+                   certificates._lag_terms(prob, None))
+    return {"certify": report,
+            "g": min(e["value"] for e in report["grid"]),
+            "q": _guarded(lambda: kernels._l1_to_infinity(
+                kernels._kernels(prob.system)) * load_sum)}
+
+
+def _high_order(fd, alpha, a0, a1, top):
+    """``high_order_check`` of one ``HIGH_ORDER`` problem, as a dict."""
+    n, r = len(a0), (0.0 if a1 is None else 1.0)
+    phi = [fd.TimeFunctionTable([-r], [[0.0] * n], "const")
+           for _ in range(math.ceil(alpha) - 1)]
+    phi.append(fd.TimeFunctionTable([-r], [list(top)], "const"))
+    A = [[[a0[i] * (i == k) for k in range(n)] for i in range(n)]]
+    if a1 is not None:
+        A.append([[a1[i] * (i == k) for k in range(n)] for i in range(n)])
+    prob = fd.validate_system(alpha, [0.0, r][:len(A)], A, phi=phi)
+    return fd.high_order_check(prob).as_dict()
+
+
+def _gain_note(out):
+    """" (g = ..., q = ...)" for an output that records them, else ""."""
+    if not (isinstance(out, dict) and "q" in out):
+        return ""
+    q = out["q"]
+    return (f" (g = {out['g']:.5g}, q = "
+            + (f"{q:.5g})" if _number(q) else f"{q['error']})"))
 
 
 def _guarded(fn):
@@ -163,6 +217,12 @@ def collect(src: str, out_path: str) -> None:
                                  ("phi_alpha_l2sq", fd.phi_alpha_l2sq)):
                     outputs[f"{name} {what} {delta}"] = _guarded(
                         lambda: fn((alpha, A0), delta))
+    for args in SMALL_GAIN:
+        outputs[f"small-gain {args} certify"] = _guarded(
+            lambda: _small_gain(fd, *args))
+    for args in HIGH_ORDER:
+        outputs[f"high-order {args} high_order_check"] = _guarded(
+            lambda: _high_order(fd, *args))
     with open(out_path, "wb") as fh:
         pickle.dump(outputs, fh)
 
@@ -272,7 +332,8 @@ def main(argv) -> int:
                                   f"{of_sup:.3g} of the sup"))
         differ += diff != 0
         for kind, where, old, new in verdict_moves(parent[name], child[name]):
-            print(f"{name}: {where}: {kind} moved {old} -> {new}")
+            print(f"{name}: {where}: {kind} moved {old} -> {new}"
+                  + _gain_note(child[name]))
             moved[kind] += 1
     print(f"{differ} of {len(set(parent) | set(child))} outputs differ")
     print(f"{moved['verdict']} verdicts moved, {moved['witness']} witnesses "

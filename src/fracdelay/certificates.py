@@ -8,43 +8,43 @@ kernel and a perturbation: ``system.lag_tables`` gives lag i its tables
 (Atilde_i or A_i + Atilde_i, then B K_i), as it does the march, and
 ``_lag_terms`` its uniform bound a_i (sup ||Atilde_i|| when r_i = 0,
 sup ||A_i + Atilde_i|| when r_i > 0, plus ||B|| K_i^0 under feedback).
-Terms with r_i = 0 form the denominator, all others the numerator.  The
-uniform (window-contraction) family is
+
+Every verdict needs the small-gain load q = K1 * sum_i a_i.  K1 = L1(inf),
+K0 = sup_t max_j ||phi_j(t)|| and every L1(delta) = integral_0^delta ||phi||
+come from ``kernels``; K1 is finite exactly when A has no zero eigenvalue
+and none in |arg lambda| <= alpha pi / 2.  The solution is sum_j phi_j x_j0
+plus phi convolved with the perturbation terms, and point delays do not
+raise sup norms, so
+
+    sup ||x|| <= K0 sum_j ||x_j0|| + q max(sup ||history||, sup ||x||):
+
+q < 1 bounds every solution, for every size of every delay, and as each
+phi_j, j < alpha, tends to 0, unforced limsup ||x|| <= q limsup ||x||
+gives x -> 0.  With every lag at 0 (a constant B K_0 folded into the
+kernel) this is the delay-free bound K2_bar = (1 - q)^-1 (K0_bar
+sum_j ||x_j0|| + K1_bar sup||B|| sup||u||), the u term for an open-loop
+input.
+
+The uniform (window-contraction) family is
 
     g(delta) = (1 - D(delta))^-1 ( ||sum_j phi_j(delta)||
                                    + L1(delta) * sum_{r_i > 0} a_i )
 
-with D(delta) = L1(delta) * sum_{r_i = 0} a_i, L1(delta) = integral_0^delta
-||phi||.  It is usable only while D(delta) < 1 ("feasible"); g <= 1
-certifies bounded solutions, g < 1 that zero attracts globally.
-``certify`` reads this family alone, over a sorted delta grid as one array
-expression from one kernel integration and one stacked norm of the phi_j
-sum; the report's constant is the grid minimum.  The family reads no
-delay, so its verdict is the same for every delay size.
+with D(delta) = L1(delta) * sum_{r_i = 0} a_i, usable only while
+D(delta) < 1 ("feasible").  ``certify`` evaluates it over a sorted delta
+grid as one array expression; the report's constant is the grid minimum.
+A minimum below 1 stands as ContractiveGAS only when q < 1, one at 1 as
+NonExpansiveStable only when q <= 1: q takes a verdict away, never gives
+one.  For a monotone kernel (alpha <= 1) L1(delta) = (1 -
+||phi_0(delta)||) K1, so g(delta) < 1 exactly when q < 1.
 
 The windowed-L2 values (``cert_g_hat_*``, ``gain_bound_l2``; alpha > 1/2)
 replace the bounds by Cauchy-Schwarz and window every table of lag i over
 [max(t, r_i), t + delta] for a window start t: the term at tau multiplies
-the table at tau by e(tau - r_i), zero for tau < r_i.  They come one delta
-at a time and no verdict reads them: a value at one start bounds every
-start only for constant coefficients.  A certificate claims its verdict
-only; what each value bounds is open (README "Interpreting certificates",
-ROADMAP.md item 1).
-
-The delay-free bounds read the same terms, all at lag 0: with
-K0_bar = sup_t max_j ||phi_j(t)||, K1_bar = L1(inf), and
-q = K1_bar * sum_i (||Atilde_i|| + ||B|| K_i), the solution satisfies
-
-    sup_t ||x(t)|| <= K2_bar = (1 - q)^-1 (K0_bar sum_j ||x_j0||
-                                           + K1_bar sup||B|| sup||u||)
-
-whenever q < 1 (the u term for an open-loop input).  K1_bar is finite
-exactly when sum_i A_i has no zero eigenvalue and none in
-|arg lambda| <= alpha pi / 2, the one gate.  Past it every phi_j, j < alpha,
-tends to 0, so unforced, limsup ||x|| <= q limsup ||x||: q < 1 alone gives
-global asymptotic stability.  K0_bar, K1_bar and every L1 come from
-``kernels`` (its module docstring); this module computes loads, family
-values and verdicts.
+the table at tau by e(tau - r_i), zero for tau < r_i.  No verdict reads
+them: a value at one start bounds every start only for constant
+coefficients.  Order alpha >= 2 has no decay sector: ``high_order_check``
+reports diagnostics and certifies nothing.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DelaysNotZero, EmptyGrid, OrderTooLow, PremiseViolated
+from .errors import (DelaysNotZero, EmptyGrid, KernelNotIntegrable,
+                     OrderTooLow, PremiseViolated)
 # phi_alpha_l1 is not called here: perfbench/test_harness.py reads it
-from .kernels import (Kernels, _kernels, _l1_to_infinity, phi_alpha_l1,
-                      phi_alpha_l2sq)
+from .kernels import (Kernels, _edges, _kernels, _l1_to_infinity,
+                      phi_alpha_l1, phi_alpha_l2sq)
 from .spectral import theorem34_certify
 from .system import (ControlInput, ValidatedProblem, ahat_sup_norm,
                      atilde_sup_norm, b_sup_norm, lag_tables)
@@ -92,38 +93,30 @@ def _lag_terms(prob: ValidatedProblem, feedback: ControlInput | None):
     return terms
 
 
-def _checked(deltas) -> np.ndarray:
-    """``deltas`` as a float array; raises unless each is finite and positive."""
-    deltas = np.asarray(deltas, dtype=float)
-    bad = deltas[~(np.isfinite(deltas) & (deltas > 0))]
-    if bad.size:
-        raise ValueError(f"delta must be finite and positive, got "
-                         f"{float(bad[0])}")
-    return deltas
-
-
 class _CertInputs:
     """The uniform family's numerator and D (module docstring) per delta of
-    a grid.  Growing kernels (``Kernels.grows``) integrate nothing: both
-    are +inf, infeasible on the whole grid."""
+    a grid, its kernel and sum_i a_i.  Growing kernels (``Kernels.grows``)
+    integrate nothing: both are +inf, infeasible on the whole grid."""
 
     def __init__(self, prob: ValidatedProblem, feedback: ControlInput | None,
                  deltas):
         sys = prob.system
         terms = _lag_terms(prob, feedback)
-        grid = _checked(np.sort(np.asarray(deltas, dtype=float)))
+        grid = np.sort(np.asarray(deltas, dtype=float))
         # sorted without repeats, as np.unique gives it, but np.unique
-        # imports numpy.ma
+        # imports numpy.ma; checked before any kernel is built
         self.grid = grid[np.append(True, grid[1:] != grid[:-1])]
-        ker = _kernels(sys)
+        _edges(self.grid)
+        self.ker = ker = _kernels(sys)
+        a_instant = sum(bound for r_i, bound, _ in terms if r_i == 0.0)
+        a_delayed = sum(bound for r_i, bound, _ in terms if r_i > 0.0)
+        self.load_sum = a_instant + a_delayed
         if ker.grows:
             self.l1 = None
             self.numer = self.D = np.full(self.grid.size, math.inf)
             return
         self.l1 = ker.norm_integrals(self.grid)
         phis = np.array([ker.phi_j(j, self.grid) for j in range(sys.k)])
-        a_instant = sum(bound for r_i, bound, _ in terms if r_i == 0.0)
-        a_delayed = sum(bound for r_i, bound, _ in terms if r_i > 0.0)
         self.numer = induced_norms(phis.sum(axis=0)) + self.l1 * a_delayed
         self.D = self.l1 * a_instant
 
@@ -143,7 +136,7 @@ def _g_hat(prob: ValidatedProblem, feedback: ControlInput | None, t: float,
     rounds to 0 for a large t; an empty window gives 0, one that leaves
     its table raises WindowOutOfRange."""
     terms = _lag_terms(prob, feedback)
-    _checked([delta])
+    _edges(delta)
     if not math.isfinite(t):
         raise ValueError(f"window start t must be finite, got {t}")
     sys = prob.system
@@ -283,18 +276,33 @@ class CertificateReport:
         }
 
 
+def _supports(inputs: _CertInputs, verdict: str) -> bool:
+    """Whether the load q = K1 sum_i a_i (module docstring) supports a grid
+    verdict: q < 1 for ContractiveGAS, q <= 1 for NonExpansiveStable.  A
+    kernel that is not integrable supports none."""
+    try:
+        load = _l1_to_infinity(inputs.ker) * inputs.load_sum
+    except KernelNotIntegrable:
+        return False
+    if verdict == "ContractiveGAS":
+        return load < 1.0
+    return load <= 1.0 + _TIE_TOL
+
+
 def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
             delta_grid=None) -> CertificateReport:
     """Evaluate the uniform family over a delta grid.
 
-    Some feasible value < 1 (within a 1e-12 tie tolerance) certifies global
-    asymptotic stability of the zero solution; a feasible value at 1
-    bounded solutions.  The report records the initial-data sup as
-    ``sup_bound``, which does not bound the solution (README
-    "Interpreting certificates"), and None under an open-loop input.
-    Growing kernels (``_CertInputs``) give Inconclusive, every
-    entry infeasible at +inf, and no quadrature.  The windowed-L2 values
-    take no part (module docstring).
+    A feasible grid value < 1 (within a 1e-12 tie tolerance) gives
+    ContractiveGAS, one at 1 NonExpansiveStable, each only where the load
+    q supports it (``_supports``, computed once the grid certifies):
+    ContractiveGAS claims that the zero solution attracts every solution,
+    for every size of every delay.  ``QuadratureNotConverged`` from K1
+    propagates.  The report records the initial-data sup as ``sup_bound``,
+    which does not bound the solution (README "Interpreting
+    certificates"), and None under an open-loop input.  Growing kernels
+    (``_CertInputs``) give Inconclusive, every entry infeasible at +inf,
+    and no quadrature.  The windowed-L2 values take no part.
     """
     if delta_grid is None:
         delta_grid = DEFAULT_DELTA_GRID
@@ -308,17 +316,17 @@ def certify(prob: ValidatedProblem, feedback: ControlInput | None = None,
                zip(delta_grid, np.searchsorted(inputs.grid, delta_grid))]
     best = min((e for e in entries if e.feasible), key=lambda e: e.value,
                default=None)
-    if best is None or best.value > 1.0 + _TIE_TOL:
-        return CertificateReport(verdict="Inconclusive",
-                                 contraction_constant=None,
-                                 witness_delta=None, grid=entries)
-    return CertificateReport(
-        verdict=("ContractiveGAS" if best.value < 1.0 - _TIE_TOL
-                 else "NonExpansiveStable"),
-        contraction_constant=best.value, witness_delta=best.delta,
-        grid=entries,
-        sup_bound=(None if _control(prob, feedback).kind == "open_loop"
-                   else prob.ics.sup_history_sum()))
+    if best is not None and best.value <= 1.0 + _TIE_TOL:
+        verdict = ("ContractiveGAS" if best.value < 1.0 - _TIE_TOL
+                   else "NonExpansiveStable")
+        if _supports(inputs, verdict):
+            return CertificateReport(
+                verdict=verdict, contraction_constant=best.value,
+                witness_delta=best.delta, grid=entries,
+                sup_bound=(None if _control(prob, feedback).kind == "open_loop"
+                           else prob.ics.sup_history_sum()))
+    return CertificateReport(verdict="Inconclusive", contraction_constant=None,
+                             witness_delta=None, grid=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +389,7 @@ def delay_free_certify(prob: ValidatedProblem,
 
 @dataclass
 class HighOrderResult:
-    verdict: str                        # BoundedIndependentOfDelays | Inconclusive
+    verdict: str                        # always Inconclusive
     zeroing_holds: bool
     spectral_passes: bool
     details: dict = field(default_factory=dict)
@@ -392,14 +400,15 @@ class HighOrderResult:
 
 
 def high_order_check(prob: ValidatedProblem) -> HighOrderResult:
-    """Boundedness check for orders alpha >= 2 (not a stability verdict).
+    """Diagnostics for orders alpha >= 2; the verdict is always Inconclusive.
 
-    Requires phi_j identically zero for every j < alpha - 1 and the strict
-    composite-norm test against |mu2|^(1/alpha) from the spectral module,
-    together with the spectral module's ``arg_condition_met``,
-    |arg lambda| < alpha pi / 2.  That is the unstable sector, so the flag
-    reads false on every stable kernel, and requiring it is no stability
-    condition (ROADMAP.md item 15).
+    At alpha > 2 every E_{a,b}(lambda t^a) grows, and at alpha = 2 those
+    that do not grow (lambda < 0) oscillate without decay, so phi is in L1
+    for no kernel and no delay-independent bound holds (alpha 2,
+    ``A0 = [[-1]]``, ``A1 = [[0.1]]`` grows at r = 4).  Reported:
+    ``zeroing_holds``, whether phi_j is identically zero for every
+    j < alpha - 1, and ``spectral_passes``, the spectral module's strict
+    composite-norm test, with its ``composite_norm`` and ``threshold``.
     """
     sys = prob.system
     if sys.alpha < 2.0:
@@ -408,10 +417,7 @@ def high_order_check(prob: ValidatedProblem) -> HighOrderResult:
                   <= _ZERO_TOL for j, phi in enumerate(prob.ics.phi)
                   if j < sys.alpha - 1.0)
     t34 = theorem34_certify(sys)
-    spectral_ok = bool(t34.arg_condition_met and t34.strict_norm_test)
-    verdict = ("BoundedIndependentOfDelays" if zero_ok and spectral_ok
-               else "Inconclusive")
-    return HighOrderResult(verdict=verdict, zeroing_holds=zero_ok,
-                           spectral_passes=spectral_ok,
+    return HighOrderResult(verdict="Inconclusive", zeroing_holds=zero_ok,
+                           spectral_passes=bool(t34.strict_norm_test),
                            details={"composite_norm": t34.composite_norm,
                                     "threshold": t34.threshold})

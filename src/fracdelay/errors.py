@@ -79,7 +79,10 @@ class DelaysNotZero(FracDelayError):
 # ---- certificates ----
 
 class KernelNotIntegrable(FracDelayError):
-    """The forcing-kernel L1 tail estimate failed to converge."""
+    """K1 = integral_0^inf ||phi|| is not finite: the kernel matrix has a
+    zero eigenvalue or one in |arg lambda| <= alpha pi / 2 (every kernel at
+    alpha >= 2), or the L1 increments stopped shrinking.  ``certify`` then
+    gives Inconclusive; ``delay_free_certify`` raises it."""
 
 
 class PremiseViolated(FracDelayError):

@@ -13,18 +13,15 @@ minimized over weights sum b_i^2 = 1 against the threshold |mu_2(J_d)|^(1/a).
 Blocks that vanish are dropped (the weight limit b -> 0 concentrates the
 budget on the live blocks).
 
-Two diagnostics are reported side by side: the direct sign of
-max Re lambda^(1/a) under the stated branch convention, which gates the
-verdict, and the eigenvalue argument flag |arg lambda| < a*pi/2.  That
-sector is the unstable one (E_{a,b}(lambda t^a) grows for lambda inside
-it), so the flag reads false on every stable kernel, and
-``certificates.high_order_check``, which requires it, reads no stability
-condition from it (ROADMAP.md item 15).
+The sign of max Re lambda^(1/a) under the stated branch convention gates
+the verdict.  Neither threshold nor gate is a distance to the decay sector
+|arg lambda| > a pi / 2, so a verdict can be false (ROADMAP.md item 15);
+``certificates.high_order_check`` reports the norm test as a diagnostic
+only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,9 +216,6 @@ class Theorem34Result:
     threshold: float               # |mu_2(J_d)|^(1/alpha)
     composite_norm: float
     beta: tuple | None
-    # |arg lambda| < alpha*pi/2 for every eigenvalue: the unstable sector,
-    # so false on every stable kernel
-    arg_condition_met: bool
     strict_norm_test: bool
 
     def as_dict(self) -> dict:
@@ -230,7 +224,6 @@ class Theorem34Result:
                 "threshold": self.threshold,
                 "composite_norm": self.composite_norm,
                 "beta": None if self.beta is None else list(self.beta),
-                "arg_condition_met": self.arg_condition_met,
                 "strict_norm_test": self.strict_norm_test}
 
 
@@ -243,16 +236,10 @@ def theorem34_certify(sys: FractionalDelaySystem) -> Theorem34Result:
     verdict requires max Re lambda^(1/alpha) < 0 and compares the
     optimized composite block norm against |mu_2(J_d)|^(1/alpha): strictly
     below certifies global asymptotic stability independent of the delays,
-    equality (to 1e-12) global stability.  The eigenvalue argument flag
-    |arg lambda| < alpha pi / 2 is reported alongside and is not the gate:
-    that is the unstable sector, so the flag reads false on every stable
-    kernel.
+    equality (to 1e-12) global stability.
     """
     dec = decompose(sys.kernel_matrix)
     m = frac_power_measure(dec, sys.alpha)
-    lam = dec.eigenvalues
-    arg_ok = bool(np.all(np.abs(np.angle(lam))
-                         < sys.alpha * math.pi / 2.0))
     mu2 = matrix_measure(dec.J_d)
     threshold = abs(mu2) ** (1.0 / sys.alpha)
     try:
@@ -272,5 +259,4 @@ def theorem34_certify(sys: FractionalDelaySystem) -> Theorem34Result:
         verdict = "Inconclusive"
     return Theorem34Result(verdict=verdict, frac_power_measure=m,
                            threshold=threshold, composite_norm=composite,
-                           beta=beta_t, arg_condition_met=arg_ok,
-                           strict_norm_test=strict)
+                           beta=beta_t, strict_norm_test=strict)

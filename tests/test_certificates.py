@@ -16,7 +16,9 @@ from fracdelay import certificates, kernels, mlf
 from fracdelay.certificates import DEFAULT_DELTA_GRID
 from fracdelay.errors import (DelaysNotZero, DimensionMismatch, EmptyGrid,
                               KernelNotIntegrable, OrderTooLow,
-                              PremiseViolated, WindowOutOfRange)
+                              PremiseViolated, QuadratureNotConverged,
+                              WindowOutOfRange)
+from fracdelay.spectral import theorem34_certify
 from fracdelay.system import load_problem
 
 
@@ -329,13 +331,16 @@ class TestCertify:
     def test_non_finite_or_nonpositive_delta_rejected(self, monkeypatch, a0,
                                                       bad):
         # a0 = 0.5 puts the kernel outside the decay sector, where no
-        # quadrature runs: a bad delta used to give an Inconclusive report
+        # quadrature runs: a bad delta used to give an Inconclusive report.
+        # kernels._edges checks the deltas
         def no_kernel(*args):
             raise AssertionError("kernel built")
 
         monkeypatch.setattr(certificates, "Kernels", no_kernel)
+        monkeypatch.setattr(certificates, "_kernels", no_kernel)
         prob = scalar_problem(0.8, a0, 0.2, r1=1.0)
-        match = rf"delta must be finite and positive, got {bad}"
+        match = ("deltas must be finite" if not math.isfinite(bad)
+                 else "deltas must be positive and increase")
         with pytest.raises(ValueError, match=match):
             certify(prob, delta_grid=[1.0, bad])
         with pytest.raises(ValueError, match=match):
@@ -889,6 +894,15 @@ class TestL1ToInfinity:
                 kernels.Kernels(0.8, np.array([[-1.0, 0.5], [0.0, -2.0]])))
 
 
+def march_sups(prob, horizon, step=0.01):
+    """max |x_i| of the march over [0, 5] and over the last 5 time units."""
+    traj = solve_trajectory(prob, align_grid(step, horizon,
+                                             prob.system.delays))
+    x = np.max(np.abs(traj.states), axis=1)
+    return (float(x[traj.times <= 5.0].max()),
+            float(x[traj.times >= horizon - 5.0].max()))
+
+
 class TestHighOrder:
     def make(self, alpha, phis):
         return validate_system(alpha, [0.0, 1.0],
@@ -908,14 +922,153 @@ class TestHighOrder:
         assert res.verdict == "Inconclusive"
 
     def test_zeroed_functions_pass(self):
+        # both diagnostics pass, yet every kernel grows at alpha 2.5: the
+        # march (step 0.01) grows from 4.4 on [0, 5] to 7.3e11 on [55, 60]
         phis = [const_phi([0.0, 0.0], 1.0), const_phi([0.0, 0.0], 1.0),
                 const_phi([1.0, 2.0], 1.0)]
-        res = high_order_check(self.make(2.5, phis))
+        prob = self.make(2.5, phis)
+        res = high_order_check(prob)
         assert res.zeroing_holds
         assert res.spectral_passes
-        assert res.verdict == "BoundedIndependentOfDelays"
+        assert res.verdict == "Inconclusive"
+        early, late = march_sups(prob, 60.0)
+        assert early == pytest.approx(4.44, abs=0.01) and late > 1e11
 
     def test_alpha_two_requires_zero_phi0(self):
         phis = [const_phi([1.0, 0.0], 1.0), const_phi([0.0, 0.0], 1.0)]
         res = high_order_check(self.make(2.0, phis))
         assert not res.zeroing_holds
+
+    def test_third_order_grows(self):
+        # D^3 x = -x: s^3 = -1 has the root e^(i pi / 3) with Re s = 1/2
+        zero = const_phi([0.0], 0.0)
+        prob = validate_system(3.0, [0.0], [np.array([[-1.0]])],
+                               phi=[zero, zero, const_phi([1.0], 0.0)])
+        res = high_order_check(prob)
+        assert res.zeroing_holds and res.spectral_passes
+        assert res.verdict == "Inconclusive"
+        early, late = march_sups(prob, 20.0)
+        assert early == pytest.approx(5.01, abs=0.01) and late > 1e4
+
+
+def one_delay_problem(alpha, a0, a1, r1):
+    """x of order alpha with delays [0, r1], phi_0 = 1 and every other
+    phi_j = 0."""
+    phi = [const_phi([float(j == 0)], r1) for j in range(math.ceil(alpha))]
+    return validate_system(alpha, [0.0, r1],
+                           [np.array([[a0]]), np.array([[a1]])], phi=phi)
+
+
+def grid_minimum(rep):
+    return min(e.value for e in rep.grid if e.feasible)
+
+
+def load(prob):
+    """q = K1 sum_i a_i of the module docstring."""
+    return (kernels._l1_to_infinity(kernels._kernels(prob.system))
+            * sum(bound for _, bound, _ in certificates._lag_terms(prob,
+                                                                   None)))
+
+
+class TestSmallGainLoad:
+    """A grid verdict stands only where q = K1 sum_i a_i supports it."""
+
+    @pytest.mark.parametrize("alpha, a0, a1, r1, g, q", [
+        # ROADMAP item 1: the marches grow, to 113 and 7.2 on [90, 100]
+        (1.8, -1.0, -0.43, 2.0, 0.99166, 1.7508),
+        (1.8, -1.0, 0.43, 5.0, 0.99166, 1.7508),
+        # CLI test_kernel_near_order_two_gets_a_report
+        (1.95, -0.5975, 0.1, 0.5, 0.43142, 2.7139)])
+    def test_load_above_one_takes_the_verdict(self, alpha, a0, a1, r1, g, q):
+        prob = one_delay_problem(alpha, a0, a1, r1)
+        rep = certify(prob)
+        assert grid_minimum(rep) == pytest.approx(g, abs=1e-5)
+        assert load(prob) == pytest.approx(q, abs=1e-4)
+        assert rep.verdict == "Inconclusive"
+        assert rep.contraction_constant is None and rep.witness_delta is None
+        assert rep.sup_bound is None
+
+    @pytest.mark.parametrize("prob", [
+        # ROADMAP item 1 at alpha 2: g = 0.4385 for every r, and the march
+        # grows at r = 4 (785 on [180, 200]); the stable sector is empty
+        one_delay_problem(2.0, -1.0, 0.1, 4.0),
+        # eigenvalues +-i at alpha 1: the grid's minimum is 1
+        validate_system(1.0, [0.0], [np.array([[0.0, 1.0], [-1.0, 0.0]])],
+                        phi=[const_phi([1.0, 1.0], 0.0)])],
+        ids=["alpha-2", "rotation"])
+    def test_kernel_on_the_sector_edge_is_inconclusive(self, prob):
+        rep = certify(prob)
+        assert grid_minimum(rep) <= 1.0 + 1e-12
+        with pytest.raises(KernelNotIntegrable, match="not integrable"):
+            load(prob)
+        assert rep.verdict == "Inconclusive"
+
+    def test_nonexpansive_fixture_has_load_one(self):
+        prob = load_problem(f"{FIXTURES}/scalar_nonexpansive.json")
+        assert load(prob) == 1.0
+        assert certify(prob).verdict == "NonExpansiveStable"
+
+    def test_load_only_after_the_grid_certifies(self, monkeypatch):
+        def fail(ker):
+            raise AssertionError("K1 computed")
+
+        monkeypatch.setattr(certificates, "_l1_to_infinity", fail)
+        rep = certify(scalar_problem(1.0, -1.0, 2.0, r1=1.0))
+        assert rep.verdict == "Inconclusive"
+
+    def test_quadrature_failure_is_raised(self, monkeypatch):
+        def stalled(ker):
+            raise QuadratureNotConverged("stalled")
+
+        monkeypatch.setattr(certificates, "_l1_to_infinity", stalled)
+        with pytest.raises(QuadratureNotConverged, match="stalled"):
+            certify(scalar_problem(1.0, -1.0, 0.5, r1=1.0))
+
+
+def exact_stable(alpha, a1):
+    """Whether x of order alpha with a0 = -1, one delay and a1 is stable
+    for every delay (Cermak, Hornicek and Kisela, 2016): |a1| below 1 at
+    alpha <= 1 and below sin(alpha pi / 2) at 1 < alpha < 2."""
+    return abs(a1) < (1.0 if alpha <= 1 else math.sin(alpha * math.pi / 2))
+
+
+class TestExactScalarYardstick:
+    """Verdicts on the scalar grid a0 = -1, r = 1, whose exact
+    delay-independent answer is closed form; boundary points are set
+    aside (|a1| = 1 at alpha <= 1, none at alpha > 1)."""
+
+    ALPHAS = (0.3, 0.5, 0.7, 0.9, 1.0, 1.1, 1.3, 1.5, 1.7, 1.9)
+    A1S = tuple(s * k / 10 for k in range(1, 13) for s in (-1, 1))
+
+    def points(self):
+        for alpha in self.ALPHAS:
+            for a1 in self.A1S:
+                if not (alpha <= 1 and abs(a1) == 1.0):
+                    yield alpha, a1, one_delay_problem(alpha, -1.0, a1, 1.0)
+
+    def count(self, certified):
+        """(stable points certified, false verdicts) at alpha <= 1 and at
+        alpha > 1."""
+        counts = {False: [0, 0], True: [0, 0]}
+        for alpha, a1, prob in self.points():
+            if certified(prob):
+                counts[alpha > 1][0 if exact_stable(alpha, a1) else 1] += 1
+        return tuple(counts[False]), tuple(counts[True])
+
+    def test_certify(self):
+        low, high = self.count(lambda prob: certify(prob).verdict
+                               != "Inconclusive")
+        stable = [sum(exact_stable(alpha, a1) for alpha, a1, _ in
+                      self.points() if (alpha > 1) == side)
+                  for side in (False, True)]
+        assert stable == [90, 58]
+        assert low == (90, 0)
+        assert high == (36, 0)
+
+    def test_spectral(self):
+        # ROADMAP item 15: 32 false verdicts at alpha 1.3-1.9, plus the 10
+        # points |a1| = 1 at alpha > 1, none of them stable
+        low, high = self.count(lambda prob: theorem34_certify(prob.system)
+                               .verdict != "Inconclusive")
+        assert low == (72, 0)
+        assert high[1] <= 42

@@ -237,6 +237,8 @@ class TestCommands:
 
     def test_high_order_block_in_report(self, tmp_path):
         # alpha 2.2: phi_0 = phi_1 = 0 and |a1| = 0.1 below the threshold 1
+        # pass both diagnostics, yet every kernel grows: the march (step
+        # 0.01) grows from 2.2 on [0, 5] to 454 on [55, 60]
         zero = {"times": [-1.0], "values": [[0.0]], "interp": "const"}
         path = tmp_path / "high_order.json"
         path.write_text(json.dumps({
@@ -249,14 +251,20 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 2 and doc["verdict"] == "Inconclusive"
         assert doc["high_order"] == {
-            "verdict": "BoundedIndependentOfDelays", "zeroing_holds": True,
+            "verdict": "Inconclusive", "zeroing_holds": True,
             "spectral_passes": True, "composite_norm": 0.1, "threshold": 1}
+        prob = load_problem(str(path))
+        traj = fracdelay.solve_trajectory(
+            prob, fracdelay.align_grid(0.01, 60.0, prob.system.delays))
+        x = np.abs(traj.states[:, 0])
+        assert x[traj.times <= 5.0].max() == pytest.approx(2.196, abs=1e-3)
+        assert x[traj.times >= 55.0].max() > 450.0
 
     def test_kernel_near_order_two_gets_a_report(self, tmp_path):
         # alpha 1.95: |phi| kinks at each zero of a slowly decaying
         # oscillation, and a quadrature segment holding kinks stalls (here
-        # on [31.6, 46.4]).  The verdict is not asserted: a uniform verdict
-        # at alpha > 1 may be unsound (ROADMAP item 1).
+        # on [31.6, 46.4]).  The grid's minimum is 0.431, but the load
+        # q = K1 a1 is 2.71, so the verdict is Inconclusive.
         alpha, a0, a1 = 1.95, -0.5975, 0.1
         path = tmp_path / "near_order_two.json"
         path.write_text(json.dumps({
@@ -265,8 +273,10 @@ class TestCommands:
                     {"times": [-0.5], "values": [[0.0]], "interp": "const"}],
         }))
         code, out = run_cli("certify", "--problem", str(path))
-        assert code in (0, 2)
-        grid = json.loads(out)["grid"]
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "Inconclusive"
+        grid = doc["grid"]
         deltas = np.array(DEFAULT_DELTA_GRID)
         # the report prints 15 significant digits
         np.testing.assert_allclose([entry["delta"] for entry in grid], deltas,

@@ -259,14 +259,6 @@ class TestTheorem34:
         assert res.verdict == "GloballyStableIndependentOfDelays"
         assert res.composite_norm == pytest.approx(res.threshold, abs=1e-10)
 
-    def test_arg_condition_reported_separately(self):
-        # real negative eigenvalues at alpha = 1: |arg| = pi >= pi/2, yet the
-        # direct fractional-power measure is negative
-        sys = self.make_sys(1.0, np.diag([-2.0, -3.0]), 0.5 * np.eye(2))
-        res = theorem34_certify(sys)
-        assert not res.arg_condition_met
-        assert res.frac_power_measure < 0
-
     def test_delay_free_encodings_agree(self):
         # A = [A0 - S, S] at lags 0, 0 is the system of [A0]: the test reads
         # the kernel matrix (S is exact in binary, so the sum is too), and
