@@ -20,18 +20,25 @@ halving edges.  A call is kept as (alpha, A0, deltas, p): a tree whose
 the deltas, or one delta) is recorded and replayed in those terms, and a
 tree whose ``norm_integrals(deltas)`` takes the deltas alone, L1 only, in
 these.  A p = 2 call runs through ``phi_alpha_l2sq``, one delta at a time,
-on both trees.  Two last sections replay fixed synthetic calls.  One
+on both trees.  Three last sections replay fixed synthetic calls.  One
 replays ``ml_scalar_array`` batches on the |z| <= 1 power series: 6, 50,
 600 and 2,000 real points in [-1, 1] at each (alpha, beta) of
-``SERIES_ORDERS``, and 50 complex points in the unit disc.  The other
-replays the L1 grid of the default deltas and, for alpha > 1/2, their
-squared L2, on the matrix kernels of ``SYNTHETIC_KERNELS`` at each alpha
-of ``SYNTHETIC_ALPHAS``.  At alpha <= 1 its kernels with a real spectrum
-and an orthonormal eigenvector basis (symmetric, a repeated eigenvalue)
-are monotone (``Kernels.monotone``) and take L1 from the exact primitive
-of their largest eigenvalue's scalar kernel; every other call takes the
-Gram quadrature.  Each SRC is a directory that holds the ``fracdelay``
-package, such as a checkout's ``src``.
+``SERIES_ORDERS``, and 50 complex points in the unit disc.  One replays
+contour batches: the zero scans of the L1 grid of the scalar kernel of
+A0 = -sqrt(0.3) at each alpha of ``SCAN_ALPHAS`` (E_{a,a} on 673 and 737
+points, of which 216 and 287 on 31 and 40 contours), recorded on the OLD
+tree, and E_{a,b}(lam t^a) on uniform grids of ``CONTOUR_SIZES`` t in
+(0, 10], as a long march's kernel weights are, at each (alpha, beta, lam)
+of ``CONTOUR_ORDERS``: one shared contour, and dozens of contours of real
+and of complex points.  The last replays the L1 grid of the default
+deltas and, for alpha > 1/2, their squared L2, on the matrix kernels of
+``SYNTHETIC_KERNELS`` at each alpha of ``SYNTHETIC_ALPHAS``.  At alpha <= 1
+its kernels with a real spectrum and an orthonormal eigenvector basis
+(symmetric, a repeated eigenvalue) are monotone (``Kernels.monotone``) and
+take L1 from the exact primitive of their largest eigenvalue's scalar
+kernel; every other call takes the Gram quadrature.  Each SRC is a
+directory that holds the ``fracdelay`` package, such as a checkout's
+``src``.
 
 Example, against the parent commit:
     git archive HEAD~1 | (mkdir -p /tmp/old && tar -x -C /tmp/old)
@@ -72,6 +79,14 @@ NORM_USERS = ("tables", "kernels", "certificates", "spectral", "system")
 SERIES_SIZES = (6, 50, 600, 2000)
 SERIES_ORDERS = ((0.7, 1.0), (0.7, 1.7), (1.3, 1.3))
 SYNTHETIC_ALPHAS = (0.5, 0.95, 1.5)
+# the synthetic contour batches: zero scans at these orders, and grids of
+# t of these sizes at each (alpha, beta, lam): a real lam < 0 at alpha < 1
+# puts every point on one pole-free contour, at alpha > 1 on dozens, and a
+# complex lam spreads complex points over dozens
+SCAN_ALPHAS = (1.2, 1.5)
+CONTOUR_SIZES = (20_000, 100_000)
+CONTOUR_ORDERS = ((0.7, 1.0, -1.0), (1.3, 1.3, -1.0), (0.7, 1.0, -1.0 + 2.0j),
+                  (1.3, 2.3, -1.0 + 2.0j))
 
 
 def householder(v) -> np.ndarray:
@@ -104,6 +119,41 @@ def series_batches() -> list:
     disc = np.sqrt(rng.uniform(0.0, 1.0, 50)) * np.exp(
         1j * rng.uniform(-np.pi, np.pi, 50))
     return batches + [(alpha, beta, disc) for alpha, beta in SERIES_ORDERS]
+
+
+def contour_batches(fd) -> list:
+    """(alpha, beta, z) of the synthetic contour batches: the first
+    ``ml_scalar_array`` call, the zero scan, of the L1 grid of the scalar
+    kernel at each alpha of ``SCAN_ALPHAS``, recorded on tree ``fd``, then
+    the grids of t."""
+    scans = []
+    inner = fd.mlf.ml_scalar_array
+
+    def recorded(alpha, beta, z, **kwargs):
+        scans.append((float(alpha), float(beta),
+                      np.array(z, dtype=complex, copy=True)))
+        return inner(alpha, beta, z, **kwargs)
+
+    grid = np.array(fd.certificates.DEFAULT_DELTA_GRID)
+    batches = []
+    # kernels imports the function by name
+    fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = recorded
+    try:
+        for alpha in SCAN_ALPHAS:
+            scans.clear()
+            ker = fd.kernels.Kernels(alpha, np.array([[-math.sqrt(0.3)]]))
+            if takes_edges(fd):
+                ker.norm_integrals(np.append(0.0, grid), 1)
+            else:
+                ker.norm_integrals(grid)
+            batches.append(scans[0])
+    finally:
+        fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = inner
+    for size in CONTOUR_SIZES:
+        t = np.linspace(10.0 / size, 10.0, size)
+        batches += [(alpha, beta, lam * t ** alpha + 0j)
+                    for alpha, beta, lam in CONTOUR_ORDERS]
+    return batches
 
 
 def kernel_calls(fd) -> list:
@@ -264,6 +314,7 @@ def main() -> int:
              load_tree("fracdelay_new", args.new_src))
     ml_calls, quad_calls, eml_calls, norm_calls = record_calls(trees[0])
     series_calls = series_batches()
+    contour_calls = contour_batches(trees[0])
     synthetic_quad = kernel_calls(trees[0])
     differ = 0
 
@@ -315,6 +366,13 @@ def main() -> int:
          lambda i: (f"{series_calls[i][0]:6.3f} {series_calls[i][1]:6.3f} "
                     f"{series_calls[i][2].size:7d} "
                     f"{'complex' if series_calls[i][2].imag.any() else 'real'}"
+                    )),
+        ("ml_scalar_array, synthetic contour batches",
+         f"{'alpha':>6} {'beta':>6} {'points':>7} kind",
+         [ml_call(c) for c in contour_calls],
+         lambda i: (f"{contour_calls[i][0]:6.3f} {contour_calls[i][1]:6.3f} "
+                    f"{contour_calls[i][2].size:7d} "
+                    f"{'complex' if contour_calls[i][2].imag.any() else 'real'}"
                     )),
         ("Kernels.norm_integrals, synthetic matrix kernels",
          f"{'kernel':>14} {'alpha':>6} {'n':>2} {'p':>1}",

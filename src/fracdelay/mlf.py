@@ -12,10 +12,12 @@ For a scalar argument three routes cover the plane, each chosen per point:
 * the power series in double precision for |z| <= 1 (the pole-free real
   points below excepted), where its terms never exceed its sum by much: it
   sums to round-off and keeps a point only when its cancellation estimate
-  is below 1e-13, else the point goes to the contour.  Its terms come
-  ``_TERM_BLOCK`` = 10 at a time for every point still summing, as (terms
-  x points) arrays in real arithmetic when every z is real, with one stop
-  test per block and the bits of a term-by-term loop;
+  is below 1e-13, else the point goes to the contour.  Its terms come in
+  blocks for every point still summing, ``_TERM_BLOCK`` = 10 terms at a
+  time or, for a call of at most 372 points, as many as make 2^12
+  elements, up to 30, as (terms x points) arrays in real arithmetic when
+  every z is real, with one stop test per block and the bits of a
+  term-by-term loop;
 * everywhere else the inverse Laplace transform at t = 1,
 
       E_{a,b}(z) = (1/2 pi i) int_C e^s s^(a-b) / (s^a - z) ds,
@@ -39,10 +41,15 @@ For a scalar argument three routes cover the plane, each chosen per point:
   For b > a the contour loses digits toward z = 0 (6.7e-13 absolute at
   a = 0.99, b = a + 1) and the series keeps those points.  A contour's
   key is its row of pole bins packed into one integer, 16 bits a pole.
-  The points are grouped by contour once; each contour's node factors are
-  computed once and its terms as (nodes x points) blocks of at most 2^14
-  elements, so memory beyond the output is bounded by the block, not by
-  the number of points.  Contours are kept per kernel and per beta: a
+  The node factors of a call's new contours are computed in one pass and
+  kept as one (factors x contours x nodes) array per kind of point,
+  padded past each contour's last node.  A call's terms come in one pass
+  for its real points and one for its complex ones, whatever the number
+  of contours: the points, ordered by node count and contour, are cut
+  into (nodes x points) blocks of at
+  most 2^14 elements, each padded to the most nodes among its own points,
+  so memory beyond the output is bounded by the block, not by the number
+  of points.  Contours are kept per kernel and per beta: a
   ``kernels.Kernels`` object holds one table per beta of the contours and
   node factors it has met, so the levels of its quadrature and its other
   kernels build only the contours they are missing; a direct
@@ -77,8 +84,11 @@ _EPS = 2.2204460492503131e-16
 _SERIES_ACCEPT = 1e-13
 _MATRIX_SERIES_FLOOR = 1e-8
 _MAX_TERMS = 10_000
-# terms of the |z| <= 1 series per block, for every point still summing
+# terms of the |z| <= 1 series per block, for every point still summing,
+# in a call of many points (see _series_double)
 _TERM_BLOCK = 10
+# elements of one (nodes x points) block of contour terms
+_BLOCK = 2 ** 14
 # eigenvector condition number from which a matrix is treated as defective
 SPECTRAL_THRESHOLD = 1e8
 
@@ -130,10 +140,13 @@ def _series_double(alpha: float, beta: float, z: np.ndarray):
 
     A point stops after three shrinking terms in a row below ``_EPS`` of
     its sum, or at a non-finite term, and at the latest after ``_MAX_TERMS``
-    terms.  The terms come ``_TERM_BLOCK`` at a time, as (terms x points)
-    arrays over the points still summing, and the stop test runs once per
-    block: a point that stops inside a block takes its sum at its stop
-    term, and only the points still summing go on to the next block.  The
+    terms.  The terms come in blocks, as (terms x points) arrays over the
+    points still summing, and the stop test runs once per block: a point
+    that stops inside a block takes its sum at its stop term, and only the
+    points still summing go on to the next block.  A block has
+    ``_TERM_BLOCK`` terms, or for a call of few points as many as make
+    ``_BLOCK`` / 4 elements, at most 3 ``_TERM_BLOCK``: the numpy calls of
+    a small call's blocks cost more than their arithmetic.  The
     powers come from one multiply per term and the partial sums and the
     largest term from a sequential accumulation along the terms, so every
     value has the bits of a term-by-term loop.  When every z is real the
@@ -155,16 +168,26 @@ def _series_double(alpha: float, beta: float, z: np.ndarray):
     Sl, big = np.full(z.shape, g0, dtype=z.dtype), np.full(z.shape, abs(g0))
     prev, calm = big, np.zeros((2, z.size), dtype=bool)
     ell = 0
+    terms = min(max(_TERM_BLOCK, _BLOCK // (4 * max(z.size, 1))),
+                3 * _TERM_BLOCK)
+    # the powers of few real points in one accumulate call, not one call
+    # per term: a real product rounds alike in every numpy loop, a complex
+    # one not, and for many points the accumulate's strided loop is slower
+    fold = z.dtype.kind == "f" and terms == 3 * _TERM_BLOCK
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         while live.size and ell < _MAX_TERMS:
-            nb = min(_TERM_BLOCK, _MAX_TERMS - ell)
+            nb = min(terms, _MAX_TERMS - ell)
             gam = np.array([rgamma(alpha * k + beta)
                             for k in range(ell + 1, ell + nb + 1)])
             # row 0 of each array holds what the previous block left
             P = np.empty((nb + 1, live.size), dtype=z.dtype)
             P[0] = zp
-            for j in range(nb):
-                np.multiply(P[j], zl, out=P[j + 1])
+            if fold:
+                P[1:] = zl
+                np.multiply.accumulate(P, axis=0, out=P)
+            else:
+                for j in range(nb):
+                    np.multiply(P[j], zl, out=P[j + 1])
             sums = np.empty_like(P)
             sums[0] = Sl
             np.multiply(P[1:], gam[:, None], out=sums[1:])
@@ -217,8 +240,6 @@ _LOG_EPS = math.log(_EPS)
 _LOG_TOL = math.log(1e-15)       # Garrappa's target accuracy
 _BINS_PER_OCTAVE = 8
 _NO_POLE = np.iinfo(np.int64).max
-# elements of one (nodes x points) block of trapezoid terms
-_BLOCK = 2 ** 14
 
 
 def _singularities(alpha: float, z: np.ndarray):
@@ -231,18 +252,22 @@ def _singularities(alpha: float, z: np.ndarray):
     and the bin _NO_POLE.
     """
     theta = np.angle(z)
-    radius = np.abs(z) ** (1.0 / alpha)
-    kmin = np.ceil(-alpha / 2.0 - theta / (2.0 * np.pi)).astype(int)
-    kmax = np.floor(alpha / 2.0 - theta / (2.0 * np.pi)).astype(int)
+    turns = theta / (2.0 * np.pi)
+    kmin = np.ceil(-alpha / 2.0 - turns).astype(int)
+    kmax = np.floor(alpha / 2.0 - turns).astype(int)
     m = int(np.max(kmax - kmin + 1, initial=0))
     poles = np.zeros((z.size, m), dtype=complex)
     phi = np.zeros((z.size, m))
-    for i in range(m):
-        k = kmin + i
-        ok = k <= kmax
-        s = radius[ok] * np.exp(1j * (theta[ok] + 2.0 * np.pi * k[ok]) / alpha)
-        poles[ok, i] = s
-        phi[ok, i] = (s.real + np.abs(s)) / 2.0
+    if not m:
+        return poles, phi, np.zeros((z.size, 0), dtype=np.int64)
+    # every point's poles at once, row by row
+    k = kmin[:, None] + np.arange(m)
+    ok = k <= kmax[:, None]
+    at = ok.nonzero()[0]
+    radius = np.abs(z) ** (1.0 / alpha)
+    s = radius[at] * np.exp(1j * (theta[at] + 2.0 * np.pi * k[ok]) / alpha)
+    poles[ok] = s
+    phi[ok] = (s.real + np.abs(s)) / 2.0
     phi = np.where(phi > 1e-15, phi, np.inf)
     bins = np.floor(_BINS_PER_OCTAVE * np.log2(np.where(phi < np.inf, phi, 1)))
     bins = np.where(phi < np.inf, bins.astype(np.int64), _NO_POLE)
@@ -290,21 +315,22 @@ def _params_beyond(lo, p, log_tol):
     sq_lo = np.sqrt(lo)
     phib = np.where(lo > 0, 1.01 * lo, 0.01)
     sqb = np.sqrt(phib)
-    N, A, sq_mu = (np.empty(lo.shape) for _ in range(3))
-    todo = np.arange(lo.size)
-    while todo.size:
-        lept = log_tol[todo] / phib[todo]
-        N[todo] = np.ceil(phib[todo] / np.pi
-                          * (1.0 - 1.5 * lept + np.sqrt(1.0 - 2.0 * lept)))
-        A[todo] = np.pi * N[todo] / phib[todo]
-        sq_mu[todo] = (sqb[todo] * np.abs(4.0 - A[todo])
-                       / np.abs(7.0 - np.sqrt(1.0 + 12.0 * A[todo])))
+    while True:
+        # every point anew: one whose f_bar has settled keeps its phib, so
+        # its N, A and mu
+        lept = log_tol / phib
+        N = np.ceil(phib / np.pi
+                    * (1.0 - 1.5 * lept + np.sqrt(1.0 - 2.0 * lept)))
+        A = np.pi * N / phib
+        sq_mu = sqb * np.abs(4.0 - A) / np.abs(7.0 - np.sqrt(1.0 + 12.0 * A))
         if p < 1e-14:
             break
-        f_bar = ((sqb[todo] - sq_lo[todo]) / sq_mu[todo]) ** (-p)
-        todo = todo[~((f_bar > 1.0) & (f_bar < 10.0))]
-        sqb[todo] = 5.0 ** (-1.0 / p) * sq_mu[todo] + sq_lo[todo]
-        phib[todo] = sqb[todo] ** 2
+        f_bar = ((sqb - sq_lo) / sq_mu) ** (-p)
+        again = ~((f_bar > 1.0) & (f_bar < 10.0))
+        if not again.any():
+            break
+        sqb = np.where(again, 5.0 ** (-1.0 / p) * sq_mu + sq_lo, sqb)
+        phib = np.where(again, sqb ** 2, phib)
     mu = sq_mu ** 2
     h = (-3.0 * A - 2.0 + 2.0 * np.sqrt(1.0 + 12.0 * A)) / (4.0 - A) / N
     # round-off grows like e^mu: cap mu where the singularity allows it
@@ -332,36 +358,50 @@ def _contours(alpha: float, beta: float, bins: np.ndarray):
     true singularities are never closer to it than the rule assumed.
     """
     U, m = bins.shape
-    # bin b covers [2^(b/8), 2^((b+1)/8)); no pole, no edge
-    none = bins == _NO_POLE
-    edge = np.where(none, np.inf,
-                    2.0 ** (np.where(none, 0, bins) / _BINS_PER_OCTAVE))
-    lows = np.concatenate(
-        [np.zeros((U, 1)), edge * 2.0 ** (1.0 / _BINS_PER_OCTAVE)], axis=1)
-    highs = np.concatenate([edge, np.full((U, 1), np.inf)], axis=1)
     p0 = max(0.0, 2.0 * (beta - alpha - 1.0))   # strength of the origin
+    if m:
+        # bin b covers [2^(b/8), 2^((b+1)/8)); no pole, no edge
+        none = bins == _NO_POLE
+        edge = np.where(none, np.inf,
+                        2.0 ** (np.where(none, 0, bins) / _BINS_PER_OCTAVE))
+        lows = np.concatenate(
+            [np.zeros((U, 1)), edge * 2.0 ** (1.0 / _BINS_PER_OCTAVE)], axis=1)
+        highs = np.concatenate([edge, np.full((U, 1), np.inf)], axis=1)
     mu, h = np.zeros(U), np.zeros(U)
     N = np.full(U, np.inf)
     log_tol = np.full(U, _LOG_TOL)
     todo = np.arange(U)
     while todo.size:
-        for r in range(m + 1):
-            lo, hi, lt = lows[todo, r], highs[todo, r], log_tol[todo]
-            p = p0 if r == 0 else 1.0
-            adm = (lo < lt - _LOG_EPS) & (lo < hi)
-            for beyond in (False, True):
-                sel = adm & (np.isinf(hi) == beyond)
-                if not sel.any():
-                    continue
-                cand = (_params_beyond(lo[sel], p, lt[sel]) if beyond else
-                        _params_between(lo[sel], hi[sel], p, lt[sel]))
-                better = cand[2] < N[todo[sel]]
-                idx = todo[sel][better]
-                mu[idx], h[idx], N[idx] = (c[better] for c in cand)
+        if not m:
+            # no pole: the one region lies right of the origin
+            mu[todo], h[todo], N[todo] = _params_beyond(
+                np.zeros(todo.size), p0, log_tol[todo])
+        else:
+            for r in range(m + 1):
+                lo, hi, lt = lows[todo, r], highs[todo, r], log_tol[todo]
+                p = p0 if r == 0 else 1.0
+                adm = (lo < lt - _LOG_EPS) & (lo < hi)
+                for beyond in (False, True):
+                    sel = adm & (np.isinf(hi) == beyond)
+                    if not sel.any():
+                        continue
+                    cand = (_params_beyond(lo[sel], p, lt[sel]) if beyond
+                            else _params_between(lo[sel], hi[sel], p,
+                                                 lt[sel]))
+                    better = cand[2] < N[todo[sel]]
+                    idx = todo[sel][better]
+                    mu[idx], h[idx], N[idx] = (c[better] for c in cand)
         todo = todo[N[todo] > 200]
         log_tol[todo] += math.log(10.0)
         N[todo] = np.inf
     return mu, h, N.astype(int)
+
+
+# the node factors past a contour's last node, for real z (c, cd, d, dd)
+# and for complex z (c, d): zero terms c / (d - z), and for real x
+# (c (d - x) - cd) / ((d - x)^2 + dd) = -0 / (x^2 + 1)
+_PAD = {True: np.array([0.0, 0.0, 0.0, 1.0])[:, None, None],
+        False: np.zeros((2, 1, 1), dtype=complex)}
 
 
 class _ContourTable:
@@ -371,8 +411,10 @@ class _ContourTable:
     bits per pole from the nearest up and a missing pole as 0, so the
     padding of rows with fewer poles changes neither key nor contour.  The
     table keeps its (mu, h, N) and, once a point has used it, its node
-    factors for real z (c, cd, d, dd) or for complex z (c, d).  A value
-    does not depend on what the table held.
+    factors for real z (c, cd, d, dd) or for complex z (c, d): per kind of
+    point one (factors x contours x nodes) array, row i contour i's,
+    padded past its last node.  A value does not depend on what the table
+    held.
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -380,7 +422,10 @@ class _ContourTable:
         self.mu, self.h = np.empty(0), np.empty(0)
         self.N = np.empty(0, dtype=int)
         self._index = {}    # packed bins -> contour number
-        self._nodes = {}    # (contour number, real) -> node factors
+        # real -> (node factors, mask of the contours that have them)
+        self._nodes = {real: (np.empty((pad.shape[0], 0, 0), dtype=pad.dtype),
+                              np.empty(0, dtype=bool))
+                       for real, pad in _PAD.items()}
 
     def contours(self, bins: np.ndarray) -> np.ndarray:
         """The contour number of every point, from its row of ``bins``; the
@@ -404,65 +449,151 @@ class _ContourTable:
             self.N = np.concatenate((self.N, N))
         return np.array([self._index[k] for k in keys])[inverse]
 
-    def nodes(self, i: int, real: bool) -> tuple:
-        """Node factors of contour ``i``, each of shape (nodes, 1): c and
-        d = s^a for the terms c / (d - z), nodes s = mu (1 + ihk)^2 with
-        |k| <= N; for real z only k >= 0, with c doubled past k = 0 and
-        split into c = Im c, cd = Re c Im d, d = Re d and dd = (Im d)^2."""
-        key = (i, real)
-        if key not in self._nodes:
-            mu, h, N = self.mu[i], self.h[i], self.N[i]
-            w = 1.0 + 1j * (np.arange(0 if real else -N, N + 1) * h)
+    def nodes(self, contour: np.ndarray, real: bool) -> np.ndarray:
+        """Node factors of the table's contours for one kind of point, a
+        (factors x contours x nodes) array, after building those of the
+        contours in ``contour`` that lack them, all in one pass.
+
+        c and d = s^a give the terms c / (d - z), nodes s = mu (1 + ihk)^2
+        with |k| <= N, row i from column 0 at k = -N; for real z only
+        k >= 0, from column 0 at k = 0, with c doubled past k = 0 and split
+        into c = Im c, cd = Re c Im d, d = Re d and dd = (Im d)^2.  Columns
+        past a contour's last node hold ``_PAD``, whose terms are exactly
+        zero.
+        """
+        nodes, have = self._nodes[real]
+        if have.size < self.N.size:
+            have = np.concatenate((have, np.zeros(self.N.size - have.size,
+                                                  dtype=bool)))
+        lack = contour[~have[contour]]
+        if lack.size:
+            new = np.bincount(lack).nonzero()[0]
+            size = self.N[new] + 1 if real else 2 * self.N[new] + 1
+            width = max(nodes.shape[2], int(size.max()))
+            # every new contour's nodes, one flat array, contour by contour
+            col, row = (np.arange(width) < size[:, None]).nonzero()
+            col = new[col]
+            k = row if real else row - self.N[col]
+            mu = self.mu[col]
+            w = 1.0 + 1j * (k * self.h[col])
             s = mu * w * w
             ls = np.log(s)
-            c = (np.exp(s + (self.alpha - self.beta) * ls)
-                 * (2j * mu * w))[:, None]
-            d = np.exp(self.alpha * ls)[:, None]
+            c = np.exp(s + (self.alpha - self.beta) * ls) * (2j * mu * w)
+            d = np.exp(self.alpha * ls)
             if real:
-                c[1:] *= 2.0
-                self._nodes[key] = (c.imag, c.real * d.imag, d.real,
-                                    d.imag * d.imag)
+                c[k > 0] *= 2.0
+                vals = (c.imag, c.real * d.imag, d.real, d.imag * d.imag)
             else:
-                self._nodes[key] = (c, d)
-        return self._nodes[key]
+                vals = (c, d)
+            grown = np.empty((len(vals), self.N.size, width),
+                             dtype=float if real else complex)
+            grown[...] = _PAD[real]
+            grown[:, :nodes.shape[1], :nodes.shape[2]] = nodes
+            grown[:, col, row] = vals
+            nodes = grown
+            have[new] = True
+        self._nodes[real] = (nodes, have)
+        return nodes
 
 
-def _trapezoid(z: np.ndarray, table: _ContourTable, i: int,
+def _block_sums(fac: np.ndarray, z: np.ndarray,
+                pad: np.ndarray | None = None) -> np.ndarray:
+    """Trapezoid sums over the nodes of one block: the rows of the
+    (nodes x points) terms, summed in ascending k.
+
+    ``fac`` holds the block's nodes of the ``_ContourTable.nodes`` factors
+    for real z (c, cd, d, dd) or for complex z (c, d), as (factors x nodes
+    x points): one column shared by every point, or one column per point.
+    ``pad`` marks the terms of complex z past a point's own last node, set
+    to 0 after the division.
+    """
+    # a point at 0 pads a one-column block to two; numpy sums the rows of a
+    # C-contiguous block of two columns or more in order, of a one-column
+    # or column-major one pairwise
+    zs = np.append(z, 0.0) if z.size == 1 else z
+    if len(fac) == 4:
+        # Im c / (d - x) = (Im c (Re d - x) - Re c Im d) / |d - x|^2
+        c, cd, d, dd = fac
+        # gathered columns come transposed: C order keeps the sum in order
+        e = np.subtract(d, zs, order="C")
+        # in place: fewer temporaries of the block's size
+        t = np.multiply(c, e, order="C")
+        t -= cd
+        e *= e
+        e += dd
+        t /= e
+    else:
+        c, d = fac
+        e = np.subtract(d, zs, order="C")
+        t = np.divide(c, e, out=e)
+        if pad is not None:
+            t[pad] = 0.0
+    return np.add.reduce(t, axis=0)[:z.size]
+
+
+def _trapezoid(z: np.ndarray, table: _ContourTable, contour: np.ndarray,
                real: bool) -> np.ndarray:
     """h/(2 pi i) sum_k e^s s^(a-b) s' / (s^a - z), nodes s = mu (1 + ihk)^2,
-    |k| <= N, on contour ``i`` of ``table`` for every point of ``z``.
+    |k| <= N, for every point of ``z`` on its contour of ``table``, whose
+    number ``contour`` holds; every point real or every one complex.
 
-    The terms are computed as (nodes x points) blocks of at most ``_BLOCK``
-    elements, whose rows are summed in ascending k: a value does not depend
-    on the batch, and memory beyond the output is bounded by the block.
-    For real z the nodes k and -k are conjugate: only k >= 0 is summed, and
-    only the imaginary part, in real arithmetic.
+    One pass for every contour of the call: the points are ordered by node
+    count, then by contour, and cut into (nodes x points) blocks of at most
+    ``_BLOCK`` elements, each padded to the most nodes among its own
+    points.  A contour whose points make ``_BLOCK`` / 8 elements or more
+    takes blocks of its own, which broadcast its factor column: at that
+    size one more block costs less than gathering its columns.  The points
+    of the other contours share blocks, which gather their columns.  The
+    padded terms are exactly zero and each point's own are summed in
+    ascending k, so a value does not depend on the batch, and memory
+    beyond the output is bounded by the block.  For real z the nodes k and
+    -k are conjugate: only k >= 0 is summed, and only the imaginary part,
+    in real arithmetic.
     """
-    if real:
-        # Im c / (d - x) = (Im c (Re d - x) - Re c Im d) / |d - x|^2
-        c, cd, d, dd = table.nodes(i, True)
-    else:
-        c, d = table.nodes(i, False)
-    out = np.empty(z.size, dtype=float if real else complex)
-    cols = _BLOCK // d.shape[0] - 1
-    for start in range(0, z.size, cols):
-        # a point at 0 pads the block to two columns or more: numpy sums the
-        # rows of a wider block in order, of a one-column one pairwise
-        zs = np.zeros(min(cols, z.size - start) + 1, dtype=out.dtype)
-        zs[:-1] = z[start:start + cols].real if real else z[start:start + cols]
-        e = d - zs
-        # in place: fewer temporaries of the block's size
-        if real:
-            t = c * e
-            t -= cd
-            e *= e
-            e += dd
-            t /= e
+    nodes = table.nodes(contour, real)
+    N = table.N
+    size = N + 1 if real else 2 * N + 1
+    step = table.h / (2.0 * np.pi)
+    if not real:
+        step = -1j * step
+    # the points in runs of one contour, the contours by node count, then
+    # number: a stable sort of 16-bit ranks is a radix sort
+    by = N.argsort(kind="stable")
+    rank = np.empty_like(by)
+    rank[by] = np.arange(N.size)
+    order = rank[contour].astype(np.min_scalar_type(N.size)).argsort(
+        kind="stable")
+    cont, zs = contour[order], (z.real if real else z)[order]
+    count = np.bincount(contour, minlength=N.size)[by]
+    used = count > 0
+    run, count = by[used], count[used]
+    rows = size[run].repeat(count)
+    # the block from point i holds the points j from i on with
+    # (j - i + 1) rows[j] <= _BLOCK, i.e. last[j] <= i: last increases
+    last = np.arange(1, z.size + 1) - (_BLOCK // size[run]).repeat(count)
+    if run.size > 1:
+        # a block also starts at each run that takes blocks of its own and
+        # at the run after it
+        own = 8 * count * size[run] >= _BLOCK
+        own[1:] |= own[:-1]
+        begin = np.maximum.accumulate((count.cumsum() - count) * own)
+        np.maximum(last, begin.repeat(count), out=last)
+    sums = np.empty(z.size, dtype=zs.dtype)
+    start = 0
+    while start < z.size:
+        stop = int(last.searchsorted(start, side="right"))
+        n, i, pad = int(rows[stop - 1]), cont[start], None
+        if i == cont[stop - 1]:
+            fac = nodes[:, i, :n, None]
         else:
-            t = np.divide(c, e, out=e)
-        out[start:start + cols] = np.add.reduce(t, axis=0)[:-1]
-    step = table.h[i] / (2.0 * np.pi)
-    return step * out if real else -1j * step * out
+            fac = nodes[:, cont[start:stop], :n].transpose(0, 2, 1)
+            if not real:
+                pad = np.arange(n)[:, None] >= rows[start:stop]
+        sums[start:stop] = _block_sums(fac, zs[start:stop], pad)
+        start = stop
+    out = np.empty_like(sums)
+    out[order] = step[cont] * sums
+    return out
 
 
 def _contour_values(table: _ContourTable, z: np.ndarray) -> np.ndarray:
@@ -476,12 +607,13 @@ def _contour_values(table: _ContourTable, z: np.ndarray) -> np.ndarray:
     contour = table.contours(bins)
     real = z.imag == 0
     out = np.empty(z.size, dtype=complex)
-    # one group per contour and kind of point, points in their order
-    group = 2 * contour + real
-    order = np.argsort(group, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
-        out[idx] = _trapezoid(z[idx], table, int(contour[idx[0]]),
-                              bool(real[idx[0]]))
+    # one pass for the real points, one for the complex ones
+    for kind, sel in ((True, real), (False, ~real)):
+        if sel.all():
+            out[:] = _trapezoid(z, table, contour, kind)
+        elif sel.any():
+            idx = np.flatnonzero(sel)
+            out[idx] = _trapezoid(z[idx], table, contour[idx], kind)
     # residues of the poles right of the contour
     mu = table.mu[contour]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -737,6 +737,19 @@ class TestScalarL1AboveOrderOne:
         assert np.all(np.diff(table) > 0)
         assert phi_alpha_l1(ker, 100.0) == pytest.approx(table[-1], rel=1e-13)
 
+    def test_six_regula_falsi_steps_suffice(self, monkeypatch):
+        # six steps leave these zeros up to 1.3e-7 relative off; L1 moves
+        # by about the square of that, as the slope of its primitive, phi,
+        # vanishes at a zero
+        ker = Kernels(1.82, np.array([[-2.477]]))
+        edges = kernels._edges(DEFAULT_DELTA_GRID)
+        zeros, l1 = ker._zeros(edges), ker.norm_integrals(DEFAULT_DELTA_GRID)
+        monkeypatch.setattr(kernels, "_ZERO_STEPS", 30)
+        ker = Kernels(1.82, np.array([[-2.477]]))
+        exact, ref = ker._zeros(edges), ker.norm_integrals(DEFAULT_DELTA_GRID)
+        assert np.max(np.abs(zeros - exact) / exact) > 1e-8
+        np.testing.assert_allclose(l1, ref, rtol=1e-14, atol=0)
+
     def test_scan_coarser_than_the_zeros_raises(self, monkeypatch):
         # at lam = -5, alpha = 1.95 the quarter half-period is 0.344, and
         # the first-level cells of the default grid past s = 31.6 are wider:

@@ -15,6 +15,7 @@ import fracdelay
 from fracdelay import Kernels, gamma_fn, ml_matrix, ml_scalar, mlf
 from fracdelay.errors import (OverflowBeyondRepresentableRange,
                               PoleAtNonpositiveInteger, SeriesNotConverged)
+from fracdelay.certificates import DEFAULT_DELTA_GRID
 from fracdelay.kernels import norm_series_ml
 from fracdelay.mlf import (_ml_matrix_series, _series_double, lgamma,
                           ml_scalar_array, rgamma)
@@ -319,30 +320,44 @@ def probe_points(alpha):
     return np.array(zs, dtype=complex)
 
 
-def per_node_trapezoid(z, table, i, real):
-    """``mlf._trapezoid`` node by node: at each k, every point adds its
-    term; the table gives only the contour's (mu, h, N), no node factor.
-    The nodes are arrays over the points, as numpy's scalar complex exp and
-    log may round differently from its array loops."""
-    alpha, beta, N = table.alpha, table.beta, table.N[i]
-    mu, h = np.full(z.size, table.mu[i]), np.full(z.size, table.h[i])
+def per_node_trapezoid(z, table, contour, real):
+    """``mlf._trapezoid`` node by node: at each k, every point whose
+    contour (numbered in ``contour``) has node k adds its term; the table
+    gives only each contour's (mu, h, N), no node factor.  The nodes are
+    arrays over the points, as numpy's scalar complex exp and log may
+    round differently from its array loops."""
+    alpha, beta = table.alpha, table.beta
+    N, mu, h = table.N[contour], table.mu[contour], table.h[contour]
     zs = z.real if real else z
     acc = np.zeros(z.size, dtype=zs.dtype)
-    for k in range(0 if real else -N, N + 1):
-        w = 1.0 + 1j * (k * h)
-        s = mu * w * w
+    for k in range(0 if real else -N.max(), N.max() + 1):
+        on = np.abs(k) <= N
+        w = 1.0 + 1j * (k * h[on])
+        s = mu[on] * w * w
         ls = np.log(s)
-        c = np.exp(s + (alpha - beta) * ls) * (2j * mu * w)
+        c = np.exp(s + (alpha - beta) * ls) * (2j * mu[on] * w)
         d = np.exp(alpha * ls)
         if not real:
-            acc += c / (d - zs)
+            acc[on] += c / (d - zs[on])
             continue
         if k:
             c = 2.0 * c
-        e = d.real - zs
-        acc += (c.imag * e - c.real * d.imag) / (e * e + d.imag * d.imag)
+        e = d.real - zs[on]
+        acc[on] += (c.imag * e - c.real * d.imag) / (e * e + d.imag * d.imag)
     step = h / (2.0 * np.pi)
     return step * acc if real else -1j * step * acc
+
+
+# batches of the blocked trapezoid rule: dozens of contours of complex
+# points, both kinds of point in one call, and dozens of blocks whose
+# contours need from about 35 to 190 nodes
+CIRCLE = np.geomspace(1.1, 200, 300) * np.exp(0.8j * np.pi)
+MIXED = np.concatenate((-np.geomspace(1.1, 200, 150), CIRCLE[::2]))
+SPREAD = np.concatenate((-np.geomspace(1.1, 2e4, 1500),
+                         np.geomspace(1.1, 2e3, 500) * np.exp(0.6j * np.pi)))
+# two contours of 500 points each, of 47 and 103 nodes at alpha 1.5
+CLUSTERS = np.concatenate([r * (1 + np.linspace(0, 1e-3, 500))
+                           for r in (-5.0, -60.0)]) + 0j
 
 
 class TestContour:
@@ -387,15 +402,83 @@ class TestContour:
         (0.3, np.array([z for z in probe_points(0.3) if z.imag])),
         (0.9, np.array([-7.5])),
         (0.9, np.array([6.0 * np.exp(0.7j * np.pi)])),
+        (1.2, CIRCLE),
+        (1.5, CIRCLE),
+        (1.2, MIXED),
+        (0.7, MIXED),
+        (1.3, SPREAD),
     ])
     def test_against_per_node_reference(self, monkeypatch, alpha, zs):
-        # the blocked rule adds each point's terms in the reference's order
+        # the blocked rule adds each point's terms in the reference's order;
+        # the padding past a contour's last node adds exact zeros
         for beta in (1.0, alpha, alpha + 2.0):
             got = ml_scalar_array(alpha, beta, zs)
             monkeypatch.setattr(mlf, "_trapezoid", per_node_trapezoid)
             ref = ml_scalar_array(alpha, beta, zs)
             monkeypatch.undo()
             assert got.tolist() == ref.tolist(), beta
+
+    @pytest.mark.parametrize("alpha, zs, kinds", [
+        (1.2, CIRCLE, {True}), (1.2, MIXED, {True}),
+        (1.3, SPREAD, {False, True}), (0.9, MIXED[:1], {False}),
+        (1.5, CLUSTERS, {False})])
+    def test_blocks_hold_at_most_the_bound(self, monkeypatch, alpha, zs,
+                                           kinds):
+        # every block of terms, padded rows and the padding column of a
+        # one-point block included, holds at most _BLOCK elements, and
+        # covers each point once; ``kinds`` tells whether the blocks are
+        # shared by several contours (gathered), of one (broadcast), or both:
+        # a contour whose points fill a block shares none
+        blocks = []
+        inner = mlf._block_sums
+
+        def recorded(fac, z, pad=None):
+            blocks.append((fac[0].shape[0], max(z.size, 2), fac[0].shape[1]))
+            return inner(fac, z, pad)
+
+        monkeypatch.setattr(mlf, "_block_sums", recorded)
+        ml_scalar_array(alpha, 1.0, zs)
+        assert all(rows * cols <= mlf._BLOCK for rows, cols, _ in blocks)
+        assert sum(cols for _, cols, _ in blocks) == max(zs.size, 2)
+        assert {shared > 1 for _, _, shared in blocks} == kinds
+
+    def test_complex_padding_is_masked(self, monkeypatch):
+        # the terms of complex z past a point's own last node are set to 0
+        # after the division, whatever the padding's node factors hold
+        for alpha, zs in ((1.2, CIRCLE), (1.3, SPREAD)):
+            ref = ml_scalar_array(alpha, 1.0, zs)
+            with pytest.MonkeyPatch.context() as patch, \
+                    np.errstate(invalid="ignore"):
+                patch.setitem(mlf._PAD, False,
+                              np.full((2, 1, 1), complex(np.nan, np.nan)))
+                got = ml_scalar_array(alpha, 1.0, zs)
+            assert got.tolist() == ref.tolist()
+
+    def test_one_pass_for_a_scan_over_dozens_of_contours(self, monkeypatch):
+        # the zero scan of the scalar kernel of A0 = -sqrt(0.3) at alpha
+        # 1.5 puts 287 points on 40 contours: one pass of a few blocks
+        # within the bound, not one per contour
+        events = []
+        trapezoid, block_sums = mlf._trapezoid, mlf._block_sums
+
+        def recorded_pass(z, table, contour, real):
+            events.append(("pass", z.size, np.unique(contour).size))
+            return trapezoid(z, table, contour, real)
+
+        def recorded_block(fac, z, pad=None):
+            events.append(("block", fac[0].shape[0], max(z.size, 2)))
+            return block_sums(fac, z, pad)
+
+        monkeypatch.setattr(mlf, "_trapezoid", recorded_pass)
+        monkeypatch.setattr(mlf, "_block_sums", recorded_block)
+        ker = Kernels(1.5, np.array([[-math.sqrt(0.3)]]))
+        ker.norm_integrals(DEFAULT_DELTA_GRID)
+        assert events[0] == ("pass", 287, 40)
+        scan = next(i for i, e in enumerate(events[1:], 1) if e[0] == "pass")
+        blocks = events[1:scan]
+        assert 1 < len(blocks) < 40
+        assert all(rows * cols <= mlf._BLOCK for _, rows, cols in blocks)
+        assert sum(cols for _, _, cols in blocks) == 287
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5])
     def test_kernel_tables_give_the_bits_of_fresh_calls(self, monkeypatch,
