@@ -443,16 +443,18 @@ class TestContour:
         assert {shared > 1 for _, _, shared in blocks} == kinds
 
     def test_complex_padding_is_masked(self, monkeypatch):
-        # the terms of complex z past a point's own last node are set to 0
-        # after the division, whatever the padding's node factors hold
-        for alpha, zs in ((1.2, CIRCLE), (1.3, SPREAD)):
-            ref = ml_scalar_array(alpha, 1.0, zs)
-            with pytest.MonkeyPatch.context() as patch, \
-                    np.errstate(invalid="ignore"):
-                patch.setitem(mlf._PAD, False,
-                              np.full((2, 1, 1), complex(np.nan, np.nan)))
-                got = ml_scalar_array(alpha, 1.0, zs)
-            assert got.tolist() == ref.tolist()
+        # a complex z of subnormal size whose series sums to 0 goes to the
+        # contour, and there 0 / (0 - z) is NaN: the terms of complex z
+        # past a point's own last node are masked, whatever z
+        zs = np.concatenate(([5e-324j], CIRCLE[::10]))
+        for alpha, beta in ((0.4, 0.0), (1.5, -1.0)):
+            assert np.isinf(_series_double(alpha, beta, zs[:1])[1][0])
+            with np.errstate(over="raise", invalid="raise"):
+                got = ml_scalar_array(alpha, beta, zs)
+            monkeypatch.setattr(mlf, "_trapezoid", per_node_trapezoid)
+            ref = ml_scalar_array(alpha, beta, zs)
+            monkeypatch.undo()
+            assert got.tolist() == ref.tolist(), alpha
 
     def test_one_pass_for_a_scan_over_dozens_of_contours(self, monkeypatch):
         # the zero scan of the scalar kernel of A0 = -sqrt(0.3) at alpha
