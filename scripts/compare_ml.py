@@ -2,10 +2,12 @@
 """Replay the Mittag-Leffler, kernel-integral and 2-norm calls of the
 fixtures on two source trees.
 
-Records every ``ml_scalar_array`` call that ``certify``,
+Records every scalar Mittag-Leffler evaluation (``ml_scalar_array``, or
+each beta of an ``ml_betas`` pass on a tree that has one) that ``certify``,
 ``delay_free_certify`` (on the delay-free fixtures, as the CLI does) and
 ``solve_trajectory`` (the CLI's default grid: step 0.01, horizon 10) make on
-``tests/fixtures/*.json``, and every ``Kernels.norm_integrals`` call, every
+``tests/fixtures/*.json``, and every ``Kernels.norm_integrals`` call (or
+``Kernels.l1_and_kernels``, read as its deltas), every
 ``Kernels.e_ml`` call of a matrix kernel (n > 1) and every
 ``tables.induced_norms`` stack that the two certificates take, using the
 OLD tree.  Then it replays each call on both trees, interleaved, and prints
@@ -36,8 +38,19 @@ deltas and, for alpha > 1/2, their squared L2, on the matrix kernels of
 its kernels with a real spectrum and an orthonormal eigenvector basis
 (symmetric, a repeated eigenvalue) are monotone (``Kernels.monotone``) and
 take L1 from the exact primitive of their largest eigenvalue's scalar
-kernel; every other call takes the Gram quadrature.  Each SRC is a
-directory that holds the ``fracdelay`` package, such as a checkout's
+kernel; every other call takes the Gram quadrature.  A further section
+replays the point sets at which one kernel evaluates several betas:
+E_{a,b}(A0 t^a) as one-beta ``Kernels.e_ml`` calls on the OLD tree and as
+one shared ``Kernels.e_ml_each`` pass on the NEW tree (one-beta calls where
+it has none), each on a kernel of its own.  The point sets are those of
+the ops of ``perfbench/workloads.py`` at seed ``SHARED_SEED``, built with
+the OLD tree: certify-grid's union of the primitive's anchors (0 and, for
+a scalar kernel with 1 < alpha < 2, the zeros of phi) and the default
+deltas, at the primitive's beta and every phi_j's where L1 is exact (the
+phi_j's alone elsewhere); simulate-long's node grid at every phi_j's beta,
+alpha + 1 and alpha + 2; and ``Kernels.k0``'s 2,001 points at every
+phi_j's beta for the non-monotone kernels of ``K0_KERNELS``.  Each SRC is
+a directory that holds the ``fracdelay`` package, such as a checkout's
 ``src``.
 
 Example, against the parent commit:
@@ -58,7 +71,8 @@ from pathlib import Path
 
 import numpy as np
 
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def load_tree(name: str, src: Path):
@@ -87,6 +101,13 @@ SCAN_ALPHAS = (1.2, 1.5)
 CONTOUR_SIZES = (20_000, 100_000)
 CONTOUR_ORDERS = ((0.7, 1.0, -1.0), (1.3, 1.3, -1.0), (0.7, 1.0, -1.0 + 2.0j),
                   (1.3, 2.3, -1.0 + 2.0j))
+
+
+# the workloads' seed of the shared-pass section, and the (name, alpha, A0)
+# of its K0 grids: a scalar kernel of order above 1 and a non-normal one
+SHARED_SEED = 1
+K0_KERNELS = (("scalar", 1.5, np.array([[-0.6]])),
+              ("triangular2", 0.7, np.array([[-1.0, 0.5], [0.0, -2.0]])))
 
 
 def householder(v) -> np.ndarray:
@@ -121,23 +142,45 @@ def series_batches() -> list:
     return batches + [(alpha, beta, disc) for alpha, beta in SERIES_ORDERS]
 
 
+def recording_ml(fd, record):
+    """Install ``record(alpha, beta, z)`` on every scalar Mittag-Leffler
+    evaluation of tree ``fd``, one beta at a time: on ``mlf.ml_betas``
+    where the tree has it (its ``ml_scalar_array`` and its kernels go
+    through it), else on ``ml_scalar_array``.  Returns the undo."""
+    if hasattr(fd.mlf, "ml_betas"):
+        inner_betas = fd.mlf.ml_betas
+
+        def recorded_betas(alpha, betas, z, **kwargs):
+            for beta in betas:
+                record(alpha, beta, z)
+            return inner_betas(alpha, betas, z, **kwargs)
+
+        fd.mlf.ml_betas = recorded_betas
+        return lambda: setattr(fd.mlf, "ml_betas", inner_betas)
+    inner = fd.mlf.ml_scalar_array
+
+    def recorded(alpha, beta, z, **kwargs):
+        record(alpha, beta, z)
+        return inner(alpha, beta, z, **kwargs)
+
+    def undo():
+        fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = inner
+
+    # kernels imports the function by name; mlf calls its own global
+    fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = recorded
+    return undo
+
+
 def contour_batches(fd) -> list:
     """(alpha, beta, z) of the synthetic contour batches: the first
     ``ml_scalar_array`` call, the zero scan, of the L1 grid of the scalar
     kernel at each alpha of ``SCAN_ALPHAS``, recorded on tree ``fd``, then
     the grids of t."""
     scans = []
-    inner = fd.mlf.ml_scalar_array
-
-    def recorded(alpha, beta, z, **kwargs):
-        scans.append((float(alpha), float(beta),
-                      np.array(z, dtype=complex, copy=True)))
-        return inner(alpha, beta, z, **kwargs)
-
     grid = np.array(fd.certificates.DEFAULT_DELTA_GRID)
     batches = []
-    # kernels imports the function by name
-    fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = recorded
+    undo = recording_ml(fd, lambda alpha, beta, z: scans.append(
+        (float(alpha), float(beta), np.array(z, dtype=complex, copy=True))))
     try:
         for alpha in SCAN_ALPHAS:
             scans.clear()
@@ -148,7 +191,7 @@ def contour_batches(fd) -> list:
                 ker.norm_integrals(grid)
             batches.append(scans[0])
     finally:
-        fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = inner
+        undo()
     for size in CONTOUR_SIZES:
         t = np.linspace(10.0 / size, 10.0, size)
         batches += [(alpha, beta, lam * t ** alpha + 0j)
@@ -163,6 +206,63 @@ def kernel_calls(fd) -> list:
     return [(name, alpha, A0, grid, p) for name, A0 in SYNTHETIC_KERNELS
             for alpha in SYNTHETIC_ALPHAS
             for p in ((1, 2) if alpha > 0.5 else (1,))]
+
+
+def shared_sets(fd) -> list:
+    """(label, alpha, A0, betas, t) of the shared-pass section, built with
+    tree ``fd`` (module docstring)."""
+    saved = {name: sys.modules.get(name) for name in ("fracdelay",
+                                                      "fracdelay.cli")}
+    sys.modules["fracdelay"] = fd
+    sys.modules["fracdelay.cli"] = importlib.import_module(
+        fd.__name__ + ".cli")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+        workdir = Path("/nonexistent")
+        certify = workloads.CertifyGrid().build(SHARED_SEED, workdir)
+        simulate = workloads.SimulateLong().build(SHARED_SEED, workdir)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+        for name in ("workloads", "hostspeed"):
+            sys.modules.pop(name, None)
+        for name, mod in saved.items():
+            if mod is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = mod
+    grid = np.array(fd.certificates.DEFAULT_DELTA_GRID)
+    sets = []
+    for i, op in enumerate(certify):
+        sys_ = op.problem.system
+        ker = fd.kernels.Kernels(sys_.alpha, sys_.kernel_matrix)
+        alpha, k = ker.alpha, sys_.k
+        betas = [j + 1 for j in range(k)]
+        t = grid
+        if ker.monotone or ker.n == 1 and alpha < 2:
+            zeros = (ker._zeros(np.append(0.0, grid))
+                     if alpha > 1 and ker.lam_max < 0 else np.empty(0))
+            t = np.concatenate(([0.0], zeros, grid))
+            betas = [alpha + 1.0] + betas
+        sets.append((f"certify#{i}", alpha, ker.A0, betas, t))
+    for i, op in enumerate(simulate):
+        sys_ = op.problem.system
+        alpha = float(sys_.alpha)
+        horizon = workloads.SIMULATE_HORIZON
+        t = fd.align_grid(horizon / workloads.SIMULATE_STRATA[i][2], horizon,
+                          sys_.delays).times
+        sets.append((f"simulate#{i}", alpha, sys_.kernel_matrix,
+                     [j + 1 for j in range(sys_.k)] + [alpha + 1,
+                                                       alpha + 2.0], t))
+    for name, alpha, A0 in K0_KERNELS:
+        # Kernels.k0's grid
+        lam = np.linalg.eigvals(A0)
+        rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
+        T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(alpha, 1.0)))
+        t = np.concatenate(([0.0], np.geomspace(T0 * 1e-5, T0, 2000)))
+        sets.append((f"k0 {name}", alpha, A0,
+                     [j + 1 for j in range(math.ceil(alpha - 1e-12))], t))
+    return sets
 
 
 def takes_edges(fd) -> bool:
@@ -180,23 +280,24 @@ def as_deltas(edges_or_deltas, edged: bool) -> np.ndarray:
 
 
 def record_calls(fd):
-    """(alpha, beta, z) of every ml_scalar_array call, (alpha, A0, deltas,
+    """(alpha, beta, z) of every scalar Mittag-Leffler evaluation, one
+    beta at a time (``recording_ml``), (alpha, A0, deltas,
     p) of every outermost norm_integrals call, (alpha, A0, beta, t) of
     every e_ml call with n > 1 and the stack of every induced_norms call on
     the fixtures; the last three in the certificates only."""
     ml_calls, quad_calls, eml_calls, norm_calls = [], [], [], []
-    inner_ml = fd.mlf.ml_scalar_array
     inner_quad = fd.kernels.Kernels.norm_integrals
+    # a tree whose certificates take L1 with their kernels
+    inner_l1 = getattr(fd.kernels.Kernels, "l1_and_kernels", None)
     inner_eml = fd.kernels.Kernels.e_ml
     inner_norms = fd.tables.induced_norms
     depth = [0]
     certifying = [False]
     edged = takes_edges(fd)
 
-    def recorded_ml(alpha, beta, z, **kwargs):
+    def recorded_ml(alpha, beta, z):
         ml_calls.append((float(alpha), float(beta),
                          np.array(z, dtype=complex, copy=True)))
-        return inner_ml(alpha, beta, z, **kwargs)
 
     def recorded_eml(self, beta, t):
         if certifying[0] and self.n > 1:
@@ -221,9 +322,20 @@ def record_calls(fd):
         finally:
             depth[0] -= 1
 
-    # kernels imports the function by name; mlf calls its own global
-    fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = recorded_ml
+    def recorded_l1(self, deltas, terms):
+        if not depth[0]:
+            quad_calls.append((self.alpha, self.A0.copy(),
+                               as_deltas(deltas, False), 1))
+        depth[0] += 1
+        try:
+            return inner_l1(self, deltas, terms)
+        finally:
+            depth[0] -= 1
+
+    undo = recording_ml(fd, recorded_ml)
     fd.kernels.Kernels.norm_integrals = recorded_quad
+    if inner_l1 is not None:
+        fd.kernels.Kernels.l1_and_kernels = recorded_l1
     fd.kernels.Kernels.e_ml = recorded_eml
     for name in NORM_USERS:
         setattr(getattr(fd, name), "induced_norms", recorded_norms)
@@ -241,8 +353,10 @@ def record_calls(fd):
             grid = fd.align_grid(0.01, 10.0, prob.system.delays)
             fd.solve_trajectory(prob, grid)
     finally:
-        fd.mlf.ml_scalar_array = fd.kernels.ml_scalar_array = inner_ml
+        undo()
         fd.kernels.Kernels.norm_integrals = inner_quad
+        if inner_l1 is not None:
+            fd.kernels.Kernels.l1_and_kernels = inner_l1
         fd.kernels.Kernels.e_ml = inner_eml
         for name in NORM_USERS:
             setattr(getattr(fd, name), "induced_norms", inner_norms)
@@ -316,6 +430,7 @@ def main() -> int:
     series_calls = series_batches()
     contour_calls = contour_batches(trees[0])
     synthetic_quad = kernel_calls(trees[0])
+    shared = shared_sets(trees[0])
     differ = 0
 
     def ml_call(c):
@@ -341,6 +456,17 @@ def main() -> int:
 
     def norm_call(c):
         return lambda fd: (fd.tables.induced_norms, c)
+
+    def shared_call(c):
+        _, alpha, A0, betas, t = c
+
+        def make(fd):
+            ker = fd.kernels.Kernels(alpha, A0)
+            if fd is trees[1] and hasattr(ker, "e_ml_each"):
+                return (lambda: np.array(list(ker.e_ml_each(betas, t))),)
+            return (lambda: np.array([ker.e_ml(b, t) for b in betas]),)
+
+        return make
 
     sections = (
         ("ml_scalar_array", f"{'alpha':>6} {'beta':>6} {'points':>7}",
@@ -380,6 +506,13 @@ def main() -> int:
          lambda i: (f"{synthetic_quad[i][0]:>14} {synthetic_quad[i][1]:6.3f} "
                     f"{synthetic_quad[i][2].shape[0]:2d} "
                     f"{synthetic_quad[i][4]:1d}")),
+        ("Kernels.e_ml per beta (old) vs one Kernels.e_ml_each pass (new)",
+         f"{'point set':>18} {'alpha':>6} {'n':>2} {'betas':>5} "
+         f"{'points':>7}",
+         [shared_call(c) for c in shared],
+         lambda i: (f"{shared[i][0]:>18} {shared[i][1]:6.3f} "
+                    f"{shared[i][2].shape[0]:2d} {len(shared[i][3]):5d} "
+                    f"{shared[i][4].size:7d}")),
     )
     for name, head, calls, label in sections:
         print(f"{name}:\n{'call':>5} {head} {'old_s':>10} {'new_s':>10} "

@@ -115,9 +115,11 @@ class _CertInputs:
             self.l1 = None
             self.numer = self.D = np.full(self.grid.size, math.inf)
             return
-        self.l1 = ker.norm_integrals(self.grid)
-        phis = np.array([ker.phi_j(j, self.grid) for j in range(sys.k)])
-        self.numer = induced_norms(phis.sum(axis=0)) + self.l1 * a_delayed
+        # L1 and every phi_j at the grid from one Mittag-Leffler pass
+        self.l1, phis = ker.l1_and_kernels(
+            self.grid, [(j, j + 1) for j in range(sys.k)])
+        self.numer = (induced_norms(np.array(phis).sum(axis=0))
+                      + self.l1 * a_delayed)
         self.D = self.l1 * a_instant
 
 

@@ -172,19 +172,30 @@ def build_parser() -> _Parser:
 def _run_ml(args, prob) -> int:
     sys_ = prob.system
     ker = _kernels(sys_)
-    t = args.t
+    t, alpha, k = args.t, sys_.alpha, sys_.k
+    ts = np.array([t])
+    # one pass: E_{a,j+1} gives "E" and phi_j = t^j E_{a,j+1}, E_{a,a}
+    # gives phi = t^(a-1) E_{a,a}
+    betas = [j + 1 for j in range(k)] + [alpha]
+    if args.beta is not None:
+        betas.append(args.beta)
+    E = list(ker.e_ml_each(betas, ts))
+
+    def kernel(power, vals):
+        # as Kernels.phi_j and Kernels.phi: zero for t < 0
+        return (vals * (ts ** power)[:, None, None] if t >= 0
+                else np.zeros_like(vals))[0].tolist()
+
     doc = {
-        "alpha": sys_.alpha,
+        "alpha": alpha,
         "t": t,
-        "phi_j": [ker.phi_j(j, np.array([t]))[0].tolist()
-                  for j in range(sys_.k)],
-        "phi": (ker.phi(np.array([t]))[0].tolist() if t != 0 or sys_.alpha >= 1
+        "phi_j": [kernel(j, E[j]) for j in range(k)],
+        "phi": (kernel(alpha - 1.0, E[k]) if t != 0 or alpha >= 1
                 else None),
-        "E": {str(j + 1): ker.e_ml(j + 1, np.array([t]))[0].tolist()
-              for j in range(sys_.k)},
+        "E": {str(j + 1): E[j][0].tolist() for j in range(k)},
     }
     if args.beta is not None:
-        doc["E_beta"] = ker.e_ml(args.beta, np.array([t]))[0].tolist()
+        doc["E_beta"] = E[-1][0].tolist()
     _emit(doc, args.out, "ml.json")
     return 0
 

@@ -29,9 +29,10 @@ sum is what the triangle inequality actually yields, and it is the form that
 holds for every matrix (the variant with ||e^{A0 t^a}|| on the right fails
 already for scalar negative A0, e.g. E_{2,1}(-t^2) = cos t vs e^{-t^2}).
 One summation (``norm_series_ml``) computes every majorant over a whole time
-grid, one E_{a,j+1} table per order serves both ||E|| and ||phi_j||, and
-||e^{A0 t}|| comes from one stacked ``expm`` per grid, a Pade(13) scaling
-and squaring in numpy; only the verifier and ``fit_decay_envelope`` reach it.
+grid, one Mittag-Leffler pass gives phi and every E_{a,j+1}, which serves
+both ||E|| and ||phi_j||, and ||e^{A0 t}|| comes from one stacked ``expm``
+per grid, a Pade(13) scaling and squaring in numpy; only the verifier and
+``fit_decay_envelope`` reach it.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ import numpy as np
 
 from .errors import (KernelNotIntegrable, NotAStabilityMatrix,
                      QuadratureNotConverged, SingularAtZero)
-# ml_scalar_array is not called here (mlf._eig_values calls it):
-# perfbench/test_harness.py reads it
-from .mlf import (_ContourTable, _eig_values, _ml_matrices, eig_factors,
-                  lgamma, ml_scalar_array, rgamma)
+# ml_scalar_array is not called here (mlf._eig_values calls
+# mlf.ml_betas): perfbench/test_harness.py reads it
+from .mlf import (_ContourTable, _eig_values, _ml_matrices, _recombine,
+                  eig_factors, lgamma, ml_scalar_array, rgamma)
 from .system import FractionalDelaySystem, order_index
 from .tables import induced_norm, induced_norms
 
@@ -119,8 +120,11 @@ class Kernels:
     ``cond`` of the basis come from ``eig_factors``.  A monotone kernel
     (``monotone``) takes its L1 from one scalar kernel, every other one
     from the Gram 2-norm of the matrices (``_e_norms``).  The object keeps
-    one table of Mittag-Leffler contours per beta it has evaluated, so the
-    quadrature's levels and the kernels of one certificate share them.
+    one table of Mittag-Leffler contours for every beta it evaluates, so
+    the quadrature's levels, the zero scan and its refinement, the
+    primitives and the phi_j of one certificate share its contours; and
+    ``e_ml_each``, ``scaled_each`` and ``l1_and_kernels`` evaluate every
+    beta that one point set needs in one pass.
     """
 
     def __init__(self, alpha: float, A0: np.ndarray):
@@ -131,7 +135,7 @@ class Kernels:
         self.n = self.A0.shape[0]
         self._fac = eig_factors(self.A0)
         self.lam, _, self._cond = self._fac
-        self._tables = {}       # beta -> _ContourTable
+        self._table = _ContourTable(self.alpha)
 
     @property
     def monotone(self) -> bool:
@@ -182,38 +186,47 @@ class Kernels:
         rho = float(np.min(np.abs(lam.real))) if np.all(lam.real < 0) else 1.0
         T0 = max(20.0, 30.0 * (1.0 / rho) ** (1.0 / min(self.alpha, 1.0)))
         grid = np.concatenate(([0.0], np.geomspace(T0 * 1e-5, T0, 2000)))
-        return float(np.max(induced_norms(np.array(
-            [self.phi_j(j, grid) for j in range(order_index(self.alpha))]))))
+        return float(np.max(induced_norms(np.array(list(self.scaled_each(
+            [(j, j + 1) for j in range(order_index(self.alpha))], grid))))))
 
     def e_ml(self, beta: float, t) -> np.ndarray:
         """E_{alpha,beta}(A0 t^alpha) for an array of t >= 0, shape (N, n, n)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self._e_at(beta, t ** self.alpha)
+        return next(self.e_ml_each((beta,), t))
 
-    def _table(self, beta: float) -> _ContourTable:
-        """The contour table of E_{alpha,beta}, built at its first use."""
-        if beta not in self._tables:
-            self._tables[beta] = _ContourTable(self.alpha, float(beta))
-        return self._tables[beta]
+    def e_ml_each(self, betas, t):
+        """E_{alpha,b}(A0 t^alpha) for an array of t >= 0, one (N, n, n)
+        array per beta b of ``betas`` in turn, from one Mittag-Leffler pass
+        (``mlf._ml_matrices``)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return _ml_matrices(self.alpha, betas, self.A0, self._fac,
+                            t ** self.alpha, self._table)
 
     def _e_at(self, beta: float, u: np.ndarray) -> np.ndarray:
         """E_{alpha,beta}(A0 u) for an array of u >= 0, shape (N, n, n)."""
-        return _ml_matrices(self.alpha, beta, self.A0, self._fac, u,
-                            self._table(beta))
+        return next(_ml_matrices(self.alpha, (beta,), self.A0, self._fac, u,
+                                 self._table))
 
-    def _scaled(self, power: float, beta: float, t) -> np.ndarray:
-        """t^power E_{a,beta}(A0 t^a) for an array of t; zero for t < 0."""
+    def scaled_each(self, terms, t):
+        """t^p E_{a,b}(A0 t^a) for an array of t, one (N, n, n) array per
+        pair (p, b) of ``terms`` in turn, from one Mittag-Leffler pass; zero
+        for t < 0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((t.size, self.n, self.n))
         pos = t >= 0
-        vals = self.e_ml(beta, t[pos])
-        vals *= (t[pos] ** power)[:, None, None]
-        out[pos] = vals
-        return out
+        every = pos.all()
+        at = t if every else t[pos]
+        betas = [beta for _, beta in terms]
+        for (power, _), vals in zip(terms, self.e_ml_each(betas, at)):
+            vals *= (at ** power)[:, None, None]
+            if every:
+                yield vals
+            else:
+                out = np.zeros((t.size, self.n, self.n))
+                out[pos] = vals
+                yield out
 
     def phi_j(self, j: int, t) -> np.ndarray:
         """Initial-data kernel t^j E_{a,j+1}(A0 t^a); zero for t < 0."""
-        return self._scaled(j, j + 1, t)
+        return next(self.scaled_each([(j, j + 1)], t))
 
     def phi(self, t) -> np.ndarray:
         """Forcing kernel t^(a-1) E_{a,a}(A0 t^a); zero for t < 0."""
@@ -221,23 +234,23 @@ class Kernels:
         if self.alpha < 1 and np.any(t == 0):
             raise SingularAtZero(
                 f"phi(0) diverges like t^({self.alpha - 1}) for alpha < 1")
-        return self._scaled(self.alpha - 1.0, self.alpha, t)
+        return next(self.scaled_each([(self.alpha - 1.0, self.alpha)], t))
 
     def int_phi(self, T) -> np.ndarray:
         """Exact primitive integral_0^T phi(s) ds = T^a E_{a,a+1}(A0 T^a)."""
-        return self._scaled(self.alpha, self.alpha + 1, T)
+        return next(self.scaled_each([(self.alpha, self.alpha + 1)], T))
 
-    def int_s_phi(self, T, int_phi: np.ndarray | None = None) -> np.ndarray:
+    def int_s_phi(self, T) -> np.ndarray:
         """Exact primitive integral_0^T s phi(s) ds.
 
         Termwise integration gives T^(a+1) [E_{a,a+1} - E_{a,a+2}](A0 T^a),
-        that is T int_phi(T) - T^(a+1) E_{a,a+2}(A0 T^a); a caller that
-        holds ``int_phi(T)`` passes it to skip evaluating it again.
+        that is T int_phi(T) - T^(a+1) E_{a,a+2}(A0 T^a), both from one
+        pass.
         """
         T = np.atleast_1d(np.asarray(T, dtype=float))
-        if int_phi is None:
-            int_phi = self.int_phi(T)
-        second = self._scaled(self.alpha + 1.0, self.alpha + 2, T)
+        int_phi, second = self.scaled_each(
+            [(self.alpha, self.alpha + 1), (self.alpha + 1.0, self.alpha + 2)],
+            T)
         return T[:, None, None] * int_phi - second
 
     # -- norms of the smooth factor, vectorized -------------------------
@@ -336,20 +349,44 @@ class Kernels:
         last anchor below d_k)|.  Every other kernel takes the quadrature
         (``_norm_quadrature``).
         """
+        return self.l1_and_kernels(deltas, ())[0]
+
+    def l1_and_kernels(self, deltas, terms) -> tuple:
+        """(``norm_integrals(deltas)``, the list of t^p E_{a,b}(A0 t^a) at
+        the deltas, one (K, n, n) array per pair (p, b) of ``terms``).
+
+        Where L1 is exact, the primitive at the anchors and the edges and
+        the kernels at the deltas, which are the last edges, come from one
+        Mittag-Leffler pass over every eigenvalue (lam_max alone without
+        kernels); else the kernels take one pass of their own
+        (``scaled_each``).
+        """
         edges = _edges(deltas)
+        count = np.size(deltas)
+        at = edges[-count:]
         if not (self.monotone or self.n == 1 and self.alpha < 2):
-            return self._norm_quadrature(1, edges)[-np.size(deltas):]
+            return (self._norm_quadrature(1, edges)[-count:],
+                    list(self.scaled_each(terms, at)))
         alpha, lam = self.alpha, self.lam_max
         zeros = self._zeros(edges) if alpha > 1 and lam < 0 else np.empty(0)
         anchors = np.append(0.0, zeros)
         u = np.concatenate((anchors, edges[1:])) ** alpha
-        prim = u * _eig_values(alpha, alpha + 1.0, np.array([lam]), u,
-                               self._table(alpha + 1.0))[:, 0].real
+        # a monotone kernel's spectrum is real: lam_max is one of its
+        # eigenvalues, the only one L1 reads
+        eigs = self.lam if terms else np.array([lam])
+        vals = _eig_values(alpha, [alpha + 1.0] + [b for _, b in terms],
+                           eigs, u, self._table)
+        prim = u * vals[0][:, np.argmax(eigs)].real
         at_anchor, at_edge = prim[:anchors.size], prim[anchors.size:]
         lobes = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(at_anchor)))))
         below = np.searchsorted(anchors, edges[1:]) - 1
         l1 = self._cond * (lobes[below] + np.abs(at_edge - at_anchor[below]))
-        return l1[-np.size(deltas):]
+        kernels = []
+        for (power, _), v in zip(terms, vals[1:]):
+            mats = _recombine(v[-count:], self._fac[1])
+            mats *= (at ** power)[:, None, None]
+            kernels.append(mats)
+        return l1[-count:], kernels
 
     def _norm_quadrature(self, p: int, edges: np.ndarray) -> np.ndarray:
         """integral_0^(e_k) ||phi(s)||_2^p ds, p = 1 or 2, at every edge
@@ -813,12 +850,15 @@ def verify_lemma22(sys, t_grid,
     k = order_index(alpha)
     report = BoundReport(alpha=alpha)
 
-    # one E_{a,j+1} table per order serves ||E|| and ||phi_j|| = ||t^j E||
-    E = np.array([ker.e_ml(j + 1, t_grid) for j in range(k)])
+    # one pass: E_{a,j+1} serves ||E|| and ||phi_j|| = ||t^j E||, and
+    # E_{a,a} gives phi = t^(a-1) E_{a,a}
+    *E, phi = ker.scaled_each([(0, j + 1) for j in range(k)]
+                              + [(alpha - 1.0, alpha)], t_grid)
+    E = np.array(E)
     e_norm = induced_norms(E)
     phi_j_norm = induced_norms(np.array(
         [(t_grid ** j)[:, None, None] * E[j] for j in range(k)]))
-    phi_norm = induced_norms(ker.phi(t_grid))
+    phi_norm = induced_norms(phi)
 
     if envelope is None:
         try:

@@ -40,21 +40,34 @@ For a scalar argument three routes cover the plane, each chosen per point:
   every sample of E_{a,a}(A0 s^a) for a real negative spectrum goes there.
   For b > a the contour loses digits toward z = 0 (6.7e-13 absolute at
   a = 0.99, b = a + 1) and the series keeps those points.  A contour's
-  key is its row of pole bins packed into one integer, 16 bits a pole.
-  The node factors of a call's new contours are computed in one pass and
-  kept as one (factors x contours x nodes) array per kind of point,
-  padded past each contour's last node.  A call's terms come in one pass
-  for its real points and one for its complex ones, whatever the number
-  of contours: the points, ordered by node count and contour, are cut
-  into (nodes x points) blocks of at
-  most 2^14 elements, each padded to the most nodes among its own points,
-  so memory beyond the output is bounded by the block, not by the number
-  of points.  Contours are kept per kernel and per beta: a
-  ``kernels.Kernels`` object holds one table per beta of the contours and
-  node factors it has met, so the levels of its quadrature and its other
-  kernels build only the contours they are missing; a direct
-  ``ml_scalar_array`` call builds a table of its own, dropped with the
-  call.  A value does not depend on what the table held.
+  key is its row of pole bins packed into one integer, 16 bits a pole,
+  and the strength p0 = max(0, 2 (b - a - 1)) of the origin, the one
+  place where the parabola reads beta: betas of one strength share it.
+
+One pass serves every beta that a caller needs at one point set
+(``ml_betas``; ``ml_scalar_array`` is its one-beta case).  What depends
+on (alpha, z) alone comes once for all the betas: the points at 0, the
+poles and their bins, and, for the betas of one strength, the contours,
+the layout of the blocks below, the denominators d - x and (d - x)^2 +
+(Im d)^2 of real z (d - z of complex z), d = s^a, and the logarithms of
+the poles right of the contour.  Each beta adds only its closed forms,
+its series, the numerators of its node factors and its residues, so a
+value has the bits of a one-beta call.
+The node factors of a call's new contours are computed in one pass and
+kept as one (factors x contours x nodes) array per kind of point, padded
+past each contour's last node: its first rows the factors of d that the
+betas share, then those of each beta.  A call's terms come in one pass
+for its real points and one for its complex ones, whatever the number of
+contours and betas: the points, ordered by node count and contour, are
+cut into (nodes x points) blocks of at most 2^14 terms over all the
+betas, each padded to the most nodes among its own points, so memory
+beyond the output is bounded by the block, not by the number of points.
+Contours are kept per kernel: a ``kernels.Kernels`` object holds one
+table of the contours and node factors it has met, for every beta, so
+its quadrature's levels, its zero scan and the kernels of a certificate
+build only the contours they are missing; a direct ``ml_betas`` call
+builds a table of its own, dropped with the call.  A value does not
+depend on what the table held.
 
 The evaluator has one accuracy, set by no argument.  Against a 30-digit
 series for alpha in 0.3..1.8 and the betas 1, alpha, alpha + 1, alpha + 2,
@@ -63,7 +76,8 @@ much relative above, on |z| <= 1 as everywhere else.
 
 Matrix arguments go through the eigendecomposition whenever the eigenvector
 basis is well conditioned (condition number below ``SPECTRAL_THRESHOLD``),
-the real part of sum_k E(lambda_k s) O_k recombined in real arithmetic,
+one scalar pass over every eigenvalue, s and beta, the real part of
+sum_k E(lambda_k s) O_k recombined in real arithmetic one beta at a time,
 otherwise through a truncated matrix power series with a norm-based tail
 bound.
 """
@@ -340,17 +354,26 @@ def _params_beyond(lo, p, log_tol):
     return mu, h, N
 
 
-def _contours(alpha: float, beta: float, bins: np.ndarray):
+def _strength(alpha: float, beta: float) -> float:
+    """p0 = max(0, 2 (beta - alpha - 1)), the strength of the origin as a
+    singularity of e^s s^(a-b) / (s^a - z), and 0 for every p0 below
+    1e-14: ``_contours`` reads so small a p0 only through its p < 1e-14
+    tests, so the betas of one strength share their contours bit for bit."""
+    p0 = 2.0 * (beta - alpha - 1.0)
+    return p0 if p0 >= 1e-14 else 0.0
+
+
+def _contours(p0: float, bins: np.ndarray):
     """Garrappa's contour for each row of pole bins: (mu, h, N).
 
-    Region r lies between singularity r and r + 1 (0 is the origin, poles
-    in order); the one needing the fewest nodes wins, and the target
-    accuracy is relaxed tenfold while every region needs more than 200.
-    A pole enters as the edge of its bin that is nearer the contour, so the
-    true singularities are never closer to it than the rule assumed.
+    Region r lies between singularity r and r + 1 (0 is the origin, of
+    strength ``p0``, poles in order); the one needing the fewest nodes
+    wins, and the target accuracy is relaxed tenfold while every region
+    needs more than 200.  A pole enters as the edge of its bin that is
+    nearer the contour, so the true singularities are never closer to it
+    than the rule assumed.
     """
     U, m = bins.shape
-    p0 = max(0.0, 2.0 * (beta - alpha - 1.0))   # strength of the origin
     if m:
         # bin b covers [2^(b/8), 2^((b+1)/8)); no pole, no edge
         none = bins == _NO_POLE
@@ -390,39 +413,39 @@ def _contours(alpha: float, beta: float, bins: np.ndarray):
     return mu, h, N.astype(int)
 
 
-# the node factors past a contour's last node, for real z (c, cd, d, dd),
-# whose terms (c (d - x) - cd) / ((d - x)^2 + dd) = -0 / (x^2 + 1) are
-# zero, and for complex z (c, d), whose terms _block_sums makes 0 / 1
-_PAD = {True: np.array([0.0, 0.0, 0.0, 1.0])[:, None, None],
-        False: np.zeros((2, 1, 1), dtype=complex)}
-
-
 class _ContourTable:
-    """The contours of one E_{alpha,beta} met so far, and their node factors.
+    """The contours of E_{alpha,b} met so far, for every beta b, and their
+    node factors.
 
-    A contour is keyed by its row of pole bins packed into one integer, 16
-    bits per pole from the nearest up and a missing pole as 0, so the
-    padding of rows with fewer poles changes neither key nor contour.  The
-    table keeps its (mu, h, N) and, once a point has used it, its node
-    factors for real z (c, cd, d, dd) or for complex z (c, d): per kind of
-    point one (factors x contours x nodes) array, row i contour i's,
-    padded past its last node.  A value does not depend on what the table
-    held.
+    A contour is keyed by the strength p0 of the origin (``_strength``) and
+    its row of pole bins packed into one integer, 16 bits per pole from the
+    nearest up and a missing pole as 0, so the padding of rows with fewer
+    poles changes neither key nor contour, and betas of one strength share
+    their contours.  The table keeps every contour's (mu, h, N) and, once a
+    point has used it, its node factors: per kind of point one (factors x
+    contours x nodes) array, padded past each contour's last node, whose
+    first rows hold the factors every beta shares and the rest those of
+    each beta met, in the order met (``nodes``).  A value does not depend
+    on what the table held.
     """
 
-    def __init__(self, alpha: float, beta: float):
-        self.alpha, self.beta = alpha, beta
+    def __init__(self, alpha: float):
+        self.alpha = alpha
         self.mu, self.h = np.empty(0), np.empty(0)
         self.N = np.empty(0, dtype=int)
-        self._index = {}    # packed bins -> contour number
-        # real -> (node factors, mask of the contours that have them)
-        self._nodes = {real: (np.empty((pad.shape[0], 0, 0), dtype=pad.dtype),
-                              np.empty(0, dtype=bool))
-                       for real, pad in _PAD.items()}
+        self._index = {}    # p0 -> packed bins -> contour number
+        self._betas = {}    # beta -> its number among the betas met
+        # (real, betas) -> (rows, mask of the contours that have them)
+        self._rows = {}
+        # real -> node factors
+        self._nodes = {real: np.empty((0, 0, 0),
+                                      dtype=float if real else complex)
+                       for real in (True, False)}
 
-    def contours(self, bins: np.ndarray) -> np.ndarray:
-        """The contour number of every point, from its row of ``bins``; the
-        rows of new contours go through ``_contours`` as one array."""
+    def contours(self, bins: np.ndarray, p0: float) -> np.ndarray:
+        """The contour number of every point, from its row of ``bins`` and
+        the strength ``p0``; the rows of new contours go through
+        ``_contours`` as one array."""
         # |bin| < 2^14, so a pole's code bin + 2^15 is nonzero; past 4 poles
         # the keys outgrow uint64 and are Python ints
         dtype = np.uint64 if bins.shape[1] <= 4 else object
@@ -432,33 +455,49 @@ class _ContourTable:
         keys, first, inverse = np.unique(key, return_index=True,
                                          return_inverse=True)
         keys = keys.tolist()
-        new = [u for u, k in enumerate(keys) if k not in self._index]
+        index = self._index.setdefault(p0, {})
+        new = [u for u, k in enumerate(keys) if k not in index]
         if new:
-            mu, h, N = _contours(self.alpha, self.beta, bins[first[new]])
-            self._index.update(zip((keys[u] for u in new),
-                                   range(self.mu.size, self.mu.size + len(new))))
+            mu, h, N = _contours(p0, bins[first[new]])
+            index.update(zip((keys[u] for u in new),
+                             range(self.mu.size, self.mu.size + len(new))))
             self.mu = np.concatenate((self.mu, mu))
             self.h = np.concatenate((self.h, h))
             self.N = np.concatenate((self.N, N))
-        return np.array([self._index[k] for k in keys])[inverse]
+        return np.array([index[k] for k in keys])[inverse]
 
-    def nodes(self, contour: np.ndarray, real: bool) -> np.ndarray:
-        """Node factors of the table's contours for one kind of point, a
-        (factors x contours x nodes) array, after building those of the
-        contours in ``contour`` that lack them, all in one pass.
+    def nodes(self, contour: np.ndarray, real: bool, betas) -> tuple:
+        """(node factors, rows): the table's node factors for one kind of
+        point, a (factors x contours x nodes) array, after building those
+        of ``betas`` of the contours in ``contour`` that lack them, all in
+        one pass, and the rows that a call of ``betas`` reads.
 
-        c and d = s^a give the terms c / (d - z), nodes s = mu (1 + ihk)^2
-        with |k| <= N, row i from column 0 at k = -N; for real z only
-        k >= 0, from column 0 at k = 0, with c doubled past k = 0 and split
-        into c = Im c, cd = Re c Im d, d = Re d and dd = (Im d)^2.  Columns
-        past a contour's last node hold ``_PAD``, whose terms are exactly
-        zero.
+        With c = e^s s^(a-b) s' and d = s^a, the terms are c / (d - z),
+        nodes s = mu (1 + ihk)^2 with |k| <= N, column 0 at k = -N; for
+        real z only k >= 0, column 0 at k = 0, with c doubled past k = 0.
+        The rows of real z hold the shared d = Re s^a and dd = (Im s^a)^2,
+        then c = Im c and cd = Re c Im s^a of each beta; those of complex z
+        the shared d = s^a, then c of each beta.  Columns past a contour's
+        last node hold factors whose terms are exactly zero: c = cd = d = 0
+        and dd = 1 for real z, and c = d = 0 for complex z, whose terms
+        ``_block_sums`` makes 0 / 1.  A contour's rows are built per set of
+        betas: one that a call of other betas met builds them again, to
+        the same bits.
         """
-        nodes, have = self._nodes[real]
-        if have.size < self.N.size:
-            have = np.concatenate((have, np.zeros(self.N.size - have.size,
-                                                  dtype=bool)))
-        lack = contour[~have[contour]]
+        key = (real, tuple(betas))
+        if key not in self._rows:
+            i = [self._betas.setdefault(float(b), len(self._betas))
+                 for b in betas]
+            rows = ([0, 1] + [r for b in i for r in (2 + 2 * b, 3 + 2 * b)]
+                    if real else [0] + [1 + b for b in i])
+            self._rows[key] = np.array(rows), np.empty(0, dtype=bool)
+        rows, done = self._rows[key]
+        nodes = self._nodes[real]
+        C = self.N.size
+        if done.size < C:
+            done = np.concatenate((done, np.zeros(C - done.size, dtype=bool)))
+            self._rows[key] = rows, done
+        lack = contour[~done[contour]]
         if lack.size:
             new = np.bincount(lack).nonzero()[0]
             size = self.N[new] + 1 if real else 2 * self.N[new] + 1
@@ -471,80 +510,86 @@ class _ContourTable:
             w = 1.0 + 1j * (k * self.h[col])
             s = mu * w * w
             ls = np.log(s)
-            c = np.exp(s + (self.alpha - self.beta) * ls) * (2j * mu * w)
+            shift = np.array([[self.alpha - float(b)] for b in betas])
+            c = np.exp(s + shift * ls) * (2j * mu * w)
             d = np.exp(self.alpha * ls)
             if real:
-                c[k > 0] *= 2.0
-                vals = (c.imag, c.real * d.imag, d.real, d.imag * d.imag)
+                c[:, k > 0] *= 2.0
+                vals = [d.real, d.imag * d.imag]
+                for cb in c:
+                    vals += [cb.imag, cb.real * d.imag]
             else:
-                vals = (c, d)
-            grown = np.empty((len(vals), self.N.size, width),
-                             dtype=float if real else complex)
-            grown[...] = _PAD[real]
-            grown[:, :nodes.shape[1], :nodes.shape[2]] = nodes
-            grown[:, col, row] = vals
-            nodes = grown
-            have[new] = True
-        self._nodes[real] = (nodes, have)
-        return nodes
+                vals = [d, *c]
+            R = (2 if real else 1) * (len(self._betas) + 1)
+            if nodes.shape != (R, C, width):
+                grown = np.zeros((R, C, width), dtype=nodes.dtype)
+                if real:
+                    grown[1] = 1.0
+                grown[:nodes.shape[0], :nodes.shape[1],
+                      :nodes.shape[2]] = nodes
+                nodes = self._nodes[real] = grown
+            nodes[rows[:, None], col, row] = vals
+            done[new] = True
+        return nodes, rows
 
 
 def _block_sums(fac: np.ndarray, z: np.ndarray,
                 pad: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoid sums over the nodes of one block: the rows of the
-    (nodes x points) terms, summed in ascending k.
+    """Trapezoid sums over the nodes of one block, one row per beta: the
+    rows of the (nodes x points) terms, summed in ascending k.
 
-    ``fac`` holds the block's nodes of the ``_ContourTable.nodes`` factors
-    for real z (c, cd, d, dd) or for complex z (c, d), as (factors x nodes
-    x points): one column shared by every point, or one column per point.
-    ``pad`` marks the terms of complex z past a point's own last node,
-    whose denominators are set to 1: with c = 0 there, 0 / 1 is exactly
-    zero, where 0 / (0 - z) is NaN for a z of subnormal size.
+    ``fac`` holds the block's nodes of the ``_ContourTable.nodes`` rows of
+    a call, as (factors x nodes x points): one column shared by every
+    point, or one column per point.  The shared d - x and, for real z,
+    (d - x)^2 + dd are formed once for every beta.  ``pad`` marks the
+    terms of complex z past a point's own last node, whose denominators
+    are set to 1: with c = 0 there, 0 / 1 is exactly zero, where 0 / (0 -
+    z) is NaN for a z of subnormal size.
     """
     # a point at 0 pads a one-column block to two; numpy sums the rows of a
     # C-contiguous block of two columns or more in order, of a one-column
     # or column-major one pairwise
     zs = np.append(z, 0.0) if z.size == 1 else z
-    if len(fac) == 4:
+    # gathered columns come transposed: C order keeps the sum in order
+    e = np.subtract(fac[0], zs, order="C")
+    if fac.dtype.kind == "f":
         # Im c / (d - x) = (Im c (Re d - x) - Re c Im d) / |d - x|^2
-        c, cd, d, dd = fac
-        # gathered columns come transposed: C order keeps the sum in order
-        e = np.subtract(d, zs, order="C")
+        t = np.multiply(fac[2::2], e, order="C")
+        t -= fac[3::2]
         # in place: fewer temporaries of the block's size
-        t = np.multiply(c, e, order="C")
-        t -= cd
         e *= e
-        e += dd
+        e += fac[1]
         t /= e
     else:
-        c, d = fac
-        e = np.subtract(d, zs, order="C")
         if pad is not None:
             e[pad] = 1.0
-        t = np.divide(c, e, out=e)
-    return np.add.reduce(t, axis=0)[:z.size]
+        t = np.divide(fac[1:], e, order="C")
+    return np.add.reduce(t, axis=1)[:, :z.size]
 
 
 def _trapezoid(z: np.ndarray, table: _ContourTable, contour: np.ndarray,
-               real: bool) -> np.ndarray:
+               real: bool, betas) -> np.ndarray:
     """h/(2 pi i) sum_k e^s s^(a-b) s' / (s^a - z), nodes s = mu (1 + ihk)^2,
-    |k| <= N, for every point of ``z`` on its contour of ``table``, whose
-    number ``contour`` holds; every point real or every one complex.
+    |k| <= N, for every beta b of ``betas`` (one row each) and every point
+    of ``z`` on its contour of ``table``, whose number ``contour`` holds;
+    every point real or every one complex.
 
-    One pass for every contour of the call: the points are ordered by node
-    count, then by contour, and cut into (nodes x points) blocks of at most
-    ``_BLOCK`` elements, each padded to the most nodes among its own
-    points.  A contour whose points make ``_BLOCK`` / 8 elements or more
-    takes blocks of its own, which broadcast its factor column: at that
-    size one more block costs less than gathering its columns.  The points
-    of the other contours share blocks, which gather their columns.  The
-    padded terms are exactly zero and each point's own are summed in
-    ascending k, so a value does not depend on the batch, and memory
-    beyond the output is bounded by the block.  For real z the nodes k and
-    -k are conjugate: only k >= 0 is summed, and only the imaginary part,
-    in real arithmetic.
+    One pass for every contour and beta of the call: the points are
+    ordered by node count, then by contour, and cut into (nodes x points)
+    blocks, each padded to the most nodes among its own points, that hold
+    at most ``_BLOCK`` terms over all the betas.  A contour whose points
+    make ``_BLOCK`` / 8 terms or more takes blocks of its own, which
+    broadcast its factor column: at that size one more block costs less
+    than gathering its columns.  The points of the other contours share
+    blocks, which gather their columns.  The padded terms are exactly zero
+    and each point's own are summed in ascending k, so a value depends
+    neither on the batch nor on the other betas, and memory beyond the
+    output is bounded by the block.  For real z the nodes k and -k are
+    conjugate: only k >= 0 is summed, and only the imaginary part, in real
+    arithmetic.
     """
-    nodes = table.nodes(contour, real)
+    nodes, rows = table.nodes(contour, real, betas)
+    B = len(betas)
     N = table.N
     size = N + 1 if real else 2 * N + 1
     step = table.h / (2.0 * np.pi)
@@ -561,61 +606,99 @@ def _trapezoid(z: np.ndarray, table: _ContourTable, contour: np.ndarray,
     count = np.bincount(contour, minlength=N.size)[by]
     used = count > 0
     run, count = by[used], count[used]
-    rows = size[run].repeat(count)
+    rows_of = size[run].repeat(count)
     # the block from point i holds the points j from i on with
-    # (j - i + 1) rows[j] <= _BLOCK, i.e. last[j] <= i: last increases
-    last = np.arange(1, z.size + 1) - (_BLOCK // size[run]).repeat(count)
+    # (j - i + 1) B rows[j] <= _BLOCK, i.e. last[j] <= i, and at least
+    # point i itself
+    last = np.arange(1, z.size + 1) - np.maximum(
+        _BLOCK // (B * size[run]), 1).repeat(count)
     if run.size > 1:
         # a block also starts at each run that takes blocks of its own and
         # at the run after it
-        own = 8 * count * size[run] >= _BLOCK
+        own = 8 * B * count * size[run] >= _BLOCK
         own[1:] |= own[:-1]
         begin = np.maximum.accumulate((count.cumsum() - count) * own)
         np.maximum(last, begin.repeat(count), out=last)
-    sums = np.empty(z.size, dtype=zs.dtype)
+    sums = np.empty((B, z.size), dtype=zs.dtype)
     start = 0
     while start < z.size:
         stop = int(last.searchsorted(start, side="right"))
-        n, i, pad = int(rows[stop - 1]), cont[start], None
+        n, i, pad = int(rows_of[stop - 1]), cont[start], None
         if i == cont[stop - 1]:
-            fac = nodes[:, i, :n, None]
+            fac = nodes[rows, i, :n, None]
         else:
-            fac = nodes[:, cont[start:stop], :n].transpose(0, 2, 1)
+            fac = nodes[rows[:, None], cont[start:stop], :n].transpose(0, 2, 1)
             if not real:
-                pad = np.arange(n)[:, None] >= rows[start:stop]
-        sums[start:stop] = _block_sums(fac, zs[start:stop], pad)
+                pad = np.arange(n)[:, None] >= rows_of[start:stop]
+        sums[:, start:stop] = _block_sums(fac, zs[start:stop], pad)
         start = stop
     out = np.empty_like(sums)
-    out[order] = step[cont] * sums
+    out[:, order] = step[cont] * sums
     return out
 
 
-def _contour_values(table: _ContourTable, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) for nonzero z by the contour integral, alpha and
-    beta those of ``table``.
+def _contour_values(table: _ContourTable, betas, z: np.ndarray,
+                    need: np.ndarray) -> np.ndarray:
+    """E_{alpha,b}(z) for nonzero z by the contour integral, one row per
+    beta b of ``betas``, alpha that of ``table``, wherever ``need``
+    (betas x points) asks for it; the other entries are left unset.
 
-    Points whose poles fall in the same bins share one contour of the table.
+    The poles come once for every point, and the betas of one strength
+    (``_strength``) share one pass of ``_strength_values`` over the points
+    that any of them needs.
     """
-    alpha, beta = table.alpha, table.beta
-    poles, phi, bins = _singularities(alpha, z)
-    contour = table.contours(bins)
+    poles, phi, bins = _singularities(table.alpha, z)
+    groups = {}
+    for i, (beta, some) in enumerate(zip(betas, need.any(axis=1))):
+        if some:
+            groups.setdefault(_strength(table.alpha, beta), []).append(i)
+    if list(groups.values()) == [list(range(len(betas)))]:
+        (p0,) = groups
+        return _strength_values(table, p0, betas, z, poles, phi, bins)
+    out = np.empty((len(betas), z.size), dtype=complex)
+    for p0, rows in groups.items():
+        sel = np.flatnonzero(need[rows].any(axis=0))
+        out[np.array(rows)[:, None], sel] = _strength_values(
+            table, p0, [betas[i] for i in rows], z[sel], poles[sel],
+            phi[sel], bins[sel])
+    return out
+
+
+def _strength_values(table: _ContourTable, p0: float, betas, z, poles, phi,
+                     bins) -> np.ndarray:
+    """E_{alpha,b}(z) for nonzero z by the contour integral, one row per
+    beta b of ``betas``, each of strength ``p0``; ``poles``, ``phi`` and
+    ``bins`` are ``_singularities(alpha, z)``.
+
+    Points whose poles fall in the same bins share one contour of the
+    table; every beta takes the same contours and adds the residues of
+    the poles right of them, whose logarithms the betas share.
+    """
+    contour = table.contours(bins, p0)
     real = z.imag == 0
-    out = np.empty(z.size, dtype=complex)
-    # one pass for the real points, one for the complex ones
-    for kind, sel in ((True, real), (False, ~real)):
-        if sel.all():
-            out[:] = _trapezoid(z, table, contour, kind)
-        elif sel.any():
-            idx = np.flatnonzero(sel)
-            out[idx] = _trapezoid(z[idx], table, contour[idx], kind)
-    # residues of the poles right of the contour
-    mu = table.mu[contour]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(poles.shape[1]):
-            right = np.isfinite(phi[:, i]) & (phi[:, i] > mu)
-            s = poles[right, i]
-            out[right] += np.exp(s + (1.0 - beta) * np.log(s)) / alpha
-    out[real] = out[real].real
+    count = np.count_nonzero(real)
+    # one pass for the real points, one for the complex ones; the real
+    # sums are real, so their values are too until a residue is added
+    if count in (0, z.size):
+        out = _trapezoid(z, table, contour, count > 0, betas).astype(
+            complex, copy=False)
+    else:
+        out = np.empty((len(betas), z.size), dtype=complex)
+        for kind, idx in ((True, np.flatnonzero(real)),
+                          (False, np.flatnonzero(~real))):
+            out[:, idx] = _trapezoid(z[idx], table, contour[idx], kind,
+                                     betas)
+    if poles.shape[1]:
+        # residues of the poles right of the contour
+        mu = table.mu[contour]
+        shift = 1.0 - np.array([[float(b)] for b in betas])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(poles.shape[1]):
+                right = (phi[:, i] > mu) & (phi[:, i] < np.inf)
+                s = poles[right, i]
+                out[:, right] += np.exp(s + shift * np.log(s)) / table.alpha
+        if count:
+            out.imag[:, real] = 0.0
     return out
 
 
@@ -640,6 +723,8 @@ def _identity_path(alpha: float, beta: float, z: np.ndarray):
     The mask is chosen per point, so a value never depends on the other
     points of the same call.
     """
+    if alpha not in (1.0, 2.0):
+        return None
     z = np.asarray(z, dtype=complex)
     everywhere = np.ones(z.shape, dtype=bool)
     if alpha == 1.0:
@@ -679,52 +764,71 @@ def _identity_path(alpha: float, beta: float, z: np.ndarray):
 # public scalar / array evaluation
 # ---------------------------------------------------------------------------
 
-def ml_scalar_array(alpha: float, beta: float, z, *,
-                    _table: _ContourTable | None = None) -> np.ndarray:
-    """Vectorized E_{alpha,beta} over an array of complex arguments.
+def ml_betas(alpha: float, betas, z, *,
+             _table: _ContourTable | None = None) -> np.ndarray:
+    """E_{alpha,b} for every beta b of ``betas`` over an array of complex
+    arguments, in one pass: shape (len(betas),) + z.shape.
 
     Closed forms serve integer orders, the power series |z| <= 1 where it
     keeps its digits, and the contour integral every other point; a real
     z < 0 with 0 < beta <= alpha < 1 has no pole on the principal sheet and
     takes the shared pole-free contour, cheaper there than the series and
-    as accurate (see the module docstring).  Each value depends on its own
-    point only.  A real z whose value exceeds double range gives inf; a
-    complex one raises OverflowBeyondRepresentableRange.  The contours come
-    from ``_table`` when a kernel passes the one it keeps for (alpha, beta),
-    else from a table of this call's own.
+    as accurate (see the module docstring).  The betas share what depends
+    on (alpha, z) alone: the points at 0, the poles and, for the betas of
+    one strength (``_strength``), the contours, the blocks of the
+    trapezoidal rule and their denominators.  Each value depends on its own
+    point and beta only, so it has the bits of a call of that beta alone.
+    A real z whose value exceeds double range gives inf; a complex one
+    raises OverflowBeyondRepresentableRange, for the first beta in order
+    that has one.  The contours come from ``_table`` when a kernel passes
+    the one it keeps for alpha, else from a table of this call's own.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    vals = np.empty(flat.shape, dtype=complex)
-    todo = np.ones(flat.shape, dtype=bool)
-    ident = _identity_path(alpha, beta, flat)
-    if ident is not None:
-        vals[ident[1]] = ident[0][ident[1]]
-        todo &= ~ident[1]
-    zero = todo & (flat == 0)
-    vals[zero] = rgamma(beta)
-    todo &= ~zero
-    near = todo & (np.abs(flat) <= 1.0)
-    if alpha < 1.0 and 0.0 < beta <= alpha:
-        # no pole on the principal sheet: one shared contour is cheaper
-        near &= ~((flat.imag == 0) & (flat.real < 0))
-    near = np.flatnonzero(near)
-    if near.size:
-        vs, es = _series_double(alpha, beta, flat[near])
-        ok = es <= _SERIES_ACCEPT
-        vals[near[ok]] = vs[ok]
-        todo[near[ok]] = False
+    vals = np.empty((len(betas), flat.size), dtype=complex)
+    todo = np.empty(vals.shape, dtype=bool)
+    zero = flat == 0
+    near = ~zero & (np.abs(flat) <= 1.0)
+    for i, beta in enumerate(betas):
+        todo[i] = ~zero
+        vals[i, zero] = rgamma(beta)
+        ident = _identity_path(alpha, beta, flat)
+        if ident is not None:
+            vals[i, ident[1]] = ident[0][ident[1]]
+            todo[i] &= ~ident[1]
+        series = todo[i] & near
+        if alpha < 1.0 and 0.0 < beta <= alpha:
+            # no pole on the principal sheet: one shared contour is
+            # cheaper than the series
+            series &= (flat.imag != 0) | (flat.real >= 0)
+        series = np.flatnonzero(series)
+        if series.size:
+            vs, es = _series_double(alpha, beta, flat[series])
+            ok = es <= _SERIES_ACCEPT
+            vals[i, series[ok]] = vs[ok]
+            todo[i, series[ok]] = False
     if todo.any():
-        if _table is None:
-            _table = _ContourTable(alpha, beta)
-        vals[todo] = _contour_values(_table, flat[todo])
+        cols = np.flatnonzero(todo.any(axis=0))
+        need = todo[:, cols]
+        vals[todo] = _contour_values(
+            _table if _table is not None else _ContourTable(alpha), betas,
+            flat[cols], need)[need]
     lost = ~np.isfinite(vals) & (flat.imag != 0)
     if lost.any():
+        i, j = np.argwhere(lost)[0]
         raise OverflowBeyondRepresentableRange(
-            f"E_{{{alpha},{beta}}}{complex(flat[lost][0])} exceeds double range")
-    return vals.reshape(z.shape)
+            f"E_{{{alpha},{betas[i]}}}{complex(flat[j])} exceeds double "
+            f"range")
+    return vals.reshape((len(betas),) + z.shape)
+
+
+def ml_scalar_array(alpha: float, beta: float, z, *,
+                    _table: _ContourTable | None = None) -> np.ndarray:
+    """Vectorized E_{alpha,beta} over an array of complex arguments: the
+    one-beta pass of ``ml_betas``."""
+    return ml_betas(alpha, (beta,), z, _table=_table)[0]
 
 
 def ml_scalar(alpha: float, beta: float, z: complex) -> complex:
@@ -808,48 +912,64 @@ def _finite(alpha: float, beta: float, scale: np.ndarray,
     return vals
 
 
-def _eig_values(alpha: float, beta: float, lam: np.ndarray,
-                scale: np.ndarray, table: _ContourTable | None = None
-                ) -> np.ndarray:
-    """E_{alpha,beta}(lambda_k s) for every s in ``scale`` and eigenvalue
-    lambda_k of a real matrix, shape (N, n): one scalar call over every
-    eigenvalue with Im lambda_k >= 0 times every s, its contours from
-    ``table`` when given.  The other member of a conjugate pair takes the
-    conjugate values, since E(conj z) = conj E(z) for real alpha, beta.
-    A value beyond double range raises OverflowBeyondRepresentableRange."""
+def _eig_values(alpha: float, betas, lam: np.ndarray, scale: np.ndarray,
+                table: _ContourTable | None = None) -> np.ndarray:
+    """E_{alpha,b}(lambda_k s) for each beta b of ``betas``, every s in
+    ``scale`` and eigenvalue lambda_k of a real matrix, shape (B, N, n):
+    one ``ml_betas`` pass over every eigenvalue with Im lambda_k >= 0 times
+    every s, its contours from ``table`` when given.  The other member of
+    a conjugate pair takes the conjugate values, since E(conj z) = conj
+    E(z) for real alpha, beta.  A value beyond double range raises
+    OverflowBeyondRepresentableRange, for the first beta in order that has
+    one."""
     upper = lam.imag >= 0
-    vals = np.empty((lam.size, scale.size), dtype=complex)
-    vals[upper] = ml_scalar_array(alpha, beta, np.multiply.outer(
+    vals = np.empty((len(betas), lam.size, scale.size), dtype=complex)
+    vals[:, upper] = ml_betas(alpha, betas, np.multiply.outer(
         lam[upper], scale), _table=table)
     # eig returns the pairs of a real matrix as exact conjugates
     pair = np.argmax(lam == lam[:, None].conj(), axis=1)
-    vals[~upper] = vals[pair[~upper]].conj()
-    return _finite(alpha, beta, scale, vals.T)
+    vals[:, ~upper] = vals[:, pair[~upper]].conj()
+    vals = vals.transpose(0, 2, 1)
+    lost = ~np.isfinite(vals).all(axis=2)
+    if lost.any():
+        i = int(np.argmax(lost.any(axis=1)))
+        _finite(alpha, betas[i], scale, vals[i])
+    return vals
 
 
-def _ml_matrices(alpha: float, beta: float, A: np.ndarray, fac,
-                 scale: np.ndarray, table: _ContourTable | None = None
-                 ) -> np.ndarray:
-    """E_{alpha,beta}(A s) for every s in ``scale``, shape (N, n, n).
+def _recombine(vals: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Re sum_k f_k O_k in real arithmetic, shape (N, n, n), from the
+    values f_k (N, n) at the eigenvalues and the factors O_k of
+    ``eig_factors``."""
+    n = factors.shape[1]
+    F = factors.reshape(factors.shape[0], n * n)
+    out = vals.real @ F.real
+    if np.iscomplexobj(F):
+        out -= vals.imag @ F.imag
+    return out.reshape(vals.shape[0], n, n)
 
-    ``fac`` is ``eig_factors(A)``: with factors, the eigenvalue values of
-    ``_eig_values`` and Re sum_k f_k O_k in real arithmetic; else the
-    matrix series per s.  An eigenvalue term (recombined, inf - inf or inf
-    times 0) or a series value beyond double range raises
+
+def _ml_matrices(alpha: float, betas, A: np.ndarray, fac, scale: np.ndarray,
+                 table: _ContourTable | None = None):
+    """E_{alpha,b}(A s) for every s in ``scale``, one (N, n, n) array per
+    beta b of ``betas``, in turn.
+
+    ``fac`` is ``eig_factors(A)``: with factors, one ``_eig_values`` pass
+    for every beta, recombined (``_recombine``) one beta at a time, so no
+    stack of every beta's matrices is held; else the matrix series per s
+    and beta.  An eigenvalue or a series value beyond double range raises
     OverflowBeyondRepresentableRange.
     """
     lam, factors, _ = fac
     n = A.shape[0]
     if factors is None:
-        vals = np.array([np.real(_ml_matrix_series(alpha, beta, A * s))
-                         for s in scale]).reshape(scale.size, n * n)
-        return _finite(alpha, beta, scale, vals).reshape(scale.size, n, n)
-    vals = _eig_values(alpha, beta, lam, scale, table)
-    F = factors.reshape(lam.size, n * n)
-    out = vals.real @ F.real
-    if np.iscomplexobj(F):
-        out -= vals.imag @ F.imag
-    return out.reshape(scale.size, n, n)
+        for beta in betas:
+            vals = np.array([np.real(_ml_matrix_series(alpha, beta, A * s))
+                             for s in scale]).reshape(scale.size, n * n)
+            yield _finite(alpha, beta, scale, vals).reshape(scale.size, n, n)
+        return
+    for vals in _eig_values(alpha, betas, lam, scale, table):
+        yield _recombine(vals, factors)
 
 
 def ml_matrix(alpha: float, beta: float, A: np.ndarray, t: float) -> np.ndarray:
@@ -859,5 +979,5 @@ def ml_matrix(alpha: float, beta: float, A: np.ndarray, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("t must be nonnegative")
     A = np.asarray(A, dtype=float)
-    return _ml_matrices(alpha, beta, A, eig_factors(A),
-                        np.array([t ** alpha]))[0]
+    return next(_ml_matrices(alpha, (beta,), A, eig_factors(A),
+                             np.array([t ** alpha])))[0]

@@ -260,21 +260,29 @@ class _Discretization(_Sampling):
         super().__init__(prob, grid)
         sys = prob.system
 
-        # initial-data term f_m = sum_j phi_j(t_m) x_j0
+        # every kernel at the nodes T from one Mittag-Leffler pass: phi_j,
+        # int_phi = T^a E_{a,a+1} and T^(a+1) E_{a,a+2}, one at a time
         ker = _kernels(sys)
+        alpha, T = ker.alpha, self.times
+        kernels = ker.scaled_each([(j, j + 1) for j in range(sys.k)]
+                                  + [(alpha, alpha + 1),
+                                     (alpha + 1.0, alpha + 2)], T)
+
+        # initial-data term f_m = sum_j phi_j(t_m) x_j0
         x0 = prob.ics.x0
         self.f = np.zeros((self.L + 1, self.n))
         for j in range(sys.k):
-            mats = ker.phi_j(j, self.times)
-            self.f += np.einsum("qij,j->qi", mats, x0[j])
+            self.f += np.einsum("qij,j->qi", next(kernels), x0[j])
 
         # per-gap quadrature weights of the matrix kernel: the cell g steps
         # back weighs its older node with Wl(g), its newer with Wr(g), so
         # node q >= 1 gets K(m - q) = Wl(m - q) + Wr(m - q + 1), K(0) = Wr(1)
-        # (built in place: these tables set the solver's peak memory)
-        T = self.dt * np.arange(self.L + 1, dtype=float)
-        P0 = ker.int_phi(T)
-        P1 = ker.int_s_phi(T, int_phi=P0)
+        # (built in place: these tables set the solver's peak memory);
+        # int_s_phi = T int_phi - T^(a+1) E_{a,a+2} (``Kernels.int_s_phi``)
+        P0 = next(kernels)
+        P1 = T[:, None, None] * P0
+        P1 -= next(kernels)
+        del kernels     # and the pass's values with it
         m0 = P0[1:] - P0[:-1]
         del P0
         self.Wl = np.zeros((self.L + 1, self.n, self.n))

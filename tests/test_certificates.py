@@ -630,30 +630,23 @@ class TestDelayFreeBounds:
             delay_free_certify(scalar_problem(0.8, 0.5))
 
     def test_gate_runs_before_kernel_sampling(self, monkeypatch):
-        calls = []
-        phi_j = kernels.Kernels.phi_j
-
-        def counted(self, j, t):
-            calls.append(np.size(t))
-            return phi_j(self, j, t)
-
-        monkeypatch.setattr(kernels.Kernels, "phi_j", counted)
+        calls = self.sampled(monkeypatch)
         with pytest.raises(KernelNotIntegrable, match="not integrable"):
             delay_free_certify(scalar_problem(0.8, 0.5))
         assert calls == []
 
     @staticmethod
     def sampled(monkeypatch):
-        """The sizes of the Kernels.e_ml and Kernels.phi_j calls to come."""
-        calls = {"e_ml": [], "phi_j": []}
-        for name in calls:
-            method = getattr(kernels.Kernels, name)
+        """(betas, points) of the Kernels.e_ml_each passes to come, which
+        every kernel sample of a certificate takes."""
+        calls = []
+        method = kernels.Kernels.e_ml_each
 
-            def counted(self, first, t, name=name, method=method):
-                calls[name].append(np.size(t))
-                return method(self, first, t)
+        def counted(self, betas, t):
+            calls.append((len(betas), np.size(t)))
+            return method(self, betas, t)
 
-            monkeypatch.setattr(kernels.Kernels, name, counted)
+        monkeypatch.setattr(kernels.Kernels, "e_ml_each", counted)
         return calls
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
@@ -669,7 +662,7 @@ class TestDelayFreeBounds:
                                           b=1.0, control=fb), -1.0)):
             b = delay_free_certify(prob)
             assert b.K0_bar == 1.0 and b.K1_bar == 1.0 / abs(lam)
-        assert calls == {"e_ml": [], "phi_j": []}
+        assert calls == []
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     def test_normal_kernel_takes_exact_constants(self, monkeypatch, alpha):
@@ -687,7 +680,7 @@ class TestDelayFreeBounds:
         assert b.K0_bar == ker._cond == pytest.approx(1.0, abs=1e-15)
         assert b.K1_bar == ker._cond / abs(ker.lam_max)
         assert b.K1_bar == pytest.approx(1.0 / 0.8, rel=1e-14)
-        assert calls == {"e_ml": [], "phi_j": []}
+        assert calls == []
         # certify takes the same kernel's L1 grid without quadrature
         quad = []
         integrate = kernels.weighted_singular_integral
@@ -703,13 +696,13 @@ class TestDelayFreeBounds:
     ])
     def test_other_kernels_sample_k0(self, monkeypatch, alpha, A0):
         # a matrix kernel, or one of order above 1: K0 is the largest of
-        # 2,001 samples of every phi_j
+        # 2,001 samples of every phi_j, all from one pass
         k = math.ceil(alpha)
         phi = [const_phi(np.ones(len(A0)), 0.0)] * k
         prob = validate_system(alpha, [0.0], [np.array(A0)], phi=phi)
         calls = self.sampled(monkeypatch)
         b = delay_free_certify(prob)
-        assert calls["phi_j"] == [2001] * k
+        assert [c for c in calls if c[1] == 2001] == [(k, 2001)]
         assert b.K0_bar >= 1.0
 
     def test_zero_eigenvalue_is_not_integrable(self):

@@ -110,6 +110,38 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["phi_j"][0][0][0] == pytest.approx(0.4275836, abs=5e-8)
 
+    @pytest.mark.parametrize("t", [0.7, 0.0])
+    def test_ml_is_one_pass(self, monkeypatch, t):
+        # E_{a,j+1} serves "E" and "phi_j", E_{a,a} "phi": one pass over
+        # the betas, with the values of the kernels' own methods
+        passes = []
+        e_ml_each = Kernels.e_ml_each
+
+        def counted(self, betas, ts):
+            passes.append(list(betas))
+            return e_ml_each(self, betas, ts)
+
+        monkeypatch.setattr(Kernels, "e_ml_each", counted)
+        path = f"{FIXTURES}/frac_nodelay.json"
+        code, out = run_cli("ml", "--problem", path, "--t", str(t),
+                            "--beta", "1.5")
+        assert code == 0
+        monkeypatch.undo()
+        prob = load_problem(path)
+        alpha, k = prob.system.alpha, prob.system.k
+        assert passes == [[j + 1 for j in range(k)] + [alpha, 1.5]]
+        ker = Kernels(alpha, prob.system.kernel_matrix)
+        ts = np.array([t])
+        expect = {
+            "alpha": alpha, "t": t,
+            "phi_j": [ker.phi_j(j, ts)[0].tolist() for j in range(k)],
+            "phi": (ker.phi(ts)[0].tolist() if t != 0 or alpha >= 1
+                    else None),
+            "E": {str(j + 1): ker.e_ml(j + 1, ts)[0].tolist()
+                  for j in range(k)},
+            "E_beta": ker.e_ml(1.5, ts)[0].tolist()}
+        assert out.strip() == dump_json(expect).strip()
+
     def test_verify_bounds(self):
         code, out = run_cli("verify-bounds", "--problem",
                             f"{FIXTURES}/frac_nodelay.json")

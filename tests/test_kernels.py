@@ -829,6 +829,112 @@ class TestLastZero:
         assert nodes < all_nodes / 5
 
 
+# kernels of the shared pass: scalar ones of every band, a normal one, a
+# non-normal one and one with a conjugate pair of eigenvalues
+SHARED_KERNELS = [
+    (0.3, [[-0.7]]), (0.6, [[-math.sqrt(0.3)]]), (0.95, [[-2.0, 0.5],
+                                                         [0.0, -0.6]]),
+    (1.0, [[-1.0]]), (1.2, [[-math.sqrt(0.3)]]),
+    (1.5, [[-1.0, 2.0], [-2.0, -1.0]]), (1.9, [[-0.8]]),
+    (2.0, [[-1.0, 0.3], [0.0, -2.0]]),
+]
+
+
+class TestSharedKernelPass:
+    """Every kernel of one point set comes from one Mittag-Leffler pass,
+    with the bits of its one-beta evaluation on a kernel of its own."""
+
+    @staticmethod
+    def fresh(alpha, A0):
+        return Kernels(alpha, np.array(A0, dtype=float))
+
+    @pytest.mark.parametrize("alpha, A0", SHARED_KERNELS)
+    def test_scaled_kernels_keep_their_bits(self, alpha, A0):
+        # phi_j, int_phi and the second primitive of the march, at times
+        # below 0, at 0 and past it, from one pass
+        t = np.concatenate(([-0.5, 0.0], np.geomspace(1e-3, 60.0, 40)))
+        k = math.ceil(alpha - 1e-12)
+        terms = ([(j, j + 1) for j in range(k)]
+                 + [(alpha, alpha + 1), (alpha + 1.0, alpha + 2)])
+        shared = list(self.fresh(alpha, A0).scaled_each(terms, t))
+        for j in range(k):
+            one = self.fresh(alpha, A0).phi_j(j, t)
+            assert shared[j].tolist() == one.tolist(), j
+        one = self.fresh(alpha, A0).int_phi(t)
+        assert shared[k].tolist() == one.tolist()
+        T = t[t >= 0]
+        second = self.fresh(alpha, A0).e_ml(alpha + 2, T)
+        second *= (T ** (alpha + 1.0))[:, None, None]
+        assert shared[k + 1][t >= 0].tolist() == second.tolist()
+        assert not shared[k + 1][t < 0].any()
+        # int_s_phi takes both primitives from one pass
+        ref = T[:, None, None] * self.fresh(alpha, A0).int_phi(T) - second
+        assert self.fresh(alpha, A0).int_s_phi(T).tolist() == ref.tolist()
+
+    @pytest.mark.parametrize("alpha, A0", SHARED_KERNELS)
+    def test_e_ml_each_keeps_their_bits(self, alpha, A0):
+        t = np.geomspace(1e-3, 60.0, 30)
+        betas = [1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0]
+        got = list(self.fresh(alpha, A0).e_ml_each(betas, t))
+        for beta, mats in zip(betas, got):
+            one = self.fresh(alpha, A0).e_ml(beta, t)
+            assert mats.tolist() == one.tolist(), beta
+
+    @pytest.mark.parametrize("alpha, A0", [
+        (0.6, [[-math.sqrt(0.3)]]), (0.95, [[-0.8, 0.0], [0.0, -2.0]]),
+        (1.2, [[-math.sqrt(0.3)]]), (1.5, [[-1.0]]),
+        (0.7, [[-1.0, 0.5], [0.0, -2.0]])])
+    def test_l1_and_kernels_keep_their_bits(self, alpha, A0):
+        # the exact L1 (monotone or scalar kernels) reads the primitive from
+        # the pass of the phi_j; the quadrature (the non-normal kernel) does
+        # not, and its phi_j take a pass of their own
+        for deltas in (list(DEFAULT_DELTA_GRID), [2.5]):
+            k = math.ceil(alpha - 1e-12)
+            l1, phis = self.fresh(alpha, A0).l1_and_kernels(
+                deltas, [(j, j + 1) for j in range(k)])
+            ref = self.fresh(alpha, A0).norm_integrals(deltas)
+            assert l1.tolist() == ref.tolist()
+            for j in range(k):
+                one = self.fresh(alpha, A0).phi_j(j, deltas)
+                assert phis[j].tolist() == one.tolist(), j
+
+    def test_certify_builds_each_contour_once(self, monkeypatch):
+        # certify-grid's op 3: alpha 1.2, A0 = -sqrt(0.3).  The zero scan,
+        # its refinement, the primitive, phi_0, phi_1 and K1 share one
+        # table: no row of pole bins goes through _contours twice
+        rows = []
+        contours = mlf._contours
+
+        def counted(p0, bins):
+            rows.extend((p0, tuple(row)) for row in bins.tolist())
+            return contours(p0, bins)
+
+        monkeypatch.setattr(mlf, "_contours", counted)
+        phi = [const_phi([1.0], 0.7)] * 2
+        report = certify(validate_system(
+            1.2, [0.0, 0.7], [np.array([[-math.sqrt(0.3)]]),
+                              np.array([[0.05]])], phi=phi))
+        assert report.verdict == "ContractiveGAS"
+        assert len(rows) > 24
+        assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.9])
+    def test_certify_builds_the_pole_free_contour_once(self, monkeypatch,
+                                                       alpha):
+        # at alpha <= 1 the primitive and phi_0 of a scalar kernel share
+        # the one contour of their points, which have no pole
+        built = []
+        contours = mlf._contours
+
+        def counted(p0, bins):
+            built.append((p0, bins.shape))
+            return contours(p0, bins)
+
+        monkeypatch.setattr(mlf, "_contours", counted)
+        certify(scalar_problem(alpha, -math.sqrt(0.3), 0.05, r1=0.7))
+        assert built == [(0.0, (1, 0))]
+
+
 def forbid_evaluation(monkeypatch):
     def fail(*args):
         raise AssertionError("kernel evaluated")
@@ -1048,20 +1154,20 @@ class TestLemmaVerifier:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
     def test_each_table_evaluated_once(self, monkeypatch, alpha):
-        # one E_{a,j+1} table per order (shared by ||E|| and ||phi_j||) plus
-        # the phi table; one stacked expm per grid of times
-        calls = {"e_ml": 0, "expm": 0}
-        e_ml, expm = Kernels.e_ml, kernels.expm
+        # one Mittag-Leffler pass for every E_{a,j+1} (shared by ||E|| and
+        # ||phi_j||) and phi's E_{a,a}; one stacked expm per grid of times
+        calls = {"passes": [], "expm": 0}
+        passes, expm = kernels._ml_matrices, kernels.expm
 
-        def count_e_ml(*args, **kwargs):
-            calls["e_ml"] += 1
-            return e_ml(*args, **kwargs)
+        def count_passes(alpha, betas, *args):
+            calls["passes"].append(list(betas))
+            return passes(alpha, betas, *args)
 
         def count_expm(*args, **kwargs):
             calls["expm"] += 1
             return expm(*args, **kwargs)
 
-        monkeypatch.setattr(Kernels, "e_ml", count_e_ml)
+        monkeypatch.setattr(kernels, "_ml_matrices", count_passes)
         monkeypatch.setattr(kernels, "expm", count_expm)
         A0 = np.array([[-1.0, 0.5, 0.0], [0.0, -1.5, 0.3], [0.2, 0.0, -2.0]])
         grid = np.linspace(1.0, 10.0, 20)
@@ -1071,7 +1177,8 @@ class TestLemmaVerifier:
         assert rep.all_passed
         k = math.ceil(alpha)
         # ||e^{A0 t}|| on the grid and on its powers t^alpha
-        assert calls == {"e_ml": k + 1, "expm": 2}
+        assert calls == {"passes": [[j + 1 for j in range(k)] + [alpha]],
+                         "expm": 2}
 
 
 def test_norm_series_ml_vector_matches_points():

@@ -320,13 +320,19 @@ def probe_points(alpha):
     return np.array(zs, dtype=complex)
 
 
-def per_node_trapezoid(z, table, contour, real):
-    """``mlf._trapezoid`` node by node: at each k, every point whose
-    contour (numbered in ``contour``) has node k adds its term; the table
-    gives only each contour's (mu, h, N), no node factor.  The nodes are
-    arrays over the points, as numpy's scalar complex exp and log may
-    round differently from its array loops."""
-    alpha, beta = table.alpha, table.beta
+def per_node_trapezoid(z, table, contour, real, betas):
+    """``mlf._trapezoid`` node by node, one beta at a time, one row per
+    beta: at each k, every point whose contour (numbered in ``contour``)
+    has node k adds its term; the table gives only each contour's (mu, h,
+    N), no node factor.  The nodes are arrays over the points, as numpy's
+    scalar complex exp and log may round differently from its array
+    loops."""
+    return np.array([per_node_one(z, table, contour, real, beta)
+                     for beta in betas])
+
+
+def per_node_one(z, table, contour, real, beta):
+    alpha = table.alpha
     N, mu, h = table.N[contour], table.mu[contour], table.h[contour]
     zs = z.real if real else z
     acc = np.zeros(z.size, dtype=zs.dtype)
@@ -418,29 +424,54 @@ class TestContour:
             monkeypatch.undo()
             assert got.tolist() == ref.tolist(), beta
 
+    @staticmethod
+    def assert_blocks(monkeypatch, alpha, zs, kinds, betas):
+        """Every block of terms, padded rows and the padding column of a
+        one-point block included, holds at most _BLOCK elements with the
+        terms of all of its betas counted, and the blocks cover each point
+        once; ``kinds`` tells whether the blocks are shared by several
+        contours (gathered), of one (broadcast), or both: a contour whose
+        points fill a block shares none.  The values are those of one-beta
+        calls."""
+        blocks = []
+        inner = mlf._block_sums
+
+        def recorded(fac, z, pad=None):
+            real = not np.iscomplexobj(fac)
+            count = (len(fac) - 2) // 2 if real else len(fac) - 1
+            blocks.append((count, fac[0].shape[0], max(z.size, 2),
+                           fac[0].shape[1], z.size))
+            return inner(fac, z, pad)
+
+        monkeypatch.setattr(mlf, "_block_sums", recorded)
+        got = mlf.ml_betas(alpha, betas, zs)
+        assert {b for b, _, _, _, _ in blocks} == {len(betas)}
+        assert all(b * rows * cols <= mlf._BLOCK
+                   for b, rows, cols, _, _ in blocks)
+        assert sum(points for _, _, _, _, points in blocks) == zs.size
+        assert {shared > 1 for _, _, _, shared, _ in blocks} == kinds
+        monkeypatch.undo()
+        for beta, row in zip(betas, got):
+            assert row.tolist() == ml_scalar_array(alpha, beta, zs).tolist()
+
     @pytest.mark.parametrize("alpha, zs, kinds", [
         (1.2, CIRCLE, {True}), (1.2, MIXED, {True}),
         (1.3, SPREAD, {False, True}), (0.9, MIXED[:1], {False}),
         (1.5, CLUSTERS, {False})])
     def test_blocks_hold_at_most_the_bound(self, monkeypatch, alpha, zs,
                                            kinds):
-        # every block of terms, padded rows and the padding column of a
-        # one-point block included, holds at most _BLOCK elements, and
-        # covers each point once; ``kinds`` tells whether the blocks are
-        # shared by several contours (gathered), of one (broadcast), or both:
-        # a contour whose points fill a block shares none
-        blocks = []
-        inner = mlf._block_sums
+        self.assert_blocks(monkeypatch, alpha, zs, kinds, (1.0,))
 
-        def recorded(fac, z, pad=None):
-            blocks.append((fac[0].shape[0], max(z.size, 2), fac[0].shape[1]))
-            return inner(fac, z, pad)
-
-        monkeypatch.setattr(mlf, "_block_sums", recorded)
-        ml_scalar_array(alpha, 1.0, zs)
-        assert all(rows * cols <= mlf._BLOCK for rows, cols, _ in blocks)
-        assert sum(cols for _, cols, _ in blocks) == max(zs.size, 2)
-        assert {shared > 1 for _, _, shared in blocks} == kinds
+    @pytest.mark.parametrize("alpha, zs, kinds, betas", [
+        (1.2, MIXED, {False, True}, (1.0, 2.0, 1.2, 2.2)),
+        (1.3, SPREAD, {False, True}, (1.0, 2.0, 2.3)),
+        (1.5, CLUSTERS, {False}, (1.0, 2.0, 1.5, 2.5)),
+        (0.9, MIXED[:1], {False}, (1.0, 0.9, 1.9))])
+    def test_blocks_of_several_betas_hold_at_most_the_bound(
+            self, monkeypatch, alpha, zs, kinds, betas):
+        # the betas of one strength share every block, so a block holds
+        # fewer points: more contours take blocks of their own
+        self.assert_blocks(monkeypatch, alpha, zs, kinds, betas)
 
     def test_complex_padding_is_masked(self, monkeypatch):
         # a complex z of subnormal size whose series sums to 0 goes to the
@@ -463,9 +494,9 @@ class TestContour:
         events = []
         trapezoid, block_sums = mlf._trapezoid, mlf._block_sums
 
-        def recorded_pass(z, table, contour, real):
+        def recorded_pass(z, table, contour, real, betas):
             events.append(("pass", z.size, np.unique(contour).size))
-            return trapezoid(z, table, contour, real)
+            return trapezoid(z, table, contour, real, betas)
 
         def recorded_block(fac, z, pad=None):
             events.append(("block", fac[0].shape[0], max(z.size, 2)))
@@ -486,15 +517,16 @@ class TestContour:
     def test_kernel_tables_give_the_bits_of_fresh_calls(self, monkeypatch,
                                                         alpha):
         # the dozens-of-contours points above, as E(A0 t^a) for A0 = -1,
-        # reached in overlapping calls on one kernel object
+        # reached in overlapping calls on one kernel object, whose one
+        # table serves every beta
         t = np.geomspace(1.1, 200, 300) ** (1.0 / alpha)
         zs = -(t ** alpha) + 0j
         built = []
         contours = mlf._contours
 
-        def counted(a, b, bins):
+        def counted(p0, bins):
             built.append(bins.shape[0])
-            return contours(a, b, bins)
+            return contours(p0, bins)
 
         monkeypatch.setattr(mlf, "_contours", counted)
         ker = Kernels(alpha, np.array([[-1.0]]))
@@ -504,13 +536,18 @@ class TestContour:
                 patch.setattr(mlf, "_trapezoid", per_node_trapezoid)
                 ref = ml_scalar_array(alpha, beta, zs)
             built.clear()
+            before = ker._table.mu.size
             half = ker.e_ml(beta, t[:150])[:, 0, 0]
             full = ker.e_ml(beta, t)[:, 0, 0]
             again = ker.e_ml(beta, t)[:, 0, 0]
-            # every contour went through _contours once, the last call's
-            # through none
-            assert len(built) == 2
-            assert sum(built) == ker._tables[beta].mu.size > 24
+            # every contour of a new strength went through _contours once,
+            # the last call's through none; beta = alpha has the strength
+            # of beta = 1 and builds none
+            if beta == alpha:
+                assert built == []
+            else:
+                assert len(built) == 2
+                assert sum(built) == ker._table.mu.size - before > 24
             assert again.tolist() == full.tolist()
             assert half.tolist() == full[:150].tolist()
             assert full.tolist() == fresh.real.tolist(), beta
@@ -524,9 +561,9 @@ class TestContour:
         built = []
         contours = mlf._contours
 
-        def counted(a, b, bins):
+        def counted(p0, bins):
             built.append(bins.shape[0])
-            return contours(a, b, bins)
+            return contours(p0, bins)
 
         monkeypatch.setattr(mlf, "_contours", counted)
         t = np.geomspace(1.2, 2.0, 20)
@@ -535,7 +572,7 @@ class TestContour:
         ker = Kernels(4.5, np.diag([-1.0, 1.0]))
         if padded_first:
             padded = ker.e_ml(1.0, t)
-        table = ker._tables.setdefault(1.0, mlf._ContourTable(4.5, 1.0))
+        table = ker._table
         alone = ml_scalar_array(4.5, 1.0, zs, _table=table)
         if not padded_first:
             padded = ker.e_ml(1.0, t)
@@ -550,15 +587,15 @@ class TestContour:
         t = np.geomspace(0.1, 50.0, 40)
         one, two = Kernels(1.3, A0), Kernels(1.3, A0)
         first = one.e_ml(1.3, t)
-        assert two._tables == {}
+        assert one._table.mu.size and not two._table.mu.size
         second = two.e_ml(1.3, t)
         assert second.tolist() == first.tolist()
-        assert one._tables[1.3] is not two._tables[1.3]
-        assert one._tables[1.3].mu is not two._tables[1.3].mu
+        assert one._table is not two._table
+        assert one._table.mu is not two._table.mu
         # a direct call builds a table of its own and leaves the kernel's
-        size = one._tables[1.3].mu.size
+        size = one._table.mu.size
         ml_scalar_array(1.3, 1.3, -np.geomspace(300.0, 900.0, 7))
-        assert one._tables[1.3].mu.size == size
+        assert one._table.mu.size == size
 
     def test_complex_overflow_raises_and_real_gives_inf(self):
         for alpha, beta, r, th in ((0.5, 1.0, 200.0, 0.1),
@@ -576,6 +613,128 @@ class TestContour:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "False"
+
+
+# the orders of the shared pass: every band, the integer orders' closed
+# forms, and alpha = 1.2 whose beta 2.2 has p0 = 2 (2.2 - 1.2 - 1) = 4.4e-16
+SHARED_ALPHAS = (0.3, 0.6, 0.95, 1.0, 1.2, 1.5, 1.9, 2.0)
+SHARED_RADII = np.array([0.05, 0.5, 1.0, 1.5, 4.0, 15.0, 60.0])
+
+
+def shared_betas(alpha):
+    """1..k, alpha, alpha + 1 and alpha + 2: every beta a kernel of order
+    alpha evaluates."""
+    k = math.ceil(alpha - 1e-12)
+    return [j + 1.0 for j in range(k)] + [alpha, alpha + 1.0, alpha + 2.0]
+
+
+def shared_points(alpha):
+    """(name, z) of real, complex and mixed batches, z = 0, the |z| <= 1
+    series and the pole-free negative reals included, within the
+    reference's reach."""
+    r = SHARED_RADII[SHARED_RADII ** (1.0 / alpha) <= 200]
+    real = np.concatenate(([0.0], -r, r)).astype(complex)
+    cplx = np.concatenate([r * np.exp(1j * th * np.pi)
+                           for th in (0.9, 0.6, 0.3, -0.5)])
+    return [("real", real), ("complex", cplx),
+            ("mixed", np.concatenate((real, cplx, [0.3j, -2.0 + 1e-3j])))]
+
+
+class TestSharedPass:
+    """ml_betas evaluates every beta at one point set in one pass, with the
+    bits of one-beta calls."""
+
+    @pytest.mark.parametrize("alpha", SHARED_ALPHAS)
+    def test_bits_of_one_beta_calls(self, alpha):
+        betas = shared_betas(alpha)
+        for name, zs in shared_points(alpha):
+            got = mlf.ml_betas(alpha, betas, zs)
+            assert got.shape == (len(betas), zs.size)
+            for beta, row in zip(betas, got):
+                one = ml_scalar_array(alpha, beta, zs)
+                assert row.tolist() == one.tolist(), (name, beta)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.5, 1.9])
+    def test_bits_of_the_per_node_rule(self, monkeypatch, alpha):
+        # the blocks of several betas add each point's terms in the order
+        # of the node-by-node rule, one beta at a time
+        betas = shared_betas(alpha)
+        zs = shared_points(alpha)[2][1]
+        got = mlf.ml_betas(alpha, betas, zs)
+        monkeypatch.setattr(mlf, "_trapezoid", per_node_trapezoid)
+        for beta, row in zip(betas, got):
+            ref = ml_scalar_array(alpha, beta, zs)
+            assert row.tolist() == ref.tolist(), beta
+
+    def test_tiny_strength_shares_the_contours_of_beta_one(self, monkeypatch):
+        # p0 = 4.4e-16 at alpha 1.2, beta 2.2 reads as 0: its contours are
+        # those of beta 1 and 2, built once, with the bits of its own call
+        assert 2.0 * (2.2 - 1.2 - 1.0) > 0.0
+        assert mlf._strength(1.2, 2.2) == mlf._strength(1.2, 1.0) == 0.0
+        built = []
+        contours = mlf._contours
+
+        def counted(p0, bins):
+            built.append((p0, bins.shape[0]))
+            return contours(p0, bins)
+
+        zs = -np.geomspace(1.1, 200, 300) + 0j
+        alone = ml_scalar_array(1.2, 2.2, zs)
+        monkeypatch.setattr(mlf, "_contours", counted)
+        got = mlf.ml_betas(1.2, (1.0, 2.0, 2.2), zs)
+        assert len(built) == 1 and built[0][0] == 0.0
+        assert got[2].tolist() == alone.tolist()
+
+    def test_strengths_keep_their_own_contours(self, monkeypatch):
+        # beta = alpha + 2 has p0 = 2: its contours are its own, built in
+        # the same call as those of the betas of strength 0
+        built = []
+        contours = mlf._contours
+
+        def counted(p0, bins):
+            built.append(p0)
+            return contours(p0, bins)
+
+        monkeypatch.setattr(mlf, "_contours", counted)
+        table = mlf._ContourTable(1.5)
+        zs = -np.geomspace(1.1, 200, 50) + 0j
+        mlf.ml_betas(1.5, (1.0, 1.5, 2.5, 3.5), zs, _table=table)
+        assert sorted(built) == [0.0, 2.0]
+        built.clear()
+        mlf.ml_betas(1.5, (3.5, 2.0), zs, _table=table)
+        assert built == []
+
+    @pytest.mark.parametrize("alpha, beta", [(0.95, 0.95), (0.6, 1.0),
+                                             (1.5, 2.5)])
+    def test_conjugate_pairs_keep_the_bits(self, alpha, beta):
+        A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -0.5]])
+        lam = np.linalg.eigvals(A)
+        assert np.iscomplexobj(lam)
+        u = np.geomspace(1e-3, 79.0, 120)
+        betas = (1.0, beta, alpha + 1.0, alpha + 2.0)
+        got = mlf._eig_values(alpha, betas, lam, u)
+        for b, vals in zip(betas, got):
+            one = mlf._eig_values(alpha, (b,), lam, u)[0]
+            assert vals.tolist() == one.tolist(), b
+
+    def test_out_of_range_raises_as_the_one_beta_call(self):
+        z = np.array([0.5, 200.0 * np.exp(0.1j), -3.0])
+        with pytest.raises(OverflowBeyondRepresentableRange) as one:
+            ml_scalar_array(0.5, 1.0, z)
+        with pytest.raises(OverflowBeyondRepresentableRange) as shared:
+            mlf.ml_betas(0.5, (1.0, 0.5, 1.5), z)
+        assert str(shared.value) == str(one.value)
+        # the first beta in order names the error
+        with pytest.raises(OverflowBeyondRepresentableRange,
+                           match=r"E_\{0.5,1.5\}"):
+            mlf.ml_betas(0.5, (1.5, 1.0), z)
+
+    def test_one_beta_is_the_shared_pass(self):
+        zs = shared_points(1.2)[2][1]
+        got = mlf.ml_betas(1.2, (2.2,), zs)
+        assert got.shape == (1, zs.size)
+        assert got[0].tolist() == ml_scalar_array(1.2, 2.2, zs).tolist()
+        assert mlf.ml_betas(0.7, (1.0, 0.7), np.zeros((0,))).shape == (2, 0)
 
 
 POLE_FREE_ZS = np.array([-1e-300, -1e-16, -1e-6, -0.5, -1.0], dtype=complex)
@@ -667,12 +826,14 @@ class TestMlMatrix:
         u = np.geomspace(1e-3, 79.0, 400)
         points = []
 
-        def counted(alpha, beta, z, **kwargs):
-            points.append(np.size(z))
-            return ml_scalar_array(alpha, beta, z, **kwargs)
+        ml_betas = mlf.ml_betas
 
-        monkeypatch.setattr(mlf, "ml_scalar_array", counted)
-        vals = mlf._eig_values(alpha, beta, lam, u)
+        def counted(alpha, betas, z, **kwargs):
+            points.append(np.size(z))
+            return ml_betas(alpha, betas, z, **kwargs)
+
+        monkeypatch.setattr(mlf, "ml_betas", counted)
+        vals = mlf._eig_values(alpha, (beta,), lam, u)[0]
         assert points == [2 * u.size]
         lower = np.flatnonzero(~upper)[0]
         pair = np.flatnonzero(lam == lam[lower].conj())[0]

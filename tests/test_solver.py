@@ -307,20 +307,22 @@ class TestBlockedHistory:
     def test_discretization_evaluates_each_table_once(self, monkeypatch,
                                                       alpha):
         # phi_j needs E_{a,j+1}, int_phi E_{a,a+1}, int_s_phi E_{a,a+1}
-        # and E_{a,a+2}: the shared E_{a,a+1} table is evaluated once
+        # and E_{a,a+2}: one pass over the nodes evaluates every beta, the
+        # shared E_{a,a+1} once
         prob, grid = _blocked_case(1, alpha, (1,), "open_loop", False, seed=3)
-        betas = []
-        e_ml = Kernels.e_ml
+        passes = []
+        e_ml_each = Kernels.e_ml_each
 
-        def counted(self, beta, *args, **kwargs):
-            betas.append(beta)
-            return e_ml(self, beta, *args, **kwargs)
+        def counted(self, betas, t):
+            passes.append((list(betas), np.array(t).tolist()))
+            return e_ml_each(self, betas, t)
 
-        monkeypatch.setattr(Kernels, "e_ml", counted)
+        monkeypatch.setattr(Kernels, "e_ml_each", counted)
         solver._Discretization(prob, grid)
         k = prob.system.k
-        assert sorted(betas) == [j + 1.0 for j in range(k)] + [alpha + 1.0,
-                                                               alpha + 2.0]
+        assert passes == [([j + 1 for j in range(k)] + [alpha + 1.0,
+                                                        alpha + 2.0],
+                           grid.times.tolist())]
 
 
 class TestLinearity:
