@@ -656,10 +656,10 @@ def _contour_values(table: _ContourTable, betas, z: np.ndarray,
         (p0,) = groups
         return _strength_values(table, p0, betas, z, poles, phi, bins)
     out = np.empty((len(betas), z.size), dtype=complex)
-    for p0, rows in groups.items():
-        sel = np.flatnonzero(need[rows].any(axis=0))
-        out[np.array(rows)[:, None], sel] = _strength_values(
-            table, p0, [betas[i] for i in rows], z[sel], poles[sel],
+    for p0, members in groups.items():
+        sel = np.flatnonzero(need[members].any(axis=0))
+        out[np.array(members)[:, None], sel] = _strength_values(
+            table, p0, [betas[i] for i in members], z[sel], poles[sel],
             phi[sel], bins[sel])
     return out
 
