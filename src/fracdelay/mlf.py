@@ -63,11 +63,11 @@ cut into (nodes x points) blocks of at most 2^14 terms over all the
 betas, each padded to the most nodes among its own points, so memory
 beyond the output is bounded by the block, not by the number of points.
 Contours are kept per kernel: a ``kernels.Kernels`` object holds one
-table of the contours and node factors it has met, for every beta, so
-its quadrature's levels, its zero scan and the kernels of a certificate
-build only the contours they are missing; a direct ``ml_betas`` call
-builds a table of its own, dropped with the call.  A value does not
-depend on what the table held.
+table of the contours and node factors it has met, for every beta, in one
+part per strength, so its quadrature's levels, its zero scan and the
+kernels of a certificate build only the contours they are missing; a
+direct ``ml_betas`` call builds a table of its own, dropped with the
+call.  A value does not depend on what the table held.
 
 The evaluator has one accuracy, set by no argument.  Against a 30-digit
 series for alpha in 0.3..1.8 and the betas 1, alpha, alpha + 1, alpha + 2,
@@ -414,26 +414,41 @@ def _contours(p0: float, bins: np.ndarray):
 
 
 class _ContourTable:
-    """The contours of E_{alpha,b} met so far, for every beta b, and their
-    node factors.
-
-    A contour is keyed by the strength p0 of the origin (``_strength``) and
-    its row of pole bins packed into one integer, 16 bits per pole from the
-    nearest up and a missing pole as 0, so the padding of rows with fewer
-    poles changes neither key nor contour, and betas of one strength share
-    their contours.  The table keeps every contour's (mu, h, N) and, once a
-    point has used it, its node factors: per kind of point one (factors x
-    contours x nodes) array, padded past each contour's last node, whose
-    first rows hold the factors every beta shares and the rest those of
-    each beta met, in the order met (``nodes``).  A value does not depend
-    on what the table held.
-    """
+    """A kernel's contours of E_{alpha,b} met so far, for every beta b: one
+    ``_Contours`` per strength p0 of the origin (``_strength``), which the
+    betas of that strength share.  A value does not depend on what the
+    table held."""
 
     def __init__(self, alpha: float):
         self.alpha = alpha
+        self._strengths = {}    # p0 -> _Contours
+
+    def strength(self, p0: float) -> "_Contours":
+        """The contours of strength ``p0``, empty at their first use."""
+        if p0 not in self._strengths:
+            self._strengths[p0] = _Contours(self.alpha, p0)
+        return self._strengths[p0]
+
+
+class _Contours:
+    """The contours of one strength p0 of the origin met so far, and their
+    node factors, for every beta of that strength.
+
+    A contour is keyed by its row of pole bins packed into one integer, 16
+    bits per pole from the nearest up and a missing pole as 0, so the
+    padding of rows with fewer poles changes neither key nor contour.  It
+    keeps every contour's (mu, h, N) and, once a point has used it, its
+    node factors: per kind of point one (factors x contours x nodes)
+    array, padded past each contour's last node, whose first rows hold the
+    factors every beta shares and the rest those of each beta met, in the
+    order met (``nodes``).
+    """
+
+    def __init__(self, alpha: float, p0: float):
+        self.alpha, self.p0 = alpha, p0
         self.mu, self.h = np.empty(0), np.empty(0)
         self.N = np.empty(0, dtype=int)
-        self._index = {}    # p0 -> packed bins -> contour number
+        self._index = {}    # packed bins -> contour number
         self._betas = {}    # beta -> its number among the betas met
         # (real, betas) -> (rows, mask of the contours that have them)
         self._rows = {}
@@ -442,10 +457,9 @@ class _ContourTable:
                                       dtype=float if real else complex)
                        for real in (True, False)}
 
-    def contours(self, bins: np.ndarray, p0: float) -> np.ndarray:
-        """The contour number of every point, from its row of ``bins`` and
-        the strength ``p0``; the rows of new contours go through
-        ``_contours`` as one array."""
+    def contours(self, bins: np.ndarray) -> np.ndarray:
+        """The contour number of every point, from its row of ``bins``; the
+        rows of new contours go through ``_contours`` as one array."""
         # |bin| < 2^14, so a pole's code bin + 2^15 is nonzero; past 4 poles
         # the keys outgrow uint64 and are Python ints
         dtype = np.uint64 if bins.shape[1] <= 4 else object
@@ -455,19 +469,18 @@ class _ContourTable:
         keys, first, inverse = np.unique(key, return_index=True,
                                          return_inverse=True)
         keys = keys.tolist()
-        index = self._index.setdefault(p0, {})
-        new = [u for u, k in enumerate(keys) if k not in index]
+        new = [u for u, k in enumerate(keys) if k not in self._index]
         if new:
-            mu, h, N = _contours(p0, bins[first[new]])
-            index.update(zip((keys[u] for u in new),
-                             range(self.mu.size, self.mu.size + len(new))))
+            mu, h, N = _contours(self.p0, bins[first[new]])
+            self._index.update(zip((keys[u] for u in new),
+                                   range(self.mu.size, self.mu.size + len(new))))
             self.mu = np.concatenate((self.mu, mu))
             self.h = np.concatenate((self.h, h))
             self.N = np.concatenate((self.N, N))
-        return np.array([index[k] for k in keys])[inverse]
+        return np.array([self._index[k] for k in keys])[inverse]
 
     def nodes(self, contour: np.ndarray, real: bool, betas) -> tuple:
-        """(node factors, rows): the table's node factors for one kind of
+        """(node factors, rows): the node factors for one kind of
         point, a (factors x contours x nodes) array, after building those
         of ``betas`` of the contours in ``contour`` that lack them, all in
         one pass, and the rows that a call of ``betas`` reads.
@@ -538,7 +551,7 @@ def _block_sums(fac: np.ndarray, z: np.ndarray,
     """Trapezoid sums over the nodes of one block, one row per beta: the
     rows of the (nodes x points) terms, summed in ascending k.
 
-    ``fac`` holds the block's nodes of the ``_ContourTable.nodes`` rows of
+    ``fac`` holds the block's nodes of the ``_Contours.nodes`` rows of
     a call, as (factors x nodes x points): one column shared by every
     point, or one column per point.  The shared d - x and, for real z,
     (d - x)^2 + dd are formed once for every beta.  ``pad`` marks the
@@ -567,12 +580,13 @@ def _block_sums(fac: np.ndarray, z: np.ndarray,
     return np.add.reduce(t, axis=1)[:, :z.size]
 
 
-def _trapezoid(z: np.ndarray, table: _ContourTable, contour: np.ndarray,
+def _trapezoid(z: np.ndarray, table: _Contours, contour: np.ndarray,
                real: bool, betas) -> np.ndarray:
     """h/(2 pi i) sum_k e^s s^(a-b) s' / (s^a - z), nodes s = mu (1 + ihk)^2,
     |k| <= N, for every beta b of ``betas`` (one row each) and every point
     of ``z`` on its contour of ``table``, whose number ``contour`` holds;
-    every point real or every one complex.
+    every point real or every one complex.  The values are complex, the
+    sums of real z real.
 
     One pass for every contour and beta of the call: the points are
     ordered by node count, then by contour, and cut into (nodes x points)
@@ -632,56 +646,60 @@ def _trapezoid(z: np.ndarray, table: _ContourTable, contour: np.ndarray,
                 pad = np.arange(n)[:, None] >= rows_of[start:stop]
         sums[:, start:stop] = _block_sums(fac, zs[start:stop], pad)
         start = stop
-    out = np.empty_like(sums)
-    out[:, order] = step[cont] * sums
+    sums *= step[cont]
+    out = np.empty(sums.shape, dtype=complex)
+    out[:, order] = sums
     return out
 
 
 def _contour_values(table: _ContourTable, betas, z: np.ndarray,
-                    need: np.ndarray) -> np.ndarray:
-    """E_{alpha,b}(z) for nonzero z by the contour integral, one row per
-    beta b of ``betas``, alpha that of ``table``, wherever ``need``
-    (betas x points) asks for it; the other entries are left unset.
+                    todo: np.ndarray, vals: np.ndarray) -> None:
+    """Set ``vals[i, j]`` to E_{alpha,b}(z_j), b = ``betas[i]``, wherever
+    ``todo[i, j]``, by the contour integral; alpha that of ``table``.
 
-    The poles come once for every point, and the betas of one strength
-    (``_strength``) share one pass of ``_strength_values`` over the points
-    that any of them needs.
+    The poles come once for every point that some beta needs there, and
+    the betas of one strength (``_strength``) share one pass of
+    ``_strength_values`` over the points that any of them needs.  Their
+    values go into ``vals`` one row at a time, so no array of every beta's
+    values is formed.
     """
+    cols = np.flatnonzero(todo.any(axis=0))
+    need, z = todo[:, cols], z[cols]
     poles, phi, bins = _singularities(table.alpha, z)
     groups = {}
     for i, (beta, some) in enumerate(zip(betas, need.any(axis=1))):
         if some:
             groups.setdefault(_strength(table.alpha, beta), []).append(i)
-    if list(groups.values()) == [list(range(len(betas)))]:
-        (p0,) = groups
-        return _strength_values(table, p0, betas, z, poles, phi, bins)
-    out = np.empty((len(betas), z.size), dtype=complex)
     for p0, members in groups.items():
-        sel = np.flatnonzero(need[members].any(axis=0))
-        out[np.array(members)[:, None], sel] = _strength_values(
-            table, p0, [betas[i] for i in members], z[sel], poles[sel],
-            phi[sel], bins[sel])
-    return out
+        sel = need[members].any(axis=0)
+        every = sel.all()
+        got = _strength_values(
+            table.strength(p0), [betas[i] for i in members],
+            *((z, poles, phi, bins) if every
+              else (z[sel], poles[sel], phi[sel], bins[sel])))
+        at = cols if every else cols[sel]
+        for r, i in enumerate(members):
+            row = need[i] if every else need[i, sel]
+            vals[i, at[row]] = got[r, row]
 
 
-def _strength_values(table: _ContourTable, p0: float, betas, z, poles, phi,
+def _strength_values(table: _Contours, betas, z, poles, phi,
                      bins) -> np.ndarray:
     """E_{alpha,b}(z) for nonzero z by the contour integral, one row per
-    beta b of ``betas``, each of strength ``p0``; ``poles``, ``phi`` and
-    ``bins`` are ``_singularities(alpha, z)``.
+    beta b of ``betas``, each of the strength of ``table``; ``poles``,
+    ``phi`` and ``bins`` are ``_singularities(alpha, z)``.
 
     Points whose poles fall in the same bins share one contour of the
     table; every beta takes the same contours and adds the residues of
     the poles right of them, whose logarithms the betas share.
     """
-    contour = table.contours(bins, p0)
+    contour = table.contours(bins)
     real = z.imag == 0
     count = np.count_nonzero(real)
     # one pass for the real points, one for the complex ones; the real
     # sums are real, so their values are too until a residue is added
     if count in (0, z.size):
-        out = _trapezoid(z, table, contour, count > 0, betas).astype(
-            complex, copy=False)
+        out = _trapezoid(z, table, contour, count > 0, betas)
     else:
         out = np.empty((len(betas), z.size), dtype=complex)
         for kind, idx in ((True, np.flatnonzero(real)),
@@ -810,11 +828,8 @@ def ml_betas(alpha: float, betas, z, *,
             vals[i, series[ok]] = vs[ok]
             todo[i, series[ok]] = False
     if todo.any():
-        cols = np.flatnonzero(todo.any(axis=0))
-        need = todo[:, cols]
-        vals[todo] = _contour_values(
-            _table if _table is not None else _ContourTable(alpha), betas,
-            flat[cols], need)[need]
+        _contour_values(_table if _table is not None else _ContourTable(alpha),
+                        betas, flat, todo, vals)
     lost = ~np.isfinite(vals) & (flat.imag != 0)
     if lost.any():
         i, j = np.argwhere(lost)[0]
@@ -923,12 +938,15 @@ def _eig_values(alpha: float, betas, lam: np.ndarray, scale: np.ndarray,
     OverflowBeyondRepresentableRange, for the first beta in order that has
     one."""
     upper = lam.imag >= 0
-    vals = np.empty((len(betas), lam.size, scale.size), dtype=complex)
-    vals[:, upper] = ml_betas(alpha, betas, np.multiply.outer(
-        lam[upper], scale), _table=table)
-    # eig returns the pairs of a real matrix as exact conjugates
-    pair = np.argmax(lam == lam[:, None].conj(), axis=1)
-    vals[:, ~upper] = vals[:, pair[~upper]].conj()
+    vals = ml_betas(alpha, betas, np.multiply.outer(lam[upper], scale),
+                    _table=table)
+    if not upper.all():
+        full = np.empty((len(betas), lam.size, scale.size), dtype=complex)
+        full[:, upper] = vals
+        # eig returns the pairs of a real matrix as exact conjugates
+        pair = np.argmax(lam == lam[:, None].conj(), axis=1)
+        full[:, ~upper] = full[:, pair[~upper]].conj()
+        vals = full
     vals = vals.transpose(0, 2, 1)
     lost = ~np.isfinite(vals).all(axis=2)
     if lost.any():
