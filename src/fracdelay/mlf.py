@@ -671,8 +671,9 @@ def _contour_values(table: _ContourTable, betas, z: np.ndarray,
         if some:
             groups.setdefault(_strength(table.alpha, beta), []).append(i)
     for p0, members in groups.items():
-        sel = need[members].any(axis=0)
-        every = sel.all()
+        # one strength's betas need every point that any beta needs
+        sel = need[members].any(axis=0) if len(groups) > 1 else None
+        every = sel is None or sel.all()
         got = _strength_values(
             table.strength(p0), [betas[i] for i in members],
             *((z, poles, phi, bins) if every
@@ -680,7 +681,10 @@ def _contour_values(table: _ContourTable, betas, z: np.ndarray,
         at = cols if every else cols[sel]
         for r, i in enumerate(members):
             row = need[i] if every else need[i, sel]
-            vals[i, at[row]] = got[r, row]
+            if row.all():
+                vals[i, at] = got[r]
+            else:
+                vals[i, at[row]] = got[r, row]
 
 
 def _strength_values(table: _Contours, betas, z, poles, phi,
