@@ -12,12 +12,12 @@ For a scalar argument three routes cover the plane, each chosen per point:
 * the power series in double precision for |z| <= 1 (the pole-free real
   points below excepted), where its terms never exceed its sum by much: it
   sums to round-off and keeps a point only when its cancellation estimate
-  is below 1e-13, else the point goes to the contour.  Its terms come in
-  blocks for every point still summing, ``_TERM_BLOCK`` = 10 terms at a
-  time or, for a call of at most 372 points, as many as make 2^12
-  elements, up to 30, as (terms x points) arrays in real arithmetic when
-  every z is real, with one stop test per block and the bits of a
-  term-by-term loop;
+  is below 1e-13, else the point goes to the contour.  One pass sums
+  every beta's points, each at its own beta: its terms come in blocks for
+  every point still summing, ``_TERM_BLOCK`` = 10 terms at a time or, for
+  a pass of at most 372 points, as many as make 2^12 elements, up to 30,
+  as (terms x points) arrays in real arithmetic when every z is real,
+  with one stop test per block and the bits of a term-by-term loop;
 * everywhere else the inverse Laplace transform at t = 1,
 
       E_{a,b}(z) = (1/2 pi i) int_C e^s s^(a-b) / (s^a - z) ds,
@@ -47,12 +47,13 @@ For a scalar argument three routes cover the plane, each chosen per point:
 One pass serves every beta that a caller needs at one point set
 (``ml_betas``; ``ml_scalar_array`` is its one-beta case).  What depends
 on (alpha, z) alone comes once for all the betas: the points at 0, the
-poles and their bins, and, for the betas of one strength, the contours,
-the layout of the blocks below, the denominators d - x and (d - x)^2 +
-(Im d)^2 of real z (d - z of complex z), d = s^a, and the logarithms of
-the poles right of the contour.  Each beta adds only its closed forms,
-its series, the numerators of its node factors and its residues, so a
-value has the bits of a one-beta call.
+poles and their bins, the pass of the power series, and, for the betas
+of one strength, the contours, the layout of the blocks below, the
+denominators d - x and (d - x)^2 + (Im d)^2 of real z (d - z of complex
+z), d = s^a, and the logarithms of the poles right of the contour.  Each
+beta adds only its closed forms, its series terms, the numerators of its
+node factors and its residues, so a value has the bits of a one-beta
+call.
 The node factors of a call's new contours are computed in one pass and
 kept as one (factors x contours x nodes) array per kind of point, padded
 past each contour's last node: its first rows the factors of d that the
@@ -149,8 +150,10 @@ def lgamma(x) -> np.ndarray:
 # power series, double precision, vectorized over z
 # ---------------------------------------------------------------------------
 
-def _series_double(alpha: float, beta: float, z: np.ndarray):
-    """Sum the defining series for a 1-D array of z.
+def _series_double(alpha: float, betas, z: np.ndarray,
+                   which: np.ndarray | None = None):
+    """Sum the defining series for a 1-D array of z, point j at the beta
+    ``betas[which[j]]``; one beta is a float, with ``which`` None.
 
     A point stops after three shrinking terms in a row below ``_EPS`` of
     its sum, or at a non-finite term, and at the latest after ``_MAX_TERMS``
@@ -172,14 +175,18 @@ def _series_double(alpha: float, beta: float, z: np.ndarray):
     z = np.asarray(z, dtype=complex)
     if not z.imag.any():
         z = z.real
-    g0 = rgamma(beta)
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    if which is None:
+        which = np.zeros(z.size, dtype=int)
+    g0 = np.array([rgamma(b) for b in betas])[which]
     S = np.empty(z.shape, dtype=z.dtype)
     maxabs = np.empty(z.shape)
     stop_ell = np.full(z.shape, _MAX_TERMS)
-    # the points still summing: index, z, z^ell, partial sum, largest and
-    # last term magnitude, small-and-shrinking flags of the last two terms
-    live, zl, zp = np.arange(z.size), z, np.ones_like(z)
-    Sl, big = np.full(z.shape, g0, dtype=z.dtype), np.full(z.shape, abs(g0))
+    # the points still summing: index, beta, z, z^ell, partial sum, largest
+    # and last term magnitude, small-and-shrinking flags of the last two
+    # terms
+    live, wl, zl, zp = np.arange(z.size), which, z, np.ones_like(z)
+    Sl, big = g0.astype(z.dtype), np.abs(g0)
     prev, calm = big, np.zeros((2, z.size), dtype=bool)
     ell = 0
     terms = min(max(_TERM_BLOCK, _BLOCK // (4 * max(z.size, 1))),
@@ -187,8 +194,12 @@ def _series_double(alpha: float, beta: float, z: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         while live.size and ell < _MAX_TERMS:
             nb = min(terms, _MAX_TERMS - ell)
-            gam = np.array([rgamma(alpha * k + beta)
+            # (terms x betas); with several betas, one column per point
+            gam = np.array([rgamma(alpha * k + b) for b in betas
                             for k in range(ell + 1, ell + nb + 1)])
+            gam = gam.reshape(betas.size, nb).T
+            if betas.size > 1:
+                gam = gam[:, wl]
             # row 0 of each array holds what the previous block left
             P = np.empty((nb + 1, live.size), dtype=z.dtype)
             P[0] = zp
@@ -196,7 +207,7 @@ def _series_double(alpha: float, beta: float, z: np.ndarray):
                 np.multiply(P[j], zl, out=P[j + 1])
             sums = np.empty_like(P)
             sums[0] = Sl
-            np.multiply(P[1:], gam[:, None], out=sums[1:])
+            np.multiply(P[1:], gam, out=sums[1:])
             mags = np.empty(P.shape)
             mags[0] = prev
             ta = np.abs(sums[1:], out=mags[1:])
@@ -221,7 +232,8 @@ def _series_double(alpha: float, beta: float, z: np.ndarray):
                 S[idx], maxabs[idx] = sums[j, done], top[j, done]
                 stop_ell[idx] = ell + j
                 keep = np.flatnonzero(going)
-                live, zl, zp, Sl = live[keep], zl[keep], zp[keep], Sl[keep]
+                live, wl, zl, zp = live[keep], wl[keep], zl[keep], zp[keep]
+                Sl = Sl[keep]
                 big, prev, calm = big[keep], prev[keep], calm[:, keep]
             ell += nb
         # points still summing hit the cap
@@ -229,7 +241,7 @@ def _series_double(alpha: float, beta: float, z: np.ndarray):
         absS = np.abs(S)
         # each term also carries the rounding of its Gamma argument
         # alpha*ell + beta, amplified by psi(x) ~ ln(x)
-        x_end = alpha * stop_ell.astype(float) + abs(beta)
+        x_end = alpha * stop_ell.astype(float) + np.abs(betas)[which]
         noise = _EPS * (1.0 + x_end * np.log(x_end + 2.0))
         # a non-finite part makes |S| non-finite
         rel_err = np.where(np.isfinite(absS) & (absS > 0),
@@ -796,9 +808,9 @@ def ml_betas(alpha: float, betas, z, *,
     z < 0 with 0 < beta <= alpha < 1 has no pole on the principal sheet and
     takes the shared pole-free contour, cheaper there than the series and
     as accurate (see the module docstring).  The betas share what depends
-    on (alpha, z) alone: the points at 0, the poles and, for the betas of
-    one strength (``_strength``), the contours, the blocks of the
-    trapezoidal rule and their denominators.  Each value depends on its own
+    on (alpha, z) alone: the points at 0, the pass of the series, the
+    poles and, for the betas of one strength (``_strength``), the
+    contours, the blocks of the trapezoidal rule and their denominators.  Each value depends on its own
     point and beta only, so it has the bits of a call of that beta alone.
     A real z whose value exceeds double range gives inf; a complex one
     raises OverflowBeyondRepresentableRange, for the first beta in order
@@ -813,6 +825,7 @@ def ml_betas(alpha: float, betas, z, *,
     todo = np.empty(vals.shape, dtype=bool)
     zero = flat == 0
     near = ~zero & (np.abs(flat) <= 1.0)
+    series = np.empty(vals.shape, dtype=bool)
     for i, beta in enumerate(betas):
         todo[i] = ~zero
         vals[i, zero] = rgamma(beta)
@@ -820,17 +833,18 @@ def ml_betas(alpha: float, betas, z, *,
         if ident is not None:
             vals[i, ident[1]] = ident[0][ident[1]]
             todo[i] &= ~ident[1]
-        series = todo[i] & near
+        np.logical_and(todo[i], near, out=series[i])
         if alpha < 1.0 and 0.0 < beta <= alpha:
             # no pole on the principal sheet: one shared contour is
             # cheaper than the series
-            series &= (flat.imag != 0) | (flat.real >= 0)
-        series = np.flatnonzero(series)
-        if series.size:
-            vs, es = _series_double(alpha, beta, flat[series])
-            ok = es <= _SERIES_ACCEPT
-            vals[i, series[ok]] = vs[ok]
-            todo[i, series[ok]] = False
+            series[i] &= (flat.imag != 0) | (flat.real >= 0)
+    # one series pass over every beta's points
+    which, series = series.nonzero()
+    if series.size:
+        vs, es = _series_double(alpha, betas, flat[series], which)
+        ok = es <= _SERIES_ACCEPT
+        vals[which[ok], series[ok]] = vs[ok]
+        todo[which[ok], series[ok]] = False
     if todo.any():
         _contour_values(_table if _table is not None else _ContourTable(alpha),
                         betas, flat, todo, vals)

@@ -138,6 +138,23 @@ class TestSeriesBlocks:
         assert_series_bits(alpha, beta, real + 0j)
         assert_series_bits(alpha, beta, cplx)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.3, 1.9])
+    def test_points_of_several_betas_keep_their_bits(self, alpha):
+        # one pass over the points of every beta, each at its own beta,
+        # gives a point the sum and estimate of its own beta's pass
+        rng = np.random.default_rng(int(alpha * 10))
+        real = rng.uniform(-1.0, 1.0, 30)
+        cplx = rng.uniform(0, 1, 30) * np.exp(1j * rng.uniform(-3, 3, 30))
+        betas = (1.0, alpha, alpha + 1.0, alpha + 2.0)
+        for z in (real + 0j, np.concatenate((real, cplx))):
+            which = rng.integers(0, len(betas), z.size)
+            vals, err = _series_double(alpha, betas, z, which)
+            for i, beta in enumerate(betas):
+                own = which == i
+                one, one_err = _series_double(alpha, beta, z[own])
+                assert err[own].tolist() == one_err.tolist(), beta
+                assert vals[own].tolist() == one.tolist(), beta
+
     @pytest.mark.parametrize("cap", [25, 30])
     def test_term_cap(self, monkeypatch, cap):
         # a cap inside a block and one at its end; points stop before, at
@@ -762,9 +779,10 @@ class TestPoleFreeRoute:
         seen = []
         series = mlf._series_double
 
-        def counted(alpha, beta, z):
+        def counted(alpha, betas, z, which=None):
+            (beta,) = betas
             seen.append((alpha, beta, z.copy()))
-            return series(alpha, beta, z)
+            return series(alpha, betas, z, which)
 
         monkeypatch.setattr(mlf, "_series_double", counted)
         mixed = np.concatenate((POLE_FREE_ZS, [0.5, 0.3 + 0.4j, -0.5j]))
