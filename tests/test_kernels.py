@@ -936,11 +936,11 @@ class TestSharedKernelPass:
 
 
 def forbid_evaluation(monkeypatch):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise AssertionError("kernel evaluated")
 
-    monkeypatch.setattr(kernels, "ml_scalar_array", fail)
-    monkeypatch.setattr(mlf, "ml_scalar_array", fail)
+    # every scalar evaluation, one beta or several, is an ml_betas pass
+    monkeypatch.setattr(mlf, "ml_betas", fail)
 
 
 class TestRefusedInputs:
