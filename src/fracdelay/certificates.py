@@ -146,7 +146,9 @@ def _g_hat(prob: ValidatedProblem, feedback: ControlInput | None, t: float,
     if ker.grows:
         return math.inf, math.inf, None
     l2k = math.sqrt(phi_alpha_l2sq(ker, delta))
-    phis = np.array([ker.phi_j(j, [delta]) for j in range(sys.k)])
+    # every phi_j at delta from one Mittag-Leffler pass
+    phis = np.array(list(ker.scaled_each([(j, j + 1) for j in range(sys.k)],
+                                         [delta])))
 
     def windows(lags):
         for r_i, _, tables in lags:

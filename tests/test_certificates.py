@@ -99,6 +99,23 @@ class TestL2Family:
             value, _ = cert_g_hat_h(prob, t, 1.0)
             assert value == pytest.approx(math.exp(-1), abs=1e-8)
 
+    def test_phi_j_at_delta_take_one_pass(self, monkeypatch):
+        # at alpha 1.5 the numerator reads phi_0 and phi_1 at delta: one
+        # Mittag-Leffler pass of both betas
+        passes = []
+        e_ml_each = kernels.Kernels.e_ml_each
+
+        def counted(self, betas, t):
+            passes.append((list(betas), np.size(t)))
+            return e_ml_each(self, betas, t)
+
+        monkeypatch.setattr(kernels.Kernels, "e_ml_each", counted)
+        prob = validate_system(1.5, [0.0, 1.0], [np.array([[-1.0]]),
+                                                 np.array([[0.2]])],
+                               phi=[const_phi([1.0], 1.0)] * 2)
+        cert_g_hat_h(prob, 0.5, 1.0)
+        assert passes == [([1, 2], 1)]
+
     def test_constant_window_factor(self):
         # denominator factor for constant instantaneous part c: |c| sqrt(delta)
         prob = scalar_problem(1.0, -1.0, 0.0, r1=1.0, at0=0.3)
