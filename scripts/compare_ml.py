@@ -49,7 +49,13 @@ a scalar kernel with 1 < alpha < 2, the zeros of phi) and the default
 deltas, at the primitive's beta and every phi_j's where L1 is exact (the
 phi_j's alone elsewhere); simulate-long's node grid at every phi_j's beta,
 alpha + 1 and alpha + 2; and ``Kernels.k0``'s 2,001 points at every
-phi_j's beta for the non-monotone kernels of ``K0_KERNELS``.  Each SRC is
+phi_j's beta for the non-monotone kernels of ``K0_KERNELS``.  The last
+section replays, in order, every ``mlf.ml_betas`` call that certify-grid's
+op ``SEQUENCE_OP`` makes through its kernel's contour table (the zero scan
+at beta alpha, its refinement steps, the pass of the primitive and the
+phi_j, then K1's calls), recorded on the OLD tree: each run of a tree
+replays the whole sequence on the table of a new kernel, so a call finds
+what the calls before it built, and each call is timed.  Each SRC is
 a directory that holds the ``fracdelay`` package, such as a checkout's
 ``src``.
 
@@ -108,6 +114,8 @@ CONTOUR_ORDERS = ((0.7, 1.0, -1.0), (1.3, 1.3, -1.0), (0.7, 1.0, -1.0 + 2.0j),
 SHARED_SEED = 1
 K0_KERNELS = (("scalar", 1.5, np.array([[-0.6]])),
               ("triangular2", 0.7, np.array([[-1.0, 0.5], [0.0, -2.0]])))
+# the certify-grid op of the sequence section: a scalar kernel at alpha 1.2
+SEQUENCE_OP = 3
 
 
 def householder(v) -> np.ndarray:
@@ -208,9 +216,10 @@ def kernel_calls(fd) -> list:
             for p in ((1, 2) if alpha > 0.5 else (1,))]
 
 
-def shared_sets(fd) -> list:
-    """(label, alpha, A0, betas, t) of the shared-pass section, built with
-    tree ``fd`` (module docstring)."""
+def workload_ops(fd) -> tuple:
+    """(workloads module, certify-grid ops, simulate-long ops) of
+    ``perfbench/workloads.py`` at seed ``SHARED_SEED``, built with tree
+    ``fd``."""
     saved = {name: sys.modules.get(name) for name in ("fracdelay",
                                                       "fracdelay.cli")}
     sys.modules["fracdelay"] = fd
@@ -231,6 +240,13 @@ def shared_sets(fd) -> list:
                 sys.modules.pop(name, None)
             else:
                 sys.modules[name] = mod
+    return workloads, certify, simulate
+
+
+def shared_sets(fd) -> list:
+    """(label, alpha, A0, betas, t) of the shared-pass section, built with
+    tree ``fd`` (module docstring)."""
+    workloads, certify, simulate = workload_ops(fd)
     grid = np.array(fd.certificates.DEFAULT_DELTA_GRID)
     sets = []
     for i, op in enumerate(certify):
@@ -263,6 +279,70 @@ def shared_sets(fd) -> list:
         sets.append((f"k0 {name}", alpha, A0,
                      [j + 1 for j in range(math.ceil(alpha - 1e-12))], t))
     return sets
+
+
+def sequence_calls(fd) -> tuple:
+    """(alpha, A0, calls) of the sequence section, recorded on tree ``fd``:
+    the (betas, z) of every ``mlf.ml_betas`` call that ``certify`` makes
+    on certify-grid's op ``SEQUENCE_OP`` through its kernel's contour
+    table, in order, then those of ``kernels._l1_to_infinity`` on a kernel
+    of the same (alpha, A0)."""
+    _, certify, _ = workload_ops(fd)
+    prob = certify[SEQUENCE_OP].problem
+    alpha, A0 = float(prob.system.alpha), prob.system.kernel_matrix
+    inner = fd.mlf.ml_betas
+    log = []    # (table, betas, z), the table kept so no id is reused
+
+    def recorded(alpha, betas, z, **kwargs):
+        table = kwargs.get("_table")
+        if table is not None:
+            log.append((table, [float(b) for b in betas],
+                        np.array(z, dtype=complex, copy=True)))
+        return inner(alpha, betas, z, **kwargs)
+
+    def calls_on(table):
+        return [(betas, z) for t, betas, z in log if t is table]
+
+    fd.mlf.ml_betas = recorded
+    try:
+        fd.certify(prob)
+        # the op's kernel is the one whose table the most calls share
+        tables = [t for t, _, _ in log]
+        calls = calls_on(max(tables, key=lambda t: sum(u is t
+                                                      for u in tables)))
+        ker = fd.kernels.Kernels(alpha, A0)
+        fd.kernels._l1_to_infinity(ker)
+        calls += calls_on(ker._table)
+    finally:
+        fd.mlf.ml_betas = inner
+    return alpha, A0, calls
+
+
+def compare_sequence(trees, alpha, A0, calls, repeat: int) -> tuple:
+    """Replay ``calls``, each (betas, z), in order on one kernel's table,
+    on both trees, a new kernel per run; print one line per call; return
+    (differing calls, summed best times, largest relative difference)."""
+    best = np.full((2, len(calls)), np.inf)
+    outs = [[None] * len(calls), [None] * len(calls)]
+    for r in range(repeat):
+        # alternate which tree goes first
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            fd = trees[side]
+            table = fd.kernels.Kernels(alpha, A0)._table
+            for i, (betas, z) in enumerate(calls):
+                t, outs[side][i] = timed(fd, fd.mlf.ml_betas, alpha, betas,
+                                         z, _table=table)
+                best[side, i] = min(best[side, i], t)
+    differ, worst = 0, 0.0
+    for i, (betas, z) in enumerate(calls):
+        same, rel = agree(outs[0][i], outs[1][i])
+        differ += not same
+        worst = max(worst, rel)
+        label = ",".join(f"{x:.3g}" for x in betas)
+        print(f"{i:5d} {label:>18} {z.size:7d} {best[0, i]:10.6f} "
+              f"{best[1, i]:10.6f} {best[1, i] / best[0, i]:8.3f} "
+              f"{same!s:>5} {rel:8.2e}")
+    return differ, best.sum(axis=1), worst
 
 
 def takes_edges(fd) -> bool:
@@ -363,13 +443,13 @@ def record_calls(fd):
     return ml_calls, quad_calls, eml_calls, norm_calls
 
 
-def timed(fd, fn, *args):
-    """(seconds, values or the error's repr) of ``fn(*args)`` on tree
-    ``fd``."""
+def timed(fd, fn, *args, **kwargs):
+    """(seconds, values or the error's repr) of ``fn(*args, **kwargs)`` on
+    tree ``fd``."""
     t0 = time.perf_counter()
     with np.errstate(all="ignore"):
         try:
-            out = fn(*args)
+            out = fn(*args, **kwargs)
         except fd.errors.FracDelayError as exc:
             out = repr(exc)
     return time.perf_counter() - t0, out
@@ -389,6 +469,14 @@ def rel_diff(old, new) -> float:
     return float(np.max(rel, initial=0.0))
 
 
+def agree(old, new) -> tuple:
+    """(equal, largest relative difference) of one call's outputs on the
+    two trees."""
+    same = (old == new if isinstance(old, str) or isinstance(new, str)
+            else np.array_equal(old, new, equal_nan=True))
+    return same, rel_diff(old, new)
+
+
 def compare(trees, calls, repeat: int, label) -> tuple:
     """Replay ``calls`` (each a per-tree (fn, args) maker, called anew
     before every run) on both trees; print one line per call; return
@@ -404,10 +492,7 @@ def compare(trees, calls, repeat: int, label) -> tuple:
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 t, outs[side] = timed(trees[side], *call(trees[side]))
                 best[side] = min(best[side], t)
-        a, b = outs
-        same = (a == b if isinstance(a, str) or isinstance(b, str)
-                else np.array_equal(a, b, equal_nan=True))
-        rel = rel_diff(a, b)
+        same, rel = agree(*outs)
         differ += not same
         total[0] += best[0]
         total[1] += best[1]
@@ -431,6 +516,7 @@ def main() -> int:
     contour_calls = contour_batches(trees[0])
     synthetic_quad = kernel_calls(trees[0])
     shared = shared_sets(trees[0])
+    seq_alpha, seq_A0, seq_calls = sequence_calls(trees[0])
     differ = 0
 
     def ml_call(c):
@@ -523,6 +609,16 @@ def main() -> int:
               f"difference {worst:.2e}; summed best times "
               f"old {total[0]:.4f} s, new {total[1]:.4f} s "
               f"({total[1] / total[0] if calls else math.nan:.3f}x)\n")
+    print(f"certify#{SEQUENCE_OP}'s ml_betas calls in order on one kernel "
+          f"(alpha {seq_alpha:.3f}, n {seq_A0.shape[0]}):\n"
+          f"{'call':>5} {'betas':>18} {'points':>7} {'old_s':>10} "
+          f"{'new_s':>10} {'new/old':>8} equal {'max_rel':>8}")
+    bad, total, worst = compare_sequence(trees, seq_alpha, seq_A0, seq_calls,
+                                         args.repeat)
+    differ += bad
+    print(f"{len(seq_calls)} calls, {bad} differ, largest relative "
+          f"difference {worst:.2e}; summed best times old {total[0]:.4f} s, "
+          f"new {total[1]:.4f} s ({total[1] / total[0]:.3f}x)")
     return 1 if differ else 0
 
 

@@ -182,9 +182,8 @@ def _run_ml(args, prob) -> int:
     E = list(ker.e_ml_each(betas, ts))
 
     def kernel(power, vals):
-        # as Kernels.phi_j and Kernels.phi: zero for t < 0
-        return (vals * (ts ** power)[:, None, None] if t >= 0
-                else np.zeros_like(vals))[0].tolist()
+        # as Kernels.phi_j and Kernels.phi
+        return (vals * (ts ** power)[:, None, None])[0].tolist()
 
     doc = {
         "alpha": alpha,

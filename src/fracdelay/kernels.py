@@ -46,8 +46,8 @@ from .errors import (KernelNotIntegrable, NotAStabilityMatrix,
                      QuadratureNotConverged, SingularAtZero)
 # ml_scalar_array is not called here (mlf._eig_values calls
 # mlf.ml_betas): perfbench/test_harness.py reads it
-from .mlf import (_ContourTable, _eig_values, _ml_matrices, _recombine,
-                  eig_factors, lgamma, ml_scalar_array, rgamma)
+from .mlf import (_eig_values, _ml_matrices, _recombine, eig_factors,
+                  lgamma, ml_scalar_array, rgamma)
 from .system import FractionalDelaySystem, order_index
 from .tables import induced_norm, induced_norms
 
@@ -135,7 +135,7 @@ class Kernels:
         self.n = self.A0.shape[0]
         self._fac = eig_factors(self.A0)
         self.lam, _, self._cond = self._fac
-        self._table = _ContourTable(self.alpha)
+        self._table = {}    # strength p0 -> mlf._Contours
 
     @property
     def monotone(self) -> bool:
@@ -196,8 +196,12 @@ class Kernels:
     def e_ml_each(self, betas, t):
         """E_{alpha,b}(A0 t^alpha) for an array of t >= 0, one (N, n, n)
         array per beta b of ``betas`` in turn, from one Mittag-Leffler pass
-        (``mlf._ml_matrices``)."""
+        (``mlf._ml_matrices``).  A t that is not nonnegative and finite
+        raises ``ValueError`` before any evaluation, as in
+        ``mlf.ml_matrix``."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not (np.isfinite(t) & (t >= 0)).all():
+            raise ValueError("t must be nonnegative and finite")
         return _ml_matrices(self.alpha, betas, self.A0, self._fac,
                             t ** self.alpha, self._table)
 
@@ -209,8 +213,11 @@ class Kernels:
     def scaled_each(self, terms, t):
         """t^p E_{a,b}(A0 t^a) for an array of t, one (N, n, n) array per
         pair (p, b) of ``terms`` in turn, from one Mittag-Leffler pass; zero
-        for t < 0."""
+        for t < 0.  A t that is not finite raises ``ValueError`` before any
+        evaluation."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.isfinite(t).all():
+            raise ValueError("t must be finite")
         pos = t >= 0
         every = pos.all()
         at = t if every else t[pos]

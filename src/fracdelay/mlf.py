@@ -57,18 +57,20 @@ call.
 The node factors of a call's new contours are computed in one pass and
 kept as one (factors x contours x nodes) array per kind of point, padded
 past each contour's last node: its first rows the factors of d that the
-betas share, then those of each beta.  A call's terms come in one pass
-for its real points and one for its complex ones, whatever the number of
-contours and betas: the points, ordered by node count and contour, are
-cut into (nodes x points) blocks of at most 2^14 terms over all the
-betas, each padded to the most nodes among its own points, so memory
-beyond the output is bounded by the block, not by the number of points.
+betas share, then those of each beta, with one mask of the rows built for
+each contour, so a row that any call built serves every later call that
+reads it.  A call's terms come in one pass for its real points and one
+for its complex ones, whatever the number of contours and betas: the
+points, ordered by node count and contour, are cut into (nodes x points)
+blocks of at most 2^14 terms over all the betas, each padded to the most
+nodes among its own points, so memory beyond the output is bounded by the
+block, not by the number of points.
 Contours are kept per kernel: a ``kernels.Kernels`` object holds one
-table of the contours and node factors it has met, for every beta, in one
-part per strength, so its quadrature's levels, its zero scan and the
-kernels of a certificate build only the contours they are missing; a
-direct ``ml_betas`` call builds a table of its own, dropped with the
-call.  A value does not depend on what the table held.
+table of the contours and node factors it has met, for every beta, a dict
+of one ``_Contours`` per strength, so its quadrature's levels, its zero
+scan and the kernels of a certificate build only the contours and rows
+they are missing; a direct ``ml_betas`` call builds a table of its own,
+dropped with the call.  A value does not depend on what the table held.
 
 The evaluator has one accuracy, set by no argument.  Against a 30-digit
 series for alpha in 0.3..1.8 and the betas 1, alpha, alpha + 1, alpha + 2,
@@ -425,23 +427,6 @@ def _contours(p0: float, bins: np.ndarray):
     return mu, h, N.astype(int)
 
 
-class _ContourTable:
-    """A kernel's contours of E_{alpha,b} met so far, for every beta b: one
-    ``_Contours`` per strength p0 of the origin (``_strength``), which the
-    betas of that strength share.  A value does not depend on what the
-    table held."""
-
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self._strengths = {}    # p0 -> _Contours
-
-    def strength(self, p0: float) -> "_Contours":
-        """The contours of strength ``p0``, empty at their first use."""
-        if p0 not in self._strengths:
-            self._strengths[p0] = _Contours(self.alpha, p0)
-        return self._strengths[p0]
-
-
 class _Contours:
     """The contours of one strength p0 of the origin met so far, and their
     node factors, for every beta of that strength.
@@ -453,7 +438,8 @@ class _Contours:
     node factors: per kind of point one (factors x contours x nodes)
     array, padded past each contour's last node, whose first rows hold the
     factors every beta shares and the rest those of each beta met, in the
-    order met (``nodes``).
+    order met, and one (factors x contours) mask of the rows built
+    (``nodes``).
     """
 
     def __init__(self, alpha: float, p0: float):
@@ -462,11 +448,11 @@ class _Contours:
         self.N = np.empty(0, dtype=int)
         self._index = {}    # packed bins -> contour number
         self._betas = {}    # beta -> its number among the betas met
-        # (real, betas) -> (rows, mask of the contours that have them)
-        self._rows = {}
-        # real -> node factors
+        # real -> node factors, and the mask of the rows built
         self._nodes = {real: np.empty((0, 0, 0),
                                       dtype=float if real else complex)
+                       for real in (True, False)}
+        self._built = {real: np.empty((0, 0), dtype=bool)
                        for real in (True, False)}
 
     def contours(self, bins: np.ndarray) -> np.ndarray:
@@ -494,8 +480,8 @@ class _Contours:
     def nodes(self, contour: np.ndarray, real: bool, betas) -> tuple:
         """(node factors, rows): the node factors for one kind of
         point, a (factors x contours x nodes) array, after building those
-        of ``betas`` of the contours in ``contour`` that lack them, all in
-        one pass, and the rows that a call of ``betas`` reads.
+        of ``betas`` of the contours in ``contour`` that lack one of their
+        rows, all in one pass, and the rows that a call of ``betas`` reads.
 
         With c = e^s s^(a-b) s' and d = s^a, the terms are c / (d - z),
         nodes s = mu (1 + ihk)^2 with |k| <= N, column 0 at k = -N; for
@@ -505,24 +491,21 @@ class _Contours:
         the shared d = s^a, then c of each beta.  Columns past a contour's
         last node hold factors whose terms are exactly zero: c = cd = d = 0
         and dd = 1 for real z, and c = d = 0 for complex z, whose terms
-        ``_block_sums`` makes 0 / 1.  A contour's rows are built per set of
-        betas: one that a call of other betas met builds them again, to
-        the same bits.
+        ``_block_sums`` makes 0 / 1.  A row is built once per contour, by
+        the first call that reads it; a contour that lacks one of a call's
+        rows has all of them built again, to the same bits.
         """
-        key = (real, tuple(betas))
-        if key not in self._rows:
-            i = [self._betas.setdefault(float(b), len(self._betas))
-                 for b in betas]
-            rows = ([0, 1] + [r for b in i for r in (2 + 2 * b, 3 + 2 * b)]
-                    if real else [0] + [1 + b for b in i])
-            self._rows[key] = np.array(rows), np.empty(0, dtype=bool)
-        rows, done = self._rows[key]
-        nodes = self._nodes[real]
-        C = self.N.size
-        if done.size < C:
-            done = np.concatenate((done, np.zeros(C - done.size, dtype=bool)))
-            self._rows[key] = rows, done
-        lack = contour[~done[contour]]
+        i = [self._betas.setdefault(float(b), len(self._betas))
+             for b in betas]
+        rows = np.array([0, 1] + [r for b in i for r in (2 + 2 * b, 3 + 2 * b)]
+                        if real else [0] + [1 + b for b in i])
+        nodes, built = self._nodes[real], self._built[real]
+        R, C = (2 if real else 1) * (len(self._betas) + 1), self.N.size
+        if built.shape != (R, C):
+            grown = np.zeros((R, C), dtype=bool)
+            grown[:built.shape[0], :built.shape[1]] = built
+            built = self._built[real] = grown
+        lack = contour[~built[rows].all(axis=0)[contour]]
         if lack.size:
             new = np.bincount(lack).nonzero()[0]
             size = self.N[new] + 1 if real else 2 * self.N[new] + 1
@@ -545,7 +528,6 @@ class _Contours:
                     vals += [cb.imag, cb.real * d.imag]
             else:
                 vals = [d, *c]
-            R = (2 if real else 1) * (len(self._betas) + 1)
             if nodes.shape != (R, C, width):
                 grown = np.zeros((R, C, width), dtype=nodes.dtype)
                 if real:
@@ -554,7 +536,7 @@ class _Contours:
                       :nodes.shape[2]] = nodes
                 nodes = self._nodes[real] = grown
             nodes[rows[:, None], col, row] = vals
-            done[new] = True
+            built[rows[:, None], new] = True
         return nodes, rows
 
 
@@ -664,30 +646,33 @@ def _trapezoid(z: np.ndarray, table: _Contours, contour: np.ndarray,
     return out
 
 
-def _contour_values(table: _ContourTable, betas, z: np.ndarray,
+def _contour_values(alpha: float, table: dict, betas, z: np.ndarray,
                     todo: np.ndarray, vals: np.ndarray) -> None:
     """Set ``vals[i, j]`` to E_{alpha,b}(z_j), b = ``betas[i]``, wherever
-    ``todo[i, j]``, by the contour integral; alpha that of ``table``.
+    ``todo[i, j]``, by the contour integral.
 
-    The poles come once for every point that some beta needs there, and
-    the betas of one strength (``_strength``) share one pass of
+    ``table`` maps a strength p0 (``_strength``) to its ``_Contours``, made
+    here at its first use.  The poles come once for every point that some
+    beta needs there, and the betas of one strength share one pass of
     ``_strength_values`` over the points that any of them needs.  Their
     values go into ``vals`` one row at a time, so no array of every beta's
     values is formed.
     """
     cols = np.flatnonzero(todo.any(axis=0))
     need, z = todo[:, cols], z[cols]
-    poles, phi, bins = _singularities(table.alpha, z)
+    poles, phi, bins = _singularities(alpha, z)
     groups = {}
     for i, (beta, some) in enumerate(zip(betas, need.any(axis=1))):
         if some:
-            groups.setdefault(_strength(table.alpha, beta), []).append(i)
+            groups.setdefault(_strength(alpha, beta), []).append(i)
     for p0, members in groups.items():
+        if p0 not in table:
+            table[p0] = _Contours(alpha, p0)
         # one strength's betas need every point that any beta needs
         sel = need[members].any(axis=0) if len(groups) > 1 else None
         every = sel is None or sel.all()
         got = _strength_values(
-            table.strength(p0), [betas[i] for i in members],
+            table[p0], [betas[i] for i in members],
             *((z, poles, phi, bins) if every
               else (z[sel], poles[sel], phi[sel], bins[sel])))
         at = cols if every else cols[sel]
@@ -799,7 +784,7 @@ def _identity_path(alpha: float, beta: float, z: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def ml_betas(alpha: float, betas, z, *,
-             _table: _ContourTable | None = None) -> np.ndarray:
+             _table: dict | None = None) -> np.ndarray:
     """E_{alpha,b} for every beta b of ``betas`` over an array of complex
     arguments, in one pass: shape (len(betas),) + z.shape.
 
@@ -814,8 +799,9 @@ def ml_betas(alpha: float, betas, z, *,
     point and beta only, so it has the bits of a call of that beta alone.
     A real z whose value exceeds double range gives inf; a complex one
     raises OverflowBeyondRepresentableRange, for the first beta in order
-    that has one.  The contours come from ``_table`` when a kernel passes
-    the one it keeps for alpha, else from a table of this call's own.
+    that has one.  The contours come from ``_table``, {p0: ``_Contours``},
+    when a kernel passes the one it keeps for alpha, else from a table of
+    this call's own.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -846,8 +832,8 @@ def ml_betas(alpha: float, betas, z, *,
         vals[which[ok], series[ok]] = vs[ok]
         todo[which[ok], series[ok]] = False
     if todo.any():
-        _contour_values(_table if _table is not None else _ContourTable(alpha),
-                        betas, flat, todo, vals)
+        _contour_values(alpha, {} if _table is None else _table, betas,
+                        flat, todo, vals)
     lost = ~np.isfinite(vals) & (flat.imag != 0)
     if lost.any():
         i, j = np.argwhere(lost)[0]
@@ -857,11 +843,10 @@ def ml_betas(alpha: float, betas, z, *,
     return vals.reshape((len(betas),) + z.shape)
 
 
-def ml_scalar_array(alpha: float, beta: float, z, *,
-                    _table: _ContourTable | None = None) -> np.ndarray:
+def ml_scalar_array(alpha: float, beta: float, z) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of complex arguments: the
     one-beta pass of ``ml_betas``."""
-    return ml_betas(alpha, (beta,), z, _table=_table)[0]
+    return ml_betas(alpha, (beta,), z)[0]
 
 
 def ml_scalar(alpha: float, beta: float, z: complex) -> complex:
@@ -946,7 +931,7 @@ def _finite(alpha: float, beta: float, scale: np.ndarray,
 
 
 def _eig_values(alpha: float, betas, lam: np.ndarray, scale: np.ndarray,
-                table: _ContourTable | None = None) -> np.ndarray:
+                table: dict | None = None) -> np.ndarray:
     """E_{alpha,b}(lambda_k s) for each beta b of ``betas``, every s in
     ``scale`` and eigenvalue lambda_k of a real matrix, shape (B, N, n):
     one ``ml_betas`` pass over every eigenvalue with Im lambda_k >= 0 times
@@ -986,7 +971,7 @@ def _recombine(vals: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 
 def _ml_matrices(alpha: float, betas, A: np.ndarray, fac, scale: np.ndarray,
-                 table: _ContourTable | None = None):
+                 table: dict | None = None):
     """E_{alpha,b}(A s) for every s in ``scale``, one (N, n, n) array per
     beta b of ``betas``, in turn.
 
@@ -1009,11 +994,12 @@ def _ml_matrices(alpha: float, betas, A: np.ndarray, fac, scale: np.ndarray,
 
 
 def ml_matrix(alpha: float, beta: float, A: np.ndarray, t: float) -> np.ndarray:
-    """E_{alpha,beta}(A t^alpha) for a square matrix A and time t >= 0."""
+    """E_{alpha,beta}(A t^alpha) for a square matrix A and a finite time
+    t >= 0."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be nonnegative and finite")
     A = np.asarray(A, dtype=float)
     return next(_ml_matrices(alpha, (beta,), A, eig_factors(A),
                              np.array([t ** alpha])))[0]

@@ -142,6 +142,18 @@ class TestCommands:
             "E_beta": ker.e_ml(1.5, ts)[0].tolist()}
         assert out.strip() == dump_json(expect).strip()
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-0.5"])
+    def test_ml_refuses_times_outside_the_half_line(self, capsys, t):
+        # refused before any evaluation: no RuntimeWarning, no overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli("ml", "--problem",
+                                f"{FIXTURES}/frac_nodelay.json", "--t", t)
+        assert code == 1 and out == ""
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "t must be nonnegative and finite"}
+
     def test_verify_bounds(self):
         code, out = run_cli("verify-bounds", "--problem",
                             f"{FIXTURES}/frac_nodelay.json")

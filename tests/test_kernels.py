@@ -969,6 +969,19 @@ class TestRefusedInputs:
         pytest.param(lambda: weighted_singular_integral(-1.5, np.exp,
                                                         [0.0, 1.0]),
                      "exponent must exceed -1", id="exponent-below"),
+        pytest.param(lambda: Kernels(0.8, A1).e_ml_each((1.0, 0.8),
+                                                        [1.0, math.nan]),
+                     "t must be nonnegative and finite", id="e-ml-nan"),
+        pytest.param(lambda: Kernels(0.8, A3).e_ml(1.0, math.inf),
+                     "t must be nonnegative and finite", id="e-ml-inf"),
+        pytest.param(lambda: Kernels(1.0, A1).e_ml(1.0, -0.5),
+                     "t must be nonnegative and finite",
+                     id="e-ml-negative-integer-order"),
+        pytest.param(lambda: Kernels(1.5, A1).phi_j(0, [-1.0, math.nan]),
+                     "t must be finite", id="phi-j-nan"),
+        pytest.param(lambda: list(Kernels(0.8, A1).scaled_each(
+            [(0, 1), (0.8, 1.8)], -math.inf)), "t must be finite",
+                     id="scaled-minus-inf"),
     ])
     def test_refused(self, monkeypatch, call, match):
         forbid_evaluation(monkeypatch)

@@ -338,9 +338,9 @@ def probe_points(alpha):
 
 
 def table_size(table):
-    """The number of contours a ``mlf._ContourTable`` holds, over its
-    strengths."""
-    return sum(c.mu.size for c in table._strengths.values())
+    """The number of contours a kernel's table, {p0: ``mlf._Contours``},
+    holds over its strengths."""
+    return sum(c.mu.size for c in table.values())
 
 
 def per_node_trapezoid(z, table, contour, real, betas):
@@ -596,7 +596,7 @@ class TestContour:
         if padded_first:
             padded = ker.e_ml(1.0, t)
         table = ker._table
-        alone = ml_scalar_array(4.5, 1.0, zs, _table=table)
+        alone = mlf.ml_betas(4.5, (1.0,), zs, _table=table)[0]
         if not padded_first:
             padded = ker.e_ml(1.0, t)
         assert sum(built) == table_size(table)
@@ -614,7 +614,7 @@ class TestContour:
         second = two.e_ml(1.3, t)
         assert second.tolist() == first.tolist()
         assert one._table is not two._table
-        assert one._table.strength(0.0) is not two._table.strength(0.0)
+        assert one._table[0.0] is not two._table[0.0]
         # a direct call builds a table of its own and leaves the kernel's
         size = table_size(one._table)
         ml_scalar_array(1.3, 1.3, -np.geomspace(300.0, 900.0, 7))
@@ -719,13 +719,36 @@ class TestSharedPass:
             return contours(p0, bins)
 
         monkeypatch.setattr(mlf, "_contours", counted)
-        table = mlf._ContourTable(1.5)
+        table = {}
         zs = -np.geomspace(1.1, 200, 50) + 0j
         mlf.ml_betas(1.5, (1.0, 1.5, 2.5, 3.5), zs, _table=table)
         assert sorted(built) == [0.0, 2.0]
         built.clear()
         mlf.ml_betas(1.5, (3.5, 2.0), zs, _table=table)
         assert built == []
+        # the rows that the call of (1, a, a + 1, a + 2) built serve a call
+        # of a + 1 alone, which writes no node factor
+        for part in table.values():
+            for nodes in part._nodes.values():
+                nodes.flags.writeable = False
+        got = mlf.ml_betas(1.5, (2.5,), zs, _table=table)
+        assert got[0].tolist() == ml_scalar_array(1.5, 2.5, zs).tolist()
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.2, 1.5])
+    def test_values_do_not_depend_on_the_table_history(self, alpha):
+        # one table met by calls of overlapping sets of betas, in the order
+        # of a certificate: zero scan, L1 with the phi_j, then K1; the L1
+        # call meets part of the points, so the later calls find contours
+        # that hold the rows of some of their betas and not of others
+        table = {}
+        part = shared_points(alpha)[2][1]
+        zs = np.concatenate((part, -np.geomspace(1.1, 200, 50)))
+        for betas, at in (((alpha,), zs), ((alpha + 1.0, 1.0, 2.0), part),
+                          ((alpha + 1.0,), zs), ((2.0, alpha + 1.0), zs)):
+            got = mlf.ml_betas(alpha, betas, at, _table=table)
+            for beta, row in zip(betas, got):
+                one = ml_scalar_array(alpha, beta, at)
+                assert row.tolist() == one.tolist(), (betas, beta)
 
     @pytest.mark.parametrize("alpha, beta", [(0.95, 0.95), (0.6, 1.0),
                                              (1.5, 2.5)])
@@ -910,6 +933,10 @@ class TestMlMatrix:
                  "alpha must be positive", id="matrix-alpha-negative"),
     pytest.param(lambda: ml_matrix(0.8, 1.0, np.eye(2), -0.1),
                  "t must be nonnegative", id="matrix-t-negative"),
+    pytest.param(lambda: ml_matrix(0.8, 1.0, -np.eye(2), math.nan),
+                 "t must be nonnegative and finite", id="matrix-t-nan"),
+    pytest.param(lambda: ml_matrix(0.8, 1.0, -np.eye(2), math.inf),
+                 "t must be nonnegative and finite", id="matrix-t-inf"),
 ])
 def test_refused_orders_and_times(call, match):
     with pytest.raises(ValueError, match=match):
